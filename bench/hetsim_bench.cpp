@@ -3,16 +3,15 @@
 /// \file
 /// Times the simulator itself, phase by phase: trace generation throughput
 /// per kernel, single-run simulation per kernel x memory model, the fig5
-/// sweep through the SweepRunner, and the Pattern-block closed-form fold
-/// against its per-record reference. Each phase appends one record in the
+/// sweep through the SweepRunner, jobs=2 scaling, and the memory walk's
+/// wall-time attribution. Each phase appends one record in the
 /// bench_timing.json shape (points_per_s carries the phase's native
 /// throughput), so scripts/bench_timing.sh can gate any of them.
 ///
 /// Usage: hetsim_bench [--smoke] [--phase NAME]
 ///   --smoke   shrink every phase to a seconds-scale CI gate
 ///   --phase   run only the named phase
-///             (tracegen|singlerun|sweep|cachehit|scaling|fastpath|
-///              memphase)
+///             (tracegen|singlerun|sweep|scaling|memphase)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +19,6 @@
 #include "core/Experiments.h"
 #include "memory/MemorySystem.h"
 #include "trace/ComputeBlock.h"
-#include "trace/TraceCache.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -110,11 +108,10 @@ void benchSingleRun(const BenchOptions &Opts) {
               double(traceGenNanos()) * 1e-9 - GenBefore);
 }
 
-/// Phase 3: the fig5 sweep through the SweepRunner (serial, cold cache —
-/// the configuration the committed BENCH_sweep.json baseline gates).
+/// Phase 3: the fig5 sweep through the SweepRunner (serial — the
+/// configuration the committed BENCH_sweep.json baseline gates).
 void benchSweep(const BenchOptions &Opts) {
   std::printf("=== sweep: fig5 case studies through SweepRunner ===\n");
-  TraceCache::global().clear();
   std::vector<SweepPoint> Points;
   for (CaseStudy Study : allCaseStudies())
     for (KernelId Kernel : allKernels()) {
@@ -129,59 +126,10 @@ void benchSweep(const BenchOptions &Opts) {
   appendBenchTiming("hetsim_bench_sweep", Runner.telemetry());
 }
 
-/// Phase 4: regression gate — serving a trace from the cache must never
-/// be slower than regenerating it. A hit is one sharded-map lookup plus a
-/// shared_future get on a ready slot; regeneration walks the whole
-/// generator. If this assertion ever trips, the cache's hot path has
-/// picked up contention (the serial-cached-slower-than-nocache inversion
-/// this PR fixed) and the bench fails loudly rather than letting sweeps
-/// quietly pay for a cache that hurts.
-void benchCacheHit(const BenchOptions &Opts) {
-  std::printf("=== cachehit: hit vs regeneration ===\n");
-  if (!TraceCache::global().enabled()) {
-    std::printf("  SKIP: HETSIM_TRACE_CACHE=0 bypasses the cache\n");
-    return;
-  }
-  TraceCache::global().clear();
-  const KernelId Kernel = KernelId::Reduction;
-  KernelDataLayout Layout =
-      KernelDataLayout::makeLinear(Kernel, region::CpuPrivateBase);
-  GenRequest Req;
-  Req.Pu = PuKind::Cpu;
-  Req.InstCount = Opts.Smoke ? 200000 : 2000000;
-
-  // Populate the entry (cold miss), then time regeneration and a hit on
-  // the identical inputs.
-  auto Cold = TraceCache::global().compute(Kernel, Req, Layout);
-  WallTimer RegenTimer;
-  TraceBuffer Regen =
-      KernelTraceGenerator::forKernel(Kernel).generateCompute(Req, Layout);
-  double RegenSecs = RegenTimer.elapsedSeconds();
-  WallTimer HitTimer;
-  auto Hit = TraceCache::global().compute(Kernel, Req, Layout);
-  double HitSecs = HitTimer.elapsedSeconds();
-
-  std::printf("  %llu records: regenerate %.6f s, cache hit %.6f s\n",
-              static_cast<unsigned long long>(Cold->size()), RegenSecs,
-              HitSecs);
-  reportPhase("hetsim_bench_cachehit", Cold->size(), HitSecs);
-  if (Hit.get() != Cold.get()) {
-    std::fprintf(stderr, "error: hit returned a different buffer\n");
-    std::exit(1);
-  }
-  if (HitSecs > RegenSecs) {
-    std::fprintf(stderr,
-                 "error: cache hit (%.6f s) slower than regeneration "
-                 "(%.6f s)\n",
-                 HitSecs, RegenSecs);
-    std::exit(1);
-  }
-}
-
-/// Phase 5: scaling gate — a jobs=2 sweep must finish no slower than
+/// Phase 4: scaling gate — a jobs=2 sweep must finish no slower than
 /// 1.05x the serial wall on a host that actually has two cores (the
-/// threshold tolerates timer noise; real contention regressions like the
-/// jobs=4 trace-gen ballooning this PR fixed blow straight past it).
+/// threshold tolerates timer noise; real contention regressions blow
+/// straight past it).
 /// Single-core hosts print a visible skip notice instead of a flaky gate.
 void benchScaling(const BenchOptions &Opts) {
   std::printf("=== scaling: jobs=2 vs serial sweep wall ===\n");
@@ -201,10 +149,7 @@ void benchScaling(const BenchOptions &Opts) {
       Points.emplace_back(SystemConfig::forCaseStudy(Study), Kernel);
     }
 
-  // Both runs start cold so they pay identical generation work;
-  // single-flight keeps the parallel run from duplicating any of it.
   auto RunWith = [&](unsigned Jobs, const char *Bench) {
-    TraceCache::global().clear();
     SweepRunner Runner(Jobs);
     Runner.run(Points);
     std::printf("  jobs=%u -> %s\n", Jobs,
@@ -226,62 +171,11 @@ void benchScaling(const BenchOptions &Opts) {
               ParallelSecs, SerialSecs);
 }
 
-/// Phase 6: the Pattern-block closed-form fold against its per-record
-/// reference — the speedup the fast path buys on explicitly periodic
-/// steady-state traces, with an equality check.
-void benchFastPath(const BenchOptions &Opts) {
-  std::printf("=== fastpath: pattern fold vs per-record reference ===\n");
-  PatternBlock Pattern;
-  const uint32_t Pc = 0x400;
-  for (unsigned I = 0; I != 6; ++I)
-    Pattern.Prologue.emitAlu(Opcode::IntAlu, Pc + I * 4, uint8_t(8 + I), 0);
-  Pattern.Body.emitAlu(Opcode::IntAlu, Pc + 0x40, 8, 9);
-  Pattern.Body.emitAlu(Opcode::FpMac, Pc + 0x44, 9, 8, 10);
-  Pattern.Body.emitAlu(Opcode::IntAlu, Pc + 0x48, 10, 9);
-  Pattern.Body.emitBranch(Pc + 0x4C, /*Taken=*/true);
-  Pattern.BodyRepeats = Opts.Smoke ? 250000 : 2500000;
-  auto Block = std::make_shared<const BlockTrace>(std::move(Pattern));
-
-  auto RunOnce = [&](int Mode) {
-    MemHierConfig HierConfig;
-    MemorySystem Mem(HierConfig);
-    Mem.mapRange(PuKind::Cpu, region::CpuPrivateBase, 1 << 20);
-    CpuCore Core(CpuConfig(), Mem);
-    setFastPathForTesting(Mode);
-    SegmentResult R = Mode == 0 ? Core.run(Block->materialized(), 0)
-                                : Core.run(SharedTrace(Block), 0);
-    setFastPathForTesting(-1);
-    return R;
-  };
-
-  WallTimer RefTimer;
-  SegmentResult Ref = RunOnce(0);
-  double RefSecs = RefTimer.elapsedSeconds();
-  WallTimer FastTimer;
-  SegmentResult Fast = RunOnce(1);
-  double FastSecs = FastTimer.elapsedSeconds();
-
-  bool Equal = Ref.Cycles == Fast.Cycles && Ref.Insts == Fast.Insts &&
-               Ref.BranchMispredicts == Fast.BranchMispredicts &&
-               Ref.ICacheMisses == Fast.ICacheMisses;
-  std::printf("  %llu records: reference %.3f s, fold %.4f s (%.0fx), "
-              "results %s\n",
-              static_cast<unsigned long long>(Block->totalRecords()), RefSecs,
-              FastSecs, FastSecs > 0 ? RefSecs / FastSecs : 0.0,
-              Equal ? "identical" : "DIFFER");
-  reportPhase("hetsim_bench_fastpath", Block->totalRecords(), FastSecs);
-  if (!Equal) {
-    std::fprintf(stderr, "error: fold diverged from reference\n");
-    std::exit(1);
-  }
-}
-
-/// Phase 7: memory-phase attribution — where each run's wall time goes:
+/// Phase 5: memory-phase attribution — where each run's wall time goes:
 /// trace generation, the memory walk's TLB/translate step, the cache
 /// hierarchy, DRAM service, and whatever remains (core compute
-/// modelling). This is the measurement that motivates the selective-
-/// fidelity fast path: it shows how much of simulate_s the memory
-/// hierarchy costs per kernel x model.
+/// modelling): how much of simulate_s the memory hierarchy costs per
+/// kernel x model.
 void benchMemPhase(const BenchOptions &Opts) {
   std::printf("=== memphase: wall-time attribution per run ===\n");
   std::vector<CaseStudy> Studies(allCaseStudies());
@@ -335,17 +229,25 @@ void benchMemPhase(const BenchOptions &Opts) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  static const char *const Phases[] = {"tracegen", "singlerun", "sweep",
+                                       "scaling", "memphase"};
+  auto KnownPhase = [](const char *Name) {
+    for (const char *Phase : Phases)
+      if (std::strcmp(Name, Phase) == 0)
+        return true;
+    return false;
+  };
   BenchOptions Opts;
   for (int I = 1; I != Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0) {
       Opts.Smoke = true;
-    } else if (std::strcmp(Argv[I], "--phase") == 0 && I + 1 != Argc) {
+    } else if (std::strcmp(Argv[I], "--phase") == 0 && I + 1 != Argc &&
+               KnownPhase(Argv[I + 1])) {
       Opts.Phase = Argv[++I];
     } else {
       std::fprintf(stderr,
                    "usage: hetsim_bench [--smoke] "
-                   "[--phase tracegen|singlerun|sweep|cachehit|scaling|"
-                   "fastpath|memphase]\n");
+                   "[--phase tracegen|singlerun|sweep|scaling|memphase]\n");
       return 2;
     }
   }
@@ -357,12 +259,8 @@ int main(int Argc, char **Argv) {
     benchSingleRun(Opts);
   if (Opts.runs("sweep"))
     benchSweep(Opts);
-  if (Opts.runs("cachehit"))
-    benchCacheHit(Opts);
   if (Opts.runs("scaling"))
     benchScaling(Opts);
-  if (Opts.runs("fastpath"))
-    benchFastPath(Opts);
   if (Opts.runs("memphase"))
     benchMemPhase(Opts);
   return 0;

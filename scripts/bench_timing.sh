@@ -6,17 +6,16 @@
 #   jobs     parallel worker count for the wide run (default: nproc)
 #   outfile  result path (default: BENCH_sweep.json)
 #
-# Four configurations are measured:
-#   serial-nocache  jobs=1, trace cache off — the pre-sweep-engine baseline
-#   serial          jobs=1, trace cache on
-#   serial-sampled  jobs=1, trace cache on, HETSIM_MEMFAST=sampled — the
-#                   reduced-fidelity memory fast path (DESIGN.md §11);
-#                   must sustain >=10 points/s on the fig5 sweep
-#   parallel        jobs=N, trace cache on
+# Three configurations are measured:
+#   serial          jobs=1
+#   serial-sampled  jobs=1, HETSIM_MEMFAST=sampled — the reduced-fidelity
+#                   memory tier (DESIGN.md §11); must sustain >=10
+#                   points/s on the fig5 sweep
+#   parallel        jobs=N
 #
-# Speedups are relative to serial-nocache. On multi-core hosts the
-# parallel run should be >=2x at jobs>=4; on a single core only the
-# trace-cache and sampled-fidelity wins show up.
+# Speedups are relative to serial. On multi-core hosts the parallel run
+# should be >=2x at jobs>=4; on a single core only the sampled-fidelity
+# win shows up.
 #
 # When the outfile already holds a previous record, each variant's new
 # points_per_s is compared against it: any regression beyond 20% fails
@@ -47,46 +46,34 @@ TMPDIR_TIMING=$(mktemp -d)
 trap 'rm -rf "$TMPDIR_TIMING"' EXIT
 
 # Runs one configuration; prints "wall_s points points_per_s trace_gen_s
-# simulate_s lock_wait_s cache_hits cache_misses".
-run_once() { # name jobs cache_flag [memfast_mode]
+# simulate_s".
+run_once() { # name jobs [memfast_mode]
   local log="$TMPDIR_TIMING/$1.json"
-  HETSIM_JOBS="$2" HETSIM_TRACE_CACHE="$3" HETSIM_MEMFAST="${4:-0}" \
-    HETSIM_TIMING_JSON="$log" \
+  HETSIM_JOBS="$2" HETSIM_MEMFAST="${3:-0}" HETSIM_TIMING_JSON="$log" \
     "$BENCH" >/dev/null 2>&1
   # The timing line has a fixed key order; pull fields with sed.
-  sed -n '1s/.*"points":\([0-9]*\),"jobs":[0-9]*,"wall_s":\([0-9.]*\),"points_per_s":\([0-9.]*\).*"cache_hits":\([0-9]*\),"cache_misses":\([0-9]*\).*"trace_gen_s":\([0-9.]*\),"simulate_s":\([0-9.]*\),"lock_wait_s":\([0-9.]*\).*/\2 \1 \3 \6 \7 \8 \4 \5/p' "$log"
+  sed -n '1s/.*"points":\([0-9]*\),"jobs":[0-9]*,"wall_s":\([0-9.]*\),"points_per_s":\([0-9.]*\).*"trace_gen_s":\([0-9.]*\),"simulate_s":\([0-9.]*\).*/\2 \1 \3 \4 \5/p' "$log"
 }
 
-echo "== serial baseline (jobs=1, trace cache off) =="
-read -r BASE_WALL BASE_POINTS BASE_PPS BASE_GEN BASE_SIM BASE_LOCK \
-     BASE_HITS BASE_MISSES <<<"$(run_once serial-nocache 1 0)"
-echo "   ${BASE_WALL}s for ${BASE_POINTS} points (${BASE_PPS} points/s," \
-     "gen ${BASE_GEN}s / sim ${BASE_SIM}s / wait ${BASE_LOCK}s)"
-
-echo "== serial (jobs=1, trace cache on) =="
-read -r SER_WALL SER_POINTS SER_PPS SER_GEN SER_SIM SER_LOCK \
-     SER_HITS SER_MISSES <<<"$(run_once serial 1 1)"
+echo "== serial (jobs=1) =="
+read -r SER_WALL SER_POINTS SER_PPS SER_GEN SER_SIM <<<"$(run_once serial 1)"
 echo "   ${SER_WALL}s for ${SER_POINTS} points (${SER_PPS} points/s," \
-     "gen ${SER_GEN}s / sim ${SER_SIM}s / wait ${SER_LOCK}s," \
-     "cache ${SER_HITS}h/${SER_MISSES}m)"
+     "gen ${SER_GEN}s / sim ${SER_SIM}s)"
 
-echo "== serial-sampled (jobs=1, trace cache on, HETSIM_MEMFAST=sampled) =="
-read -r SAMP_WALL SAMP_POINTS SAMP_PPS SAMP_GEN SAMP_SIM SAMP_LOCK \
-     SAMP_HITS SAMP_MISSES <<<"$(run_once serial-sampled 1 1 sampled)"
+echo "== serial-sampled (jobs=1, HETSIM_MEMFAST=sampled) =="
+read -r SAMP_WALL SAMP_POINTS SAMP_PPS SAMP_GEN SAMP_SIM \
+  <<<"$(run_once serial-sampled 1 sampled)"
 echo "   ${SAMP_WALL}s for ${SAMP_POINTS} points (${SAMP_PPS} points/s," \
-     "gen ${SAMP_GEN}s / sim ${SAMP_SIM}s / wait ${SAMP_LOCK}s," \
-     "cache ${SAMP_HITS}h/${SAMP_MISSES}m)"
+     "gen ${SAMP_GEN}s / sim ${SAMP_SIM}s)"
 
-echo "== parallel (jobs=$JOBS, trace cache on) =="
-read -r PAR_WALL PAR_POINTS PAR_PPS PAR_GEN PAR_SIM PAR_LOCK \
-     PAR_HITS PAR_MISSES <<<"$(run_once parallel "$JOBS" 1)"
+echo "== parallel (jobs=$JOBS) =="
+read -r PAR_WALL PAR_POINTS PAR_PPS PAR_GEN PAR_SIM \
+  <<<"$(run_once parallel "$JOBS")"
 echo "   ${PAR_WALL}s for ${PAR_POINTS} points (${PAR_PPS} points/s," \
-     "gen ${PAR_GEN}s / sim ${PAR_SIM}s / wait ${PAR_LOCK}s," \
-     "cache ${PAR_HITS}h/${PAR_MISSES}m)"
+     "gen ${PAR_GEN}s / sim ${PAR_SIM}s)"
 
-SER_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $BASE_WALL/$SER_WALL}")
-SAMP_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $BASE_WALL/$SAMP_WALL}")
-PAR_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $BASE_WALL/$PAR_WALL}")
+SAMP_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $SER_WALL/$SAMP_WALL}")
+PAR_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $SER_WALL/$PAR_WALL}")
 
 # The sampled fast path exists to make serial sweeps interactive; hold it
 # to the documented floor so a fidelity "optimisation" that stops paying
@@ -109,18 +96,17 @@ cat > "$CANDIDATE" <<EOF
   "bench": "fig5_case_studies",
   "host_cores": $HOST_CORES,
   "runs": [
-    {"variant": "serial-nocache", "jobs": 1, "points": $BASE_POINTS, "wall_s": $BASE_WALL, "points_per_s": $BASE_PPS, "speedup": 1.00, "trace_gen_s": $BASE_GEN, "simulate_s": $BASE_SIM, "lock_wait_s": $BASE_LOCK, "cache_hits": $BASE_HITS, "cache_misses": $BASE_MISSES},
-    {"variant": "serial", "jobs": 1, "points": $SER_POINTS, "wall_s": $SER_WALL, "points_per_s": $SER_PPS, "speedup": $SER_SPEEDUP, "trace_gen_s": $SER_GEN, "simulate_s": $SER_SIM, "lock_wait_s": $SER_LOCK, "cache_hits": $SER_HITS, "cache_misses": $SER_MISSES},
-    {"variant": "serial-sampled", "jobs": 1, "memfast": "sampled", "points": $SAMP_POINTS, "wall_s": $SAMP_WALL, "points_per_s": $SAMP_PPS, "speedup": $SAMP_SPEEDUP, "trace_gen_s": $SAMP_GEN, "simulate_s": $SAMP_SIM, "lock_wait_s": $SAMP_LOCK, "cache_hits": $SAMP_HITS, "cache_misses": $SAMP_MISSES},
-    {"variant": "parallel", "jobs": $JOBS, "points": $PAR_POINTS, "wall_s": $PAR_WALL, "points_per_s": $PAR_PPS, "speedup": $PAR_SPEEDUP, "trace_gen_s": $PAR_GEN, "simulate_s": $PAR_SIM, "lock_wait_s": $PAR_LOCK, "cache_hits": $PAR_HITS, "cache_misses": $PAR_MISSES}
+    {"variant": "serial", "jobs": 1, "points": $SER_POINTS, "wall_s": $SER_WALL, "points_per_s": $SER_PPS, "speedup": 1.00, "trace_gen_s": $SER_GEN, "simulate_s": $SER_SIM},
+    {"variant": "serial-sampled", "jobs": 1, "memfast": "sampled", "points": $SAMP_POINTS, "wall_s": $SAMP_WALL, "points_per_s": $SAMP_PPS, "speedup": $SAMP_SPEEDUP, "trace_gen_s": $SAMP_GEN, "simulate_s": $SAMP_SIM},
+    {"variant": "parallel", "jobs": $JOBS, "points": $PAR_POINTS, "wall_s": $PAR_WALL, "points_per_s": $PAR_PPS, "speedup": $PAR_SPEEDUP, "trace_gen_s": $PAR_GEN, "simulate_s": $PAR_SIM}
   ]
 }
 EOF
 
 REGRESSED=0
 if [ -f "$OUTFILE" ]; then
-  for spec in "serial-nocache $BASE_PPS" "serial $SER_PPS" \
-              "serial-sampled $SAMP_PPS" "parallel $PAR_PPS"; do
+  for spec in "serial $SER_PPS" "serial-sampled $SAMP_PPS" \
+              "parallel $PAR_PPS"; do
     read -r variant new_pps <<<"$spec"
     prev_pps="$(old_pps "$variant")"
     [ -n "$prev_pps" ] || continue
@@ -139,4 +125,4 @@ if [ "$REGRESSED" = "1" ]; then
 fi
 
 cp "$CANDIDATE" "$OUTFILE"
-echo "== wrote $OUTFILE (parallel speedup ${PAR_SPEEDUP}x over serial-nocache) =="
+echo "== wrote $OUTFILE (parallel speedup ${PAR_SPEEDUP}x over serial) =="

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The full CI gate, in dependency order:
 #   1. tier-1: default build + complete ctest suite (unit label first, so
-#      a broken build fails in seconds instead of after the sweeps)
+#      a broken build fails in seconds instead of after the sweeps), then
+#      a -DHETSIM_WERROR=ON build of src/ that must compile warning-free
 #   2. sanitizers: AddressSanitizer and UBSan builds + complete ctest
 #      suite, plus a ThreadSanitizer build running the concurrency suites
-#      (thread pool, trace cache, sweep runner, result store)
+#      (thread pool, sweep runner, result store)
 #   3. static analysis: scripts/lint.sh (clang-tidy against the pinned
 #      baseline, plus the hetsim_lint memory-model linter over the shipped
 #      design space), then the differential race-verifier fuzz gate
@@ -32,14 +33,20 @@ cmake --build build -j "$JOBS" >/dev/null
 ctest --test-dir build -L unit --output-on-failure -j "$JOBS" | tail -3
 ctest --test-dir build -L sweep --output-on-failure -j "$JOBS" | tail -3
 
-echo "== gate 1b: fast-path + memfast differential + bench smoke =="
-# The fast path must be bit-identical to the per-record reference
-# (HETSIM_FASTPATH=0 vs =1), the memory-phase fold's exact tier must be
-# bit-identical to the detailed walk (HETSIM_MEMFAST=0 vs =1, all six
-# kernels on all five models — part of the fastpath suite), and the
-# microbenchmark harness must complete a smoke pass (its fastpath phase
-# self-checks fold equality and fails the run on divergence).
-ctest --test-dir build -R fastpath --output-on-failure -j "$JOBS" | tail -3
+echo "== gate 1a: -Wshadow -Wconversion -Werror build of src/ =="
+# The simulator's own libraries must stay warning-free under the strict
+# flags; tests, benches and tools (gtest/benchmark macros) are out of scope.
+cmake -B build-werror -S . -DHETSIM_WERROR=ON >/dev/null
+cmake --build build-werror -j "$JOBS" --target hetsim_core hetsim_analysis \
+  hetsim_energy hetsim_check >/dev/null
+
+echo "== gate 1b: block-trace differential + bench smoke =="
+# Block traces expanded window by window must be bit-identical to their
+# materialized record streams (all six kernels on all five models, plus
+# core-level segments — the fastpath suite), and the microbenchmark
+# harness must complete a smoke pass.
+ctest --test-dir build -R 'FastPath|MemFast' --output-on-failure \
+  -j "$JOBS" | tail -3
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   build/bench/hetsim_bench --smoke >/dev/null
 # Memory-phase attribution must survive a smoke pass, and the sampled
@@ -53,9 +60,9 @@ build/tools/hetsim_stats validate build/memfast-sampled-smoke.json
 
 echo "== gate 1c: parallel scaling smoke (jobs=2 vs serial) =="
 # A jobs=2 sweep must finish within 1.05x the serial wall — the gate that
-# catches trace-generation ballooning / cache contention under parallel
-# sweeps. The bench itself prints a visible SKIP notice (and enforces
-# nothing) on single-core hosts, where the comparison would be noise.
+# catches contention between workers under parallel sweeps. The bench
+# itself prints a visible SKIP notice (and enforces nothing) on
+# single-core hosts, where the comparison would be noise.
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   build/bench/hetsim_bench --smoke --phase scaling
 
@@ -64,11 +71,6 @@ if [ "${HETSIM_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan -S . -DHETSIM_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$JOBS" >/dev/null
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" | tail -3
-  # Re-run the trace-cache stress suite a few extra times under ASan: its
-  # single-flight and stable-pointer invariants only break in narrow race
-  # windows, so give them more chances to misalign.
-  ctest --test-dir build-asan -R TraceCacheStress --output-on-failure \
-    --repeat until-fail:3 -j "$JOBS" | tail -3
 else
   echo "== gate 2: ASan skipped (HETSIM_SKIP_ASAN=1) =="
 fi
@@ -86,12 +88,14 @@ if [ "${HETSIM_SKIP_TSAN:-0}" != "1" ]; then
   echo "== gate 2: ThreadSanitizer build + concurrency tests =="
   # Only the concurrency-heavy suites: everything else is single-threaded
   # and already covered by ASan/UBSan, and a full TSan ctest run would
-  # triple the gate's wall clock for no extra coverage.
+  # triple the gate's wall clock for no extra coverage. SweepRunner
+  # includes the jobs=4 contention-ablation regression
+  # (ContentionAblationParallelMatchesSerial).
   cmake -B build-tsan -S . -DHETSIM_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target trace_cache_stress_test \
-    threadpool_test sweep_test result_store_test >/dev/null
+  cmake --build build-tsan -j "$JOBS" --target threadpool_test sweep_test \
+    result_store_test >/dev/null
   ctest --test-dir build-tsan \
-    -R 'TraceCache|ThreadPool|SweepRunner|ResultStore|Determinism' \
+    -R 'ThreadPool|SweepRunner|ResultStore|Determinism' \
     --output-on-failure -j "$JOBS" | tail -3
 else
   echo "== gate 2: TSan skipped (HETSIM_SKIP_TSAN=1) =="

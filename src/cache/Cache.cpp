@@ -234,32 +234,3 @@ unsigned Cache::residentExplicitLines() const {
       ++Count;
   return Count;
 }
-
-Cache::FoldSnap Cache::foldSnapshot() const {
-  FoldSnap S;
-  S.Lines.reserve(Lines.size());
-  for (size_t I = 0; I != Lines.size(); ++I) {
-    const Line &L = Lines[I];
-    S.Lines.push_back({Tags[I], L.LruStamp, L.State, L.Valid, L.Dirty,
-                       L.Explicit});
-  }
-  S.NextStamp = NextStamp;
-  S.RngState = Rng.state();
-  S.Stats = Stats;
-  S.Ways = Config.Ways;
-  return S;
-}
-
-void Cache::applyFold(const FoldSnap &S2, const FoldSnap &S3, uint64_t Rem) {
-  assert(S2.Lines.size() == Lines.size() && S3.Lines.size() == Lines.size());
-  for (size_t I = 0; I != Lines.size(); ++I)
-    Lines[I].LruStamp += (S3.Lines[I].LruStamp - S2.Lines[I].LruStamp) * Rem;
-  NextStamp += (S3.NextStamp - S2.NextStamp) * Rem;
-  Stats.Accesses += (S3.Stats.Accesses - S2.Stats.Accesses) * Rem;
-  Stats.Hits += (S3.Stats.Hits - S2.Stats.Hits) * Rem;
-  Stats.Misses += (S3.Stats.Misses - S2.Stats.Misses) * Rem;
-  Stats.Evictions += (S3.Stats.Evictions - S2.Stats.Evictions) * Rem;
-  Stats.Writebacks += (S3.Stats.Writebacks - S2.Stats.Writebacks) * Rem;
-  Stats.BypassedFills +=
-      (S3.Stats.BypassedFills - S2.Stats.BypassedFills) * Rem;
-}

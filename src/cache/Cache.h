@@ -115,52 +115,6 @@ public:
   /// Resets statistics (contents are kept).
   void resetStats() { Stats = CacheStats(); }
 
-  /// Credits \p FoldedHits all-hit accesses without touching any line:
-  /// the closed-form retire path uses this after proving a window repeats
-  /// with every access hitting. \p StampAdvance moves the LRU clock
-  /// exactly as the per-access hit path (stamp = NextStamp++) would have.
-  void creditFoldedHits(uint64_t FoldedHits, uint64_t StampAdvance) {
-    Stats.Accesses += FoldedHits;
-    Stats.Hits += FoldedHits;
-    NextStamp += StampAdvance;
-  }
-
-  /// Advances the LRU stamp of the (present) line holding \p Address by
-  /// \p Delta — the folded equivalent of re-touching it once per window
-  /// while the stamp clock advances uniformly. No-op if absent.
-  void advanceLineStamp(Addr Address, uint64_t Delta) {
-    if (Line *L = findLine(Address))
-      L->LruStamp += Delta;
-  }
-
-  /// Full-state snapshot for the memory-phase fold verifier. Per-line
-  /// tag/state bits plus LRU stamps, the stamp clock, the replacement
-  /// RNG state, and counters — enough to prove a window left the cache
-  /// at a per-period fixed point (see DESIGN.md §11).
-  struct FoldSnap {
-    struct LineSnap {
-      Addr Tag = 0;
-      uint64_t LruStamp = 0;
-      CohState State = CohState::Invalid;
-      bool Valid = false;
-      bool Dirty = false;
-      bool Explicit = false;
-    };
-    std::vector<LineSnap> Lines; // Sets x Ways, row-major.
-    uint64_t NextStamp = 0;
-    uint64_t RngState = 0;
-    CacheStats Stats;
-    unsigned Ways = 0;
-  };
-
-  FoldSnap foldSnapshot() const;
-
-  /// Replays \p Rem more verified steady windows in closed form: every
-  /// line stamp, the stamp clock, and the counters advance by Rem times
-  /// their per-window delta (\p S3 minus \p S2). Only valid after the
-  /// fold verifier accepted the S1/S2/S3 snapshots.
-  void applyFold(const FoldSnap &S2, const FoldSnap &S3, uint64_t Rem);
-
 private:
   /// Per-line state other than the tag, which lives in Tags.
   struct Line {

@@ -15,7 +15,6 @@
 #include "common/FlatMap.h"
 #include "common/Types.h"
 
-#include <algorithm>
 #include <vector>
 
 namespace hetsim {
@@ -70,49 +69,6 @@ public:
   size_t trackedLines() const { return Entries.size(); }
 
   void clear();
-
-  /// Snapshot for the memory-phase fold verifier (DESIGN.md §11): every
-  /// tracked line's state, sorted by address for order-free comparison,
-  /// plus counters.
-  struct FoldSnap {
-    struct EntrySnap {
-      Addr Line = 0;
-      DirState State = DirState::Uncached;
-      bool Dirty = false;
-
-      bool operator==(const EntrySnap &O) const {
-        return Line == O.Line && State == O.State && Dirty == O.Dirty;
-      }
-    };
-    std::vector<EntrySnap> Entries;
-    DirectoryStats Stats;
-  };
-
-  FoldSnap foldSnapshot() const {
-    FoldSnap S;
-    S.Entries.reserve(Entries.size());
-    const_cast<FlatU64Map<Entry> &>(Entries).forEach(
-        [&](uint64_t Line, Entry &E) {
-          S.Entries.push_back({Line, E.State, E.Dirty});
-        });
-    std::sort(S.Entries.begin(), S.Entries.end(),
-              [](const FoldSnap::EntrySnap &A, const FoldSnap::EntrySnap &B) {
-                return A.Line < B.Line;
-              });
-    S.Stats = Stats;
-    return S;
-  }
-
-  /// Advances counters by Rem times their per-window delta. Entry state
-  /// must be identical across the verified windows, so only stats move.
-  void applyFoldStats(const DirectoryStats &S2, const DirectoryStats &S3,
-                      uint64_t Rem) {
-    Stats.Lookups += (S3.Lookups - S2.Lookups) * Rem;
-    Stats.RemoteInvalidations +=
-        (S3.RemoteInvalidations - S2.RemoteInvalidations) * Rem;
-    Stats.RemoteFetches += (S3.RemoteFetches - S2.RemoteFetches) * Rem;
-    Stats.Messages += (S3.Messages - S2.Messages) * Rem;
-  }
 
 private:
   struct Entry {

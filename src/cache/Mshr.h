@@ -52,26 +52,6 @@ public:
 
   void clear();
 
-  /// Full-state snapshot for the memory-phase fold verifier (DESIGN.md
-  /// §11): the exact in-flight entry sequence plus merge/stall counters.
-  struct FoldSnap {
-    std::vector<std::pair<Addr, Cycle>> Entries;
-    uint64_t Merged = 0;
-    uint64_t FullStalls = 0;
-  };
-
-  FoldSnap foldSnapshot() const { return {Entries, Merged, FullStalls}; }
-
-  /// Advances each in-flight entry's completion cycle and the counters
-  /// by Rem times their per-window delta (\p S3 minus \p S2).
-  void applyFold(const FoldSnap &S2, const FoldSnap &S3, uint64_t Rem) {
-    for (size_t I = 0; I != Entries.size(); ++I)
-      Entries[I].second +=
-          (S3.Entries[I].second - S2.Entries[I].second) * Rem;
-    Merged += (S3.Merged - S2.Merged) * Rem;
-    FullStalls += (S3.FullStalls - S2.FullStalls) * Rem;
-  }
-
 private:
   void prune(Cycle Now);
 

@@ -48,17 +48,6 @@ public:
   uint64_t writeCount() const { return Writes; }
   uint64_t bankConflictCount() const { return BankConflicts; }
 
-  /// Bulk-credits \p Accesses folded accesses (closed-form fast path):
-  /// \p Reads/Writes/Conflicts are the per-period deltas times the number
-  /// of folded periods. Must mirror exactly what per-record replay of the
-  /// same accesses would have accumulated.
-  void creditFolded(uint64_t FoldedReads, uint64_t FoldedWrites,
-                    uint64_t FoldedConflicts) {
-    Reads += FoldedReads;
-    Writes += FoldedWrites;
-    BankConflicts += FoldedConflicts;
-  }
-
 private:
   /// Memoized conflict degrees. The degree is a pure function of
   /// (Offset mod 4*NumBanks, StrideBytes, Lanes): adding any multiple of

@@ -43,11 +43,6 @@ public:
   /// Returns true with probability \p P.
   bool nextBool(double P) { return nextDouble() < P; }
 
-  /// Raw generator state, exposed so fold-verification snapshots can
-  /// prove "no draws happened in this window" (state unchanged) without
-  /// perturbing the sequence.
-  uint64_t state() const { return State; }
-
 private:
   uint64_t State;
 };

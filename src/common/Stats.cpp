@@ -141,8 +141,3 @@ std::string StatRegistry::renderCounters() const {
   }
   return Out;
 }
-
-StatRegistry &hetsim::processStats() {
-  static StatRegistry Registry;
-  return Registry;
-}

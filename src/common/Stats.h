@@ -128,13 +128,6 @@ private:
   StatHistogram EmptyHistogram;
 };
 
-/// Process-wide registry for infrastructure (non-model) statistics:
-/// trace-cache hit rates, harness telemetry. Model statistics live in each
-/// simulation's own registry; this one aggregates cross-run machinery and
-/// is NOT thread-safe for concurrent mutation — publish into it from the
-/// coordinating thread (e.g. after a sweep joins its workers).
-StatRegistry &processStats();
-
 } // namespace hetsim
 
 #endif // HETSIM_COMMON_STATS_H

@@ -8,19 +8,21 @@
 
 using namespace hetsim;
 
-unsigned ThreadPool::defaultJobs() {
+JobsChoice ThreadPool::resolveJobs(unsigned Requested) {
+  if (Requested != 0)
+    return {Requested, "explicit"};
   if (const char *Env = std::getenv("HETSIM_JOBS")) {
     char *End = nullptr;
     long Value = std::strtol(Env, &End, 10);
     if (End != Env && *End == '\0' && Value >= 1)
-      return static_cast<unsigned>(Value);
+      return {static_cast<unsigned>(Value), "HETSIM_JOBS"};
   }
   unsigned Hw = std::thread::hardware_concurrency();
-  return Hw == 0 ? 1 : Hw;
+  return {Hw == 0 ? 1 : Hw, "hardware"};
 }
 
 ThreadPool::ThreadPool(unsigned Jobs)
-    : JobCount(Jobs == 0 ? defaultJobs() : Jobs) {
+    : JobCount(resolveJobs(Jobs).Jobs) {
   if (JobCount <= 1)
     return;
   Workers.reserve(JobCount);

@@ -24,12 +24,20 @@
 
 namespace hetsim {
 
+/// A resolved worker count and where it came from.
+struct JobsChoice {
+  unsigned Jobs = 1;
+  /// "explicit" (the caller passed a count), "HETSIM_JOBS" (environment)
+  /// or "hardware" (hardware_concurrency).
+  const char *Source = "explicit";
+};
+
 /// A fixed-size worker pool. Construction spawns the workers (none when
 /// the job count is one); destruction stops and joins them. Pools are
 /// cheap relative to any simulation, so harnesses create one per sweep.
 class ThreadPool {
 public:
-  /// \p Jobs worker threads; 0 means defaultJobs().
+  /// \p Jobs worker threads, resolved by resolveJobs().
   explicit ThreadPool(unsigned Jobs = 0);
   ~ThreadPool();
 
@@ -39,9 +47,11 @@ public:
   /// The pool's parallelism (>= 1).
   unsigned jobs() const { return JobCount; }
 
-  /// The environment-configured job count: HETSIM_JOBS when set to a
-  /// positive integer, else hardware_concurrency(), never less than 1.
-  static unsigned defaultJobs();
+  /// Resolves a requested job count: \p Requested itself when non-zero,
+  /// else HETSIM_JOBS when set to a positive integer, else
+  /// hardware_concurrency(), never less than 1. The one HETSIM_JOBS
+  /// parser in the tree.
+  static JobsChoice resolveJobs(unsigned Requested);
 
   /// Runs Fn(0) .. Fn(N-1), distributing indices dynamically over the
   /// workers, and blocks until every call returned. With one job (or
@@ -52,13 +62,13 @@ public:
 
   /// Work-stealing variant that also identifies the executing worker.
   /// The index space is split into one contiguous range per worker share
-  /// (so neighbouring indices — which tend to share trace-cache keys —
-  /// land on the same worker), each range drained through an atomic
-  /// cursor; a worker that exhausts its own range steals from the range
-  /// with the most work left. \p Fn receives (index, worker) where worker
-  /// is a stable id in [0, min(N, jobs())): per-worker telemetry slots
-  /// index by it. Inline (worker 0, index order) when jobs() == 1 or
-  /// N == 1. Exceptions behave as in parallelFor.
+  /// (so neighbouring indices land on the same worker), each range
+  /// drained through an atomic cursor; a worker that exhausts its own
+  /// range steals from the range with the most work left. \p Fn receives
+  /// (index, worker) where worker is a stable id in [0, min(N, jobs())):
+  /// per-worker telemetry slots index by it. Inline (worker 0, index
+  /// order) when jobs() == 1 or N == 1. Exceptions behave as in
+  /// parallelFor.
   void parallelForWorkers(size_t N,
                           const std::function<void(size_t, unsigned)> &Fn);
 

@@ -4,10 +4,11 @@
 
 #include "common/Error.h"
 #include "memory/SoftwareCoherence.h"
+#include "trace/ComputeBlock.h"
 #include "trace/KernelTraceGenerator.h"
-#include "trace/TraceCache.h"
 
 #include <cassert>
+#include <memory>
 #include <unordered_set>
 
 using namespace hetsim;
@@ -156,8 +157,8 @@ private:
     // still drains everything.)
     ExecStep Step;
     Step.Kind = ExecKind::SerialCompute;
-    Step.CpuTrace = TraceCache::global().serialShared(
-        Kernel, Phase.SerialInsts, Out.Place.CpuLayout, SeedCounter++);
+    Step.CpuTrace = SharedTrace(std::make_shared<const BlockTrace>(
+        Kernel, Phase.SerialInsts, SeedCounter++, Out.Place.CpuLayout));
     Out.Steps.push_back(std::move(Step));
   }
 
@@ -231,15 +232,15 @@ private:
     CpuReq.InstCount = ScaledCpu;
     CpuReq.Seed = SeedCounter++;
     CpuReq.Split = WorkSplit::FirstHalf;
-    Step.CpuTrace = TraceCache::global().computeShared(Kernel, CpuReq,
-                                                       Out.Place.CpuLayout);
+    Step.CpuTrace = SharedTrace(std::make_shared<const BlockTrace>(
+        Kernel, CpuReq, Out.Place.CpuLayout));
     GenRequest GpuReq;
     GpuReq.Pu = PuKind::Gpu;
     GpuReq.InstCount = ScaledGpu;
     GpuReq.Seed = SeedCounter++;
     GpuReq.Split = WorkSplit::SecondHalf;
-    Step.GpuTrace = TraceCache::global().computeShared(Kernel, GpuReq,
-                                                       Out.Place.GpuLayout);
+    Step.GpuTrace = SharedTrace(std::make_shared<const BlockTrace>(
+        Kernel, GpuReq, Out.Place.GpuLayout));
     Step.PageFaultPages = Config.IdealComm ? 0 : newGpuFaultPages();
     Out.Steps.push_back(std::move(Step));
   }

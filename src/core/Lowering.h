@@ -36,10 +36,9 @@ enum class ExecKind : uint8_t {
 /// Returns a short name for an ExecKind.
 const char *execKindName(ExecKind Kind);
 
-/// One executable step. Traces are held through SharedTrace handles so
-/// sweep points with identical generation inputs share one immutable
-/// buffer (see trace/TraceCache.h); consumers read them exactly like
-/// `const TraceBuffer` values.
+/// One executable step. Lowering fills the compute steps with block-trace
+/// recipes (trace/ComputeBlock.h) held through SharedTrace handles;
+/// consumers read them exactly like `const TraceBuffer` values.
 struct ExecStep {
   ExecKind Kind = ExecKind::SerialCompute;
   SharedTrace CpuTrace;

@@ -73,28 +73,9 @@ void foldCache(Fingerprint &F, const CacheConfig &C) {
 void foldTrace(Fingerprint &F, const SharedTrace &Trace) {
   if (const BlockTrace *Block = Trace.blocks()) {
     F.kind(Block->kind()).word(Block->totalRecords());
-    if (Block->kind() == BlockTrace::Kind::Pattern) {
-      const PatternBlock &P = Block->pattern();
-      F.word(P.BodyRepeats);
-      for (const TraceBuffer *Part : {&P.Prologue, &P.Body, &P.Epilogue}) {
-        F.word(Part->size());
-        for (const TraceRecord &R : *Part)
-          F.word(R.MemAddr)
-              .word(R.Pc)
-              .word(R.MemBytes)
-              .word(R.LaneStrideBytes)
-              .kind(R.Op)
-              .word(R.DstReg)
-              .word(R.SrcRegA)
-              .word(R.SrcRegB)
-              .word(R.SimdLanes)
-              .word(R.IsTaken ? 1 : 0);
-      }
-      return;
-    }
-    // Generator-backed block: the recipe determines the stream exactly
-    // (that is the fast path's correctness contract), so hash the
-    // generator inputs instead of expanding millions of records.
+    // Block trace: the recipe determines the stream exactly (window
+    // concatenation equals materialization), so hash the generator
+    // inputs instead of expanding millions of records.
     const GenRequest &Req = Block->request();
     F.kind(Req.Pu)
         .kind(Req.Split)
@@ -103,7 +84,7 @@ void foldTrace(Fingerprint &F, const SharedTrace &Trace) {
         .word(Block->layout().fingerprint());
     return;
   }
-  // Materialized handle (fast path off): hash the records themselves.
+  // Materialized handle: hash the records themselves.
   const TraceBuffer &Buffer = Trace.buffer();
   F.word(uint64_t(0xb0f)).word(Buffer.size());
   for (const TraceRecord &R : Buffer)

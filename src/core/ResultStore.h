@@ -38,8 +38,9 @@
 namespace hetsim {
 
 /// Folded into every key; bump on any change to simulator semantics so a
-/// new binary can never serve results computed by an old model.
-constexpr uint64_t ResultStoreCodeVersion = 1;
+/// new binary can never serve results computed by an old model. Version 2
+/// dropped the memory fold-coverage keys from the stored metrics.
+constexpr uint64_t ResultStoreCodeVersion = 2;
 
 /// Content fingerprint of a fully resolved system configuration (every
 /// field the simulator reads, nested configs included).

@@ -6,9 +6,9 @@
 #include "common/ThreadPool.h"
 #include "common/WallTimer.h"
 #include "core/ResultStore.h"
+#include "memory/MemFast.h"
 #include "obs/Json.h"
 #include "trace/ComputeBlock.h"
-#include "trace/TraceCache.h"
 
 #include <algorithm>
 #include <chrono>
@@ -19,16 +19,14 @@
 using namespace hetsim;
 
 std::string SweepTelemetry::summary() const {
-  char Buffer[384];
+  char Buffer[320];
   std::snprintf(Buffer, sizeof(Buffer),
                 "sweep: %llu points in %.3f s (%.1f points/s, %.3g sim-ns "
-                "per wall-s, gen %.3f s / sim %.3f s / wait %.3f s, "
-                "jobs=%u from %s, trace cache %.0f%% hits)",
+                "per wall-s, gen %.3f s / sim %.3f s, jobs=%u from %s)",
                 static_cast<unsigned long long>(Points), WallSeconds,
                 pointsPerSecond(), simNsPerWallSecond(),
-                traceGenWallSeconds(), simulateSeconds(),
-                lockWaitWallSeconds(), Jobs, JobsSource.c_str(),
-                100.0 * cacheHitRate());
+                traceGenWallSeconds(), simulateSeconds(), Jobs,
+                JobsSource.c_str());
   return Buffer;
 }
 
@@ -40,29 +38,18 @@ void SweepTelemetry::merge(const SweepTelemetry &Other) {
   SimNsTotal += Other.SimNsTotal;
   BusySeconds += Other.BusySeconds;
   TraceGenSeconds += Other.TraceGenSeconds;
-  LockWaitSeconds += Other.LockWaitSeconds;
-  CacheHits += Other.CacheHits;
-  CacheMisses += Other.CacheMisses;
   StoreHits += Other.StoreHits;
   StoreMisses += Other.StoreMisses;
 }
 
-/// Where a zero job-count request actually resolved from.
-static std::string resolveJobsSource(unsigned Requested) {
-  if (Requested != 0)
-    return "explicit";
-  if (const char *Env = std::getenv("HETSIM_JOBS")) {
-    char *End = nullptr;
-    long Value = std::strtol(Env, &End, 10);
-    if (End != Env && *End == '\0' && Value >= 1)
-      return "HETSIM_JOBS";
-  }
-  return "hardware";
+SweepRunner::SweepRunner(unsigned JobCount) {
+  JobsChoice Choice = ThreadPool::resolveJobs(JobCount);
+  Jobs = Choice.Jobs;
+  JobsSource = Choice.Source;
+  // Reject a bad HETSIM_MEMFAST here, on the calling thread, rather than
+  // in the first worker that builds a memory system.
+  memFastMode();
 }
-
-SweepRunner::SweepRunner(unsigned JobCount)
-    : Jobs(JobCount == 0 ? ThreadPool::defaultJobs() : JobCount),
-      JobsSource(resolveJobsSource(JobCount)) {}
 
 std::vector<RunResult>
 SweepRunner::run(const std::vector<SweepPoint> &Points) {
@@ -78,12 +65,10 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   struct WorkerCounters {
     uint64_t BusyNs = 0;
     uint64_t GenNs = 0;
-    uint64_t WaitNs = 0;
   };
   std::vector<WorkerCounters> Workers(
       std::max<size_t>(1, std::min(Points.size(), size_t(Jobs))));
 
-  TraceCacheStats Before = TraceCache::global().stats();
   WallTimer Timer;
   {
     ThreadPool Pool(Jobs);
@@ -96,12 +81,11 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
       if (Point.Overrides.size() != 0)
         Config.applyOverrides(Point.Overrides);
 
-      // Diff this thread's own gen / cache-wait clocks around the point
-      // (a worker thread only ever runs one point at a time, so the
-      // diffs attribute exactly this point's work to this worker).
+      // Diff this thread's own gen clock around the point (a worker
+      // thread only ever runs one point at a time, so the diff attributes
+      // exactly this point's work to this worker).
       auto BusyStart = std::chrono::steady_clock::now();
       uint64_t GenStart = threadTraceGenNanos();
-      uint64_t WaitStart = threadTraceCacheWaitNanos();
 
       HeteroSimulator Simulator(Config);
       if (Store.enabled()) {
@@ -128,7 +112,6 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
                                std::chrono::steady_clock::now() - BusyStart)
                                .count());
       C.GenNs += threadTraceGenNanos() - GenStart;
-      C.WaitNs += threadTraceCacheWaitNanos() - WaitStart;
     });
   }
 
@@ -145,18 +128,11 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   for (const WorkerCounters &C : Workers) {
     Telemetry.BusySeconds += double(C.BusyNs) * 1e-9;
     Telemetry.TraceGenSeconds += double(C.GenNs) * 1e-9;
-    Telemetry.LockWaitSeconds += double(C.WaitNs) * 1e-9;
   }
   Telemetry.StoreHits = Store.hits();
   Telemetry.StoreMisses = Store.misses();
   for (const RunResult &Result : Results)
     Telemetry.SimNsTotal += Result.Time.totalNs();
-  TraceCacheStats After = TraceCache::global().stats();
-  Telemetry.CacheHits = After.Hits - Before.Hits;
-  Telemetry.CacheMisses = After.Misses - Before.Misses;
-  // Mirror the process-lifetime cache counters into the stats registry so
-  // observability consumers see them without knowing about TraceCache.
-  TraceCache::global().publishStats(processStats());
   return Results;
 }
 
@@ -203,19 +179,14 @@ bool hetsim::appendBenchTiming(const std::string &Bench,
   std::fprintf(File,
                "{\"bench\":\"%s\",\"points\":%llu,\"jobs\":%u,"
                "\"wall_s\":%.6f,\"points_per_s\":%.3f,"
-               "\"sim_ns_per_wall_s\":%.1f,\"cache_hits\":%llu,"
-               "\"cache_misses\":%llu,\"cache_hit_rate\":%.4f,"
+               "\"sim_ns_per_wall_s\":%.1f,"
                "\"jobs_source\":\"%s\",\"trace_gen_s\":%.6f,"
-               "\"simulate_s\":%.6f,\"lock_wait_s\":%.6f,"
+               "\"simulate_s\":%.6f,"
                "\"store_hits\":%llu,\"store_misses\":%llu}\n",
                Bench.c_str(), static_cast<unsigned long long>(T.Points),
                T.Jobs, T.WallSeconds, T.pointsPerSecond(),
-               T.simNsPerWallSecond(),
-               static_cast<unsigned long long>(T.CacheHits),
-               static_cast<unsigned long long>(T.CacheMisses),
-               T.cacheHitRate(), T.JobsSource.c_str(),
+               T.simNsPerWallSecond(), T.JobsSource.c_str(),
                T.traceGenWallSeconds(), T.simulateSeconds(),
-               T.lockWaitWallSeconds(),
                static_cast<unsigned long long>(T.StoreHits),
                static_cast<unsigned long long>(T.StoreMisses));
   std::fclose(File);

@@ -6,9 +6,9 @@
 /// jobs; the runner fans them out over a ThreadPool and returns results
 /// in submission order, so a table rendered from a parallel sweep is
 /// byte-identical to the serial harness. Each sweep also collects
-/// wall-clock telemetry (points/s, simulated-ns throughput, trace-cache
-/// hit rate) that benches print and append to out/bench_timing.json so
-/// the repo keeps a perf trajectory across PRs.
+/// wall-clock telemetry (points/s, simulated-ns throughput, trace-gen
+/// vs simulate split) that benches print and append to
+/// out/bench_timing.json so the repo keeps a perf trajectory across PRs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +39,8 @@ struct SweepPoint {
 };
 
 /// Wall-clock telemetry of one sweep. Phase attribution is per-worker:
-/// each worker diffs its *thread-local* gen / cache-wait counters around
-/// every point, so the sums below are true per-thread seconds — on an
+/// each worker diffs its *thread-local* trace-gen counter around every
+/// point, so the sums below are true per-thread seconds — on an
 /// oversubscribed host they still include timesharing stretch, but they
 /// are never double-counted across workers, and the phase-seconds
 /// accessors normalize them against total busy time instead of naively
@@ -59,12 +59,6 @@ struct SweepTelemetry {
   double BusySeconds = 0;
   /// Seconds spent producing trace records, summed per worker.
   double TraceGenSeconds = 0;
-  /// Seconds workers spent blocked inside the trace cache (waiting on
-  /// another worker's single-flight generation or a shard lock), summed
-  /// per worker.
-  double LockWaitSeconds = 0;
-  uint64_t CacheHits = 0;   ///< Trace-cache hits during the sweep.
-  uint64_t CacheMisses = 0; ///< Trace-cache misses during the sweep.
   uint64_t StoreHits = 0;   ///< Points served from the result store.
   uint64_t StoreMisses = 0; ///< Points simulated (store enabled but cold).
 
@@ -74,10 +68,6 @@ struct SweepTelemetry {
   /// Simulated nanoseconds retired per wall-clock second.
   double simNsPerWallSecond() const {
     return WallSeconds <= 0 ? 0.0 : SimNsTotal / WallSeconds;
-  }
-  double cacheHitRate() const {
-    uint64_t Total = CacheHits + CacheMisses;
-    return Total == 0 ? 0.0 : double(CacheHits) / double(Total);
   }
 
   /// Wall seconds attributed to a phase occupying \p PhaseBusySeconds of
@@ -93,17 +83,11 @@ struct SweepTelemetry {
   double traceGenWallSeconds() const {
     return normalizedPhaseSeconds(TraceGenSeconds);
   }
-  /// Wall seconds attributed to cache blocking (per-worker normalized).
-  double lockWaitWallSeconds() const {
-    return normalizedPhaseSeconds(LockWaitSeconds);
-  }
   /// Wall seconds attributed to simulation proper: the busy share that
-  /// is neither trace generation nor cache blocking. Serial sweeps reduce
-  /// to WallSeconds - gen - wait; parallel sweeps stay meaningful
-  /// instead of clamping to zero.
+  /// is not trace generation. Serial sweeps reduce to WallSeconds - gen;
+  /// parallel sweeps stay meaningful instead of clamping to zero.
   double simulateSeconds() const {
-    return normalizedPhaseSeconds(BusySeconds - TraceGenSeconds -
-                                  LockWaitSeconds);
+    return normalizedPhaseSeconds(BusySeconds - TraceGenSeconds);
   }
 
   /// One human-readable summary line (no trailing newline).
@@ -114,8 +98,9 @@ struct SweepTelemetry {
 };
 
 /// Runs sweeps. Construct with an explicit job count, or 0 to take
-/// HETSIM_JOBS / hardware_concurrency(). jobs=1 executes inline on the
-/// calling thread in submission order (the serial harness).
+/// HETSIM_JOBS / hardware_concurrency() (ThreadPool::resolveJobs). jobs=1
+/// executes inline on the calling thread in submission order (the serial
+/// harness).
 class SweepRunner {
 public:
   explicit SweepRunner(unsigned Jobs = 0);

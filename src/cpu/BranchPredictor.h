@@ -42,19 +42,6 @@ public:
 
   const BranchStats &stats() const { return Stats; }
 
-  /// Raw table and history, exposed so the closed-form retire path can
-  /// prove the predictor reached a per-window fixed point (state equal at
-  /// consecutive window boundaries) before crediting folded outcomes.
-  const std::vector<uint8_t> &counters() const { return Counters; }
-  uint64_t history() const { return History; }
-
-  /// Credits folded outcomes without state updates; sound only when the
-  /// caller proved the replayed windows leave Counters/History unchanged.
-  void creditFolded(uint64_t FoldedPredictions, uint64_t FoldedMispredictions) {
-    Stats.Predictions += FoldedPredictions;
-    Stats.Mispredictions += FoldedMispredictions;
-  }
-
   void reset();
 
 private:

@@ -11,9 +11,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <memory>
 
 using namespace hetsim;
 
@@ -46,9 +43,8 @@ CpuCore::CpuCore(const CpuConfig &Cfg, MemorySystem &Memory)
 namespace {
 
 /// The full per-segment pipeline state, with the reference per-record
-/// update in step(). Extracted from the old monolithic run() loop so the
-/// windowed and closed-form paths drive the *same* update code — exactness
-/// by construction, not by parallel maintenance of two loops.
+/// update in step(). The materialized, windowed and sampled paths all
+/// drive this same update code, so they agree by construction.
 struct CpuPipeline {
   const CpuConfig &Config;
   MemorySystem &Mem;
@@ -85,10 +81,6 @@ struct CpuPipeline {
 
   static unsigned storePageBit(Addr A) { return unsigned(A >> 12) & 4095; }
 
-  /// When set, every new-line L1I access is appended here (fixed-point
-  /// verification records each window's fetch-line sequence).
-  std::vector<Addr> *TouchLog = nullptr;
-
   CpuPipeline(const CpuConfig &Cfg, MemorySystem &Memory,
               GsharePredictor &Pred, Cache &L1I, SegmentResult &Res,
               Cycle StartCycle)
@@ -109,8 +101,6 @@ struct CpuPipeline {
       Addr FetchLine = alignDown(R.Pc, CacheLineBytes);
       if (FetchLine != LastFetchLine) {
         LastFetchLine = FetchLine;
-        if (TouchLog)
-          TouchLog->push_back(FetchLine);
         if (!ICache.access(FetchLine, /*IsWrite=*/false).Hit) {
           ++Result.ICacheMisses;
           FetchCycle += Config.L1IMissPenalty;
@@ -214,7 +204,7 @@ struct CpuPipeline {
       RobSlot = 0;
   }
 
-  /// Moves the ROB ring past \p Records records retired in closed form.
+  /// Moves the ROB ring past \p Records records the sampled tier skipped.
   void skipRob(uint64_t Records) {
     RobSlot = size_t((RobSlot + Records % RobRetire.size()) %
                      RobRetire.size());
@@ -225,323 +215,6 @@ struct CpuPipeline {
       step(Records[Index]);
   }
 };
-
-/// A boundary snapshot of everything the fixed-point check compares.
-struct CpuSnap {
-  std::vector<Cycle> RegReady;
-  std::vector<Cycle> RobRetire;
-  size_t RobSlot;
-  Cycle FetchCycle, IssueBusyCycle, LastRetire;
-  unsigned FetchedThisCycle, IssuedThisCycle, RetiredThisCycle;
-  Addr LastFetchLine;
-  std::vector<uint8_t> PredCounters;
-  uint64_t PredHistory;
-  uint64_t BranchMispredicts, ICacheMisses;
-
-  // Memory-side result scalars and the store buffer, captured only when
-  // the body touches global memory (the memory-phase fold, DESIGN.md §11).
-  uint64_t MemAccesses = 0, MemLatencySum = 0, StoreForwards = 0,
-           PageFaults = 0;
-  Cycle MemLatencyMax = 0, PageFaultCycles = 0;
-  std::vector<std::pair<Addr, Cycle>> StoreDump; ///< Sorted by address.
-
-  static CpuSnap of(const CpuPipeline &P, bool WithMem = false) {
-    CpuSnap S;
-    S.RegReady = P.RegReady;
-    S.RobRetire = P.RobRetire;
-    S.RobSlot = P.RobSlot;
-    S.FetchCycle = P.FetchCycle;
-    S.IssueBusyCycle = P.IssueBusyCycle;
-    S.LastRetire = P.LastRetire;
-    S.FetchedThisCycle = P.FetchedThisCycle;
-    S.IssuedThisCycle = P.IssuedThisCycle;
-    S.RetiredThisCycle = P.RetiredThisCycle;
-    S.LastFetchLine = P.LastFetchLine;
-    S.PredCounters = P.Predictor.counters();
-    S.PredHistory = P.Predictor.history();
-    S.BranchMispredicts = P.Result.BranchMispredicts;
-    S.ICacheMisses = P.Result.ICacheMisses;
-    if (WithMem) {
-      S.MemAccesses = P.Result.MemAccesses;
-      S.MemLatencySum = P.Result.MemLatencySum;
-      S.MemLatencyMax = P.Result.MemLatencyMax;
-      S.StoreForwards = P.Result.StoreForwards;
-      S.PageFaults = P.Result.PageFaults;
-      S.PageFaultCycles = P.Result.PageFaultCycles;
-      // FlatU64Map iteration is mutable-only; the callback leaves the
-      // buffer untouched.
-      const_cast<FlatU64Map<Cycle> &>(P.StoreBuffer)
-          .forEach([&](uint64_t A, Cycle &C) {
-            S.StoreDump.emplace_back(Addr(A), C);
-          });
-      std::sort(S.StoreDump.begin(), S.StoreDump.end());
-    }
-    return S;
-  }
-};
-
-/// What the closed-form fold applies per remaining body repetition.
-struct CpuFoldPlan {
-  Cycle D = 0;                  ///< Uniform cycle advance per repetition.
-  std::vector<bool> RegMoves;   ///< Per-register: advances by D (vs inert).
-  uint64_t DBm = 0;             ///< Mispredicts per repetition.
-  bool FetchDead = false;       ///< Fetch clock is unobservable dead state.
-
-  // Memory-body extension: per-window deltas of the memory result
-  // scalars and which store-buffer entries translate (vs sit inert).
-  uint64_t DMemAccesses = 0, DMemLatencySum = 0, DStoreForwards = 0;
-  std::vector<Addr> StoreMoves;
-};
-
-/// Verifies that s1 -> s2 -> s3 are two consecutive body boundaries in a
-/// translation-invariant steady state: every cycle-valued component
-/// advanced by the same D across both windows, every discrete component
-/// (width counters, fetch line, predictor table+history) is unchanged, the
-/// I-cache saw the identical all-hit line sequence, and any register whose
-/// readiness did NOT advance is provably inert (its constant value is at
-/// or below the dispatch lower bound, which only grows). Under these
-/// conditions the per-record update is a pure translation per window, so
-/// repeating it Rem more times is the same as adding D*Rem — see
-/// DESIGN.md §8 for the induction argument.
-bool checkCpuFold(const CpuSnap &S1, const CpuSnap &S2, const CpuSnap &S3,
-                  const std::vector<Addr> &Touch1,
-                  const std::vector<Addr> &Touch2, const CpuConfig &Config,
-                  size_t K, size_t EpilogueRecords, uint64_t Rem,
-                  CpuFoldPlan &Plan) {
-  const unsigned RobEntries = Config.RobEntries;
-  if (S2.LastRetire < S1.LastRetire)
-    return false;
-  Cycle D = S2.LastRetire - S1.LastRetire;
-  if (S3.LastRetire - S2.LastRetire != D)
-    return false;
-
-  // The fetch clock either translates with the pipeline (fetch-bound
-  // bodies) or is dead state (latency-bound bodies). A body that retires
-  // D cycles per window while fetching only ~K/FetchWidth of them leaves
-  // the fetch clock trailing the ROB dispatch floor by a gap that grows
-  // every window; a fetch clock at or below that floor can never win the
-  // dispatch max, so its exact value — and the wrap phase in
-  // FetchedThisCycle — is unobservable. Requirements: no mispredict
-  // refetch re-anchors inside the window (those jump fetch up to
-  // Complete+penalty), the per-window fetch advance upper bound DfUB fits
-  // under D so the gap is monotone, the gap at s3 already covers DfUB,
-  // and the end-of-body gap covers the epilogue's worst-case fetch
-  // advance (wraps plus an I-miss penalty per record). If the epilogue
-  // does mispredict, the refetch target Complete+penalty exceeds both
-  // runs' below-floor fetch clocks, so both re-anchor to the identical
-  // value with FetchedThisCycle reset — the states converge exactly.
-  const bool FetchTranslates =
-      S2.FetchCycle - S1.FetchCycle == D &&
-      S3.FetchCycle - S2.FetchCycle == D &&
-      S1.FetchedThisCycle == S2.FetchedThisCycle &&
-      S2.FetchedThisCycle == S3.FetchedThisCycle;
-  bool FetchDead = false;
-  if (!FetchTranslates) {
-    if (S2.BranchMispredicts != S1.BranchMispredicts ||
-        S3.BranchMispredicts != S2.BranchMispredicts)
-      return false;
-    const Cycle Floor3 = S3.RobRetire[S3.RobSlot];
-    const Cycle DfUB = Cycle(K / Config.FetchWidth) + 2;
-    const Cycle EpiAdvUB = Cycle(EpilogueRecords / Config.FetchWidth) + 2 +
-                           Cycle(EpilogueRecords) * Config.L1IMissPenalty;
-    if (DfUB > D)
-      return false;
-    if (S3.FetchCycle + DfUB > Floor3)
-      return false;
-    if (Floor3 - (S3.FetchCycle + DfUB) + (D - DfUB) * Rem < EpiAdvUB)
-      return false;
-    FetchDead = true;
-  }
-  if (S2.IssueBusyCycle - S1.IssueBusyCycle != D ||
-      S3.IssueBusyCycle - S2.IssueBusyCycle != D)
-    return false;
-
-  if (S1.IssuedThisCycle != S2.IssuedThisCycle ||
-      S2.IssuedThisCycle != S3.IssuedThisCycle)
-    return false;
-  if (S1.RetiredThisCycle != S2.RetiredThisCycle ||
-      S2.RetiredThisCycle != S3.RetiredThisCycle)
-    return false;
-  if (S1.LastFetchLine != S2.LastFetchLine ||
-      S2.LastFetchLine != S3.LastFetchLine)
-    return false;
-
-  // Discrete machine state must be at a genuine fixed point.
-  if (S1.PredHistory != S2.PredHistory || S2.PredHistory != S3.PredHistory)
-    return false;
-  if (S1.PredCounters != S2.PredCounters ||
-      S2.PredCounters != S3.PredCounters)
-    return false;
-  if (S2.ICacheMisses != S1.ICacheMisses ||
-      S3.ICacheMisses != S2.ICacheMisses)
-    return false;
-  if (Touch1 != Touch2)
-    return false;
-
-  uint64_t DBm = S2.BranchMispredicts - S1.BranchMispredicts;
-  if (S3.BranchMispredicts - S2.BranchMispredicts != DBm)
-    return false;
-
-  // Dispatch lower bound at s1: the oldest in-flight retire time. It is
-  // nondecreasing forever after, so any register readiness at or below it
-  // can never win an operand max again.
-  Cycle RobFloor = S1.RobRetire[S1.RobSlot];
-  Plan.RegMoves.assign(S1.RegReady.size(), false);
-  for (size_t R = 0; R != S1.RegReady.size(); ++R) {
-    Cycle D12 = S2.RegReady[R] - S1.RegReady[R];
-    Cycle D23 = S3.RegReady[R] - S2.RegReady[R];
-    if (D12 != D23)
-      return false;
-    if (D12 == D) {
-      Plan.RegMoves[R] = true;
-      continue;
-    }
-    if (D12 == 0 && S1.RegReady[R] <= RobFloor)
-      continue; // Inert: provably never observed again.
-    return false;
-  }
-
-  // The ROB ring, compared at matching logical offsets from the head.
-  for (unsigned S = 0; S != RobEntries; ++S) {
-    Cycle E1 = S1.RobRetire[(S1.RobSlot + S) % RobEntries];
-    Cycle E2 = S2.RobRetire[(S2.RobSlot + S) % RobEntries];
-    Cycle E3 = S3.RobRetire[(S3.RobSlot + S) % RobEntries];
-    if (E2 - E1 != D || E3 - E2 != D)
-      return false;
-  }
-
-  Plan.D = D;
-  Plan.DBm = DBm;
-  Plan.FetchDead = FetchDead;
-  return true;
-}
-
-/// Retires \p Rem body repetitions (of \p K records each) in closed form.
-void applyCpuFold(CpuPipeline &Pipe, const CpuFoldPlan &Plan, uint64_t Rem,
-                  size_t K, uint64_t BranchesPerRep,
-                  const std::vector<Addr> &Touch) {
-  const Cycle Adv = Plan.D * Rem;
-  // A dead fetch clock stays where it is: the reference run's fetch also
-  // trails every dispatch floor through the folded windows and the
-  // epilogue, so neither value is ever observed (checkCpuFold's margin).
-  if (!Plan.FetchDead)
-    Pipe.FetchCycle += Adv;
-  Pipe.IssueBusyCycle += Adv;
-  Pipe.LastRetire += Adv;
-  for (size_t R = 0; R != Pipe.RegReady.size(); ++R)
-    if (Plan.RegMoves[R])
-      Pipe.RegReady[R] += Adv;
-
-  // Slot p of the ring holds the retire time of the newest record with
-  // index ≡ p (mod Rob). Advancing the stream by Rem*K records maps slot
-  // (p - Rem*K) onto slot p with its value translated by Adv.
-  const uint64_t Rob = Pipe.RobRetire.size();
-  const uint64_t Shift = (Rem % Rob) * (K % Rob) % Rob;
-  std::vector<Cycle> Rotated(Rob);
-  for (uint64_t P = 0; P != Rob; ++P)
-    Rotated[P] = Pipe.RobRetire[(P + Rob - Shift) % Rob] + Adv;
-  Pipe.RobRetire = std::move(Rotated);
-  Pipe.skipRob(Shift);
-
-  Pipe.Result.BranchMispredicts += Plan.DBm * Rem;
-  Pipe.Predictor.creditFolded(BranchesPerRep * Rem, Plan.DBm * Rem);
-
-  if (Pipe.Config.ModelInstructionFetch && !Touch.empty()) {
-    // Every window re-touches the same resident lines in the same order:
-    // each advances the LRU clock by |Touch| and leaves every touched
-    // line's stamp |Touch| higher than a window earlier.
-    const uint64_t A = Touch.size();
-    Pipe.ICache.creditFoldedHits(A * Rem, A * Rem);
-    std::vector<Addr> Distinct(Touch);
-    std::sort(Distinct.begin(), Distinct.end());
-    Distinct.erase(std::unique(Distinct.begin(), Distinct.end()),
-                   Distinct.end());
-    for (Addr Line : Distinct)
-      Pipe.ICache.advanceLineStamp(Line, A * Rem);
-  }
-}
-
-/// The memory-side half of the fixed-point check for bodies that touch
-/// global memory: result scalars must advance by equal per-window deltas,
-/// the observed worst-case latency must already be saturated, and every
-/// store-buffer entry must either translate by D or be provably inert
-/// (constant at or below the issue clock at s1, which only grows — a
-/// forwarding max against it can never win again).
-bool checkCpuMemFold(const CpuSnap &S1, const CpuSnap &S2,
-                     const CpuSnap &S3, CpuFoldPlan &Plan) {
-  uint64_t DMa = S2.MemAccesses - S1.MemAccesses;
-  if (S3.MemAccesses - S2.MemAccesses != DMa)
-    return false;
-  uint64_t DMl = S2.MemLatencySum - S1.MemLatencySum;
-  if (S3.MemLatencySum - S2.MemLatencySum != DMl)
-    return false;
-  uint64_t DFw = S2.StoreForwards - S1.StoreForwards;
-  if (S3.StoreForwards - S2.StoreForwards != DFw)
-    return false;
-  // Faults never fold (they cannot repeat); the observer rejects them by
-  // flag, and the scalar view must agree.
-  if (S1.PageFaults != S3.PageFaults ||
-      S1.PageFaultCycles != S3.PageFaultCycles)
-    return false;
-  // The per-window latency multiset is fixed (identical response logs),
-  // so the max is final iff the second window did not raise it.
-  if (S2.MemLatencyMax != S3.MemLatencyMax)
-    return false;
-
-  if (S1.StoreDump.size() != S2.StoreDump.size() ||
-      S2.StoreDump.size() != S3.StoreDump.size())
-    return false;
-  Plan.StoreMoves.clear();
-  const Cycle Floor = S1.IssueBusyCycle;
-  for (size_t I = 0; I != S1.StoreDump.size(); ++I) {
-    if (S1.StoreDump[I].first != S2.StoreDump[I].first ||
-        S2.StoreDump[I].first != S3.StoreDump[I].first)
-      return false;
-    Cycle D12 = S2.StoreDump[I].second - S1.StoreDump[I].second;
-    Cycle D23 = S3.StoreDump[I].second - S2.StoreDump[I].second;
-    if (D12 != D23)
-      return false;
-    if (D12 == Plan.D) {
-      Plan.StoreMoves.push_back(S1.StoreDump[I].first);
-      continue;
-    }
-    if (D12 == 0 && S1.StoreDump[I].second <= Floor)
-      continue; // Inert: forwarding resolves to IssueCycle + 1 forever.
-    return false;
-  }
-
-  Plan.DMemAccesses = DMa;
-  Plan.DMemLatencySum = DMl;
-  Plan.DStoreForwards = DFw;
-  return true;
-}
-
-/// Applies the memory-side scalars and store-buffer translation for
-/// \p Rem folded repetitions.
-void applyCpuMemFold(CpuPipeline &Pipe, const CpuFoldPlan &Plan,
-                     uint64_t Rem) {
-  Pipe.Result.MemAccesses += Plan.DMemAccesses * Rem;
-  Pipe.Result.MemLatencySum += Plan.DMemLatencySum * Rem;
-  Pipe.Result.StoreForwards += Plan.DStoreForwards * Rem;
-  const Cycle Adv = Plan.D * Rem;
-  for (Addr A : Plan.StoreMoves)
-    if (Cycle *C = Pipe.StoreBuffer.find(A))
-      *C += Adv;
-}
-
-bool spanTouchesGlobalMemory(const TraceBuffer &Body) {
-  for (const TraceRecord &R : Body)
-    if (isGlobalMemoryOp(R.Op))
-      return true;
-  return false;
-}
-
-uint64_t countBranches(const TraceBuffer &Body) {
-  uint64_t N = 0;
-  for (const TraceRecord &R : Body)
-    N += isBranchOp(R.Op) ? 1 : 0;
-  return N;
-}
 
 } // namespace
 
@@ -566,10 +239,8 @@ SegmentResult CpuCore::run(const TraceRecord *Records, size_t Count,
 
 SegmentResult CpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
   const BlockTrace *Block = Trace.blocks();
-  if (!Block || !fastPathEnabled())
+  if (!Block)
     return run(Trace.buffer(), StartCycle);
-  if (Block->kind() == BlockTrace::Kind::Pattern)
-    return runPatternBlock(*Block, StartCycle);
   return runWindowed(*Block, StartCycle);
 }
 
@@ -581,7 +252,6 @@ SegmentResult CpuCore::runWindowed(const BlockTrace &Block,
     return Result;
 
   if (Mem.memFastModeCached() == MemFastMode::Sampled &&
-      Block.kind() != BlockTrace::Kind::Pattern &&
       Block.generator().streamStructure().SteadyStride &&
       Result.Insts >= 8 * ComputeWindowRecords)
     return runSampled(Block, StartCycle);
@@ -590,8 +260,8 @@ SegmentResult CpuCore::runWindowed(const BlockTrace &Block,
   BlockExpander Expander(Block);
   TraceBuffer Window;
   while (!Expander.done()) {
-    BlockExpander::Span Span = Expander.nextSpan(Window);
-    Pipe.runSpan(Span.Data, size_t(Span.Count));
+    Expander.next(Window);
+    Pipe.runSpan(Window.records().data(), Window.size());
   }
 
   assert(Pipe.LastRetire >= StartCycle && "time went backwards");
@@ -614,7 +284,6 @@ SegmentResult CpuCore::runSampled(const BlockTrace &Block,
   CpuPipeline Pipe(Config, Mem, Predictor, ICache, Result, StartCycle);
   BlockExpander Expander(Block);
   TraceBuffer Window;
-  MemorySystem::MemFastCounters &MFC = Mem.memfastCounters();
   const unsigned SkipN = memFastSampleSkip();
 
   double RateMin = 0, RateMax = 0;
@@ -622,8 +291,8 @@ SegmentResult CpuCore::runSampled(const BlockTrace &Block,
   unsigned WarmLeft = 4;
   while (!Expander.done()) {
     if (WarmLeft != 0) {
-      BlockExpander::Span Span = Expander.nextWindow(Window);
-      Pipe.runSpan(Span.Data, size_t(Span.Count));
+      Expander.next(Window);
+      Pipe.runSpan(Window.records().data(), Window.size());
       --WarmLeft;
       continue;
     }
@@ -631,9 +300,8 @@ SegmentResult CpuCore::runSampled(const BlockTrace &Block,
     // Measure one window.
     const Cycle C0 = Pipe.LastRetire;
     const SegmentResult R0 = Result;
-    BlockExpander::Span Span = Expander.nextWindow(Window);
-    Pipe.runSpan(Span.Data, size_t(Span.Count));
-    const uint64_t Nm = Span.Count;
+    const uint64_t Nm = Expander.next(Window);
+    Pipe.runSpan(Window.records().data(), Window.size());
     if (Nm == 0)
       break;
     const Cycle Dm = Pipe.LastRetire - C0;
@@ -650,7 +318,7 @@ SegmentResult CpuCore::runSampled(const BlockTrace &Block,
     // Skip a burst, extrapolating the measured rates.
     uint64_t SkipRecords = 0;
     for (unsigned I = 0; I != SkipN && !Expander.done(); ++I)
-      SkipRecords += Expander.skip(Window);
+      SkipRecords += Expander.next(Window);
     if (SkipRecords != 0) {
       const Cycle Adv = Dm * SkipRecords / Nm;
       Pipe.FetchCycle += Adv;
@@ -668,110 +336,9 @@ SegmentResult CpuCore::runSampled(const BlockTrace &Block,
       Result.StoreForwards += DFw * SkipRecords / Nm;
       Result.SampledRecords += SkipRecords;
       Result.SampledErrorCycles += double(SkipRecords) * (RateMax - RateMin);
-      ++*MFC.SampledWindows;
-      *MFC.SampledRecords += SkipRecords;
       WarmLeft = 1; // Re-warm before the next measurement.
     }
   }
-
-  assert(Pipe.LastRetire >= StartCycle && "time went backwards");
-  Result.Cycles = Pipe.LastRetire - StartCycle;
-  return Result;
-}
-
-SegmentResult CpuCore::runPatternBlock(const BlockTrace &Block,
-                                       Cycle StartCycle) {
-  const PatternBlock &P = Block.pattern();
-  SegmentResult Result;
-  Result.Insts = Block.totalRecords();
-  if (Result.Insts == 0)
-    return Result;
-
-  CpuPipeline Pipe(Config, Mem, Predictor, ICache, Result, StartCycle);
-  Pipe.runSpan(P.Prologue.records().data(), P.Prologue.size());
-
-  const size_t K = P.Body.size();
-  uint64_t Done = 0;
-  // Compute-only bodies fold on pipeline state alone. Bodies with
-  // global-memory records additionally need the whole memory system at a
-  // verified per-period fixed point (the memory-phase fold, DESIGN.md
-  // §11); that path is gated on HETSIM_MEMFAST — Off preserves the
-  // detailed walk for every memory access, the bit-exact oracle.
-  const bool MemBody = spanTouchesGlobalMemory(P.Body);
-  const MemFastMode MF = Mem.memFastModeCached();
-  const bool TryFold =
-      K != 0 && P.BodyRepeats > 0 &&
-      (!MemBody || MF == MemFastMode::Exact || MF == MemFastMode::Warm);
-  if (TryFold) {
-    // Warm until every ROB slot was written from steady-state body code
-    // (plus two extra windows for cache/TLB contents to settle), then
-    // observe two full windows.
-    const uint64_t Warmup =
-        (Config.RobEntries + K - 1) / K + 2 + (MemBody ? 2 : 0);
-    if (P.BodyRepeats >= Warmup + 3) {
-      for (; Done != Warmup; ++Done)
-        Pipe.runSpan(P.Body.records().data(), K);
-      std::unique_ptr<MemFoldObserver> Obs;
-      if (MemBody) {
-        ++*Mem.memfastCounters().FoldAttempts;
-        Obs.reset(new MemFoldObserver(Mem, PuKind::Cpu));
-        Obs->snapshot(0);
-      }
-      CpuSnap S1 = CpuSnap::of(Pipe, MemBody);
-      std::vector<Addr> Touch1, Touch2;
-      Pipe.TouchLog = &Touch1;
-      if (Obs)
-        Obs->beginLog(0);
-      Pipe.runSpan(P.Body.records().data(), K);
-      ++Done;
-      if (Obs) {
-        Obs->endLog();
-        Obs->snapshot(1);
-      }
-      CpuSnap S2 = CpuSnap::of(Pipe, MemBody);
-      Pipe.TouchLog = &Touch2;
-      if (Obs)
-        Obs->beginLog(1);
-      Pipe.runSpan(P.Body.records().data(), K);
-      ++Done;
-      if (Obs) {
-        Obs->endLog();
-        Obs->snapshot(2);
-      }
-      CpuSnap S3 = CpuSnap::of(Pipe, MemBody);
-      Pipe.TouchLog = nullptr;
-
-      CpuFoldPlan Plan;
-      bool Ok = checkCpuFold(S1, S2, S3, Touch1, Touch2, Config, K,
-                             P.Epilogue.size(), P.BodyRepeats - Done, Plan);
-      if (Obs) {
-        MemFoldReason Reason = MemFoldReason::PipelineDrift;
-        if (Ok && !checkCpuMemFold(S1, S2, S3, Plan))
-          Ok = false; // Core-side memory state (store buffer) drifted.
-        if (Ok)
-          Ok = Obs->check(Plan.D, S1.IssueBusyCycle, Reason);
-        if (Ok) {
-          const uint64_t Rem = P.BodyRepeats - Done;
-          applyCpuFold(Pipe, Plan, Rem, K, countBranches(P.Body), Touch2);
-          applyCpuMemFold(Pipe, Plan, Rem);
-          Obs->apply(Rem);
-          ++*Mem.memfastCounters().Folds;
-          *Mem.memfastCounters().FoldedRecords += K * Rem;
-          Done = P.BodyRepeats;
-        } else {
-          ++*Mem.memfastCounters().Fallback[unsigned(Reason)];
-        }
-      } else if (Ok) {
-        const uint64_t Rem = P.BodyRepeats - Done;
-        applyCpuFold(Pipe, Plan, Rem, K, countBranches(P.Body), Touch2);
-        Done = P.BodyRepeats;
-      }
-    }
-  }
-  for (; Done != P.BodyRepeats; ++Done)
-    Pipe.runSpan(P.Body.records().data(), K);
-
-  Pipe.runSpan(P.Epilogue.records().data(), P.Epilogue.size());
 
   assert(Pipe.LastRetire >= StartCycle && "time went backwards");
   Result.Cycles = Pipe.LastRetire - StartCycle;

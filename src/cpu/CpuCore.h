@@ -104,12 +104,9 @@ public:
   SegmentResult run(const TraceRecord *Records, size_t Count,
                     Cycle StartCycle);
 
-  /// Runs a shared trace handle. Block-backed handles take the fast path:
-  /// windowed expansion for generator blocks, and closed-form retirement
-  /// of the steady-state body for Pattern blocks once the pipeline reaches
-  /// a verified per-period fixed point (see DESIGN.md §8). Results are
-  /// identical to running the materialized trace through the reference
-  /// loop.
+  /// Runs a shared trace handle. Block-backed handles are expanded a
+  /// window at a time (see DESIGN.md §8); results are identical to
+  /// running the materialized trace.
   SegmentResult run(const SharedTrace &Trace, Cycle StartCycle);
 
   const CpuConfig &config() const { return Config; }
@@ -118,7 +115,6 @@ public:
 
 private:
   SegmentResult runWindowed(const BlockTrace &Block, Cycle StartCycle);
-  SegmentResult runPatternBlock(const BlockTrace &Block, Cycle StartCycle);
   SegmentResult runSampled(const BlockTrace &Block, Cycle StartCycle);
 
   CpuConfig Config;

@@ -103,49 +103,6 @@ public:
 
   void resetStats() { Stats = DramStats(); }
 
-  /// Full-state snapshot for the memory-phase fold verifier (DESIGN.md
-  /// §11): open rows, per-bank/bus busy-until cycles, queue depth, and
-  /// counters. The verifier requires the batch queue empty at snapshot
-  /// boundaries (demand walks always drain before returning).
-  struct FoldSnap {
-    std::vector<uint64_t> OpenRows;
-    std::vector<Cycle> ReadyAt;
-    std::vector<Cycle> BusFree;
-    size_t Queued = 0;
-    DramStats Stats;
-  };
-
-  FoldSnap foldSnapshot() const {
-    FoldSnap S;
-    S.OpenRows.reserve(Banks.size());
-    S.ReadyAt.reserve(Banks.size());
-    for (const Bank &B : Banks) {
-      S.OpenRows.push_back(B.OpenRow);
-      S.ReadyAt.push_back(B.ReadyAt);
-    }
-    S.BusFree = ChannelBusFree;
-    S.Queued = Queue.size();
-    S.Stats = Stats;
-    return S;
-  }
-
-  /// Advances bank/bus busy-until cycles and counters by Rem times their
-  /// per-window delta (\p S3 minus \p S2).
-  void applyFold(const FoldSnap &S2, const FoldSnap &S3, uint64_t Rem) {
-    for (size_t I = 0; I != Banks.size(); ++I)
-      Banks[I].ReadyAt += (S3.ReadyAt[I] - S2.ReadyAt[I]) * Rem;
-    for (size_t I = 0; I != ChannelBusFree.size(); ++I)
-      ChannelBusFree[I] += (S3.BusFree[I] - S2.BusFree[I]) * Rem;
-    Stats.Reads += (S3.Stats.Reads - S2.Stats.Reads) * Rem;
-    Stats.Writes += (S3.Stats.Writes - S2.Stats.Writes) * Rem;
-    Stats.RowHits += (S3.Stats.RowHits - S2.Stats.RowHits) * Rem;
-    Stats.RowMisses += (S3.Stats.RowMisses - S2.Stats.RowMisses) * Rem;
-    Stats.BytesTransferred +=
-        (S3.Stats.BytesTransferred - S2.Stats.BytesTransferred) * Rem;
-    // BatchDrains/BatchedRequests/PeakQueueDepth: the verifier requires
-    // zero batch activity inside a foldable window, so nothing to scale.
-  }
-
 private:
   struct Bank {
     uint64_t OpenRow = ~0ull;

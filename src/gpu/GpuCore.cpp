@@ -2,7 +2,6 @@
 
 #include "gpu/GpuCore.h"
 
-#include "cache/Scratchpad.h"
 #include "common/Error.h"
 #include "gpu/Coalescer.h"
 #include "memory/MemFast.h"
@@ -11,7 +10,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <vector>
 
 using namespace hetsim;
@@ -47,7 +45,7 @@ struct WarpState {
 /// file); each context executes strictly in order with scoreboarded
 /// operands and stall-on-branch; contexts are independent, which models a
 /// zero-overhead warp scheduler hiding one warp's memory latency under the
-/// others. Both the reference loop and the fast paths drive this one
+/// others. The materialized, windowed and sampled paths all drive this one
 /// update function.
 struct GpuPipeline {
   const GpuConfig &Config;
@@ -75,7 +73,7 @@ struct GpuPipeline {
         Warps(W, WarpState(StartCycle)), LastComplete(StartCycle),
         ChunkLeft(Chunk) {}
 
-  /// Moves the striping past \p Records records retired in closed form.
+  /// Moves the striping past \p Records records the sampled tier skipped.
   void skipRecords(uint64_t Records) {
     Index += Records;
     WarpSlot = unsigned((Index / Chunk) % W);
@@ -157,182 +155,6 @@ struct GpuPipeline {
   }
 };
 
-/// A boundary snapshot for the fixed-point check: every cycle-valued
-/// component of every warp, plus the counters the fold must extrapolate.
-struct GpuSnap {
-  std::vector<std::vector<Cycle>> RegReady; // Per warp.
-  std::vector<Cycle> NextIssue;
-  std::vector<Cycle> WarpLastComplete;
-  Cycle LastComplete;
-  uint64_t BranchMispredicts;
-  uint64_t SmemReads, SmemWrites, SmemConflicts;
-
-  // Memory-body extension (DESIGN.md §11): outstanding completions per
-  // warp and the memory result scalars.
-  std::vector<std::vector<Cycle>> Pending;
-  uint64_t MemAccesses = 0, MemLatencySum = 0, PageFaults = 0;
-  Cycle MemLatencyMax = 0, PageFaultCycles = 0;
-
-  static GpuSnap of(const GpuPipeline &P, const Scratchpad &Smem,
-                    bool WithMem = false) {
-    GpuSnap S;
-    S.RegReady.reserve(P.Warps.size());
-    for (const WarpState &Warp : P.Warps) {
-      S.RegReady.push_back(Warp.RegReady);
-      S.NextIssue.push_back(Warp.NextIssue);
-      S.WarpLastComplete.push_back(Warp.LastComplete);
-    }
-    S.LastComplete = P.LastComplete;
-    S.BranchMispredicts = P.Result.BranchMispredicts;
-    S.SmemReads = Smem.readCount();
-    S.SmemWrites = Smem.writeCount();
-    S.SmemConflicts = Smem.bankConflictCount();
-    if (WithMem) {
-      S.Pending.reserve(P.Warps.size());
-      for (const WarpState &Warp : P.Warps)
-        S.Pending.push_back(Warp.Pending);
-      S.MemAccesses = P.Result.MemAccesses;
-      S.MemLatencySum = P.Result.MemLatencySum;
-      S.MemLatencyMax = P.Result.MemLatencyMax;
-      S.PageFaults = P.Result.PageFaults;
-      S.PageFaultCycles = P.Result.PageFaultCycles;
-    }
-    return S;
-  }
-};
-
-struct GpuFoldPlan {
-  Cycle D = 0;
-  std::vector<std::vector<bool>> RegMoves; // Per warp, per register.
-  uint64_t DBm = 0;
-  uint64_t DSmemReads = 0, DSmemWrites = 0, DSmemConflicts = 0;
-  uint64_t DMemAccesses = 0, DMemLatencySum = 0;
-};
-
-/// GPU analogue of the CPU fixed-point check: both observed windows must
-/// advance every warp's cycle state by the same D, with non-advancing
-/// registers provably inert (constant value at or below the warp's
-/// strictly-increasing NextIssue at s1), and counter deltas equal.
-bool checkGpuFold(const GpuSnap &S1, const GpuSnap &S2, const GpuSnap &S3,
-                  GpuFoldPlan &Plan) {
-  if (S2.LastComplete < S1.LastComplete)
-    return false;
-  Cycle D = S2.LastComplete - S1.LastComplete;
-  if (S3.LastComplete - S2.LastComplete != D)
-    return false;
-
-  const size_t W = S1.NextIssue.size();
-  Plan.RegMoves.assign(W, {});
-  for (size_t Wi = 0; Wi != W; ++Wi) {
-    if (S2.NextIssue[Wi] - S1.NextIssue[Wi] != D ||
-        S3.NextIssue[Wi] - S2.NextIssue[Wi] != D)
-      return false;
-    if (S2.WarpLastComplete[Wi] - S1.WarpLastComplete[Wi] != D ||
-        S3.WarpLastComplete[Wi] - S2.WarpLastComplete[Wi] != D)
-      return false;
-    Plan.RegMoves[Wi].assign(S1.RegReady[Wi].size(), false);
-    for (size_t R = 0; R != S1.RegReady[Wi].size(); ++R) {
-      Cycle D12 = S2.RegReady[Wi][R] - S1.RegReady[Wi][R];
-      Cycle D23 = S3.RegReady[Wi][R] - S2.RegReady[Wi][R];
-      if (D12 != D23)
-        return false;
-      if (D12 == D) {
-        Plan.RegMoves[Wi][R] = true;
-        continue;
-      }
-      if (D12 == 0 && S1.RegReady[Wi][R] <= S1.NextIssue[Wi])
-        continue; // Inert: NextIssue only grows, so this max never wins.
-      return false;
-    }
-  }
-
-  uint64_t DBm = S2.BranchMispredicts - S1.BranchMispredicts;
-  if (S3.BranchMispredicts - S2.BranchMispredicts != DBm)
-    return false;
-  Plan.DSmemReads = S2.SmemReads - S1.SmemReads;
-  Plan.DSmemWrites = S2.SmemWrites - S1.SmemWrites;
-  Plan.DSmemConflicts = S2.SmemConflicts - S1.SmemConflicts;
-  if (S3.SmemReads - S2.SmemReads != Plan.DSmemReads ||
-      S3.SmemWrites - S2.SmemWrites != Plan.DSmemWrites ||
-      S3.SmemConflicts - S2.SmemConflicts != Plan.DSmemConflicts)
-    return false;
-
-  Plan.D = D;
-  Plan.DBm = DBm;
-  return true;
-}
-
-void applyGpuFold(GpuPipeline &Pipe, const GpuFoldPlan &Plan, uint64_t Rem,
-                  size_t K, Scratchpad &Smem) {
-  const Cycle Adv = Plan.D * Rem;
-  Pipe.LastComplete += Adv;
-  for (size_t Wi = 0; Wi != Pipe.Warps.size(); ++Wi) {
-    WarpState &Warp = Pipe.Warps[Wi];
-    Warp.NextIssue += Adv;
-    Warp.LastComplete += Adv;
-    for (size_t R = 0; R != Warp.RegReady.size(); ++R)
-      if (Plan.RegMoves[Wi][R])
-        Warp.RegReady[R] += Adv;
-  }
-  Pipe.skipRecords(Rem * K);
-  Pipe.Result.BranchMispredicts += Plan.DBm * Rem;
-  Smem.creditFolded(Plan.DSmemReads * Rem, Plan.DSmemWrites * Rem,
-                    Plan.DSmemConflicts * Rem);
-}
-
-/// The memory-side half of the GPU fixed-point check. Outstanding
-/// completions must translate strictly by D: an entry sitting constant in
-/// a warp that issues memory operations would eventually fall at or below
-/// the growing retire clock, get dropped, and change the occupancy stall
-/// behaviour of extrapolated windows — so no inert tier exists here.
-bool checkGpuMemFold(const GpuSnap &S1, const GpuSnap &S2,
-                     const GpuSnap &S3, GpuFoldPlan &Plan) {
-  uint64_t DMa = S2.MemAccesses - S1.MemAccesses;
-  if (S3.MemAccesses - S2.MemAccesses != DMa)
-    return false;
-  uint64_t DMl = S2.MemLatencySum - S1.MemLatencySum;
-  if (S3.MemLatencySum - S2.MemLatencySum != DMl)
-    return false;
-  if (S1.PageFaults != S3.PageFaults ||
-      S1.PageFaultCycles != S3.PageFaultCycles)
-    return false;
-  if (S2.MemLatencyMax != S3.MemLatencyMax)
-    return false;
-
-  const size_t W = S1.Pending.size();
-  for (size_t Wi = 0; Wi != W; ++Wi) {
-    if (S1.Pending[Wi].size() != S2.Pending[Wi].size() ||
-        S2.Pending[Wi].size() != S3.Pending[Wi].size())
-      return false;
-    for (size_t I = 0; I != S1.Pending[Wi].size(); ++I) {
-      if (S2.Pending[Wi][I] - S1.Pending[Wi][I] != Plan.D ||
-          S3.Pending[Wi][I] - S2.Pending[Wi][I] != Plan.D)
-        return false;
-    }
-  }
-
-  Plan.DMemAccesses = DMa;
-  Plan.DMemLatencySum = DMl;
-  return true;
-}
-
-void applyGpuMemFold(GpuPipeline &Pipe, const GpuFoldPlan &Plan,
-                     uint64_t Rem) {
-  Pipe.Result.MemAccesses += Plan.DMemAccesses * Rem;
-  Pipe.Result.MemLatencySum += Plan.DMemLatencySum * Rem;
-  const Cycle Adv = Plan.D * Rem;
-  for (WarpState &Warp : Pipe.Warps)
-    for (Cycle &C : Warp.Pending)
-      C += Adv;
-}
-
-bool gpuSpanTouchesGlobalMemory(const TraceBuffer &Body) {
-  for (const TraceRecord &R : Body)
-    if (isGlobalMemoryOp(R.Op))
-      return true;
-  return false;
-}
-
 } // namespace
 
 SegmentResult GpuCore::run(const TraceBuffer &Trace, Cycle StartCycle) {
@@ -358,10 +180,8 @@ SegmentResult GpuCore::run(const TraceRecord *Records, size_t Count,
 
 SegmentResult GpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
   const BlockTrace *Block = Trace.blocks();
-  if (!Block || !fastPathEnabled())
+  if (!Block)
     return run(Trace.buffer(), StartCycle);
-  if (Block->kind() == BlockTrace::Kind::Pattern)
-    return runPatternBlock(*Block, StartCycle);
   return runWindowed(*Block, StartCycle);
 }
 
@@ -373,7 +193,6 @@ SegmentResult GpuCore::runWindowed(const BlockTrace &Block,
     return Result;
 
   if (Mem.memFastModeCached() == MemFastMode::Sampled &&
-      Block.kind() != BlockTrace::Kind::Pattern &&
       Block.generator().streamStructure().SteadyStride &&
       Result.Insts >= 8 * ComputeWindowRecords)
     return runSampled(Block, StartCycle);
@@ -382,8 +201,8 @@ SegmentResult GpuCore::runWindowed(const BlockTrace &Block,
   BlockExpander Expander(Block);
   TraceBuffer Window;
   while (!Expander.done()) {
-    BlockExpander::Span Span = Expander.nextSpan(Window);
-    Pipe.runSpan(Span.Data, size_t(Span.Count));
+    Expander.next(Window);
+    Pipe.runSpan(Window.records().data(), Window.size());
   }
 
   assert(Pipe.LastComplete >= StartCycle && "time went backwards");
@@ -405,7 +224,6 @@ SegmentResult GpuCore::runSampled(const BlockTrace &Block,
   GpuPipeline Pipe(Config, Mem, Result, StartCycle);
   BlockExpander Expander(Block);
   TraceBuffer Window;
-  MemorySystem::MemFastCounters &MFC = Mem.memfastCounters();
   const unsigned SkipN = memFastSampleSkip();
 
   double RateMin = 0, RateMax = 0;
@@ -413,17 +231,16 @@ SegmentResult GpuCore::runSampled(const BlockTrace &Block,
   unsigned WarmLeft = 4;
   while (!Expander.done()) {
     if (WarmLeft != 0) {
-      BlockExpander::Span Span = Expander.nextWindow(Window);
-      Pipe.runSpan(Span.Data, size_t(Span.Count));
+      Expander.next(Window);
+      Pipe.runSpan(Window.records().data(), Window.size());
       --WarmLeft;
       continue;
     }
 
     const Cycle C0 = Pipe.LastComplete;
     const SegmentResult R0 = Result;
-    BlockExpander::Span Span = Expander.nextWindow(Window);
-    Pipe.runSpan(Span.Data, size_t(Span.Count));
-    const uint64_t Nm = Span.Count;
+    const uint64_t Nm = Expander.next(Window);
+    Pipe.runSpan(Window.records().data(), Window.size());
     if (Nm == 0)
       break;
     const Cycle Dm = Pipe.LastComplete - C0;
@@ -437,7 +254,7 @@ SegmentResult GpuCore::runSampled(const BlockTrace &Block,
 
     uint64_t SkipRecords = 0;
     for (unsigned I = 0; I != SkipN && !Expander.done(); ++I)
-      SkipRecords += Expander.skip(Window);
+      SkipRecords += Expander.next(Window);
     if (SkipRecords != 0) {
       const Cycle Adv = Dm * SkipRecords / Nm;
       Pipe.LastComplete += Adv;
@@ -455,112 +272,9 @@ SegmentResult GpuCore::runSampled(const BlockTrace &Block,
       Result.BranchMispredicts += DBm * SkipRecords / Nm;
       Result.SampledRecords += SkipRecords;
       Result.SampledErrorCycles += double(SkipRecords) * (RateMax - RateMin);
-      ++*MFC.SampledWindows;
-      *MFC.SampledRecords += SkipRecords;
       WarmLeft = 1;
     }
   }
-
-  assert(Pipe.LastComplete >= StartCycle && "time went backwards");
-  Cycle CriticalPath = Pipe.LastComplete - StartCycle;
-  Cycle BandwidthFloor = ceilDiv(Result.Insts, Config.IssueWidth);
-  Result.Cycles = std::max(CriticalPath, BandwidthFloor);
-  return Result;
-}
-
-SegmentResult GpuCore::runPatternBlock(const BlockTrace &Block,
-                                       Cycle StartCycle) {
-  const PatternBlock &P = Block.pattern();
-  SegmentResult Result;
-  Result.Insts = Block.totalRecords();
-  if (Result.Insts == 0)
-    return Result;
-
-  GpuPipeline Pipe(Config, Mem, Result, StartCycle);
-  Pipe.runSpan(P.Prologue.records().data(), P.Prologue.size());
-
-  const size_t K = P.Body.size();
-  const uint64_t Rotation = uint64_t(Pipe.Chunk) * Pipe.W;
-  uint64_t Done = 0;
-  // Fold preconditions: the body must be a whole number of warp
-  // rotations, so every repetition stripes records onto warps the same
-  // way. Scratchpad traffic is fine — its timing is stateless and its
-  // counters extrapolate linearly. Bodies with global-memory records
-  // additionally need the whole memory system at a verified per-period
-  // fixed point (the memory-phase fold, DESIGN.md §11), gated on
-  // HETSIM_MEMFAST.
-  const bool MemBody = gpuSpanTouchesGlobalMemory(P.Body);
-  const MemFastMode MF = Mem.memFastModeCached();
-  const bool TryFold =
-      K != 0 && P.BodyRepeats > 0 && K % Rotation == 0 &&
-      (!MemBody || MF == MemFastMode::Exact || MF == MemFastMode::Warm);
-  if (TryFold) {
-    const uint64_t Warmup = 3 + (MemBody ? 2 : 0);
-    if (P.BodyRepeats >= Warmup + 3) {
-      Scratchpad &Smem = Mem.scratchpad();
-      for (; Done != Warmup; ++Done)
-        Pipe.runSpan(P.Body.records().data(), K);
-      std::unique_ptr<MemFoldObserver> Obs;
-      if (MemBody) {
-        ++*Mem.memfastCounters().FoldAttempts;
-        Obs.reset(new MemFoldObserver(Mem, PuKind::Gpu));
-        Obs->snapshot(0);
-      }
-      GpuSnap S1 = GpuSnap::of(Pipe, Smem, MemBody);
-      if (Obs)
-        Obs->beginLog(0);
-      Pipe.runSpan(P.Body.records().data(), K);
-      ++Done;
-      if (Obs) {
-        Obs->endLog();
-        Obs->snapshot(1);
-      }
-      GpuSnap S2 = GpuSnap::of(Pipe, Smem, MemBody);
-      if (Obs)
-        Obs->beginLog(1);
-      Pipe.runSpan(P.Body.records().data(), K);
-      ++Done;
-      if (Obs) {
-        Obs->endLog();
-        Obs->snapshot(2);
-      }
-      GpuSnap S3 = GpuSnap::of(Pipe, Smem, MemBody);
-
-      GpuFoldPlan Plan;
-      bool Ok = checkGpuFold(S1, S2, S3, Plan);
-      if (Obs) {
-        MemFoldReason Reason = MemFoldReason::PipelineDrift;
-        if (Ok && !checkGpuMemFold(S1, S2, S3, Plan))
-          Ok = false; // Core-side memory state (pending loads) drifted.
-        if (Ok) {
-          // The smallest GPU cycle any future access can carry: every
-          // warp's issue clock only grows.
-          Cycle FloorPu =
-              *std::min_element(S1.NextIssue.begin(), S1.NextIssue.end());
-          Ok = Obs->check(Plan.D, FloorPu, Reason);
-        }
-        if (Ok) {
-          const uint64_t Rem = P.BodyRepeats - Done;
-          applyGpuFold(Pipe, Plan, Rem, K, Smem);
-          applyGpuMemFold(Pipe, Plan, Rem);
-          Obs->apply(Rem);
-          ++*Mem.memfastCounters().Folds;
-          *Mem.memfastCounters().FoldedRecords += K * Rem;
-          Done = P.BodyRepeats;
-        } else {
-          ++*Mem.memfastCounters().Fallback[unsigned(Reason)];
-        }
-      } else if (Ok) {
-        uint64_t Rem = P.BodyRepeats - Done;
-        applyGpuFold(Pipe, Plan, Rem, K, Smem);
-        Done = P.BodyRepeats;
-      }
-    }
-  }
-  for (; Done != P.BodyRepeats; ++Done)
-    Pipe.runSpan(P.Body.records().data(), K);
-
-  Pipe.runSpan(P.Epilogue.records().data(), P.Epilogue.size());
 
   assert(Pipe.LastComplete >= StartCycle && "time went backwards");
   Cycle CriticalPath = Pipe.LastComplete - StartCycle;

@@ -54,16 +54,13 @@ public:
                     Cycle StartCycle);
 
   /// Runs a shared trace handle. Block-backed handles expand window by
-  /// window; a Pattern block whose body divides evenly into the warp
-  /// rotation retires its steady state in closed form once the per-warp
-  /// pipelines reach a verified per-period fixed point (DESIGN.md §8).
+  /// window (DESIGN.md §8).
   SegmentResult run(const SharedTrace &Trace, Cycle StartCycle);
 
   const GpuConfig &config() const { return Config; }
 
 private:
   SegmentResult runWindowed(const BlockTrace &Block, Cycle StartCycle);
-  SegmentResult runPatternBlock(const BlockTrace &Block, Cycle StartCycle);
   SegmentResult runSampled(const BlockTrace &Block, Cycle StartCycle);
 
   GpuConfig Config;

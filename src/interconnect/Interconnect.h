@@ -55,28 +55,6 @@ public:
   const NocStats &stats() const { return Stats; }
   virtual void resetStats() = 0;
 
-  /// Per-port busy-until cycles, flattened in a topology-defined order.
-  /// Used by the memory-phase fold verifier (DESIGN.md §11) to prove a
-  /// window left injection state at a per-period fixed point.
-  virtual std::vector<Cycle> foldPorts() const = 0;
-
-  /// Advances every port's busy-until cycle by Rem times its per-window
-  /// delta (\p S3 minus \p S2, elementwise over foldPorts()).
-  virtual void applyFoldPorts(const std::vector<Cycle> &S2,
-                              const std::vector<Cycle> &S3,
-                              uint64_t Rem) = 0;
-
-  /// Advances traffic counters by Rem times their per-window delta.
-  void applyFoldStats(const NocStats &S2, const NocStats &S3,
-                      uint64_t Rem) {
-    Stats.Messages += (S3.Messages - S2.Messages) * Rem;
-    Stats.TotalHops += (S3.TotalHops - S2.TotalHops) * Rem;
-    Stats.ContentionCycles +=
-        (S3.ContentionCycles - S2.ContentionCycles) * Rem;
-    Stats.ContendedMessages +=
-        (S3.ContendedMessages - S2.ContendedMessages) * Rem;
-  }
-
 protected:
   NocStats Stats;
 };

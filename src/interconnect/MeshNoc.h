@@ -48,15 +48,6 @@ public:
 
   void resetStats() override;
 
-  std::vector<Cycle> foldPorts() const override { return PortFree; }
-
-  void applyFoldPorts(const std::vector<Cycle> &S2,
-                      const std::vector<Cycle> &S3,
-                      uint64_t Rem) override {
-    for (size_t I = 0; I != PortFree.size(); ++I)
-      PortFree[I] += (S3[I] - S2[I]) * Rem;
-  }
-
   /// Grid coordinates of a stop (row-major numbering).
   unsigned xOf(unsigned Stop) const { return Stop % Config.Width; }
   unsigned yOf(unsigned Stop) const { return Stop / Config.Width; }

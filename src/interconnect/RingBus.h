@@ -66,15 +66,6 @@ public:
 
   void resetStats() override;
 
-  std::vector<Cycle> foldPorts() const override { return PortFree; }
-
-  void applyFoldPorts(const std::vector<Cycle> &S2,
-                      const std::vector<Cycle> &S3,
-                      uint64_t Rem) override {
-    for (size_t I = 0; I != PortFree.size(); ++I)
-      PortFree[I] += (S3[I] - S2[I]) * Rem;
-  }
-
 private:
   RingConfig Config;
   std::vector<Cycle> PortFree; // Next free cycle of each injection port.

@@ -2,44 +2,33 @@
 
 #include "memory/MemFast.h"
 
-#include "interconnect/Interconnect.h"
-#include "memory/MemorySystem.h"
-
-#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 using namespace hetsim;
 
-//===----------------------------------------------------------------------===//
-// Mode selection.
-//===----------------------------------------------------------------------===//
-
 static std::atomic<int> MemFastOverride{-1};
-
-static MemFastMode readMemFastEnv() {
-  const char *Env = std::getenv("HETSIM_MEMFAST");
-  if (!Env || !*Env)
-    return MemFastMode::Exact;
-  if (std::strcmp(Env, "0") == 0 || std::strcmp(Env, "off") == 0)
-    return MemFastMode::Off;
-  if (std::strcmp(Env, "warm") == 0)
-    return MemFastMode::Warm;
-  if (std::strcmp(Env, "sampled") == 0 || std::strcmp(Env, "sample") == 0)
-    return MemFastMode::Sampled;
-  return MemFastMode::Exact;
-}
 
 MemFastMode hetsim::memFastMode() {
   int Override = MemFastOverride.load(std::memory_order_relaxed);
   if (Override >= 0)
     return MemFastMode(Override);
-  return readMemFastEnv();
+  const char *Env = std::getenv("HETSIM_MEMFAST");
+  if (!Env || !*Env || std::strcmp(Env, "0") == 0)
+    return MemFastMode::Off;
+  if (std::strcmp(Env, "sampled") == 0)
+    return MemFastMode::Sampled;
+  std::fprintf(stderr,
+               "error: HETSIM_MEMFAST='%s' is not recognised; accepted values "
+               "are unset, 0 and sampled\n",
+               Env);
+  std::exit(2);
 }
 
 void hetsim::setMemFastForTesting(int Mode) {
-  MemFastOverride.store(Mode > 3 ? 3 : Mode, std::memory_order_relaxed);
+  MemFastOverride.store(Mode > 1 ? 1 : Mode, std::memory_order_relaxed);
 }
 
 unsigned hetsim::memFastSampleSkip() {
@@ -55,557 +44,4 @@ unsigned hetsim::memFastSampleSkip() {
     return unsigned(V);
   }();
   return Cached;
-}
-
-const char *hetsim::memFoldReasonName(MemFoldReason Reason) {
-  switch (Reason) {
-  case MemFoldReason::None:
-    return "none";
-  case MemFoldReason::PipelineDrift:
-    return "pipeline_drift";
-  case MemFoldReason::StrideChange:
-    return "stride_change";
-  case MemFoldReason::PageBoundary:
-    return "page_boundary";
-  case MemFoldReason::SignatureMismatch:
-    return "signature_mismatch";
-  case MemFoldReason::Fault:
-    return "fault";
-  case MemFoldReason::CoherenceTransfer:
-    return "coherence_transfer";
-  case MemFoldReason::CacheDrift:
-    return "cache_drift";
-  case MemFoldReason::TlbDrift:
-    return "tlb_drift";
-  case MemFoldReason::MshrDrift:
-    return "mshr_drift";
-  case MemFoldReason::DramActive:
-    return "dram_active";
-  case MemFoldReason::NocDrift:
-    return "noc_drift";
-  case MemFoldReason::UncoreCrossing:
-    return "uncore_crossing";
-  case MemFoldReason::PrefetcherDrift:
-    return "prefetcher_drift";
-  case MemFoldReason::PageTableGrowth:
-    return "page_table_growth";
-  case MemFoldReason::StatsDrift:
-    return "stats_drift";
-  }
-  return "unknown";
-}
-
-//===----------------------------------------------------------------------===//
-// SteadyStreamDetector.
-//===----------------------------------------------------------------------===//
-
-void SteadyStreamDetector::observe(Addr A) {
-  BrokeStride = false;
-  CrossedPage = false;
-  if (Count > 0) {
-    int64_t Delta = int64_t(A) - int64_t(Last);
-    CrossedPage = (A / PageBytes) != (Last / PageBytes);
-    if (Count == 1) {
-      LastDelta = Delta;
-      Run = 1;
-    } else if (Delta == LastDelta) {
-      ++Run;
-    } else {
-      BrokeStride = Run >= MinRun;
-      LastDelta = Delta;
-      Run = 1;
-    }
-  }
-  Last = A;
-  ++Count;
-}
-
-void SteadyStreamDetector::reset() {
-  Last = 0;
-  LastDelta = 0;
-  Run = 0;
-  Count = 0;
-  BrokeStride = false;
-  CrossedPage = false;
-}
-
-//===----------------------------------------------------------------------===//
-// Component fixed-point checks.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// d(S2,S1) == d(S3,S2), evaluated without underflow on unsigned fields.
-template <typename T> bool deltasEqual(T V1, T V2, T V3) {
-  return V2 - V1 == V3 - V2 && V2 >= V1 && V3 >= V2;
-}
-
-bool cacheStatsDeltasEqual(const CacheStats &S1, const CacheStats &S2,
-                           const CacheStats &S3) {
-  return deltasEqual(S1.Accesses, S2.Accesses, S3.Accesses) &&
-         deltasEqual(S1.Hits, S2.Hits, S3.Hits) &&
-         deltasEqual(S1.Misses, S2.Misses, S3.Misses) &&
-         deltasEqual(S1.Evictions, S2.Evictions, S3.Evictions) &&
-         deltasEqual(S1.Writebacks, S2.Writebacks, S3.Writebacks) &&
-         deltasEqual(S1.BypassedFills, S2.BypassedFills, S3.BypassedFills);
-}
-
-} // namespace
-
-bool hetsim::checkCacheFold(const Cache::FoldSnap &S1,
-                            const Cache::FoldSnap &S2,
-                            const Cache::FoldSnap &S3) {
-  const size_t N = S1.Lines.size();
-  if (S2.Lines.size() != N || S3.Lines.size() != N)
-    return false;
-  // No replacement-RNG draws inside the window: random-replacement
-  // activity has no per-period fixed point.
-  if (S1.RngState != S2.RngState || S2.RngState != S3.RngState)
-    return false;
-  if (!deltasEqual(S1.NextStamp, S2.NextStamp, S3.NextStamp))
-    return false;
-  if (!cacheStatsDeltasEqual(S1.Stats, S2.Stats, S3.Stats))
-    return false;
-  const uint64_t DN = S2.NextStamp - S1.NextStamp;
-  const uint64_t MissDelta = S2.Stats.Misses - S1.Stats.Misses;
-
-  for (size_t I = 0; I != N; ++I) {
-    const auto &L1 = S1.Lines[I], &L2 = S2.Lines[I], &L3 = S3.Lines[I];
-    // Tag/state/dirty/explicit bits must sit at the fixed point exactly.
-    if (L1.Tag != L2.Tag || L2.Tag != L3.Tag || L1.State != L2.State ||
-        L2.State != L3.State || L1.Valid != L2.Valid ||
-        L2.Valid != L3.Valid || L1.Dirty != L2.Dirty ||
-        L2.Dirty != L3.Dirty || L1.Explicit != L2.Explicit ||
-        L2.Explicit != L3.Explicit)
-      return false;
-    if (!deltasEqual(L1.LruStamp, L2.LruStamp, L3.LruStamp))
-      return false;
-    const uint64_t DL = L2.LruStamp - L1.LruStamp;
-    if (DL != 0 && DL != DN)
-      return false;
-  }
-
-  // When the window refills lines, replacement compares LRU stamps of
-  // touched (advancing) and untouched (constant) lines. Those
-  // comparisons flip as the advancing stamps grow past the constants,
-  // so a two-window verification cannot certify a mixed set: reject any
-  // set holding both a touched line and an untouched valid line.
-  if (MissDelta != 0 && S1.Ways != 0) {
-    for (size_t SetBase = 0; SetBase < N; SetBase += S1.Ways) {
-      bool Touched = false, UntouchedValid = false;
-      for (unsigned W = 0; W != S1.Ways; ++W) {
-        const auto &L = S1.Lines[SetBase + W];
-        uint64_t DL = S2.Lines[SetBase + W].LruStamp - L.LruStamp;
-        if (DL != 0)
-          Touched = true;
-        else if (L.Valid)
-          UntouchedValid = true;
-      }
-      if (Touched && UntouchedValid)
-        return false;
-    }
-  }
-  return true;
-}
-
-bool hetsim::checkTlbFold(const Tlb::FoldSnap &S1, const Tlb::FoldSnap &S2,
-                          const Tlb::FoldSnap &S3) {
-  const size_t N = S1.Entries.size();
-  if (S2.Entries.size() != N || S3.Entries.size() != N)
-    return false;
-  if (!deltasEqual(S1.NextStamp, S2.NextStamp, S3.NextStamp))
-    return false;
-  if (!deltasEqual(S1.Stats.Lookups, S2.Stats.Lookups, S3.Stats.Lookups) ||
-      !deltasEqual(S1.Stats.Hits, S2.Stats.Hits, S3.Stats.Hits) ||
-      !deltasEqual(S1.Stats.Misses, S2.Stats.Misses, S3.Stats.Misses))
-    return false;
-  const uint64_t DN = S2.NextStamp - S1.NextStamp;
-  const uint64_t MissDelta = S2.Stats.Misses - S1.Stats.Misses;
-
-  for (size_t I = 0; I != N; ++I) {
-    const auto &E1 = S1.Entries[I], &E2 = S2.Entries[I], &E3 = S3.Entries[I];
-    if (E1.Vpn != E2.Vpn || E2.Vpn != E3.Vpn || E1.Valid != E2.Valid ||
-        E2.Valid != E3.Valid)
-      return false;
-    if (!deltasEqual(E1.Stamp, E2.Stamp, E3.Stamp))
-      return false;
-    const uint64_t DS = E2.Stamp - E1.Stamp;
-    if (DS != 0 && DS != DN)
-      return false;
-  }
-
-  // Same mixed-set hazard as caches: miss fills pick the LRU way.
-  if (MissDelta != 0 && S1.Ways != 0) {
-    for (size_t SetBase = 0; SetBase < N; SetBase += S1.Ways) {
-      bool Touched = false, UntouchedValid = false;
-      for (unsigned W = 0; W != S1.Ways; ++W) {
-        const auto &E = S1.Entries[SetBase + W];
-        uint64_t DS = S2.Entries[SetBase + W].Stamp - E.Stamp;
-        if (DS != 0)
-          Touched = true;
-        else if (E.Valid)
-          UntouchedValid = true;
-      }
-      if (Touched && UntouchedValid)
-        return false;
-    }
-  }
-  return true;
-}
-
-bool hetsim::checkMshrFold(const MshrFile::FoldSnap &S1,
-                           const MshrFile::FoldSnap &S2,
-                           const MshrFile::FoldSnap &S3, Cycle D,
-                           Cycle Floor) {
-  const size_t N = S1.Entries.size();
-  if (S2.Entries.size() != N || S3.Entries.size() != N)
-    return false;
-  if (!deltasEqual(S1.Merged, S2.Merged, S3.Merged) ||
-      !deltasEqual(S1.FullStalls, S2.FullStalls, S3.FullStalls))
-    return false;
-  for (size_t I = 0; I != N; ++I) {
-    if (S1.Entries[I].first != S2.Entries[I].first ||
-        S2.Entries[I].first != S3.Entries[I].first)
-      return false;
-    Cycle C1 = S1.Entries[I].second, C2 = S2.Entries[I].second,
-          C3 = S3.Entries[I].second;
-    if (!deltasEqual(C1, C2, C3))
-      return false;
-    Cycle DC = C2 - C1;
-    // Moving with the pipeline, or already expired (an entry whose
-    // completion cycle stays at/below every future access's Now is
-    // behaviorally dead: it can never merge a future miss).
-    if (DC != D && !(DC == 0 && C1 <= Floor))
-      return false;
-  }
-  return true;
-}
-
-bool hetsim::checkDramFold(const DramSystem::FoldSnap &S1,
-                           const DramSystem::FoldSnap &S2,
-                           const DramSystem::FoldSnap &S3, Cycle D) {
-  // The batch queue must be empty at every boundary, with no batch
-  // drains inside the window: drains fire observability hooks with
-  // absolute timestamps that cannot be extrapolated.
-  if (S1.Queued != 0 || S2.Queued != 0 || S3.Queued != 0)
-    return false;
-  if (S1.Stats.BatchDrains != S3.Stats.BatchDrains ||
-      S1.Stats.BatchedRequests != S3.Stats.BatchedRequests ||
-      S1.Stats.PeakQueueDepth != S3.Stats.PeakQueueDepth)
-    return false;
-  if (!deltasEqual(S1.Stats.Reads, S2.Stats.Reads, S3.Stats.Reads) ||
-      !deltasEqual(S1.Stats.Writes, S2.Stats.Writes, S3.Stats.Writes) ||
-      !deltasEqual(S1.Stats.RowHits, S2.Stats.RowHits, S3.Stats.RowHits) ||
-      !deltasEqual(S1.Stats.RowMisses, S2.Stats.RowMisses,
-                   S3.Stats.RowMisses) ||
-      !deltasEqual(S1.Stats.BytesTransferred, S2.Stats.BytesTransferred,
-                   S3.Stats.BytesTransferred))
-    return false;
-  for (size_t I = 0; I != S1.OpenRows.size(); ++I) {
-    if (S1.OpenRows[I] != S2.OpenRows[I] || S2.OpenRows[I] != S3.OpenRows[I])
-      return false;
-    Cycle R1 = S1.ReadyAt[I], R2 = S2.ReadyAt[I], R3 = S3.ReadyAt[I];
-    if (!deltasEqual(R1, R2, R3))
-      return false;
-    Cycle DR = R2 - R1;
-    if (DR != 0 && DR != D)
-      return false;
-  }
-  for (size_t I = 0; I != S1.BusFree.size(); ++I) {
-    Cycle B1 = S1.BusFree[I], B2 = S2.BusFree[I], B3 = S3.BusFree[I];
-    if (!deltasEqual(B1, B2, B3))
-      return false;
-    Cycle DB = B2 - B1;
-    if (DB != 0 && DB != D)
-      return false;
-  }
-  return true;
-}
-
-bool hetsim::checkNocFold(const std::vector<Cycle> &P1,
-                          const std::vector<Cycle> &P2,
-                          const std::vector<Cycle> &P3, const NocStats &N1,
-                          const NocStats &N2, const NocStats &N3, Cycle D) {
-  if (P1.size() != P2.size() || P2.size() != P3.size())
-    return false;
-  if (!deltasEqual(N1.Messages, N2.Messages, N3.Messages) ||
-      !deltasEqual(N1.TotalHops, N2.TotalHops, N3.TotalHops) ||
-      !deltasEqual(N1.ContentionCycles, N2.ContentionCycles,
-                   N3.ContentionCycles) ||
-      !deltasEqual(N1.ContendedMessages, N2.ContendedMessages,
-                   N3.ContendedMessages))
-    return false;
-  for (size_t I = 0; I != P1.size(); ++I) {
-    if (!deltasEqual(P1[I], P2[I], P3[I]))
-      return false;
-    Cycle DP = P2[I] - P1[I];
-    if (DP != 0 && DP != D)
-      return false;
-  }
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// MemFoldObserver.
-//===----------------------------------------------------------------------===//
-
-MemFoldObserver::MemFoldObserver(MemorySystem &M, PuKind P) : Mem(M), Pu(P) {}
-
-MemFoldObserver::~MemFoldObserver() { Mem.setAccessLog(nullptr); }
-
-void MemFoldObserver::capture(SysSnap &S) const {
-  S.CpuL1 = Mem.cpuL1().foldSnapshot();
-  S.CpuL2 = Mem.cpuL2().foldSnapshot();
-  S.GpuL1 = Mem.gpuL1().foldSnapshot();
-  S.L3 = Mem.l3().foldSnapshot();
-  S.CpuTlb = Mem.tlb(PuKind::Cpu).foldSnapshot();
-  S.GpuTlb = Mem.tlb(PuKind::Gpu).foldSnapshot();
-  S.CpuMshr = Mem.mshr(PuKind::Cpu).foldSnapshot();
-  S.GpuMshr = Mem.mshr(PuKind::Gpu).foldSnapshot();
-  S.CpuDram = Mem.cpuDram().foldSnapshot();
-  S.HasGpuDram = Mem.hasSeparateGpuDram();
-  if (S.HasGpuDram)
-    S.GpuDram = Mem.gpuDram().foldSnapshot();
-  S.NocPorts = Mem.noc().foldPorts();
-  S.Noc = Mem.noc().stats();
-  S.Dir = Mem.directory().foldSnapshot();
-  S.PrefetcherLookups = Mem.prefetcher().stats().Lookups;
-  S.CpuPtPages = Mem.pageTable(PuKind::Cpu).mappedPages();
-  S.GpuPtPages = Mem.pageTable(PuKind::Gpu).mappedPages();
-
-  S.Counters.clear();
-  for (const std::string &Name : Mem.stats().counterNames()) {
-    if (Name.compare(0, 8, "memfast.") == 0)
-      continue; // Meta-counters describe the fold itself.
-    S.Counters.emplace_back(Name, Mem.stats().counter(Name));
-  }
-  S.HistogramSums.clear();
-  for (const std::string &Name : Mem.stats().histogramNames()) {
-    const StatHistogram &H = Mem.stats().histogram(Name);
-    S.HistogramSums.emplace_back(Name, H.count() * 0x1000003ull + H.sum());
-  }
-}
-
-void MemFoldObserver::snapshot(unsigned Which) { capture(Snaps[Which]); }
-
-void MemFoldObserver::beginLog(unsigned Which) {
-  Logs[Which].clear();
-  Mem.setAccessLog(&Logs[Which]);
-}
-
-void MemFoldObserver::endLog() { Mem.setAccessLog(nullptr); }
-
-namespace {
-
-bool dramSnapsEqual(const DramSystem::FoldSnap &A,
-                    const DramSystem::FoldSnap &B) {
-  return A.OpenRows == B.OpenRows && A.ReadyAt == B.ReadyAt &&
-         A.BusFree == B.BusFree && A.Queued == B.Queued &&
-         A.Stats.Reads == B.Stats.Reads && A.Stats.Writes == B.Stats.Writes &&
-         A.Stats.RowHits == B.Stats.RowHits &&
-         A.Stats.RowMisses == B.Stats.RowMisses &&
-         A.Stats.BytesTransferred == B.Stats.BytesTransferred &&
-         A.Stats.BatchDrains == B.Stats.BatchDrains &&
-         A.Stats.BatchedRequests == B.Stats.BatchedRequests &&
-         A.Stats.PeakQueueDepth == B.Stats.PeakQueueDepth;
-}
-
-bool nocStatsEqual(const NocStats &A, const NocStats &B) {
-  return A.Messages == B.Messages && A.TotalHops == B.TotalHops &&
-         A.ContentionCycles == B.ContentionCycles &&
-         A.ContendedMessages == B.ContendedMessages;
-}
-
-bool mshrSnapsEqual(const MshrFile::FoldSnap &A,
-                    const MshrFile::FoldSnap &B) {
-  return A.Entries == B.Entries && A.Merged == B.Merged &&
-         A.FullStalls == B.FullStalls;
-}
-
-/// Names the precondition that made the two window logs differ.
-MemFoldReason classifyLogMismatch(const std::vector<MemAccessEcho> &L0,
-                                  const std::vector<MemAccessEcho> &L1) {
-  for (const MemAccessEcho &E : L0)
-    if (E.Flags & MemAccessEcho::FlagPageFault)
-      return MemFoldReason::Fault;
-  for (const MemAccessEcho &E : L1)
-    if (E.Flags & MemAccessEcho::FlagPageFault)
-      return MemFoldReason::Fault;
-  if (L0.size() != L1.size())
-    return MemFoldReason::SignatureMismatch;
-  for (size_t I = 0; I != L0.size(); ++I) {
-    if (L0[I].VAddr != L1[I].VAddr)
-      return MemFoldReason::StrideChange;
-    if ((L0[I].Flags & MemAccessEcho::FlagTlbMiss) !=
-        (L1[I].Flags & MemAccessEcho::FlagTlbMiss))
-      return MemFoldReason::PageBoundary;
-  }
-  return MemFoldReason::SignatureMismatch;
-}
-
-} // namespace
-
-bool MemFoldObserver::checkUncoreQuiescent(const SysSnap &A,
-                                           const SysSnap &B) const {
-  if (!dramSnapsEqual(A.CpuDram, B.CpuDram))
-    return false;
-  if (A.HasGpuDram && !dramSnapsEqual(A.GpuDram, B.GpuDram))
-    return false;
-  if (A.NocPorts != B.NocPorts || !nocStatsEqual(A.Noc, B.Noc))
-    return false;
-  return true;
-}
-
-bool MemFoldObserver::check(Cycle D, Cycle FloorPu,
-                            MemFoldReason &Reason) const {
-  const SysSnap &S1 = Snaps[0], &S2 = Snaps[1], &S3 = Snaps[2];
-
-  // 1. The two windows must produce elementwise-identical responses.
-  if (Logs[0].size() != Logs[1].size() ||
-      !std::equal(Logs[0].begin(), Logs[0].end(), Logs[1].begin())) {
-    Reason = classifyLogMismatch(Logs[0], Logs[1]);
-    return false;
-  }
-  // A fault inside the window can never repeat (first touch fires once
-  // per page); identical logs carrying fault flags mean the fold would
-  // replicate an unrepeatable event.
-  for (const MemAccessEcho &E : Logs[1])
-    if (E.Flags & MemAccessEcho::FlagPageFault) {
-      Reason = MemFoldReason::Fault;
-      return false;
-    }
-
-  // 2. Coherence: directory entry state must sit at the fixed point (a
-  // remote transfer moves it and cannot repeat while only we run).
-  if (!(S1.Dir.Entries == S2.Dir.Entries && S2.Dir.Entries == S3.Dir.Entries)) {
-    Reason = MemFoldReason::CoherenceTransfer;
-    return false;
-  }
-  if (!deltasEqual(S1.Dir.Stats.Lookups, S2.Dir.Stats.Lookups,
-                   S3.Dir.Stats.Lookups) ||
-      !deltasEqual(S1.Dir.Stats.RemoteInvalidations,
-                   S2.Dir.Stats.RemoteInvalidations,
-                   S3.Dir.Stats.RemoteInvalidations) ||
-      !deltasEqual(S1.Dir.Stats.RemoteFetches, S2.Dir.Stats.RemoteFetches,
-                   S3.Dir.Stats.RemoteFetches) ||
-      !deltasEqual(S1.Dir.Stats.Messages, S2.Dir.Stats.Messages,
-                   S3.Dir.Stats.Messages)) {
-    Reason = MemFoldReason::CoherenceTransfer;
-    return false;
-  }
-
-  // 3. GPU folds must not have crossed into the uncore: uncore state is
-  // kept in CPU cycles and absolute-time clock conversion is not
-  // translation-equivariant, so two consistent window deltas would not
-  // guarantee a third. Warm mode never touches uncore timing, and GPU
-  // L1-hit windows never leave the core, so quiescence is exactly the
-  // sound condition.
-  if (Pu == PuKind::Gpu) {
-    if (!checkUncoreQuiescent(S1, S2) || !checkUncoreQuiescent(S2, S3)) {
-      Reason = MemFoldReason::UncoreCrossing;
-      return false;
-    }
-  } else {
-    // CPU clock == uncore clock: pure integer cycle arithmetic, so
-    // moving DRAM/NoC state folds exactly when it advances by D.
-    if (!checkDramFold(S1.CpuDram, S2.CpuDram, S3.CpuDram, D) ||
-        (S1.HasGpuDram &&
-         (!dramSnapsEqual(S1.GpuDram, S2.GpuDram) ||
-          !dramSnapsEqual(S2.GpuDram, S3.GpuDram)))) {
-      Reason = MemFoldReason::DramActive;
-      return false;
-    }
-    if (!checkNocFold(S1.NocPorts, S2.NocPorts, S3.NocPorts, S1.Noc, S2.Noc,
-                      S3.Noc, D)) {
-      Reason = MemFoldReason::NocDrift;
-      return false;
-    }
-  }
-
-  // 4. Caches.
-  if (!checkCacheFold(S1.CpuL1, S2.CpuL1, S3.CpuL1) ||
-      !checkCacheFold(S1.CpuL2, S2.CpuL2, S3.CpuL2) ||
-      !checkCacheFold(S1.GpuL1, S2.GpuL1, S3.GpuL1) ||
-      !checkCacheFold(S1.L3, S2.L3, S3.L3)) {
-    Reason = MemFoldReason::CacheDrift;
-    return false;
-  }
-
-  // 5. TLBs.
-  if (!checkTlbFold(S1.CpuTlb, S2.CpuTlb, S3.CpuTlb) ||
-      !checkTlbFold(S1.GpuTlb, S2.GpuTlb, S3.GpuTlb)) {
-    Reason = MemFoldReason::TlbDrift;
-    return false;
-  }
-
-  // 6. MSHRs: the requester's file folds under the translation rule;
-  // the other PU's file is never consulted here and must be untouched.
-  const bool CpuReq = Pu == PuKind::Cpu;
-  const MshrFile::FoldSnap &R1 = CpuReq ? S1.CpuMshr : S1.GpuMshr;
-  const MshrFile::FoldSnap &R2 = CpuReq ? S2.CpuMshr : S2.GpuMshr;
-  const MshrFile::FoldSnap &R3 = CpuReq ? S3.CpuMshr : S3.GpuMshr;
-  const MshrFile::FoldSnap &O1 = CpuReq ? S1.GpuMshr : S1.CpuMshr;
-  const MshrFile::FoldSnap &O2 = CpuReq ? S2.GpuMshr : S2.CpuMshr;
-  const MshrFile::FoldSnap &O3 = CpuReq ? S3.GpuMshr : S3.CpuMshr;
-  if (!checkMshrFold(R1, R2, R3, D, FloorPu) || !mshrSnapsEqual(O1, O2) ||
-      !mshrSnapsEqual(O2, O3)) {
-    Reason = MemFoldReason::MshrDrift;
-    return false;
-  }
-
-  // 7. Prefetcher: any lookup mutates its stream table (use clocks), so
-  // require zero activity.
-  if (S1.PrefetcherLookups != S3.PrefetcherLookups) {
-    Reason = MemFoldReason::PrefetcherDrift;
-    return false;
-  }
-
-  // 8. Page tables: demand mapping must not have grown them.
-  if (S1.CpuPtPages != S3.CpuPtPages || S1.GpuPtPages != S3.GpuPtPages) {
-    Reason = MemFoldReason::PageTableGrowth;
-    return false;
-  }
-
-  // 9. Registry counters: same key set, equal per-window deltas.
-  // Histograms (bg-drain durations) must be untouched — their samples
-  // carry absolute times.
-  if (S1.Counters.size() != S2.Counters.size() ||
-      S2.Counters.size() != S3.Counters.size() ||
-      S1.HistogramSums != S3.HistogramSums) {
-    Reason = MemFoldReason::StatsDrift;
-    return false;
-  }
-  for (size_t I = 0; I != S1.Counters.size(); ++I) {
-    if (S1.Counters[I].first != S2.Counters[I].first ||
-        S2.Counters[I].first != S3.Counters[I].first ||
-        !deltasEqual(S1.Counters[I].second, S2.Counters[I].second,
-                     S3.Counters[I].second)) {
-      Reason = MemFoldReason::StatsDrift;
-      return false;
-    }
-  }
-
-  Reason = MemFoldReason::None;
-  return true;
-}
-
-void MemFoldObserver::apply(uint64_t Rem) {
-  const SysSnap &S2 = Snaps[1], &S3 = Snaps[2];
-  Mem.cpuL1().applyFold(S2.CpuL1, S3.CpuL1, Rem);
-  Mem.cpuL2().applyFold(S2.CpuL2, S3.CpuL2, Rem);
-  Mem.gpuL1().applyFold(S2.GpuL1, S3.GpuL1, Rem);
-  Mem.l3().applyFold(S2.L3, S3.L3, Rem);
-  Mem.tlb(PuKind::Cpu).applyFold(S2.CpuTlb, S3.CpuTlb, Rem);
-  Mem.tlb(PuKind::Gpu).applyFold(S2.GpuTlb, S3.GpuTlb, Rem);
-  Mem.mshr(Pu).applyFold(Pu == PuKind::Cpu ? S2.CpuMshr : S2.GpuMshr,
-                         Pu == PuKind::Cpu ? S3.CpuMshr : S3.GpuMshr, Rem);
-  Mem.cpuDram().applyFold(S2.CpuDram, S3.CpuDram, Rem);
-  Mem.noc().applyFoldPorts(S2.NocPorts, S3.NocPorts, Rem);
-  Mem.noc().applyFoldStats(S2.Noc, S3.Noc, Rem);
-  Mem.directory().applyFoldStats(S2.Dir.Stats, S3.Dir.Stats, Rem);
-  for (size_t I = 0; I != S2.Counters.size(); ++I) {
-    uint64_t Delta = S3.Counters[I].second - S2.Counters[I].second;
-    if (Delta != 0)
-      Mem.stats().counterRef(S2.Counters[I].first) += Delta * Rem;
-  }
 }

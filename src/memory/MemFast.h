@@ -1,233 +1,44 @@
-//===- memory/MemFast.h - Selective-fidelity memory fast path ---*- C++ -*-===//
+//===- memory/MemFast.h - Memory fidelity tier selection --------*- C++ -*-===//
 ///
 /// \file
-/// The memory-phase fast path (DESIGN.md §11): fidelity tiers for the
-/// memory hierarchy, selected by HETSIM_MEMFAST.
+/// Selects the memory model's fidelity tier from HETSIM_MEMFAST
+/// (DESIGN.md §11):
 ///
-///   exact (default) — steady-state fold. When a Pattern-block body's
-///     access stream and the whole memory-system state (caches, TLBs,
-///     MSHRs, DRAM banks, NoC ports, directory, counters) reach a
-///     verified per-period fixed point — identical access-response
-///     signatures two windows running and every stateful cycle advancing
-///     by the same per-window delta — the remaining repetitions are
-///     applied in closed form. Any precondition miss (stride change,
-///     page/set boundary crossing, MSHR churn, fault, coherence
-///     transfer, DRAM/NoC interference) falls back to detailed mode
-///     instantly; results are bit-identical either way.
-///   warm — functional-only contents warming (gem5 atomic analogue):
-///     cache/TLB/page-table contents update, but no MSHR/NoC/DRAM
-///     timing. Latency is the nominal sum of hit latencies.
-///   sampled — windowed time-sampling of generator blocks with a
-///     reported error bound; never used by goldens.
+///   unset or 0 — the detailed walk for every access (the default, and
+///     the only tier the goldens use).
+///   sampled — windowed time-sampling of generator blocks with a reported
+///     error bound (CpuCore/GpuCore::runSampled).
 ///
-/// HETSIM_MEMFAST=0 (like HETSIM_FASTPATH=0) is the bit-exact oracle.
+/// Any other value is rejected at startup.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HETSIM_MEMORY_MEMFAST_H
 #define HETSIM_MEMORY_MEMFAST_H
 
-#include "cache/Cache.h"
-#include "cache/Directory.h"
-#include "cache/Mshr.h"
-#include "common/Types.h"
-#include "dram/Dram.h"
-#include "interconnect/Interconnect.h"
-#include "memory/Tlb.h"
-
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace hetsim {
 
-class MemorySystem;
-
 /// Fidelity tier of the memory model.
 enum class MemFastMode : uint8_t {
-  Off = 0,     ///< Detailed per-access simulation (the oracle).
-  Exact = 1,   ///< Detailed + verified steady-state folding (default).
-  Warm = 2,    ///< Functional contents warming, nominal latencies.
-  Sampled = 3, ///< Windowed time-sampling with reported error bounds.
+  Off = 0,     ///< Detailed per-access simulation.
+  Sampled = 1, ///< Windowed time-sampling with reported error bounds.
 };
 
-/// Resolves HETSIM_MEMFAST ("0", "1"/unset, "warm", "sampled"). Cached
-/// after the first call; tests override via setMemFastForTesting().
+/// Resolves HETSIM_MEMFAST: unset, empty or "0" is Off, "sampled" is
+/// Sampled. Any other value prints an error naming the variable and the
+/// accepted values and exits with status 2. Tests override the result via
+/// setMemFastForTesting().
 MemFastMode memFastMode();
 
-/// Test hook: forces the mode (0..3), or re-reads the environment (-1).
+/// Test hook: forces the mode (0 = Off, 1 = Sampled), or re-reads the
+/// environment (-1).
 void setMemFastForTesting(int Mode);
 
 /// Windows skipped per measured window in sampled mode
 /// (HETSIM_MEMFAST_SKIP, default 30).
 unsigned memFastSampleSkip();
-
-/// Why a memory-phase fold attempt fell back to detailed simulation.
-/// One counter per reason ("memfast.fallback.<name>") makes the fall-back
-/// preconditions observable.
-enum class MemFoldReason : uint8_t {
-  None = 0,
-  PipelineDrift,     ///< Core pipeline state not at a fixed point.
-  StrideChange,      ///< Access addresses did not repeat the stride.
-  PageBoundary,      ///< TLB-miss pattern shifted across a page boundary.
-  SignatureMismatch, ///< Latency/level signature differed between windows.
-  Fault,             ///< Page fault inside an observation window.
-  CoherenceTransfer, ///< Directory state changed (remote transfer).
-  CacheDrift,        ///< A cache was not at a per-period fixed point.
-  TlbDrift,          ///< A TLB was not at a per-period fixed point.
-  MshrDrift,         ///< MSHR entries churned (alloc/retire/full-stall).
-  DramActive,        ///< DRAM queue/bank/row state not steady (co-run).
-  NocDrift,          ///< NoC injection ports not steady.
-  UncoreCrossing,    ///< GPU window touched the cross-clock uncore.
-  PrefetcherDrift,   ///< Stream prefetcher activity inside the window.
-  PageTableGrowth,   ///< Demand mapping grew a page table.
-  StatsDrift,        ///< Registry counters/histograms not steady.
-};
-
-constexpr unsigned NumMemFoldReasons = 16;
-
-/// Stable lowercase name for counters ("stride_change", ...).
-const char *memFoldReasonName(MemFoldReason Reason);
-
-/// One access as echoed into a fold-observation window log.
-struct MemAccessEcho {
-  Addr VAddr = 0;
-  Cycle Latency = 0;
-  uint8_t Level = 0; ///< HitLevel as an integer.
-  uint8_t Flags = 0;
-
-  static constexpr uint8_t FlagTlbMiss = 1;
-  static constexpr uint8_t FlagPageFault = 2;
-  static constexpr uint8_t FlagCoherenceRemote = 4;
-  static constexpr uint8_t FlagWrite = 8;
-
-  bool operator==(const MemAccessEcho &O) const {
-    return VAddr == O.VAddr && Latency == O.Latency && Level == O.Level &&
-           Flags == O.Flags;
-  }
-  bool operator!=(const MemAccessEcho &O) const { return !(*this == O); }
-};
-
-/// Streaming stride classifier over an address sequence. The fold
-/// verifier uses it to name the precondition that broke (stride change
-/// vs page-boundary crossing); it is also the unit-testable core of the
-/// steady-state detector.
-class SteadyStreamDetector {
-public:
-  explicit SteadyStreamDetector(uint64_t PageBytes = SmallPageBytes,
-                                unsigned MinRun = 3)
-      : PageBytes(PageBytes), MinRun(MinRun) {}
-
-  void observe(Addr A);
-  void reset();
-
-  /// True once MinRun consecutive equal deltas have been seen.
-  bool steady() const { return Run >= MinRun; }
-  int64_t stride() const { return LastDelta; }
-  /// True if the latest observe() broke an established steady stride.
-  bool strideChanged() const { return BrokeStride; }
-  /// True if the latest observe() crossed a page boundary.
-  bool crossedPage() const { return CrossedPage; }
-  uint64_t observations() const { return Count; }
-
-private:
-  uint64_t PageBytes;
-  unsigned MinRun;
-  Addr Last = 0;
-  int64_t LastDelta = 0;
-  unsigned Run = 0;
-  uint64_t Count = 0;
-  bool BrokeStride = false;
-  bool CrossedPage = false;
-};
-
-//===----------------------------------------------------------------------===//
-// Component fixed-point checks (exported for unit tests).
-//
-// Common contract: S1/S2/S3 are snapshots at three consecutive window
-// boundaries; the check accepts iff the window-to-window transition is a
-// uniform translation that stays valid for every future window. Cycle
-// fields may advance by the pipeline delta \p D per window, or sit
-// constant at/below \p Floor (the smallest cycle any future access can
-// observe), which keeps them behaviorally inert forever.
-//===----------------------------------------------------------------------===//
-
-bool checkCacheFold(const Cache::FoldSnap &S1, const Cache::FoldSnap &S2,
-                    const Cache::FoldSnap &S3);
-
-bool checkTlbFold(const Tlb::FoldSnap &S1, const Tlb::FoldSnap &S2,
-                  const Tlb::FoldSnap &S3);
-
-bool checkMshrFold(const MshrFile::FoldSnap &S1,
-                   const MshrFile::FoldSnap &S2,
-                   const MshrFile::FoldSnap &S3, Cycle D, Cycle Floor);
-
-bool checkDramFold(const DramSystem::FoldSnap &S1,
-                   const DramSystem::FoldSnap &S2,
-                   const DramSystem::FoldSnap &S3, Cycle D);
-
-bool checkNocFold(const std::vector<Cycle> &P1, const std::vector<Cycle> &P2,
-                  const std::vector<Cycle> &P3, const NocStats &N1,
-                  const NocStats &N2, const NocStats &N3, Cycle D);
-
-//===----------------------------------------------------------------------===//
-// Whole-memory-system fold observer.
-//===----------------------------------------------------------------------===//
-
-/// Observes two consecutive candidate windows of a Pattern-block body:
-/// snapshots the entire memory system at three boundaries, logs the two
-/// windows' access responses, verifies the per-period fixed point, and
-/// applies the closed-form extrapolation. Used by the CPU/GPU
-/// runPatternBlock fold when the body touches global memory.
-class MemFoldObserver {
-public:
-  MemFoldObserver(MemorySystem &Mem, PuKind Pu);
-  ~MemFoldObserver();
-
-  /// Captures system snapshot \p Which (0..2).
-  void snapshot(unsigned Which);
-
-  /// Routes access echoes into window log \p Which (0..1) until endLog().
-  void beginLog(unsigned Which);
-  void endLog();
-
-  /// Verifies the fixed point. \p D is the verified per-window pipeline
-  /// cycle delta (requester clock); \p FloorPu is the smallest requester
-  /// cycle any future access can carry. Sets \p Reason on failure.
-  bool check(Cycle D, Cycle FloorPu, MemFoldReason &Reason) const;
-
-  /// Extrapolates \p Rem more windows over every component and counter.
-  /// Only valid after check() accepted.
-  void apply(uint64_t Rem);
-
-  /// Responses of one verified window (for SegmentResult accounting).
-  const std::vector<MemAccessEcho> &windowLog() const { return Logs[1]; }
-
-private:
-  struct SysSnap {
-    Cache::FoldSnap CpuL1, CpuL2, GpuL1, L3;
-    Tlb::FoldSnap CpuTlb, GpuTlb;
-    MshrFile::FoldSnap CpuMshr, GpuMshr;
-    DramSystem::FoldSnap CpuDram, GpuDram;
-    bool HasGpuDram = false;
-    std::vector<Cycle> NocPorts;
-    NocStats Noc;
-    Directory::FoldSnap Dir;
-    uint64_t PrefetcherLookups = 0;
-    size_t CpuPtPages = 0, GpuPtPages = 0;
-    std::vector<std::pair<std::string, uint64_t>> Counters;
-    std::vector<std::pair<std::string, uint64_t>> HistogramSums;
-  };
-
-  void capture(SysSnap &S) const;
-  bool checkUncoreQuiescent(const SysSnap &A, const SysSnap &B) const;
-
-  MemorySystem &Mem;
-  PuKind Pu;
-  SysSnap Snaps[3];
-  std::vector<MemAccessEcho> Logs[2];
-};
 
 } // namespace hetsim
 

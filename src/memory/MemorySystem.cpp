@@ -85,22 +85,8 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg)
   MemPrefetchFills = &Stats.counterRef("mem.prefetch_fills");
   MemMshrMerges = &Stats.counterRef("mem.mshr_merges");
 
-  // Memory-phase fast path: resolve the fidelity tier once and register
-  // the fold-coverage counters up front so the hetsim-metrics-v1 key set
-  // is identical across modes.
   MFMode = memFastMode();
   ProfileOn = memPhaseProfilingEnabled();
-  MFCounters.FoldAttempts = &Stats.counterRef("memfast.fold_attempts");
-  MFCounters.Folds = &Stats.counterRef("memfast.folds");
-  MFCounters.FoldedRecords = &Stats.counterRef("memfast.folded_records");
-  MFCounters.WarmAccesses = &Stats.counterRef("memfast.warm_accesses");
-  MFCounters.SampledWindows = &Stats.counterRef("memfast.sampled_windows");
-  MFCounters.SampledRecords = &Stats.counterRef("memfast.sampled_records");
-  Stats.setCounter("memfast.mode", uint64_t(MFMode));
-  for (unsigned R = 1; R != NumMemFoldReasons; ++R)
-    MFCounters.Fallback[R] = &Stats.counterRef(
-        std::string("memfast.fallback.") +
-        memFoldReasonName(MemFoldReason(R)));
 }
 
 void MemorySystem::drainQueued(Cycle NowCpu) {
@@ -305,8 +291,8 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
   // Every access returns through here: keep the unobserved case a test
   // and a return, so the walk inlines around it.
   auto Finish = [&](const MemAccessResult &R) {
-    if (ProfileOn || AccessLog) [[unlikely]]
-      observeAccess(R, VAddr, IsWrite, ProfT1);
+    if (ProfileOn) [[unlikely]]
+      observeAccess(ProfT1);
     return R;
   };
 
@@ -321,13 +307,6 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
     Cycle Extra = 0;
     Result.CoherenceRemote = applyCoherence(Pu, Line, IsWrite, Extra);
     Latency += IsCpu ? Extra : convertCycles(PuKind::Cpu, PuKind::Gpu, Extra);
-  }
-
-  // Warm tier: functional contents only, nominal latency, no timing
-  // state below this point (gem5 atomic analogue).
-  if (MFMode == MemFastMode::Warm) {
-    Result.Latency = Latency;
-    return Finish(warmAccess(Pu, Line, IsWrite, ExplicitHint, Result));
   }
 
   CacheAccessResult L1Result = L1.access(Line, IsWrite);
@@ -408,64 +387,10 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
   return Finish(Result);
 }
 
-void MemorySystem::observeAccess(const MemAccessResult &R, Addr VAddr,
-                                 bool IsWrite, uint64_t ProfT1) {
-  if (ProfileOn) {
-    uint64_t WalkNs = profNowNs() - ProfT1;
-    Prof.DramNs += ProfDramNs;
-    Prof.CacheNs += WalkNs > ProfDramNs ? WalkNs - ProfDramNs : 0;
-  }
-  if (AccessLog) {
-    uint8_t Flags = 0;
-    if (R.TlbMiss)
-      Flags |= MemAccessEcho::FlagTlbMiss;
-    if (R.PageFault)
-      Flags |= MemAccessEcho::FlagPageFault;
-    if (R.CoherenceRemote)
-      Flags |= MemAccessEcho::FlagCoherenceRemote;
-    if (IsWrite)
-      Flags |= MemAccessEcho::FlagWrite;
-    AccessLog->push_back({VAddr, R.Latency, uint8_t(R.Level), Flags});
-  }
-}
-
-MemAccessResult MemorySystem::warmAccess(PuKind Pu, Addr Line, bool IsWrite,
-                                         bool ExplicitHint,
-                                         MemAccessResult Result) {
-  // Functional contents warming: fill every level the access would
-  // touch, charge the nominal sum of hit latencies, and leave the
-  // MSHR/NoC/DRAM timing state untouched. Victim writebacks are dropped
-  // — warm mode moves no data, only presence state.
-  const bool IsCpu = Pu == PuKind::Cpu;
-  ++*MFCounters.WarmAccesses;
-  Cache &L1 = IsCpu ? *CpuL1 : *GpuL1;
-  Cycle Latency = Result.Latency + L1.config().HitLatency;
-  CacheAccessResult L1R = L1.access(Line, IsWrite);
-  Result.Level = HitLevel::L1;
-  if (!L1R.Hit) {
-    if (IsCpu) {
-      CacheAccessResult L2R = CpuL2->access(Line, IsWrite);
-      Latency += CpuL2->config().HitLatency;
-      Result.Level = HitLevel::L2;
-      if (!L2R.Hit) {
-        if (Config.EnableL3) {
-          CacheAccessResult L3R = L3->access(Line, IsWrite, ExplicitHint);
-          Latency += L3->config().HitLatency;
-          Result.Level = L3R.Hit ? HitLevel::L3 : HitLevel::Dram;
-        } else {
-          Result.Level = HitLevel::Dram;
-        }
-      }
-    } else if (Config.GpuSharesL3 && Config.EnableL3) {
-      CacheAccessResult L3R = L3->access(Line, IsWrite, ExplicitHint);
-      Latency += L3->config().HitLatency;
-      Result.Level = L3R.Hit ? HitLevel::L3 : HitLevel::Dram;
-    } else {
-      Result.Level = HitLevel::Dram;
-    }
-  }
-  Result.Latency = Latency;
-  return Result;
+void MemorySystem::observeAccess(uint64_t ProfT1) {
+  uint64_t WalkNs = profNowNs() - ProfT1;
+  Prof.DramNs += ProfDramNs;
+  Prof.CacheNs += WalkNs > ProfDramNs ? WalkNs - ProfDramNs : 0;
 }
 
 Cycle MemorySystem::scratchpadAccess(Addr Offset, uint32_t Bytes,

@@ -215,23 +215,6 @@ public:
   /// Fidelity tier (HETSIM_MEMFAST), resolved once at construction.
   MemFastMode memFastModeCached() const { return MFMode; }
 
-  /// Routes an echo of every demand access into \p Log until cleared
-  /// with nullptr. Used by the fold observer's window logging.
-  void setAccessLog(std::vector<MemAccessEcho> *Log) { AccessLog = Log; }
-
-  /// Fold-coverage counters, bound to registry entries at construction
-  /// (stable hetsim-metrics-v1 schema: "memfast.*").
-  struct MemFastCounters {
-    uint64_t *FoldAttempts = nullptr;   ///< memfast.fold_attempts
-    uint64_t *Folds = nullptr;          ///< memfast.folds
-    uint64_t *FoldedRecords = nullptr;  ///< memfast.folded_records
-    uint64_t *WarmAccesses = nullptr;   ///< memfast.warm_accesses
-    uint64_t *SampledWindows = nullptr; ///< memfast.sampled_windows
-    uint64_t *SampledRecords = nullptr; ///< memfast.sampled_records
-    uint64_t *Fallback[NumMemFoldReasons] = {}; ///< memfast.fallback.*
-  };
-  MemFastCounters &memfastCounters() { return MFCounters; }
-
   /// Wall-clock attribution of the demand-access walk, for the memphase
   /// bench: where does simulate time go inside the memory system?
   struct MemPhaseProfile {
@@ -252,14 +235,9 @@ public:
 private:
   /// drainBackground() once requests are queued.
   void drainQueued(Cycle NowCpu);
-  /// The memphase timers and fold access log at the end of access(); only
-  /// called while one of them is on. \p ProfT1 is when the walk began.
-  void observeAccess(const MemAccessResult &R, Addr VAddr, bool IsWrite,
-                     uint64_t ProfT1);
-  /// Functional-only warm-mode tail of access(): updates cache contents
-  /// below the private L1 without MSHR/NoC/DRAM timing.
-  MemAccessResult warmAccess(PuKind Pu, Addr PAddr, bool IsWrite,
-                             bool ExplicitHint, MemAccessResult Result);
+  /// The memphase timers at the end of access(); only called while
+  /// profiling is on. \p ProfT1 is when the walk began.
+  void observeAccess(uint64_t ProfT1);
   /// Uncore walk beyond the private hierarchy; \p NowCpu in CPU cycles,
   /// returns completion cycle in CPU cycles.
   Cycle uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite, Cycle NowCpu,
@@ -315,10 +293,8 @@ private:
   uint64_t *MemMshrMerges = nullptr;
   std::function<void(const BgDrainEvent &)> DrainHook;
 
-  // Memory-phase fast path (DESIGN.md §11).
-  MemFastMode MFMode = MemFastMode::Exact;
-  MemFastCounters MFCounters;
-  std::vector<MemAccessEcho> *AccessLog = nullptr;
+  // Memory fidelity tier (DESIGN.md §11).
+  MemFastMode MFMode = MemFastMode::Off;
 
   // memphase wall-clock attribution.
   MemPhaseProfile Prof;

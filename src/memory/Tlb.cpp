@@ -39,23 +39,3 @@ void Tlb::flush() {
   for (Entry &E : Entries)
     E.Valid = false;
 }
-
-Tlb::FoldSnap Tlb::foldSnapshot() const {
-  FoldSnap S;
-  S.Entries.reserve(Entries.size());
-  for (const Entry &E : Entries)
-    S.Entries.push_back({E.Vpn, E.Stamp, E.Valid});
-  S.NextStamp = NextStamp;
-  S.Stats = Stats;
-  S.Ways = Ways;
-  return S;
-}
-
-void Tlb::applyFold(const FoldSnap &S2, const FoldSnap &S3, uint64_t Rem) {
-  for (size_t I = 0; I != Entries.size(); ++I)
-    Entries[I].Stamp += (S3.Entries[I].Stamp - S2.Entries[I].Stamp) * Rem;
-  NextStamp += (S3.NextStamp - S2.NextStamp) * Rem;
-  Stats.Lookups += (S3.Stats.Lookups - S2.Stats.Lookups) * Rem;
-  Stats.Hits += (S3.Stats.Hits - S2.Stats.Hits) * Rem;
-  Stats.Misses += (S3.Stats.Misses - S2.Stats.Misses) * Rem;
-}

@@ -64,26 +64,6 @@ public:
   const TlbStats &stats() const { return Stats; }
   uint64_t pageBytes() const { return PageBytes; }
 
-  /// Full-state snapshot for the memory-phase fold verifier (DESIGN.md
-  /// §11): per-entry VPN/stamp/valid, the stamp clock, and counters.
-  struct FoldSnap {
-    struct EntrySnap {
-      uint64_t Vpn = 0;
-      uint64_t Stamp = 0;
-      bool Valid = false;
-    };
-    std::vector<EntrySnap> Entries; // Sets x Ways, row-major.
-    uint64_t NextStamp = 0;
-    TlbStats Stats;
-    unsigned Ways = 0;
-  };
-
-  FoldSnap foldSnapshot() const;
-
-  /// Advances entry stamps, the stamp clock, and counters by Rem times
-  /// their per-window delta (\p S3 minus \p S2).
-  void applyFold(const FoldSnap &S2, const FoldSnap &S3, uint64_t Rem);
-
 private:
   struct Entry {
     uint64_t Vpn = 0;

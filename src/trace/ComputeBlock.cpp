@@ -2,18 +2,13 @@
 
 #include "trace/ComputeBlock.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 using namespace hetsim;
 
-static std::atomic<int> FastPathOverride{-1};
 static std::atomic<uint64_t> GenNanos{0};
 static thread_local uint64_t TlGenNanos = 0;
-static std::atomic<uint64_t> ReuseBytesUsed{0};
 
 uint64_t hetsim::traceGenNanos() {
   return GenNanos.load(std::memory_order_relaxed);
@@ -26,173 +21,37 @@ void hetsim::addTraceGenNanos(uint64_t Nanos) {
 
 uint64_t hetsim::threadTraceGenNanos() { return TlGenNanos; }
 
-uint64_t hetsim::expandReuseBudgetBytes() {
-  static const uint64_t Budget = [] {
-    if (const char *Env = std::getenv("HETSIM_EXPAND_REUSE_MB"))
-      return uint64_t(std::strtoull(Env, nullptr, 10)) * 1024 * 1024;
-    return uint64_t(512) * 1024 * 1024;
-  }();
-  return Budget;
-}
+BlockTrace::BlockTrace(KernelId Id, const GenRequest &Request,
+                       const KernelDataLayout &Data)
+    : K(Kind::ComputeGen), Kernel(Id), Req(Request), Layout(Data),
+      Total(Request.InstCount) {}
 
-uint64_t hetsim::expandReuseBytesInUse() {
-  return ReuseBytesUsed.load(std::memory_order_relaxed);
-}
-
-static bool reserveReuseBytes(uint64_t Bytes) {
-  const uint64_t Budget = hetsim::expandReuseBudgetBytes();
-  uint64_t Current = ReuseBytesUsed.load(std::memory_order_relaxed);
-  do {
-    if (Current + Bytes > Budget)
-      return false;
-  } while (!ReuseBytesUsed.compare_exchange_weak(Current, Current + Bytes,
-                                                 std::memory_order_relaxed));
-  return true;
-}
-
-static void releaseReuseBytes(uint64_t Bytes) {
-  if (Bytes)
-    ReuseBytesUsed.fetch_sub(Bytes, std::memory_order_relaxed);
-}
-
-bool hetsim::fastPathEnabled() {
-  int Forced = FastPathOverride.load(std::memory_order_relaxed);
-  if (Forced >= 0)
-    return Forced != 0;
-  static const bool FromEnv = [] {
-    const char *Env = std::getenv("HETSIM_FASTPATH");
-    return !Env || std::strcmp(Env, "0") != 0;
-  }();
-  return FromEnv;
-}
-
-void hetsim::setFastPathForTesting(int Mode) {
-  assert(Mode >= -1 && Mode <= 1 && "invalid fast-path override");
-  FastPathOverride.store(Mode, std::memory_order_relaxed);
-}
-
-BlockTrace::BlockTrace(KernelId Kernel, const GenRequest &Req,
-                       const KernelDataLayout &Layout)
-    : K(Kind::ComputeGen), Kernel(Kernel), Req(Req), Layout(Layout),
-      Total(Req.InstCount) {}
-
-BlockTrace::BlockTrace(KernelId Kernel, uint64_t InstCount, uint64_t Seed,
-                       const KernelDataLayout &Layout)
-    : K(Kind::SerialGen), Kernel(Kernel), Layout(Layout), Total(InstCount) {
+BlockTrace::BlockTrace(KernelId Id, uint64_t InstCount, uint64_t Seed,
+                       const KernelDataLayout &Data)
+    : K(Kind::SerialGen), Kernel(Id), Layout(Data), Total(InstCount) {
   Req.Pu = PuKind::Cpu;
   Req.InstCount = InstCount;
   Req.Seed = Seed;
 }
 
-BlockTrace::BlockTrace(PatternBlock Pattern)
-    : K(Kind::Pattern), Pat(std::move(Pattern)), Total(Pat.totalRecords()) {}
-
 const TraceBuffer &BlockTrace::materialized() const {
   std::call_once(MatOnce, [this] {
-    auto Buffer = std::make_unique<TraceBuffer>();
-    switch (K) {
-    case Kind::ComputeGen:
-      *Buffer = generator().generateCompute(Req, Layout);
-      break;
-    case Kind::SerialGen:
-      *Buffer = generator().generateSerial(Req.InstCount, Layout, Req.Seed);
-      break;
-    case Kind::Pattern:
-      Buffer->reserve(size_t(Total));
-      for (const TraceRecord &R : Pat.Prologue)
-        Buffer->append(R);
-      for (uint64_t Rep = 0; Rep != Pat.BodyRepeats; ++Rep)
-        for (const TraceRecord &R : Pat.Body)
-          Buffer->append(R);
-      for (const TraceRecord &R : Pat.Epilogue)
-        Buffer->append(R);
-      break;
-    }
+    auto Buffer = std::make_unique<TraceBuffer>(
+        K == Kind::ComputeGen
+            ? generator().generateCompute(Req, Layout)
+            : generator().generateSerial(Req.InstCount, Layout, Req.Seed));
     assert(Buffer->size() == Total && "materialization missed the total");
     Mat = std::move(Buffer);
   });
-  MatReady.store(true, std::memory_order_release);
   return *Mat;
 }
 
-BlockTrace::~BlockTrace() {
-  releaseReuseBytes(ReservedBytes.load(std::memory_order_relaxed));
-}
-
-void BlockTrace::enableExpansionReuse() const {
-  ReuseEnabled.store(true, std::memory_order_relaxed);
-}
-
-bool BlockTrace::claimTee() const {
-  if (!ReuseEnabled.load(std::memory_order_relaxed) || Total == 0 ||
-      expansionReuseReady())
-    return false;
-  int Expected = 0;
-  if (!TeeState.compare_exchange_strong(Expected, 1,
-                                        std::memory_order_acq_rel))
-    return false;
-  uint64_t Bytes = Total * sizeof(TraceRecord);
-  if (!reserveReuseBytes(Bytes)) {
-    // Denied is sticky: the budget only shrinks when blocks die, so
-    // retrying the reservation on every expansion would just add an
-    // atomic RMW to the hot path for a claim that keeps failing.
-    TeeState.store(3, std::memory_order_release);
-    return false;
-  }
-  ReservedBytes.store(Bytes, std::memory_order_relaxed);
-  return true;
-}
-
-void BlockTrace::finishTee(std::unique_ptr<TraceBuffer> Teed) const {
-  assert(Teed->size() == Total && "tee missed the total");
-  bool Installed = false;
-  std::call_once(MatOnce, [&] {
-    Mat = std::move(Teed);
-    Installed = true;
-  });
-  if (!Installed)
-    // materialized() ran concurrently and built its own buffer (which is
-    // not budget-tracked); drop our reservation with the duplicate.
-    releaseReuseBytes(ReservedBytes.exchange(0, std::memory_order_relaxed));
-  MatReady.store(true, std::memory_order_release);
-  TeeState.store(2, std::memory_order_release);
-}
-
-void BlockTrace::abortTee() const {
-  releaseReuseBytes(ReservedBytes.exchange(0, std::memory_order_relaxed));
-  TeeState.store(0, std::memory_order_release);
-}
-
-BlockExpander::BlockExpander(const BlockTrace &Block)
-    : Block(Block), Remaining(Block.totalRecords()) {
-  switch (Block.kind()) {
-  case BlockTrace::Kind::ComputeGen:
-  case BlockTrace::Kind::SerialGen:
-    // A ready materialized stream beats regeneration: serve spans out of
-    // it and skip the generator entirely.
-    if (Block.expansionReuseReady()) {
-      FromMat = true;
-      return;
-    }
-    if (Block.kind() == BlockTrace::Kind::ComputeGen)
-      Block.generator().beginCompute(S, Block.request(), Block.layout());
-    else
-      Block.generator().beginSerial(S, Block.layout(), Block.serialSeed());
-    // First expansion of a shared block: tee the windows into a full
-    // buffer so later expanders of this block get zero-copy spans.
-    if (Block.claimTee()) {
-      Tee = std::make_unique<TraceBuffer>();
-      Tee->reserve(size_t(Remaining));
-    }
-    break;
-  case BlockTrace::Kind::Pattern:
-    break;
-  }
-}
-
-BlockExpander::~BlockExpander() {
-  if (Tee)
-    Block.abortTee();
+BlockExpander::BlockExpander(const BlockTrace &Source)
+    : Block(Source), Remaining(Source.totalRecords()) {
+  if (Block.kind() == BlockTrace::Kind::ComputeGen)
+    Block.generator().beginCompute(S, Block.request(), Block.layout());
+  else
+    Block.generator().beginSerial(S, Block.layout(), Block.serialSeed());
 }
 
 uint64_t BlockExpander::next(TraceBuffer &Window, size_t Target) {
@@ -200,159 +59,12 @@ uint64_t BlockExpander::next(TraceBuffer &Window, size_t Target) {
   if (Remaining == 0)
     return 0;
 
-  if (FromMat) {
-    // Reuse path: copy the next run out of the shared buffer. nextSpan()
-    // avoids even this copy; next() keeps the windowed contract for
-    // callers that hold on to the window.
-    const TraceBuffer &M = Block.materialized();
-    uint64_t Run = std::min<uint64_t>(Remaining, Target);
-    Window.reserve(size_t(Run));
-    for (uint64_t I = 0; I != Run; ++I)
-      Window.append(M[size_t(MatPos + I)]);
-    MatPos += Run;
-    Remaining -= Run;
-    return Run;
-  }
-
   TraceGenScope Timer;
-
-  switch (Block.kind()) {
-  case BlockTrace::Kind::ComputeGen: {
-    uint64_t Emitted = Block.generator().emitCompute(
-        S, Block.request(), Window, Remaining, Target);
-    Remaining -= Emitted;
-    tee(Window);
-    return Emitted;
-  }
-  case BlockTrace::Kind::SerialGen: {
-    uint64_t Emitted =
-        Block.generator().emitSerial(S, Window, Remaining, Target);
-    Remaining -= Emitted;
-    tee(Window);
-    return Emitted;
-  }
-  case BlockTrace::Kind::Pattern: {
-    // Copy contiguous runs out of the logical prologue/body^N/epilogue
-    // stream. Unlike generator windows there is no iteration alignment
-    // to preserve; a plain record count boundary is exact.
-    const PatternBlock &P = Block.pattern();
-    const uint64_t ProEnd = P.Prologue.size();
-    const uint64_t BodyEnd = ProEnd + P.Body.size() * P.BodyRepeats;
-    Window.reserve(size_t(std::min<uint64_t>(Remaining, Target)));
-    uint64_t Emitted = 0;
-    while (Remaining != 0 && Emitted < Target) {
-      const TraceBuffer *Src;
-      uint64_t Offset;
-      uint64_t RunEnd;
-      if (PatPos < ProEnd) {
-        Src = &P.Prologue;
-        Offset = PatPos;
-        RunEnd = ProEnd;
-      } else if (PatPos < BodyEnd) {
-        Src = &P.Body;
-        Offset = (PatPos - ProEnd) % P.Body.size();
-        RunEnd = PatPos + (P.Body.size() - Offset);
-      } else {
-        Src = &P.Epilogue;
-        Offset = PatPos - BodyEnd;
-        RunEnd = BodyEnd + P.Epilogue.size();
-      }
-      uint64_t Run = std::min({RunEnd - PatPos, Remaining,
-                               uint64_t(Target) - Emitted});
-      for (uint64_t I = 0; I != Run; ++I)
-        Window.append((*Src)[size_t(Offset + I)]);
-      PatPos += Run;
-      Remaining -= Run;
-      Emitted += Run;
-    }
-    return Emitted;
-  }
-  }
-  return 0;
-}
-
-void BlockExpander::tee(const TraceBuffer &Window) {
-  if (!Tee)
-    return;
-  for (const TraceRecord &R : Window)
-    Tee->append(R);
-  if (Remaining == 0)
-    Block.finishTee(std::move(Tee));
-}
-
-BlockExpander::Span BlockExpander::nextSpan(TraceBuffer &Window,
-                                            size_t Target) {
-  if (Remaining == 0)
-    return {};
-  if (FromMat) {
-    // The shared buffer is contiguous and immutable: hand the pipeline
-    // the whole remainder as one span, exactly like the reference
-    // (fully materialized) path does.
-    const TraceBuffer &M = Block.materialized();
-    Span Out{M.records().data() + MatPos, Remaining};
-    MatPos += Remaining;
-    Remaining = 0;
-    return Out;
-  }
-  if (Tee) {
-    // Zero-copy tee: generate straight into the tee buffer's tail and
-    // hand out a span over the appended records. The buffer was reserved
-    // to the block's full size up front and TraceEmitter never reserves
-    // past the remaining budget, so appends cannot reallocate out from
-    // under the span.
-    TraceGenScope Timer;
-    const size_t Start = Tee->size();
-    uint64_t Emitted = 0;
-    switch (Block.kind()) {
-    case BlockTrace::Kind::ComputeGen:
-      Emitted = Block.generator().emitCompute(S, Block.request(), *Tee,
-                                              Remaining, Target);
-      break;
-    case BlockTrace::Kind::SerialGen:
-      Emitted = Block.generator().emitSerial(S, *Tee, Remaining, Target);
-      break;
-    case BlockTrace::Kind::Pattern:
-      break; // a tee is only ever claimed for generator-backed blocks
-    }
-    Remaining -= Emitted;
-    Span Out{Tee->records().data() + Start, Emitted};
-    if (Remaining == 0)
-      // Moving the unique_ptr does not move the heap array, so the span
-      // stays valid while this (final) window is consumed.
-      Block.finishTee(std::move(Tee));
-    return Out;
-  }
-  uint64_t Emitted = next(Window, Target);
-  return {Window.records().data(), Emitted};
-}
-
-BlockExpander::Span BlockExpander::nextWindow(TraceBuffer &Window,
-                                              size_t Target) {
-  if (Remaining == 0)
-    return {};
-  if (FromMat) {
-    const TraceBuffer &M = Block.materialized();
-    uint64_t Run = std::min<uint64_t>(Remaining, Target);
-    Span Out{M.records().data() + MatPos, Run};
-    MatPos += Run;
-    Remaining -= Run;
-    return Out;
-  }
-  uint64_t Emitted = next(Window, Target);
-  return {Window.records().data(), Emitted};
-}
-
-uint64_t BlockExpander::skip(TraceBuffer &Scratch, size_t Target) {
-  if (Remaining == 0)
-    return 0;
-  if (FromMat) {
-    uint64_t Run = std::min<uint64_t>(Remaining, Target);
-    MatPos += Run;
-    Remaining -= Run;
-    return Run;
-  }
-  // No reuse buffer: the records must still be produced so the generator
-  // state (cursors, RNG) and any in-flight tee advance exactly; only the
-  // core simulation is skipped.
-  return next(Scratch, Target);
+  uint64_t Emitted =
+      Block.kind() == BlockTrace::Kind::ComputeGen
+          ? Block.generator().emitCompute(S, Block.request(), Window,
+                                          Remaining, Target)
+          : Block.generator().emitSerial(S, Window, Remaining, Target);
+  Remaining -= Emitted;
+  return Emitted;
 }

@@ -67,7 +67,7 @@ public:
   /// FNV-1a fingerprint over everything the trace generators read from
   /// this layout: segment order, names, placed addresses, sizes, and
   /// transfer directions. Identical fingerprints mean identical generated
-  /// address streams; the trace cache and the result store both key on it.
+  /// address streams; the result store keys on it.
   uint64_t fingerprint() const;
 
 private:

@@ -170,18 +170,14 @@ private:
 class BlockTrace;
 
 /// An immutable, shareable trace handle. Lowered programs hold their
-/// traces through this so N sweep points over the same (kernel, params)
-/// share one materialized buffer (the trace cache hands out the same
-/// underlying TraceBuffer to every thread). It reads exactly like a
-/// `const TraceBuffer`: size/records/iteration/implicit conversion all
-/// forward to the wrapped buffer; a default-constructed handle behaves as
-/// an empty trace.
+/// traces through this. It reads exactly like a `const TraceBuffer`:
+/// size/records/iteration/implicit conversion all forward to the wrapped
+/// buffer; a default-constructed handle behaves as an empty trace.
 ///
-/// A handle may alternatively wrap a run-length BlockTrace (the compute
-/// fast path). Cores check blocks() first and expand windows; any caller
-/// that reaches for buffer()/records() transparently gets the block's
-/// lazily materialized form instead, so existing consumers keep working
-/// unchanged.
+/// A handle wraps either a materialized buffer or a run-length BlockTrace
+/// (what lowering builds). Cores check blocks() first and expand windows;
+/// any caller that reaches for buffer()/records() transparently gets the
+/// block's lazily materialized form instead.
 class SharedTrace {
 public:
   SharedTrace() = default;
@@ -190,11 +186,7 @@ public:
   SharedTrace(TraceBuffer Buffer)
       : Ptr(std::make_shared<const TraceBuffer>(std::move(Buffer))) {}
 
-  /// Adopts an already-shared buffer (trace-cache hits).
-  SharedTrace(std::shared_ptr<const TraceBuffer> Shared)
-      : Ptr(std::move(Shared)) {}
-
-  /// Adopts a run-length block (fast path).
+  /// Adopts a run-length block.
   SharedTrace(std::shared_ptr<const BlockTrace> Block)
       : Blocks(std::move(Block)) {}
 
@@ -217,11 +209,6 @@ public:
   }
   std::vector<TraceRecord>::const_iterator end() const {
     return buffer().end();
-  }
-
-  /// Number of co-owners (telemetry: >1 means the cache deduplicated).
-  long useCount() const {
-    return Ptr ? Ptr.use_count() : (Blocks ? Blocks.use_count() : 0);
   }
 
 private:

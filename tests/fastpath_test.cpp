@@ -1,41 +1,37 @@
-//===- tests/fastpath_test.cpp - Fast-path differential equivalence -------===//
+//===- tests/fastpath_test.cpp - Block-trace differential equivalence -----===//
 ///
 /// \file
-/// The fast path's contract is *exact* equivalence: block-backed traces,
-/// windowed expansion, and the Pattern-block closed-form fold must produce
-/// results byte-identical to the fully materialized per-record reference
-/// path. These tests run both paths (HETSIM_FASTPATH toggled through the
-/// setFastPathForTesting hook) and assert identical RunResults and metrics
-/// documents, plus targeted unit checks of the CPU/GPU fold against their
-/// per-record references.
+/// Block traces are exact: expanding a (generator, request) recipe window
+/// by window must give results byte-identical to running the fully
+/// materialized record stream. These tests run both forms — whole lowered
+/// programs and single core segments — and assert identical RunResults,
+/// SegmentResults and metrics documents. They also cover the sampled
+/// memory tier and the HETSIM_MEMFAST value check.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/HeteroSimulator.h"
 #include "gpu/GpuCore.h"
-#include "memory/FirstTouchTracker.h"
 #include "memory/MemFast.h"
 #include "memory/MemorySystem.h"
 #include "obs/Metrics.h"
 #include "trace/ComputeBlock.h"
-#include "trace/TraceCache.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
+#include <cstdlib>
+#include <memory>
+#include <string>
 
 using namespace hetsim;
 
 namespace {
 
-/// Restores the environment-driven fast-path and memory-fidelity
-/// settings (and a cold trace cache) no matter how a test exits.
-struct FastPathGuard {
-  ~FastPathGuard() {
-    setFastPathForTesting(-1);
-    setMemFastForTesting(-1);
-    TraceCache::global().clear();
-  }
+/// Restores the environment-driven memory fidelity tier no matter how a
+/// test exits.
+struct MemFastGuard {
+  ~MemFastGuard() { setMemFastForTesting(-1); }
 };
 
 void expectSegmentEq(const SegmentResult &A, const SegmentResult &B,
@@ -71,16 +67,25 @@ void expectRunResultEq(const RunResult &A, const RunResult &B,
   EXPECT_EQ(A.CommSourceLines, B.CommSourceLines) << What;
 }
 
-/// Runs (Study, Kernel) with the fast path forced to \p Mode from a cold
-/// trace cache and returns the result plus the metrics snapshot.
-std::pair<RunResult, MetricsSnapshot> runOne(CaseStudy Study, KernelId Kernel,
-                                             int Mode) {
-  setFastPathForTesting(Mode);
-  TraceCache::global().clear();
-  HeteroSimulator Sim(SystemConfig::forCaseStudy(Study));
-  RunResult Result = Sim.run(Kernel);
+/// Runs \p Program on a fresh simulator of \p Config and returns the
+/// result plus the metrics snapshot.
+std::pair<RunResult, MetricsSnapshot>
+runProgram(const SystemConfig &Config, const LoweredProgram &Program) {
+  HeteroSimulator Sim(Config);
+  RunResult Result = Sim.runLowered(Program);
   MetricsSnapshot Metrics = Sim.collectMetrics(Result);
   return {Result, Metrics};
+}
+
+/// \p Program with every step's traces replaced by their materialized
+/// record streams, so the cores take the per-record path throughout.
+LoweredProgram materializedCopy(const LoweredProgram &Program) {
+  LoweredProgram Copy = Program;
+  for (ExecStep &Step : Copy.Steps) {
+    Step.CpuTrace = SharedTrace(Step.CpuTrace.buffer());
+    Step.GpuTrace = SharedTrace(Step.GpuTrace.buffer());
+  }
+  return Copy;
 }
 
 } // namespace
@@ -90,168 +95,89 @@ std::pair<RunResult, MetricsSnapshot> runOne(CaseStudy Study, KernelId Kernel,
 //===----------------------------------------------------------------------===//
 
 TEST(FastPathDifferential, AllKernelsAllModelsIdentical) {
-  FastPathGuard Guard;
   for (CaseStudy Study : allCaseStudies()) {
+    SystemConfig Config = SystemConfig::forCaseStudy(Study);
     for (KernelId Kernel : allKernels()) {
       std::string What = std::string(caseStudyName(Study)) + "/" +
                          kernelName(Kernel);
-      auto [RefResult, RefMetrics] = runOne(Study, Kernel, /*Mode=*/0);
-      auto [FastResult, FastMetrics] = runOne(Study, Kernel, /*Mode=*/1);
-      expectRunResultEq(RefResult, FastResult, What);
+      LoweredProgram Program = lowerKernel(Kernel, Config);
+      ASSERT_TRUE(std::any_of(
+          Program.Steps.begin(), Program.Steps.end(),
+          [](const ExecStep &Step) { return Step.CpuTrace.blocks(); }))
+          << What << ": lowering no longer emits block traces";
+      auto [BlockResult, BlockMetrics] = runProgram(Config, Program);
+      LoweredProgram Materialized = materializedCopy(Program);
+      auto [RefResult, RefMetrics] = runProgram(Config, Materialized);
+      expectRunResultEq(RefResult, BlockResult, What);
       // The metrics documents must match verbatim: same keys, same values.
-      EXPECT_EQ(renderMetricsJson(RefMetrics), renderMetricsJson(FastMetrics))
+      EXPECT_EQ(renderMetricsJson(RefMetrics), renderMetricsJson(BlockMetrics))
           << What;
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Pattern-block fold vs per-record reference.
+// Core-level differential: one block segment vs its materialized stream.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// A CPU steady-state loop body without global memory: ALU dependence
-/// chain plus a loop branch (always taken) and a data-dependent branch
-/// with a periodic outcome the gshare predictor learns.
-PatternBlock makeCpuPattern(uint64_t Repeats, bool WithMemory) {
-  PatternBlock P;
-  const uint32_t Pc = 0x400;
-  for (unsigned I = 0; I != 6; ++I)
-    P.Prologue.emitAlu(Opcode::IntAlu, Pc + I * 4, uint8_t(8 + I), 0);
-  P.Body.emitAlu(Opcode::IntAlu, Pc + 0x40, 8, 9);
-  P.Body.emitAlu(Opcode::FpMul, Pc + 0x44, 9, 8, 10);
-  if (WithMemory)
-    P.Body.emitLoad(Pc + 0x48, 10, region::CpuPrivateBase + 0x100, 4);
-  else
-    P.Body.emitAlu(Opcode::FpMac, Pc + 0x48, 10, 9, 8);
-  P.Body.emitAlu(Opcode::IntAlu, Pc + 0x4C, 11, 10);
-  P.Body.emitBranch(Pc + 0x50, /*Taken=*/true, 11);
-  P.Body.emitAlu(Opcode::IntAlu, Pc + 0x54, 12, 11);
-  P.Body.emitBranch(Pc + 0x58, /*Taken=*/true);
-  P.BodyRepeats = Repeats;
-  for (unsigned I = 0; I != 4; ++I)
-    P.Epilogue.emitAlu(Opcode::FpAlu, Pc + 0x80 + I * 4, uint8_t(16 + I), 8);
-  return P;
+/// Runs \p Trace on a fresh core of type \p CoreT over a memory system
+/// with \p Layout mapped for \p Pu.
+template <typename CoreT, typename ConfigT>
+SegmentResult runSegment(PuKind Pu, const KernelDataLayout &Layout,
+                         const SharedTrace &Trace) {
+  MemorySystem Mem{MemHierConfig()};
+  for (const DataSegment &Segment : Layout.segments())
+    Mem.mapRange(Pu, Segment.Base, Segment.Bytes);
+  CoreT Core(ConfigT(), Mem);
+  return Core.run(Trace, 0);
 }
 
-/// A GPU steady-state body sized to a whole number of warp rotations
-/// (NumWarps * WarpChunkRecords records) with scratchpad traffic only.
-PatternBlock makeGpuPattern(const GpuConfig &Config, uint64_t Repeats) {
-  PatternBlock P;
-  const uint32_t Pc = 0x800;
-  const unsigned Rotation = Config.NumWarps * Config.WarpChunkRecords;
-  for (unsigned I = 0; I != 8; ++I)
-    P.Prologue.emitAlu(Opcode::IntAlu, Pc + I * 4, uint8_t(8 + I), 0);
-  for (unsigned I = 0; I != Rotation; ++I) {
-    uint8_t Reg = uint8_t(8 + I % 24);
-    switch (I % 4) {
-    case 0:
-      P.Body.emitSmem(/*IsStore=*/false, Pc + 0x100 + I * 4, Reg,
-                      (I * 32) % (16 * 1024), 4, 8, 4);
-      break;
-    case 1:
-      P.Body.emitAlu(Opcode::FpMac, Pc + 0x100 + I * 4, Reg, uint8_t(8),
-                     uint8_t(9));
-      break;
-    case 2:
-      P.Body.emitSmem(/*IsStore=*/true, Pc + 0x100 + I * 4, Reg,
-                      (I * 32) % (16 * 1024), 4, 8, 4);
-      break;
-    case 3:
-      P.Body.emitBranch(Pc + 0x100 + I * 4, /*Taken=*/true);
-      break;
-    }
+/// Compares the windowed and materialized runs of every kernel's compute
+/// segment of \p Records records on \p Pu.
+template <typename CoreT, typename ConfigT>
+void expectBlockRunsMatch(PuKind Pu, Addr Base, uint64_t Records) {
+  for (KernelId Kernel : allKernels()) {
+    KernelDataLayout Layout = KernelDataLayout::makeLinear(Kernel, Base);
+    GenRequest Req;
+    Req.Pu = Pu;
+    Req.InstCount = Records;
+    Req.Seed = 3;
+    auto Block = std::make_shared<const BlockTrace>(Kernel, Req, Layout);
+    std::string What =
+        std::string(kernelName(Kernel)) + " x" + std::to_string(Records);
+    SegmentResult Windowed =
+        runSegment<CoreT, ConfigT>(Pu, Layout, SharedTrace(Block));
+    SegmentResult Reference = runSegment<CoreT, ConfigT>(
+        Pu, Layout, SharedTrace(Block->materialized()));
+    expectSegmentEq(Reference, Windowed, What);
+    EXPECT_EQ(Windowed.Insts, Records) << What;
   }
-  P.BodyRepeats = Repeats;
-  for (unsigned I = 0; I != 4; ++I)
-    P.Epilogue.emitAlu(Opcode::IntAlu, Pc + 0x40 + I * 4, uint8_t(16 + I), 8);
-  return P;
-}
-
-SegmentResult runCpuPattern(const std::shared_ptr<const BlockTrace> &Block,
-                            bool Fast) {
-  MemHierConfig HierConfig;
-  MemorySystem Mem(HierConfig);
-  Mem.mapRange(PuKind::Cpu, region::CpuPrivateBase, 1 << 20);
-  CpuCore Core(CpuConfig(), Mem);
-  if (!Fast)
-    return Core.run(Block->materialized(), 0);
-  setFastPathForTesting(1);
-  SegmentResult R = Core.run(SharedTrace(Block), 0);
-  setFastPathForTesting(-1);
-  return R;
-}
-
-SegmentResult runGpuPattern(const std::shared_ptr<const BlockTrace> &Block,
-                            bool Fast) {
-  MemHierConfig HierConfig;
-  MemorySystem Mem(HierConfig);
-  Mem.mapRange(PuKind::Gpu, region::GpuPrivateBase, 1 << 20);
-  GpuCore Core(GpuConfig(), Mem);
-  if (!Fast)
-    return Core.run(Block->materialized(), 0);
-  setFastPathForTesting(1);
-  SegmentResult R = Core.run(SharedTrace(Block), 0);
-  setFastPathForTesting(-1);
-  return R;
 }
 
 } // namespace
 
+// A block spanning many expansion windows.
 TEST(FastPathFold, CpuPatternFoldMatchesReference) {
-  FastPathGuard Guard;
-  auto Block = std::make_shared<const BlockTrace>(
-      makeCpuPattern(20000, /*WithMemory=*/false));
-  SegmentResult Ref = runCpuPattern(Block, /*Fast=*/false);
-  SegmentResult Fast = runCpuPattern(Block, /*Fast=*/true);
-  expectSegmentEq(Ref, Fast, "cpu fold");
-  EXPECT_EQ(Ref.Insts, Block->totalRecords());
+  expectBlockRunsMatch<CpuCore, CpuConfig>(PuKind::Cpu, region::CpuPrivateBase,
+                                           50000);
 }
 
-TEST(FastPathFold, CpuPatternWithMemoryOracleModeFallsBackExactly) {
-  // With the memory fast path forced off (the HETSIM_MEMFAST=0 oracle),
-  // global memory in the body disqualifies the fold; the windowed
-  // per-record remainder must still match the reference bit for bit.
-  FastPathGuard Guard;
-  setMemFastForTesting(0);
-  auto Block = std::make_shared<const BlockTrace>(
-      makeCpuPattern(2000, /*WithMemory=*/true));
-  SegmentResult Ref = runCpuPattern(Block, /*Fast=*/false);
-  SegmentResult Fast = runCpuPattern(Block, /*Fast=*/true);
-  expectSegmentEq(Ref, Fast, "cpu fallback");
-}
-
+// A block shorter than a single expansion window.
 TEST(FastPathFold, CpuShortPatternBelowWarmupMatches) {
-  // Too few repeats to ever fold: exercises the pure per-record route
-  // through runPatternBlock.
-  FastPathGuard Guard;
-  auto Block = std::make_shared<const BlockTrace>(
-      makeCpuPattern(3, /*WithMemory=*/false));
-  SegmentResult Ref = runCpuPattern(Block, /*Fast=*/false);
-  SegmentResult Fast = runCpuPattern(Block, /*Fast=*/true);
-  expectSegmentEq(Ref, Fast, "cpu short pattern");
+  expectBlockRunsMatch<CpuCore, CpuConfig>(PuKind::Cpu, region::CpuPrivateBase,
+                                           1000);
 }
 
 TEST(FastPathFold, GpuPatternFoldMatchesReference) {
-  FastPathGuard Guard;
-  GpuConfig Config;
-  auto Block =
-      std::make_shared<const BlockTrace>(makeGpuPattern(Config, 64));
-  SegmentResult Ref = runGpuPattern(Block, /*Fast=*/false);
-  SegmentResult Fast = runGpuPattern(Block, /*Fast=*/true);
-  expectSegmentEq(Ref, Fast, "gpu fold");
-  EXPECT_EQ(Ref.Insts, Block->totalRecords());
+  expectBlockRunsMatch<GpuCore, GpuConfig>(PuKind::Gpu, region::GpuPrivateBase,
+                                           50000);
 }
 
 TEST(FastPathFold, GpuShortPatternMatches) {
-  FastPathGuard Guard;
-  GpuConfig Config;
-  auto Block =
-      std::make_shared<const BlockTrace>(makeGpuPattern(Config, 2));
-  SegmentResult Ref = runGpuPattern(Block, /*Fast=*/false);
-  SegmentResult Fast = runGpuPattern(Block, /*Fast=*/true);
-  expectSegmentEq(Ref, Fast, "gpu short pattern");
+  expectBlockRunsMatch<GpuCore, GpuConfig>(PuKind::Gpu, region::GpuPrivateBase,
+                                           1000);
 }
 
 //===----------------------------------------------------------------------===//
@@ -259,7 +185,6 @@ TEST(FastPathFold, GpuShortPatternMatches) {
 //===----------------------------------------------------------------------===//
 
 TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
-  FastPathGuard Guard;
   KernelDataLayout Layout =
       KernelDataLayout::makeLinear(KernelId::KMeans, region::CpuPrivateBase);
   GenRequest Req;
@@ -291,87 +216,60 @@ TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
 }
 
 //===----------------------------------------------------------------------===//
-// Memory-phase fast path (DESIGN.md §11): differential equivalence.
+// Memory fidelity tiers (DESIGN.md §11).
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Runs (Study, Kernel) with the block fast path on and the memory
-/// fidelity tier forced to \p MemFast, from a cold trace cache.
-std::pair<RunResult, MetricsSnapshot>
-runOneMemFast(CaseStudy Study, KernelId Kernel, int MemFast) {
-  setMemFastForTesting(MemFast);
-  setFastPathForTesting(1);
-  TraceCache::global().clear();
+/// Runs (Study, Kernel) with the memory fidelity tier forced to \p Mode.
+std::pair<RunResult, MetricsSnapshot> runOneMemFast(CaseStudy Study,
+                                                    KernelId Kernel,
+                                                    MemFastMode Mode) {
+  setMemFastForTesting(int(Mode));
   HeteroSimulator Sim(SystemConfig::forCaseStudy(Study));
   RunResult Result = Sim.run(Kernel);
   MetricsSnapshot Metrics = Sim.collectMetrics(Result);
   return {Result, Metrics};
 }
 
-/// The metrics document minus the memfast.* observability counters,
-/// which legitimately differ between fidelity tiers (fold attempts and
-/// fall-back tallies are *about* the tier, not about the simulated
-/// machine).
-std::map<std::string, double> nonMemfastValues(const MetricsSnapshot &M) {
-  std::map<std::string, double> Out;
-  for (const auto &KV : M.values())
-    if (KV.first.compare(0, 8, "memfast.") != 0)
-      Out.insert(KV);
-  return Out;
-}
+/// Sets HETSIM_MEMFAST for one scope and restores it afterwards.
+class ScopedMemFastEnv {
+public:
+  explicit ScopedMemFastEnv(const char *Value) {
+    if (const char *Old = std::getenv("HETSIM_MEMFAST")) {
+      HadOld = true;
+      OldValue = Old;
+    }
+    if (Value)
+      ::setenv("HETSIM_MEMFAST", Value, 1);
+    else
+      ::unsetenv("HETSIM_MEMFAST");
+  }
+  ~ScopedMemFastEnv() {
+    if (HadOld)
+      ::setenv("HETSIM_MEMFAST", OldValue.c_str(), 1);
+    else
+      ::unsetenv("HETSIM_MEMFAST");
+  }
+
+private:
+  bool HadOld = false;
+  std::string OldValue;
+};
 
 } // namespace
 
-TEST(MemFastDifferential, ExactTierIdenticalAllKernelsAllModels) {
-  // The exact tier's contract mirrors the block fast path's: verified
-  // steady-state folding must be invisible in every simulated quantity,
-  // across all six kernels on all five memory models.
-  FastPathGuard Guard;
-  for (CaseStudy Study : allCaseStudies()) {
-    for (KernelId Kernel : allKernels()) {
-      std::string What = std::string(caseStudyName(Study)) + "/" +
-                         kernelName(Kernel);
-      auto [RefResult, RefMetrics] = runOneMemFast(Study, Kernel, 0);
-      auto [FoldResult, FoldMetrics] = runOneMemFast(Study, Kernel, 1);
-      expectRunResultEq(RefResult, FoldResult, What);
-      EXPECT_EQ(nonMemfastValues(RefMetrics), nonMemfastValues(FoldMetrics))
-          << What;
-      // The observability contract: the exact tier always reports its
-      // mode, whether or not any fold engaged on this point. The six
-      // paper kernels stream over large arrays with advancing cursors,
-      // so their windows never repeat and a per-period fixed point never
-      // forms — engagement on genuinely steady streams is covered by the
-      // MemFastFold pattern tests below.
-      EXPECT_EQ(FoldMetrics.get("memfast.mode"), 1.0) << What;
-    }
-  }
-}
-
-TEST(MemFastModes, WarmModeRunsAndReportsWarmAccesses) {
-  FastPathGuard Guard;
-  auto [Ref, RefMetrics] = runOneMemFast(CaseStudy::CpuGpu,
-                                         KernelId::Reduction, 0);
-  auto [Warm, WarmMetrics] = runOneMemFast(CaseStudy::CpuGpu,
-                                           KernelId::Reduction, 2);
-  // Functional warming changes timing, never instruction counts.
-  EXPECT_EQ(Ref.CpuTotal.Insts, Warm.CpuTotal.Insts);
-  EXPECT_EQ(Ref.GpuTotal.Insts, Warm.GpuTotal.Insts);
-  EXPECT_GT(WarmMetrics.get("memfast.warm_accesses"), 0.0);
-  EXPECT_GT(Warm.CpuTotal.Cycles, 0u);
-  EXPECT_GT(Warm.GpuTotal.Cycles, 0u);
-}
-
 TEST(MemFastModes, SampledModeExtrapolatesWithBoundedError) {
-  FastPathGuard Guard;
-  auto [Ref, RefMetrics] = runOneMemFast(CaseStudy::CpuGpu,
-                                         KernelId::Reduction, 0);
-  auto [Samp, SampMetrics] = runOneMemFast(CaseStudy::CpuGpu,
-                                           KernelId::Reduction, 3);
+  MemFastGuard Guard;
+  auto [Ref, RefMetrics] =
+      runOneMemFast(CaseStudy::CpuGpu, KernelId::Reduction, MemFastMode::Off);
+  auto [Samp, SampMetrics] = runOneMemFast(
+      CaseStudy::CpuGpu, KernelId::Reduction, MemFastMode::Sampled);
   // Sampling skips simulation, not records: instruction totals are exact.
   EXPECT_EQ(Ref.CpuTotal.Insts, Samp.CpuTotal.Insts);
   EXPECT_EQ(Ref.GpuTotal.Insts, Samp.GpuTotal.Insts);
   EXPECT_GT(SampMetrics.get("run.sampled_records"), 0.0);
+  EXPECT_EQ(RefMetrics.get("run.sampled_records"), 0.0);
   // Loose sanity bound on the estimate; goldens never use this tier.
   double RefC = double(Ref.CpuTotal.Cycles + Ref.GpuTotal.Cycles);
   double SampC = double(Samp.CpuTotal.Cycles + Samp.GpuTotal.Cycles);
@@ -379,279 +277,25 @@ TEST(MemFastModes, SampledModeExtrapolatesWithBoundedError) {
   EXPECT_LT(SampC, 2.0 * RefC);
 }
 
-//===----------------------------------------------------------------------===//
-// Memory-phase fold vs per-record reference at the core level.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct TierRun {
-  SegmentResult Result;
-  uint64_t Folds = 0;
-  std::string Fallbacks; ///< "reason xN ..." diagnostic for failures.
-};
-
-std::string describeFallbacks(MemorySystem &Mem) {
-  std::string Out;
-  for (unsigned I = 0; I != NumMemFoldReasons; ++I) {
-    uint64_t *C = Mem.memfastCounters().Fallback[I];
-    if (C && *C != 0)
-      Out += std::string(memFoldReasonName(MemFoldReason(I))) + " x" +
-             std::to_string(*C) + " ";
+TEST(MemFastModes, AcceptedValues) {
+  MemFastGuard Guard;
+  setMemFastForTesting(-1);
+  for (const char *Value : {static_cast<const char *>(nullptr), "", "0"}) {
+    ScopedMemFastEnv Env(Value);
+    EXPECT_EQ(memFastMode(), MemFastMode::Off) << (Value ? Value : "unset");
   }
-  return Out.empty() ? "none" : Out;
+  ScopedMemFastEnv Env("sampled");
+  EXPECT_EQ(memFastMode(), MemFastMode::Sampled);
 }
 
-/// Runs a CPU pattern block at fidelity tier \p MemFast (the tier must
-/// be set before the MemorySystem is built — the constructor caches it).
-TierRun runCpuPatternTier(const std::shared_ptr<const BlockTrace> &Block,
-                          int MemFast) {
-  setMemFastForTesting(MemFast);
-  setFastPathForTesting(1);
-  MemHierConfig HierConfig;
-  MemorySystem Mem(HierConfig);
-  Mem.mapRange(PuKind::Cpu, region::CpuPrivateBase, 1 << 20);
-  CpuCore Core(CpuConfig(), Mem);
-  SegmentResult R = Core.run(SharedTrace(Block), 0);
-  return {R, *Mem.memfastCounters().Folds, describeFallbacks(Mem)};
-}
-
-TierRun runGpuPatternTier(const std::shared_ptr<const BlockTrace> &Block,
-                          int MemFast) {
-  setMemFastForTesting(MemFast);
-  setFastPathForTesting(1);
-  MemHierConfig HierConfig;
-  MemorySystem Mem(HierConfig);
-  Mem.mapRange(PuKind::Gpu, region::GpuPrivateBase, 1 << 20);
-  GpuCore Core(GpuConfig(), Mem);
-  SegmentResult R = Core.run(SharedTrace(Block), 0);
-  return {R, *Mem.memfastCounters().Folds, describeFallbacks(Mem)};
-}
-
-/// GPU pattern whose body loads a fixed global address every rotation:
-/// the memory side settles to L1 hits, so the memory-phase fold should
-/// engage. The register pattern repeats every four records so each
-/// warp's chunk is identical — asymmetric warps settle at different
-/// per-window rates and there is no single-D fixed point to fold.
-PatternBlock makeGpuPatternGlobal(const GpuConfig &Config,
-                                  uint64_t Repeats) {
-  PatternBlock P;
-  const uint32_t Pc = 0x900;
-  const unsigned Rotation = Config.NumWarps * Config.WarpChunkRecords;
-  for (unsigned I = 0; I != 8; ++I)
-    P.Prologue.emitAlu(Opcode::IntAlu, Pc + I * 4, uint8_t(8 + I), 0);
-  for (unsigned I = 0; I != Rotation; ++I) {
-    uint8_t Reg = uint8_t(8 + I % 4);
-    if (I % 4 == 0)
-      P.Body.emitLoad(Pc + 0x100 + I * 4, Reg,
-                      region::GpuPrivateBase + 0x200, 4);
-    else if (I % 4 == 3)
-      P.Body.emitBranch(Pc + 0x100 + I * 4, /*Taken=*/true);
-    else
-      P.Body.emitAlu(Opcode::FpMac, Pc + 0x100 + I * 4, Reg, uint8_t(8),
-                     uint8_t(9));
+TEST(MemFastModesDeathTest, UnknownValueIsRejected) {
+  MemFastGuard Guard;
+  setMemFastForTesting(-1);
+  // The removed exact and warm tiers are rejected like any typo.
+  for (const char *Value : {"warm", "exact", "1", "off", "Sampled"}) {
+    ScopedMemFastEnv Env(Value);
+    EXPECT_EXIT(memFastMode(), ::testing::ExitedWithCode(2),
+                "HETSIM_MEMFAST.*accepted values are unset, 0 and sampled")
+        << Value;
   }
-  P.BodyRepeats = Repeats;
-  for (unsigned I = 0; I != 4; ++I)
-    P.Epilogue.emitAlu(Opcode::IntAlu, Pc + 0x40 + I * 4, uint8_t(16 + I), 8);
-  return P;
-}
-
-} // namespace
-
-TEST(MemFastFold, CpuPatternWithMemoryFoldsBitExactly) {
-  // Steady L1-hit loads in the body: the whole-memory-system fold must
-  // engage and still match the oracle bit for bit.
-  FastPathGuard Guard;
-  auto Block = std::make_shared<const BlockTrace>(
-      makeCpuPattern(2000, /*WithMemory=*/true));
-  TierRun Ref = runCpuPatternTier(Block, 0);
-  TierRun Fold = runCpuPatternTier(Block, 1);
-  expectSegmentEq(Ref.Result, Fold.Result, "cpu mem fold");
-  EXPECT_EQ(Ref.Folds, 0u);
-  EXPECT_GE(Fold.Folds, 1u) << "fallbacks: " << Fold.Fallbacks;
-}
-
-TEST(MemFastFold, GpuPatternWithMemoryFoldsBitExactly) {
-  FastPathGuard Guard;
-  GpuConfig Config;
-  auto Block = std::make_shared<const BlockTrace>(
-      makeGpuPatternGlobal(Config, 64));
-  TierRun Ref = runGpuPatternTier(Block, 0);
-  TierRun Fold = runGpuPatternTier(Block, 1);
-  expectSegmentEq(Ref.Result, Fold.Result, "gpu mem fold");
-  EXPECT_EQ(Ref.Folds, 0u);
-  EXPECT_GE(Fold.Folds, 1u) << "fallbacks: " << Fold.Fallbacks;
-}
-
-//===----------------------------------------------------------------------===//
-// Steady-state detector edge cases.
-//===----------------------------------------------------------------------===//
-
-TEST(SteadyStreamDetectorTest, SettlesOnConstantStride) {
-  SteadyStreamDetector Det;
-  for (Addr A = 0x1000; A != 0x1100; A += 0x40)
-    Det.observe(A);
-  EXPECT_TRUE(Det.steady());
-  EXPECT_EQ(Det.stride(), 0x40);
-  EXPECT_FALSE(Det.strideChanged());
-}
-
-TEST(SteadyStreamDetectorTest, StrideChangeMidWindowBreaksSteadyState) {
-  SteadyStreamDetector Det;
-  for (Addr A = 0x1000; A != 0x1100; A += 0x40)
-    Det.observe(A);
-  ASSERT_TRUE(Det.steady());
-  Det.observe(0x1100 + 0x8); // Delta 0x48, not the established 0x40.
-  EXPECT_TRUE(Det.strideChanged());
-  EXPECT_FALSE(Det.steady());
-  // The new stride (0x48, seeded by the breaking observation) must
-  // re-earn MinRun consecutive deltas.
-  Det.observe(0x1150);
-  EXPECT_FALSE(Det.steady());
-  Det.observe(0x1198);
-  EXPECT_TRUE(Det.steady());
-  EXPECT_EQ(Det.stride(), 0x48);
-}
-
-TEST(SteadyStreamDetectorTest, FlagsPageBoundaryCrossing) {
-  SteadyStreamDetector Det(/*PageBytes=*/4096);
-  Det.observe(4096 - 128);
-  Det.observe(4096 - 64);
-  EXPECT_FALSE(Det.crossedPage());
-  Det.observe(4096); // First address of the next page.
-  EXPECT_TRUE(Det.crossedPage());
-  Det.observe(4096 + 64);
-  EXPECT_FALSE(Det.crossedPage());
-}
-
-//===----------------------------------------------------------------------===//
-// Component fixed-point check edge cases.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-MshrFile::FoldSnap mshrSnap(std::vector<std::pair<Addr, Cycle>> Entries,
-                            uint64_t FullStalls = 0) {
-  MshrFile::FoldSnap S;
-  S.Entries = std::move(Entries);
-  S.FullStalls = FullStalls;
-  return S;
-}
-
-} // namespace
-
-TEST(MemFoldChecks, MshrEntryChurnRejectsFold) {
-  // An entry allocated between window boundaries (MSHR filling toward
-  // saturation) has no per-period fixed point.
-  auto S1 = mshrSnap({});
-  auto S2 = mshrSnap({{0x4000, 150}});
-  auto S3 = mshrSnap({{0x4000, 150}, {0x4040, 250}});
-  EXPECT_FALSE(checkMshrFold(S1, S2, S3, /*D=*/100, /*Floor=*/0));
-}
-
-TEST(MemFoldChecks, MshrSaturationStallBurstRejectsFold) {
-  // Full-stall counts must advance uniformly; a saturation burst in one
-  // window but not the other is not steady state.
-  auto S1 = mshrSnap({{0x4000, 100}}, /*FullStalls=*/0);
-  auto S2 = mshrSnap({{0x4000, 200}}, /*FullStalls=*/7);
-  auto S3 = mshrSnap({{0x4000, 300}}, /*FullStalls=*/7);
-  EXPECT_FALSE(checkMshrFold(S1, S2, S3, /*D=*/100, /*Floor=*/0));
-}
-
-TEST(MemFoldChecks, MshrAcceptsTranslatingAndExpiredEntries) {
-  // Entries moving with the pipeline delta fold; an entry frozen at a
-  // completion cycle at/below the floor is behaviorally dead and also
-  // folds. A frozen entry *above* the floor could still merge a future
-  // miss, so it must reject.
-  auto S1 = mshrSnap({{0x4000, 1000}, {0x8000, 40}});
-  auto S2 = mshrSnap({{0x4000, 1100}, {0x8000, 40}});
-  auto S3 = mshrSnap({{0x4000, 1200}, {0x8000, 40}});
-  EXPECT_TRUE(checkMshrFold(S1, S2, S3, /*D=*/100, /*Floor=*/50));
-  EXPECT_FALSE(checkMshrFold(S1, S2, S3, /*D=*/100, /*Floor=*/30));
-}
-
-TEST(MemFoldChecks, CacheMixedSetUnderRefillRejectsFold) {
-  // One touched (stamp-advancing) way plus one untouched valid way in
-  // the same set cannot be certified while misses refill lines: the
-  // growing stamps eventually pass the constants and flip LRU choices.
-  Cache::FoldSnap S1, S2, S3;
-  for (Cache::FoldSnap *S : {&S1, &S2, &S3}) {
-    S->Ways = 2;
-    S->Lines.resize(2);
-    S->Lines[0].Valid = S->Lines[1].Valid = true;
-    S->Lines[0].Tag = 0x10;
-    S->Lines[1].Tag = 0x20;
-    S->Lines[1].LruStamp = 5;
-  }
-  S1.NextStamp = 100;
-  S2.NextStamp = 110;
-  S3.NextStamp = 120;
-  S1.Lines[0].LruStamp = 90;
-  S2.Lines[0].LruStamp = 100;
-  S3.Lines[0].LruStamp = 110;
-  S1.Stats.Misses = 0;
-  S2.Stats.Misses = 2;
-  S3.Stats.Misses = 4;
-  EXPECT_FALSE(checkCacheFold(S1, S2, S3));
-  // With no refills in the window the same shape is safe: hits only
-  // reorder stamps among the touched lines.
-  S1.Stats.Misses = S2.Stats.Misses = S3.Stats.Misses = 0;
-  EXPECT_TRUE(checkCacheFold(S1, S2, S3));
-}
-
-//===----------------------------------------------------------------------===//
-// Whole-system fold observer edge cases.
-//===----------------------------------------------------------------------===//
-
-TEST(MemFoldObserverTest, FaultDuringSteadyStateRejectsWithFaultReason) {
-  // A first-touch page fault inside an observation window breaks the
-  // window-log match; the fault takes precedence over every other
-  // classification.
-  MemHierConfig HierConfig;
-  MemorySystem Mem(HierConfig);
-  Mem.mapRange(PuKind::Gpu, region::SharedBase, 1 << 20);
-  FirstTouchTracker FirstTouch(region::SharedBase, 1 << 20,
-                               SmallPageBytes);
-  SharedSpacePolicy Policy;
-  Policy.FirstTouch = &FirstTouch;
-  Mem.setSharedPolicy(Policy);
-
-  MemFoldObserver Obs(Mem, PuKind::Gpu);
-  Obs.snapshot(0);
-  Obs.beginLog(0);
-  Mem.access(PuKind::Gpu, region::SharedBase + 64, 4, /*IsWrite=*/false,
-             /*NowPu=*/1000); // First touch of a shared page: faults.
-  Obs.endLog();
-  Obs.snapshot(1);
-  Obs.beginLog(1);
-  Mem.access(PuKind::Gpu, region::SharedBase + 64, 4, /*IsWrite=*/false,
-             /*NowPu=*/2000); // Same page, already touched: no fault.
-  Obs.endLog();
-  Obs.snapshot(2);
-  MemFoldReason Reason = MemFoldReason::None;
-  EXPECT_FALSE(Obs.check(/*D=*/1000, /*FloorPu=*/0, Reason));
-  EXPECT_EQ(Reason, MemFoldReason::Fault);
-}
-
-TEST(MemFoldObserverTest, StrideChangeAcrossWindowsRejects) {
-  MemHierConfig HierConfig;
-  MemorySystem Mem(HierConfig);
-  Mem.mapRange(PuKind::Cpu, region::CpuPrivateBase, 1 << 20);
-
-  MemFoldObserver Obs(Mem, PuKind::Cpu);
-  Obs.snapshot(0);
-  Obs.beginLog(0);
-  Mem.access(PuKind::Cpu, region::CpuPrivateBase + 0x100, 4,
-             /*IsWrite=*/false, /*NowPu=*/1000);
-  Obs.endLog();
-  Obs.snapshot(1);
-  Obs.beginLog(1);
-  Mem.access(PuKind::Cpu, region::CpuPrivateBase + 0x1100, 4,
-             /*IsWrite=*/false, /*NowPu=*/2000); // Different address.
-  Obs.endLog();
-  Obs.snapshot(2);
-  MemFoldReason Reason = MemFoldReason::None;
-  EXPECT_FALSE(Obs.check(/*D=*/1000, /*FloorPu=*/0, Reason));
-  EXPECT_EQ(Reason, MemFoldReason::StrideChange);
 }

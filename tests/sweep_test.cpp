@@ -10,7 +10,6 @@
 
 #include "core/Experiments.h"
 #include "core/HeteroSimulator.h"
-#include "trace/TraceCache.h"
 
 #include "gtest/gtest.h"
 
@@ -109,25 +108,21 @@ TEST(SweepRunner, TelemetryMergeAccumulates) {
   A.Jobs = 2;
   A.Points = 3;
   A.WallSeconds = 1.5;
-  A.CacheHits = 4;
   A.BusySeconds = 1.25;
-  A.LockWaitSeconds = 0.25;
+  A.TraceGenSeconds = 0.25;
   A.StoreHits = 2;
   B.Jobs = 4;
   B.Points = 7;
   B.WallSeconds = 0.5;
-  B.CacheMisses = 6;
   B.BusySeconds = 0.75;
-  B.LockWaitSeconds = 0.05;
+  B.TraceGenSeconds = 0.05;
   B.StoreMisses = 5;
   A.merge(B);
   EXPECT_EQ(A.Jobs, 4u);
   EXPECT_EQ(A.Points, 10u);
   EXPECT_DOUBLE_EQ(A.WallSeconds, 2.0);
-  EXPECT_EQ(A.CacheHits, 4u);
-  EXPECT_EQ(A.CacheMisses, 6u);
   EXPECT_DOUBLE_EQ(A.BusySeconds, 2.0);
-  EXPECT_DOUBLE_EQ(A.LockWaitSeconds, 0.3);
+  EXPECT_DOUBLE_EQ(A.TraceGenSeconds, 0.3);
   EXPECT_EQ(A.StoreHits, 2u);
   EXPECT_EQ(A.StoreMisses, 5u);
 }
@@ -141,10 +136,8 @@ TEST(SweepRunner, PhaseSecondsNormalizePerWorker) {
   T.WallSeconds = 1.0;
   T.BusySeconds = 4.0; // 4 workers, fully busy.
   T.TraceGenSeconds = 3.0;
-  T.LockWaitSeconds = 0.5;
   EXPECT_DOUBLE_EQ(T.traceGenWallSeconds(), 0.75);
-  EXPECT_DOUBLE_EQ(T.lockWaitWallSeconds(), 0.125);
-  EXPECT_DOUBLE_EQ(T.simulateSeconds(), 0.125);
+  EXPECT_DOUBLE_EQ(T.simulateSeconds(), 0.25);
   // Serial reduction: busy == wall, so the phases are plain seconds.
   SweepTelemetry S;
   S.WallSeconds = 2.0;
@@ -168,13 +161,11 @@ TEST(SweepRunner, TelemetryAttributesBusyAndSimulateTime) {
   const SweepTelemetry &T = Runner.telemetry();
   EXPECT_GT(T.BusySeconds, 0.0);
   // The simulate share must survive parallel gen attribution (the
-  // clamp-to-0 regression), and the three phases partition the wall.
+  // clamp-to-0 regression), and the two phases partition the wall.
   EXPECT_GT(T.simulateSeconds(), 0.0);
-  EXPECT_LE(T.traceGenWallSeconds() + T.lockWaitWallSeconds() +
-                T.simulateSeconds(),
+  EXPECT_LE(T.traceGenWallSeconds() + T.simulateSeconds(),
             T.WallSeconds * 1.0001);
   EXPECT_GE(T.TraceGenSeconds, 0.0);
-  EXPECT_GE(T.LockWaitSeconds, 0.0);
   // No result store configured: counters stay zero.
   EXPECT_EQ(T.StoreHits, 0u);
   EXPECT_EQ(T.StoreMisses, 0u);
@@ -189,8 +180,6 @@ TEST(SweepRunner, AppendBenchTimingWritesJsonLine) {
   T.Points = 4;
   T.WallSeconds = 0.25;
   T.SimNsTotal = 1000.0;
-  T.CacheHits = 3;
-  T.CacheMisses = 1;
   bool Ok = appendBenchTiming("unit", T);
   ::unsetenv("HETSIM_TIMING_JSON");
   ASSERT_TRUE(Ok);
@@ -203,30 +192,72 @@ TEST(SweepRunner, AppendBenchTimingWritesJsonLine) {
   EXPECT_NE(Line.find("\"jobs\":2"), std::string::npos) << Line;
   EXPECT_NE(Line.find("\"wall_s\":"), std::string::npos) << Line;
   EXPECT_NE(Line.find("\"points_per_s\":"), std::string::npos) << Line;
-  EXPECT_NE(Line.find("\"cache_hit_rate\":"), std::string::npos) << Line;
-  // Schema evolution: the new keys append after "simulate_s" so existing
-  // line parsers keep matching the prefix.
-  EXPECT_NE(Line.find("\"lock_wait_s\":"), std::string::npos) << Line;
   EXPECT_NE(Line.find("\"store_hits\":"), std::string::npos) << Line;
   EXPECT_NE(Line.find("\"store_misses\":"), std::string::npos) << Line;
-  EXPECT_LT(Line.find("\"simulate_s\":"), Line.find("\"lock_wait_s\":"))
+  EXPECT_LT(Line.find("\"simulate_s\":"), Line.find("\"store_hits\":"))
       << Line;
   std::remove(Path.c_str());
 }
 
-TEST(TraceCache, RepeatedSweepHitsCache) {
-  TraceCache &Cache = TraceCache::global();
-  if (!Cache.enabled())
-    GTEST_SKIP() << "HETSIM_TRACE_CACHE=0 set in environment";
+/// Every RunResult field, doubles as hex floats: equal strings mean
+/// bit-identical results.
+std::string exactText(const RunResult &R) {
+  std::string Out;
+  char Buffer[64];
+  auto Num = [&](double V) {
+    std::snprintf(Buffer, sizeof(Buffer), "%a ", V);
+    Out += Buffer;
+  };
+  auto Int = [&](uint64_t V) { Out += std::to_string(V) + " "; };
+  Num(R.Time.SequentialNs);
+  Num(R.Time.ParallelNs);
+  Num(R.Time.CommunicationNs);
+  for (double Ns : R.Phases.Ns)
+    Num(Ns);
+  for (const SegmentResult *S : {&R.CpuTotal, &R.GpuTotal}) {
+    for (uint64_t V : {S->Cycles, S->Insts, S->MemAccesses, S->MemLatencySum,
+                       S->MemLatencyMax, S->BranchMispredicts, S->ICacheMisses,
+                       S->StoreForwards, S->PageFaults, S->PageFaultCycles,
+                       S->SampledRecords})
+      Int(V);
+    Num(S->SampledErrorCycles);
+  }
+  for (uint64_t V : {R.TransferredBytes, R.TransferCount, R.PageFaults,
+                     R.OwnershipActions, uint64_t(R.CommSourceLines)})
+    Int(V);
+  Num(R.PushNs);
+  return Out;
+}
+
+// Regression: the ablation_contention sweep crashed in about 1% of jobs=4
+// runs while its plain and interleaved points shared trace buffers across
+// workers. Its eight points (two kernels x {4, 1} DRAM channels x {plain,
+// interleaved}) share trace recipes; at jobs=4 they must reproduce the
+// serial results bit for bit, round after round.
+TEST(SweepRunner, ContentionAblationParallelMatchesSerial) {
   std::vector<SweepPoint> Points;
-  for (int I = 0; I != 3; ++I)
-    Points.emplace_back(SystemConfig::forCaseStudy(CaseStudy::IdealHetero),
-                        KernelId::Reduction);
-  SweepRunner Runner(1);
-  Runner.run(Points);
-  // Identical (kernel, layout, split) points share generated traces, so at
-  // most the first point misses.
-  EXPECT_GE(Runner.telemetry().CacheHits, 2u * Points.size() - 2);
+  for (KernelId Kernel : {KernelId::Reduction, KernelId::MergeSort})
+    for (unsigned Channels : {4u, 1u})
+      for (bool Interleaved : {false, true}) {
+        ConfigStore Overrides;
+        Overrides.setBool("sys.interleaved_contention", Interleaved);
+        SystemConfig Config =
+            SystemConfig::forCaseStudy(CaseStudy::IdealHetero, Overrides);
+        Config.Hier.Dram.Channels = Channels;
+        Points.emplace_back(std::move(Config), Kernel);
+      }
+  // The parallel rounds go first, so the first one starts from a cold
+  // process as the bench does.
+  std::vector<std::vector<RunResult>> Rounds;
+  for (unsigned Round = 0; Round != 3; ++Round)
+    Rounds.push_back(SweepRunner(4).run(Points));
+  std::vector<RunResult> Serial = SweepRunner(1).run(Points);
+  for (size_t Round = 0; Round != Rounds.size(); ++Round) {
+    ASSERT_EQ(Rounds[Round].size(), Serial.size());
+    for (size_t I = 0; I != Points.size(); ++I)
+      EXPECT_EQ(exactText(Rounds[Round][I]), exactText(Serial[I]))
+          << "round " << Round << " point " << I;
+  }
 }
 
 // Figure-level determinism: the rendered tables feeding the paper's

@@ -1,19 +1,22 @@
 //===- tests/threadpool_test.cpp - ThreadPool unit tests ------------------===//
 ///
 /// \file
-/// Lifecycle, exception propagation, and parallelFor bounds coverage for
-/// the sweep engine's worker pool.
+/// Lifecycle, exception propagation, parallelFor bounds and HETSIM_JOBS
+/// resolution coverage for the sweep engine's worker pool.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "common/ThreadPool.h"
+#include "core/SweepRunner.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 using namespace hetsim;
@@ -44,20 +47,36 @@ private:
   std::string OldValue;
 };
 
+/// Sets HETSIM_JOBS to \p Value and checks that ThreadPool and
+/// SweepRunner, which share one parser, both resolve it to \p Jobs from
+/// \p Source.
+void expectJobsFromEnv(const char *Value, unsigned Jobs,
+                       const char *Source) {
+  ScopedEnv Env("HETSIM_JOBS", Value);
+  JobsChoice Choice = ThreadPool::resolveJobs(0);
+  EXPECT_EQ(Choice.Jobs, Jobs) << Value;
+  EXPECT_STREQ(Choice.Source, Source) << Value;
+  EXPECT_EQ(ThreadPool(0).jobs(), Jobs) << Value;
+
+  SweepRunner Runner(0);
+  Runner.run({});
+  EXPECT_EQ(Runner.telemetry().Jobs, Jobs) << Value;
+  EXPECT_EQ(Runner.telemetry().JobsSource, Source) << Value;
+}
+
 TEST(ThreadPool, DefaultJobsReadsEnv) {
+  expectJobsFromEnv("3", 3, "HETSIM_JOBS");
+  // An explicit count wins over the environment.
   ScopedEnv Env("HETSIM_JOBS", "3");
-  EXPECT_EQ(ThreadPool::defaultJobs(), 3u);
+  JobsChoice Explicit = ThreadPool::resolveJobs(5);
+  EXPECT_EQ(Explicit.Jobs, 5u);
+  EXPECT_STREQ(Explicit.Source, "explicit");
 }
 
 TEST(ThreadPool, DefaultJobsIgnoresInvalidEnv) {
-  {
-    ScopedEnv Env("HETSIM_JOBS", "0");
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
-  }
-  {
-    ScopedEnv Env("HETSIM_JOBS", "not-a-number");
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
-  }
+  const unsigned Hardware = std::max(1u, std::thread::hardware_concurrency());
+  expectJobsFromEnv("0", Hardware, "hardware");
+  expectJobsFromEnv("not-a-number", Hardware, "hardware");
 }
 
 TEST(ThreadPool, ConstructDestroyWithoutWork) {
@@ -209,7 +228,7 @@ TEST(ThreadPool, WorkersStealFromSkewedRanges) {
     if (I == 0) {
       volatile uint64_t Spin = 0;
       for (uint64_t J = 0; J != 2000000; ++J)
-        Spin += J;
+        Spin = Spin + J;
     }
     Counts[I].fetch_add(1);
   });

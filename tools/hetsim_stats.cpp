@@ -156,38 +156,6 @@ int cmdValidate(const std::string &Path) {
   return 0;
 }
 
-/// Memory-fast-path fold coverage (DESIGN.md §11), printed after a
-/// point's metrics when the memfast.* counters are present: how often the
-/// steady-state fold engaged, how much of the stream it retired in closed
-/// form, and which precondition each fall-back tripped on.
-void summarizeFoldCoverage(const JsonValue &Metrics) {
-  const JsonValue *Attempts = Metrics.find("memfast.fold_attempts");
-  if (!Attempts || !Attempts->isNumber())
-    return;
-  auto Num = [&](const char *Key) {
-    const JsonValue *V = Metrics.find(Key);
-    return V && V->isNumber() ? V->NumberValue : 0.0;
-  };
-  std::printf("  fold coverage: %.0f/%.0f attempts folded, %.0f records "
-              "extrapolated\n",
-              Num("memfast.folds"), Attempts->NumberValue,
-              Num("memfast.folded_records"));
-  for (const auto &Member : Metrics.Members) {
-    const std::string Fallback = "memfast.fallback.";
-    if (Member.first.compare(0, Fallback.size(), Fallback) != 0)
-      continue;
-    if (!Member.second.isNumber() || Member.second.NumberValue == 0)
-      continue;
-    std::printf("    fall-back %-24s %.0f\n",
-                Member.first.c_str() + Fallback.size(),
-                Member.second.NumberValue);
-  }
-  if (Num("memfast.sampled_windows") != 0)
-    std::printf("  sampling: %.0f bursts, %.0f records extrapolated\n",
-                Num("memfast.sampled_windows"),
-                Num("memfast.sampled_records"));
-}
-
 int cmdShow(const std::string &Path, const std::string &Prefix) {
   std::string Text;
   if (readTextFile(Path, Text) && isLintDocument(Text))
@@ -215,8 +183,6 @@ int cmdShow(const std::string &Path, const std::string &Prefix) {
       std::printf("  (no metrics%s%s)\n",
                   Prefix.empty() ? "" : " matching prefix ",
                   Prefix.c_str());
-    if (Prefix.empty() || Prefix.compare(0, 7, "memfast") == 0)
-      summarizeFoldCoverage(*View.Metrics);
   }
   return 0;
 }
