@@ -9,7 +9,7 @@
 
 #include "common/StringUtil.h"
 #include "core/Experiments.h"
-#include "trace/KernelTraceGenerator.h"
+#include "trace/ComputeBlock.h"
 
 #include <cstdio>
 
@@ -29,9 +29,13 @@ int main() {
     GenRequest Req;
     Req.Pu = PuKind::Cpu;
     Req.InstCount = kernelCharacteristics(Kernel).CpuInsts;
-    TraceBuffer Trace =
-        KernelTraceGenerator::forKernel(Kernel).generateCompute(Req, Layout);
-    TraceMix M = Trace.computeMix();
+    // Count window by window: the whole trace never has to exist at once.
+    BlockTrace Block(Kernel, Req, Layout);
+    BlockExpander Expander(Block);
+    TraceBuffer Window;
+    TraceMix M;
+    while (Expander.next(Window) != 0)
+      M += Window.computeMix();
     Mix.addRow({kernelName(Kernel), formatCount(M.Loads),
                 formatCount(M.Stores), formatCount(M.Branches),
                 formatCount(M.Alu),

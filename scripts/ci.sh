@@ -40,13 +40,21 @@ cmake -B build-werror -S . -DHETSIM_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS" --target hetsim_core hetsim_analysis \
   hetsim_energy hetsim_check >/dev/null
 
-echo "== gate 1b: block-trace differential + bench smoke =="
+echo "== gate 1b: block-trace differential + peak RSS + bench smoke =="
 # Block traces expanded window by window must be bit-identical to their
-# materialized record streams (all six kernels on all five models, plus
-# core-level segments — the fastpath suite), and the microbenchmark
-# harness must complete a smoke pass.
+# materialized record streams (all six kernels on all five models, the
+# interleaved-contention driver's slices, plus core-level segments — the
+# fastpath suite), and the microbenchmark harness must complete a smoke
+# pass.
 ctest --test-dir build -R 'FastPath|MemFast' --output-on-failure \
   -j "$JOBS" | tail -3
+# Traces stream: no run may hold a whole lowered trace. Holding them, the
+# interleaved matrix multiply and Table III's instruction mix would need
+# 400 and 200 MB; streamed, both sit near 10 MB. Plain build only:
+# sanitizer shadow memory inflates RSS.
+scripts/peak_rss.py 64 build/tools/hetsim run --system IDEAL-HETERO \
+  --kernel "matrix mul" sys.interleaved_contention=true
+scripts/peak_rss.py 64 build/bench/table3_benchmarks
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   build/bench/hetsim_bench --smoke >/dev/null
 # Memory-phase attribution must survive a smoke pass, and the sampled

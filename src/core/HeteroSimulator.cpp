@@ -12,6 +12,7 @@
 #include "common/Log.h"
 #include "core/ConsistencyValidation.h"
 #include "core/LocalityValidation.h"
+#include "trace/ComputeBlock.h"
 
 #include <algorithm>
 #include <cassert>
@@ -238,36 +239,31 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
         GpuSeg = Gpu->run(Step.GpuTrace, GpuStart);
       } else {
         // Interleave slices of the two traces by simulated time so the
-        // shared uncore sees the PUs' accesses in temporal order.
-        const size_t Slice = std::max(1u, Config.ContentionSliceRecords);
-        const TraceRecord *CpuRecords = Step.CpuTrace.records().data();
-        const TraceRecord *GpuRecords = Step.GpuTrace.records().data();
-        size_t CpuLeft = Step.CpuTrace.size();
-        size_t GpuLeft = Step.GpuTrace.size();
+        // shared uncore sees the PUs' accesses in temporal order. The
+        // readers stream the slices, so no whole trace is ever held.
+        const uint64_t Slice = std::max(1u, Config.ContentionSliceRecords);
+        TraceReader CpuReader(Step.CpuTrace);
+        TraceReader GpuReader(Step.GpuTrace);
         Cycle CpuCursor = CpuNow;
         Cycle GpuCursor = GpuStart;
-        while (CpuLeft != 0 || GpuLeft != 0) {
+        while (CpuReader.remaining() != 0 || GpuReader.remaining() != 0) {
           bool PickCpu;
-          if (CpuLeft == 0)
+          if (CpuReader.remaining() == 0)
             PickCpu = false;
-          else if (GpuLeft == 0)
+          else if (GpuReader.remaining() == 0)
             PickCpu = true;
           else
             PickCpu = cyclesToNs(PuKind::Cpu, CpuCursor) <=
                       cyclesToNs(PuKind::Gpu, GpuCursor);
           if (PickCpu) {
-            size_t N = std::min(Slice, CpuLeft);
-            SegmentResult Part = Cpu->run(CpuRecords, N, CpuCursor);
+            size_t N = size_t(std::min(Slice, CpuReader.remaining()));
+            SegmentResult Part = Cpu->run(CpuReader.take(N), N, CpuCursor);
             CpuCursor += Part.Cycles;
-            CpuRecords += N;
-            CpuLeft -= N;
             accumulate(CpuSeg, Part);
           } else {
-            size_t N = std::min(Slice, GpuLeft);
-            SegmentResult Part = Gpu->run(GpuRecords, N, GpuCursor);
+            size_t N = size_t(std::min(Slice, GpuReader.remaining()));
+            SegmentResult Part = Gpu->run(GpuReader.take(N), N, GpuCursor);
             GpuCursor += Part.Cycles;
-            GpuRecords += N;
-            GpuLeft -= N;
             accumulate(GpuSeg, Part);
           }
         }

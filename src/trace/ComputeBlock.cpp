@@ -2,6 +2,7 @@
 
 #include "trace/ComputeBlock.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 
@@ -34,18 +35,6 @@ BlockTrace::BlockTrace(KernelId Id, uint64_t InstCount, uint64_t Seed,
   Req.Seed = Seed;
 }
 
-const TraceBuffer &BlockTrace::materialized() const {
-  std::call_once(MatOnce, [this] {
-    auto Buffer = std::make_unique<TraceBuffer>(
-        K == Kind::ComputeGen
-            ? generator().generateCompute(Req, Layout)
-            : generator().generateSerial(Req.InstCount, Layout, Req.Seed));
-    assert(Buffer->size() == Total && "materialization missed the total");
-    Mat = std::move(Buffer);
-  });
-  return *Mat;
-}
-
 BlockExpander::BlockExpander(const BlockTrace &Source)
     : Block(Source), Remaining(Source.totalRecords()) {
   if (Block.kind() == BlockTrace::Kind::ComputeGen)
@@ -67,4 +56,44 @@ uint64_t BlockExpander::next(TraceBuffer &Window, size_t Target) {
           : Block.generator().emitSerial(S, Window, Remaining, Target);
   Remaining -= Emitted;
   return Emitted;
+}
+
+TraceReader::TraceReader(const SharedTrace &Trace) : Remaining(Trace.size()) {
+  if (const BlockTrace *Block = Trace.blocks())
+    Expander.emplace(*Block);
+  else
+    Direct = Trace.buffer().records().data();
+}
+
+const TraceRecord *TraceReader::take(size_t Count) {
+  assert(Count != 0 && Count <= Remaining && "span past the end of the trace");
+  Remaining -= Count;
+  if (!Expander) {
+    const TraceRecord *Span = Direct;
+    Direct += Count;
+    return Span;
+  }
+
+  if (Pos == Window.size()) {
+    Expander->next(Window);
+    Pos = 0;
+  }
+  const std::vector<TraceRecord> &Records = Window.records();
+  if (Window.size() - Pos >= Count) {
+    const TraceRecord *Span = Records.data() + Pos;
+    Pos += Count;
+    return Span;
+  }
+
+  // The span straddles windows: carry the tail over and join it with as
+  // many fresh windows as it takes.
+  Joined.assign(Records.begin() + std::ptrdiff_t(Pos), Records.end());
+  while (Joined.size() < Count) {
+    Expander->next(Window);
+    assert(!Window.empty() && "block expanded short of its total");
+    Pos = std::min(Count - Joined.size(), Window.size());
+    Joined.insert(Joined.end(), Records.begin(),
+                  Records.begin() + std::ptrdiff_t(Pos));
+  }
+  return Joined.data();
 }

@@ -10,6 +10,8 @@
 /// Expansion is exact: BlockExpander replays the same generator code over
 /// the same GenState, so the concatenation of all windows is byte-identical
 /// to the single-shot buffer generateCompute/generateSerial would produce.
+/// No production path holds a block's whole record stream: consumers that
+/// need fixed-size slices read them through a TraceReader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +21,8 @@
 #include "trace/KernelTraceGenerator.h"
 
 #include <chrono>
-#include <memory>
-#include <mutex>
+#include <optional>
+#include <vector>
 
 namespace hetsim {
 
@@ -58,9 +60,8 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
-/// A run-length trace handle: the recipe for a record stream plus a lazy
-/// fully-materialized form for consumers that need random access (the
-/// interleaved-contention path, tests, trace dumps).
+/// A run-length trace handle: the recipe for a record stream. It holds no
+/// records; BlockExpander and TraceReader produce them a window at a time.
 class BlockTrace {
 public:
   enum class Kind : uint8_t {
@@ -87,19 +88,12 @@ public:
   const KernelDataLayout &layout() const { return Layout; }
   uint64_t serialSeed() const { return Req.Seed; }
 
-  /// The full record stream, materialized once on first use (thread-safe)
-  /// and cached for the lifetime of the block.
-  const TraceBuffer &materialized() const;
-
 private:
   Kind K;
   KernelId Kernel = KernelId::Reduction;
   GenRequest Req; ///< SerialGen reuses InstCount/Seed fields.
   KernelDataLayout Layout;
   uint64_t Total = 0;
-
-  mutable std::once_flag MatOnce;
-  mutable std::unique_ptr<TraceBuffer> Mat;
 };
 
 /// Streams a BlockTrace into caller-owned windows. The window boundary
@@ -121,6 +115,34 @@ private:
   const BlockTrace &Block;
   GenState S;
   uint64_t Remaining = 0;
+};
+
+/// Reads a SharedTrace front to back in contiguous spans of exactly the
+/// requested length. A buffer handle's spans point straight into its
+/// buffer. A block handle's spans come from BlockExpander windows: a span
+/// that fits in the current window points into it, and one that straddles
+/// windows is joined from the carried-over tail and the next windows. The
+/// concatenation of all spans is the trace's record stream, so a consumer
+/// sees the same records whatever the handle's form.
+class TraceReader {
+public:
+  /// \p Trace must outlive the reader.
+  explicit TraceReader(const SharedTrace &Trace);
+
+  /// Records not yet handed out.
+  uint64_t remaining() const { return Remaining; }
+
+  /// The next \p Count records (0 < Count <= remaining()). The span stays
+  /// valid until the next call.
+  const TraceRecord *take(size_t Count);
+
+private:
+  uint64_t Remaining = 0;
+  const TraceRecord *Direct = nullptr; ///< Buffer handles: the next record.
+  std::optional<BlockExpander> Expander;
+  TraceBuffer Window;
+  size_t Pos = 0; ///< First unread record of Window.
+  std::vector<TraceRecord> Joined;
 };
 
 } // namespace hetsim

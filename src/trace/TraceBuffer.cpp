@@ -2,6 +2,7 @@
 
 #include "trace/TraceBuffer.h"
 
+#include "common/Error.h"
 #include "trace/ComputeBlock.h"
 
 #include <cassert>
@@ -46,7 +47,9 @@ const TraceBuffer &SharedTrace::buffer() const {
   if (Ptr)
     return *Ptr;
   if (Blocks)
-    return Blocks->materialized();
+    fatalError("SharedTrace::buffer() called on a block-backed trace; read "
+               "its records window by window through BlockExpander or "
+               "TraceReader");
   return Empty;
 }
 

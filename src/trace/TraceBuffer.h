@@ -27,6 +27,19 @@ struct TraceMix {
   uint64_t Alu = 0;
   uint64_t Smem = 0;
   uint64_t MemBytes = 0;
+
+  /// Adds \p Other's counts, so a trace's mix can be summed window by
+  /// window.
+  TraceMix &operator+=(const TraceMix &Other) {
+    Total += Other.Total;
+    Loads += Other.Loads;
+    Stores += Other.Stores;
+    Branches += Other.Branches;
+    Alu += Other.Alu;
+    Smem += Other.Smem;
+    MemBytes += Other.MemBytes;
+    return *this;
+  }
 };
 
 /// A materialized trace plus convenience emitters used by the generators.
@@ -170,14 +183,15 @@ private:
 class BlockTrace;
 
 /// An immutable, shareable trace handle. Lowered programs hold their
-/// traces through this. It reads exactly like a `const TraceBuffer`:
-/// size/records/iteration/implicit conversion all forward to the wrapped
-/// buffer; a default-constructed handle behaves as an empty trace.
+/// traces through this. A default-constructed handle is an empty trace.
 ///
-/// A handle wraps either a materialized buffer or a run-length BlockTrace
-/// (what lowering builds). Cores check blocks() first and expand windows;
-/// any caller that reaches for buffer()/records() transparently gets the
-/// block's lazily materialized form instead.
+/// A handle wraps either a materialized buffer (extra workloads, custom
+/// programs) or a run-length BlockTrace (what lowering builds). size() and
+/// blocks() work on both. The record accessors — buffer(), records(),
+/// operator[] and iteration — read a buffer handle like a
+/// `const TraceBuffer`, but a block handle has no records to hand out and
+/// they abort on it: read blocks through BlockExpander or TraceReader
+/// (trace/ComputeBlock.h) instead.
 class SharedTrace {
 public:
   SharedTrace() = default;
@@ -190,14 +204,13 @@ public:
   SharedTrace(std::shared_ptr<const BlockTrace> Block)
       : Blocks(std::move(Block)) {}
 
-  /// The materialized record stream (materializes a block on first use).
+  /// The wrapped buffer. Aborts on a block handle.
   const TraceBuffer &buffer() const;
-  operator const TraceBuffer &() const { return buffer(); }
 
   /// The run-length form, or nullptr for materialized handles.
   const BlockTrace *blocks() const { return Blocks.get(); }
 
-  /// Record count without forcing materialization.
+  /// Record count of either form.
   size_t size() const;
   bool empty() const { return size() == 0; }
   const TraceRecord &operator[](size_t I) const { return buffer()[I]; }

@@ -3,6 +3,7 @@
 #include "core/Experiments.h"
 #include "core/SystemDescriptor.h"
 
+#include "TestUtil.h"
 #include <gtest/gtest.h>
 
 #include <map>
@@ -334,12 +335,12 @@ TEST(Lowering, DisjointTracesUseDistinctSpaces) {
   for (const ExecStep &Step : P.Steps) {
     if (Step.Kind != ExecKind::ParallelCompute)
       continue;
-    for (const TraceRecord &R : Step.CpuTrace) {
+    for (const TraceRecord &R : materialize(Step.CpuTrace)) {
       if (isGlobalMemoryOp(R.Op)) {
         EXPECT_EQ(regionOf(R.MemAddr), MemRegion::CpuPrivate);
       }
     }
-    for (const TraceRecord &R : Step.GpuTrace) {
+    for (const TraceRecord &R : materialize(Step.GpuTrace)) {
       if (isGlobalMemoryOp(R.Op)) {
         EXPECT_EQ(regionOf(R.MemAddr), MemRegion::GpuPrivate);
       }

@@ -4,9 +4,10 @@
 /// Block traces are exact: expanding a (generator, request) recipe window
 /// by window must give results byte-identical to running the fully
 /// materialized record stream. These tests run both forms — whole lowered
-/// programs and single core segments — and assert identical RunResults,
-/// SegmentResults and metrics documents. They also cover the sampled
-/// memory tier and the HETSIM_MEMFAST value check.
+/// programs, with and without the interleaved-contention driver, and
+/// single core segments — and assert identical RunResults, SegmentResults
+/// and metrics documents. They also cover the sampled memory tier and the
+/// HETSIM_MEMFAST value check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include "obs/Metrics.h"
 #include "trace/ComputeBlock.h"
 
+#include "TestUtil.h"
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,8 +84,8 @@ runProgram(const SystemConfig &Config, const LoweredProgram &Program) {
 LoweredProgram materializedCopy(const LoweredProgram &Program) {
   LoweredProgram Copy = Program;
   for (ExecStep &Step : Copy.Steps) {
-    Step.CpuTrace = SharedTrace(Step.CpuTrace.buffer());
-    Step.GpuTrace = SharedTrace(Step.GpuTrace.buffer());
+    Step.CpuTrace = SharedTrace(materialize(Step.CpuTrace));
+    Step.GpuTrace = SharedTrace(materialize(Step.GpuTrace));
   }
   return Copy;
 }
@@ -114,6 +116,51 @@ TEST(FastPathDifferential, AllKernelsAllModelsIdentical) {
           << What;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Interleaved-contention differential: the driver slices block traces
+// through TraceReader and buffer traces in place; both must feed the cores
+// the same records in the same time-ordered slices.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs \p Kernel on \p Study with interleaved contention at \p Slice
+/// records per slice, as lowered and materialized, and requires
+/// bit-identical results.
+void expectInterleavedRunsMatch(CaseStudy Study, KernelId Kernel,
+                                unsigned Slice) {
+  SystemConfig Config = SystemConfig::forCaseStudy(Study);
+  Config.InterleavedContention = true;
+  Config.ContentionSliceRecords = Slice;
+  std::string What = std::string(caseStudyName(Study)) + "/" +
+                     kernelName(Kernel) + " slice " + std::to_string(Slice);
+  LoweredProgram Program = lowerKernel(Kernel, Config);
+  auto [BlockResult, BlockMetrics] = runProgram(Config, Program);
+  auto [RefResult, RefMetrics] = runProgram(Config, materializedCopy(Program));
+  EXPECT_EQ(exactText(RefResult), exactText(BlockResult)) << What;
+  EXPECT_EQ(renderMetricsJson(RefMetrics), renderMetricsJson(BlockMetrics))
+      << What;
+}
+
+} // namespace
+
+TEST(FastPathInterleaved, AllKernelsDefaultSliceIdentical) {
+  const unsigned DefaultSlice = SystemConfig().ContentionSliceRecords;
+  ASSERT_EQ(DefaultSlice, 4096u);
+  for (CaseStudy Study : {CaseStudy::IdealHetero, CaseStudy::CpuGpu})
+    for (KernelId Kernel : allKernels())
+      expectInterleavedRunsMatch(Study, Kernel, DefaultSlice);
+}
+
+// Slices of one record, of a few records (every slice straddles or splits
+// a generator iteration), just over one window, and longer than a whole
+// trace.
+TEST(FastPathInterleaved, OddSlicesIdentical) {
+  for (KernelId Kernel : {KernelId::Reduction, KernelId::MergeSort})
+    for (unsigned Slice : {1u, 3u, 4097u, 1u << 20})
+      expectInterleavedRunsMatch(CaseStudy::IdealHetero, Kernel, Slice);
 }
 
 //===----------------------------------------------------------------------===//
@@ -150,7 +197,7 @@ void expectBlockRunsMatch(PuKind Pu, Addr Base, uint64_t Records) {
     SegmentResult Windowed =
         runSegment<CoreT, ConfigT>(Pu, Layout, SharedTrace(Block));
     SegmentResult Reference = runSegment<CoreT, ConfigT>(
-        Pu, Layout, SharedTrace(Block->materialized()));
+        Pu, Layout, SharedTrace(materialize(*Block)));
     expectSegmentEq(Reference, Windowed, What);
     EXPECT_EQ(Windowed.Insts, Records) << What;
   }
@@ -193,7 +240,8 @@ TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
   Req.Seed = 7;
   BlockTrace Block(KernelId::KMeans, Req, Layout);
 
-  const TraceBuffer &Reference = Block.materialized();
+  const TraceBuffer Reference =
+      Block.generator().generateCompute(Req, Layout);
   BlockExpander Expander(Block);
   TraceBuffer Window;
   size_t Pos = 0;
@@ -213,6 +261,19 @@ TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
     }
   }
   EXPECT_EQ(Pos, Reference.size());
+}
+
+// A block handle has no records to hand out: reaching for them must fail
+// loudly and point at the streaming readers.
+TEST(FastPathExpansionDeathTest, BufferOnBlockHandleNamesBlockExpander) {
+  KernelDataLayout Layout =
+      KernelDataLayout::makeLinear(KernelId::Reduction, region::CpuPrivateBase);
+  GenRequest Req;
+  Req.Pu = PuKind::Cpu;
+  Req.InstCount = 100;
+  SharedTrace Trace(
+      std::make_shared<const BlockTrace>(KernelId::Reduction, Req, Layout));
+  EXPECT_DEATH(Trace.buffer(), "BlockExpander");
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,6 +11,7 @@
 #include "core/Experiments.h"
 #include "core/HeteroSimulator.h"
 
+#include "TestUtil.h"
 #include "gtest/gtest.h"
 
 #include <cstdio>
@@ -197,36 +198,6 @@ TEST(SweepRunner, AppendBenchTimingWritesJsonLine) {
   EXPECT_LT(Line.find("\"simulate_s\":"), Line.find("\"store_hits\":"))
       << Line;
   std::remove(Path.c_str());
-}
-
-/// Every RunResult field, doubles as hex floats: equal strings mean
-/// bit-identical results.
-std::string exactText(const RunResult &R) {
-  std::string Out;
-  char Buffer[64];
-  auto Num = [&](double V) {
-    std::snprintf(Buffer, sizeof(Buffer), "%a ", V);
-    Out += Buffer;
-  };
-  auto Int = [&](uint64_t V) { Out += std::to_string(V) + " "; };
-  Num(R.Time.SequentialNs);
-  Num(R.Time.ParallelNs);
-  Num(R.Time.CommunicationNs);
-  for (double Ns : R.Phases.Ns)
-    Num(Ns);
-  for (const SegmentResult *S : {&R.CpuTotal, &R.GpuTotal}) {
-    for (uint64_t V : {S->Cycles, S->Insts, S->MemAccesses, S->MemLatencySum,
-                       S->MemLatencyMax, S->BranchMispredicts, S->ICacheMisses,
-                       S->StoreForwards, S->PageFaults, S->PageFaultCycles,
-                       S->SampledRecords})
-      Int(V);
-    Num(S->SampledErrorCycles);
-  }
-  for (uint64_t V : {R.TransferredBytes, R.TransferCount, R.PageFaults,
-                     R.OwnershipActions, uint64_t(R.CommSourceLines)})
-    Int(V);
-  Num(R.PushNs);
-  return Out;
 }
 
 // Regression: the ablation_contention sweep crashed in about 1% of jobs=4
