@@ -3,21 +3,20 @@
 /// \file
 /// Times the simulator itself, phase by phase: trace generation throughput
 /// per kernel, single-run simulation per kernel x memory model, the fig5
-/// sweep through the SweepRunner, jobs=2 scaling, and the memory walk's
-/// wall-time attribution. Each phase appends one record in the
-/// bench_timing.json shape (points_per_s carries the phase's native
-/// throughput), so scripts/bench_timing.sh can gate any of them.
+/// sweep through the SweepRunner, and jobs=2 scaling. Each phase appends
+/// one record in the bench_timing.json shape (points_per_s carries the
+/// phase's native throughput), so scripts/bench_timing.sh can gate any of
+/// them.
 ///
 /// Usage: hetsim_bench [--smoke] [--phase NAME]
 ///   --smoke   shrink every phase to a seconds-scale CI gate
 ///   --phase   run only the named phase
-///             (tracegen|singlerun|sweep|scaling|memphase)
+///             (tracegen|singlerun|sweep|scaling)
 ///
 //===----------------------------------------------------------------------===//
 
 #include "common/WallTimer.h"
 #include "core/Experiments.h"
-#include "memory/MemorySystem.h"
 #include "trace/ComputeBlock.h"
 
 #include <cstdio>
@@ -171,66 +170,11 @@ void benchScaling(const BenchOptions &Opts) {
               ParallelSecs, SerialSecs);
 }
 
-/// Phase 5: memory-phase attribution — where each run's wall time goes:
-/// trace generation, the memory walk's TLB/translate step, the cache
-/// hierarchy, DRAM service, and whatever remains (core compute
-/// modelling): how much of simulate_s the memory hierarchy costs per
-/// kernel x model.
-void benchMemPhase(const BenchOptions &Opts) {
-  std::printf("=== memphase: wall-time attribution per run ===\n");
-  std::vector<CaseStudy> Studies(allCaseStudies());
-  std::vector<KernelId> Kernels(allKernels());
-  if (Opts.Smoke) {
-    Studies = {CaseStudy::CpuGpu, CaseStudy::Fusion};
-    Kernels = {KernelId::Reduction, KernelId::MergeSort};
-  }
-  MemorySystem::setMemPhaseProfilingForTesting(1);
-  uint64_t Runs = 0;
-  double TotTlb = 0, TotCache = 0, TotDram = 0, TotWall = 0;
-  double GenBefore = double(traceGenNanos()) * 1e-9;
-  WallTimer Timer;
-  std::printf("  %-12s %-12s %9s %8s %8s %8s %8s\n", "model", "kernel",
-              "wall_ms", "tlb_ms", "cache_ms", "dram_ms", "other_ms");
-  for (CaseStudy Study : Studies) {
-    SystemConfig Config = SystemConfig::forCaseStudy(Study);
-    for (KernelId Kernel : Kernels) {
-      WallTimer RunTimer;
-      HeteroSimulator Sim(Config);
-      Sim.run(Kernel);
-      double Wall = RunTimer.elapsedSeconds();
-      const MemorySystem::MemPhaseProfile &P = Sim.memory().phaseProfile();
-      double Tlb = double(P.TlbNs) * 1e-9;
-      double CacheS = double(P.CacheNs) * 1e-9;
-      double Dram = double(P.DramNs) * 1e-9;
-      double Other = Wall - Tlb - CacheS - Dram;
-      std::printf("  %-12s %-12s %9.1f %8.1f %8.1f %8.1f %8.1f\n",
-                  caseStudyName(Study), kernelName(Kernel), Wall * 1e3,
-                  Tlb * 1e3, CacheS * 1e3, Dram * 1e3,
-                  (Other > 0 ? Other : 0) * 1e3);
-      TotTlb += Tlb;
-      TotCache += CacheS;
-      TotDram += Dram;
-      TotWall += Wall;
-      ++Runs;
-    }
-  }
-  MemorySystem::setMemPhaseProfilingForTesting(-1);
-  double GenSecs = double(traceGenNanos()) * 1e-9 - GenBefore;
-  double MemSecs = TotTlb + TotCache + TotDram;
-  std::printf("  total: %.3f s wall = %.3f gen + %.3f tlb + %.3f cache + "
-              "%.3f dram + %.3f compute/other (memory walk %.0f%%)\n",
-              TotWall, GenSecs, TotTlb, TotCache, TotDram,
-              TotWall - GenSecs - MemSecs,
-              TotWall > 0 ? MemSecs / TotWall * 100 : 0);
-  reportPhase("hetsim_bench_memphase", Runs, Timer.elapsedSeconds(),
-              GenSecs);
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   static const char *const Phases[] = {"tracegen", "singlerun", "sweep",
-                                       "scaling", "memphase"};
+                                       "scaling"};
   auto KnownPhase = [](const char *Name) {
     for (const char *Phase : Phases)
       if (std::strcmp(Name, Phase) == 0)
@@ -247,7 +191,7 @@ int main(int Argc, char **Argv) {
     } else {
       std::fprintf(stderr,
                    "usage: hetsim_bench [--smoke] "
-                   "[--phase tracegen|singlerun|sweep|scaling|memphase]\n");
+                   "[--phase tracegen|singlerun|sweep|scaling]\n");
       return 2;
     }
   }
@@ -261,7 +205,5 @@ int main(int Argc, char **Argv) {
     benchSweep(Opts);
   if (Opts.runs("scaling"))
     benchScaling(Opts);
-  if (Opts.runs("memphase"))
-    benchMemPhase(Opts);
   return 0;
 }

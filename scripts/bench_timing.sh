@@ -6,16 +6,12 @@
 #   jobs     parallel worker count for the wide run (default: nproc)
 #   outfile  result path (default: BENCH_sweep.json)
 #
-# Three configurations are measured:
-#   serial          jobs=1
-#   serial-sampled  jobs=1, HETSIM_MEMFAST=sampled — the reduced-fidelity
-#                   memory tier (DESIGN.md §11); must sustain >=10
-#                   points/s on the fig5 sweep
-#   parallel        jobs=N
+# Two configurations are measured:
+#   serial    jobs=1
+#   parallel  jobs=N
 #
 # Speedups are relative to serial. On multi-core hosts the parallel run
-# should be >=2x at jobs>=4; on a single core only the sampled-fidelity
-# win shows up.
+# should be >=2x at jobs>=4.
 #
 # When the outfile already holds a previous record, each variant's new
 # points_per_s is compared against it: any regression beyond 20% fails
@@ -47,10 +43,9 @@ trap 'rm -rf "$TMPDIR_TIMING"' EXIT
 
 # Runs one configuration; prints "wall_s points points_per_s trace_gen_s
 # simulate_s".
-run_once() { # name jobs [memfast_mode]
+run_once() { # name jobs
   local log="$TMPDIR_TIMING/$1.json"
-  HETSIM_JOBS="$2" HETSIM_MEMFAST="${3:-0}" HETSIM_TIMING_JSON="$log" \
-    "$BENCH" >/dev/null 2>&1
+  HETSIM_JOBS="$2" HETSIM_TIMING_JSON="$log" "$BENCH" >/dev/null 2>&1
   # The timing line has a fixed key order; pull fields with sed.
   sed -n '1s/.*"points":\([0-9]*\),"jobs":[0-9]*,"wall_s":\([0-9.]*\),"points_per_s":\([0-9.]*\).*"trace_gen_s":\([0-9.]*\),"simulate_s":\([0-9.]*\).*/\2 \1 \3 \4 \5/p' "$log"
 }
@@ -60,29 +55,13 @@ read -r SER_WALL SER_POINTS SER_PPS SER_GEN SER_SIM <<<"$(run_once serial 1)"
 echo "   ${SER_WALL}s for ${SER_POINTS} points (${SER_PPS} points/s," \
      "gen ${SER_GEN}s / sim ${SER_SIM}s)"
 
-echo "== serial-sampled (jobs=1, HETSIM_MEMFAST=sampled) =="
-read -r SAMP_WALL SAMP_POINTS SAMP_PPS SAMP_GEN SAMP_SIM \
-  <<<"$(run_once serial-sampled 1 sampled)"
-echo "   ${SAMP_WALL}s for ${SAMP_POINTS} points (${SAMP_PPS} points/s," \
-     "gen ${SAMP_GEN}s / sim ${SAMP_SIM}s)"
-
 echo "== parallel (jobs=$JOBS) =="
 read -r PAR_WALL PAR_POINTS PAR_PPS PAR_GEN PAR_SIM \
   <<<"$(run_once parallel "$JOBS")"
 echo "   ${PAR_WALL}s for ${PAR_POINTS} points (${PAR_PPS} points/s," \
      "gen ${PAR_GEN}s / sim ${PAR_SIM}s)"
 
-SAMP_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $SER_WALL/$SAMP_WALL}")
 PAR_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $SER_WALL/$PAR_WALL}")
-
-# The sampled fast path exists to make serial sweeps interactive; hold it
-# to the documented floor so a fidelity "optimisation" that stops paying
-# off gets caught here rather than in a user's terminal.
-if awk "BEGIN{exit !($SAMP_PPS < 10)}"; then
-  echo "error: serial-sampled ${SAMP_PPS} points/s is below the 10" \
-       "points/s floor for HETSIM_MEMFAST=sampled" >&2
-  exit 1
-fi
 
 # Looks up a variant's points_per_s in a previous record.
 old_pps() { # variant
@@ -97,7 +76,6 @@ cat > "$CANDIDATE" <<EOF
   "host_cores": $HOST_CORES,
   "runs": [
     {"variant": "serial", "jobs": 1, "points": $SER_POINTS, "wall_s": $SER_WALL, "points_per_s": $SER_PPS, "speedup": 1.00, "trace_gen_s": $SER_GEN, "simulate_s": $SER_SIM},
-    {"variant": "serial-sampled", "jobs": 1, "memfast": "sampled", "points": $SAMP_POINTS, "wall_s": $SAMP_WALL, "points_per_s": $SAMP_PPS, "speedup": $SAMP_SPEEDUP, "trace_gen_s": $SAMP_GEN, "simulate_s": $SAMP_SIM},
     {"variant": "parallel", "jobs": $JOBS, "points": $PAR_POINTS, "wall_s": $PAR_WALL, "points_per_s": $PAR_PPS, "speedup": $PAR_SPEEDUP, "trace_gen_s": $PAR_GEN, "simulate_s": $PAR_SIM}
   ]
 }
@@ -105,8 +83,7 @@ EOF
 
 REGRESSED=0
 if [ -f "$OUTFILE" ]; then
-  for spec in "serial $SER_PPS" "serial-sampled $SAMP_PPS" \
-              "parallel $PAR_PPS"; do
+  for spec in "serial $SER_PPS" "parallel $PAR_PPS"; do
     read -r variant new_pps <<<"$spec"
     prev_pps="$(old_pps "$variant")"
     [ -n "$prev_pps" ] || continue

@@ -46,7 +46,7 @@ echo "== gate 1b: block-trace differential + peak RSS + bench smoke =="
 # interleaved-contention driver's slices, plus core-level segments — the
 # fastpath suite), and the microbenchmark harness must complete a smoke
 # pass.
-ctest --test-dir build -R 'FastPath|MemFast' --output-on-failure \
+ctest --test-dir build -R FastPath --output-on-failure \
   -j "$JOBS" | tail -3
 # Traces stream: no run may hold a whole lowered trace. Holding them, the
 # interleaved matrix multiply and Table III's instruction mix would need
@@ -57,14 +57,6 @@ scripts/peak_rss.py 64 build/tools/hetsim run --system IDEAL-HETERO \
 scripts/peak_rss.py 64 build/bench/table3_benchmarks
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   build/bench/hetsim_bench --smoke >/dev/null
-# Memory-phase attribution must survive a smoke pass, and the sampled
-# tier (never used by goldens) must still produce a schema-valid metrics
-# document with its error bound reported.
-HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
-  build/bench/hetsim_bench --smoke --phase memphase >/dev/null
-HETSIM_MEMFAST=sampled build/tools/hetsim run --system CPU+GPU \
-  --kernel reduction --metrics build/memfast-sampled-smoke.json >/dev/null
-build/tools/hetsim_stats validate build/memfast-sampled-smoke.json
 
 echo "== gate 1c: parallel scaling smoke (jobs=2 vs serial) =="
 # A jobs=2 sweep must finish within 1.05x the serial wall — the gate that

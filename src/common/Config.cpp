@@ -6,6 +6,7 @@
 #include "common/StringUtil.h"
 
 #include <cassert>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -38,11 +39,48 @@ std::string ConfigStore::getString(const std::string &Key,
   return It == Entries.end() ? Default : It->second;
 }
 
+void hetsim::rejectConfigValue(const std::string &Key,
+                               const std::string &Value, const char *Type) {
+  std::fprintf(stderr,
+               "error: config key '%s' has value '%s', which is not a valid "
+               "%s\n",
+               Key.c_str(), Value.c_str(), Type);
+  std::exit(2);
+}
+
+namespace {
+
+// Each parser takes the whole value or rejects it: a trailing suffix
+// ("12x"), an empty value or an out-of-range number exits with status 2.
+// Base 0 keeps hex ("0x40") and octal literals.
+
+int64_t parseInt(const std::string &Key, const std::string &V) {
+  char *End = nullptr;
+  errno = 0;
+  long long N = std::strtoll(V.c_str(), &End, 0);
+  if (V.empty() || *End != '\0' || errno == ERANGE)
+    rejectConfigValue(Key, V, "integer");
+  return N;
+}
+
+uint64_t parseUInt(const std::string &Key, const std::string &V) {
+  char *End = nullptr;
+  errno = 0;
+  // strtoull would wrap "-5" to 2^64 - 5, so no sign is accepted.
+  unsigned long long N = std::strtoull(V.c_str(), &End, 0);
+  if (V.empty() || V[0] == '-' || V[0] == '+' || *End != '\0' ||
+      errno == ERANGE)
+    rejectConfigValue(Key, V, "unsigned integer");
+  return N;
+}
+
+} // namespace
+
 int64_t ConfigStore::getInt(const std::string &Key, int64_t Default) const {
   auto It = Entries.find(Key);
   if (It == Entries.end())
     return Default;
-  return std::strtoll(It->second.c_str(), nullptr, 0);
+  return parseInt(Key, It->second);
 }
 
 uint64_t ConfigStore::getUInt(const std::string &Key,
@@ -50,14 +88,19 @@ uint64_t ConfigStore::getUInt(const std::string &Key,
   auto It = Entries.find(Key);
   if (It == Entries.end())
     return Default;
-  return std::strtoull(It->second.c_str(), nullptr, 0);
+  return parseUInt(Key, It->second);
 }
 
 double ConfigStore::getDouble(const std::string &Key, double Default) const {
   auto It = Entries.find(Key);
   if (It == Entries.end())
     return Default;
-  return std::strtod(It->second.c_str(), nullptr);
+  const std::string &V = It->second;
+  char *End = nullptr;
+  double D = std::strtod(V.c_str(), &End);
+  if (V.empty() || *End != '\0')
+    rejectConfigValue(Key, V, "number");
+  return D;
 }
 
 bool ConfigStore::getBool(const std::string &Key, bool Default) const {
@@ -65,7 +108,11 @@ bool ConfigStore::getBool(const std::string &Key, bool Default) const {
   if (It == Entries.end())
     return Default;
   const std::string &V = It->second;
-  return V == "1" || V == "true" || V == "yes" || V == "on";
+  if (V == "1" || V == "true" || V == "yes" || V == "on")
+    return true;
+  if (V == "0" || V == "false" || V == "no" || V == "off")
+    return false;
+  rejectConfigValue(Key, V, "boolean (1/0/true/false/yes/no/on/off)");
 }
 
 std::string ConfigStore::requireString(const std::string &Key) const {
@@ -76,7 +123,7 @@ std::string ConfigStore::requireString(const std::string &Key) const {
 }
 
 int64_t ConfigStore::requireInt(const std::string &Key) const {
-  return std::strtoll(requireString(Key).c_str(), nullptr, 0);
+  return parseInt(Key, requireString(Key));
 }
 
 bool ConfigStore::parseAssignment(const std::string &Text) {

@@ -20,9 +20,11 @@ namespace hetsim {
 /// An ordered key=value store with typed accessors.
 ///
 /// Keys are dotted lowercase strings such as "cpu.rob_entries" or
-/// "comm.api_pci_base". Lookups with a default never fail; lookups without a
-/// default abort if the key is missing, which catches typos in experiment
-/// scripts early.
+/// "comm.api_pci_base". Lookups with a default fall back to it for a
+/// missing key; lookups without a default abort if the key is missing,
+/// which catches typos in experiment scripts early. Either kind rejects a
+/// present value that is not of the requested type (see
+/// rejectConfigValue()).
 class ConfigStore {
 public:
   /// Sets \p Key to the string representation of a value.
@@ -34,7 +36,9 @@ public:
   /// Returns true if \p Key is present.
   bool has(const std::string &Key) const;
 
-  /// Typed getters with a default for missing keys.
+  /// Typed getters with a default for missing keys. Integers parse in
+  /// base 0 (so "0x40" is 64) and must use the whole value; unsigned
+  /// values take no sign; booleans are 1/0/true/false/yes/no/on/off.
   std::string getString(const std::string &Key,
                         const std::string &Default) const;
   int64_t getInt(const std::string &Key, int64_t Default) const;
@@ -73,6 +77,13 @@ public:
 private:
   std::map<std::string, std::string> Entries;
 };
+
+/// Prints "error: config key '<Key>' has value '<Value>', which is not a
+/// valid <Type>" to stderr and exits with status 2: bad user input, not
+/// a simulator fault.
+[[noreturn]] void rejectConfigValue(const std::string &Key,
+                                    const std::string &Value,
+                                    const char *Type);
 
 } // namespace hetsim
 

@@ -37,8 +37,6 @@ void accumulate(SegmentResult &Total, const SegmentResult &Part) {
   Total.StoreForwards += Part.StoreForwards;
   Total.PageFaults += Part.PageFaults;
   Total.PageFaultCycles += Part.PageFaultCycles;
-  Total.SampledRecords += Part.SampledRecords;
-  Total.SampledErrorCycles += Part.SampledErrorCycles;
 }
 } // namespace
 
@@ -458,13 +456,6 @@ MetricsSnapshot HeteroSimulator::collectMetrics(const RunResult &Result) {
   M.add("run.gpu.insts", double(Result.GpuTotal.Insts));
   M.add("run.gpu.mem_accesses", double(Result.GpuTotal.MemAccesses));
   M.add("run.gpu.mem_latency_max", double(Result.GpuTotal.MemLatencyMax));
-
-  // Sampled memory tier accounting (zero outside HETSIM_MEMFAST=sampled):
-  // how much of the stream was extrapolated and the reported error bound.
-  M.add("run.sampled_records", double(Result.CpuTotal.SampledRecords +
-                                      Result.GpuTotal.SampledRecords));
-  M.add("run.sampled_error_cycles", Result.CpuTotal.SampledErrorCycles +
-                                        Result.GpuTotal.SampledErrorCycles);
 
   M.add("run.trace_events", double(Trace.size()));
   M.add("run.trace_events_dropped", double(Trace.dropped()));

@@ -3,11 +3,11 @@
 /// \file
 /// An on-disk cache of finished sweep points, keyed by *content*: the
 /// FNV-1a fingerprint of the fully resolved SystemConfig, the fingerprint
-/// of every trace the lowered program will execute, and a code-version
-/// constant that is bumped whenever simulator semantics change. Two sweep
-/// points with the same key are guaranteed to produce the same RunResult
-/// (the simulator is deterministic in exactly those inputs), so a stored
-/// entry can be served in place of a simulation.
+/// of every trace the lowered program will execute, and a code version
+/// hashed from the simulator's sources at build time. Two sweep points
+/// with the same key are guaranteed to produce the same RunResult (the
+/// simulator is deterministic in exactly those inputs), so a stored entry
+/// can be served in place of a simulation.
 ///
 /// Resumability falls out of the keying: an interrupted sweep has already
 /// persisted every completed point, so re-running the same sweep command
@@ -37,10 +37,10 @@
 
 namespace hetsim {
 
-/// Folded into every key; bump on any change to simulator semantics so a
-/// new binary can never serve results computed by an old model. Version 2
-/// dropped the memory fold-coverage keys from the stored metrics.
-constexpr uint64_t ResultStoreCodeVersion = 2;
+/// Folded into every key so a new binary can never serve results computed
+/// by an old model: a 64-bit truncated SHA-256 over every file under src/
+/// and refs/golden, generated at build time by src/core/CodeVersion.cmake.
+extern const uint64_t ResultStoreCodeVersion;
 
 /// Content fingerprint of a fully resolved system configuration (every
 /// field the simulator reads, nested configs included).

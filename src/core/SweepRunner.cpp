@@ -6,7 +6,6 @@
 #include "common/ThreadPool.h"
 #include "common/WallTimer.h"
 #include "core/ResultStore.h"
-#include "memory/MemFast.h"
 #include "obs/Json.h"
 #include "trace/ComputeBlock.h"
 
@@ -46,9 +45,6 @@ SweepRunner::SweepRunner(unsigned JobCount) {
   JobsChoice Choice = ThreadPool::resolveJobs(JobCount);
   Jobs = Choice.Jobs;
   JobsSource = Choice.Source;
-  // Reject a bad HETSIM_MEMFAST here, on the calling thread, rather than
-  // in the first worker that builds a memory system.
-  memFastMode();
 }
 
 std::vector<RunResult>
@@ -69,17 +65,25 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   std::vector<WorkerCounters> Workers(
       std::max<size_t>(1, std::min(Points.size(), size_t(Jobs))));
 
+  // Resolve every point's configuration on the calling thread, so a bad
+  // override value exits (status 2) before any worker starts.
+  // applyOverrides rebuilds CommParams wholesale from the store, so an
+  // empty store would reset comm.* values baked into Point.Config by
+  // forCaseStudy(Study, Overrides). Only apply a real store.
+  std::vector<SystemConfig> Configs;
+  Configs.reserve(Points.size());
+  for (const SweepPoint &Point : Points) {
+    Configs.push_back(Point.Config);
+    if (Point.Overrides.size() != 0)
+      Configs.back().applyOverrides(Point.Overrides);
+  }
+
   WallTimer Timer;
   {
     ThreadPool Pool(Jobs);
     Pool.parallelForWorkers(Points.size(), [&](size_t I, unsigned Worker) {
       const SweepPoint &Point = Points[I];
-      SystemConfig Config = Point.Config;
-      // applyOverrides rebuilds CommParams wholesale from the store, so
-      // an empty store would reset comm.* values baked into Point.Config
-      // by forCaseStudy(Study, Overrides). Only apply a real store.
-      if (Point.Overrides.size() != 0)
-        Config.applyOverrides(Point.Overrides);
+      const SystemConfig &Config = Configs[I];
 
       // Diff this thread's own gen clock around the point (a worker
       // thread only ever runs one point at a time, so the diff attributes

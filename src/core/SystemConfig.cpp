@@ -62,12 +62,13 @@ void SystemConfig::applyOverrides(const ConfigStore &Overrides) {
     AsyncCopies = Overrides.getBool("sys.async_copies", AsyncCopies);
   InterleavedContention = Overrides.getBool("sys.interleaved_contention",
                                             InterleavedContention);
-  CpuWorkFraction =
-      Overrides.getDouble("sys.cpu_work_fraction", CpuWorkFraction);
-  if (CpuWorkFraction < 0.0)
-    CpuWorkFraction = 0.0;
-  if (CpuWorkFraction > 1.0)
-    CpuWorkFraction = 1.0;
+  if (Overrides.has("sys.cpu_work_fraction")) {
+    CpuWorkFraction = Overrides.getDouble("sys.cpu_work_fraction", 0.0);
+    if (!(CpuWorkFraction >= 0.0 && CpuWorkFraction <= 1.0))
+      rejectConfigValue("sys.cpu_work_fraction",
+                        Overrides.getString("sys.cpu_work_fraction", ""),
+                        "fraction in [0, 1]");
+  }
 }
 
 SystemConfig SystemConfig::forCaseStudy(CaseStudy Study,

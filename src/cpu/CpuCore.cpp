@@ -4,7 +4,6 @@
 
 #include "common/Error.h"
 #include "common/FlatMap.h"
-#include "memory/MemFast.h"
 #include "memory/MemorySystem.h"
 #include "trace/ComputeBlock.h"
 
@@ -43,8 +42,8 @@ CpuCore::CpuCore(const CpuConfig &Cfg, MemorySystem &Memory)
 namespace {
 
 /// The full per-segment pipeline state, with the reference per-record
-/// update in step(). The materialized, windowed and sampled paths all
-/// drive this same update code, so they agree by construction.
+/// update in step(). The span and windowed paths both drive this same
+/// update code, so they agree by construction.
 struct CpuPipeline {
   const CpuConfig &Config;
   MemorySystem &Mem;
@@ -204,12 +203,6 @@ struct CpuPipeline {
       RobSlot = 0;
   }
 
-  /// Moves the ROB ring past \p Records records the sampled tier skipped.
-  void skipRob(uint64_t Records) {
-    RobSlot = size_t((RobSlot + Records % RobRetire.size()) %
-                     RobRetire.size());
-  }
-
   void runSpan(const TraceRecord *Records, size_t Count) {
     for (size_t Index = 0; Index != Count; ++Index)
       step(Records[Index]);
@@ -241,103 +234,18 @@ SegmentResult CpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
   const BlockTrace *Block = Trace.blocks();
   if (!Block)
     return run(Trace.buffer(), StartCycle);
-  return runWindowed(*Block, StartCycle);
-}
 
-SegmentResult CpuCore::runWindowed(const BlockTrace &Block,
-                                   Cycle StartCycle) {
   SegmentResult Result;
-  Result.Insts = Block.totalRecords();
+  Result.Insts = Block->totalRecords();
   if (Result.Insts == 0)
     return Result;
 
-  if (Mem.memFastModeCached() == MemFastMode::Sampled &&
-      Block.generator().streamStructure().SteadyStride &&
-      Result.Insts >= 8 * ComputeWindowRecords)
-    return runSampled(Block, StartCycle);
-
   CpuPipeline Pipe(Config, Mem, Predictor, ICache, Result, StartCycle);
-  BlockExpander Expander(Block);
+  BlockExpander Expander(*Block);
   TraceBuffer Window;
   while (!Expander.done()) {
     Expander.next(Window);
     Pipe.runSpan(Window.records().data(), Window.size());
-  }
-
-  assert(Pipe.LastRetire >= StartCycle && "time went backwards");
-  Result.Cycles = Pipe.LastRetire - StartCycle;
-  return Result;
-}
-
-/// The sampled memory tier (HETSIM_MEMFAST=sampled, DESIGN.md §11):
-/// simulate a few warm-up windows in full, then alternate one re-warm
-/// window, one measured window, and a burst of skipped windows whose time
-/// and counters are extrapolated from the measured window's per-record
-/// rates. Skipped records never touch the memory system; the reported
-/// error bound is the skipped records' spread between the best and worst
-/// measured rates. Never used by goldens.
-SegmentResult CpuCore::runSampled(const BlockTrace &Block,
-                                  Cycle StartCycle) {
-  SegmentResult Result;
-  Result.Insts = Block.totalRecords();
-
-  CpuPipeline Pipe(Config, Mem, Predictor, ICache, Result, StartCycle);
-  BlockExpander Expander(Block);
-  TraceBuffer Window;
-  const unsigned SkipN = memFastSampleSkip();
-
-  double RateMin = 0, RateMax = 0;
-  bool HaveRate = false;
-  unsigned WarmLeft = 4;
-  while (!Expander.done()) {
-    if (WarmLeft != 0) {
-      Expander.next(Window);
-      Pipe.runSpan(Window.records().data(), Window.size());
-      --WarmLeft;
-      continue;
-    }
-
-    // Measure one window.
-    const Cycle C0 = Pipe.LastRetire;
-    const SegmentResult R0 = Result;
-    const uint64_t Nm = Expander.next(Window);
-    Pipe.runSpan(Window.records().data(), Window.size());
-    if (Nm == 0)
-      break;
-    const Cycle Dm = Pipe.LastRetire - C0;
-    const uint64_t DMa = Result.MemAccesses - R0.MemAccesses;
-    const uint64_t DMl = Result.MemLatencySum - R0.MemLatencySum;
-    const uint64_t DBm = Result.BranchMispredicts - R0.BranchMispredicts;
-    const uint64_t DIc = Result.ICacheMisses - R0.ICacheMisses;
-    const uint64_t DFw = Result.StoreForwards - R0.StoreForwards;
-    const double Rate = double(Dm) / double(Nm);
-    RateMin = HaveRate ? std::min(RateMin, Rate) : Rate;
-    RateMax = HaveRate ? std::max(RateMax, Rate) : Rate;
-    HaveRate = true;
-
-    // Skip a burst, extrapolating the measured rates.
-    uint64_t SkipRecords = 0;
-    for (unsigned I = 0; I != SkipN && !Expander.done(); ++I)
-      SkipRecords += Expander.next(Window);
-    if (SkipRecords != 0) {
-      const Cycle Adv = Dm * SkipRecords / Nm;
-      Pipe.FetchCycle += Adv;
-      Pipe.IssueBusyCycle += Adv;
-      Pipe.LastRetire += Adv;
-      for (Cycle &C : Pipe.RegReady)
-        C += Adv;
-      for (Cycle &C : Pipe.RobRetire)
-        C += Adv;
-      Pipe.skipRob(SkipRecords);
-      Result.MemAccesses += DMa * SkipRecords / Nm;
-      Result.MemLatencySum += DMl * SkipRecords / Nm;
-      Result.BranchMispredicts += DBm * SkipRecords / Nm;
-      Result.ICacheMisses += DIc * SkipRecords / Nm;
-      Result.StoreForwards += DFw * SkipRecords / Nm;
-      Result.SampledRecords += SkipRecords;
-      Result.SampledErrorCycles += double(SkipRecords) * (RateMax - RateMin);
-      WarmLeft = 1; // Re-warm before the next measurement.
-    }
   }
 
   assert(Pipe.LastRetire >= StartCycle && "time went backwards");

@@ -57,13 +57,6 @@ struct SegmentResult {
   uint64_t PageFaults = 0;
   Cycle PageFaultCycles = 0;
 
-  /// Sampled memory tier only (HETSIM_MEMFAST=sampled, never goldens):
-  /// records advanced in closed form between measured windows, and the
-  /// reported bound on the Cycles error that introduced (the skipped
-  /// records' spread between the best and worst measured rates).
-  uint64_t SampledRecords = 0;
-  double SampledErrorCycles = 0;
-
   double ipc() const {
     return Cycles == 0 ? 0.0 : double(Insts) / double(Cycles);
   }
@@ -114,9 +107,6 @@ public:
   Cache &instructionCache() { return ICache; }
 
 private:
-  SegmentResult runWindowed(const BlockTrace &Block, Cycle StartCycle);
-  SegmentResult runSampled(const BlockTrace &Block, Cycle StartCycle);
-
   CpuConfig Config;
   MemorySystem &Mem;
   GsharePredictor Predictor;

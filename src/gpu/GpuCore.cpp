@@ -4,7 +4,6 @@
 
 #include "common/Error.h"
 #include "gpu/Coalescer.h"
-#include "memory/MemFast.h"
 #include "memory/MemorySystem.h"
 #include "trace/ComputeBlock.h"
 
@@ -45,8 +44,8 @@ struct WarpState {
 /// file); each context executes strictly in order with scoreboarded
 /// operands and stall-on-branch; contexts are independent, which models a
 /// zero-overhead warp scheduler hiding one warp's memory latency under the
-/// others. The materialized, windowed and sampled paths all drive this one
-/// update function.
+/// others. The span and windowed paths both drive this one update
+/// function.
 struct GpuPipeline {
   const GpuConfig &Config;
   MemorySystem &Mem;
@@ -58,9 +57,8 @@ struct GpuPipeline {
 
   std::vector<WarpState> Warps;
   Cycle LastComplete;
-  uint64_t Index = 0; ///< Global record index (drives warp striping).
-  // Record Index goes to warp (Index / Chunk) % W; kept by counting down
-  // the chunk rather than dividing per record.
+  // Record I goes to warp (I / Chunk) % W; kept by counting down the
+  // chunk rather than dividing per record.
   unsigned WarpSlot = 0;
   unsigned ChunkLeft;
   std::vector<Addr> Lines; // Reused across records: no per-record allocation.
@@ -73,16 +71,8 @@ struct GpuPipeline {
         Warps(W, WarpState(StartCycle)), LastComplete(StartCycle),
         ChunkLeft(Chunk) {}
 
-  /// Moves the striping past \p Records records the sampled tier skipped.
-  void skipRecords(uint64_t Records) {
-    Index += Records;
-    WarpSlot = unsigned((Index / Chunk) % W);
-    ChunkLeft = Chunk - unsigned(Index % Chunk);
-  }
-
   void step(const TraceRecord &R) {
     WarpState &Warp = Warps[WarpSlot];
-    ++Index;
     if (--ChunkLeft == 0) {
       ChunkLeft = Chunk;
       if (++WarpSlot == W)
@@ -182,98 +172,18 @@ SegmentResult GpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
   const BlockTrace *Block = Trace.blocks();
   if (!Block)
     return run(Trace.buffer(), StartCycle);
-  return runWindowed(*Block, StartCycle);
-}
 
-SegmentResult GpuCore::runWindowed(const BlockTrace &Block,
-                                   Cycle StartCycle) {
   SegmentResult Result;
-  Result.Insts = Block.totalRecords();
+  Result.Insts = Block->totalRecords();
   if (Result.Insts == 0)
     return Result;
 
-  if (Mem.memFastModeCached() == MemFastMode::Sampled &&
-      Block.generator().streamStructure().SteadyStride &&
-      Result.Insts >= 8 * ComputeWindowRecords)
-    return runSampled(Block, StartCycle);
-
   GpuPipeline Pipe(Config, Mem, Result, StartCycle);
-  BlockExpander Expander(Block);
+  BlockExpander Expander(*Block);
   TraceBuffer Window;
   while (!Expander.done()) {
     Expander.next(Window);
     Pipe.runSpan(Window.records().data(), Window.size());
-  }
-
-  assert(Pipe.LastComplete >= StartCycle && "time went backwards");
-  Cycle CriticalPath = Pipe.LastComplete - StartCycle;
-  Cycle BandwidthFloor = ceilDiv(Result.Insts, Config.IssueWidth);
-  Result.Cycles = std::max(CriticalPath, BandwidthFloor);
-  return Result;
-}
-
-/// GPU half of the sampled memory tier (DESIGN.md §11): same schedule as
-/// the CPU one — warm, measure, skip — with the whole warp array
-/// translated by the extrapolated advance. Skipped records keep the
-/// record-to-warp striping aligned via Index. Never used by goldens.
-SegmentResult GpuCore::runSampled(const BlockTrace &Block,
-                                  Cycle StartCycle) {
-  SegmentResult Result;
-  Result.Insts = Block.totalRecords();
-
-  GpuPipeline Pipe(Config, Mem, Result, StartCycle);
-  BlockExpander Expander(Block);
-  TraceBuffer Window;
-  const unsigned SkipN = memFastSampleSkip();
-
-  double RateMin = 0, RateMax = 0;
-  bool HaveRate = false;
-  unsigned WarmLeft = 4;
-  while (!Expander.done()) {
-    if (WarmLeft != 0) {
-      Expander.next(Window);
-      Pipe.runSpan(Window.records().data(), Window.size());
-      --WarmLeft;
-      continue;
-    }
-
-    const Cycle C0 = Pipe.LastComplete;
-    const SegmentResult R0 = Result;
-    const uint64_t Nm = Expander.next(Window);
-    Pipe.runSpan(Window.records().data(), Window.size());
-    if (Nm == 0)
-      break;
-    const Cycle Dm = Pipe.LastComplete - C0;
-    const uint64_t DMa = Result.MemAccesses - R0.MemAccesses;
-    const uint64_t DMl = Result.MemLatencySum - R0.MemLatencySum;
-    const uint64_t DBm = Result.BranchMispredicts - R0.BranchMispredicts;
-    const double Rate = double(Dm) / double(Nm);
-    RateMin = HaveRate ? std::min(RateMin, Rate) : Rate;
-    RateMax = HaveRate ? std::max(RateMax, Rate) : Rate;
-    HaveRate = true;
-
-    uint64_t SkipRecords = 0;
-    for (unsigned I = 0; I != SkipN && !Expander.done(); ++I)
-      SkipRecords += Expander.next(Window);
-    if (SkipRecords != 0) {
-      const Cycle Adv = Dm * SkipRecords / Nm;
-      Pipe.LastComplete += Adv;
-      for (WarpState &Warp : Pipe.Warps) {
-        Warp.NextIssue += Adv;
-        Warp.LastComplete += Adv;
-        for (Cycle &C : Warp.RegReady)
-          C += Adv;
-        for (Cycle &C : Warp.Pending)
-          C += Adv;
-      }
-      Pipe.skipRecords(SkipRecords);
-      Result.MemAccesses += DMa * SkipRecords / Nm;
-      Result.MemLatencySum += DMl * SkipRecords / Nm;
-      Result.BranchMispredicts += DBm * SkipRecords / Nm;
-      Result.SampledRecords += SkipRecords;
-      Result.SampledErrorCycles += double(SkipRecords) * (RateMax - RateMin);
-      WarmLeft = 1;
-    }
   }
 
   assert(Pipe.LastComplete >= StartCycle && "time went backwards");

@@ -60,9 +60,6 @@ public:
   const GpuConfig &config() const { return Config; }
 
 private:
-  SegmentResult runWindowed(const BlockTrace &Block, Cycle StartCycle);
-  SegmentResult runSampled(const BlockTrace &Block, Cycle StartCycle);
-
   GpuConfig Config;
   MemorySystem &Mem;
 };

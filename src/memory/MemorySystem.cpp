@@ -7,37 +7,9 @@
 #include "memory/AddressSpaceModel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 using namespace hetsim;
-
-namespace {
-
-uint64_t profNowNs() {
-  return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now().time_since_epoch())
-                      .count());
-}
-
-std::atomic<int> MemPhaseOverride{-1};
-
-} // namespace
-
-bool MemorySystem::memPhaseProfilingEnabled() {
-  int Override = MemPhaseOverride.load(std::memory_order_relaxed);
-  if (Override >= 0)
-    return Override != 0;
-  const char *Env = std::getenv("HETSIM_MEMPHASE");
-  return Env && *Env && std::strcmp(Env, "0") != 0;
-}
-
-void MemorySystem::setMemPhaseProfilingForTesting(int Enabled) {
-  MemPhaseOverride.store(Enabled, std::memory_order_relaxed);
-}
 
 MemorySystem::MemorySystem(const MemHierConfig &Cfg)
     : Config(Cfg), CpuMshr(Cfg.CpuMshrs), GpuMshr(Cfg.GpuMshrs),
@@ -84,21 +56,11 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg)
   MemGpuL1Writebacks = &Stats.counterRef("mem.gpu_l1_writebacks");
   MemPrefetchFills = &Stats.counterRef("mem.prefetch_fills");
   MemMshrMerges = &Stats.counterRef("mem.mshr_merges");
-
-  MFMode = memFastMode();
-  ProfileOn = memPhaseProfilingEnabled();
 }
 
 void MemorySystem::drainQueued(Cycle NowCpu) {
   uint64_t Pending = CpuDram->queuedRequests();
-  Cycle Done;
-  if (ProfileOn) {
-    uint64_t D0 = profNowNs();
-    Done = CpuDram->drainFrFcfs(NowCpu);
-    ProfDramNs += profNowNs() - D0;
-  } else {
-    Done = CpuDram->drainFrFcfs(NowCpu);
-  }
+  Cycle Done = CpuDram->drainFrFcfs(NowCpu);
   Cycle Duration = Done > NowCpu ? Done - NowCpu : 0;
   ++*BgDrains;
   *BgRequests += Pending;
@@ -167,12 +129,6 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
   if (Pu == PuKind::Gpu && !Config.GpuSharesL3) {
     Level = HitLevel::Dram;
     ++*(GpuDramDevice ? DramGpuDemand : DramCpuDemand);
-    if (ProfileOn) {
-      uint64_t D0 = profNowNs();
-      Cycle Done = gpuDram().access(PAddr, NowCpu, IsWrite);
-      ProfDramNs += profNowNs() - D0;
-      return Done;
-    }
     return gpuDram().access(PAddr, NowCpu, IsWrite);
   }
 
@@ -180,14 +136,7 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
     Level = HitLevel::Dram;
     Cycle AtCtrl = Noc->traverse(SourceStop, ring::MemCtrlStop, NowCpu);
     ++*DramCpuDemand;
-    Cycle Done;
-    if (ProfileOn) {
-      uint64_t D0 = profNowNs();
-      Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
-      ProfDramNs += profNowNs() - D0;
-    } else {
-      Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
-    }
+    Cycle Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
     return Done + Noc->uncontendedLatency(ring::MemCtrlStop, SourceStop);
   }
 
@@ -211,14 +160,7 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
       Noc->traverse(TileStop, ring::MemCtrlStop,
                     AtTile + L3->config().HitLatency /*tag check*/);
   ++*DramCpuDemand;
-  Cycle Done;
-  if (ProfileOn) {
-    uint64_t D0 = profNowNs();
-    Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
-    ProfDramNs += profNowNs() - D0;
-  } else {
-    Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
-  }
+  Cycle Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
   Cycle BackToTile =
       Done + Noc->uncontendedLatency(ring::MemCtrlStop, TileStop);
   return BackToTile + ReturnHops;
@@ -233,9 +175,6 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
   MemAccessResult Result;
   const bool IsCpu = Pu == PuKind::Cpu;
   ++*(IsCpu ? MemCpuAccesses : MemGpuAccesses);
-
-  const uint64_t ProfT0 = ProfileOn ? profNowNs() : 0;
-  uint64_t ProfT1 = 0;
 
   Cycle Latency = 0;
 
@@ -280,22 +219,6 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
     }
   }
 
-  // Translation + policy work ends here; the rest of the walk is cache,
-  // NoC, and DRAM time (memphase attribution).
-  if (ProfileOn) {
-    ProfT1 = profNowNs();
-    Prof.TlbNs += ProfT1 - ProfT0;
-    ProfDramNs = 0;
-    ++Prof.Accesses;
-  }
-  // Every access returns through here: keep the unobserved case a test
-  // and a return, so the walk inlines around it.
-  auto Finish = [&](const MemAccessResult &R) {
-    if (ProfileOn) [[unlikely]]
-      observeAccess(ProfT1);
-    return R;
-  };
-
   // 4. Private hierarchy.
   Cache &L1 = IsCpu ? *CpuL1 : *GpuL1;
   Addr Line = alignDown(PAddr, CacheLineBytes);
@@ -314,7 +237,7 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
   if (L1Result.Hit) {
     Result.Level = HitLevel::L1;
     Result.Latency = Latency;
-    return Finish(Result);
+    return Result;
   }
   if (L1Result.WroteBack) {
     if (IsCpu)
@@ -353,7 +276,7 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
       drainBackground(NowPu + Latency);
       Result.Level = HitLevel::L2;
       Result.Latency = Latency;
-      return Finish(Result);
+      return Result;
     }
     if (L2Result.WroteBack) {
       CpuDram->enqueue(L2Result.VictimAddr, /*IsWrite=*/true);
@@ -384,13 +307,7 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
   Result.Latency = Ready > NowPu ? Ready - NowPu : Latency + UncorePu;
   if (Decision.Merged)
     ++*MemMshrMerges;
-  return Finish(Result);
-}
-
-void MemorySystem::observeAccess(uint64_t ProfT1) {
-  uint64_t WalkNs = profNowNs() - ProfT1;
-  Prof.DramNs += ProfDramNs;
-  Prof.CacheNs += WalkNs > ProfDramNs ? WalkNs - ProfDramNs : 0;
+  return Result;
 }
 
 Cycle MemorySystem::scratchpadAccess(Addr Offset, uint32_t Bytes,

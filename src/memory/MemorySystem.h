@@ -28,7 +28,6 @@
 #include "interconnect/RingBus.h"
 #include "memory/FirstTouchTracker.h"
 #include "memory/HybridCoherence.h"
-#include "memory/MemFast.h"
 #include "memory/Ownership.h"
 #include "memory/PageTable.h"
 #include "memory/Tlb.h"
@@ -212,32 +211,9 @@ public:
   const StatRegistry &stats() const { return Stats; }
   StatRegistry &stats() { return Stats; }
 
-  /// Fidelity tier (HETSIM_MEMFAST), resolved once at construction.
-  MemFastMode memFastModeCached() const { return MFMode; }
-
-  /// Wall-clock attribution of the demand-access walk, for the memphase
-  /// bench: where does simulate time go inside the memory system?
-  struct MemPhaseProfile {
-    uint64_t TlbNs = 0;   ///< TLB lookup, translation, policy checks.
-    uint64_t CacheNs = 0; ///< Cache walk + coherence + NoC (the rest).
-    uint64_t DramNs = 0;  ///< DRAM device time (demand + drains).
-    uint64_t Accesses = 0;
-  };
-  const MemPhaseProfile &phaseProfile() const { return Prof; }
-
-  /// HETSIM_MEMPHASE=1 enables the per-access timers (off by default:
-  /// two clock reads per access). Resolved at construction.
-  static bool memPhaseProfilingEnabled();
-  /// Test/bench hook: forces profiling on (1) / off (0) / env (-1) for
-  /// subsequently constructed systems.
-  static void setMemPhaseProfilingForTesting(int Enabled);
-
 private:
   /// drainBackground() once requests are queued.
   void drainQueued(Cycle NowCpu);
-  /// The memphase timers at the end of access(); only called while
-  /// profiling is on. \p ProfT1 is when the walk began.
-  void observeAccess(uint64_t ProfT1);
   /// Uncore walk beyond the private hierarchy; \p NowCpu in CPU cycles,
   /// returns completion cycle in CPU cycles.
   Cycle uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite, Cycle NowCpu,
@@ -292,14 +268,6 @@ private:
   uint64_t *MemPrefetchFills = nullptr;
   uint64_t *MemMshrMerges = nullptr;
   std::function<void(const BgDrainEvent &)> DrainHook;
-
-  // Memory fidelity tier (DESIGN.md §11).
-  MemFastMode MFMode = MemFastMode::Off;
-
-  // memphase wall-clock attribution.
-  MemPhaseProfile Prof;
-  bool ProfileOn = false;
-  uint64_t ProfDramNs = 0; ///< DRAM ns accrued inside the current access.
 };
 
 } // namespace hetsim

@@ -58,10 +58,8 @@ inline std::string exactText(const RunResult &R) {
   for (const SegmentResult *S : {&R.CpuTotal, &R.GpuTotal}) {
     for (uint64_t V : {S->Cycles, S->Insts, S->MemAccesses, S->MemLatencySum,
                        S->MemLatencyMax, S->BranchMispredicts, S->ICacheMisses,
-                       S->StoreForwards, S->PageFaults, S->PageFaultCycles,
-                       S->SampledRecords})
+                       S->StoreForwards, S->PageFaults, S->PageFaultCycles})
       Int(V);
-    Num(S->SampledErrorCycles);
   }
   for (uint64_t V : {R.TransferredBytes, R.TransferCount, R.PageFaults,
                      R.OwnershipActions, uint64_t(R.CommSourceLines)})

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 using namespace hetsim;
 
 //===----------------------------------------------------------------------===//
@@ -103,6 +106,14 @@ TEST(Config, TypedAccessors) {
   EXPECT_DOUBLE_EQ(Config.getDouble("b", 0), 2.5);
   EXPECT_TRUE(Config.getBool("c", false));
   EXPECT_EQ(Config.getString("d", ""), "hello");
+  for (const char *V : {"1", "true", "yes", "on"}) {
+    Config.set("c", V);
+    EXPECT_TRUE(Config.getBool("c", false)) << V;
+  }
+  for (const char *V : {"0", "false", "no", "off"}) {
+    Config.set("c", V);
+    EXPECT_FALSE(Config.getBool("c", true)) << V;
+  }
 }
 
 TEST(Config, DefaultsForMissingKeys) {
@@ -153,6 +164,50 @@ TEST(Config, HexValues) {
   ConfigStore Config;
   Config.set("addr", "0x40");
   EXPECT_EQ(Config.getInt("addr", 0), 64);
+  EXPECT_EQ(Config.getUInt("addr", 0), 64u);
+  EXPECT_EQ(Config.requireInt("addr"), 64);
+}
+
+// A present value that is not of the requested type is bad input: the
+// getter names the key and the value and exits with status 2.
+TEST(ConfigDeathTest, MalformedValuesAreRejected) {
+  struct Case {
+    const char *Value;
+    std::function<void(const ConfigStore &)> Get;
+    const char *Type;
+  };
+  auto UInt = [](const ConfigStore &C) { C.getUInt("k", 0); };
+  auto Int = [](const ConfigStore &C) { C.getInt("k", 0); };
+  auto Require = [](const ConfigStore &C) { C.requireInt("k"); };
+  auto Double = [](const ConfigStore &C) { C.getDouble("k", 0); };
+  auto Bool = [](const ConfigStore &C) { C.getBool("k", false); };
+  const Case Cases[] = {
+      {"-5", UInt, "unsigned integer"},
+      {"+5", UInt, "unsigned integer"},
+      {"banana", UInt, "unsigned integer"},
+      {"banana", Int, "integer"},
+      {"banana", Double, "number"},
+      {"12x", UInt, "unsigned integer"},
+      {"12x", Require, "integer"},
+      {"8e9GB", Double, "number"},
+      {"1.5", UInt, "unsigned integer"},
+      {"1.5", Int, "integer"},
+      {"", Int, "integer"},
+      {"99999999999999999999", UInt, "unsigned integer"},
+      {"99999999999999999999", Int, "integer"},
+      {"maybe", Bool, "boolean"},
+  };
+  for (const Case &C : Cases) {
+    ConfigStore Config;
+    Config.set("k", C.Value);
+    std::string Quoted; // The value as a regex literal ("+5" has a '+').
+    for (const char *P = C.Value; *P; ++P)
+      Quoted += std::string("[") + *P + "]";
+    EXPECT_EXIT(C.Get(Config), ::testing::ExitedWithCode(2),
+                "error: config key 'k' has value '" + Quoted +
+                    "', which is not a valid " + C.Type)
+        << "'" << C.Value << "' as " << C.Type;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -401,12 +401,17 @@ TEST(Partition, OverrideKeyApplies) {
   EXPECT_DOUBLE_EQ(Config.CpuWorkFraction, 0.25);
 }
 
-TEST(Partition, OverrideClamped) {
-  ConfigStore Overrides;
-  Overrides.setDouble("sys.cpu_work_fraction", 1.5);
-  SystemConfig Config =
-      SystemConfig::forCaseStudy(CaseStudy::IdealHetero, Overrides);
-  EXPECT_DOUBLE_EQ(Config.CpuWorkFraction, 1.0);
+// An out-of-range split is bad input, rejected rather than clamped.
+TEST(PartitionDeathTest, OverrideOutOfRangeRejected) {
+  for (double Fraction : {1.5, -0.25}) {
+    ConfigStore Overrides;
+    Overrides.setDouble("sys.cpu_work_fraction", Fraction);
+    EXPECT_EXIT(SystemConfig::forCaseStudy(CaseStudy::IdealHetero, Overrides),
+                ::testing::ExitedWithCode(2),
+                "error: config key 'sys.cpu_work_fraction' has value "
+                "'.*', which is not a valid fraction in \\[0, 1\\]")
+        << Fraction;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,14 +6,12 @@
 /// materialized record stream. These tests run both forms — whole lowered
 /// programs, with and without the interleaved-contention driver, and
 /// single core segments — and assert identical RunResults, SegmentResults
-/// and metrics documents. They also cover the sampled memory tier and the
-/// HETSIM_MEMFAST value check.
+/// and metrics documents.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/HeteroSimulator.h"
 #include "gpu/GpuCore.h"
-#include "memory/MemFast.h"
 #include "memory/MemorySystem.h"
 #include "obs/Metrics.h"
 #include "trace/ComputeBlock.h"
@@ -22,19 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 using namespace hetsim;
 
 namespace {
-
-/// Restores the environment-driven memory fidelity tier no matter how a
-/// test exits.
-struct MemFastGuard {
-  ~MemFastGuard() { setMemFastForTesting(-1); }
-};
 
 void expectSegmentEq(const SegmentResult &A, const SegmentResult &B,
                      const std::string &What) {
@@ -48,8 +39,6 @@ void expectSegmentEq(const SegmentResult &A, const SegmentResult &B,
   EXPECT_EQ(A.StoreForwards, B.StoreForwards) << What;
   EXPECT_EQ(A.PageFaults, B.PageFaults) << What;
   EXPECT_EQ(A.PageFaultCycles, B.PageFaultCycles) << What;
-  EXPECT_EQ(A.SampledRecords, B.SampledRecords) << What;
-  EXPECT_EQ(A.SampledErrorCycles, B.SampledErrorCycles) << What;
 }
 
 void expectRunResultEq(const RunResult &A, const RunResult &B,
@@ -274,89 +263,4 @@ TEST(FastPathExpansionDeathTest, BufferOnBlockHandleNamesBlockExpander) {
   SharedTrace Trace(
       std::make_shared<const BlockTrace>(KernelId::Reduction, Req, Layout));
   EXPECT_DEATH(Trace.buffer(), "BlockExpander");
-}
-
-//===----------------------------------------------------------------------===//
-// Memory fidelity tiers (DESIGN.md §11).
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Runs (Study, Kernel) with the memory fidelity tier forced to \p Mode.
-std::pair<RunResult, MetricsSnapshot> runOneMemFast(CaseStudy Study,
-                                                    KernelId Kernel,
-                                                    MemFastMode Mode) {
-  setMemFastForTesting(int(Mode));
-  HeteroSimulator Sim(SystemConfig::forCaseStudy(Study));
-  RunResult Result = Sim.run(Kernel);
-  MetricsSnapshot Metrics = Sim.collectMetrics(Result);
-  return {Result, Metrics};
-}
-
-/// Sets HETSIM_MEMFAST for one scope and restores it afterwards.
-class ScopedMemFastEnv {
-public:
-  explicit ScopedMemFastEnv(const char *Value) {
-    if (const char *Old = std::getenv("HETSIM_MEMFAST")) {
-      HadOld = true;
-      OldValue = Old;
-    }
-    if (Value)
-      ::setenv("HETSIM_MEMFAST", Value, 1);
-    else
-      ::unsetenv("HETSIM_MEMFAST");
-  }
-  ~ScopedMemFastEnv() {
-    if (HadOld)
-      ::setenv("HETSIM_MEMFAST", OldValue.c_str(), 1);
-    else
-      ::unsetenv("HETSIM_MEMFAST");
-  }
-
-private:
-  bool HadOld = false;
-  std::string OldValue;
-};
-
-} // namespace
-
-TEST(MemFastModes, SampledModeExtrapolatesWithBoundedError) {
-  MemFastGuard Guard;
-  auto [Ref, RefMetrics] =
-      runOneMemFast(CaseStudy::CpuGpu, KernelId::Reduction, MemFastMode::Off);
-  auto [Samp, SampMetrics] = runOneMemFast(
-      CaseStudy::CpuGpu, KernelId::Reduction, MemFastMode::Sampled);
-  // Sampling skips simulation, not records: instruction totals are exact.
-  EXPECT_EQ(Ref.CpuTotal.Insts, Samp.CpuTotal.Insts);
-  EXPECT_EQ(Ref.GpuTotal.Insts, Samp.GpuTotal.Insts);
-  EXPECT_GT(SampMetrics.get("run.sampled_records"), 0.0);
-  EXPECT_EQ(RefMetrics.get("run.sampled_records"), 0.0);
-  // Loose sanity bound on the estimate; goldens never use this tier.
-  double RefC = double(Ref.CpuTotal.Cycles + Ref.GpuTotal.Cycles);
-  double SampC = double(Samp.CpuTotal.Cycles + Samp.GpuTotal.Cycles);
-  EXPECT_GT(SampC, 0.5 * RefC);
-  EXPECT_LT(SampC, 2.0 * RefC);
-}
-
-TEST(MemFastModes, AcceptedValues) {
-  MemFastGuard Guard;
-  setMemFastForTesting(-1);
-  for (const char *Value : {static_cast<const char *>(nullptr), "", "0"}) {
-    ScopedMemFastEnv Env(Value);
-    EXPECT_EQ(memFastMode(), MemFastMode::Off) << (Value ? Value : "unset");
-  }
-  ScopedMemFastEnv Env("sampled");
-  EXPECT_EQ(memFastMode(), MemFastMode::Sampled);
-}
-
-TEST(MemFastModesDeathTest, UnknownValueIsRejected) {
-  MemFastGuard Guard;
-  setMemFastForTesting(-1);
-  // The removed exact and warm tiers are rejected like any typo.
-  for (const char *Value : {"warm", "exact", "1", "off", "Sampled"}) {
-    ScopedMemFastEnv Env(Value);
-    EXPECT_EXIT(memFastMode(), ::testing::ExitedWithCode(2),
-                "HETSIM_MEMFAST.*accepted values are unset, 0 and sampled")
-        << Value;
-  }
 }

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 using namespace hetsim;
 
@@ -113,6 +114,34 @@ TEST(ResultStore, KeysSeparateConfigsAndKernels) {
       ResultStore::keyFor(Gmac, lowerKernel(KernelId::Reduction, Gmac));
   EXPECT_EQ(A.ConfigHash, A2.ConfigHash);
   EXPECT_EQ(A.TraceHash, A2.TraceHash);
+}
+
+// The code version is hashed from the sources at build time: a store
+// written by any other build must miss, even if its entry is renamed to
+// the new version's file name.
+TEST(ResultStore, OtherCodeVersionMisses) {
+  std::string Dir = freshDir("result_store_version");
+  ResultStore Store(Dir);
+  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::Gmac);
+  LoweredProgram Program = lowerKernel(KernelId::Reduction, Config);
+  ResultStore::Key Old = ResultStore::keyFor(Config, Program);
+  ASSERT_TRUE(Store.save(Old, simulateOne(Config, Program)));
+
+  ResultStore::Key New = Old;
+  New.CodeVersion = Old.CodeVersion + 1;
+  ResultStore::Entry E;
+  EXPECT_FALSE(Store.load(New, E));
+
+  std::vector<std::filesystem::path> Entries;
+  for (const auto &File : std::filesystem::directory_iterator(Dir))
+    Entries.push_back(File.path());
+  ASSERT_EQ(Entries.size(), 1u);
+  std::string Name = Entries[0].filename().string();
+  Name.replace(Name.rfind('-') + 1, std::string::npos,
+               std::to_string(New.CodeVersion) + ".result");
+  std::filesystem::rename(Entries[0], Entries[0].parent_path() / Name);
+  EXPECT_FALSE(Store.load(New, E));
+  EXPECT_EQ(Store.hits(), 0u);
 }
 
 TEST(ResultStore, ConfigOverrideChangesKey) {
