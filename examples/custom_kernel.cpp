@@ -1,16 +1,18 @@
 //===- examples/custom_kernel.cpp - Bring your own workload ---------------===//
 ///
 /// \file
-/// Shows the lower-level public API: build a custom workload (a 5-point
-/// stencil) directly as trace buffers and an executable step sequence,
-/// then run it on two design points with HeteroSimulator::runLowered().
-/// This is the path for evaluating kernels beyond the paper's six.
+/// Shows the lower-level public API: define a custom workload (a 5-point
+/// stencil) as a trace generator, assemble an executable step sequence
+/// whose compute steps are block traces of it, then run it on two design
+/// points with HeteroSimulator::runLowered(). This is the path for
+/// evaluating kernels beyond the paper's six.
 ///
 /// Build & run:  ./build/examples/custom_kernel
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/HeteroSimulator.h"
+#include "trace/ComputeBlock.h"
 
 #include <cstdio>
 
@@ -18,40 +20,56 @@ using namespace hetsim;
 
 namespace {
 
-/// Emits one CPU stencil pass over [Base, Base+Bytes): for each point,
-/// load 3 neighbours, combine, store.
-TraceBuffer makeCpuStencil(Addr In, Addr Out, uint64_t Points) {
-  TraceBuffer Trace;
-  const uint32_t Pc = 0x800000;
-  for (uint64_t I = 0; I != Points; ++I) {
-    Addr Center = In + I * 4;
-    uint8_t V = uint8_t(8 + I % 20);
-    Trace.emitLoad(Pc + 0, V, Center, 4);
-    Trace.emitLoad(Pc + 4, uint8_t(V + 1), Center + 4, 4);
-    Trace.emitLoad(Pc + 8, uint8_t(V + 2), Center + 8, 4);
-    Trace.emitAlu(Opcode::FpAlu, Pc + 12, uint8_t(V + 3), V, uint8_t(V + 1));
-    Trace.emitAlu(Opcode::FpMac, Pc + 16, uint8_t(V + 3), uint8_t(V + 2),
-                  6);
-    Trace.emitStore(Pc + 20, uint8_t(V + 3), Out + I * 4, 4);
-    Trace.emitBranch(Pc + 24, /*Taken=*/true, 0);
-  }
-  return Trace;
-}
+/// The stencil pass as a trace generator: per point, load 3 neighbours,
+/// combine, store. The CPU takes the first half of the points one at a
+/// time, the GPU the second half as 8-wide warps. Cursor slots: 0 = in,
+/// 1 = out.
+class StencilGenerator final : public KernelTraceGenerator {
+public:
+  StencilGenerator() : KernelTraceGenerator("5-point stencil", 0x800000) {}
 
-/// The same pass as 8-wide warps for the GPU.
-TraceBuffer makeGpuStencil(Addr In, Addr Out, uint64_t Points) {
-  TraceBuffer Trace;
-  const uint32_t Pc = 0x900000;
-  for (uint64_t I = 0; I != Points / 8; ++I) {
-    Addr Center = In + I * 32;
-    uint8_t V = uint8_t(8 + I % 20);
-    Trace.emitSimdLoad(Pc + 0, V, Center, 4, 8, 4);
-    Trace.emitSimdLoad(Pc + 4, uint8_t(V + 1), Center + 4, 4, 8, 4);
-    Trace.emitAlu(Opcode::FpMac, Pc + 8, uint8_t(V + 2), V, uint8_t(V + 1));
-    Trace.emitSimdStore(Pc + 12, uint8_t(V + 2), Out + I * 32, 4, 8, 4);
-    Trace.emitBranch(Pc + 16, /*Taken=*/true, 0);
+protected:
+  void setUpCursors(GenState &S, const KernelDataLayout &Layout,
+                    WorkSplit Split) const override {
+    S.Cur[0] = cursorFor(Layout.segment("in"), Split);
+    S.Cur[1] = cursorFor(Layout.segment("out"), Split);
   }
-  return Trace;
+
+  void cpuIteration(TraceEmitter &E, GenState &S) const override {
+    const uint32_t Pc = pcBase();
+    Addr Center = S.Cur[0].advance(4);
+    uint8_t V = uint8_t(8 + S.Iter % 20);
+    E.load(Pc + 0, V, Center, 4);
+    E.load(Pc + 4, uint8_t(V + 1), Center + 4, 4);
+    E.load(Pc + 8, uint8_t(V + 2), Center + 8, 4);
+    E.alu(Opcode::FpAlu, Pc + 12, uint8_t(V + 3), V, uint8_t(V + 1));
+    E.alu(Opcode::FpMac, Pc + 16, uint8_t(V + 3), uint8_t(V + 2), 6);
+    E.store(Pc + 20, uint8_t(V + 3), S.Cur[1].advance(4), 4);
+    E.branch(Pc + 24, /*Taken=*/true, 0);
+  }
+
+  void gpuIteration(TraceEmitter &E, GenState &S) const override {
+    const uint32_t Pc = pcBase() + 0x100000;
+    Addr Center = S.Cur[0].advance(32);
+    uint8_t V = uint8_t(8 + S.Iter % 20);
+    E.simdLoad(Pc + 0, V, Center, 4, 8, 4);
+    E.simdLoad(Pc + 4, uint8_t(V + 1), Center + 4, 4, 8, 4);
+    E.alu(Opcode::FpMac, Pc + 8, uint8_t(V + 2), V, uint8_t(V + 1));
+    E.simdStore(Pc + 12, uint8_t(V + 2), S.Cur[1].advance(32), 4, 8, 4);
+    E.branch(Pc + 16, /*Taken=*/true, 0);
+  }
+};
+
+/// A block trace of \p Records records of the stencil on \p Pu over its
+/// \p Split half of \p Layout.
+SharedTrace stencilBlock(PuKind Pu, WorkSplit Split, uint64_t Records,
+                         const KernelDataLayout &Layout) {
+  static const StencilGenerator Stencil;
+  GenRequest Req;
+  Req.Pu = Pu;
+  Req.InstCount = Records;
+  Req.Split = Split;
+  return SharedTrace(std::make_shared<const BlockTrace>(Stencil, Req, Layout));
 }
 
 /// Assembles a lowered program: copy in, compute on both PUs, copy out.
@@ -60,53 +78,44 @@ LoweredProgram makeStencilProgram(const SystemConfig &Config,
   const uint64_t Bytes = Points * 4;
   LoweredProgram Program;
 
-  // Place input and output according to the configured address space.
-  Addr Base = Config.AddrSpace == AddressSpaceKind::Disjoint
-                  ? region::CpuPrivateBase
-                  : region::SharedBase;
-  DataSegment In{"in", Base, Bytes + 64, TransferDir::HostToDevice};
-  DataSegment Out{"out", Base + Bytes + 4096, Bytes,
-                  TransferDir::DeviceToHost};
+  // Place input and output according to the configured address space;
+  // under a disjoint space the GPU works on duplicated buffers in its own
+  // region.
+  const bool Disjoint = Config.AddrSpace == AddressSpaceKind::Disjoint;
+  const Addr Base = Disjoint ? region::CpuPrivateBase : region::SharedBase;
+  auto Place = [&](KernelDataLayout &Layout, Addr At) {
+    Layout.addSegment({"in", At, Bytes + 64, TransferDir::HostToDevice});
+    Layout.addSegment(
+        {"out", At + Bytes + 4096, Bytes, TransferDir::DeviceToHost});
+  };
   Program.Place.Kind = Config.AddrSpace;
-  Program.Place.CpuLayout.addSegment(In);
-  Program.Place.CpuLayout.addSegment(Out);
+  Place(Program.Place.CpuLayout, Base);
+  Place(Program.Place.GpuLayout, Disjoint ? region::GpuPrivateBase : Base);
 
-  // The GPU works on the second half; under a disjoint space it works on
-  // duplicated buffers in its own region.
-  Addr GpuBase = Config.AddrSpace == AddressSpaceKind::Disjoint
-                     ? region::GpuPrivateBase
-                     : Base;
-  DataSegment GpuIn{"in", GpuBase, Bytes + 64, TransferDir::HostToDevice};
-  DataSegment GpuOut{"out", GpuBase + Bytes + 4096, Bytes,
-                     TransferDir::DeviceToHost};
-  Program.Place.GpuLayout.addSegment(GpuIn);
-  Program.Place.GpuLayout.addSegment(GpuOut);
+  auto Copy = [&](TransferDir Dir, const char *Object) {
+    ExecStep Step;
+    Step.Kind = ExecKind::Transfer;
+    Step.Bytes = Bytes;
+    Step.Dir = Dir;
+    Step.Objects = {Object};
+    Program.Steps.push_back(std::move(Step));
+  };
+  if (Disjoint)
+    Copy(TransferDir::HostToDevice, "in");
 
   const uint64_t Half = Points / 2;
-  if (Config.AddrSpace == AddressSpaceKind::Disjoint) {
-    ExecStep CopyIn;
-    CopyIn.Kind = ExecKind::Transfer;
-    CopyIn.Bytes = Bytes;
-    CopyIn.Dir = TransferDir::HostToDevice;
-    CopyIn.Objects = {"in"};
-    Program.Steps.push_back(std::move(CopyIn));
-  }
 
   ExecStep Compute;
   Compute.Kind = ExecKind::ParallelCompute;
-  Compute.CpuTrace = makeCpuStencil(In.Base, Out.Base, Half);
-  Compute.GpuTrace =
-      makeGpuStencil(GpuIn.Base + Half * 4, GpuOut.Base + Half * 4, Half);
+  // 7 records per CPU point, 5 per GPU warp of 8 points.
+  Compute.CpuTrace = stencilBlock(PuKind::Cpu, WorkSplit::FirstHalf, 7 * Half,
+                                  Program.Place.CpuLayout);
+  Compute.GpuTrace = stencilBlock(PuKind::Gpu, WorkSplit::SecondHalf,
+                                  5 * (Half / 8), Program.Place.GpuLayout);
   Program.Steps.push_back(std::move(Compute));
 
-  if (Config.AddrSpace == AddressSpaceKind::Disjoint) {
-    ExecStep CopyOut;
-    CopyOut.Kind = ExecKind::Transfer;
-    CopyOut.Bytes = Bytes;
-    CopyOut.Dir = TransferDir::DeviceToHost;
-    CopyOut.Objects = {"out"};
-    Program.Steps.push_back(std::move(CopyOut));
-  }
+  if (Disjoint)
+    Copy(TransferDir::DeviceToHost, "out");
   return Program;
 }
 

@@ -48,13 +48,17 @@ echo "== gate 1b: block-trace differential + peak RSS + bench smoke =="
 # pass.
 ctest --test-dir build -R FastPath --output-on-failure \
   -j "$JOBS" | tail -3
-# Traces stream: no run may hold a whole lowered trace. Holding them, the
-# interleaved matrix multiply and Table III's instruction mix would need
-# 400 and 200 MB; streamed, both sit near 10 MB. Plain build only:
+# Traces stream: no production path holds a whole trace, since every
+# trace is a generator recipe expanded window by window. Holding them,
+# the interleaved matrix multiply and Table III's instruction mix would
+# need 400 and 200 MB, the extra workloads 154 MB and the custom-kernel
+# example 51 MB; streamed, all sit near 10-15 MB. Plain build only:
 # sanitizer shadow memory inflates RSS.
 scripts/peak_rss.py 64 build/tools/hetsim run --system IDEAL-HETERO \
   --kernel "matrix mul" sys.interleaved_contention=true
 scripts/peak_rss.py 64 build/bench/table3_benchmarks
+scripts/peak_rss.py 32 build/bench/extra_workloads
+scripts/peak_rss.py 32 build/examples/custom_kernel
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   build/bench/hetsim_bench --smoke >/dev/null
 

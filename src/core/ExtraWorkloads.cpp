@@ -3,8 +3,9 @@
 #include "core/ExtraWorkloads.h"
 
 #include "common/Error.h"
-#include "common/Random.h"
-#include "trace/KernelTraceGenerator.h"
+#include "trace/ComputeBlock.h"
+
+#include <algorithm>
 
 using namespace hetsim;
 
@@ -66,262 +67,267 @@ std::vector<DataObjectSpec> objectsFor(ExtraWorkloadId Id,
   hetsim_unreachable("invalid extra workload");
 }
 
-/// CPU-side compute trace for one workload over its element half.
-TraceBuffer cpuTrace(ExtraWorkloadId Id, const KernelDataLayout &Layout,
-                     uint64_t Elements, uint64_t Seed) {
-  TraceBuffer Trace;
-  XorShiftRng Rng(Seed);
-  const uint32_t Pc = 0xA00000 + uint32_t(Id) * 0x10000;
-  switch (Id) {
-  case ExtraWorkloadId::StreamTriad: {
-    StreamCursor B = KernelTraceGenerator::cursorFor(Layout.segment("b"),
-                                                     WorkSplit::FirstHalf);
-    StreamCursor C = KernelTraceGenerator::cursorFor(Layout.segment("c"),
-                                                     WorkSplit::FirstHalf);
-    StreamCursor A = KernelTraceGenerator::cursorFor(Layout.segment("a"),
-                                                     WorkSplit::FirstHalf);
-    for (uint64_t I = 0; I != Elements; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Trace.emitLoad(Pc + 0, V, B.advance(4), 4);
-      Trace.emitLoad(Pc + 4, uint8_t(V + 1), C.advance(4), 4);
-      Trace.emitAlu(Opcode::FpMac, Pc + 8, uint8_t(V + 2), V,
-                    uint8_t(V + 1));
-      Trace.emitStore(Pc + 12, uint8_t(V + 2), A.advance(4), 4);
-      Trace.emitBranch(Pc + 16, true, 0);
-    }
-    break;
+/// The stride of butterfly pass \p Pass: it doubles each pass from
+/// \p First and returns to \p First after reaching half of \p Span.
+uint64_t fftStride(uint64_t First, uint64_t Span, uint64_t Pass) {
+  uint64_t Cycle = 1;
+  for (uint64_t Stride = First; Stride < Span / 2; Stride *= 2)
+    ++Cycle;
+  return First << (Pass % Cycle);
+}
+
+/// One workload's generator. The CPU half (FirstHalf) takes one iteration
+/// per element, the GPU half (SecondHalf) one per warp of 8; CPU bodies
+/// sit at 0xA00000 + 64KB per workload and GPU bodies 1MB above. The
+/// serial finish pass reduces the output object, 3 records per element.
+class ExtraWorkloadGenerator final : public KernelTraceGenerator {
+public:
+  explicit ExtraWorkloadGenerator(ExtraWorkloadId Workload)
+      : KernelTraceGenerator(extraWorkloadName(Workload),
+                             0xA00000 + uint32_t(Workload) * 0x10000),
+        Id(Workload) {}
+
+protected:
+  void setUpCursors(GenState &S, const KernelDataLayout &L,
+                    WorkSplit Split) const override {
+    // Slots follow objectsFor's order. Streams split between the PUs;
+    // gather targets and tables stay whole.
+    struct Slot {
+      const char *Name;
+      bool Streamed;
+    };
+    static const std::vector<Slot> Slots[NumExtraWorkloads] = {
+        {{"b", true}, {"c", true}, {"a", true}},
+        {{"input", true}, {"bins", false}},
+        {{"vals", true}, {"cols", true}, {"x", false}, {"y", true}},
+        {{"samples", false}, {"twiddles", false}, {"spectrum", true}},
+        {{"offsets", true}, {"edges", false}, {"dist", false}}};
+    unsigned I = 0;
+    for (const Slot &C : Slots[unsigned(Id)])
+      S.Cur[I++] = cursorFor(L.segment(C.Name),
+                             C.Streamed ? Split : WorkSplit::FullRange);
   }
-  case ExtraWorkloadId::Histogram: {
-    StreamCursor In = KernelTraceGenerator::cursorFor(
-        Layout.segment("input"), WorkSplit::FirstHalf);
-    const DataSegment &Bins = Layout.segment("bins");
-    for (uint64_t I = 0; I != Elements; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Trace.emitLoad(Pc + 0, V, In.advance(4), 4);
-      // Data-dependent bin: read-modify-write of a hot 1KB table.
-      Addr Bin = Bins.Base + Rng.nextBelow(256) * 4;
-      Trace.emitLoad(Pc + 4, uint8_t(V + 1), Bin, 4, V);
-      Trace.emitAlu(Opcode::IntAlu, Pc + 8, uint8_t(V + 1), uint8_t(V + 1));
-      Trace.emitStore(Pc + 12, uint8_t(V + 1), Bin, 4);
-      Trace.emitBranch(Pc + 16, true, 0);
+
+  void cpuIteration(TraceEmitter &E, GenState &S) const override;
+  void gpuIteration(TraceEmitter &E, GenState &S) const override;
+
+  uint64_t rngSeed(const GenRequest &Req) const override {
+    return Req.Pu == PuKind::Cpu ? Req.Seed : Req.Seed * 7 + 3;
+  }
+
+  void serialIteration(TraceEmitter &E, GenState &S) const override {
+    const uint32_t Pc = 0xC00000;
+    E.load(Pc, 8, S.Cur[0].advance(4), 4);
+    E.alu(Opcode::FpAlu, Pc + 4, 7, 7, 8);
+    E.branch(Pc + 8, true, 0);
+  }
+
+private:
+  ExtraWorkloadId Id;
+};
+
+void ExtraWorkloadGenerator::cpuIteration(TraceEmitter &E,
+                                          GenState &S) const {
+  const uint32_t Pc = pcBase();
+  const uint64_t I = S.Iter;
+  const uint8_t V = uint8_t(8 + I % 20);
+  switch (Id) {
+  case ExtraWorkloadId::StreamTriad: // Cursors: b, c, a.
+    E.load(Pc + 0, V, S.Cur[0].advance(4), 4);
+    E.load(Pc + 4, uint8_t(V + 1), S.Cur[1].advance(4), 4);
+    E.alu(Opcode::FpMac, Pc + 8, uint8_t(V + 2), V, uint8_t(V + 1));
+    E.store(Pc + 12, uint8_t(V + 2), S.Cur[2].advance(4), 4);
+    E.branch(Pc + 16, true, 0);
+    return;
+  case ExtraWorkloadId::Histogram: { // Cursors: input, bins.
+    E.load(Pc + 0, V, S.Cur[0].advance(4), 4);
+    // Data-dependent bin: read-modify-write of a hot 1KB table.
+    Addr Bin = S.Cur[1].Base + S.Rng.nextBelow(256) * 4;
+    E.load(Pc + 4, uint8_t(V + 1), Bin, 4, V);
+    E.alu(Opcode::IntAlu, Pc + 8, uint8_t(V + 1), uint8_t(V + 1));
+    E.store(Pc + 12, uint8_t(V + 1), Bin, 4);
+    E.branch(Pc + 16, true, 0);
+    return;
+  }
+  case ExtraWorkloadId::Spmv: { // Cursors: vals, cols, x, y.
+    const StreamCursor &X = S.Cur[2];
+    E.load(Pc + 0, V, S.Cur[0].advance(4), 4);
+    E.load(Pc + 4, uint8_t(V + 1), S.Cur[1].advance(4), 4);
+    // Irregular gather of x[col].
+    Addr Gather = X.Base + alignDown(S.Rng.nextBelow(X.Bytes), 4);
+    E.load(Pc + 8, uint8_t(V + 2), Gather, 4, uint8_t(V + 1));
+    E.alu(Opcode::FpMac, Pc + 12, 7, V, uint8_t(V + 2));
+    if (I % 8 == 7) {
+      E.store(Pc + 16, 7, S.Cur[3].advance(4), 4);
+      E.branch(Pc + 20, true, 0);
     }
-    break;
+    return;
+  }
+  case ExtraWorkloadId::Fft: { // Cursors: samples, twiddles, spectrum.
+    // Butterfly passes over the lower half, one 16B step per iteration:
+    // the stride doubles each pass, so late passes touch a new line on
+    // every load (cache-hostile); the twiddle table stays resident.
+    const StreamCursor &Samples = S.Cur[0];
+    const uint64_t Half = Samples.Bytes / 2;
+    const uint64_t Steps = ceilDiv(Half, 16);
+    const uint64_t Pos = I % Steps * 16;
+    const uint64_t Stride = fftStride(8, Half, I / Steps);
+    E.load(Pc + 0, V, Samples.Base + Pos, 8);
+    E.load(Pc + 4, uint8_t(V + 1), Samples.Base + (Pos + Stride) % Half, 8);
+    E.load(Pc + 8, uint8_t(V + 2), S.Cur[1].Base + (I % 512) * 8, 8);
+    E.alu(Opcode::FpMul, Pc + 12, uint8_t(V + 3), uint8_t(V + 1),
+          uint8_t(V + 2));
+    E.alu(Opcode::FpAlu, Pc + 16, uint8_t(V + 3), V, uint8_t(V + 3));
+    E.store(Pc + 20, uint8_t(V + 3), S.Cur[2].advance(8), 8);
+    E.branch(Pc + 24, true, 0);
+    return;
+  }
+  case ExtraWorkloadId::Bfs: { // Cursors: offsets, edges, dist.
+    const StreamCursor &Edges = S.Cur[1], &Dist = S.Cur[2];
+    E.load(Pc + 0, V, S.Cur[0].advance(4), 4);
+    // Random neighbor gather through the edge list.
+    Addr Edge = Edges.Base + alignDown(S.Rng.nextBelow(Edges.Bytes), 4);
+    E.load(Pc + 4, uint8_t(V + 1), Edge, 4, V);
+    // Visited check on dist[neighbor]: data-dependent branch.
+    Addr Visited = Dist.Base + alignDown(S.Rng.nextBelow(Dist.Bytes), 4);
+    E.load(Pc + 8, uint8_t(V + 2), Visited, 4, uint8_t(V + 1));
+    E.branch(Pc + 12, S.Rng.nextBool(0.4), uint8_t(V + 2));
+    if (I % 3 == 0)
+      E.store(Pc + 16, uint8_t(V + 2), Visited, 4);
+    E.alu(Opcode::IntAlu, Pc + 20, 0, 0);
+    E.branch(Pc + 24, true, 0);
+    return;
+  }
+  }
+}
+
+void ExtraWorkloadGenerator::gpuIteration(TraceEmitter &E,
+                                          GenState &S) const {
+  const uint32_t Pc = pcBase() + 0x100000;
+  const uint64_t I = S.Iter;
+  const uint8_t V = uint8_t(8 + I % 20);
+  switch (Id) {
+  case ExtraWorkloadId::StreamTriad:
+    E.simdLoad(Pc + 0, V, S.Cur[0].advance(32), 4, 8, 4);
+    E.simdLoad(Pc + 4, uint8_t(V + 1), S.Cur[1].advance(32), 4, 8, 4);
+    E.alu(Opcode::FpMac, Pc + 8, uint8_t(V + 2), V, uint8_t(V + 1));
+    E.simdStore(Pc + 12, uint8_t(V + 2), S.Cur[2].advance(32), 4, 8, 4);
+    E.branch(Pc + 16, true, 0);
+    return;
+  case ExtraWorkloadId::Histogram: {
+    E.simdLoad(Pc + 0, V, S.Cur[0].advance(32), 4, 8, 4);
+    // Scattered atomic-style bin updates: one lane-scattered access.
+    Addr Bin = S.Cur[1].Base + S.Rng.nextBelow(32) * 4;
+    E.simdLoad(Pc + 4, uint8_t(V + 1), Bin, 4, 8, 28);
+    E.alu(Opcode::IntAlu, Pc + 8, uint8_t(V + 1), uint8_t(V + 1));
+    E.simdStore(Pc + 12, uint8_t(V + 1), Bin, 4, 8, 28);
+    E.branch(Pc + 16, true, 0);
+    return;
   }
   case ExtraWorkloadId::Spmv: {
-    StreamCursor Vals = KernelTraceGenerator::cursorFor(
-        Layout.segment("vals"), WorkSplit::FirstHalf);
-    StreamCursor Cols = KernelTraceGenerator::cursorFor(
-        Layout.segment("cols"), WorkSplit::FirstHalf);
-    const DataSegment &X = Layout.segment("x");
-    StreamCursor Y = KernelTraceGenerator::cursorFor(Layout.segment("y"),
-                                                     WorkSplit::FirstHalf);
-    for (uint64_t I = 0; I != Elements; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Trace.emitLoad(Pc + 0, V, Vals.advance(4), 4);
-      Trace.emitLoad(Pc + 4, uint8_t(V + 1), Cols.advance(4), 4);
-      // Irregular gather of x[col].
-      Addr Gather = X.Base + alignDown(Rng.nextBelow(X.Bytes), 4);
-      Trace.emitLoad(Pc + 8, uint8_t(V + 2), Gather, 4, uint8_t(V + 1));
-      Trace.emitAlu(Opcode::FpMac, Pc + 12, 7, V, uint8_t(V + 2));
-      if (I % 8 == 7) {
-        Trace.emitStore(Pc + 16, 7, Y.advance(4), 4);
-        Trace.emitBranch(Pc + 20, true, 0);
-      }
-    }
-    break;
+    const StreamCursor &X = S.Cur[2];
+    E.simdLoad(Pc + 0, V, S.Cur[0].advance(32), 4, 8, 4);
+    // Divergent gathers: wide lane stride defeats coalescing.
+    Addr Gather = X.Base + alignDown(S.Rng.nextBelow(X.Bytes / 2), 4);
+    E.simdLoad(Pc + 4, uint8_t(V + 1), Gather, 4, 8, 512);
+    E.alu(Opcode::FpMac, Pc + 8, 7, V, uint8_t(V + 1));
+    if (I % 8 == 7)
+      E.simdStore(Pc + 12, 7, S.Cur[3].advance(32), 4, 8, 4);
+    E.branch(Pc + 16, true, 0);
+    return;
   }
   case ExtraWorkloadId::Fft: {
-    const DataSegment &Samples = Layout.segment("samples");
-    const DataSegment &Twiddles = Layout.segment("twiddles");
-    StreamCursor Out = KernelTraceGenerator::cursorFor(
-        Layout.segment("spectrum"), WorkSplit::FirstHalf);
-    // Butterfly passes: the stride doubles each stage, so late stages
-    // touch a new line on every load (cache-hostile); the twiddle table
-    // stays resident.
-    uint64_t Half = Samples.Bytes / 2;
-    uint64_t Stride = 8;
-    uint64_t Pos = 0;
-    for (uint64_t I = 0; I != Elements; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Addr Even = Samples.Base + Pos;
-      Addr Odd = Samples.Base + ((Pos + Stride) % Half);
-      Trace.emitLoad(Pc + 0, V, Even, 8);
-      Trace.emitLoad(Pc + 4, uint8_t(V + 1), Odd, 8);
-      Trace.emitLoad(Pc + 8, uint8_t(V + 2),
-                     Twiddles.Base + (I % 512) * 8, 8);
-      Trace.emitAlu(Opcode::FpMul, Pc + 12, uint8_t(V + 3), uint8_t(V + 1),
-                    uint8_t(V + 2));
-      Trace.emitAlu(Opcode::FpAlu, Pc + 16, uint8_t(V + 3), V,
-                    uint8_t(V + 3));
-      Trace.emitStore(Pc + 20, uint8_t(V + 3), Out.advance(8), 8);
-      Trace.emitBranch(Pc + 24, true, 0);
-      Pos += 16;
-      if (Pos >= Half) {
-        Pos = 0;
-        Stride = Stride >= Half / 2 ? 8 : Stride * 2; // Next stage.
-      }
-    }
-    break;
+    // The same passes over the upper half, one 128B warp step each.
+    const StreamCursor &Samples = S.Cur[0];
+    const uint64_t Half = Samples.Bytes / 2;
+    const uint64_t Steps = ceilDiv(Samples.Bytes - Half, 128);
+    const uint64_t Pos = I % Steps * 128;
+    const uint64_t Stride = fftStride(64, Half, I / Steps);
+    const Addr Upper = Samples.Base + Half;
+    E.simdLoad(Pc + 0, V, Upper + Pos, 8, 8, 8);
+    E.simdLoad(Pc + 4, uint8_t(V + 1), Upper + (Pos + Stride) % Half, 8, 8,
+               8);
+    E.load(Pc + 8, uint8_t(V + 2), S.Cur[1].Base + (I % 512) * 8, 8);
+    E.alu(Opcode::FpMul, Pc + 12, uint8_t(V + 3), uint8_t(V + 1),
+          uint8_t(V + 2));
+    E.alu(Opcode::FpAlu, Pc + 16, uint8_t(V + 3), V, uint8_t(V + 3));
+    E.simdStore(Pc + 20, uint8_t(V + 3), S.Cur[2].advance(64), 8, 8, 8);
+    E.branch(Pc + 24, true, 0);
+    return;
   }
   case ExtraWorkloadId::Bfs: {
-    StreamCursor Offsets = KernelTraceGenerator::cursorFor(
-        Layout.segment("offsets"), WorkSplit::FirstHalf);
-    const DataSegment &Edges = Layout.segment("edges");
-    const DataSegment &Dist = Layout.segment("dist");
-    for (uint64_t I = 0; I != Elements; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Trace.emitLoad(Pc + 0, V, Offsets.advance(4), 4);
-      // Random neighbor gather through the edge list.
-      Addr Edge = Edges.Base + alignDown(Rng.nextBelow(Edges.Bytes), 4);
-      Trace.emitLoad(Pc + 4, uint8_t(V + 1), Edge, 4, V);
-      // Visited check on dist[neighbor]: data-dependent branch.
-      Addr Visited = Dist.Base + alignDown(Rng.nextBelow(Dist.Bytes), 4);
-      Trace.emitLoad(Pc + 8, uint8_t(V + 2), Visited, 4, uint8_t(V + 1));
-      Trace.emitBranch(Pc + 12, Rng.nextBool(0.4), uint8_t(V + 2));
-      if (I % 3 == 0)
-        Trace.emitStore(Pc + 16, uint8_t(V + 2), Visited, 4);
-      Trace.emitAlu(Opcode::IntAlu, Pc + 20, 0, 0);
-      Trace.emitBranch(Pc + 24, true, 0);
-    }
-    break;
+    const StreamCursor &Edges = S.Cur[1], &Dist = S.Cur[2];
+    E.simdLoad(Pc + 0, V, S.Cur[0].advance(32), 4, 8, 4);
+    // Divergent gathers: wide lane stride models per-lane neighbors.
+    Addr Edge = Edges.Base + alignDown(S.Rng.nextBelow(Edges.Bytes / 2), 4);
+    E.simdLoad(Pc + 4, uint8_t(V + 1), Edge, 4, 8, 256);
+    Addr Visited = Dist.Base + alignDown(S.Rng.nextBelow(Dist.Bytes / 2), 4);
+    E.simdLoad(Pc + 8, uint8_t(V + 2), Visited, 4, 8, 128);
+    // Divergent visited-check branch.
+    E.branch(Pc + 12, S.Rng.nextBool(0.4), uint8_t(V + 2));
+    if (I % 3 == 0)
+      E.simdStore(Pc + 16, uint8_t(V + 2), Visited, 4, 8, 128);
+    E.alu(Opcode::IntAlu, Pc + 20, 0, 0);
+    E.branch(Pc + 24, true, 0);
+    return;
   }
   }
-  return Trace;
 }
 
-/// GPU-side warp trace (8-wide) over the other half.
-TraceBuffer gpuTrace(ExtraWorkloadId Id, const KernelDataLayout &Layout,
-                     uint64_t Elements, uint64_t Seed) {
-  TraceBuffer Trace;
-  XorShiftRng Rng(Seed * 7 + 3);
-  const uint32_t Pc = 0xB00000 + uint32_t(Id) * 0x10000;
-  const uint64_t Warps = Elements / 8;
+const KernelTraceGenerator &generatorFor(ExtraWorkloadId Id) {
+  static const ExtraWorkloadGenerator Generators[NumExtraWorkloads] = {
+      ExtraWorkloadGenerator(ExtraWorkloadId::StreamTriad),
+      ExtraWorkloadGenerator(ExtraWorkloadId::Histogram),
+      ExtraWorkloadGenerator(ExtraWorkloadId::Spmv),
+      ExtraWorkloadGenerator(ExtraWorkloadId::Fft),
+      ExtraWorkloadGenerator(ExtraWorkloadId::Bfs)};
+  return Generators[unsigned(Id)];
+}
+
+/// The records \p Iters compute iterations of \p Id emit on \p Pu.
+uint64_t computeRecords(ExtraWorkloadId Id, PuKind Pu, uint64_t Iters) {
   switch (Id) {
-  case ExtraWorkloadId::StreamTriad: {
-    StreamCursor B = KernelTraceGenerator::cursorFor(Layout.segment("b"),
-                                                     WorkSplit::SecondHalf);
-    StreamCursor C = KernelTraceGenerator::cursorFor(Layout.segment("c"),
-                                                     WorkSplit::SecondHalf);
-    StreamCursor A = KernelTraceGenerator::cursorFor(Layout.segment("a"),
-                                                     WorkSplit::SecondHalf);
-    for (uint64_t I = 0; I != Warps; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Trace.emitSimdLoad(Pc + 0, V, B.advance(32), 4, 8, 4);
-      Trace.emitSimdLoad(Pc + 4, uint8_t(V + 1), C.advance(32), 4, 8, 4);
-      Trace.emitAlu(Opcode::FpMac, Pc + 8, uint8_t(V + 2), V,
-                    uint8_t(V + 1));
-      Trace.emitSimdStore(Pc + 12, uint8_t(V + 2), A.advance(32), 4, 8, 4);
-      Trace.emitBranch(Pc + 16, true, 0);
-    }
-    break;
+  case ExtraWorkloadId::StreamTriad:
+  case ExtraWorkloadId::Histogram:
+    return 5 * Iters;
+  case ExtraWorkloadId::Spmv: // Every 8th iteration stores y.
+    return 4 * Iters + (Pu == PuKind::Cpu ? 2 : 1) * (Iters / 8);
+  case ExtraWorkloadId::Fft:
+    return 7 * Iters;
+  case ExtraWorkloadId::Bfs: // Every 3rd iteration, from the first, stores.
+    return 6 * Iters + ceilDiv(Iters, 3);
   }
-  case ExtraWorkloadId::Histogram: {
-    StreamCursor In = KernelTraceGenerator::cursorFor(
-        Layout.segment("input"), WorkSplit::SecondHalf);
-    const DataSegment &Bins = Layout.segment("bins");
-    for (uint64_t I = 0; I != Warps; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Trace.emitSimdLoad(Pc + 0, V, In.advance(32), 4, 8, 4);
-      // Scattered atomic-style bin updates: one lane-scattered access.
-      Addr Bin = Bins.Base + Rng.nextBelow(32) * 4;
-      Trace.emitSimdLoad(Pc + 4, uint8_t(V + 1), Bin, 4, 8, 28);
-      Trace.emitAlu(Opcode::IntAlu, Pc + 8, uint8_t(V + 1), uint8_t(V + 1));
-      Trace.emitSimdStore(Pc + 12, uint8_t(V + 1), Bin, 4, 8, 28);
-      Trace.emitBranch(Pc + 16, true, 0);
-    }
-    break;
-  }
-  case ExtraWorkloadId::Spmv: {
-    StreamCursor Vals = KernelTraceGenerator::cursorFor(
-        Layout.segment("vals"), WorkSplit::SecondHalf);
-    const DataSegment &X = Layout.segment("x");
-    StreamCursor Y = KernelTraceGenerator::cursorFor(Layout.segment("y"),
-                                                     WorkSplit::SecondHalf);
-    for (uint64_t I = 0; I != Warps; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Trace.emitSimdLoad(Pc + 0, V, Vals.advance(32), 4, 8, 4);
-      // Divergent gathers: wide lane stride defeats coalescing.
-      Addr Gather = X.Base + alignDown(Rng.nextBelow(X.Bytes / 2), 4);
-      Trace.emitSimdLoad(Pc + 4, uint8_t(V + 1), Gather, 4, 8, 512);
-      Trace.emitAlu(Opcode::FpMac, Pc + 8, 7, V, uint8_t(V + 1));
-      if (I % 8 == 7)
-        Trace.emitSimdStore(Pc + 12, 7, Y.advance(32), 4, 8, 4);
-      Trace.emitBranch(Pc + 16, true, 0);
-    }
-    break;
-  }
-  case ExtraWorkloadId::Fft: {
-    const DataSegment &Samples = Layout.segment("samples");
-    const DataSegment &Twiddles = Layout.segment("twiddles");
-    StreamCursor Out = KernelTraceGenerator::cursorFor(
-        Layout.segment("spectrum"), WorkSplit::SecondHalf);
-    uint64_t Half = Samples.Bytes / 2;
-    uint64_t Stride = 64;
-    uint64_t Pos = Half; // GPU works the upper half.
-    for (uint64_t I = 0; I != Warps; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Addr Even = Samples.Base + Pos;
-      Addr Odd = Samples.Base + Half + ((Pos - Half + Stride) % Half);
-      Trace.emitSimdLoad(Pc + 0, V, Even, 8, 8, 8);
-      Trace.emitSimdLoad(Pc + 4, uint8_t(V + 1), Odd, 8, 8, 8);
-      Trace.emitLoad(Pc + 8, uint8_t(V + 2),
-                     Twiddles.Base + (I % 512) * 8, 8);
-      Trace.emitAlu(Opcode::FpMul, Pc + 12, uint8_t(V + 3), uint8_t(V + 1),
-                    uint8_t(V + 2));
-      Trace.emitAlu(Opcode::FpAlu, Pc + 16, uint8_t(V + 3), V,
-                    uint8_t(V + 3));
-      Trace.emitSimdStore(Pc + 20, uint8_t(V + 3), Out.advance(64), 8, 8, 8);
-      Trace.emitBranch(Pc + 24, true, 0);
-      Pos += 128;
-      if (Pos >= Samples.Bytes) {
-        Pos = Half;
-        Stride = Stride >= Half / 2 ? 64 : Stride * 2;
-      }
-    }
-    break;
-  }
-  case ExtraWorkloadId::Bfs: {
-    StreamCursor Offsets = KernelTraceGenerator::cursorFor(
-        Layout.segment("offsets"), WorkSplit::SecondHalf);
-    const DataSegment &Edges = Layout.segment("edges");
-    const DataSegment &Dist = Layout.segment("dist");
-    for (uint64_t I = 0; I != Warps; ++I) {
-      uint8_t V = uint8_t(8 + I % 20);
-      Trace.emitSimdLoad(Pc + 0, V, Offsets.advance(32), 4, 8, 4);
-      // Divergent gathers: wide lane stride models per-lane neighbors.
-      Addr Edge = Edges.Base + alignDown(Rng.nextBelow(Edges.Bytes / 2), 4);
-      Trace.emitSimdLoad(Pc + 4, uint8_t(V + 1), Edge, 4, 8, 256);
-      Addr Visited = Dist.Base + alignDown(Rng.nextBelow(Dist.Bytes / 2), 4);
-      Trace.emitSimdLoad(Pc + 8, uint8_t(V + 2), Visited, 4, 8, 128);
-      // Divergent visited-check branch.
-      Trace.emitBranch(Pc + 12, Rng.nextBool(0.4), uint8_t(V + 2));
-      if (I % 3 == 0)
-        Trace.emitSimdStore(Pc + 16, uint8_t(V + 2), Visited, 4, 8, 128);
-      Trace.emitAlu(Opcode::IntAlu, Pc + 20, 0, 0);
-      Trace.emitBranch(Pc + 24, true, 0);
-    }
-    break;
-  }
-  }
-  return Trace;
+  hetsim_unreachable("invalid extra workload");
 }
 
-uint64_t sumBytes(const std::vector<DataObjectSpec> &Objects,
-                  TransferDir Dir) {
-  uint64_t Bytes = 0;
-  for (const DataObjectSpec &Spec : Objects)
-    if (Spec.Dir == Dir)
-      Bytes += Spec.Bytes;
-  return Bytes;
+/// The compute block of \p Id's \p Split half on \p Pu: \p Iters
+/// iterations over \p Layout.
+SharedTrace computeBlock(ExtraWorkloadId Id, PuKind Pu, WorkSplit Split,
+                         uint64_t Iters, uint64_t Seed,
+                         const KernelDataLayout &Layout) {
+  GenRequest Req;
+  Req.Pu = Pu;
+  Req.InstCount = computeRecords(Id, Pu, Iters);
+  Req.Seed = Seed;
+  Req.Split = Split;
+  return SharedTrace(
+      std::make_shared<const BlockTrace>(generatorFor(Id), Req, Layout));
 }
 
-std::vector<std::string> names(const std::vector<DataObjectSpec> &Objects,
-                               TransferDir Dir) {
-  std::vector<std::string> Names;
-  for (const DataObjectSpec &Spec : Objects)
-    if (Spec.Dir == Dir)
-      Names.push_back(Spec.Name);
-  return Names;
+/// A transfer of every object moving in direction \p Dir.
+ExecStep transferStep(const std::vector<DataObjectSpec> &Objects,
+                      TransferDir Dir, bool Async) {
+  ExecStep Step;
+  Step.Kind = ExecKind::Transfer;
+  Step.Dir = Dir;
+  Step.Async = Async;
+  for (const DataObjectSpec &Spec : Objects) {
+    if (Spec.Dir != Dir)
+      continue;
+    Step.Objects.push_back(Spec.Name);
+    Step.Bytes += Spec.Bytes;
+  }
+  return Step;
 }
 
 } // namespace
@@ -337,37 +343,27 @@ LoweredProgram hetsim::buildExtraWorkload(ExtraWorkloadId Id,
   Program.Place =
       AddressSpaceModel::forKind(Config.AddrSpace).placeObjects(Objects);
 
-  const bool NeedsCopies =
-      AddressSpaceModel::forKind(Config.AddrSpace).needsExplicitTransfer();
+  const bool Copies =
+      AddressSpaceModel::forKind(Config.AddrSpace).needsExplicitTransfer() &&
+      !Config.IdealComm;
 
-  if (NeedsCopies && !Config.IdealComm) {
-    ExecStep In;
-    In.Kind = ExecKind::Transfer;
-    In.Dir = TransferDir::HostToDevice;
-    In.Objects = names(Objects, TransferDir::HostToDevice);
-    In.Bytes = sumBytes(Objects, TransferDir::HostToDevice);
-    In.Async = Config.AsyncCopies;
-    Program.Steps.push_back(std::move(In));
-  }
+  if (Copies)
+    Program.Steps.push_back(transferStep(Objects, TransferDir::HostToDevice,
+                                         Config.AsyncCopies));
 
   ExecStep Compute;
   Compute.Kind = ExecKind::ParallelCompute;
-  Compute.CpuTrace =
-      cpuTrace(Id, Program.Place.CpuLayout, Elements / 2, Elements);
-  Compute.GpuTrace =
-      gpuTrace(Id, Program.Place.GpuLayout, Elements - Elements / 2,
-               Elements);
+  Compute.CpuTrace = computeBlock(Id, PuKind::Cpu, WorkSplit::FirstHalf,
+                                  Elements / 2, Elements,
+                                  Program.Place.CpuLayout);
+  Compute.GpuTrace = computeBlock(Id, PuKind::Gpu, WorkSplit::SecondHalf,
+                                  (Elements - Elements / 2) / 8, Elements,
+                                  Program.Place.GpuLayout);
   Program.Steps.push_back(std::move(Compute));
 
-  if (NeedsCopies && !Config.IdealComm) {
-    ExecStep OutStep;
-    OutStep.Kind = ExecKind::Transfer;
-    OutStep.Dir = TransferDir::DeviceToHost;
-    OutStep.Objects = names(Objects, TransferDir::DeviceToHost);
-    OutStep.Bytes = sumBytes(Objects, TransferDir::DeviceToHost);
-    OutStep.Async = Config.AsyncCopies;
-    Program.Steps.push_back(std::move(OutStep));
-  }
+  if (Copies)
+    Program.Steps.push_back(transferStep(Objects, TransferDir::DeviceToHost,
+                                         Config.AsyncCopies));
   if (Config.AsyncCopies) {
     ExecStep Wait;
     Wait.Kind = ExecKind::DmaWait;
@@ -377,23 +373,9 @@ LoweredProgram hetsim::buildExtraWorkload(ExtraWorkloadId Id,
   // A short sequential finish over the outputs (reduce/verify pass).
   ExecStep Finish;
   Finish.Kind = ExecKind::SerialCompute;
-  const KernelTraceGenerator &AnyGen =
-      KernelTraceGenerator::forKernel(KernelId::Reduction);
-  (void)AnyGen;
-  {
-    TraceBuffer Serial;
-    const DataSegment &Out = Program.Place.CpuLayout.segments().back();
-    StreamCursor Cursor =
-        KernelTraceGenerator::cursorFor(Out, WorkSplit::FullRange);
-    const uint32_t Pc = 0xC00000;
-    uint64_t SerialOps = std::min<uint64_t>(Elements / 4, 16384);
-    for (uint64_t I = 0; I != SerialOps; ++I) {
-      Serial.emitLoad(Pc, 8, Cursor.advance(4), 4);
-      Serial.emitAlu(Opcode::FpAlu, Pc + 4, 7, 7, 8);
-      Serial.emitBranch(Pc + 8, true, 0);
-    }
-    Finish.CpuTrace = std::move(Serial);
-  }
+  const uint64_t SerialOps = std::min<uint64_t>(Elements / 4, 16384);
+  Finish.CpuTrace = SharedTrace(std::make_shared<const BlockTrace>(
+      generatorFor(Id), 3 * SerialOps, /*Seed=*/1, Program.Place.CpuLayout));
   Program.Steps.push_back(std::move(Finish));
   return Program;
 }

@@ -13,9 +13,9 @@
 ///   bfs          — frontier expansion with random neighbor gathers and
 ///                  data-dependent visited checks.
 ///
-/// They use the same placement models and transfer lowering rules as the
-/// paper kernels; sizes are parameters, so scaling studies (communication
-/// fraction vs. data size) are possible.
+/// They use the same placement models, transfer lowering rules and
+/// block-trace generators as the paper kernels; sizes are parameters, so
+/// scaling studies (communication fraction vs. data size) are possible.
 ///
 //===----------------------------------------------------------------------===//
 

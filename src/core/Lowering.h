@@ -36,9 +36,9 @@ enum class ExecKind : uint8_t {
 /// Returns a short name for an ExecKind.
 const char *execKindName(ExecKind Kind);
 
-/// One executable step. Lowering fills the compute steps with block-trace
-/// recipes (trace/ComputeBlock.h) held through SharedTrace handles;
-/// consumers read them exactly like `const TraceBuffer` values.
+/// One executable step. Compute steps hold block-trace recipes
+/// (trace/ComputeBlock.h) through SharedTrace handles; consumers stream
+/// their records through BlockExpander or TraceReader.
 struct ExecStep {
   ExecKind Kind = ExecKind::SerialCompute;
   SharedTrace CpuTrace;

@@ -71,33 +71,22 @@ void foldCache(Fingerprint &F, const CacheConfig &C) {
 }
 
 void foldTrace(Fingerprint &F, const SharedTrace &Trace) {
-  if (const BlockTrace *Block = Trace.blocks()) {
-    F.kind(Block->kind()).word(Block->totalRecords());
-    // Block trace: the recipe determines the stream exactly (window
-    // concatenation equals materialization), so hash the generator
-    // inputs instead of expanding millions of records.
-    const GenRequest &Req = Block->request();
-    F.kind(Req.Pu)
-        .kind(Req.Split)
-        .word(Req.InstCount)
-        .word(Req.Seed)
-        .word(Block->layout().fingerprint());
+  const BlockTrace *Block = Trace.blocks();
+  if (!Block) {
+    F.word(0);
     return;
   }
-  // Materialized handle: hash the records themselves.
-  const TraceBuffer &Buffer = Trace.buffer();
-  F.word(uint64_t(0xb0f)).word(Buffer.size());
-  for (const TraceRecord &R : Buffer)
-    F.word(R.MemAddr)
-        .word(R.Pc)
-        .word(R.MemBytes)
-        .word(R.LaneStrideBytes)
-        .kind(R.Op)
-        .word(R.DstReg)
-        .word(R.SrcRegA)
-        .word(R.SrcRegB)
-        .word(R.SimdLanes)
-        .word(R.IsTaken ? 1 : 0);
+  // The recipe determines the stream exactly (window concatenation equals
+  // materialization), so hash the generator and its inputs instead of
+  // expanding millions of records.
+  const GenRequest &Req = Block->request();
+  F.text(Block->generator().name())
+      .kind(Block->kind())
+      .kind(Req.Pu)
+      .kind(Req.Split)
+      .word(Req.InstCount)
+      .word(Req.Seed)
+      .word(Block->layout().fingerprint());
 }
 
 //===----------------------------------------------------------------------===//

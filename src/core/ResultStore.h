@@ -2,8 +2,8 @@
 ///
 /// \file
 /// An on-disk cache of finished sweep points, keyed by *content*: the
-/// FNV-1a fingerprint of the fully resolved SystemConfig, the fingerprint
-/// of every trace the lowered program will execute, and a code version
+/// FNV-1a fingerprint of the fully resolved SystemConfig, the recipe of
+/// every trace the lowered program will execute, and a code version
 /// hashed from the simulator's sources at build time. Two sweep points
 /// with the same key are guaranteed to produce the same RunResult (the
 /// simulator is deterministic in exactly those inputs), so a stored entry
@@ -46,12 +46,11 @@ extern const uint64_t ResultStoreCodeVersion;
 /// field the simulator reads, nested configs included).
 uint64_t hashSystemConfig(const SystemConfig &Config);
 
-/// Content fingerprint of every trace \p Program executes: block-backed
-/// traces hash their recipes (generator inputs + layout fingerprint),
-/// materialized traces hash their record streams field by field, and
-/// non-trace step attributes (kind, bytes, direction, objects) are folded
-/// in so two programs with equal traces but different communication steps
-/// never collide.
+/// Content fingerprint of every trace \p Program executes: each trace
+/// hashes its recipe (the generator's name, its request and the layout
+/// fingerprint), never its records, and non-trace step attributes (kind,
+/// bytes, direction, objects) are folded in so two programs with equal
+/// traces but different communication steps never collide.
 uint64_t hashLoweredTraces(const LoweredProgram &Program);
 
 /// The content-addressed on-disk result cache.

@@ -31,24 +31,39 @@ const std::vector<CaseStudy> &hetsim::allCaseStudies() {
 }
 
 void SystemConfig::applyOverrides(const ConfigStore &Overrides) {
+  // Rejects \p Key's value, which the simulator cannot build from.
+  auto Reject = [&](const char *Key, const char *Type) {
+    rejectConfigValue(Key, Overrides.getString(Key, ""), Type);
+  };
   Comm = CommParams::fromConfig(Overrides);
 
   Hier.TlbMissPenalty =
       Overrides.getUInt("mem.tlb_miss_penalty", Hier.TlbMissPenalty);
   Hier.GpuPageBytes = Overrides.getUInt("mem.gpu_page_bytes",
                                         Hier.GpuPageBytes);
+  if (!PageTable::isValidPageSize(Hier.GpuPageBytes))
+    Reject("mem.gpu_page_bytes", "page size (a power of two, at least 512)");
   Hier.CpuPageBytes = Overrides.getUInt("mem.cpu_page_bytes",
                                         Hier.CpuPageBytes);
+  if (!PageTable::isValidPageSize(Hier.CpuPageBytes))
+    Reject("mem.cpu_page_bytes", "page size (a power of two, at least 512)");
   Hier.L3.SizeBytes = Overrides.getUInt("mem.l3_bytes", Hier.L3.SizeBytes);
+  if (!Hier.L3.isValid())
+    Reject("mem.l3_bytes", "L3 size (a power-of-two number of sets)");
   Hier.EnableL2Prefetch =
       Overrides.getBool("mem.l2_prefetch", Hier.EnableL2Prefetch);
-  if (Overrides.getString("mem.noc", "ring") == "mesh")
+  const std::string Noc = Overrides.getString("mem.noc", "ring");
+  if (Noc == "mesh")
     Hier.UseMeshNoc = true;
+  else if (Noc != "ring")
+    Reject("mem.noc", "NoC topology (ring or mesh)");
   Hier.Prefetch.Degree = unsigned(
       Overrides.getUInt("mem.prefetch_degree", Hier.Prefetch.Degree));
 
-  Cpu.RobEntries =
-      unsigned(Overrides.getUInt("cpu.rob_entries", Cpu.RobEntries));
+  const uint64_t Rob = Overrides.getUInt("cpu.rob_entries", Cpu.RobEntries);
+  if (Rob == 0 || Rob != unsigned(Rob))
+    Reject("cpu.rob_entries", "ROB size (a positive 32-bit integer)");
+  Cpu.RobEntries = unsigned(Rob);
   Cpu.MispredictPenalty =
       Overrides.getUInt("cpu.mispredict_penalty", Cpu.MispredictPenalty);
   Gpu.BranchStall = Overrides.getUInt("gpu.branch_stall", Gpu.BranchStall);
@@ -65,9 +80,7 @@ void SystemConfig::applyOverrides(const ConfigStore &Overrides) {
   if (Overrides.has("sys.cpu_work_fraction")) {
     CpuWorkFraction = Overrides.getDouble("sys.cpu_work_fraction", 0.0);
     if (!(CpuWorkFraction >= 0.0 && CpuWorkFraction <= 1.0))
-      rejectConfigValue("sys.cpu_work_fraction",
-                        Overrides.getString("sys.cpu_work_fraction", ""),
-                        "fraction in [0, 1]");
+      Reject("sys.cpu_work_fraction", "fraction in [0, 1]");
   }
 }
 

@@ -68,9 +68,12 @@ struct CpuPipeline {
   Cycle LastRetire;
   unsigned RetiredThisCycle = 0;
   Addr LastFetchLine = ~Addr(0);
-  // Store buffer for store-to-load forwarding: exact address -> cycle at
-  // which the stored data is forwardable.
-  FlatU64Map<Cycle> StoreBuffer;
+  // Store buffer for store-to-load forwarding: every exact address this
+  // segment stored, as 64-address line -> one bit per byte offset. Issue
+  // is in order (IssueBusyCycle never decreases), so a store's data is
+  // always forwardable by the time a later load issues: the buffer needs
+  // only which addresses were stored, not when.
+  FlatU64Map<uint64_t> StoreBuffer;
   // One bit per 4KB page (folded into 4096 bits) that some store of this
   // segment wrote. The buffer holds every address stored so far and can
   // outgrow the host caches; loads from pages no store touched (a
@@ -152,16 +155,17 @@ struct CpuPipeline {
       const unsigned PageBit = storePageBit(R.MemAddr);
       if (isStoreOp(R.Op)) {
         if (Config.EnableStoreForwarding) {
-          StoreBuffer[R.MemAddr] = IssueCycle + 1;
+          StoreBuffer[R.MemAddr >> 6] |= uint64_t(1) << (R.MemAddr & 63);
           StorePages[PageBit / 64] |= uint64_t(1) << (PageBit % 64);
         }
       } else {
         Complete = IssueCycle + MemResult.Latency;
         if (Config.EnableStoreForwarding &&
             (StorePages[PageBit / 64] >> (PageBit % 64) & 1)) {
-          if (const Cycle *Fwd = StoreBuffer.find(R.MemAddr)) {
+          const uint64_t *Stored = StoreBuffer.find(R.MemAddr >> 6);
+          if (Stored && (*Stored >> (R.MemAddr & 63) & 1)) {
             ++Result.StoreForwards;
-            Complete = std::max(IssueCycle + 1, *Fwd);
+            Complete = IssueCycle + 1;
           }
         }
       }
@@ -231,17 +235,13 @@ SegmentResult CpuCore::run(const TraceRecord *Records, size_t Count,
 }
 
 SegmentResult CpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
-  const BlockTrace *Block = Trace.blocks();
-  if (!Block)
-    return run(Trace.buffer(), StartCycle);
-
   SegmentResult Result;
-  Result.Insts = Block->totalRecords();
+  Result.Insts = Trace.size();
   if (Result.Insts == 0)
     return Result;
 
   CpuPipeline Pipe(Config, Mem, Predictor, ICache, Result, StartCycle);
-  BlockExpander Expander(*Block);
+  BlockExpander Expander(*Trace.blocks());
   TraceBuffer Window;
   while (!Expander.done()) {
     Expander.next(Window);

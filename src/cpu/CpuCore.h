@@ -97,9 +97,9 @@ public:
   SegmentResult run(const TraceRecord *Records, size_t Count,
                     Cycle StartCycle);
 
-  /// Runs a shared trace handle. Block-backed handles are expanded a
-  /// window at a time (see DESIGN.md §8); results are identical to
-  /// running the materialized trace.
+  /// Runs a shared trace handle, expanding its block a window at a time
+  /// (see DESIGN.md §8); results are identical to running the
+  /// materialized trace.
   SegmentResult run(const SharedTrace &Trace, Cycle StartCycle);
 
   const CpuConfig &config() const { return Config; }

@@ -169,17 +169,13 @@ SegmentResult GpuCore::run(const TraceRecord *Records, size_t Count,
 }
 
 SegmentResult GpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
-  const BlockTrace *Block = Trace.blocks();
-  if (!Block)
-    return run(Trace.buffer(), StartCycle);
-
   SegmentResult Result;
-  Result.Insts = Block->totalRecords();
+  Result.Insts = Trace.size();
   if (Result.Insts == 0)
     return Result;
 
   GpuPipeline Pipe(Config, Mem, Result, StartCycle);
-  BlockExpander Expander(*Block);
+  BlockExpander Expander(*Trace.blocks());
   TraceBuffer Window;
   while (!Expander.done()) {
     Expander.next(Window);

@@ -53,8 +53,8 @@ public:
   SegmentResult run(const TraceRecord *Records, size_t Count,
                     Cycle StartCycle);
 
-  /// Runs a shared trace handle. Block-backed handles expand window by
-  /// window (DESIGN.md §8).
+  /// Runs a shared trace handle, expanding its block window by window
+  /// (DESIGN.md §8).
   SegmentResult run(const SharedTrace &Trace, Cycle StartCycle);
 
   const GpuConfig &config() const { return Config; }

@@ -19,7 +19,7 @@ Addr PhysicalMemory::allocate(uint64_t Bytes, uint64_t Align) {
 
 PageTable::PageTable(PuKind OwningPu, uint64_t PageSize)
     : Owner(OwningPu), PageBytes(PageSize), PageShift(log2Exact(PageSize)) {
-  if (!isPowerOf2(PageSize) || PageSize < 512)
+  if (!isValidPageSize(PageSize))
     fatalError("invalid page size");
 }
 

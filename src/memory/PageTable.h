@@ -44,8 +44,14 @@ private:
 /// One PU's page table: VPN -> PPN at a fixed page size.
 class PageTable {
 public:
-  /// \p PageBytes must be a power of two (4KB CPU, 64KB GPU by default).
+  /// \p PageBytes must be a valid page size (4KB CPU, 64KB GPU by default).
   PageTable(PuKind Owner, uint64_t PageBytes);
+
+  /// True for the page sizes a page table takes: powers of two of at
+  /// least 512 bytes.
+  static bool isValidPageSize(uint64_t Bytes) {
+    return isPowerOf2(Bytes) && Bytes >= 512;
+  }
 
   PuKind owner() const { return Owner; }
   uint64_t pageBytes() const { return PageBytes; }

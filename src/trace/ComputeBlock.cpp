@@ -22,14 +22,14 @@ void hetsim::addTraceGenNanos(uint64_t Nanos) {
 
 uint64_t hetsim::threadTraceGenNanos() { return TlGenNanos; }
 
-BlockTrace::BlockTrace(KernelId Id, const GenRequest &Request,
+BlockTrace::BlockTrace(const KernelTraceGenerator &Gen,
+                       const GenRequest &Request,
                        const KernelDataLayout &Data)
-    : K(Kind::ComputeGen), Kernel(Id), Req(Request), Layout(Data),
-      Total(Request.InstCount) {}
+    : K(Kind::ComputeGen), Generator(&Gen), Req(Request), Layout(Data) {}
 
-BlockTrace::BlockTrace(KernelId Id, uint64_t InstCount, uint64_t Seed,
-                       const KernelDataLayout &Data)
-    : K(Kind::SerialGen), Kernel(Id), Layout(Data), Total(InstCount) {
+BlockTrace::BlockTrace(const KernelTraceGenerator &Gen, uint64_t InstCount,
+                       uint64_t Seed, const KernelDataLayout &Data)
+    : K(Kind::SerialGen), Generator(&Gen), Layout(Data) {
   Req.Pu = PuKind::Cpu;
   Req.InstCount = InstCount;
   Req.Seed = Seed;
@@ -61,19 +61,11 @@ uint64_t BlockExpander::next(TraceBuffer &Window, size_t Target) {
 TraceReader::TraceReader(const SharedTrace &Trace) : Remaining(Trace.size()) {
   if (const BlockTrace *Block = Trace.blocks())
     Expander.emplace(*Block);
-  else
-    Direct = Trace.buffer().records().data();
 }
 
 const TraceRecord *TraceReader::take(size_t Count) {
   assert(Count != 0 && Count <= Remaining && "span past the end of the trace");
   Remaining -= Count;
-  if (!Expander) {
-    const TraceRecord *Span = Direct;
-    Direct += Count;
-    return Span;
-  }
-
   if (Pos == Window.size()) {
     Expander->next(Window);
     Pos = 0;

@@ -62,38 +62,47 @@ private:
 
 /// A run-length trace handle: the recipe for a record stream. It holds no
 /// records; BlockExpander and TraceReader produce them a window at a time.
+/// The generator must outlive the block: the Table III kernels' and the
+/// extra workloads' generators are static.
 class BlockTrace {
 public:
   enum class Kind : uint8_t {
-    ComputeGen, ///< generateCompute(Req, Layout) of one kernel.
+    ComputeGen, ///< generateCompute(Req, Layout).
     SerialGen,  ///< generateSerial(InstCount, Layout, Seed).
   };
 
-  /// A compute segment: the stream generateCompute(\p Request, \p Data)
-  /// would produce for \p Id.
-  BlockTrace(KernelId Id, const GenRequest &Request,
+  /// A compute segment: the stream \p Gen.generateCompute(\p Request,
+  /// \p Data) would produce.
+  BlockTrace(const KernelTraceGenerator &Gen, const GenRequest &Request,
              const KernelDataLayout &Data);
 
-  /// A serial segment: generateSerial(\p InstCount, \p Data, \p Seed).
+  /// A serial segment: \p Gen.generateSerial(\p InstCount, \p Data,
+  /// \p Seed).
+  BlockTrace(const KernelTraceGenerator &Gen, uint64_t InstCount,
+             uint64_t Seed, const KernelDataLayout &Data);
+
+  /// The same segments of Table III kernel \p Id.
+  BlockTrace(KernelId Id, const GenRequest &Request,
+             const KernelDataLayout &Data)
+      : BlockTrace(KernelTraceGenerator::forKernel(Id), Request, Data) {}
   BlockTrace(KernelId Id, uint64_t InstCount, uint64_t Seed,
-             const KernelDataLayout &Data);
+             const KernelDataLayout &Data)
+      : BlockTrace(KernelTraceGenerator::forKernel(Id), InstCount, Seed,
+                   Data) {}
 
   Kind kind() const { return K; }
-  uint64_t totalRecords() const { return Total; }
+  uint64_t totalRecords() const { return Req.InstCount; }
 
-  const KernelTraceGenerator &generator() const {
-    return KernelTraceGenerator::forKernel(Kernel);
-  }
+  const KernelTraceGenerator &generator() const { return *Generator; }
   const GenRequest &request() const { return Req; }
   const KernelDataLayout &layout() const { return Layout; }
   uint64_t serialSeed() const { return Req.Seed; }
 
 private:
   Kind K;
-  KernelId Kernel = KernelId::Reduction;
+  const KernelTraceGenerator *Generator;
   GenRequest Req; ///< SerialGen reuses InstCount/Seed fields.
   KernelDataLayout Layout;
-  uint64_t Total = 0;
 };
 
 /// Streams a BlockTrace into caller-owned windows. The window boundary
@@ -118,12 +127,10 @@ private:
 };
 
 /// Reads a SharedTrace front to back in contiguous spans of exactly the
-/// requested length. A buffer handle's spans point straight into its
-/// buffer. A block handle's spans come from BlockExpander windows: a span
+/// requested length. The spans come from BlockExpander windows: a span
 /// that fits in the current window points into it, and one that straddles
 /// windows is joined from the carried-over tail and the next windows. The
-/// concatenation of all spans is the trace's record stream, so a consumer
-/// sees the same records whatever the handle's form.
+/// concatenation of all spans is the trace's record stream.
 class TraceReader {
 public:
   /// \p Trace must outlive the reader.
@@ -138,8 +145,7 @@ public:
 
 private:
   uint64_t Remaining = 0;
-  const TraceRecord *Direct = nullptr; ///< Buffer handles: the next record.
-  std::optional<BlockExpander> Expander;
+  std::optional<BlockExpander> Expander; ///< Empty handles have none.
   TraceBuffer Window;
   size_t Pos = 0; ///< First unread record of Window.
   std::vector<TraceRecord> Joined;

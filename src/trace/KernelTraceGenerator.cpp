@@ -40,8 +40,11 @@ void KernelTraceGenerator::beginCompute(GenState &S, const GenRequest &Req,
                                         const KernelDataLayout &Layout) const {
   S = GenState();
   setUpCursors(S, Layout, Req.Split);
-  S.Rng = XorShiftRng(Req.Seed * 2654435761u + static_cast<uint64_t>(Req.Pu));
-  S.Iter = 0;
+  S.Rng = XorShiftRng(rngSeed(Req));
+}
+
+uint64_t KernelTraceGenerator::rngSeed(const GenRequest &Req) const {
+  return Req.Seed * 2654435761u + static_cast<uint64_t>(Req.Pu);
 }
 
 uint64_t KernelTraceGenerator::emitCompute(GenState &S, const GenRequest &Req,
@@ -95,29 +98,33 @@ void KernelTraceGenerator::beginSerial(GenState &S,
 uint64_t KernelTraceGenerator::emitSerial(GenState &S, TraceBuffer &Window,
                                           uint64_t Budget,
                                           size_t WindowTarget) const {
-  // The sequential portion is a CPU-only merge/finalize pass over the
-  // kernel's output object: load partial results, combine, occasionally
-  // store, loop. One iteration is 8 instructions.
   const size_t Before = Window.size();
   TraceEmitter E(Window, Budget, WindowTarget + 16);
-  StreamCursor &Out = S.Cur[0];
-  const uint32_t Pc = pcBase() + 0x8000;
   while (!E.done() && Window.size() - Before < WindowTarget) {
-    Addr Address = Out.advance(4);
-    E.load(Pc + 0, 8, Address, 4);
-    E.alu(Opcode::FpAlu, Pc + 4, 9, 8, 10);
-    E.alu(Opcode::IntAlu, Pc + 8, 10, 9);
-    E.alu(Opcode::FpAlu, Pc + 12, 11, 10, 9);
-    if (S.Iter % 4 == 3)
-      E.store(Pc + 16, 11, Address, 4);
-    else
-      E.alu(Opcode::IntAlu, Pc + 16, 12, 11);
-    E.alu(Opcode::IntAlu, Pc + 20, 0, 0);
-    E.alu(Opcode::IntAlu, Pc + 24, 13, 12, 11);
-    E.branch(Pc + 28, /*Taken=*/true, 0);
+    serialIteration(E, S);
     ++S.Iter;
   }
   return Window.size() - Before;
+}
+
+void KernelTraceGenerator::serialIteration(TraceEmitter &E,
+                                           GenState &S) const {
+  // The sequential portion is a CPU-only merge/finalize pass over the
+  // kernel's output object: load partial results, combine, occasionally
+  // store, loop.
+  const uint32_t Pc = pcBase() + 0x8000;
+  Addr Address = S.Cur[0].advance(4);
+  E.load(Pc + 0, 8, Address, 4);
+  E.alu(Opcode::FpAlu, Pc + 4, 9, 8, 10);
+  E.alu(Opcode::IntAlu, Pc + 8, 10, 9);
+  E.alu(Opcode::FpAlu, Pc + 12, 11, 10, 9);
+  if (S.Iter % 4 == 3)
+    E.store(Pc + 16, 11, Address, 4);
+  else
+    E.alu(Opcode::IntAlu, Pc + 16, 12, 11);
+  E.alu(Opcode::IntAlu, Pc + 20, 0, 0);
+  E.alu(Opcode::IntAlu, Pc + 24, 13, 12, 11);
+  E.branch(Pc + 28, /*Taken=*/true, 0);
 }
 
 TraceBuffer
@@ -157,4 +164,11 @@ const KernelTraceGenerator &KernelTraceGenerator::forKernel(KernelId Id) {
     return KMeans;
   }
   hetsim_unreachable("invalid kernel id");
+}
+
+KernelId KernelTraceGenerator::kernel() const {
+  for (KernelId Id : allKernels())
+    if (&forKernel(Id) == this)
+      return Id;
+  fatalError("the generator models no Table III kernel");
 }

@@ -1,13 +1,14 @@
 //===- trace/KernelTraceGenerator.h - Synthetic kernel traces ---*- C++ -*-===//
 ///
 /// \file
-/// Synthetic trace generators for the six evaluated kernels. The paper used
-/// real CPU/GPU traces fed to MacSim; we substitute deterministic synthetic
-/// generators whose instruction counts match Table III exactly and whose
-/// access patterns follow each kernel's compute pattern (streaming for
-/// reduction, strided reuse for matrix multiply, overlapping windows for
-/// convolution, blocked ALU-heavy work for dct, data-dependent branches for
-/// merge sort, and repeated passes with a hot centroid table for k-means).
+/// Synthetic trace generators, so in HetSim a trace is its generator. The
+/// paper used real CPU/GPU traces fed to MacSim; the six evaluated kernels'
+/// generators match Table III's instruction counts exactly and follow each
+/// kernel's compute pattern (streaming for reduction, strided reuse for
+/// matrix multiply, overlapping windows for convolution, blocked ALU-heavy
+/// work for dct, data-dependent branches for merge sort, and repeated
+/// passes with a hot centroid table for k-means). Other workloads subclass
+/// KernelTraceGenerator the same way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,9 +45,6 @@ struct GenRequest {
 /// instruction budget is reached, so generator loop bodies never overshoot.
 class TraceEmitter {
 public:
-  TraceEmitter(TraceBuffer &Out, uint64_t Budget)
-      : TraceEmitter(Out, Budget, size_t(Budget)) {}
-
   /// \p ReserveHint caps the up-front reservation: windowed expansion
   /// passes the window size so a small reusable buffer is never grown to
   /// the full remaining budget.
@@ -66,16 +64,18 @@ public:
     Buffer.emitAlu(Op, Pc, Dst, SrcA, SrcB);
   }
 
-  void load(uint32_t Pc, uint8_t Dst, Addr Address, uint16_t Bytes) {
+  void load(uint32_t Pc, uint8_t Dst, Addr Address, uint16_t Bytes,
+            uint8_t AddrReg = NoReg) {
     if (!take())
       return;
-    Buffer.emitLoad(Pc, Dst, Address, Bytes);
+    Buffer.emitLoad(Pc, Dst, Address, Bytes, AddrReg);
   }
 
-  void store(uint32_t Pc, uint8_t Src, Addr Address, uint16_t Bytes) {
+  void store(uint32_t Pc, uint8_t Src, Addr Address, uint16_t Bytes,
+             uint8_t AddrReg = NoReg) {
     if (!take())
       return;
-    Buffer.emitStore(Pc, Src, Address, Bytes);
+    Buffer.emitStore(Pc, Src, Address, Bytes, AddrReg);
   }
 
   void branch(uint32_t Pc, bool Taken, uint8_t CondReg = NoReg) {
@@ -132,9 +132,6 @@ struct StreamCursor {
       Pos %= Bytes;
     return Current;
   }
-
-  /// Current address without advancing.
-  Addr current() const { return Base + Pos; }
 };
 
 /// Explicit expansion state for one trace generation: the data cursors,
@@ -143,25 +140,32 @@ struct StreamCursor {
 /// expansion can be suspended at any window boundary and resumed
 /// bit-exactly, and two threads can expand the same kernel concurrently.
 struct GenState {
-  std::array<StreamCursor, 3> Cur; ///< Kernel-defined cursor slots.
+  std::array<StreamCursor, 4> Cur; ///< Generator-defined cursor slots.
   XorShiftRng Rng{1};
   uint64_t Iter = 0;
 };
 
-/// Base class for the six kernel generators.
+/// Base class for trace generators, Table III's and any other workload's.
 class KernelTraceGenerator {
 public:
+  /// \p GenName identifies the generator: result-store keys hash it, so
+  /// no two generators may share one. \p CodeBase starts its code region.
+  KernelTraceGenerator(const char *GenName, uint32_t CodeBase)
+      : Name(GenName), PcBase(CodeBase) {}
   virtual ~KernelTraceGenerator();
 
-  /// The kernel this generator models.
-  virtual KernelId kernel() const = 0;
+  const char *name() const { return Name; }
+
+  /// The Table III kernel whose forKernel() generator this is. Fatal for
+  /// any other generator.
+  KernelId kernel() const;
 
   /// Produces exactly Req.InstCount records of compute for Req.Pu.
   TraceBuffer generateCompute(const GenRequest &Req,
                               const KernelDataLayout &Layout) const;
 
   /// Produces exactly \p InstCount records for the sequential (CPU-only)
-  /// portion: a merge/finalize pass over the kernel's output object.
+  /// portion: serialIteration's pass over the layout's output object.
   TraceBuffer generateSerial(uint64_t InstCount,
                              const KernelDataLayout &Layout,
                              uint64_t Seed = 1) const;
@@ -197,6 +201,12 @@ public:
   static StreamCursor cursorFor(const DataSegment &Segment, WorkSplit Split);
 
 protected:
+  /// A Table III kernel's generator: named after it, with a code region
+  /// of its own.
+  explicit KernelTraceGenerator(KernelId Id)
+      : KernelTraceGenerator(kernelName(Id),
+                             (static_cast<uint32_t>(Id) + 1u) * 0x100000u) {}
+
   /// Emits one CPU loop iteration reading/advancing \p S. Implementations
   /// must emit at least one record per call while budget remains; the
   /// caller bumps S.Iter after each iteration.
@@ -210,18 +220,28 @@ protected:
   virtual void setUpCursors(GenState &S, const KernelDataLayout &Layout,
                             WorkSplit Split) const = 0;
 
-  /// The PC region for this kernel's code (distinct per kernel so branch
-  /// predictor state does not alias across kernels).
-  uint32_t pcBase() const {
-    return (static_cast<uint32_t>(kernel()) + 1u) * 0x100000u;
-  }
+  /// The RNG seed of a compute expansion of \p Req. The default mixes the
+  /// request's seed with its PU.
+  virtual uint64_t rngSeed(const GenRequest &Req) const;
+
+  /// Emits one iteration of the serial pass over the output object in
+  /// S.Cur[0]. The default is an 8-instruction merge/finalize step.
+  virtual void serialIteration(TraceEmitter &E, GenState &S) const;
+
+  /// The start of this generator's code region (distinct per generator so
+  /// branch predictor state does not alias across them).
+  uint32_t pcBase() const { return PcBase; }
+
+private:
+  const char *Name;
+  uint32_t PcBase;
 };
 
 /// Declarations of the six concrete generators. Cursor-slot conventions
 /// are private to each kernel's setUpCursors/iteration pair.
 class ReductionGenerator final : public KernelTraceGenerator {
 public:
-  KernelId kernel() const override { return KernelId::Reduction; }
+  ReductionGenerator() : KernelTraceGenerator(KernelId::Reduction) {}
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -232,7 +252,7 @@ protected:
 
 class MatrixMulGenerator final : public KernelTraceGenerator {
 public:
-  KernelId kernel() const override { return KernelId::MatrixMul; }
+  MatrixMulGenerator() : KernelTraceGenerator(KernelId::MatrixMul) {}
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -243,7 +263,7 @@ protected:
 
 class ConvolutionGenerator final : public KernelTraceGenerator {
 public:
-  KernelId kernel() const override { return KernelId::Convolution; }
+  ConvolutionGenerator() : KernelTraceGenerator(KernelId::Convolution) {}
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -254,7 +274,7 @@ protected:
 
 class DctGenerator final : public KernelTraceGenerator {
 public:
-  KernelId kernel() const override { return KernelId::Dct; }
+  DctGenerator() : KernelTraceGenerator(KernelId::Dct) {}
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -265,7 +285,7 @@ protected:
 
 class MergeSortGenerator final : public KernelTraceGenerator {
 public:
-  KernelId kernel() const override { return KernelId::MergeSort; }
+  MergeSortGenerator() : KernelTraceGenerator(KernelId::MergeSort) {}
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -276,7 +296,7 @@ protected:
 
 class KMeansGenerator final : public KernelTraceGenerator {
 public:
-  KernelId kernel() const override { return KernelId::KMeans; }
+  KMeansGenerator() : KernelTraceGenerator(KernelId::KMeans) {}
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,

@@ -44,8 +44,6 @@ TraceMix TraceBuffer::computeMix() const {
 
 const TraceBuffer &SharedTrace::buffer() const {
   static const TraceBuffer Empty;
-  if (Ptr)
-    return *Ptr;
   if (Blocks)
     fatalError("SharedTrace::buffer() called on a block-backed trace; read "
                "its records window by window through BlockExpander or "
@@ -54,9 +52,5 @@ const TraceBuffer &SharedTrace::buffer() const {
 }
 
 size_t SharedTrace::size() const {
-  if (Ptr)
-    return Ptr->size();
-  if (Blocks)
-    return size_t(Blocks->totalRecords());
-  return 0;
+  return Blocks ? size_t(Blocks->totalRecords()) : 0;
 }

@@ -183,49 +183,28 @@ private:
 class BlockTrace;
 
 /// An immutable, shareable trace handle. Lowered programs hold their
-/// traces through this. A default-constructed handle is an empty trace.
-///
-/// A handle wraps either a materialized buffer (extra workloads, custom
-/// programs) or a run-length BlockTrace (what lowering builds). size() and
-/// blocks() work on both. The record accessors — buffer(), records(),
-/// operator[] and iteration — read a buffer handle like a
-/// `const TraceBuffer`, but a block handle has no records to hand out and
-/// they abort on it: read blocks through BlockExpander or TraceReader
-/// (trace/ComputeBlock.h) instead.
+/// traces through this. A handle holds a run-length BlockTrace — a
+/// generator recipe, never records — or nothing, which is an empty trace.
+/// Read its records through BlockExpander or TraceReader
+/// (trace/ComputeBlock.h).
 class SharedTrace {
 public:
   SharedTrace() = default;
-
-  /// Wraps a freshly generated buffer (takes sole ownership).
-  SharedTrace(TraceBuffer Buffer)
-      : Ptr(std::make_shared<const TraceBuffer>(std::move(Buffer))) {}
 
   /// Adopts a run-length block.
   SharedTrace(std::shared_ptr<const BlockTrace> Block)
       : Blocks(std::move(Block)) {}
 
-  /// The wrapped buffer. Aborts on a block handle.
-  const TraceBuffer &buffer() const;
-
-  /// The run-length form, or nullptr for materialized handles.
+  /// The block, or nullptr for an empty handle.
   const BlockTrace *blocks() const { return Blocks.get(); }
 
-  /// Record count of either form.
   size_t size() const;
-  bool empty() const { return size() == 0; }
-  const TraceRecord &operator[](size_t I) const { return buffer()[I]; }
-  const std::vector<TraceRecord> &records() const {
-    return buffer().records();
-  }
-  std::vector<TraceRecord>::const_iterator begin() const {
-    return buffer().begin();
-  }
-  std::vector<TraceRecord>::const_iterator end() const {
-    return buffer().end();
-  }
+
+  /// An empty handle as an empty buffer. A block handle has no buffer:
+  /// this aborts on one.
+  const TraceBuffer &buffer() const;
 
 private:
-  std::shared_ptr<const TraceBuffer> Ptr;
   std::shared_ptr<const BlockTrace> Blocks;
 };
 

@@ -1,11 +1,12 @@
 //===- tests/TestUtil.h - Helpers shared by the test suites -----*- C++ -*-===//
 ///
 /// \file
-/// Production code never holds a lowered trace's whole record stream: it
-/// reads block traces window by window. Tests that walk every record, or
-/// that compare a block run against a materialized reference, build the
-/// whole stream explicitly with materialize(). exactText() renders a
-/// RunResult for bit-exact comparison.
+/// Production code never holds a trace's whole record stream: it reads
+/// block traces window by window. Tests that walk every record build the
+/// whole stream explicitly with materialize(); tests that compare a block
+/// run against a recorded reference replay the recording through a
+/// ReplayGenerator. exactText() renders a RunResult for bit-exact
+/// comparison.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,9 @@
 #include "trace/ComputeBlock.h"
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 namespace hetsim {
 
@@ -33,11 +36,102 @@ inline TraceBuffer materialize(const BlockTrace &Block) {
   return Whole;
 }
 
-/// The whole record stream of \p Trace, whichever form it has.
+/// The whole record stream of \p Trace (empty for an empty handle).
 inline TraceBuffer materialize(const SharedTrace &Trace) {
   if (const BlockTrace *Block = Trace.blocks())
     return materialize(*Block);
-  return Trace.buffer();
+  return TraceBuffer();
+}
+
+/// A generator that replays a recorded stream, one record per iteration,
+/// on either PU. Blocks over it stream through the same BlockExpander and
+/// TraceReader paths as any trace, in windows of exactly the window size,
+/// so they serve as the materialized reference for a kernel generator's
+/// windows. Every replay generator is named "replay": keep their blocks
+/// out of result stores.
+class ReplayGenerator final : public KernelTraceGenerator {
+public:
+  explicit ReplayGenerator(TraceBuffer Recorded)
+      : KernelTraceGenerator("replay", 0), Records(std::move(Recorded)) {}
+
+  /// A block replaying the whole recording on \p Pu over \p Layout.
+  std::shared_ptr<const BlockTrace>
+  block(PuKind Pu, const KernelDataLayout &Layout) const {
+    GenRequest Req;
+    Req.Pu = Pu;
+    Req.InstCount = Records.size();
+    return std::make_shared<const BlockTrace>(*this, Req, Layout);
+  }
+
+protected:
+  void setUpCursors(GenState &, const KernelDataLayout &,
+                    WorkSplit) const override {}
+  void cpuIteration(TraceEmitter &E, GenState &S) const override {
+    replay(E, Records[size_t(S.Iter)]);
+  }
+  void gpuIteration(TraceEmitter &E, GenState &S) const override {
+    replay(E, Records[size_t(S.Iter)]);
+  }
+
+private:
+  /// Re-emits \p R through the emitter that produces its shape.
+  static void replay(TraceEmitter &E, const TraceRecord &R) {
+    const bool Scalar = R.SimdLanes == 1 && R.LaneStrideBytes == 0;
+    switch (R.Op) {
+    case Opcode::Load:
+      if (Scalar)
+        E.load(R.Pc, R.DstReg, R.MemAddr, R.MemBytes, R.SrcRegA);
+      else
+        E.simdLoad(R.Pc, R.DstReg, R.MemAddr, R.MemBytes, R.SimdLanes,
+                   R.LaneStrideBytes);
+      return;
+    case Opcode::Store:
+      if (Scalar)
+        E.store(R.Pc, R.SrcRegA, R.MemAddr, R.MemBytes, R.SrcRegB);
+      else
+        E.simdStore(R.Pc, R.SrcRegA, R.MemAddr, R.MemBytes, R.SimdLanes,
+                    R.LaneStrideBytes);
+      return;
+    case Opcode::Branch:
+      E.branch(R.Pc, R.IsTaken, R.SrcRegA);
+      return;
+    case Opcode::SmemLoad:
+      E.smem(false, R.Pc, R.DstReg, R.MemAddr, R.MemBytes, R.SimdLanes,
+             R.LaneStrideBytes);
+      return;
+    case Opcode::SmemStore:
+      E.smem(true, R.Pc, R.SrcRegA, R.MemAddr, R.MemBytes, R.SimdLanes,
+             R.LaneStrideBytes);
+      return;
+    default:
+      E.alu(R.Op, R.Pc, R.DstReg, R.SrcRegA, R.SrcRegB);
+      return;
+    }
+  }
+
+  TraceBuffer Records;
+};
+
+/// Keeps alive the replay generators that replayed traces point to.
+using ReplayPool = std::vector<std::unique_ptr<ReplayGenerator>>;
+
+/// \p Trace's record stream, recorded and replayed through a generator
+/// that \p Pool owns.
+inline SharedTrace replayOf(const SharedTrace &Trace, ReplayPool &Pool) {
+  const BlockTrace *Block = Trace.blocks();
+  if (!Block)
+    return SharedTrace();
+  Pool.push_back(std::make_unique<ReplayGenerator>(materialize(*Block)));
+  return Pool.back()->block(Block->request().Pu, Block->layout());
+}
+
+/// True when \p A and \p B are the same record, field by field.
+inline bool sameRecord(const TraceRecord &A, const TraceRecord &B) {
+  return A.MemAddr == B.MemAddr && A.Pc == B.Pc && A.MemBytes == B.MemBytes &&
+         A.LaneStrideBytes == B.LaneStrideBytes && A.Op == B.Op &&
+         A.DstReg == B.DstReg && A.SrcRegA == B.SrcRegA &&
+         A.SrcRegB == B.SrcRegB && A.SimdLanes == B.SimdLanes &&
+         A.IsTaken == B.IsTaken;
 }
 
 /// Every RunResult field, doubles as hex floats: equal strings mean

@@ -7,6 +7,7 @@
 #include "common/TextTable.h"
 #include "common/Types.h"
 #include "common/Units.h"
+#include "core/SystemConfig.h"
 
 #include <gtest/gtest.h>
 
@@ -169,18 +170,24 @@ TEST(Config, HexValues) {
 }
 
 // A present value that is not of the requested type is bad input: the
-// getter names the key and the value and exits with status 2.
+// getter names the key and the value and exits with status 2. So is a
+// value of the right type that the simulator cannot build.
 TEST(ConfigDeathTest, MalformedValuesAreRejected) {
   struct Case {
     const char *Value;
     std::function<void(const ConfigStore &)> Get;
     const char *Type;
+    const char *Key = "k";
   };
   auto UInt = [](const ConfigStore &C) { C.getUInt("k", 0); };
   auto Int = [](const ConfigStore &C) { C.getInt("k", 0); };
   auto Require = [](const ConfigStore &C) { C.requireInt("k"); };
   auto Double = [](const ConfigStore &C) { C.getDouble("k", 0); };
   auto Bool = [](const ConfigStore &C) { C.getBool("k", false); };
+  // Values of the right type that the simulator cannot build.
+  auto System = [](const ConfigStore &C) {
+    SystemConfig::forCaseStudy(CaseStudy::Lrb, C);
+  };
   const Case Cases[] = {
       {"-5", UInt, "unsigned integer"},
       {"+5", UInt, "unsigned integer"},
@@ -196,17 +203,27 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
       {"99999999999999999999", UInt, "unsigned integer"},
       {"99999999999999999999", Int, "integer"},
       {"maybe", Bool, "boolean"},
+      {"0", System, "ROB size", "cpu.rob_entries"},
+      {"0", System, "L3 size", "mem.l3_bytes"},
+      {"1000", System, "L3 size", "mem.l3_bytes"},
+      {"0", System, "page size", "mem.gpu_page_bytes"},
+      {"3000", System, "page size", "mem.cpu_page_bytes"},
+      {"torus", System, "NoC topology", "mem.noc"},
+  };
+  // A string as a regex literal ("+5" has a '+', keys have dots).
+  auto Quote = [](const char *Text) {
+    std::string Quoted;
+    for (const char *P = Text; *P; ++P)
+      Quoted += std::string("[") + *P + "]";
+    return Quoted;
   };
   for (const Case &C : Cases) {
     ConfigStore Config;
-    Config.set("k", C.Value);
-    std::string Quoted; // The value as a regex literal ("+5" has a '+').
-    for (const char *P = C.Value; *P; ++P)
-      Quoted += std::string("[") + *P + "]";
+    Config.set(C.Key, C.Value);
     EXPECT_EXIT(C.Get(Config), ::testing::ExitedWithCode(2),
-                "error: config key 'k' has value '" + Quoted +
-                    "', which is not a valid " + C.Type)
-        << "'" << C.Value << "' as " << C.Type;
+                "error: config key '" + Quote(C.Key) + "' has value '" +
+                    Quote(C.Value) + "', which is not a valid " + C.Type)
+        << C.Key << "='" << C.Value << "' as " << C.Type;
   }
 }
 

@@ -15,6 +15,7 @@
 #include "trace/KernelTraceGenerator.h"
 #include "trace/TraceIO.h"
 
+#include "TestUtil.h"
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -447,17 +448,47 @@ TEST_P(ExtraWorkloadTest, AccessesStayInsidePlacedObjects) {
   for (const ExecStep &Step : Program.Steps) {
     if (Step.Kind != ExecKind::ParallelCompute)
       continue;
-    for (const TraceRecord &R : Step.CpuTrace) {
+    for (const TraceRecord &R : materialize(Step.CpuTrace)) {
       if (isGlobalMemoryOp(R.Op)) {
         EXPECT_NE(Program.Place.CpuLayout.segmentContaining(R.MemAddr),
                   nullptr);
       }
     }
-    for (const TraceRecord &R : Step.GpuTrace) {
+    for (const TraceRecord &R : materialize(Step.GpuTrace)) {
       if (isGlobalMemoryOp(R.Op)) {
         EXPECT_NE(Program.Place.GpuLayout.segmentContaining(R.MemAddr),
                   nullptr);
       }
+    }
+  }
+}
+
+// Each compute block's budget is exactly its iterations' records: one
+// iteration per element on the CPU half, one per warp of 8 on the GPU
+// half, and the budget ends where the next iteration would start.
+TEST_P(ExtraWorkloadTest, ComputeBlocksHoldWholeIterations) {
+  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
+  const uint64_t Elements = 4099;
+  LoweredProgram Program = buildExtraWorkload(GetParam(), Config, Elements);
+  for (const ExecStep &Step : Program.Steps) {
+    if (Step.Kind != ExecKind::ParallelCompute)
+      continue;
+    for (const BlockTrace *Block :
+         {Step.CpuTrace.blocks(), Step.GpuTrace.blocks()}) {
+      ASSERT_NE(Block, nullptr);
+      GenRequest Longer = Block->request();
+      Longer.InstCount += 64;
+      TraceBuffer Stream =
+          Block->generator().generateCompute(Longer, Block->layout());
+      // Every iteration starts with the record at the loop's first PC.
+      const uint32_t LoopPc = Stream[0].Pc;
+      uint64_t Iterations = 0;
+      for (size_t I = 0; I != Block->totalRecords(); ++I)
+        Iterations += Stream[I].Pc == LoopPc;
+      EXPECT_EQ(Stream[Block->totalRecords()].Pc, LoopPc);
+      EXPECT_EQ(Iterations, Block->request().Pu == PuKind::Cpu
+                                ? Elements / 2
+                                : (Elements - Elements / 2) / 8);
     }
   }
 }

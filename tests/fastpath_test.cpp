@@ -2,14 +2,16 @@
 ///
 /// \file
 /// Block traces are exact: expanding a (generator, request) recipe window
-/// by window must give results byte-identical to running the fully
-/// materialized record stream. These tests run both forms — whole lowered
-/// programs, with and without the interleaved-contention driver, and
-/// single core segments — and assert identical RunResults, SegmentResults
-/// and metrics documents.
+/// by window must give results byte-identical to running the recorded
+/// record stream. These tests run both — whole lowered programs (the six
+/// kernels and the extra workloads), with and without the
+/// interleaved-contention driver, against test-only replay generators,
+/// and single core segments against their materialized buffers — and
+/// assert identical RunResults, SegmentResults and metrics documents.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/ExtraWorkloads.h"
 #include "core/HeteroSimulator.h"
 #include "gpu/GpuCore.h"
 #include "memory/MemorySystem.h"
@@ -68,15 +70,31 @@ runProgram(const SystemConfig &Config, const LoweredProgram &Program) {
   return {Result, Metrics};
 }
 
-/// \p Program with every step's traces replaced by their materialized
-/// record streams, so the cores take the per-record path throughout.
-LoweredProgram materializedCopy(const LoweredProgram &Program) {
+/// \p Program with every step's traces recorded and replayed through
+/// generators that \p Pool owns, so the cores see the same records in
+/// windows of a different shape.
+LoweredProgram replayedCopy(const LoweredProgram &Program, ReplayPool &Pool) {
   LoweredProgram Copy = Program;
   for (ExecStep &Step : Copy.Steps) {
-    Step.CpuTrace = SharedTrace(materialize(Step.CpuTrace));
-    Step.GpuTrace = SharedTrace(materialize(Step.GpuTrace));
+    Step.CpuTrace = replayOf(Step.CpuTrace, Pool);
+    Step.GpuTrace = replayOf(Step.GpuTrace, Pool);
   }
   return Copy;
+}
+
+/// Runs \p Program and its replayed copy on \p Config and requires
+/// identical results and metrics documents.
+void expectReplayMatches(const SystemConfig &Config,
+                         const LoweredProgram &Program,
+                         const std::string &What) {
+  auto [BlockResult, BlockMetrics] = runProgram(Config, Program);
+  ReplayPool Pool;
+  auto [RefResult, RefMetrics] =
+      runProgram(Config, replayedCopy(Program, Pool));
+  expectRunResultEq(RefResult, BlockResult, What);
+  // The metrics documents must match verbatim: same keys, same values.
+  EXPECT_EQ(renderMetricsJson(RefMetrics), renderMetricsJson(BlockMetrics))
+      << What;
 }
 
 } // namespace
@@ -96,28 +114,27 @@ TEST(FastPathDifferential, AllKernelsAllModelsIdentical) {
           Program.Steps.begin(), Program.Steps.end(),
           [](const ExecStep &Step) { return Step.CpuTrace.blocks(); }))
           << What << ": lowering no longer emits block traces";
-      auto [BlockResult, BlockMetrics] = runProgram(Config, Program);
-      LoweredProgram Materialized = materializedCopy(Program);
-      auto [RefResult, RefMetrics] = runProgram(Config, Materialized);
-      expectRunResultEq(RefResult, BlockResult, What);
-      // The metrics documents must match verbatim: same keys, same values.
-      EXPECT_EQ(renderMetricsJson(RefMetrics), renderMetricsJson(BlockMetrics))
-          << What;
+      expectReplayMatches(Config, Program, What);
     }
+    for (ExtraWorkloadId Id : allExtraWorkloads())
+      expectReplayMatches(Config, buildExtraWorkload(Id, Config),
+                          std::string(caseStudyName(Study)) + "/" +
+                              extraWorkloadName(Id));
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Interleaved-contention differential: the driver slices block traces
-// through TraceReader and buffer traces in place; both must feed the cores
-// the same records in the same time-ordered slices.
+// Interleaved-contention differential: the driver slices traces through
+// TraceReader, whose spans straddle windows differently for kernel and
+// replay generators; both must feed the cores the same records in the
+// same time-ordered slices.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Runs \p Kernel on \p Study with interleaved contention at \p Slice
-/// records per slice, as lowered and materialized, and requires
-/// bit-identical results.
+/// records per slice, as lowered and replayed, and requires bit-identical
+/// results.
 void expectInterleavedRunsMatch(CaseStudy Study, KernelId Kernel,
                                 unsigned Slice) {
   SystemConfig Config = SystemConfig::forCaseStudy(Study);
@@ -127,7 +144,9 @@ void expectInterleavedRunsMatch(CaseStudy Study, KernelId Kernel,
                      kernelName(Kernel) + " slice " + std::to_string(Slice);
   LoweredProgram Program = lowerKernel(Kernel, Config);
   auto [BlockResult, BlockMetrics] = runProgram(Config, Program);
-  auto [RefResult, RefMetrics] = runProgram(Config, materializedCopy(Program));
+  ReplayPool Pool;
+  auto [RefResult, RefMetrics] =
+      runProgram(Config, replayedCopy(Program, Pool));
   EXPECT_EQ(exactText(RefResult), exactText(BlockResult)) << What;
   EXPECT_EQ(renderMetricsJson(RefMetrics), renderMetricsJson(BlockMetrics))
       << What;
@@ -158,11 +177,11 @@ TEST(FastPathInterleaved, OddSlicesIdentical) {
 
 namespace {
 
-/// Runs \p Trace on a fresh core of type \p CoreT over a memory system
-/// with \p Layout mapped for \p Pu.
-template <typename CoreT, typename ConfigT>
+/// Runs \p Trace (a SharedTrace or a TraceBuffer) on a fresh core of type
+/// \p CoreT over a memory system with \p Layout mapped for \p Pu.
+template <typename CoreT, typename ConfigT, typename TraceT>
 SegmentResult runSegment(PuKind Pu, const KernelDataLayout &Layout,
-                         const SharedTrace &Trace) {
+                         const TraceT &Trace) {
   MemorySystem Mem{MemHierConfig()};
   for (const DataSegment &Segment : Layout.segments())
     Mem.mapRange(Pu, Segment.Base, Segment.Bytes);
@@ -185,8 +204,8 @@ void expectBlockRunsMatch(PuKind Pu, Addr Base, uint64_t Records) {
         std::string(kernelName(Kernel)) + " x" + std::to_string(Records);
     SegmentResult Windowed =
         runSegment<CoreT, ConfigT>(Pu, Layout, SharedTrace(Block));
-    SegmentResult Reference = runSegment<CoreT, ConfigT>(
-        Pu, Layout, SharedTrace(materialize(*Block)));
+    SegmentResult Reference =
+        runSegment<CoreT, ConfigT>(Pu, Layout, materialize(*Block));
     expectSegmentEq(Reference, Windowed, What);
     EXPECT_EQ(Windowed.Insts, Records) << What;
   }
@@ -220,6 +239,39 @@ TEST(FastPathFold, GpuShortPatternMatches) {
 // Windowed expansion equivalence at the trace layer.
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Requires \p Block's windows, concatenated, to equal its single-shot
+/// generation, and a replay of that stream to reproduce it exactly.
+void expectWindowsConcatenate(const BlockTrace &Block,
+                              const std::string &What) {
+  const TraceBuffer Reference =
+      Block.generator().generateCompute(Block.request(), Block.layout());
+  BlockExpander Expander(Block);
+  TraceBuffer Window;
+  size_t Pos = 0;
+  while (!Expander.done()) {
+    uint64_t Got = Expander.next(Window);
+    ASSERT_GT(Got, 0u) << What;
+    for (size_t I = 0; I != Got; ++I, ++Pos) {
+      ASSERT_LT(Pos, Reference.size()) << What;
+      ASSERT_TRUE(sameRecord(Window[I], Reference[Pos]))
+          << What << " record " << Pos;
+    }
+  }
+  EXPECT_EQ(Pos, Reference.size()) << What;
+
+  ReplayGenerator Replay(Reference);
+  const TraceBuffer Replayed =
+      materialize(*Replay.block(Block.request().Pu, Block.layout()));
+  ASSERT_EQ(Replayed.size(), Reference.size()) << What;
+  for (size_t I = 0; I != Reference.size(); ++I)
+    ASSERT_TRUE(sameRecord(Replayed[I], Reference[I]))
+        << What << " replayed record " << I;
+}
+
+} // namespace
+
 TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
   KernelDataLayout Layout =
       KernelDataLayout::makeLinear(KernelId::KMeans, region::CpuPrivateBase);
@@ -227,29 +279,23 @@ TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
   Req.Pu = PuKind::Cpu;
   Req.InstCount = 50000;
   Req.Seed = 7;
-  BlockTrace Block(KernelId::KMeans, Req, Layout);
+  expectWindowsConcatenate(BlockTrace(KernelId::KMeans, Req, Layout),
+                           "k-mean");
 
-  const TraceBuffer Reference =
-      Block.generator().generateCompute(Req, Layout);
-  BlockExpander Expander(Block);
-  TraceBuffer Window;
-  size_t Pos = 0;
-  while (!Expander.done()) {
-    uint64_t Got = Expander.next(Window);
-    ASSERT_GT(Got, 0u);
-    for (size_t I = 0; I != Got; ++I, ++Pos) {
-      ASSERT_LT(Pos, Reference.size());
-      const TraceRecord &A = Window[I], &B = Reference[Pos];
-      ASSERT_TRUE(A.MemAddr == B.MemAddr && A.Pc == B.Pc &&
-                  A.MemBytes == B.MemBytes &&
-                  A.LaneStrideBytes == B.LaneStrideBytes && A.Op == B.Op &&
-                  A.DstReg == B.DstReg && A.SrcRegA == B.SrcRegA &&
-                  A.SrcRegB == B.SrcRegB && A.SimdLanes == B.SimdLanes &&
-                  A.IsTaken == B.IsTaken)
-          << "record " << Pos;
+  // The extra workloads' CPU and GPU halves.
+  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
+  for (ExtraWorkloadId Id : allExtraWorkloads()) {
+    LoweredProgram Program = buildExtraWorkload(Id, Config);
+    for (const ExecStep &Step : Program.Steps) {
+      if (Step.Kind != ExecKind::ParallelCompute)
+        continue;
+      ASSERT_TRUE(Step.CpuTrace.blocks() && Step.GpuTrace.blocks());
+      expectWindowsConcatenate(*Step.CpuTrace.blocks(),
+                               std::string(extraWorkloadName(Id)) + " cpu");
+      expectWindowsConcatenate(*Step.GpuTrace.blocks(),
+                               std::string(extraWorkloadName(Id)) + " gpu");
     }
   }
-  EXPECT_EQ(Pos, Reference.size());
 }
 
 // A block handle has no records to hand out: reaching for them must fail

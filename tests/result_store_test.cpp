@@ -12,6 +12,7 @@
 
 #include "core/ResultStore.h"
 #include "core/SweepRunner.h"
+#include "trace/ComputeBlock.h"
 
 #include "gtest/gtest.h"
 
@@ -114,6 +115,28 @@ TEST(ResultStore, KeysSeparateConfigsAndKernels) {
       ResultStore::keyFor(Gmac, lowerKernel(KernelId::Reduction, Gmac));
   EXPECT_EQ(A.ConfigHash, A2.ConfigHash);
   EXPECT_EQ(A.TraceHash, A2.TraceHash);
+}
+
+// A trace key names the generator: two programs that differ only in which
+// generator expands their blocks (same kind, request and layout, and the
+// same default Program.Kernel, as extra workloads leave it) must not
+// share a key.
+TEST(ResultStore, TraceKeysNameTheGenerator) {
+  KernelDataLayout Layout =
+      KernelDataLayout::makeLinear(KernelId::Reduction, region::CpuPrivateBase);
+  auto SerialProgram = [&](KernelId Id) {
+    LoweredProgram Program;
+    ExecStep Step;
+    Step.Kind = ExecKind::SerialCompute;
+    Step.CpuTrace = SharedTrace(std::make_shared<const BlockTrace>(
+        KernelTraceGenerator::forKernel(Id), 1000, 1, Layout));
+    Program.Steps.push_back(std::move(Step));
+    return Program;
+  };
+  EXPECT_NE(hashLoweredTraces(SerialProgram(KernelId::Reduction)),
+            hashLoweredTraces(SerialProgram(KernelId::Dct)));
+  EXPECT_EQ(hashLoweredTraces(SerialProgram(KernelId::Reduction)),
+            hashLoweredTraces(SerialProgram(KernelId::Reduction)));
 }
 
 // The code version is hashed from the sources at build time: a store
