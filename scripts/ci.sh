@@ -137,6 +137,12 @@ CHECK_OUT="build/check-out"
 rm -rf "$CHECK_OUT"
 mkdir -p "$CHECK_OUT"
 export HETSIM_CSV_DIR="$CHECK_OUT"
+# Every bench and example shares one fresh result store, so the golden
+# diff below also covers points served from the store (fig6 is served
+# from fig5's points). Removed on exit.
+STORE_DIR="$(mktemp -d)"
+trap 'rm -rf "$STORE_DIR"' EXIT
+export HETSIM_RESULT_STORE="$STORE_DIR"
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   name=$(basename "$b")
@@ -148,7 +154,7 @@ for e in build/examples/*; do
   [ -f "$e" ] && [ -x "$e" ] || continue
   "$e" > "$CHECK_OUT/example_$(basename "$e").txt" 2>&1
 done
-unset HETSIM_CSV_DIR
+unset HETSIM_CSV_DIR HETSIM_RESULT_STORE
 build/tools/hetsim_check diff --out "$CHECK_OUT" \
   --report build/check-report.txt
 build/tools/hetsim_check fidelity --out "$CHECK_OUT"

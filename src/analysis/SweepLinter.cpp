@@ -82,8 +82,7 @@ SweepLintSummary hetsim::lintSweep(const std::vector<SweepPoint> &Points,
   Summary.Results.resize(Points.size());
   ThreadPool Pool(Jobs);
   Pool.parallelFor(Points.size(), [&](size_t I) {
-    SystemConfig Config = Points[I].Config;
-    Config.applyOverrides(Points[I].Overrides);
+    const SystemConfig &Config = Points[I].Config;
     LoweredProgram Program = lowerKernel(Points[I].Kernel, Config);
     SweepLintResult &R = Summary.Results[I];
     R.System = Config.Name;

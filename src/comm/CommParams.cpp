@@ -13,34 +13,3 @@ Cycle CommParams::pciCopyCycles(uint64_t Bytes) const {
          transferCycles(PuKind::Cpu, Bytes,
                         PciBytesPerSec * PageableRateFactor);
 }
-
-CommParams CommParams::fromConfig(const ConfigStore &Config) {
-  CommParams P;
-  P.ApiPciBase = Config.getUInt("comm.api_pci_base", P.ApiPciBase);
-  P.PciBytesPerSec =
-      Config.getDouble("comm.pci_bytes_per_sec", P.PciBytesPerSec);
-  P.ApiAcquire = Config.getUInt("comm.api_acq", P.ApiAcquire);
-  P.ApiTransfer = Config.getUInt("comm.api_tr", P.ApiTransfer);
-  P.LibPageFault = Config.getUInt("comm.lib_pf", P.LibPageFault);
-  P.AsyncIssueOverhead =
-      Config.getUInt("comm.async_issue", P.AsyncIssueOverhead);
-  P.PinnedHostMemory =
-      Config.getBool("comm.pinned_host", P.PinnedHostMemory);
-  P.PageableRateFactor =
-      Config.getDouble("comm.pageable_rate_factor", P.PageableRateFactor);
-  P.PageableStagingOverhead = Config.getUInt("comm.pageable_staging",
-                                             P.PageableStagingOverhead);
-  return P;
-}
-
-void CommParams::toConfig(ConfigStore &Config) const {
-  Config.setInt("comm.api_pci_base", int64_t(ApiPciBase));
-  Config.setDouble("comm.pci_bytes_per_sec", PciBytesPerSec);
-  Config.setInt("comm.api_acq", int64_t(ApiAcquire));
-  Config.setInt("comm.api_tr", int64_t(ApiTransfer));
-  Config.setInt("comm.lib_pf", int64_t(LibPageFault));
-  Config.setInt("comm.async_issue", int64_t(AsyncIssueOverhead));
-  Config.setBool("comm.pinned_host", PinnedHostMemory);
-  Config.setDouble("comm.pageable_rate_factor", PageableRateFactor);
-  Config.setInt("comm.pageable_staging", int64_t(PageableStagingOverhead));
-}

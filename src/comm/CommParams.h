@@ -3,16 +3,13 @@
 /// \file
 /// The communication-overhead parameters of Table IV. All latencies are in
 /// CPU (3.5GHz) cycles; api-pci additionally charges bytes at the PCI-E 2.0
-/// rate (16GB/s). Experiments sweep these through ConfigStore keys
-/// ("comm.api_pci_base", "comm.api_acq", "comm.api_tr", "comm.lib_pf",
-/// "comm.pci_bytes_per_sec").
+/// rate (16GB/s).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HETSIM_COMM_COMMPARAMS_H
 #define HETSIM_COMM_COMMPARAMS_H
 
-#include "common/Config.h"
 #include "common/Types.h"
 
 namespace hetsim {
@@ -43,12 +40,6 @@ struct CommParams {
   /// Cycles a synchronous PCI-E copy of \p Bytes takes (honours the
   /// pinned/pageable setting).
   Cycle pciCopyCycles(uint64_t Bytes) const;
-
-  /// Reads overrides from \p Config (missing keys keep defaults).
-  static CommParams fromConfig(const ConfigStore &Config);
-
-  /// Writes all parameters into \p Config.
-  void toConfig(ConfigStore &Config) const;
 };
 
 } // namespace hetsim

@@ -2,7 +2,6 @@
 
 #include "common/Config.h"
 
-#include "common/Error.h"
 #include "common/StringUtil.h"
 
 #include <cassert>
@@ -48,13 +47,27 @@ void hetsim::rejectConfigValue(const std::string &Key,
   std::exit(2);
 }
 
-namespace {
+// Each integer parser takes the whole value or rejects it: a trailing
+// suffix ("12x"), an empty value or an out-of-range number fails. Base 0
+// keeps hex ("0x40") and octal literals.
 
-// Each parser takes the whole value or rejects it: a trailing suffix
-// ("12x"), an empty value or an out-of-range number exits with status 2.
-// Base 0 keeps hex ("0x40") and octal literals.
+bool hetsim::parseUnsigned(const std::string &Text, uint64_t &Out) {
+  char *End = nullptr;
+  errno = 0;
+  // strtoull would wrap "-5" to 2^64 - 5, so no sign is accepted.
+  unsigned long long N = std::strtoull(Text.c_str(), &End, 0);
+  if (Text.empty() || Text[0] == '-' || Text[0] == '+' || *End != '\0' ||
+      errno == ERANGE)
+    return false;
+  Out = N;
+  return true;
+}
 
-int64_t parseInt(const std::string &Key, const std::string &V) {
+int64_t ConfigStore::getInt(const std::string &Key, int64_t Default) const {
+  auto It = Entries.find(Key);
+  if (It == Entries.end())
+    return Default;
+  const std::string &V = It->second;
   char *End = nullptr;
   errno = 0;
   long long N = std::strtoll(V.c_str(), &End, 0);
@@ -63,32 +76,15 @@ int64_t parseInt(const std::string &Key, const std::string &V) {
   return N;
 }
 
-uint64_t parseUInt(const std::string &Key, const std::string &V) {
-  char *End = nullptr;
-  errno = 0;
-  // strtoull would wrap "-5" to 2^64 - 5, so no sign is accepted.
-  unsigned long long N = std::strtoull(V.c_str(), &End, 0);
-  if (V.empty() || V[0] == '-' || V[0] == '+' || *End != '\0' ||
-      errno == ERANGE)
-    rejectConfigValue(Key, V, "unsigned integer");
-  return N;
-}
-
-} // namespace
-
-int64_t ConfigStore::getInt(const std::string &Key, int64_t Default) const {
-  auto It = Entries.find(Key);
-  if (It == Entries.end())
-    return Default;
-  return parseInt(Key, It->second);
-}
-
 uint64_t ConfigStore::getUInt(const std::string &Key,
                               uint64_t Default) const {
   auto It = Entries.find(Key);
   if (It == Entries.end())
     return Default;
-  return parseUInt(Key, It->second);
+  uint64_t N = 0;
+  if (!parseUnsigned(It->second, N))
+    rejectConfigValue(Key, It->second, "unsigned integer");
+  return N;
 }
 
 double ConfigStore::getDouble(const std::string &Key, double Default) const {
@@ -115,17 +111,6 @@ bool ConfigStore::getBool(const std::string &Key, bool Default) const {
   rejectConfigValue(Key, V, "boolean (1/0/true/false/yes/no/on/off)");
 }
 
-std::string ConfigStore::requireString(const std::string &Key) const {
-  auto It = Entries.find(Key);
-  if (It == Entries.end())
-    fatalError(("missing required config key: " + Key).c_str());
-  return It->second;
-}
-
-int64_t ConfigStore::requireInt(const std::string &Key) const {
-  return parseInt(Key, requireString(Key));
-}
-
 bool ConfigStore::parseAssignment(const std::string &Text) {
   std::string Trimmed = trim(Text);
   size_t Eq = Trimmed.find('=');
@@ -139,14 +124,22 @@ bool ConfigStore::parseAssignment(const std::string &Text) {
   return true;
 }
 
-unsigned ConfigStore::parseLines(const std::string &Text) {
+unsigned ConfigStore::parseLines(const std::string &Text,
+                                 const std::string &Source) {
   unsigned Applied = 0;
+  unsigned LineNo = 0;
   for (const std::string &Line : splitString(Text, '\n')) {
+    ++LineNo;
     std::string Stripped = trim(Line.substr(0, Line.find('#')));
     if (Stripped.empty())
       continue;
-    if (parseAssignment(Stripped))
-      ++Applied;
+    if (!parseAssignment(Stripped)) {
+      std::fprintf(stderr,
+                   "error: %s:%u: '%s' is not a key=value assignment\n",
+                   Source.c_str(), LineNo, Stripped.c_str());
+      std::exit(2);
+    }
+    ++Applied;
   }
   return Applied;
 }
@@ -161,7 +154,7 @@ bool ConfigStore::loadFile(const std::string &Path) {
   while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
     Text.append(Buffer, Read);
   std::fclose(File);
-  parseLines(Text);
+  parseLines(Text, Path);
   return true;
 }
 

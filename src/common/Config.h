@@ -20,11 +20,10 @@ namespace hetsim {
 /// An ordered key=value store with typed accessors.
 ///
 /// Keys are dotted lowercase strings such as "cpu.rob_entries" or
-/// "comm.api_pci_base". Lookups with a default fall back to it for a
-/// missing key; lookups without a default abort if the key is missing,
-/// which catches typos in experiment scripts early. Either kind rejects a
-/// present value that is not of the requested type (see
-/// rejectConfigValue()).
+/// "comm.api_pci_base". Lookups fall back to their default for a missing
+/// key and reject a present value that is not of the requested type (see
+/// rejectConfigValue()). The store itself accepts any key; the set of
+/// keys a simulator reads is SystemConfig's key table.
 class ConfigStore {
 public:
   /// Sets \p Key to the string representation of a value.
@@ -46,20 +45,18 @@ public:
   double getDouble(const std::string &Key, double Default) const;
   bool getBool(const std::string &Key, bool Default) const;
 
-  /// Typed getters that abort with a diagnostic when \p Key is missing.
-  std::string requireString(const std::string &Key) const;
-  int64_t requireInt(const std::string &Key) const;
-
   /// Parses a single "key=value" assignment; returns false on malformed
   /// input (no '=' or empty key).
   bool parseAssignment(const std::string &Text);
 
-  /// Parses newline-separated assignments; '#' starts a comment. Returns the
-  /// number of assignments applied.
-  unsigned parseLines(const std::string &Text);
+  /// Parses newline-separated assignments; '#' starts a comment. A line
+  /// that is neither blank, a comment nor an assignment is bad input: it
+  /// prints "error: <Source>:<line>: ..." and exits with status 2. Returns
+  /// the number of assignments applied.
+  unsigned parseLines(const std::string &Text, const std::string &Source);
 
-  /// Loads assignments from a file (same syntax as parseLines). Returns
-  /// false if the file cannot be read.
+  /// Loads assignments from a file (same syntax as parseLines, with the
+  /// path as the Source). Returns false if the file cannot be read.
   bool loadFile(const std::string &Path);
 
   /// Merges \p Other into this store; keys in \p Other win.
@@ -84,6 +81,10 @@ private:
 [[noreturn]] void rejectConfigValue(const std::string &Key,
                                     const std::string &Value,
                                     const char *Type);
+
+/// Parses all of \p Text as an unsigned integer in base 0 ("0x40" is 64):
+/// no sign, no trailing characters, no overflow. Returns false otherwise.
+bool parseUnsigned(const std::string &Text, uint64_t &Out);
 
 } // namespace hetsim
 

@@ -65,25 +65,12 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   std::vector<WorkerCounters> Workers(
       std::max<size_t>(1, std::min(Points.size(), size_t(Jobs))));
 
-  // Resolve every point's configuration on the calling thread, so a bad
-  // override value exits (status 2) before any worker starts.
-  // applyOverrides rebuilds CommParams wholesale from the store, so an
-  // empty store would reset comm.* values baked into Point.Config by
-  // forCaseStudy(Study, Overrides). Only apply a real store.
-  std::vector<SystemConfig> Configs;
-  Configs.reserve(Points.size());
-  for (const SweepPoint &Point : Points) {
-    Configs.push_back(Point.Config);
-    if (Point.Overrides.size() != 0)
-      Configs.back().applyOverrides(Point.Overrides);
-  }
-
   WallTimer Timer;
   {
     ThreadPool Pool(Jobs);
     Pool.parallelForWorkers(Points.size(), [&](size_t I, unsigned Worker) {
       const SweepPoint &Point = Points[I];
-      const SystemConfig &Config = Configs[I];
+      const SystemConfig &Config = Point.Config;
 
       // Diff this thread's own gen clock around the point (a worker
       // thread only ever runs one point at a time, so the diff attributes

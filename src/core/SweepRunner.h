@@ -2,10 +2,13 @@
 ///
 /// \file
 /// The sweep engine every experiment harness and bench routes through.
-/// A sweep is a vector of independent (system config, kernel, overrides)
-/// jobs; the runner fans them out over a ThreadPool and returns results
-/// in submission order, so a table rendered from a parallel sweep is
-/// byte-identical to the serial harness. Each sweep also collects
+/// A sweep is a vector of independent (system config, kernel) jobs. Each
+/// config is fully resolved when it is built (overrides baked in through
+/// forCaseStudy(Study, Store) and friends), so bad input exits on the
+/// calling thread before any worker starts. The runner fans the jobs out
+/// over a ThreadPool and returns results in submission order, so a table
+/// rendered from a parallel sweep is byte-identical to the serial
+/// harness. Each sweep also collects
 /// wall-clock telemetry (points/s, simulated-ns throughput, trace-gen
 /// vs simulate split) that benches print and append to
 /// out/bench_timing.json so the repo keeps a perf trajectory across PRs.
@@ -22,20 +25,14 @@
 
 namespace hetsim {
 
-/// One independent sweep job. A non-empty Overrides store is applied on
-/// top of Config right before the run (so a shared base config can be
-/// swept by key). Note SystemConfig::applyOverrides rebuilds comm.*
-/// params wholesale from the store — when sweeping comm keys, put every
-/// comm override for the point in this store (or bake them all into
-/// Config via forCaseStudy and leave this empty).
+/// One independent sweep job: a resolved configuration and a kernel.
 struct SweepPoint {
   SystemConfig Config;
   KernelId Kernel = KernelId::Reduction;
-  ConfigStore Overrides;
 
   SweepPoint() = default;
-  SweepPoint(SystemConfig Cfg, KernelId K, ConfigStore Store = {})
-      : Config(std::move(Cfg)), Kernel(K), Overrides(std::move(Store)) {}
+  SweepPoint(SystemConfig Cfg, KernelId K)
+      : Config(std::move(Cfg)), Kernel(K) {}
 };
 
 /// Wall-clock telemetry of one sweep. Phase attribution is per-worker:

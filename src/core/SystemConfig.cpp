@@ -4,6 +4,11 @@
 
 #include "common/Error.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
+
 using namespace hetsim;
 
 const char *hetsim::caseStudyName(CaseStudy Study) {
@@ -30,58 +35,149 @@ const std::vector<CaseStudy> &hetsim::allCaseStudies() {
   return Studies;
 }
 
-void SystemConfig::applyOverrides(const ConfigStore &Overrides) {
-  // Rejects \p Key's value, which the simulator cannot build from.
-  auto Reject = [&](const char *Key, const char *Type) {
-    rejectConfigValue(Key, Overrides.getString(Key, ""), Type);
-  };
-  Comm = CommParams::fromConfig(Overrides);
+namespace {
 
-  Hier.TlbMissPenalty =
-      Overrides.getUInt("mem.tlb_miss_penalty", Hier.TlbMissPenalty);
-  Hier.GpuPageBytes = Overrides.getUInt("mem.gpu_page_bytes",
-                                        Hier.GpuPageBytes);
-  if (!PageTable::isValidPageSize(Hier.GpuPageBytes))
-    Reject("mem.gpu_page_bytes", "page size (a power of two, at least 512)");
-  Hier.CpuPageBytes = Overrides.getUInt("mem.cpu_page_bytes",
-                                        Hier.CpuPageBytes);
-  if (!PageTable::isValidPageSize(Hier.CpuPageBytes))
-    Reject("mem.cpu_page_bytes", "page size (a power of two, at least 512)");
-  Hier.L3.SizeBytes = Overrides.getUInt("mem.l3_bytes", Hier.L3.SizeBytes);
-  if (!Hier.L3.isValid())
-    Reject("mem.l3_bytes", "L3 size (a power-of-two number of sets)");
-  Hier.EnableL2Prefetch =
-      Overrides.getBool("mem.l2_prefetch", Hier.EnableL2Prefetch);
-  const std::string Noc = Overrides.getString("mem.noc", "ring");
-  if (Noc == "mesh")
-    Hier.UseMeshNoc = true;
-  else if (Noc != "ring")
-    Reject("mem.noc", "NoC topology (ring or mesh)");
-  Hier.Prefetch.Degree = unsigned(
-      Overrides.getUInt("mem.prefetch_degree", Hier.Prefetch.Degree));
+/// The override being applied: its key and the store holding its value.
+/// The accessors parse the value with the store's typed getters, so a
+/// value of the wrong type exits 2 (rejectConfigValue()).
+struct KeyValue {
+  const ConfigStore &Store;
+  const std::string &Key;
 
-  const uint64_t Rob = Overrides.getUInt("cpu.rob_entries", Cpu.RobEntries);
-  if (Rob == 0 || Rob != unsigned(Rob))
-    Reject("cpu.rob_entries", "ROB size (a positive 32-bit integer)");
-  Cpu.RobEntries = unsigned(Rob);
-  Cpu.MispredictPenalty =
-      Overrides.getUInt("cpu.mispredict_penalty", Cpu.MispredictPenalty);
-  Gpu.BranchStall = Overrides.getUInt("gpu.branch_stall", Gpu.BranchStall);
-
-  if (Overrides.has("sys.ideal_comm"))
-    IdealComm = Overrides.getBool("sys.ideal_comm", IdealComm);
-  if (Overrides.has("sys.first_touch_faults"))
-    FirstTouchFaults =
-        Overrides.getBool("sys.first_touch_faults", FirstTouchFaults);
-  if (Overrides.has("sys.async_copies"))
-    AsyncCopies = Overrides.getBool("sys.async_copies", AsyncCopies);
-  InterleavedContention = Overrides.getBool("sys.interleaved_contention",
-                                            InterleavedContention);
-  if (Overrides.has("sys.cpu_work_fraction")) {
-    CpuWorkFraction = Overrides.getDouble("sys.cpu_work_fraction", 0.0);
-    if (!(CpuWorkFraction >= 0.0 && CpuWorkFraction <= 1.0))
-      Reject("sys.cpu_work_fraction", "fraction in [0, 1]");
+  uint64_t asUInt() const { return Store.getUInt(Key, 0); }
+  double asDouble() const { return Store.getDouble(Key, 0.0); }
+  bool asBool() const { return Store.getBool(Key, false); }
+  /// Rejects a well-typed value that no simulator can be built from.
+  [[noreturn]] void reject(const char *Type) const {
+    rejectConfigValue(Key, Store.getString(Key, ""), Type);
   }
+};
+
+uint64_t pageSize(const KeyValue &V) {
+  uint64_t Bytes = V.asUInt();
+  if (!PageTable::isValidPageSize(Bytes))
+    V.reject("page size (a power of two, at least 512)");
+  return Bytes;
+}
+
+/// One config key: its name and how its value is parsed, checked and
+/// assigned. docs/CONFIG_KEYS.md documents exactly these rows.
+struct ConfigKey {
+  const char *Name;
+  void (*Apply)(SystemConfig &C, const KeyValue &V);
+};
+
+const ConfigKey ConfigKeys[] = {
+    // Table IV communication costs.
+    {"comm.api_pci_base",
+     [](auto &C, auto &V) { C.Comm.ApiPciBase = V.asUInt(); }},
+    {"comm.pci_bytes_per_sec",
+     [](auto &C, auto &V) { C.Comm.PciBytesPerSec = V.asDouble(); }},
+    {"comm.api_acq", [](auto &C, auto &V) { C.Comm.ApiAcquire = V.asUInt(); }},
+    {"comm.api_tr", [](auto &C, auto &V) { C.Comm.ApiTransfer = V.asUInt(); }},
+    {"comm.lib_pf", [](auto &C, auto &V) { C.Comm.LibPageFault = V.asUInt(); }},
+    {"comm.async_issue",
+     [](auto &C, auto &V) { C.Comm.AsyncIssueOverhead = V.asUInt(); }},
+    {"comm.pinned_host",
+     [](auto &C, auto &V) { C.Comm.PinnedHostMemory = V.asBool(); }},
+    {"comm.pageable_rate_factor",
+     [](auto &C, auto &V) { C.Comm.PageableRateFactor = V.asDouble(); }},
+    {"comm.pageable_staging",
+     [](auto &C, auto &V) { C.Comm.PageableStagingOverhead = V.asUInt(); }},
+    // Memory system.
+    {"mem.tlb_miss_penalty",
+     [](auto &C, auto &V) { C.Hier.TlbMissPenalty = V.asUInt(); }},
+    {"mem.cpu_page_bytes",
+     [](auto &C, auto &V) { C.Hier.CpuPageBytes = pageSize(V); }},
+    {"mem.gpu_page_bytes",
+     [](auto &C, auto &V) { C.Hier.GpuPageBytes = pageSize(V); }},
+    {"mem.l3_bytes",
+     [](auto &C, auto &V) {
+       C.Hier.L3.SizeBytes = V.asUInt();
+       if (!C.Hier.L3.isValid())
+         V.reject("L3 size (a power-of-two number of sets)");
+     }},
+    {"mem.l2_prefetch",
+     [](auto &C, auto &V) { C.Hier.EnableL2Prefetch = V.asBool(); }},
+    {"mem.prefetch_degree",
+     [](auto &C, auto &V) { C.Hier.Prefetch.Degree = unsigned(V.asUInt()); }},
+    {"mem.noc",
+     [](auto &C, auto &V) {
+       const std::string Noc = V.Store.getString(V.Key, "");
+       if (Noc != "ring" && Noc != "mesh")
+         V.reject("NoC topology (ring or mesh)");
+       C.Hier.UseMeshNoc = Noc == "mesh";
+     }},
+    // Core models.
+    {"cpu.rob_entries",
+     [](auto &C, auto &V) {
+       const uint64_t Rob = V.asUInt();
+       if (Rob == 0 || Rob != unsigned(Rob))
+         V.reject("ROB size (a positive 32-bit integer)");
+       C.Cpu.RobEntries = unsigned(Rob);
+     }},
+    {"cpu.mispredict_penalty",
+     [](auto &C, auto &V) { C.Cpu.MispredictPenalty = V.asUInt(); }},
+    {"gpu.branch_stall",
+     [](auto &C, auto &V) { C.Gpu.BranchStall = V.asUInt(); }},
+    // System / driver.
+    {"sys.ideal_comm", [](auto &C, auto &V) { C.IdealComm = V.asBool(); }},
+    {"sys.first_touch_faults",
+     [](auto &C, auto &V) { C.FirstTouchFaults = V.asBool(); }},
+    {"sys.async_copies", [](auto &C, auto &V) { C.AsyncCopies = V.asBool(); }},
+    {"sys.interleaved_contention",
+     [](auto &C, auto &V) { C.InterleavedContention = V.asBool(); }},
+    {"sys.cpu_work_fraction",
+     [](auto &C, auto &V) {
+       C.CpuWorkFraction = V.asDouble();
+       if (!(C.CpuWorkFraction >= 0.0 && C.CpuWorkFraction <= 1.0))
+         V.reject("fraction in [0, 1]");
+     }},
+};
+
+} // namespace
+
+std::vector<std::string> SystemConfig::configKeys() {
+  std::vector<std::string> Names;
+  for (const ConfigKey &Row : ConfigKeys)
+    Names.push_back(Row.Name);
+  return Names;
+}
+
+void SystemConfig::applyOverrides(const ConfigStore &Overrides) {
+  for (const std::string &Key : Overrides.keys()) {
+    const ConfigKey *Row =
+        std::find_if(std::begin(ConfigKeys), std::end(ConfigKeys),
+                     [&](const ConfigKey &R) { return Key == R.Name; });
+    if (Row == std::end(ConfigKeys)) {
+      std::fprintf(stderr,
+                   "error: unknown config key '%s' (docs/CONFIG_KEYS.md "
+                   "lists every key)\n",
+                   Key.c_str());
+      std::exit(2);
+    }
+    Row->Apply(*this, KeyValue{Overrides, Key});
+  }
+}
+
+bool hetsim::systemByName(const std::string &Name, SystemConfig &Out,
+                          const ConfigStore &Overrides) {
+  for (CaseStudy Study : allCaseStudies()) {
+    if (Name == caseStudyName(Study)) {
+      Out = SystemConfig::forCaseStudy(Study, Overrides);
+      return true;
+    }
+  }
+  static const AddressSpaceKind Kinds[] = {
+      AddressSpaceKind::Unified, AddressSpaceKind::PartiallyShared,
+      AddressSpaceKind::Disjoint, AddressSpaceKind::Adsm};
+  for (AddressSpaceKind Kind : Kinds) {
+    if (Name == addressSpaceShortName(Kind)) {
+      Out = SystemConfig::forAddressSpaceStudy(Kind, Overrides);
+      return true;
+    }
+  }
+  return false;
 }
 
 SystemConfig SystemConfig::forCaseStudy(CaseStudy Study,

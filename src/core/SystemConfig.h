@@ -5,7 +5,8 @@
 /// a kernel is lowered and simulated. The five case studies of Section V-A
 /// (CPU+GPU(CUDA), LRB, GMAC, Fusion, IDEAL-HETERO) are presets; Figure 7
 /// uses address-space variants with ideal communication; ablations sweep
-/// individual parameters through a ConfigStore.
+/// individual parameters through a ConfigStore, whose keys are applied by
+/// the one key table in SystemConfig.cpp (docs/CONFIG_KEYS.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 #define HETSIM_CORE_SYSTEMCONFIG_H
 
 #include "comm/CommParams.h"
+#include "common/Config.h"
 #include "core/DesignSpace.h"
 #include "cpu/CpuCore.h"
 #include "gpu/GpuCore.h"
@@ -92,9 +94,22 @@ struct SystemConfig {
   /// case studies; used by the shared-LLC ablation.
   static SystemConfig sandyBridgeStyle(const ConfigStore &Overrides = {});
 
-  /// Applies generic overrides (comm.* keys and a few hier/cpu knobs).
+  /// Applies every key in \p Overrides through the key table in
+  /// SystemConfig.cpp; fields whose keys are absent keep their values,
+  /// so applying two stores in turn composes. An unknown key, a value of
+  /// the wrong type or a value no simulator can be built from prints an
+  /// error and exits with status 2.
   void applyOverrides(const ConfigStore &Overrides);
+
+  /// Names of every key applyOverrides accepts, in table order.
+  static std::vector<std::string> configKeys();
 };
+
+/// Builds the system called \p Name with \p Overrides applied: a case
+/// study by caseStudyName() or a Figure 7 address space by
+/// addressSpaceShortName(). Returns false for an unknown name.
+bool systemByName(const std::string &Name, SystemConfig &Out,
+                  const ConfigStore &Overrides);
 
 } // namespace hetsim
 

@@ -8,24 +8,6 @@
 
 using namespace hetsim;
 
-EnergyParams EnergyParams::fromConfig(const ConfigStore &Config) {
-  EnergyParams P;
-  P.L1AccessPj = Config.getDouble("energy.l1_pj", P.L1AccessPj);
-  P.L2AccessPj = Config.getDouble("energy.l2_pj", P.L2AccessPj);
-  P.L3AccessPj = Config.getDouble("energy.l3_pj", P.L3AccessPj);
-  P.DramLinePj = Config.getDouble("energy.dram_line_pj", P.DramLinePj);
-  P.RingHopPj = Config.getDouble("energy.ring_hop_pj", P.RingHopPj);
-  P.CpuInstPj = Config.getDouble("energy.cpu_inst_pj", P.CpuInstPj);
-  P.GpuInstPj = Config.getDouble("energy.gpu_inst_pj", P.GpuInstPj);
-  P.ScratchpadPj = Config.getDouble("energy.smem_pj", P.ScratchpadPj);
-  P.PciPerBytePj = Config.getDouble("energy.pci_byte_pj", P.PciPerBytePj);
-  P.MemCtrlPerBytePj =
-      Config.getDouble("energy.memctrl_byte_pj", P.MemCtrlPerBytePj);
-  P.PageFaultNj = Config.getDouble("energy.pagefault_nj", P.PageFaultNj);
-  P.TlbMissPj = Config.getDouble("energy.tlb_miss_pj", P.TlbMissPj);
-  return P;
-}
-
 std::string EnergyReport::renderSummary() const {
   double Total = totalNj();
   auto Pct = [Total](double Part) {

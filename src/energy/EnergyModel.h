@@ -9,15 +9,13 @@
 /// cost, and a run's counters are folded into a per-component report.
 ///
 /// Default per-event energies are CACTI-class ballpark numbers for a
-/// ~32nm node (the paper's Sandy-Bridge/Fermi era); all are overridable
-/// through ConfigStore keys ("energy.l1_pj", ...).
+/// ~32nm node (the paper's Sandy-Bridge/Fermi era).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HETSIM_ENERGY_ENERGYMODEL_H
 #define HETSIM_ENERGY_ENERGYMODEL_H
 
-#include "common/Config.h"
 #include "common/Types.h"
 
 #include <string>
@@ -41,9 +39,6 @@ struct EnergyParams {
   double MemCtrlPerBytePj = 60; ///< On-chip copy energy per byte.
   double PageFaultNj = 80;      ///< Fault handling (nanojoules!).
   double TlbMissPj = 50;        ///< Page walk.
-
-  /// Reads overrides from "energy.*" keys.
-  static EnergyParams fromConfig(const ConfigStore &Config);
 };
 
 /// Energy of one run, split by component (nanojoules).

@@ -7,6 +7,7 @@
 #include "comm/PciExpressLink.h"
 #include "common/Stats.h"
 #include "common/Units.h"
+#include "core/SystemConfig.h"
 #include "dram/Dram.h"
 
 #include <gtest/gtest.h>
@@ -39,24 +40,23 @@ TEST(CommParams, PciCopyFormula) {
   EXPECT_NEAR(double(C - 33250), 229376.0, 2.0);
 }
 
-TEST(CommParams, ConfigRoundTrip) {
-  CommParams P;
-  P.ApiPciBase = 1234;
-  P.LibPageFault = 99;
-  ConfigStore Config;
-  P.toConfig(Config);
-  CommParams Q = CommParams::fromConfig(Config);
-  EXPECT_EQ(Q.ApiPciBase, 1234u);
-  EXPECT_EQ(Q.LibPageFault, 99u);
-  EXPECT_EQ(Q.ApiAcquire, P.ApiAcquire);
-}
-
 TEST(CommParams, OverridesFromConfig) {
+  // One comm.* override changes its field; every other keeps Table IV.
   ConfigStore Config;
   Config.setInt("comm.api_pci_base", 1000);
-  CommParams P = CommParams::fromConfig(Config);
+  SystemConfig System;
+  System.applyOverrides(Config);
+  const CommParams &P = System.Comm;
+  const CommParams Defaults;
   EXPECT_EQ(P.ApiPciBase, 1000u);
-  EXPECT_EQ(P.ApiTransfer, 7000u); // Untouched default.
+  EXPECT_EQ(P.PciBytesPerSec, Defaults.PciBytesPerSec);
+  EXPECT_EQ(P.ApiAcquire, Defaults.ApiAcquire);
+  EXPECT_EQ(P.ApiTransfer, Defaults.ApiTransfer);
+  EXPECT_EQ(P.LibPageFault, Defaults.LibPageFault);
+  EXPECT_EQ(P.AsyncIssueOverhead, Defaults.AsyncIssueOverhead);
+  EXPECT_EQ(P.PinnedHostMemory, Defaults.PinnedHostMemory);
+  EXPECT_EQ(P.PageableRateFactor, Defaults.PageableRateFactor);
+  EXPECT_EQ(P.PageableStagingOverhead, Defaults.PageableStagingOverhead);
 }
 
 TEST(CommParams, PageableHostMemoryCostsMore) {
@@ -77,9 +77,10 @@ TEST(CommParams, PageableConfigKeys) {
   ConfigStore Config;
   Config.setBool("comm.pinned_host", false);
   Config.setDouble("comm.pageable_rate_factor", 0.25);
-  CommParams P = CommParams::fromConfig(Config);
-  EXPECT_FALSE(P.PinnedHostMemory);
-  EXPECT_DOUBLE_EQ(P.PageableRateFactor, 0.25);
+  SystemConfig System;
+  System.applyOverrides(Config);
+  EXPECT_FALSE(System.Comm.PinnedHostMemory);
+  EXPECT_DOUBLE_EQ(System.Comm.PageableRateFactor, 0.25);
 }
 
 //===----------------------------------------------------------------------===//

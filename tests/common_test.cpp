@@ -135,7 +135,8 @@ TEST(Config, ParseAssignment) {
 
 TEST(Config, ParseLinesWithComments) {
   ConfigStore Config;
-  unsigned Applied = Config.parseLines("a=1\n# comment\nb=2 # trailing\n\n");
+  unsigned Applied =
+      Config.parseLines("a=1\n# comment\nb=2 # trailing\n\n", "test");
   EXPECT_EQ(Applied, 2u);
   EXPECT_EQ(Config.getInt("a", 0), 1);
   EXPECT_EQ(Config.getInt("b", 0), 2);
@@ -166,7 +167,6 @@ TEST(Config, HexValues) {
   Config.set("addr", "0x40");
   EXPECT_EQ(Config.getInt("addr", 0), 64);
   EXPECT_EQ(Config.getUInt("addr", 0), 64u);
-  EXPECT_EQ(Config.requireInt("addr"), 64);
 }
 
 // A present value that is not of the requested type is bad input: the
@@ -181,7 +181,6 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
   };
   auto UInt = [](const ConfigStore &C) { C.getUInt("k", 0); };
   auto Int = [](const ConfigStore &C) { C.getInt("k", 0); };
-  auto Require = [](const ConfigStore &C) { C.requireInt("k"); };
   auto Double = [](const ConfigStore &C) { C.getDouble("k", 0); };
   auto Bool = [](const ConfigStore &C) { C.getBool("k", false); };
   // Values of the right type that the simulator cannot build.
@@ -195,7 +194,7 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
       {"banana", Int, "integer"},
       {"banana", Double, "number"},
       {"12x", UInt, "unsigned integer"},
-      {"12x", Require, "integer"},
+      {"12x", Int, "integer"},
       {"8e9GB", Double, "number"},
       {"1.5", UInt, "unsigned integer"},
       {"1.5", Int, "integer"},
@@ -224,6 +223,19 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
                 "error: config key '" + Quote(C.Key) + "' has value '" +
                     Quote(C.Value) + "', which is not a valid " + C.Type)
         << C.Key << "='" << C.Value << "' as " << C.Type;
+  }
+}
+
+// A key outside SystemConfig's key table is a typo, not a tunable: it
+// exits 2 instead of being silently ignored.
+TEST(ConfigDeathTest, UnknownKeysAreRejected) {
+  for (const char *Key : {"no.such.key", "l1.size", "energy.l1_pj"}) {
+    ConfigStore Config;
+    Config.set(Key, "3");
+    EXPECT_EXIT(SystemConfig::forCaseStudy(CaseStudy::Lrb, Config),
+                ::testing::ExitedWithCode(2),
+                std::string("error: unknown config key '") + Key + "'")
+        << Key;
   }
 }
 

@@ -6,7 +6,9 @@
 #include "TestUtil.h"
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <set>
 
 using namespace hetsim;
 
@@ -132,6 +134,39 @@ TEST(SystemConfig, OverridesApply) {
   SystemConfig C = SystemConfig::forCaseStudy(CaseStudy::CpuGpu, Overrides);
   EXPECT_EQ(C.Comm.ApiPciBase, 123u);
   EXPECT_EQ(C.Cpu.RobEntries, 32u);
+}
+
+TEST(SystemConfig, OverridesCompose) {
+  // A second store applies only its own keys: the comm.* value baked in
+  // by forCaseStudy survives, and a later ring override undoes the mesh.
+  ConfigStore NoFaults;
+  NoFaults.setInt("comm.lib_pf", 0);
+  SystemConfig C = SystemConfig::forCaseStudy(CaseStudy::Lrb, NoFaults);
+  ConfigStore Mesh;
+  Mesh.set("mem.noc", "mesh");
+  C.applyOverrides(Mesh);
+  EXPECT_EQ(C.Comm.LibPageFault, 0u);
+  EXPECT_TRUE(C.Hier.UseMeshNoc);
+  ConfigStore Ring;
+  Ring.set("mem.noc", "ring");
+  C.applyOverrides(Ring);
+  EXPECT_FALSE(C.Hier.UseMeshNoc);
+  EXPECT_EQ(C.Comm.LibPageFault, 0u);
+}
+
+TEST(ConfigKeys, DocsListEveryKey) {
+  // The key column of docs/CONFIG_KEYS.md's tables ("| `key` | ...")
+  // holds every key-table row, and nothing else.
+  std::ifstream Docs(std::string(HETSIM_SOURCE_DIR) + "/docs/CONFIG_KEYS.md");
+  ASSERT_TRUE(Docs.good());
+  std::set<std::string> Documented;
+  for (std::string Line; std::getline(Docs, Line);)
+    if (Line.rfind("| `", 0) == 0)
+      Documented.insert(Line.substr(3, Line.find('`', 3) - 3));
+  const std::vector<std::string> Names = SystemConfig::configKeys();
+  const std::set<std::string> Table(Names.begin(), Names.end());
+  EXPECT_EQ(Table.size(), Names.size()) << "duplicate key-table row";
+  EXPECT_EQ(Documented, Table);
 }
 
 TEST(SystemConfig, AddressSpaceStudySharesCache) {

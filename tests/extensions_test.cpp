@@ -296,14 +296,6 @@ TEST(Prefetcher, ReducesDramTrafficLatencyOnStreams) {
 // Energy model.
 //===----------------------------------------------------------------------===//
 
-TEST(Energy, ParamsFromConfig) {
-  ConfigStore Config;
-  Config.setDouble("energy.cpu_inst_pj", 123.0);
-  EnergyParams Params = EnergyParams::fromConfig(Config);
-  EXPECT_DOUBLE_EQ(Params.CpuInstPj, 123.0);
-  EXPECT_DOUBLE_EQ(Params.GpuInstPj, EnergyParams().GpuInstPj);
-}
-
 TEST(Energy, RunEnergyIsPositiveAndDecomposes) {
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
   HeteroSimulator Simulator(Config);
@@ -575,6 +567,22 @@ TEST(ConfigFile, LoadsAssignments) {
   ASSERT_TRUE(Config.loadFile(Path));
   EXPECT_EQ(Config.getInt("comm.lib_pf", 0), 777);
   EXPECT_EQ(Config.getInt("mem.gpu_page_bytes", 0), 8192);
+  std::remove(Path.c_str());
+}
+
+// A line that is not a comment and not an assignment is a typo: the
+// load names the file and the line and exits 2 instead of dropping it.
+TEST(ConfigFileDeathTest, LineWithoutAssignmentIsRejected) {
+  std::string Path = "/tmp/hetsim_config_bad_line.cfg";
+  std::FILE *File = std::fopen(Path.c_str(), "w");
+  ASSERT_NE(File, nullptr);
+  std::fputs("# comment\ncomm.lib_pf = 777\nmem.noc mesh\n", File);
+  std::fclose(File);
+
+  ConfigStore Config;
+  EXPECT_EXIT(Config.loadFile(Path), ::testing::ExitedWithCode(2),
+              "error: /tmp/hetsim_config_bad_line[.]cfg:3: 'mem[.]noc mesh' "
+              "is not a key=value assignment");
   std::remove(Path.c_str());
 }
 

@@ -71,8 +71,7 @@ TEST(FenceSemantics, SpecialInstFenceEffects) {
 
 TEST(RaceDetectorShipped, WholeDesignSpaceVerifiesRaceFree) {
   for (const SweepPoint &Point : shippedDesignSpace()) {
-    SystemConfig Config = Point.Config;
-    Config.applyOverrides(Point.Overrides);
+    const SystemConfig &Config = Point.Config;
     LoweredProgram Program = lowerKernel(Point.Kernel, Config);
     RaceReport Report = RaceDetector::analyze(Program, Config);
     EXPECT_TRUE(Report.clean())

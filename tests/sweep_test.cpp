@@ -37,9 +37,7 @@ TEST(SweepRunner, MatchesSerialSimulation) {
   std::vector<RunResult> Parallel = Runner.run(Points);
   ASSERT_EQ(Parallel.size(), Points.size());
   for (size_t I = 0; I != Points.size(); ++I) {
-    SystemConfig Config = Points[I].Config;
-    Config.applyOverrides(Points[I].Overrides);
-    HeteroSimulator Simulator(Config);
+    HeteroSimulator Simulator(Points[I].Config);
     RunResult Serial = Simulator.run(Points[I].Kernel);
     EXPECT_DOUBLE_EQ(Parallel[I].Time.totalNs(), Serial.Time.totalNs())
         << "point " << I;
@@ -64,8 +62,7 @@ TEST(SweepRunner, ResultsInSubmissionOrderAcrossJobCounts) {
 
 TEST(SweepRunner, CommOverridesBakedIntoConfigSurvive) {
   // Regression: SweepRunner must not reset comm.* params that were baked
-  // into the config via forCaseStudy(Study, Overrides) — applyOverrides
-  // with an empty store would rebuild CommParams at Table IV defaults.
+  // into the config via forCaseStudy(Study, Overrides).
   ConfigStore Overrides;
   Overrides.setInt("comm.lib_pf", 0);
   std::vector<SweepPoint> Points;
@@ -76,20 +73,6 @@ TEST(SweepRunner, CommOverridesBakedIntoConfigSurvive) {
   SweepRunner Runner(1);
   std::vector<RunResult> Results = Runner.run(Points);
   EXPECT_LT(Results[1].Time.CommunicationNs, Results[0].Time.CommunicationNs);
-}
-
-TEST(SweepRunner, PointOverridesApply) {
-  // Overrides carried in the SweepPoint itself must also take effect.
-  ConfigStore Overrides;
-  Overrides.setInt("comm.lib_pf", 168000);
-  std::vector<SweepPoint> Points;
-  Points.emplace_back(SystemConfig::forCaseStudy(CaseStudy::Lrb),
-                      KernelId::Reduction);
-  Points.emplace_back(SystemConfig::forCaseStudy(CaseStudy::Lrb),
-                      KernelId::Reduction, Overrides);
-  SweepRunner Runner(1);
-  std::vector<RunResult> Results = Runner.run(Points);
-  EXPECT_GT(Results[1].Time.CommunicationNs, Results[0].Time.CommunicationNs);
 }
 
 TEST(SweepRunner, TelemetryCountsPoints) {

@@ -50,26 +50,6 @@ int usage() {
   return 2;
 }
 
-bool systemByName(const std::string &Name, SystemConfig &Out,
-                  const ConfigStore &Overrides) {
-  for (CaseStudy Study : allCaseStudies()) {
-    if (Name == caseStudyName(Study)) {
-      Out = SystemConfig::forCaseStudy(Study, Overrides);
-      return true;
-    }
-  }
-  static const AddressSpaceKind Kinds[] = {
-      AddressSpaceKind::Unified, AddressSpaceKind::PartiallyShared,
-      AddressSpaceKind::Disjoint, AddressSpaceKind::Adsm};
-  for (AddressSpaceKind Kind : Kinds) {
-    if (Name == addressSpaceShortName(Kind)) {
-      Out = SystemConfig::forAddressSpaceStudy(Kind, Overrides);
-      return true;
-    }
-  }
-  return false;
-}
-
 void printRun(const SystemConfig &Config, KernelId Kernel, bool DumpStats,
               const std::string &MetricsPath) {
   HeteroSimulator Simulator(Config);
@@ -235,7 +215,13 @@ ParsedArgs parseArgs(int Argc, char **Argv, int Start) {
     } else if (Arg == "--elements") {
       std::string Value;
       TakeValue(Value);
-      Args.Elements = std::strtoull(Value.c_str(), nullptr, 0);
+      if (!parseUnsigned(Value, Args.Elements)) {
+        std::fprintf(stderr,
+                     "error: --elements has value '%s', which is not a "
+                     "valid unsigned integer\n",
+                     Value.c_str());
+        Args.Ok = false;
+      }
     } else if (Arg == "--stats") {
       Args.DumpStats = true;
     } else if (Arg == "--metrics") {

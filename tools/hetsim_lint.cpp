@@ -71,26 +71,6 @@ int usage() {
   return ExitUsage;
 }
 
-bool systemByName(const std::string &Name, SystemConfig &Out,
-                  const ConfigStore &Overrides) {
-  for (CaseStudy Study : allCaseStudies()) {
-    if (Name == caseStudyName(Study)) {
-      Out = SystemConfig::forCaseStudy(Study, Overrides);
-      return true;
-    }
-  }
-  static const AddressSpaceKind Kinds[] = {
-      AddressSpaceKind::Unified, AddressSpaceKind::PartiallyShared,
-      AddressSpaceKind::Disjoint, AddressSpaceKind::Adsm};
-  for (AddressSpaceKind Kind : Kinds) {
-    if (Name == addressSpaceShortName(Kind)) {
-      Out = SystemConfig::forAddressSpaceStudy(Kind, Overrides);
-      return true;
-    }
-  }
-  return false;
-}
-
 bool modelByName(const std::string &Name, ConsistencyModel &Out) {
   if (Name == "weak") {
     Out = ConsistencyModel::Weak;
