@@ -21,17 +21,25 @@ using namespace hetsim;
 int main() {
   std::printf("=== Ablation F: energy per design point ===\n\n");
 
-  for (KernelId Kernel : {KernelId::Reduction, KernelId::MergeSort}) {
+  const KernelId Kernels[] = {KernelId::Reduction, KernelId::MergeSort};
+  std::vector<SweepPoint> Points;
+  for (KernelId Kernel : Kernels)
+    for (CaseStudy Study : allCaseStudies())
+      Points.emplace_back(SystemConfig::forCaseStudy(Study), Kernel);
+  SweepRunner Runner;
+  std::vector<RunResult> Results = Runner.run(Points);
+
+  size_t I = 0;
+  for (KernelId Kernel : Kernels) {
     std::printf("%s:\n\n", kernelName(Kernel));
     TextTable Table({"system", "total_uJ", "core", "cache", "dram", "noc",
                      "comm", "uJ per us"});
-    for (CaseStudy Study : allCaseStudies()) {
-      SystemConfig Config = SystemConfig::forCaseStudy(Study);
-      HeteroSimulator Sim(Config);
-      RunResult R = Sim.run(Kernel);
+    for (size_t S = 0; S != allCaseStudies().size(); ++S, ++I) {
+      const SystemConfig &Config = Points[I].Config;
+      const RunResult &R = Results[I];
       bool Pci = Config.Connection == ConnectionKind::PciExpress;
       EnergyReport E =
-          computeEnergy(EnergyParams(), Sim.memory(), R, Pci);
+          computeEnergy(EnergyParams(), Runner.metrics()[I], R, Pci);
       double TotalUs = R.Time.totalNs() / 1e3;
       Table.addRow({Config.Name, formatDouble(E.totalUj(), 1),
                     formatDouble(E.CoreNj / 1e3, 1),
@@ -47,5 +55,7 @@ int main() {
               "synchronous PCI-E system spends the most, the integrated\n"
               "designs the least — the quantitative backing for the\n"
               "paper's power/energy argument.\n");
+  std::fprintf(stderr, "%s\n", Runner.telemetry().summary().c_str());
+  appendBenchTiming("ablation_energy", Runner.telemetry());
   return 0;
 }

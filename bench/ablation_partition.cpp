@@ -21,30 +21,34 @@ int main() {
   std::printf("=== Ablation D: work partitioning (Qilin-style sweep, "
               "IDEAL system) ===\n\n");
 
+  // One sweep for both tables: an 11-point curve per kernel (matrix
+  // multiply is large; a coarser 5-point sweep suffices there). The
+  // reduction curve doubles as the detailed table.
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::IdealHetero);
-  SweepTelemetry Total, Telemetry;
+  std::vector<PartitionSweep> Sweeps;
+  for (KernelId Kernel : allKernels())
+    Sweeps.push_back({Kernel, Kernel == KernelId::MatrixMul ? 4u : 10u});
+  SweepTelemetry Telemetry;
+  std::vector<std::vector<PartitionPoint>> Curves =
+      sweepPartitions(Config, Sweeps, 0, &Telemetry);
 
-  // Detailed curve for one kernel.
   std::printf("Reduction, total time vs CPU work fraction:\n\n");
   TextTable Curve({"cpu_fraction", "total_us", "parallel_us"});
-  for (const PartitionPoint &Point :
-       sweepPartition(Config, KernelId::Reduction, 10, 0, &Telemetry))
-    Curve.addRow({formatDouble(Point.CpuFraction, 1),
-                  formatDouble(Point.TotalNs / 1e3, 1),
-                  formatDouble(Point.ParallelNs / 1e3, 1)});
-  Total.merge(Telemetry);
+  for (size_t S = 0; S != Sweeps.size(); ++S) {
+    if (Sweeps[S].Kernel != KernelId::Reduction)
+      continue;
+    for (const PartitionPoint &Point : Curves[S])
+      Curve.addRow({formatDouble(Point.CpuFraction, 1),
+                    formatDouble(Point.TotalNs / 1e3, 1),
+                    formatDouble(Point.ParallelNs / 1e3, 1)});
+  }
   std::printf("%s\n", Curve.render().c_str());
 
-  // Optimal split per kernel (coarser sweep to keep runtime modest).
   std::printf("Best split per kernel (11-point sweep):\n\n");
   TextTable Best({"kernel", "best cpu_fraction", "best total_us",
                   "even-split total_us", "speedup"});
-  for (KernelId Kernel : allKernels()) {
-    // Matrix multiply is large; a coarser sweep suffices there.
-    unsigned Steps = Kernel == KernelId::MatrixMul ? 4 : 10;
-    std::vector<PartitionPoint> Points =
-        sweepPartition(Config, Kernel, Steps, 0, &Telemetry);
-    Total.merge(Telemetry);
+  for (size_t S = 0; S != Sweeps.size(); ++S) {
+    const std::vector<PartitionPoint> &Points = Curves[S];
     PartitionPoint BestPoint = Points.front();
     double EvenNs = 0;
     for (const PartitionPoint &Point : Points) {
@@ -55,7 +59,8 @@ int main() {
     }
     if (EvenNs == 0)
       EvenNs = Points[Points.size() / 2].TotalNs;
-    Best.addRow({kernelName(Kernel), formatDouble(BestPoint.CpuFraction, 2),
+    Best.addRow({kernelName(Sweeps[S].Kernel),
+                 formatDouble(BestPoint.CpuFraction, 2),
                  formatDouble(BestPoint.TotalNs / 1e3, 1),
                  formatDouble(EvenNs / 1e3, 1),
                  formatDouble(EvenNs / BestPoint.TotalNs, 2)});
@@ -63,7 +68,7 @@ int main() {
   std::printf("%s\n", Best.render().c_str());
   std::printf("The paper's even split is the 0.5 column; the sweep shows\n"
               "how much an adaptive mapper (Qilin) could recover.\n");
-  std::fprintf(stderr, "%s\n", Total.summary().c_str());
-  appendBenchTiming("ablation_partition", Total);
+  std::fprintf(stderr, "%s\n", Telemetry.summary().c_str());
+  appendBenchTiming("ablation_partition", Telemetry);
   return 0;
 }

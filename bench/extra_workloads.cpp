@@ -13,6 +13,7 @@
 #include "core/Experiments.h"
 
 #include <cstdio>
+#include <iterator>
 
 using namespace hetsim;
 
@@ -20,34 +21,47 @@ int main() {
   std::printf("=== Ablation H: extra workloads (stream triad, histogram, "
               "spmv) ===\n\n");
 
+  // One sweep: every (workload, system) point, then the scaling study's
+  // stream-triad sizes on CPU+GPU.
+  const CaseStudy Studies[] = {CaseStudy::CpuGpu, CaseStudy::Fusion,
+                               CaseStudy::IdealHetero};
+  const uint64_t Sizes[] = {4096, 16384, 65536, 262144, 1048576};
+  std::vector<SweepPoint> Points;
+  for (ExtraWorkloadId Id : allExtraWorkloads())
+    for (CaseStudy Study : Studies) {
+      SystemConfig Config = SystemConfig::forCaseStudy(Study);
+      LoweredProgram Program = buildExtraWorkload(Id, Config, 128 * 1024);
+      Points.emplace_back(std::move(Config), std::move(Program),
+                          extraWorkloadName(Id));
+    }
+  size_t ScaleBegin = Points.size();
+  for (uint64_t Elements : Sizes) {
+    SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
+    LoweredProgram Program =
+        buildExtraWorkload(ExtraWorkloadId::StreamTriad, Config, Elements);
+    Points.emplace_back(std::move(Config), std::move(Program),
+                        extraWorkloadName(ExtraWorkloadId::StreamTriad));
+  }
+  SweepRunner Runner;
+  std::vector<RunResult> Results = Runner.run(Points);
+
   TextTable Table({"workload", "system", "total_us", "comm_us",
                    "comm_frac"});
-  for (ExtraWorkloadId Id : allExtraWorkloads()) {
-    for (CaseStudy Study :
-         {CaseStudy::CpuGpu, CaseStudy::Fusion, CaseStudy::IdealHetero}) {
-      SystemConfig Config = SystemConfig::forCaseStudy(Study);
-      HeteroSimulator Sim(Config);
-      LoweredProgram Program = buildExtraWorkload(Id, Config, 128 * 1024);
-      RunResult R = Sim.runLowered(Program);
-      Table.addRow({extraWorkloadName(Id), Config.Name,
-                    formatDouble(R.Time.totalNs() / 1e3, 1),
-                    formatDouble(R.Time.CommunicationNs / 1e3, 1),
-                    formatPercent(R.Time.commFraction())});
-    }
+  for (size_t I = 0; I != ScaleBegin; ++I) {
+    const RunResult &R = Results[I];
+    Table.addRow({Points[I].workloadName(), Points[I].Config.Name,
+                  formatDouble(R.Time.totalNs() / 1e3, 1),
+                  formatDouble(R.Time.CommunicationNs / 1e3, 1),
+                  formatPercent(R.Time.commFraction())});
   }
   std::printf("%s\n", Table.render().c_str());
 
   std::printf("Scaling study: stream triad on CPU+GPU, communication "
               "fraction vs size\n\n");
   TextTable Scale({"elements", "bytes moved", "total_us", "comm_frac"});
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
-  HeteroSimulator Sim(Config);
-  for (uint64_t Elements : {4096ull, 16384ull, 65536ull, 262144ull,
-                            1048576ull}) {
-    LoweredProgram Program =
-        buildExtraWorkload(ExtraWorkloadId::StreamTriad, Config, Elements);
-    RunResult R = Sim.runLowered(Program);
-    Scale.addRow({formatCount(Elements), formatCount(R.TransferredBytes),
+  for (size_t S = 0; S != std::size(Sizes); ++S) {
+    const RunResult &R = Results[ScaleBegin + S];
+    Scale.addRow({formatCount(Sizes[S]), formatCount(R.TransferredBytes),
                   formatDouble(R.Time.totalNs() / 1e3, 1),
                   formatPercent(R.Time.commFraction())});
   }
@@ -55,5 +69,7 @@ int main() {
   std::printf("Fixed API costs dominate small problems; bandwidth terms\n"
               "dominate large ones — the crossover the Table IV model\n"
               "implies.\n");
+  std::fprintf(stderr, "%s\n", Runner.telemetry().summary().c_str());
+  appendBenchTiming("extra_workloads", Runner.telemetry());
   return 0;
 }

@@ -58,6 +58,9 @@ scripts/peak_rss.py 64 build/tools/hetsim run --system IDEAL-HETERO \
   --kernel "matrix mul" sys.interleaved_contention=true
 scripts/peak_rss.py 64 build/bench/table3_benchmarks
 scripts/peak_rss.py 32 build/bench/extra_workloads
+# extra_workloads runs its points in parallel, so the cap above also
+# counts one machine per worker; serially it still streams (~13 MB).
+HETSIM_JOBS=1 scripts/peak_rss.py 16 build/bench/extra_workloads
 scripts/peak_rss.py 32 build/examples/custom_kernel
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   build/bench/hetsim_bench --smoke >/dev/null

@@ -67,77 +67,37 @@ void ThreadPool::parallelForWorkers(
     return;
   }
 
-  /// Shared state of one parallelForWorkers: per-worker index ranges with
-  /// atomic cursors plus completion/exception bookkeeping. Heap-allocated
-  /// and shared with the queued tasks so stale queue entries can never
-  /// dangle.
+  /// Shared state of one parallelForWorkers: one atomic cursor every
+  /// worker claims the next index from, plus completion/exception
+  /// bookkeeping. Heap-allocated and shared with the queued tasks so
+  /// stale queue entries can never dangle.
   struct Batch {
-    /// One worker's contiguous slice of the index space, drained through
-    /// an atomic cursor so thieves and the owner can race safely.
-    struct Range {
-      std::atomic<size_t> Next{0};
-      size_t End = 0;
-
-      size_t left() const {
-        size_t Cursor = Next.load(std::memory_order_relaxed);
-        return Cursor >= End ? 0 : End - Cursor;
-      }
-    };
-
     const std::function<void(size_t, unsigned)> &Fn;
-    std::vector<Range> Ranges;
+    const size_t Count;
+    std::atomic<size_t> Next{0};
     std::atomic<bool> Abort{false};
     std::mutex Mutex;
     std::condition_variable Done;
     size_t Pending; ///< Queued shares still running.
     std::exception_ptr Error;
 
-    Batch(const std::function<void(size_t, unsigned)> &Work, size_t Count,
+    Batch(const std::function<void(size_t, unsigned)> &Work, size_t N,
           size_t Shares)
-        : Fn(Work), Ranges(Shares), Pending(Shares) {
-      // Contiguous partition; the first Count % Shares ranges take the
-      // extra index.
-      size_t Base = Count / Shares, Extra = Count % Shares, Cursor = 0;
-      for (size_t I = 0; I != Shares; ++I) {
-        size_t Len = Base + (I < Extra ? 1 : 0);
-        Ranges[I].Next.store(Cursor, std::memory_order_relaxed);
-        Cursor += Len;
-        Ranges[I].End = Cursor;
-      }
-    }
-
-    /// Runs one index out of \p R; false when the range is dry.
-    bool runOne(Range &R, unsigned Worker) {
-      size_t I = R.Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= R.End)
-        return false;
-      try {
-        Fn(I, Worker);
-      } catch (...) {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        if (!Error)
-          Error = std::current_exception();
-        Abort.store(true, std::memory_order_relaxed);
-      }
-      return true;
-    }
+        : Fn(Work), Count(N), Pending(Shares) {}
 
     void drain(unsigned Worker) {
-      // Own range first, then repeatedly steal from the fullest range.
-      while (!Abort.load(std::memory_order_relaxed) &&
-             runOne(Ranges[Worker], Worker)) {
-      }
       while (!Abort.load(std::memory_order_relaxed)) {
-        size_t Victim = Ranges.size(), Best = 0;
-        for (size_t I = 0; I != Ranges.size(); ++I) {
-          size_t Left = Ranges[I].left();
-          if (Left > Best) {
-            Best = Left;
-            Victim = I;
-          }
+        size_t I = Next.fetch_add(1, std::memory_order_relaxed);
+        if (I >= Count)
+          return;
+        try {
+          Fn(I, Worker);
+        } catch (...) {
+          std::lock_guard<std::mutex> Lock(Mutex);
+          if (!Error)
+            Error = std::current_exception();
+          Abort.store(true, std::memory_order_relaxed);
         }
-        if (Victim == Ranges.size() || !runOne(Ranges[Victim], Worker))
-          break;
       }
     }
   };

@@ -60,15 +60,13 @@ public:
   /// in-flight calls finish; remaining unstarted indices are skipped.
   void parallelFor(size_t N, const std::function<void(size_t)> &Fn);
 
-  /// Work-stealing variant that also identifies the executing worker.
-  /// The index space is split into one contiguous range per worker share
-  /// (so neighbouring indices land on the same worker), each range
-  /// drained through an atomic cursor; a worker that exhausts its own
-  /// range steals from the range with the most work left. \p Fn receives
-  /// (index, worker) where worker is a stable id in [0, min(N, jobs())):
-  /// per-worker telemetry slots index by it. Inline (worker 0, index
-  /// order) when jobs() == 1 or N == 1. Exceptions behave as in
-  /// parallelFor.
+  /// Variant that also identifies the executing worker. Every worker
+  /// claims the next unstarted index from one shared atomic cursor, so
+  /// indices start in index order and a slow index never holds back the
+  /// ones after it. \p Fn receives (index, worker) where worker is a
+  /// stable id in [0, min(N, jobs())): per-worker telemetry slots index
+  /// by it. Inline (worker 0, index order) when jobs() == 1 or N == 1.
+  /// Exceptions behave as in parallelFor.
   void parallelForWorkers(size_t N,
                           const std::function<void(size_t, unsigned)> &Fn);
 

@@ -232,33 +232,41 @@ TextTable hetsim::renderTable4(const CommParams &Params) {
   return Table;
 }
 
-std::vector<PartitionPoint>
-hetsim::sweepPartition(const SystemConfig &Config, KernelId Kernel,
-                       unsigned Steps, unsigned Jobs,
-                       SweepTelemetry *Telemetry) {
+std::vector<std::vector<PartitionPoint>>
+hetsim::sweepPartitions(const SystemConfig &Config,
+                        const std::vector<PartitionSweep> &Sweeps,
+                        unsigned Jobs, SweepTelemetry *Telemetry) {
   std::vector<SweepPoint> Grid;
-  Grid.reserve(Steps + 1);
-  for (unsigned I = 0; I <= Steps; ++I) {
-    SystemConfig Variant = Config;
-    Variant.CpuWorkFraction = double(I) / double(Steps);
-    Grid.emplace_back(std::move(Variant), Kernel);
-  }
+  for (const PartitionSweep &Sweep : Sweeps)
+    for (unsigned I = 0; I <= Sweep.Steps; ++I) {
+      SystemConfig Variant = Config;
+      Variant.CpuWorkFraction = double(I) / double(Sweep.Steps);
+      Grid.emplace_back(std::move(Variant), Sweep.Kernel);
+    }
 
   SweepRunner Runner(Jobs);
   std::vector<RunResult> Results = Runner.run(Grid);
   if (Telemetry)
     *Telemetry = Runner.telemetry();
 
-  std::vector<PartitionPoint> Points;
-  Points.reserve(Results.size());
-  for (size_t I = 0; I != Results.size(); ++I) {
-    PartitionPoint Point;
-    Point.CpuFraction = Grid[I].Config.CpuWorkFraction;
-    Point.TotalNs = Results[I].Time.totalNs();
-    Point.ParallelNs = Results[I].Time.ParallelNs;
-    Points.push_back(Point);
-  }
-  return Points;
+  std::vector<std::vector<PartitionPoint>> Curves(Sweeps.size());
+  size_t I = 0;
+  for (size_t S = 0; S != Sweeps.size(); ++S)
+    for (unsigned Step = 0; Step <= Sweeps[S].Steps; ++Step, ++I) {
+      PartitionPoint Point;
+      Point.CpuFraction = Grid[I].Config.CpuWorkFraction;
+      Point.TotalNs = Results[I].Time.totalNs();
+      Point.ParallelNs = Results[I].Time.ParallelNs;
+      Curves[S].push_back(Point);
+    }
+  return Curves;
+}
+
+std::vector<PartitionPoint>
+hetsim::sweepPartition(const SystemConfig &Config, KernelId Kernel,
+                       unsigned Steps, unsigned Jobs,
+                       SweepTelemetry *Telemetry) {
+  return sweepPartitions(Config, {{Kernel, Steps}}, Jobs, Telemetry).front();
 }
 
 PartitionPoint hetsim::findBestPartition(const SystemConfig &Config,

@@ -82,6 +82,20 @@ std::vector<PartitionPoint> sweepPartition(const SystemConfig &Config,
                                            unsigned Jobs = 0,
                                            SweepTelemetry *Telemetry = nullptr);
 
+/// One kernel's partition sweep: Steps+1 evenly spaced CPU fractions.
+struct PartitionSweep {
+  KernelId Kernel = KernelId::Reduction;
+  unsigned Steps = 10;
+};
+
+/// Runs every sweep of \p Sweeps on \p Config as one sweep-engine run, so
+/// all their points share the dispatch, and returns each sweep's points
+/// in fraction order, index-aligned with \p Sweeps.
+std::vector<std::vector<PartitionPoint>>
+sweepPartitions(const SystemConfig &Config,
+                const std::vector<PartitionSweep> &Sweeps, unsigned Jobs = 0,
+                SweepTelemetry *Telemetry = nullptr);
+
 /// Returns the sweep point with the lowest total time.
 PartitionPoint findBestPartition(const SystemConfig &Config, KernelId Kernel,
                                  unsigned Steps = 10);

@@ -48,15 +48,23 @@ HeteroSimulator::~HeteroSimulator() = default;
 
 MemorySystem &HeteroSimulator::memory() {
   assert(Mem && "machine not built");
+  MachineFresh = false; // The caller may change it: rebuild before a run.
   return *Mem;
 }
 
 void HeteroSimulator::buildMachine() {
+  // Free the previous machine first (users before the memory system
+  // they reference), so two L3 models are never alive at once.
+  Fabric.reset();
+  Gpu.reset();
+  Cpu.reset();
+  Mem.reset();
   Mem = std::make_unique<MemorySystem>(Config.Hier);
   Cpu = std::make_unique<CpuCore>(Config.Cpu, *Mem);
   Gpu = std::make_unique<GpuCore>(Config.Gpu, *Mem);
   Ownership.clear();
   Fabric = buildFabric();
+  MachineFresh = true;
 }
 
 std::unique_ptr<CommFabric> HeteroSimulator::buildFabric() {
@@ -142,8 +150,11 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
             Config.Locality.Shared == SharedLocality::Hybrid)) ||
          validateExplicitLocality(Program));
 
-  // Fresh machine per run: runs must not contaminate each other.
-  buildMachine();
+  // Fresh machine per run: runs must not contaminate each other. The
+  // first run takes the machine the constructor built.
+  if (!MachineFresh)
+    buildMachine();
+  MachineFresh = false;
 
   // Timeline recording (cheap; capped). Background DRAM drains happen
   // deep inside the memory system, which cannot depend on obs — they

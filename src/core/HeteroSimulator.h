@@ -57,7 +57,8 @@ struct RunResult {
 };
 
 /// One simulated system instance. Construct once per configuration; each
-/// run() builds a fresh memory system so runs are independent.
+/// run() gets a fresh memory system so runs are independent (the first
+/// one takes the machine the constructor built).
 class HeteroSimulator {
 public:
   explicit HeteroSimulator(const SystemConfig &Config);
@@ -95,6 +96,8 @@ private:
   std::unique_ptr<CommFabric> Fabric;
   OwnershipRegistry Ownership;
   TraceEventLog Trace;
+  /// True while the machine is untouched since buildMachine().
+  bool MachineFresh = false;
 };
 
 } // namespace hetsim

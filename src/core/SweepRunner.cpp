@@ -14,31 +14,32 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <numeric>
 
 using namespace hetsim;
 
 std::string SweepTelemetry::summary() const {
-  char Buffer[320];
+  char Buffer[352];
   std::snprintf(Buffer, sizeof(Buffer),
                 "sweep: %llu points in %.3f s (%.1f points/s, %.3g sim-ns "
-                "per wall-s, gen %.3f s / sim %.3f s, jobs=%u from %s)",
+                "per wall-s, gen %.3f s / sim %.3f s, longest point "
+                "%.3f s, jobs=%u from %s)",
                 static_cast<unsigned long long>(Points), WallSeconds,
                 pointsPerSecond(), simNsPerWallSecond(),
-                traceGenWallSeconds(), simulateSeconds(), Jobs,
-                JobsSource.c_str());
+                traceGenWallSeconds(), simulateSeconds(), MaxPointSeconds,
+                Jobs, JobsSource.c_str());
   return Buffer;
 }
 
-void SweepTelemetry::merge(const SweepTelemetry &Other) {
-  Jobs = Other.Jobs;
-  JobsSource = Other.JobsSource;
-  Points += Other.Points;
-  WallSeconds += Other.WallSeconds;
-  SimNsTotal += Other.SimNsTotal;
-  BusySeconds += Other.BusySeconds;
-  TraceGenSeconds += Other.TraceGenSeconds;
-  StoreHits += Other.StoreHits;
-  StoreMisses += Other.StoreMisses;
+std::vector<size_t> hetsim::dispatchOrder(const std::vector<uint64_t> &Records,
+                                          unsigned Jobs) {
+  std::vector<size_t> Order(Records.size());
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  if (Jobs > 1)
+    std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+      return Records[A] > Records[B];
+    });
+  return Order;
 }
 
 SweepRunner::SweepRunner(unsigned JobCount) {
@@ -55,22 +56,43 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   ResultStore Store =
       StoreDir.empty() ? ResultStore::fromEnvironment() : ResultStore(StoreDir);
 
+  WallTimer Timer;
+
+  // Lower here, on the calling thread: lowering builds recipes, not
+  // records, and each point's record count orders the dispatch.
+  std::vector<std::shared_ptr<const LoweredProgram>> Programs;
+  std::vector<uint64_t> Records;
+  Programs.reserve(Points.size());
+  Records.reserve(Points.size());
+  for (const SweepPoint &Point : Points) {
+    Programs.push_back(Point.Program
+                           ? Point.Program
+                           : std::make_shared<const LoweredProgram>(
+                                 lowerKernel(Point.Kernel, Point.Config)));
+    uint64_t Count = 0;
+    for (const ExecStep &Step : Programs.back()->Steps)
+      Count += Step.CpuTrace.size() + Step.GpuTrace.size();
+    Records.push_back(Count);
+  }
+  std::vector<size_t> Order = dispatchOrder(Records, Jobs);
+
   // Per-worker phase counters. Worker ids from parallelForWorkers are
   // stable in [0, min(Points, Jobs)), so each worker owns one slot and
   // no atomics are needed.
   struct WorkerCounters {
     uint64_t BusyNs = 0;
     uint64_t GenNs = 0;
+    uint64_t MaxPointNs = 0;
   };
   std::vector<WorkerCounters> Workers(
       std::max<size_t>(1, std::min(Points.size(), size_t(Jobs))));
 
-  WallTimer Timer;
   {
     ThreadPool Pool(Jobs);
-    Pool.parallelForWorkers(Points.size(), [&](size_t I, unsigned Worker) {
-      const SweepPoint &Point = Points[I];
-      const SystemConfig &Config = Point.Config;
+    Pool.parallelForWorkers(Points.size(), [&](size_t Slot, unsigned Worker) {
+      size_t I = Order[Slot];
+      const SystemConfig &Config = Points[I].Config;
+      const LoweredProgram &Program = *Programs[I];
 
       // Diff this thread's own gen clock around the point (a worker
       // thread only ever runs one point at a time, so the diff attributes
@@ -78,30 +100,30 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
       auto BusyStart = std::chrono::steady_clock::now();
       uint64_t GenStart = threadTraceGenNanos();
 
-      HeteroSimulator Simulator(Config);
-      if (Store.enabled()) {
-        LoweredProgram Program = lowerKernel(Point.Kernel, Config);
-        ResultStore::Key K = ResultStore::keyFor(Config, Program);
-        ResultStore::Entry E;
-        if (Store.load(K, E)) {
-          Results[I] = E.Result;
-          Metrics[I] = E.Metrics;
-        } else {
-          Results[I] = Simulator.runLowered(Program);
-          Metrics[I] = Simulator.collectMetrics(Results[I]);
-          Store.save(K, {Results[I], Metrics[I]});
-        }
-      } else {
-        Results[I] = Simulator.run(Point.Kernel);
-        // Snapshot while the simulator (and its memory system) is alive;
-        // each worker writes only its own slot.
-        Metrics[I] = Simulator.collectMetrics(Results[I]);
+      // A disabled store misses without looking at the key, so the
+      // hash is computed only when it is read.
+      ResultStore::Key K;
+      ResultStore::Entry E;
+      if (Store.enabled())
+        K = ResultStore::keyFor(Config, Program);
+      if (!Store.load(K, E)) {
+        HeteroSimulator Simulator(Config);
+        E.Result = Simulator.runLowered(Program);
+        // Snapshot while the simulator (and its memory system) is alive.
+        E.Metrics = Simulator.collectMetrics(E.Result);
+        Store.save(K, E); // A no-op when the store is disabled.
       }
+      // Each worker writes only its own slots.
+      Results[I] = std::move(E.Result);
+      Metrics[I] = std::move(E.Metrics);
 
       WorkerCounters &C = Workers[Worker];
-      C.BusyNs += uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - BusyStart)
-                               .count());
+      uint64_t PointNs =
+          uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       std::chrono::steady_clock::now() - BusyStart)
+                       .count());
+      C.BusyNs += PointNs;
+      C.MaxPointNs = std::max(C.MaxPointNs, PointNs);
       C.GenNs += threadTraceGenNanos() - GenStart;
     });
   }
@@ -119,6 +141,8 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   for (const WorkerCounters &C : Workers) {
     Telemetry.BusySeconds += double(C.BusyNs) * 1e-9;
     Telemetry.TraceGenSeconds += double(C.GenNs) * 1e-9;
+    Telemetry.MaxPointSeconds =
+        std::max(Telemetry.MaxPointSeconds, double(C.MaxPointNs) * 1e-9);
   }
   Telemetry.StoreHits = Store.hits();
   Telemetry.StoreMisses = Store.misses();
@@ -138,7 +162,7 @@ hetsim::renderSweepMetricsJson(const std::vector<SweepPoint> &Points,
     W.beginObject();
     if (I < Points.size()) {
       W.value("system", Points[I].Config.Name);
-      W.value("kernel", kernelName(Points[I].Kernel));
+      W.value("kernel", Points[I].workloadName());
     }
     appendMetricsObject(W, "metrics", Metrics[I]);
     W.endObject();
@@ -173,13 +197,15 @@ bool hetsim::appendBenchTiming(const std::string &Bench,
                "\"sim_ns_per_wall_s\":%.1f,"
                "\"jobs_source\":\"%s\",\"trace_gen_s\":%.6f,"
                "\"simulate_s\":%.6f,"
-               "\"store_hits\":%llu,\"store_misses\":%llu}\n",
+               "\"store_hits\":%llu,\"store_misses\":%llu,"
+               "\"max_point_s\":%.6f}\n",
                Bench.c_str(), static_cast<unsigned long long>(T.Points),
                T.Jobs, T.WallSeconds, T.pointsPerSecond(),
                T.simNsPerWallSecond(), T.JobsSource.c_str(),
                T.traceGenWallSeconds(), T.simulateSeconds(),
                static_cast<unsigned long long>(T.StoreHits),
-               static_cast<unsigned long long>(T.StoreMisses));
+               static_cast<unsigned long long>(T.StoreMisses),
+               T.MaxPointSeconds);
   std::fclose(File);
   return true;
 }

@@ -20,20 +20,46 @@
 
 #include "core/HeteroSimulator.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace hetsim {
 
-/// One independent sweep job: a resolved configuration and a kernel.
+/// One independent sweep job: a resolved configuration and a kernel, or
+/// a configuration and an already-lowered program (a workload built
+/// directly as a program, such as buildExtraWorkload). Kernel points are
+/// lowered inside SweepRunner::run, never here, so building a grid
+/// costs nothing.
 struct SweepPoint {
   SystemConfig Config;
   KernelId Kernel = KernelId::Reduction;
+  /// The program to run, when the point carries one; null for a kernel
+  /// point.
+  std::shared_ptr<const LoweredProgram> Program;
+  /// The workload label of a program point (metrics "kernel" field).
+  std::string Workload;
 
   SweepPoint() = default;
   SweepPoint(SystemConfig Cfg, KernelId K)
       : Config(std::move(Cfg)), Kernel(K) {}
+  SweepPoint(SystemConfig Cfg, LoweredProgram Lowered, std::string Name)
+      : Config(std::move(Cfg)), Kernel(Lowered.Kernel),
+        Program(std::make_shared<const LoweredProgram>(std::move(Lowered))),
+        Workload(std::move(Name)) {}
+
+  /// The workload label: the kernel name, or the program point's name.
+  std::string workloadName() const {
+    return Program ? Workload : kernelName(Kernel);
+  }
 };
+
+/// The order SweepRunner::run starts \p Points in, given each point's
+/// total trace records in \p Records: submission order at one job (the
+/// serial harness); with more, the most records first so the longest
+/// points never start last, ties in submission order.
+std::vector<size_t> dispatchOrder(const std::vector<uint64_t> &Records,
+                                  unsigned Jobs);
 
 /// Wall-clock telemetry of one sweep. Phase attribution is per-worker:
 /// each worker diffs its *thread-local* trace-gen counter around every
@@ -58,6 +84,9 @@ struct SweepTelemetry {
   double TraceGenSeconds = 0;
   uint64_t StoreHits = 0;   ///< Points served from the result store.
   uint64_t StoreMisses = 0; ///< Points simulated (store enabled but cold).
+  /// Wall seconds of the longest single point: when it is close to
+  /// WallSeconds, that point rather than dispatch bounds the sweep.
+  double MaxPointSeconds = 0;
 
   double pointsPerSecond() const {
     return WallSeconds <= 0 ? 0.0 : double(Points) / WallSeconds;
@@ -89,20 +118,19 @@ struct SweepTelemetry {
 
   /// One human-readable summary line (no trailing newline).
   std::string summary() const;
-
-  /// Accumulates a later sweep into this one (multi-sweep benches).
-  void merge(const SweepTelemetry &Other);
 };
 
 /// Runs sweeps. Construct with an explicit job count, or 0 to take
 /// HETSIM_JOBS / hardware_concurrency() (ThreadPool::resolveJobs). jobs=1
 /// executes inline on the calling thread in submission order (the serial
-/// harness).
+/// harness); more jobs start the points in dispatchOrder().
 class SweepRunner {
 public:
   explicit SweepRunner(unsigned Jobs = 0);
 
-  /// Runs every point and returns results in submission order.
+  /// Lowers every kernel point on the calling thread, runs every point
+  /// and returns results in submission order. Each point's lint, store
+  /// key and simulation use the one lowered program.
   std::vector<RunResult> run(const std::vector<SweepPoint> &Points);
 
   /// Routes results through a content-addressed on-disk store rooted at

@@ -4,7 +4,7 @@
 
 #include "common/StringUtil.h"
 #include "core/HeteroSimulator.h"
-#include "memory/MemorySystem.h"
+#include "obs/Metrics.h"
 
 using namespace hetsim;
 
@@ -21,8 +21,8 @@ std::string EnergyReport::renderSummary() const {
 }
 
 EnergyReport hetsim::computeEnergy(const EnergyParams &Params,
-                                   MemorySystem &Mem, const RunResult &Result,
-                                   bool PciFabric) {
+                                   const MetricsSnapshot &Metrics,
+                                   const RunResult &Result, bool PciFabric) {
   EnergyReport Report;
 
   // Cores: one event per retired instruction (warp ops on the GPU).
@@ -30,34 +30,31 @@ EnergyReport hetsim::computeEnergy(const EnergyParams &Params,
   Report.CoreNj += double(Result.GpuTotal.Insts) * Params.GpuInstPj / 1e3;
 
   // Caches.
-  uint64_t L1Accesses =
-      Mem.cpuL1().stats().Accesses + Mem.gpuL1().stats().Accesses;
-  Report.CacheNj += double(L1Accesses) * Params.L1AccessPj / 1e3;
+  double L1Accesses = Metrics.get("cache.cpu_l1.accesses") +
+                      Metrics.get("cache.gpu_l1.accesses");
+  Report.CacheNj += L1Accesses * Params.L1AccessPj / 1e3;
   Report.CacheNj +=
-      double(Mem.cpuL2().stats().Accesses) * Params.L2AccessPj / 1e3;
-  Report.CacheNj += double(Mem.l3().stats().Accesses) * Params.L3AccessPj / 1e3;
-  uint64_t SmemAccesses =
-      Mem.scratchpad().readCount() + Mem.scratchpad().writeCount();
-  Report.CacheNj += double(SmemAccesses) * Params.ScratchpadPj / 1e3;
+      Metrics.get("cache.cpu_l2.accesses") * Params.L2AccessPj / 1e3;
+  Report.CacheNj += Metrics.get("cache.l3.accesses") * Params.L3AccessPj / 1e3;
+  double SmemAccesses = Metrics.get("smem.reads") + Metrics.get("smem.writes");
+  Report.CacheNj += SmemAccesses * Params.ScratchpadPj / 1e3;
 
-  // DRAM (both devices when discrete).
-  uint64_t DramLines =
-      Mem.cpuDram().stats().Reads + Mem.cpuDram().stats().Writes;
-  if (&Mem.gpuDram() != &Mem.cpuDram())
-    DramLines += Mem.gpuDram().stats().Reads + Mem.gpuDram().stats().Writes;
-  Report.DramNj += double(DramLines) * Params.DramLinePj / 1e3;
+  // DRAM (both devices when discrete; "dram.gpu.*" exists only then).
+  double DramLines =
+      Metrics.get("dram.cpu.reads") + Metrics.get("dram.cpu.writes") +
+      Metrics.get("dram.gpu.reads") + Metrics.get("dram.gpu.writes");
+  Report.DramNj += DramLines * Params.DramLinePj / 1e3;
 
   // Ring traffic.
-  Report.NetworkNj +=
-      double(Mem.ring().stats().TotalHops) * Params.RingHopPj / 1e3;
+  Report.NetworkNj += Metrics.get("noc.hops") * Params.RingHopPj / 1e3;
 
   // Communication fabric, faults, and page walks.
   double PerByte = PciFabric ? Params.PciPerBytePj : Params.MemCtrlPerBytePj;
   Report.CommNj += double(Result.TransferredBytes) * PerByte / 1e3;
   Report.CommNj += double(Result.PageFaults) * Params.PageFaultNj;
-  uint64_t TlbMisses = Mem.tlb(PuKind::Cpu).stats().Misses +
-                       Mem.tlb(PuKind::Gpu).stats().Misses;
-  Report.CommNj += double(TlbMisses) * Params.TlbMissPj / 1e3;
+  double TlbMisses =
+      Metrics.get("tlb.cpu.misses") + Metrics.get("tlb.gpu.misses");
+  Report.CommNj += TlbMisses * Params.TlbMissPj / 1e3;
 
   return Report;
 }

@@ -22,7 +22,7 @@
 
 namespace hetsim {
 
-class MemorySystem;
+class MetricsSnapshot;
 struct RunResult;
 
 /// Per-event energies in picojoules.
@@ -58,10 +58,12 @@ struct EnergyReport {
   std::string renderSummary() const;
 };
 
-/// Computes the energy of a finished run from the memory system's
-/// counters and the run result. \p PciFabric selects the per-byte
-/// transfer energy (true: PCI-E; false: on-chip memory-controller path).
-EnergyReport computeEnergy(const EnergyParams &Params, MemorySystem &Mem,
+/// Computes the energy of a finished run from its metrics snapshot
+/// (HeteroSimulator::collectMetrics, or SweepRunner::metrics) and the
+/// run result. \p PciFabric selects the per-byte transfer energy (true:
+/// PCI-E; false: on-chip memory-controller path).
+EnergyReport computeEnergy(const EnergyParams &Params,
+                           const MetricsSnapshot &Metrics,
                            const RunResult &Result, bool PciFabric);
 
 } // namespace hetsim

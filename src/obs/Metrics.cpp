@@ -57,6 +57,9 @@ void hetsim::captureMetrics(MemorySystem &Mem, MetricsSnapshot &Out) {
   Out.add("noc.contention_cycles", double(Noc.ContentionCycles));
   Out.add("noc.contended_messages", double(Noc.ContendedMessages));
 
+  Out.add("smem.reads", double(Mem.scratchpad().readCount()));
+  Out.add("smem.writes", double(Mem.scratchpad().writeCount()));
+
   addTlb(Out, "tlb.cpu", Mem.tlb(PuKind::Cpu).stats());
   addTlb(Out, "tlb.gpu", Mem.tlb(PuKind::Gpu).stats());
 

@@ -55,8 +55,9 @@ private:
 };
 
 /// Captures the full memory-system state into \p Out: per-cache structs
-/// ("cache.cpu_l1.hits"), DRAM devices ("dram.cpu.reads"), NoC, TLBs,
-/// prefetcher, every registry counter verbatim, and histogram summaries
+/// ("cache.cpu_l1.hits"), DRAM devices ("dram.cpu.reads"), NoC,
+/// scratchpad ("smem.reads"/"smem.writes"), TLBs, prefetcher, every
+/// registry counter verbatim, and histogram summaries
 /// ("<name>.count/.sum/.mean/.max/.p50/.p99").
 void captureMetrics(MemorySystem &Mem, MetricsSnapshot &Out);
 

@@ -300,8 +300,8 @@ TEST(Energy, RunEnergyIsPositiveAndDecomposes) {
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
   HeteroSimulator Simulator(Config);
   RunResult Result = Simulator.run(KernelId::Reduction);
-  EnergyReport Report =
-      computeEnergy(EnergyParams(), Simulator.memory(), Result, true);
+  EnergyReport Report = computeEnergy(
+      EnergyParams(), Simulator.collectMetrics(Result), Result, true);
   EXPECT_GT(Report.CoreNj, 0.0);
   EXPECT_GT(Report.CacheNj, 0.0);
   EXPECT_GT(Report.DramNj, 0.0);
@@ -316,8 +316,8 @@ TEST(Energy, IdealSystemSpendsNoCommEnergyOnTransfers) {
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::IdealHetero);
   HeteroSimulator Simulator(Config);
   RunResult Result = Simulator.run(KernelId::Reduction);
-  EnergyReport Report =
-      computeEnergy(EnergyParams(), Simulator.memory(), Result, false);
+  EnergyReport Report = computeEnergy(
+      EnergyParams(), Simulator.collectMetrics(Result), Result, false);
   // No transferred bytes, no faults; comm energy is TLB walks only.
   EXPECT_LT(Report.CommNj, Report.CoreNj / 100.0);
 }
@@ -326,11 +326,66 @@ TEST(Energy, PciTransfersCostMoreThanOnChip) {
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
   HeteroSimulator Simulator(Config);
   RunResult Result = Simulator.run(KernelId::Reduction);
-  EnergyReport Pci =
-      computeEnergy(EnergyParams(), Simulator.memory(), Result, true);
-  EnergyReport OnChip =
-      computeEnergy(EnergyParams(), Simulator.memory(), Result, false);
+  MetricsSnapshot Metrics = Simulator.collectMetrics(Result);
+  EnergyReport Pci = computeEnergy(EnergyParams(), Metrics, Result, true);
+  EnergyReport OnChip = computeEnergy(EnergyParams(), Metrics, Result, false);
   EXPECT_GT(Pci.CommNj, OnChip.CommNj);
+}
+
+namespace {
+/// The energy model's formula read straight from a live memory system
+/// (its form before it took a metrics snapshot): the oracle that the
+/// snapshot carries every counter the model needs, unrounded.
+EnergyReport liveEnergy(const EnergyParams &Params, MemorySystem &Mem,
+                        const RunResult &Result, bool PciFabric) {
+  EnergyReport Report;
+  Report.CoreNj += double(Result.CpuTotal.Insts) * Params.CpuInstPj / 1e3;
+  Report.CoreNj += double(Result.GpuTotal.Insts) * Params.GpuInstPj / 1e3;
+  uint64_t L1Accesses =
+      Mem.cpuL1().stats().Accesses + Mem.gpuL1().stats().Accesses;
+  Report.CacheNj += double(L1Accesses) * Params.L1AccessPj / 1e3;
+  Report.CacheNj +=
+      double(Mem.cpuL2().stats().Accesses) * Params.L2AccessPj / 1e3;
+  Report.CacheNj += double(Mem.l3().stats().Accesses) * Params.L3AccessPj / 1e3;
+  uint64_t SmemAccesses =
+      Mem.scratchpad().readCount() + Mem.scratchpad().writeCount();
+  Report.CacheNj += double(SmemAccesses) * Params.ScratchpadPj / 1e3;
+  uint64_t DramLines =
+      Mem.cpuDram().stats().Reads + Mem.cpuDram().stats().Writes;
+  if (&Mem.gpuDram() != &Mem.cpuDram())
+    DramLines += Mem.gpuDram().stats().Reads + Mem.gpuDram().stats().Writes;
+  Report.DramNj += double(DramLines) * Params.DramLinePj / 1e3;
+  Report.NetworkNj +=
+      double(Mem.noc().stats().TotalHops) * Params.RingHopPj / 1e3;
+  double PerByte = PciFabric ? Params.PciPerBytePj : Params.MemCtrlPerBytePj;
+  Report.CommNj += double(Result.TransferredBytes) * PerByte / 1e3;
+  Report.CommNj += double(Result.PageFaults) * Params.PageFaultNj;
+  uint64_t TlbMisses = Mem.tlb(PuKind::Cpu).stats().Misses +
+                       Mem.tlb(PuKind::Gpu).stats().Misses;
+  Report.CommNj += double(TlbMisses) * Params.TlbMissPj / 1e3;
+  return Report;
+}
+} // namespace
+
+TEST(Energy, SnapshotReportMatchesLiveCounters) {
+  for (CaseStudy Study : allCaseStudies())
+    for (KernelId Kernel : allKernels()) {
+      SystemConfig Config = SystemConfig::forCaseStudy(Study);
+      HeteroSimulator Simulator(Config);
+      RunResult Result = Simulator.run(Kernel);
+      MetricsSnapshot Metrics = Simulator.collectMetrics(Result);
+      for (bool Pci : {false, true}) {
+        EnergyReport Live =
+            liveEnergy(EnergyParams(), Simulator.memory(), Result, Pci);
+        EnergyReport Snap = computeEnergy(EnergyParams(), Metrics, Result, Pci);
+        std::string Where = Config.Name + " / " + kernelName(Kernel);
+        EXPECT_EQ(Snap.CoreNj, Live.CoreNj) << Where;
+        EXPECT_EQ(Snap.CacheNj, Live.CacheNj) << Where;
+        EXPECT_EQ(Snap.DramNj, Live.DramNj) << Where;
+        EXPECT_EQ(Snap.NetworkNj, Live.NetworkNj) << Where;
+        EXPECT_EQ(Snap.CommNj, Live.CommNj) << Where;
+      }
+    }
 }
 
 TEST(Energy, SummaryMentionsTotal) {

@@ -308,6 +308,9 @@ TEST(Observability, CollectMetricsCarriesRunAndMemoryState) {
   EXPECT_TRUE(M.has("cache.cpu_l1.accesses"));
   EXPECT_TRUE(M.has("dram.cpu.reads"));
   EXPECT_TRUE(M.has("run.phase.serial_compute_ns"));
+  // Scratchpad traffic, which the energy model reads from the snapshot.
+  EXPECT_TRUE(M.has("smem.reads"));
+  EXPECT_TRUE(M.has("smem.writes"));
   EXPECT_NEAR(M.get("run.total_ns"), Result.Time.totalNs(), 1e-9);
   EXPECT_EQ(M.get("run.conservation_ok"), 1.0);
   // Quiescent after the run: no stranded background traffic.

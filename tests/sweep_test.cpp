@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiments.h"
+#include "core/ExtraWorkloads.h"
 #include "core/HeteroSimulator.h"
 
 #include "TestUtil.h"
@@ -85,30 +86,8 @@ TEST(SweepRunner, TelemetryCountsPoints) {
   EXPECT_GT(T.WallSeconds, 0.0);
   EXPECT_GT(T.SimNsTotal, 0.0);
   EXPECT_GT(T.pointsPerSecond(), 0.0);
-}
-
-TEST(SweepRunner, TelemetryMergeAccumulates) {
-  SweepTelemetry A, B;
-  A.Jobs = 2;
-  A.Points = 3;
-  A.WallSeconds = 1.5;
-  A.BusySeconds = 1.25;
-  A.TraceGenSeconds = 0.25;
-  A.StoreHits = 2;
-  B.Jobs = 4;
-  B.Points = 7;
-  B.WallSeconds = 0.5;
-  B.BusySeconds = 0.75;
-  B.TraceGenSeconds = 0.05;
-  B.StoreMisses = 5;
-  A.merge(B);
-  EXPECT_EQ(A.Jobs, 4u);
-  EXPECT_EQ(A.Points, 10u);
-  EXPECT_DOUBLE_EQ(A.WallSeconds, 2.0);
-  EXPECT_DOUBLE_EQ(A.BusySeconds, 2.0);
-  EXPECT_DOUBLE_EQ(A.TraceGenSeconds, 0.3);
-  EXPECT_EQ(A.StoreHits, 2u);
-  EXPECT_EQ(A.StoreMisses, 5u);
+  EXPECT_GT(T.MaxPointSeconds, 0.0);
+  EXPECT_LE(T.MaxPointSeconds, T.WallSeconds);
 }
 
 TEST(SweepRunner, PhaseSecondsNormalizePerWorker) {
@@ -180,7 +159,57 @@ TEST(SweepRunner, AppendBenchTimingWritesJsonLine) {
   EXPECT_NE(Line.find("\"store_misses\":"), std::string::npos) << Line;
   EXPECT_LT(Line.find("\"simulate_s\":"), Line.find("\"store_hits\":"))
       << Line;
+  // Appended last, so scripts matching the older fields in order still do.
+  EXPECT_LT(Line.find("\"store_misses\":"), Line.find("\"max_point_s\":"))
+      << Line;
   std::remove(Path.c_str());
+}
+
+TEST(SweepRunner, DispatchOrderStartsMostRecordsFirst) {
+  std::vector<uint64_t> Records = {5, 9, 5, 1, 9, 7};
+  // More records first; equal counts keep submission order.
+  EXPECT_EQ(dispatchOrder(Records, 4),
+            (std::vector<size_t>{1, 4, 5, 0, 2, 3}));
+  EXPECT_EQ(dispatchOrder(Records, 2), dispatchOrder(Records, 8));
+  // One job runs the serial harness: submission order.
+  EXPECT_EQ(dispatchOrder(Records, 1),
+            (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(dispatchOrder({}, 4).empty());
+}
+
+// A point that carries its own lowered program (the extra workloads) runs
+// exactly as runLowered plus collectMetrics on a fresh simulator, at any
+// job count, with results and metrics in submission order.
+TEST(SweepRunner, ProgramPointsMatchRunLowered) {
+  std::vector<SweepPoint> Points;
+  for (ExtraWorkloadId Id : allExtraWorkloads())
+    for (CaseStudy Study : {CaseStudy::CpuGpu, CaseStudy::IdealHetero}) {
+      SystemConfig Config = SystemConfig::forCaseStudy(Study);
+      LoweredProgram Program = buildExtraWorkload(Id, Config, 8192);
+      Points.emplace_back(std::move(Config), std::move(Program),
+                          extraWorkloadName(Id));
+    }
+  std::vector<std::string> Expected;
+  std::vector<MetricsSnapshot> ExpectedMetrics;
+  for (const SweepPoint &Point : Points) {
+    HeteroSimulator Simulator(Point.Config);
+    RunResult R = Simulator.runLowered(*Point.Program);
+    Expected.push_back(exactText(R));
+    ExpectedMetrics.push_back(Simulator.collectMetrics(R));
+  }
+  for (unsigned Jobs : {1u, 4u}) {
+    SweepRunner Runner(Jobs);
+    std::vector<RunResult> Results = Runner.run(Points);
+    ASSERT_EQ(Results.size(), Points.size());
+    ASSERT_EQ(Runner.metrics().size(), Points.size());
+    for (size_t I = 0; I != Points.size(); ++I) {
+      EXPECT_EQ(exactText(Results[I]), Expected[I])
+          << "jobs " << Jobs << " point " << I;
+      EXPECT_EQ(Runner.metrics()[I].values(), ExpectedMetrics[I].values())
+          << "jobs " << Jobs << " point " << I;
+    }
+  }
+  EXPECT_EQ(Points.front().workloadName(), "stream triad");
 }
 
 // Regression: the ablation_contention sweep crashed in about 1% of jobs=4

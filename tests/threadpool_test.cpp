@@ -13,7 +13,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -172,10 +175,9 @@ TEST(ThreadPool, ReusedAcrossManyCalls) {
   }
 }
 
-// Work-stealing dispatch: parallelForWorkers must cover every index
+// Shared-cursor dispatch: parallelForWorkers must cover every index
 // exactly once at any (N, jobs) shape, hand each share a stable worker id
-// in [0, min(N, jobs)), and survive pathologically skewed work without
-// losing indices to a premature steal-loop exit.
+// in [0, min(N, jobs)), and start indices in index order.
 
 TEST(ThreadPool, WorkersCoverEveryIndexExactlyOnce) {
   const size_t N = 501;
@@ -217,23 +219,35 @@ TEST(ThreadPool, WorkersIdBoundedByIterationCount) {
     EXPECT_EQ(Count.load(), 1);
 }
 
-TEST(ThreadPool, WorkersStealFromSkewedRanges) {
-  // One index is ~1000x heavier than the rest; the other workers must
-  // steal the slow owner's remaining range instead of idling, and every
-  // index still runs exactly once.
-  const size_t N = 256;
-  ThreadPool Pool(4);
-  std::vector<std::atomic<int>> Counts(N);
+TEST(ThreadPool, WorkersClaimIndicesFromOneCursor) {
+  // Index 0 blocks until index 1 has started. Workers claiming from one
+  // shared cursor start 0 and 1 first, on different workers; with
+  // per-worker contiguous ranges the second worker would start 2 first.
+  const size_t N = 4;
+  ThreadPool Pool(2);
+  std::mutex Mutex;
+  std::condition_variable Started;
+  std::vector<size_t> StartOrder;
+  bool OneStarted = false;
+  bool TimedOut = false;
   Pool.parallelForWorkers(N, [&](size_t I, unsigned) {
-    if (I == 0) {
-      volatile uint64_t Spin = 0;
-      for (uint64_t J = 0; J != 2000000; ++J)
-        Spin = Spin + J;
+    std::unique_lock<std::mutex> Lock(Mutex);
+    StartOrder.push_back(I);
+    if (I == 1) {
+      OneStarted = true;
+      Started.notify_all();
+    } else if (I == 0) {
+      TimedOut = !Started.wait_for(Lock, std::chrono::seconds(10),
+                                   [&] { return OneStarted; });
     }
-    Counts[I].fetch_add(1);
   });
-  for (size_t I = 0; I != N; ++I)
-    EXPECT_EQ(Counts[I].load(), 1) << "index " << I;
+  EXPECT_FALSE(TimedOut);
+  ASSERT_EQ(StartOrder.size(), N);
+  std::vector<size_t> FirstTwo(StartOrder.begin(), StartOrder.begin() + 2);
+  std::sort(FirstTwo.begin(), FirstTwo.end());
+  EXPECT_EQ(FirstTwo, (std::vector<size_t>{0, 1}));
+  std::sort(StartOrder.begin(), StartOrder.end());
+  EXPECT_EQ(StartOrder, (std::vector<size_t>{0, 1, 2, 3}));
 }
 
 TEST(ThreadPool, WorkersZeroIterationsRunNothing) {

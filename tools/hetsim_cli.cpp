@@ -54,6 +54,7 @@ void printRun(const SystemConfig &Config, KernelId Kernel, bool DumpStats,
               const std::string &MetricsPath) {
   HeteroSimulator Simulator(Config);
   RunResult Result = Simulator.run(Kernel);
+  MetricsSnapshot Metrics = Simulator.collectMetrics(Result);
   const TimeBreakdown &T = Result.Time;
   std::printf("%s / %s\n", Config.Name.c_str(), kernelName(Kernel));
   std::printf("  total          %10.2f us\n", T.totalNs() / 1e3);
@@ -85,8 +86,7 @@ void printRun(const SystemConfig &Config, KernelId Kernel, bool DumpStats,
   std::printf("  comm source lines: %u\n", Result.CommSourceLines);
 
   bool Pci = Config.Connection == ConnectionKind::PciExpress;
-  EnergyReport Energy = computeEnergy(EnergyParams(), Simulator.memory(),
-                                      Result, Pci);
+  EnergyReport Energy = computeEnergy(EnergyParams(), Metrics, Result, Pci);
   std::printf("  energy: %s\n", Energy.renderSummary().c_str());
 
   if (DumpStats) {
@@ -116,13 +116,13 @@ void printRun(const SystemConfig &Config, KernelId Kernel, bool DumpStats,
   }
 
   if (!MetricsPath.empty()) {
-    MetricsSnapshot M = Simulator.collectMetrics(Result);
     ConservationReport Audit = checkConservation(Simulator.memory());
     if (!Audit.Ok)
       std::fprintf(stderr, "warning: %s\n", Audit.summary().c_str());
-    if (writeMetricsJson(MetricsPath, M))
+    if (writeMetricsJson(MetricsPath, Metrics))
       std::printf("  metrics: %zu values -> %s (conservation %s)\n",
-                  M.size(), MetricsPath.c_str(), Audit.Ok ? "ok" : "VIOLATED");
+                  Metrics.size(), MetricsPath.c_str(),
+                  Audit.Ok ? "ok" : "VIOLATED");
     else
       std::fprintf(stderr, "error: cannot write metrics to %s\n",
                    MetricsPath.c_str());

@@ -38,6 +38,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -328,23 +329,31 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--json") {
       if (!TakeValue(JsonPath))
         return usage();
-    } else if (Arg == "--jobs") {
+    } else if (Arg == "--jobs" || Arg == "--max-diagnostics" ||
+               Arg == "--fuzz" || Arg == "--seed") {
+      // Counts take the whole value as an unsigned integer (base 0, as
+      // config values do); "12x", "-1" or "banana" exit 2 naming the flag.
       if (!TakeValue(Value))
         return usage();
-      Jobs = unsigned(std::strtoul(Value.c_str(), nullptr, 0));
-    } else if (Arg == "--max-diagnostics") {
-      if (!TakeValue(Value))
-        return usage();
-      MaxDiagnostics = std::strtoul(Value.c_str(), nullptr, 0);
-    } else if (Arg == "--fuzz") {
-      if (!TakeValue(Value))
-        return usage();
-      Fuzz = true;
-      FuzzCases = std::strtoul(Value.c_str(), nullptr, 0);
-    } else if (Arg == "--seed") {
-      if (!TakeValue(Value))
-        return usage();
-      Seed = std::strtoull(Value.c_str(), nullptr, 0);
+      uint64_t N = 0;
+      if (!parseUnsigned(Value, N) ||
+          (Arg == "--jobs" && N > std::numeric_limits<unsigned>::max())) {
+        std::fprintf(stderr,
+                     "error: %s has value '%s', which is not a valid "
+                     "unsigned integer\n",
+                     Arg.c_str(), Value.c_str());
+        return ExitUsage;
+      }
+      if (Arg == "--jobs") {
+        Jobs = unsigned(N); // 0 keeps the default job count.
+      } else if (Arg == "--max-diagnostics") {
+        MaxDiagnostics = size_t(N);
+      } else if (Arg == "--fuzz") {
+        Fuzz = true;
+        FuzzCases = size_t(N);
+      } else {
+        Seed = N;
+      }
     } else if (Arg == "--dot") {
       Dot = true;
     } else if (Arg.find('=') != std::string::npos) {
