@@ -10,7 +10,7 @@
 #      baseline, plus the hetsim_lint memory-model linter over the shipped
 #      design space), then the differential race-verifier fuzz gate
 #   4. metrics smoke: one run must emit schema-valid, conservation-clean
-#      metrics plus a Chrome trace file
+#      metrics plus a Chrome trace file, and so must the whole fig5 sweep
 #   5. golden diff + paper fidelity: regenerate every checked artifact and
 #      hold it against refs/golden (tight tolerances) and refs/paper
 #      (paper-reported values and trends), then prove the sweep engine is
@@ -119,7 +119,9 @@ build/tools/hetsim_lint --fuzz 1000 --seed 7
 
 echo "== gate 4: metrics smoke =="
 # One sweep point must emit a schema-valid metrics document that passes
-# the DRAM traffic-conservation audit, plus a Chrome trace file.
+# the DRAM traffic-conservation audit, plus a Chrome trace file; then the
+# whole Figure 5 sweep (LRB's ownership steps, IDEAL-HETERO's coherence
+# path) must conserve DRAM traffic on every point.
 SMOKE_DIR="build/obs-smoke"
 rm -rf "$SMOKE_DIR"
 mkdir -p "$SMOKE_DIR"
@@ -131,6 +133,11 @@ build/tools/hetsim_stats audit "$SMOKE_DIR/metrics.json"
   echo "ci: missing trace-event file" >&2
   exit 1
 }
+HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
+  HETSIM_METRICS_JSON="$SMOKE_DIR/fig5.json" \
+  build/bench/fig5_case_studies >/dev/null
+build/tools/hetsim_stats validate "$SMOKE_DIR/fig5.json"
+build/tools/hetsim_stats audit "$SMOKE_DIR/fig5.json"
 
 echo "== gate 5: golden diff + paper fidelity + determinism =="
 # Regenerate every manifest artifact into a scratch directory so the gate

@@ -13,8 +13,9 @@
 /// lowering should have emitted.
 ///
 /// The three front ends share this one entry point: the hetsim_lint CLI,
-/// the HeteroSimulator pre-run hook (HETSIM_LINT=0 bypasses), and the
-/// sweep-wide differential mode (analysis/SweepLinter.h).
+/// the HeteroSimulator pre-run hook (always on for kernel-built
+/// programs), and the sweep-wide differential mode
+/// (analysis/SweepLinter.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 using namespace hetsim;
 
@@ -62,7 +61,6 @@ void HeteroSimulator::buildMachine() {
   Mem = std::make_unique<MemorySystem>(Config.Hier);
   Cpu = std::make_unique<CpuCore>(Config.Cpu, *Mem);
   Gpu = std::make_unique<GpuCore>(Config.Gpu, *Mem);
-  Ownership.clear();
   Fabric = buildFabric();
   MachineFresh = true;
 }
@@ -103,24 +101,12 @@ RunResult HeteroSimulator::run(KernelId Kernel) {
   return runLowered(Program);
 }
 
-namespace {
-/// The pre-run lint hook is on by default; HETSIM_LINT=0 bypasses it
-/// (e.g. to run a deliberately broken lowering into the dynamic checker).
-bool lintEnabled() {
-  static const bool Enabled = [] {
-    const char *Env = std::getenv("HETSIM_LINT");
-    return Env == nullptr || std::string(Env) != "0";
-  }();
-  return Enabled;
-}
-} // namespace
-
 RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
   // Static pre-run validation: the memory-model linter proves the
   // lowering legal for this design point before any cycles are spent.
   // Errors are lowering bugs and abort the run; warnings (dead copies)
   // are left to hetsim_lint so sweeps stay quiet.
-  if (Program.BuiltFromKernel && lintEnabled()) {
+  if (Program.BuiltFromKernel) {
     LintReport Report = lintProgram(Program, Config);
     if (Report.errorCount() != 0) {
       for (const LintDiagnostic &D : Report.Diags)
@@ -132,7 +118,7 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
                                  : "end")
                         .c_str());
       fatalError("pre-run lint found memory-model hazards in the lowered "
-                 "program (set HETSIM_LINT=0 to bypass)");
+                 "program");
     }
   }
 
@@ -177,20 +163,21 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
     Mem->mapRange(PuKind::Gpu, Segment.Base, Segment.Bytes);
 
   // Enforce the address-space model's visibility rules on every access.
-  {
-    SharedSpacePolicy Policy;
-    Policy.SpaceModel = &AddressSpaceModel::forKind(Config.AddrSpace);
-    Mem->setSharedPolicy(Policy);
-  }
+  Mem->setSpaceModel(&AddressSpaceModel::forKind(Config.AddrSpace));
 
-  // Register shared objects for ownership bookkeeping.
-  if (Config.UseOwnership) {
-    for (const std::string &Name : Program.Place.SharedObjects) {
-      const DataSegment &Segment = Program.Place.CpuLayout.segment(Name);
-      Ownership.registerObject(Name, Segment.Base, Segment.Bytes,
-                               PuKind::Cpu);
-    }
-  }
+  // An ownership step may only hand off shared objects of an
+  // ownership-model system. Which handoffs are legal is proved statically
+  // by the pre-run lint (MissingOwnership, DoubleOwnership).
+  auto CheckOwnershipStep = [&](const ExecStep &Step) {
+    if (!Config.UseOwnership)
+      fatalError(("ownership step on system without ownership: " +
+                  Config.Name)
+                     .c_str());
+    for (const std::string &Name : Step.Objects)
+      if (!Program.Place.isShared(Name))
+        fatalError(("ownership step names unknown shared object: " + Name)
+                       .c_str());
+  };
 
   Cycle CpuNow = 0; // Absolute time in CPU cycles.
   TimeBreakdown &Time = Result.Time;
@@ -353,13 +340,7 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
 
     case ExecKind::OwnershipToGpu: {
       // Host releases what it owns; the GPU round acquires (Figure 2(b)).
-      // Objects the GPU kept from a previous round need no transition.
-      for (const std::string &Name : Step.Objects) {
-        if (Ownership.ownerOfObject(Name) == PuKind::Gpu)
-          continue;
-        Ownership.release(Name, PuKind::Cpu);
-        Ownership.acquire(Name, PuKind::Gpu);
-      }
+      CheckOwnershipStep(Step);
       Result.OwnershipActions += Step.Objects.empty() ? 0 : 2;
       Cycle OwnStart = CpuNow;
       ChargeComm(RunPhase::Ownership, Config.IdealComm
@@ -372,12 +353,7 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
     }
 
     case ExecKind::OwnershipToCpu: {
-      for (const std::string &Name : Step.Objects) {
-        if (Ownership.ownerOfObject(Name) == PuKind::Cpu)
-          continue;
-        Ownership.release(Name, PuKind::Gpu);
-        Ownership.acquire(Name, PuKind::Cpu);
-      }
+      CheckOwnershipStep(Step);
       Result.OwnershipActions += Step.Objects.empty() ? 0 : 2;
       // Release semantics: the GPU's dirty shared lines become visible.
       Mem->flushPrivate(PuKind::Gpu);

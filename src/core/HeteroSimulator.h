@@ -94,7 +94,6 @@ private:
   std::unique_ptr<CpuCore> Cpu;
   std::unique_ptr<GpuCore> Gpu;
   std::unique_ptr<CommFabric> Fabric;
-  OwnershipRegistry Ownership;
   TraceEventLog Trace;
   /// True while the machine is untouched since buildMachine().
   bool MachineFresh = false;

@@ -145,10 +145,6 @@ struct CpuPipeline {
       Result.MemLatencySum += MemResult.Latency;
       Result.MemLatencyMax = std::max(Result.MemLatencyMax,
                                       MemResult.Latency);
-      if (MemResult.PageFault) {
-        ++Result.PageFaults;
-        Result.PageFaultCycles += MemResult.Latency;
-      }
       // Stores complete for dependence purposes after address+data issue;
       // the store buffer hides their memory time. Loads wait for data —
       // unless a recent store to the same address forwards it.

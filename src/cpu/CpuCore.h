@@ -54,6 +54,9 @@ struct SegmentResult {
   uint64_t BranchMispredicts = 0;
   uint64_t ICacheMisses = 0;
   uint64_t StoreForwards = 0;
+  /// Always zero: cores take no per-access page faults (the lowering
+  /// charges lib-pf in batches). Kept because serialized results and
+  /// benchmark references carry the fields.
   uint64_t PageFaults = 0;
   Cycle PageFaultCycles = 0;
 

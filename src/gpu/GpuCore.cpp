@@ -104,10 +104,6 @@ struct GpuPipeline {
         Result.MemLatencySum += MemResult.Latency;
         Result.MemLatencyMax = std::max(Result.MemLatencyMax,
                                         MemResult.Latency);
-        if (MemResult.PageFault) {
-          ++Result.PageFaults;
-          Result.PageFaultCycles += MemResult.Latency;
-        }
         WarpDone = std::max(WarpDone, IssueCycle + MemResult.Latency);
       }
       if (!isStoreOp(R.Op)) {

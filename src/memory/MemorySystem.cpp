@@ -51,8 +51,6 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg)
   MemCohRemote = &Stats.counterRef("mem.coh_remote");
   MemCohWritebacks = &Stats.counterRef("mem.coh_writebacks");
   MemSpaceViolations = &Stats.counterRef("mem.space_violations");
-  MemOwnershipViolations = &Stats.counterRef("mem.ownership_violations");
-  MemPagefaults = &Stats.counterRef("mem.pagefaults");
   MemGpuL1Writebacks = &Stats.counterRef("mem.gpu_l1_writebacks");
   MemPrefetchFills = &Stats.counterRef("mem.prefetch_fills");
   MemMshrMerges = &Stats.counterRef("mem.mshr_merges");
@@ -84,11 +82,11 @@ void MemorySystem::mapRange(PuKind Pu, Addr VBase, uint64_t Bytes) {
   GpuPt.mapRange(VBase, Bytes, Device);
 }
 
-bool MemorySystem::applyCoherence(PuKind Requestor, Addr PAddr, bool IsWrite,
+void MemorySystem::applyCoherence(PuKind Requestor, Addr PAddr, bool IsWrite,
                                   Cycle &ExtraCpuCycles) {
   CoherenceAction Action = Dir.onAccess(Requestor, PAddr, IsWrite);
   if (!Action.InvalidateRemote && !Action.FetchFromRemote)
-    return false;
+    return;
 
   ++*MemCohRemote;
   // Remote operations touch the other PU's private caches.
@@ -117,7 +115,6 @@ bool MemorySystem::applyCoherence(PuKind Requestor, Addr PAddr, bool IsWrite,
   ExtraCpuCycles += Cycle(Action.Messages) *
                     Noc->uncontendedLatency(ring::CpuStop,
                                             ring::MemCtrlStop);
-  return true;
 }
 
 Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
@@ -198,37 +195,20 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
 
   // 2. Address-space visibility (Section II-A): a PU referencing space
   // the model does not give it is a program error under that model.
-  if (Policy.SpaceModel && !Policy.SpaceModel->canAccess(Pu, VAddr)) {
+  if (SpaceModel && !SpaceModel->canAccess(Pu, VAddr)) {
     Result.SpaceViolation = true;
     ++*MemSpaceViolations;
   }
 
-  // 3. Shared-space policies (ownership, first touch).
-  const bool InShared = regionOf(VAddr) == MemRegion::Shared;
-  if (InShared) {
-    if (Policy.Ownership && !Policy.Ownership->checkAccess(Pu, VAddr)) {
-      Result.OwnershipViolation = true;
-      ++*MemOwnershipViolations;
-    }
-    if (Policy.FirstTouch && (!Policy.FaultOnlyGpu || !IsCpu)) {
-      if (Policy.FirstTouch->touch(VAddr)) {
-        Result.PageFault = true;
-        ++*MemPagefaults;
-        Latency += Policy.PageFaultLatency;
-      }
-    }
-  }
-
-  // 4. Private hierarchy.
+  // 3. Private hierarchy.
   Cache &L1 = IsCpu ? *CpuL1 : *GpuL1;
   Addr Line = alignDown(PAddr, CacheLineBytes);
 
   // Coherence check happens before the private lookup so a stale local
   // copy is refreshed/invalidated correctly.
-  if (Config.HwCoherence && InShared &&
-      (!Policy.HybridDomains || Policy.HybridDomains->consult(VAddr))) {
+  if (Config.HwCoherence && regionOf(VAddr) == MemRegion::Shared) {
     Cycle Extra = 0;
-    Result.CoherenceRemote = applyCoherence(Pu, Line, IsWrite, Extra);
+    applyCoherence(Pu, Line, IsWrite, Extra);
     Latency += IsCpu ? Extra : convertCycles(PuKind::Cpu, PuKind::Gpu, Extra);
   }
 
@@ -284,7 +264,7 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
     }
   }
 
-  // 5. Uncore (CPU clock domain).
+  // 4. Uncore (CPU clock domain).
   Cycle NowCpu = IsCpu ? NowPu + Latency
                        : convertCycles(PuKind::Gpu, PuKind::Cpu,
                                        NowPu + Latency);
@@ -298,8 +278,8 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
   // demand access on the uncore timeline.
   drainBackground(DoneCpu);
 
-  // 6. MSHR merge/backpressure at the private-miss boundary. A merge may
-  // not undercut this access's own accrued latency (TLB walk, fault).
+  // 5. MSHR merge/backpressure at the private-miss boundary. A merge may
+  // not undercut this access's own accrued latency (TLB walk).
   MshrFile &Mshr = IsCpu ? CpuMshr : GpuMshr;
   MshrDecision Decision = Mshr.onMiss(Line, NowPu, NowPu + Latency + UncorePu,
                                       /*MinReady=*/NowPu + Latency);

@@ -5,7 +5,9 @@
 /// L1D+L2, GPU L1D + 16KB scratchpad, a shared 4-tile L3 over the ring
 /// bus, and DDR3 DRAM — plus the design-space hooks the paper varies:
 /// optional hardware coherence (MESI directory), an optional discrete GPU
-/// memory, shared-space ownership checking, and first-touch page faults.
+/// memory, and the address-space model's visibility check. Page faults
+/// and ownership handoffs are special-instruction costs (lib-pf, api-acq)
+/// charged by the lowering, not per access.
 ///
 /// Timing model: latency walk. An access descends the hierarchy, updating
 /// cache/bank/ring state as it goes, and returns its total latency in the
@@ -26,9 +28,6 @@
 #include "dram/Dram.h"
 #include "interconnect/MeshNoc.h"
 #include "interconnect/RingBus.h"
-#include "memory/FirstTouchTracker.h"
-#include "memory/HybridCoherence.h"
-#include "memory/Ownership.h"
 #include "memory/PageTable.h"
 #include "memory/Tlb.h"
 
@@ -85,33 +84,10 @@ struct MemAccessResult {
   Cycle Latency = 0; ///< In the requesting PU's clock.
   HitLevel Level = HitLevel::L1;
   bool TlbMiss = false;
-  bool PageFault = false;          ///< First touch of a shared page.
-  bool OwnershipViolation = false; ///< Non-owner touched a shared object.
-  bool SpaceViolation = false;     ///< PU touched space it cannot see.
-  bool CoherenceRemote = false;    ///< Data/invalidate involved the other PU.
+  bool SpaceViolation = false; ///< PU touched space it cannot see.
 };
 
 class AddressSpaceModel;
-
-/// Policies layered over the shared space (wired by system configs).
-struct SharedSpacePolicy {
-  OwnershipRegistry *Ownership = nullptr;
-  FirstTouchTracker *FirstTouch = nullptr;
-  /// When set, accesses are checked against the address-space model's
-  /// visibility rules (Section II-A: e.g. the GPU cannot reach CPU
-  /// private space under disjoint or ADSM). Violations are counted in
-  /// "mem.space_violations" and flagged on the result.
-  const AddressSpaceModel *SpaceModel = nullptr;
-  /// When set (and HwCoherence is on), only addresses the map assigns to
-  /// the hardware domain consult the MESI directory — the Cohesion-style
-  /// hybrid memory model of Section VI-B.
-  HybridCoherenceMap *HybridDomains = nullptr;
-  /// lib-pf (Table IV): handling cost of one page fault, requester cycles.
-  Cycle PageFaultLatency = 42000;
-  /// Model faults only on GPU accesses (the LRB case study: the GPU
-  /// faults shared pages in on first use).
-  bool FaultOnlyGpu = true;
-};
 
 /// The assembled hierarchy.
 class MemorySystem {
@@ -185,8 +161,11 @@ public:
   Cycle remapRange(PuKind Pu, Addr OldBase, Addr NewBase, uint64_t Bytes,
                    Cycle RemapCyclesPerPage = 300);
 
-  /// Attaches shared-space policies (non-owning).
-  void setSharedPolicy(const SharedSpacePolicy &P) { Policy = P; }
+  /// Checks every access against \p Model's visibility rules (Section
+  /// II-A: e.g. the GPU cannot reach CPU private space under disjoint or
+  /// ADSM). Violations are counted in "mem.space_violations" and flagged
+  /// on the result. Non-owning; nullptr turns the check off.
+  void setSpaceModel(const AddressSpaceModel *Model) { SpaceModel = Model; }
 
   /// Component access for tests, benches, and the comm fabrics.
   Cache &cpuL1() { return *CpuL1; }
@@ -196,10 +175,8 @@ public:
   DramSystem &cpuDram() { return *CpuDram; }
   DramSystem &gpuDram();
   Interconnect &noc() { return *Noc; }
-  Interconnect &ring() { return *Noc; } ///< Historical accessor name.
   Directory &directory() { return Dir; }
   MshrFile &mshr(PuKind Pu) { return Pu == PuKind::Cpu ? CpuMshr : GpuMshr; }
-  bool hasSeparateGpuDram() const { return GpuDramDevice != nullptr; }
   Tlb &tlb(PuKind Pu) { return Pu == PuKind::Cpu ? CpuTlb : GpuTlb; }
   StreamPrefetcher &prefetcher() { return Prefetcher; }
   PageTable &pageTable(PuKind Pu) {
@@ -207,7 +184,7 @@ public:
   }
   Scratchpad &scratchpad() { return Smem; }
 
-  /// Aggregate counters ("mem.pagefaults", "mem.coh_remote", ...).
+  /// Aggregate counters ("mem.demand_maps", "mem.coh_remote", ...).
   const StatRegistry &stats() const { return Stats; }
   StatRegistry &stats() { return Stats; }
 
@@ -220,7 +197,7 @@ private:
                      bool ExplicitHint, HitLevel &Level);
 
   /// Applies coherence actions against the other PU's private caches.
-  bool applyCoherence(PuKind Requestor, Addr PAddr, bool IsWrite,
+  void applyCoherence(PuKind Requestor, Addr PAddr, bool IsWrite,
                       Cycle &ExtraCpuCycles);
 
   MemHierConfig Config;
@@ -242,7 +219,7 @@ private:
   PageTable GpuPt;
   Scratchpad Smem;
   StreamPrefetcher Prefetcher;
-  SharedSpacePolicy Policy;
+  const AddressSpaceModel *SpaceModel = nullptr;
   StatRegistry Stats;
 
   // Conservation counters (see obs/Metrics.h for the contract), bound to
@@ -262,8 +239,6 @@ private:
   uint64_t *MemCohRemote = nullptr;
   uint64_t *MemCohWritebacks = nullptr;
   uint64_t *MemSpaceViolations = nullptr;
-  uint64_t *MemOwnershipViolations = nullptr;
-  uint64_t *MemPagefaults = nullptr;
   uint64_t *MemGpuL1Writebacks = nullptr;
   uint64_t *MemPrefetchFills = nullptr;
   uint64_t *MemMshrMerges = nullptr;

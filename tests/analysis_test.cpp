@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 
 using namespace hetsim;
 
@@ -243,6 +244,13 @@ TEST(LintHookDeathTest, BrokenLoweringAbortsBeforeSimulation) {
   Program.Steps.pop_back();
   HeteroSimulator Simulator(Config);
   EXPECT_DEATH(Simulator.runLowered(Program), "pre-run lint");
+  // No environment setting turns the hook off.
+  EXPECT_DEATH(
+      {
+        setenv("HETSIM_LINT", "0", 1);
+        Simulator.runLowered(Program);
+      },
+      "pre-run lint");
 }
 
 //===----------------------------------------------------------------------===//

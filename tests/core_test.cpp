@@ -6,6 +6,7 @@
 #include "TestUtil.h"
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <set>
@@ -504,6 +505,34 @@ TEST(Simulator, CaseStudyRunsHaveNoSpaceViolations) {
     EXPECT_EQ(Sim.memory().stats().counter("mem.space_violations"), 0u)
         << caseStudyName(Study);
   }
+}
+
+using SimulatorDeathTest = ::testing::Test;
+
+TEST(SimulatorDeathTest, OwnershipStepOnNonSharedObjectAborts) {
+  // A hand-built program (no kernel, so no pre-run lint) may only hand
+  // off objects its placement puts in the shared space.
+  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::Lrb);
+  LoweredProgram Program = lowerKernel(KernelId::Reduction, Config);
+  Program.BuiltFromKernel = false;
+  auto Step = std::find_if(Program.Steps.begin(), Program.Steps.end(),
+                           [](const ExecStep &S) {
+                             return S.Kind == ExecKind::OwnershipToGpu;
+                           });
+  ASSERT_NE(Step, Program.Steps.end());
+  Step->Objects = {"ghost"};
+  HeteroSimulator Sim(Config);
+  EXPECT_DEATH(Sim.runLowered(Program), "unknown shared object: ghost");
+}
+
+TEST(SimulatorDeathTest, OwnershipStepWithoutOwnershipModelAborts) {
+  SystemConfig Lrb = SystemConfig::forCaseStudy(CaseStudy::Lrb);
+  LoweredProgram Program = lowerKernel(KernelId::Reduction, Lrb);
+  Program.BuiltFromKernel = false;
+  SystemConfig Fusion = SystemConfig::forCaseStudy(CaseStudy::Fusion);
+  ASSERT_FALSE(Fusion.UseOwnership);
+  HeteroSimulator Sim(Fusion);
+  EXPECT_DEATH(Sim.runLowered(Program), "system without ownership");
 }
 
 TEST(Simulator, CommSourceLinesExposedInResult) {

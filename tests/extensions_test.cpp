@@ -1,9 +1,9 @@
 //===- tests/extensions_test.cpp - Extension-module tests -----------------===//
 ///
 /// \file
-/// Tests for the modules that extend the paper's core evaluation: trace
-/// serialization, the GMAC-style software coherence runtime, the L2
-/// stream prefetcher, the energy model, and the work-partitioning sweep.
+/// Tests for the modules that extend the paper's core evaluation: the
+/// GMAC-style software coherence runtime, the L2 stream prefetcher, the
+/// energy model, and the work-partitioning sweep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +13,6 @@
 #include "energy/EnergyModel.h"
 #include "memory/SoftwareCoherence.h"
 #include "trace/KernelTraceGenerator.h"
-#include "trace/TraceIO.h"
 
 #include "TestUtil.h"
 #include <gtest/gtest.h>
@@ -21,131 +20,6 @@
 #include <cstdio>
 
 using namespace hetsim;
-
-//===----------------------------------------------------------------------===//
-// Trace serialization.
-//===----------------------------------------------------------------------===//
-
-namespace {
-TraceBuffer makeSampleTrace() {
-  KernelDataLayout Layout =
-      KernelDataLayout::makeLinear(KernelId::MergeSort, 0x10000000);
-  GenRequest Req;
-  Req.Pu = PuKind::Gpu;
-  Req.InstCount = 2000;
-  Req.Seed = 99;
-  return KernelTraceGenerator::forKernel(KernelId::MergeSort)
-      .generateCompute(Req, Layout);
-}
-
-bool tracesEqual(const TraceBuffer &A, const TraceBuffer &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I != A.size(); ++I) {
-    const TraceRecord &X = A[I], &Y = B[I];
-    if (X.Op != Y.Op || X.MemAddr != Y.MemAddr || X.Pc != Y.Pc ||
-        X.MemBytes != Y.MemBytes || X.LaneStrideBytes != Y.LaneStrideBytes ||
-        X.DstReg != Y.DstReg || X.SrcRegA != Y.SrcRegA ||
-        X.SrcRegB != Y.SrcRegB || X.SimdLanes != Y.SimdLanes ||
-        X.IsTaken != Y.IsTaken)
-      return false;
-  }
-  return true;
-}
-} // namespace
-
-TEST(TraceIO, InMemoryRoundTrip) {
-  TraceBuffer Original = makeSampleTrace();
-  std::string Bytes = serializeTrace(Original);
-  TraceBuffer Restored;
-  ASSERT_TRUE(deserializeTrace(Bytes, Restored));
-  EXPECT_TRUE(tracesEqual(Original, Restored));
-}
-
-TEST(TraceIO, EmptyTraceRoundTrip) {
-  TraceBuffer Empty;
-  TraceBuffer Restored;
-  ASSERT_TRUE(deserializeTrace(serializeTrace(Empty), Restored));
-  EXPECT_TRUE(Restored.empty());
-}
-
-TEST(TraceIO, RejectsBadMagic) {
-  std::string Bytes = serializeTrace(makeSampleTrace());
-  Bytes[0] = 'X';
-  TraceBuffer Out;
-  EXPECT_FALSE(deserializeTrace(Bytes, Out));
-}
-
-TEST(TraceIO, RejectsWrongVersion) {
-  std::string Bytes = serializeTrace(makeSampleTrace());
-  Bytes[8] = char(TraceFileVersion + 1);
-  TraceBuffer Out;
-  EXPECT_FALSE(deserializeTrace(Bytes, Out));
-}
-
-TEST(TraceIO, RejectsTruncation) {
-  std::string Bytes = serializeTrace(makeSampleTrace());
-  Bytes.resize(Bytes.size() - 5);
-  TraceBuffer Out;
-  EXPECT_FALSE(deserializeTrace(Bytes, Out));
-}
-
-TEST(TraceIO, RejectsTrailingGarbage) {
-  std::string Bytes = serializeTrace(makeSampleTrace());
-  Bytes += "junk";
-  TraceBuffer Out;
-  EXPECT_FALSE(deserializeTrace(Bytes, Out));
-}
-
-TEST(TraceIO, RejectsInvalidOpcode) {
-  TraceBuffer One;
-  One.emitLoad(0x100, 1, 0x40, 4);
-  std::string Bytes = serializeTrace(One);
-  // The opcode byte is at header(24) + 8 + 4 + 2 + 2 = offset 40.
-  Bytes[40] = char(200);
-  TraceBuffer Out;
-  EXPECT_FALSE(deserializeTrace(Bytes, Out));
-}
-
-TEST(TraceIO, FileRoundTrip) {
-  TraceBuffer Original = makeSampleTrace();
-  std::string Path = "/tmp/hetsim_traceio_test.trace";
-  ASSERT_TRUE(saveTrace(Original, Path));
-  TraceBuffer Restored;
-  ASSERT_TRUE(loadTrace(Path, Restored));
-  EXPECT_TRUE(tracesEqual(Original, Restored));
-  std::remove(Path.c_str());
-}
-
-TEST(TraceIO, LoadMissingFileFails) {
-  TraceBuffer Out;
-  EXPECT_FALSE(loadTrace("/tmp/does_not_exist_hetsim.trace", Out));
-}
-
-TEST(TraceIO, RandomBytesNeverCrash) {
-  // Fuzz the deserializer: arbitrary input must be rejected, not crash.
-  XorShiftRng Rng(0xF00D);
-  for (unsigned Trial = 0; Trial != 200; ++Trial) {
-    std::string Bytes;
-    size_t Length = Rng.nextBelow(256);
-    for (size_t I = 0; I != Length; ++I)
-      Bytes.push_back(char(Rng.nextBelow(256)));
-    TraceBuffer Out;
-    // Almost surely invalid; deserialize must return false (or, if the
-    // fuzz happened to build a valid empty file, succeed gracefully).
-    deserializeTrace(Bytes, Out);
-  }
-  SUCCEED();
-}
-
-TEST(TraceIO, CorruptedHeaderCountRejected) {
-  TraceBuffer One;
-  One.emitLoad(0x100, 1, 0x40, 4);
-  std::string Bytes = serializeTrace(One);
-  Bytes[16] = 50; // Claim 50 records; body has 1.
-  TraceBuffer Out;
-  EXPECT_FALSE(deserializeTrace(Bytes, Out));
-}
 
 //===----------------------------------------------------------------------===//
 // Software coherence (GMAC runtime protocol).

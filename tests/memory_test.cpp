@@ -2,9 +2,7 @@
 
 #include "common/Random.h"
 #include "memory/AddressSpaceModel.h"
-#include "memory/FirstTouchTracker.h"
 #include "memory/MemorySystem.h"
-#include "memory/Ownership.h"
 #include "memory/PageTable.h"
 #include "memory/Tlb.h"
 
@@ -276,92 +274,6 @@ TEST(AddressSpace, ExplicitTransferAndOwnershipTraits) {
 }
 
 //===----------------------------------------------------------------------===//
-// Ownership (Section II-A3).
-//===----------------------------------------------------------------------===//
-
-TEST(Ownership, InitialOwnerChecks) {
-  OwnershipRegistry Reg;
-  Reg.registerObject("a", 0x1000, 256, PuKind::Cpu);
-  EXPECT_TRUE(Reg.checkAccess(PuKind::Cpu, 0x1000));
-  EXPECT_FALSE(Reg.checkAccess(PuKind::Gpu, 0x1080));
-  EXPECT_EQ(Reg.violationCount(), 1u);
-}
-
-TEST(Ownership, ReleaseAcquireHandoff) {
-  OwnershipRegistry Reg;
-  Reg.registerObject("a", 0x1000, 256, PuKind::Cpu);
-  Reg.release("a", PuKind::Cpu);
-  EXPECT_FALSE(Reg.ownerOf(0x1000).has_value());
-  Reg.acquire("a", PuKind::Gpu);
-  EXPECT_EQ(Reg.ownerOf(0x1000), PuKind::Gpu);
-  EXPECT_TRUE(Reg.checkAccess(PuKind::Gpu, 0x1000));
-  EXPECT_EQ(Reg.transitionCount(), 2u);
-}
-
-TEST(Ownership, AcquireWithoutReleaseIsViolation) {
-  OwnershipRegistry Reg;
-  Reg.registerObject("a", 0x1000, 256, PuKind::Cpu);
-  Reg.acquire("a", PuKind::Gpu); // CPU still owns it.
-  EXPECT_EQ(Reg.violationCount(), 1u);
-  EXPECT_EQ(Reg.ownerOf(0x1000), PuKind::Gpu); // Transfer still recorded.
-}
-
-TEST(Ownership, UnregisteredAddressesAreFree) {
-  OwnershipRegistry Reg;
-  Reg.registerObject("a", 0x1000, 256);
-  EXPECT_TRUE(Reg.checkAccess(PuKind::Gpu, 0x9000));
-  EXPECT_EQ(Reg.violationCount(), 0u);
-}
-
-TEST(OwnershipDeath, UnknownObjectAborts) {
-  OwnershipRegistry Reg;
-  EXPECT_DEATH(Reg.release("ghost", PuKind::Cpu), "unknown object");
-}
-
-//===----------------------------------------------------------------------===//
-// First-touch tracking (lib-pf).
-//===----------------------------------------------------------------------===//
-
-TEST(FirstTouch, FaultsOncePerPage) {
-  FirstTouchTracker Tracker(0x10000, 1 << 20, 4096);
-  EXPECT_TRUE(Tracker.touch(0x10000));
-  EXPECT_FALSE(Tracker.touch(0x10004)); // Same page.
-  EXPECT_TRUE(Tracker.touch(0x10000 + 4096));
-  EXPECT_FALSE(Tracker.touch(0x10008));       // Back to the first page.
-  EXPECT_TRUE(Tracker.touch(0x10000 + 8192)); // Right past the second.
-  EXPECT_EQ(Tracker.faultCount(), 3u);
-}
-
-TEST(FirstTouch, OutOfRangeIgnored) {
-  FirstTouchTracker Tracker(0x10000, 4096, 4096);
-  EXPECT_FALSE(Tracker.touch(0x0));
-  EXPECT_EQ(Tracker.faultCount(), 0u);
-}
-
-TEST(FirstTouch, PreTouchSuppressesFaults) {
-  FirstTouchTracker Tracker(0x10000, 1 << 20, 4096);
-  Tracker.preTouch(0x10000, 8192);
-  EXPECT_FALSE(Tracker.touch(0x10000));
-  EXPECT_FALSE(Tracker.touch(0x10000 + 4096));
-  EXPECT_TRUE(Tracker.touch(0x10000 + 8192));
-}
-
-TEST(FirstTouch, PagesInRange) {
-  FirstTouchTracker Tracker(0, 1 << 20, 65536);
-  EXPECT_EQ(Tracker.pagesIn(1), 1u);
-  EXPECT_EQ(Tracker.pagesIn(65536), 1u);
-  EXPECT_EQ(Tracker.pagesIn(65537), 2u);
-}
-
-TEST(FirstTouch, ResetForgets) {
-  FirstTouchTracker Tracker(0, 1 << 20, 4096);
-  Tracker.touch(0);
-  Tracker.reset();
-  EXPECT_TRUE(Tracker.touch(0));
-  EXPECT_EQ(Tracker.faultCount(), 1u);
-}
-
-//===----------------------------------------------------------------------===//
 // MemorySystem: the assembled hierarchy.
 //===----------------------------------------------------------------------===//
 
@@ -457,50 +369,6 @@ TEST(MemorySystem, DemandMapsUnmappedPages) {
   EXPECT_EQ(Mem.stats().counter("mem.demand_maps"), 1u);
 }
 
-TEST(MemorySystem, FirstTouchPolicyFaultsGpuOnly) {
-  MemorySystem Mem = makeIntegrated();
-  FirstTouchTracker Tracker(region::SharedBase, 1 << 20, 65536);
-  SharedSpacePolicy Policy;
-  Policy.FirstTouch = &Tracker;
-  Policy.PageFaultLatency = 42000;
-  Policy.FaultOnlyGpu = true;
-  Mem.setSharedPolicy(Policy);
-  Mem.mapRange(PuKind::Cpu, region::SharedBase, 1 << 20);
-  Mem.mapRange(PuKind::Gpu, region::SharedBase, 1 << 20);
-
-  // CPU access does not fault.
-  MemAccessResult CpuR =
-      Mem.access(PuKind::Cpu, region::SharedBase, 4, false, 0);
-  EXPECT_FALSE(CpuR.PageFault);
-
-  // First GPU access faults and pays lib-pf.
-  MemAccessResult GpuR =
-      Mem.access(PuKind::Gpu, region::SharedBase, 4, false, 0);
-  EXPECT_TRUE(GpuR.PageFault);
-  EXPECT_GE(GpuR.Latency, 42000u);
-
-  // Second GPU access to the same page does not fault.
-  MemAccessResult GpuR2 =
-      Mem.access(PuKind::Gpu, region::SharedBase + 64, 4, false, 100000);
-  EXPECT_FALSE(GpuR2.PageFault);
-  EXPECT_EQ(Mem.stats().counter("mem.pagefaults"), 1u);
-}
-
-TEST(MemorySystem, OwnershipPolicyCountsViolations) {
-  MemorySystem Mem = makeIntegrated();
-  OwnershipRegistry Reg;
-  Reg.registerObject("obj", region::SharedBase, 4096, PuKind::Cpu);
-  SharedSpacePolicy Policy;
-  Policy.Ownership = &Reg;
-  Mem.setSharedPolicy(Policy);
-  Mem.mapRange(PuKind::Gpu, region::SharedBase, 4096);
-
-  MemAccessResult R =
-      Mem.access(PuKind::Gpu, region::SharedBase, 4, false, 0);
-  EXPECT_TRUE(R.OwnershipViolation);
-  EXPECT_EQ(Mem.stats().counter("mem.ownership_violations"), 1u);
-}
-
 TEST(MemorySystem, CoherenceInvalidatesRemoteCopy) {
   MemHierConfig Config;
   Config.HwCoherence = true;
@@ -552,9 +420,7 @@ TEST(MemorySystem, ScratchpadAccess) {
 
 TEST(MemorySystem, SpaceModelViolationsCounted) {
   MemorySystem Mem = makeIntegrated();
-  SharedSpacePolicy Policy;
-  Policy.SpaceModel = &AddressSpaceModel::forKind(AddressSpaceKind::Adsm);
-  Mem.setSharedPolicy(Policy);
+  Mem.setSpaceModel(&AddressSpaceModel::forKind(AddressSpaceKind::Adsm));
   Mem.mapRange(PuKind::Gpu, region::CpuPrivateBase, 4096);
   Mem.mapRange(PuKind::Gpu, region::SharedBase, 4096);
 
@@ -567,83 +433,6 @@ TEST(MemorySystem, SpaceModelViolationsCounted) {
       Mem.access(PuKind::Gpu, region::SharedBase, 4, false, 0);
   EXPECT_FALSE(Ok.SpaceViolation);
   EXPECT_EQ(Mem.stats().counter("mem.space_violations"), 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Hybrid (Cohesion-style) coherence domains.
-//===----------------------------------------------------------------------===//
-
-TEST(HybridCoherence, DomainAssignmentAndDefault) {
-  HybridCoherenceMap Map(CoherenceDomain::Hardware);
-  EXPECT_EQ(Map.domainOf(0x1000), CoherenceDomain::Hardware);
-  Map.assign(0x1000, 0x1000, CoherenceDomain::Software);
-  EXPECT_EQ(Map.domainOf(0x1000), CoherenceDomain::Software);
-  EXPECT_EQ(Map.domainOf(0x1FFF), CoherenceDomain::Software);
-  EXPECT_EQ(Map.domainOf(0x2000), CoherenceDomain::Hardware);
-}
-
-TEST(HybridCoherence, LaterAssignmentsOverride) {
-  HybridCoherenceMap Map;
-  Map.assign(0x0, 0x10000, CoherenceDomain::Software);
-  Map.assign(0x4000, 0x1000, CoherenceDomain::Hardware);
-  EXPECT_EQ(Map.domainOf(0x4000), CoherenceDomain::Hardware);
-  EXPECT_EQ(Map.domainOf(0x3000), CoherenceDomain::Software);
-}
-
-TEST(HybridCoherence, TransitionCostScalesWithLines) {
-  HybridCoherenceMap Map;
-  Cycle Small = Map.transition(0x0, 64, CoherenceDomain::Software);
-  Cycle Large = Map.transition(0x10000, 64 * 100, CoherenceDomain::Software);
-  EXPECT_EQ(Large, Small * 100);
-  EXPECT_EQ(Map.stats().Transitions, 2u);
-  EXPECT_EQ(Map.stats().LinesTransitioned, 101u);
-  // Transition also reassigns the domain.
-  EXPECT_EQ(Map.domainOf(0x10000), CoherenceDomain::Software);
-}
-
-TEST(HybridCoherence, RoutesDirectoryTraffic) {
-  MemHierConfig Config;
-  Config.HwCoherence = true;
-  MemorySystem Mem(Config);
-  HybridCoherenceMap Map(CoherenceDomain::Hardware);
-  // First half of the shared region is software-managed.
-  Map.assign(region::SharedBase, 1 << 16, CoherenceDomain::Software);
-  SharedSpacePolicy Policy;
-  Policy.HybridDomains = &Map;
-  Mem.setSharedPolicy(Policy);
-  Mem.mapRange(PuKind::Cpu, region::SharedBase, 1 << 20);
-  Mem.mapRange(PuKind::Gpu, region::SharedBase, 1 << 20);
-
-  // Software-domain access: the directory must stay empty.
-  Mem.access(PuKind::Cpu, region::SharedBase, 4, true, 0);
-  EXPECT_EQ(Mem.directory().stats().Lookups, 0u);
-  EXPECT_EQ(Map.stats().SoftwareLookups, 1u);
-
-  // Hardware-domain access: the directory tracks it.
-  Mem.access(PuKind::Cpu, region::SharedBase + (1 << 16), 4, true, 0);
-  EXPECT_EQ(Mem.directory().stats().Lookups, 1u);
-  EXPECT_EQ(Map.stats().HardwareLookups, 1u);
-}
-
-TEST(HybridCoherence, SoftwareDomainSkipsRemoteInvalidation) {
-  // A GPU write to a software-domain line does NOT invalidate the CPU's
-  // cached copy — exactly the hazard the software discipline (flushes at
-  // ownership transfer) must handle instead.
-  MemHierConfig Config;
-  Config.HwCoherence = true;
-  MemorySystem Mem(Config);
-  HybridCoherenceMap Map(CoherenceDomain::Software);
-  SharedSpacePolicy Policy;
-  Policy.HybridDomains = &Map;
-  Mem.setSharedPolicy(Policy);
-  Mem.mapRange(PuKind::Cpu, region::SharedBase, 1 << 16);
-  Mem.mapRange(PuKind::Gpu, region::SharedBase, 1 << 16);
-
-  Mem.access(PuKind::Cpu, region::SharedBase, 4, false, 0);
-  Addr CpuPa = *Mem.pageTable(PuKind::Cpu).translate(region::SharedBase);
-  ASSERT_TRUE(Mem.cpuL1().probe(CpuPa));
-  Mem.access(PuKind::Gpu, region::SharedBase, 4, true, 0);
-  EXPECT_TRUE(Mem.cpuL1().probe(CpuPa)); // Stale copy survives.
 }
 
 TEST(MemorySystem, RemapMovesRangeAndFlushesTlb) {
@@ -771,30 +560,29 @@ TEST(MemorySystem, PushToSharedChargesVictimWritebacks) {
   EXPECT_EQ(Mem.cpuDram().queuedRequests(), 0u);
 }
 
-TEST(MemorySystem, MergedMissKeepsAccruedFaultLatency) {
+TEST(MemorySystem, MergedMissKeepsAccruedTlbLatency) {
   // Regression: a miss that merges onto an in-flight fill used to adopt
   // the earlier entry's ReadyCycle wholesale, letting a cheap fill erase
-  // the merging access's own accrued page-fault latency.
-  MemorySystem Mem = makeIntegrated();
+  // the merging access's own accrued page-walk latency.
+  MemHierConfig Config;
+  Config.TlbMissPenalty = 50000;
+  MemorySystem Mem(Config);
   Mem.mapRange(PuKind::Cpu, region::SharedBase, 1 << 16);
-  // First access: plain cold miss; its fill stays in flight for a while.
+  // Warm the page, then start a cold miss; its fill stays in flight.
   Mem.access(PuKind::Cpu, region::SharedBase, 4, false, 0);
+  Mem.access(PuKind::Cpu, region::SharedBase + 64, 4, false, 60000);
 
-  // Second access faults (fresh tracker, CPU faults too) and merges.
-  FirstTouchTracker Tracker(region::SharedBase, 1 << 16, 4096);
-  SharedSpacePolicy Policy;
-  Policy.FirstTouch = &Tracker;
-  Policy.PageFaultLatency = 50000;
-  Policy.FaultOnlyGpu = false;
-  Mem.setSharedPolicy(Policy);
-  Addr Pa = *Mem.pageTable(PuKind::Cpu).translate(region::SharedBase);
+  // Second access to that line walks the page table again and merges.
+  Mem.tlb(PuKind::Cpu).flush();
+  Addr Pa =
+      *Mem.pageTable(PuKind::Cpu).translate(region::SharedBase + 64);
   Mem.cpuL1().invalidate(Pa);
   Mem.cpuL2().invalidate(Pa);
   MemAccessResult R =
-      Mem.access(PuKind::Cpu, region::SharedBase, 4, false, 1);
-  EXPECT_TRUE(R.PageFault);
+      Mem.access(PuKind::Cpu, region::SharedBase + 64, 4, false, 60001);
+  EXPECT_TRUE(R.TlbMiss);
   EXPECT_EQ(Mem.stats().counter("mem.mshr_merges"), 1u);
-  // The merge may not undercut the fault cost already paid.
+  // The merge may not undercut the page walk already paid.
   EXPECT_GE(R.Latency, 50000u);
 }
 
