@@ -1,27 +1,38 @@
 #!/usr/bin/env bash
-# Times the Figure 5/6 case-study sweep serially and in parallel and
-# records the results as BENCH_sweep.json.
+# Times the Figure 5/6 case-study sweep serially and in parallel, several
+# runs each, and records the results as BENCH_sweep.json.
 #
-# Usage: scripts/bench_timing.sh [jobs] [outfile]
+# Usage: scripts/bench_timing.sh [jobs] [runs] [outfile]
 #   jobs     parallel worker count for the wide run (default: nproc)
+#   runs     runs per configuration (default: 5)
 #   outfile  result path (default: BENCH_sweep.json)
 #
-# Two configurations are measured:
+# Two configurations are measured, their runs interleaved (serial,
+# parallel, serial, ...) so slow spells of a shared host hit both alike:
 #   serial    jobs=1
 #   parallel  jobs=N
 #
-# Speedups are relative to serial. On multi-core hosts the parallel run
-# should be >=2x at jobs>=4.
+# Each row records the median, min and max wall time and peak RSS over
+# its runs; points_per_s, the phase split and the speedup (relative to
+# serial) come from the medians. A single run varies by tens of percent
+# on a shared host, so nothing here reads one run alone.
 #
 # When the outfile already holds a previous record, each variant's new
-# points_per_s is compared against it: any regression beyond 20% fails
-# the run (the candidate goes to <outfile>.rej, the old record stays).
+# median points_per_s is compared against it: any regression beyond 20%
+# fails the run (the candidate goes to <outfile>.rej, the old record
+# stays).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc 2>/dev/null || echo 4)}"
-OUTFILE="${2:-BENCH_sweep.json}"
+RUNS="${2:-5}"
+OUTFILE="${3:-BENCH_sweep.json}"
 BENCH=build/bench/fig5_case_studies
+
+if ! [ "$RUNS" -ge 1 ] 2>/dev/null; then
+  echo "error: runs has value '$RUNS', which is not a positive integer" >&2
+  exit 2
+fi
 
 # Physical core count of the host, independent of the current CPU
 # affinity mask: `nproc` reads the mask, so a taskset-restricted or
@@ -41,27 +52,61 @@ fi
 TMPDIR_TIMING=$(mktemp -d)
 trap 'rm -rf "$TMPDIR_TIMING"' EXIT
 
-# Runs one configuration; prints "wall_s points points_per_s trace_gen_s
-# simulate_s".
+# Runs one configuration once; appends "wall_s points trace_gen_s
+# simulate_s peak_rss_mb" to $TMPDIR_TIMING/<name>.runs.
 run_once() { # name jobs
-  local log="$TMPDIR_TIMING/$1.json"
-  HETSIM_JOBS="$2" HETSIM_TIMING_JSON="$log" "$BENCH" >/dev/null 2>&1
+  local log="$TMPDIR_TIMING/$1.json" rss
+  rm -f "$log"
+  # peak_rss.py with no limit just reports the child's peak RSS.
+  rss=$(HETSIM_JOBS="$2" HETSIM_TIMING_JSON="$log" \
+        scripts/peak_rss.py inf "$BENCH" 2>/dev/null \
+        | sed -n 's/^peak_rss: \([0-9.]*\) MB.*/\1/p')
   # The timing line has a fixed key order; pull fields with sed.
-  sed -n '1s/.*"points":\([0-9]*\),"jobs":[0-9]*,"wall_s":\([0-9.]*\),"points_per_s":\([0-9.]*\).*"trace_gen_s":\([0-9.]*\),"simulate_s":\([0-9.]*\).*/\2 \1 \3 \4 \5/p' "$log"
+  local fields
+  fields=$(sed -n '1s/.*"points":\([0-9]*\),"jobs":[0-9]*,"wall_s":\([0-9.]*\),.*"trace_gen_s":\([0-9.]*\),"simulate_s":\([0-9.]*\).*/\2 \1 \3 \4/p' "$log")
+  echo "$fields $rss" >> "$TMPDIR_TIMING/$1.runs"
 }
 
-echo "== serial (jobs=1) =="
-read -r SER_WALL SER_POINTS SER_PPS SER_GEN SER_SIM <<<"$(run_once serial 1)"
-echo "   ${SER_WALL}s for ${SER_POINTS} points (${SER_PPS} points/s," \
-     "gen ${SER_GEN}s / sim ${SER_SIM}s)"
+# Median, min and max of column \p col of a runs file, printed with
+# \p digits decimals: "median min max".
+stats() { # name col digits
+  cut -d' ' -f"$2" "$TMPDIR_TIMING/$1.runs" | sort -g | awk -v d="$3" '
+    { v[NR] = $1 }
+    END {
+      m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+      f = "%." d "f %." d "f %." d "f\n"
+      printf f, m, v[1], v[NR]
+    }'
+}
 
-echo "== parallel (jobs=$JOBS) =="
-read -r PAR_WALL PAR_POINTS PAR_PPS PAR_GEN PAR_SIM \
-  <<<"$(run_once parallel "$JOBS")"
-echo "   ${PAR_WALL}s for ${PAR_POINTS} points (${PAR_PPS} points/s," \
-     "gen ${PAR_GEN}s / sim ${PAR_SIM}s)"
+for ((I = 1; I <= RUNS; ++I)); do
+  echo "== run $I/$RUNS: serial (jobs=1), parallel (jobs=$JOBS) =="
+  run_once serial 1
+  run_once parallel "$JOBS"
+done
 
-PAR_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $SER_WALL/$PAR_WALL}")
+# Prints one JSON row and sets PPS_<name> (median points/s) and
+# WALL_<name> (median wall seconds).
+row() { # name jobs
+  local wall wmin wmax rss rmin rmax gen sim points pps
+  read -r wall wmin wmax <<<"$(stats "$1" 1 6)"
+  read -r gen _ _ <<<"$(stats "$1" 3 6)"
+  read -r sim _ _ <<<"$(stats "$1" 4 6)"
+  read -r rss rmin rmax <<<"$(stats "$1" 5 1)"
+  points=$(head -n1 "$TMPDIR_TIMING/$1.runs" | cut -d' ' -f2)
+  pps=$(awk "BEGIN{printf \"%.3f\", $points / $wall}")
+  printf -v "PPS_$1" '%s' "$pps"
+  printf -v "WALL_$1" '%s' "$wall"
+  echo "   $1: median ${wall}s (min ${wmin}s, max ${wmax}s) for ${points}" \
+       "points, ${pps} points/s; peak RSS median ${rss} MB (max ${rmax} MB)" >&2
+  ROW="{\"variant\": \"$1\", \"jobs\": $2, \"points\": $points, \"runs\": $RUNS, \"wall_s\": $wall, \"wall_s_min\": $wmin, \"wall_s_max\": $wmax, \"points_per_s\": $pps, \"speedup\": SPEEDUP, \"trace_gen_s\": $gen, \"simulate_s\": $sim, \"peak_rss_mb\": $rss, \"peak_rss_mb_min\": $rmin, \"peak_rss_mb_max\": $rmax}"
+}
+
+row serial 1
+SER_ROW=${ROW/SPEEDUP/1.00}
+row parallel "$JOBS"
+PAR_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $WALL_serial / $WALL_parallel}")
+PAR_ROW=${ROW/SPEEDUP/$PAR_SPEEDUP}
 
 # Looks up a variant's points_per_s in a previous record.
 old_pps() { # variant
@@ -75,21 +120,21 @@ cat > "$CANDIDATE" <<EOF
   "bench": "fig5_case_studies",
   "host_cores": $HOST_CORES,
   "runs": [
-    {"variant": "serial", "jobs": 1, "points": $SER_POINTS, "wall_s": $SER_WALL, "points_per_s": $SER_PPS, "speedup": 1.00, "trace_gen_s": $SER_GEN, "simulate_s": $SER_SIM},
-    {"variant": "parallel", "jobs": $JOBS, "points": $PAR_POINTS, "wall_s": $PAR_WALL, "points_per_s": $PAR_PPS, "speedup": $PAR_SPEEDUP, "trace_gen_s": $PAR_GEN, "simulate_s": $PAR_SIM}
+    $SER_ROW,
+    $PAR_ROW
   ]
 }
 EOF
 
 REGRESSED=0
 if [ -f "$OUTFILE" ]; then
-  for spec in "serial $SER_PPS" "parallel $PAR_PPS"; do
+  for spec in "serial $PPS_serial" "parallel $PPS_parallel"; do
     read -r variant new_pps <<<"$spec"
     prev_pps="$(old_pps "$variant")"
     [ -n "$prev_pps" ] || continue
     if awk "BEGIN{exit !($new_pps < 0.8 * $prev_pps)}"; then
-      echo "regression: $variant ${new_pps} points/s is >20% below the" \
-           "recorded ${prev_pps} points/s" >&2
+      echo "regression: $variant median ${new_pps} points/s is >20% below" \
+           "the recorded ${prev_pps} points/s" >&2
       REGRESSED=1
     fi
   done
@@ -102,4 +147,5 @@ if [ "$REGRESSED" = "1" ]; then
 fi
 
 cp "$CANDIDATE" "$OUTFILE"
-echo "== wrote $OUTFILE (parallel speedup ${PAR_SPEEDUP}x over serial) =="
+echo "== wrote $OUTFILE (parallel speedup ${PAR_SPEEDUP}x over serial," \
+     "medians of $RUNS runs) =="

@@ -4,8 +4,6 @@
 
 #include "common/Error.h"
 
-#include <cassert>
-
 using namespace hetsim;
 
 CacheConfig CacheConfig::cpuL1D() {
@@ -71,27 +69,33 @@ Cache::Cache(const CacheConfig &Cfg, uint64_t RngSeed)
   NumSets = Config.numSets();
   LineShift = log2Exact(Config.LineBytes);
   TagShift = LineShift + log2Exact(NumSets);
-  Lines.resize(uint64_t(NumSets) * Config.Ways);
-  Tags.resize(Lines.size());
+  const size_t NumLines = size_t(NumSets) * Config.Ways;
+  Tags.assign(NumLines, InvalidTag);
+  Stamps.assign(NumLines, 0);
+  Flags.assign(NumLines, LineFlags());
 }
 
-int Cache::chooseVictim(unsigned SetBase, bool FillIsExplicit) {
+int Cache::chooseVictim(size_t SetBase, bool FillIsExplicit) {
+  const uint64_t *Stamp = &Stamps[SetBase];
   if (Config.Replacement == ReplacementKind::Lru) {
-    // The first invalid way, else the first least recently used: one pass.
-    const Line *Set = &Lines[SetBase];
+    // The first minimum stamp: the first invalid way (stamp 0) if there is
+    // one, else the least recently used (valid stamps are unique). The
+    // running minimum stays in a register, and the selects are branch-free:
+    // which way holds the minimum is data, not a predictable branch.
     unsigned Victim = 0;
-    for (unsigned W = 0; W != Config.Ways; ++W) {
-      if (!Set[W].Valid)
-        return int(W);
-      if (Set[W].LruStamp < Set[Victim].LruStamp)
-        Victim = W;
+    uint64_t Min = Stamp[0];
+    for (unsigned W = 1; W != Config.Ways; ++W) {
+      const uint64_t S = Stamp[W];
+      const bool Older = S < Min;
+      Min = Older ? S : Min;
+      Victim = Older ? W : Victim;
     }
     return int(Victim);
   }
 
   // Invalid ways first.
   for (unsigned W = 0; W != Config.Ways; ++W)
-    if (!Lines[SetBase + W].Valid)
+    if (Stamp[W] == 0)
       return int(W);
 
   if (Config.Replacement == ReplacementKind::Random) {
@@ -99,6 +103,7 @@ int Cache::chooseVictim(unsigned SetBase, bool FillIsExplicit) {
   }
 
   const bool Hybrid = Config.Replacement == ReplacementKind::HybridLru;
+  const LineFlags *Flag = &Flags[SetBase];
 
   if (Hybrid && FillIsExplicit) {
     // Enforce the explicit-capacity cap: if the set already holds the
@@ -107,12 +112,10 @@ int Cache::chooseVictim(unsigned SetBase, bool FillIsExplicit) {
     unsigned ExplicitCount = 0;
     int LruExplicit = -1;
     for (unsigned W = 0; W != Config.Ways; ++W) {
-      const Line &L = Lines[SetBase + W];
-      if (!L.Explicit)
+      if (!Flag[W].Explicit)
         continue;
       ++ExplicitCount;
-      if (LruExplicit < 0 ||
-          L.LruStamp < Lines[SetBase + unsigned(LruExplicit)].LruStamp)
+      if (LruExplicit < 0 || Stamp[W] < Stamp[LruExplicit])
         LruExplicit = int(W);
     }
     if (ExplicitCount >= Config.MaxExplicitWays)
@@ -121,13 +124,11 @@ int Cache::chooseVictim(unsigned SetBase, bool FillIsExplicit) {
 
   int Victim = -1;
   for (unsigned W = 0; W != Config.Ways; ++W) {
-    const Line &L = Lines[SetBase + W];
     // Hybrid rule (Section II-B5): an implicitly-managed fill may not
     // evict an explicitly-managed block.
-    if (Hybrid && !FillIsExplicit && L.Explicit)
+    if (Hybrid && !FillIsExplicit && Flag[W].Explicit)
       continue;
-    if (Victim < 0 ||
-        L.LruStamp < Lines[SetBase + unsigned(Victim)].LruStamp)
+    if (Victim < 0 || Stamp[W] < Stamp[Victim])
       Victim = int(W);
   }
   return Victim; // -1 when every candidate way is explicit (bypass).
@@ -136,7 +137,8 @@ int Cache::chooseVictim(unsigned SetBase, bool FillIsExplicit) {
 CacheAccessResult Cache::fill(Addr Address, bool IsWrite, bool MarkExplicit) {
   CacheAccessResult Result;
   ++Stats.Misses;
-  unsigned SetBase = setIndex(Address) * Config.Ways;
+  const unsigned Set = setIndex(Address);
+  const size_t SetBase = size_t(Set) * Config.Ways;
   int Way = chooseVictim(SetBase, MarkExplicit);
   if (Way < 0) {
     ++Stats.BypassedFills;
@@ -144,63 +146,40 @@ CacheAccessResult Cache::fill(Addr Address, bool IsWrite, bool MarkExplicit) {
     return Result;
   }
 
-  Line &Victim = Lines[SetBase + unsigned(Way)];
-  Addr &VictimTag = Tags[SetBase + unsigned(Way)];
-  if (Victim.Valid) {
+  const size_t I = SetBase + unsigned(Way);
+  if (Stamps[I] != 0) {
     ++Stats.Evictions;
-    if (Victim.Dirty) {
+    if (Flags[I].Dirty) {
       ++Stats.Writebacks;
       Result.WroteBack = true;
-      Result.VictimAddr = addressOf(VictimTag, setIndex(Address));
+      Result.VictimAddr = addressOf(Tags[I], Set);
     }
   }
 
-  Victim.Valid = true;
-  VictimTag = tagOf(Address);
-  Victim.Dirty = IsWrite;
-  Victim.Explicit = MarkExplicit;
-  Victim.State = IsWrite ? CohState::Modified : CohState::Exclusive;
-  Victim.LruStamp = NextStamp++;
+  Tags[I] = tagOf(Address);
+  Stamps[I] = NextStamp++;
+  Flags[I].Dirty = IsWrite;
+  Flags[I].Explicit = MarkExplicit;
   return Result;
 }
 
-bool Cache::probe(Addr Address) const { return findLine(Address) != nullptr; }
-
-CohState Cache::lineState(Addr Address) const {
-  const Line *L = findLine(Address);
-  return L ? L->State : CohState::Invalid;
-}
-
-void Cache::setLineState(Addr Address, CohState State) {
-  Line *L = findLine(Address);
-  assert(L && "setLineState on a non-resident line");
-  L->State = State;
-  if (State == CohState::Invalid) {
-    L->Valid = false;
-    L->Dirty = false;
-    L->Explicit = false;
-  }
-}
+bool Cache::probe(Addr Address) const { return findLine(Address) != NoLine; }
 
 bool Cache::invalidate(Addr Address) {
-  Line *L = findLine(Address);
-  if (!L)
+  const size_t I = findLine(Address);
+  if (I == NoLine)
     return false;
-  bool WasDirty = L->Dirty;
-  L->Valid = false;
-  L->Dirty = false;
-  L->Explicit = false;
-  L->State = CohState::Invalid;
+  const bool WasDirty = Flags[I].Dirty;
+  invalidateLine(I);
   return WasDirty;
 }
 
 bool Cache::downgradeToShared(Addr Address) {
-  Line *L = findLine(Address);
-  if (!L)
+  const size_t I = findLine(Address);
+  if (I == NoLine)
     return false;
-  bool WasDirty = L->Dirty;
-  L->Dirty = false;
-  L->State = CohState::Shared;
+  const bool WasDirty = Flags[I].Dirty;
+  Flags[I].Dirty = 0;
   return WasDirty;
 }
 
@@ -208,29 +187,27 @@ void Cache::flushAll(const std::function<void(Addr)> &WritebackFn) {
   for (unsigned Set = 0; Set != NumSets; ++Set) {
     for (unsigned W = 0; W != Config.Ways; ++W) {
       const size_t I = size_t(Set) * Config.Ways + W;
-      Line &L = Lines[I];
-      if (!L.Valid)
+      if (Stamps[I] == 0)
         continue;
-      if (L.Dirty && WritebackFn)
+      if (Flags[I].Dirty && WritebackFn)
         WritebackFn(addressOf(Tags[I], Set));
-      L = Line();
-      Tags[I] = 0;
+      invalidateLine(I);
     }
   }
 }
 
 unsigned Cache::residentLines() const {
   unsigned Count = 0;
-  for (const Line &L : Lines)
-    if (L.Valid)
+  for (uint64_t Stamp : Stamps)
+    if (Stamp != 0)
       ++Count;
   return Count;
 }
 
 unsigned Cache::residentExplicitLines() const {
   unsigned Count = 0;
-  for (const Line &L : Lines)
-    if (L.Valid && L.Explicit)
+  for (size_t I = 0; I != Stamps.size(); ++I)
+    if (Stamps[I] != 0 && Flags[I].Explicit)
       ++Count;
   return Count;
 }

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// A set-associative, write-back, write-allocate cache with pluggable
-/// replacement, per-line dirty/coherence state, and the hybrid-locality
+/// replacement, per-line dirty state, and the hybrid-locality
 /// management bit of Section II-B5 (one tag bit distinguishes explicitly-
 /// from implicitly-managed blocks; replacement may not let implicit fills
 /// evict explicit blocks).
@@ -19,14 +19,6 @@
 #include <vector>
 
 namespace hetsim {
-
-/// MESI coherence state of a cached line.
-enum class CohState : uint8_t {
-  Invalid = 0,
-  Shared,
-  Exclusive,
-  Modified,
-};
 
 /// Result of an access or fill.
 struct CacheAccessResult {
@@ -69,18 +61,15 @@ public:
   CacheAccessResult access(Addr Address, bool IsWrite,
                            bool MarkExplicit = false) {
     ++Stats.Accesses;
-    Line *L = findLine(Address);
-    if (!L)
+    const size_t I = findLine(Address);
+    if (I == NoLine)
       return fill(Address, IsWrite, MarkExplicit);
     ++Stats.Hits;
-    L->LruStamp = NextStamp++;
-    if (IsWrite) {
-      L->Dirty = true;
-      if (L->State == CohState::Exclusive || L->State == CohState::Shared)
-        L->State = CohState::Modified;
-    }
+    Stamps[I] = NextStamp++;
+    if (IsWrite)
+      Flags[I].Dirty = 1;
     if (MarkExplicit)
-      L->Explicit = true;
+      Flags[I].Explicit = 1;
     CacheAccessResult Result;
     Result.Hit = true;
     return Result;
@@ -89,18 +78,13 @@ public:
   /// Returns true if \p Address is present (no state change).
   bool probe(Addr Address) const;
 
-  /// Returns the coherence state of \p Address (Invalid if absent).
-  CohState lineState(Addr Address) const;
-
-  /// Sets the coherence state of a present line.
-  void setLineState(Addr Address, CohState State);
-
   /// Invalidates \p Address if present; returns true if the line was dirty
   /// (the caller owes a writeback).
   bool invalidate(Addr Address);
 
-  /// Downgrades \p Address to Shared if present; returns true if the line
-  /// was dirty (Modified -> writeback needed).
+  /// Cleans \p Address if present (a MESI downgrade to Shared; the
+  /// directory owns the coherence state); returns true if the line was
+  /// dirty (a writeback is needed).
   bool downgradeToShared(Addr Address);
 
   /// Invalidates every line, invoking \p WritebackFn for each dirty one.
@@ -116,13 +100,16 @@ public:
   void resetStats() { Stats = CacheStats(); }
 
 private:
-  /// Per-line state other than the tag, which lives in Tags.
-  struct Line {
-    uint64_t LruStamp = 0;
-    CohState State = CohState::Invalid;
-    bool Valid = false;
-    bool Dirty = false;
-    bool Explicit = false;
+  /// findLine's "absent" index.
+  static constexpr size_t NoLine = ~size_t(0);
+  /// The tag of an invalid way. A line holds at least two bytes, so no
+  /// address's tag (address >> TagShift, TagShift >= 1) is all ones.
+  static constexpr Addr InvalidTag = ~Addr(0);
+
+  /// A line's two flag bytes, kept together: a fill reads and writes both.
+  struct LineFlags {
+    uint8_t Dirty = 0;
+    uint8_t Explicit = 0; ///< Hybrid locality's management bit.
   };
 
   unsigned setIndex(Addr Address) const {
@@ -133,29 +120,36 @@ private:
   Addr addressOf(Addr Tag, unsigned Set) const {
     return (Tag << TagShift) | (Addr(Set) << LineShift);
   }
-  Line *findLine(Addr Address) {
+  /// The index of \p Address's line in the per-line arrays, or NoLine.
+  /// Tags alone decide: invalid ways hold InvalidTag.
+  size_t findLine(Addr Address) const {
     const size_t SetBase = size_t(setIndex(Address)) * Config.Ways;
     const Addr *SetTags = &Tags[SetBase];
     const Addr Tag = tagOf(Address);
     for (unsigned W = 0; W != Config.Ways; ++W)
-      if (SetTags[W] == Tag && Lines[SetBase + W].Valid)
-        return &Lines[SetBase + W];
-    return nullptr;
+      if (SetTags[W] == Tag)
+        return SetBase + W;
+    return NoLine;
   }
-  const Line *findLine(Addr Address) const {
-    return const_cast<Cache *>(this)->findLine(Address);
+  /// Clears line \p I to the invalid state.
+  void invalidateLine(size_t I) {
+    Tags[I] = InvalidTag;
+    Stamps[I] = 0;
+    Flags[I] = LineFlags();
   }
   /// The miss path of access(): victim choice, writeback, and fill.
   CacheAccessResult fill(Addr Address, bool IsWrite, bool MarkExplicit);
   /// Picks a victim way in \p SetBase..SetBase+Ways; returns -1 when an
   /// implicit fill finds only explicit blocks (bypass).
-  int chooseVictim(unsigned SetBase, bool FillIsExplicit);
+  int chooseVictim(size_t SetBase, bool FillIsExplicit);
 
   CacheConfig Config;
-  std::vector<Line> Lines; // Sets x Ways, row-major.
-  /// Line tags, parallel to Lines. Every lookup scans a set's tags, so they
-  /// are packed apart from the rest: a 32-way set is 256 contiguous bytes.
-  std::vector<Addr> Tags;
+  // Per-line state, one array per field, Sets x Ways row-major. Every
+  // lookup scans a set's tags and every LRU fill a set's stamps, so each
+  // is contiguous: a 32-way set's tags or stamps are 256 bytes.
+  std::vector<Addr> Tags;       ///< InvalidTag for an invalid way.
+  std::vector<uint64_t> Stamps; ///< Last use; 0 = invalid, else unique.
+  std::vector<LineFlags> Flags;
   CacheStats Stats;
   XorShiftRng Rng;
   uint64_t NextStamp = 1;

@@ -44,9 +44,10 @@ struct CacheConfig {
     return unsigned(SizeBytes / (uint64_t(Ways) * LineBytes));
   }
 
-  /// Validates the geometry (power-of-two sets, nonzero ways).
+  /// Validates the geometry (power-of-two sets, nonzero ways, lines of at
+  /// least two bytes).
   bool isValid() const {
-    if (SizeBytes == 0 || Ways == 0 || LineBytes == 0)
+    if (SizeBytes == 0 || Ways == 0 || LineBytes < 2)
       return false;
     if (SizeBytes % (uint64_t(Ways) * LineBytes) != 0)
       return false;

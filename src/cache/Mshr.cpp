@@ -7,12 +7,14 @@
 
 using namespace hetsim;
 
-void MshrFile::prune(Cycle Now) {
+void MshrFile::pruneCompleted(Cycle Now) {
+  EarliestDone = ~Cycle(0);
   for (size_t I = 0; I != Entries.size();) {
     if (Entries[I].second <= Now) {
       Entries[I] = Entries.back();
       Entries.pop_back();
     } else {
+      EarliestDone = std::min(EarliestDone, Entries[I].second);
       ++I;
     }
   }
@@ -29,9 +31,8 @@ MshrDecision MshrFile::onMiss(Addr LineAddress, Cycle Now, Cycle FillDone,
       continue;
     ++Merged;
     Decision.Merged = true;
-    // The merged access still pays its own pre-miss latency (TLB walk,
-    // page fault): the in-flight fill supplies the data, not a time
-    // machine.
+    // The merged access still pays its own pre-miss latency (a TLB
+    // walk): the in-flight fill supplies the data, not a time machine.
     Decision.ReadyCycle = std::max(KV.second, MinReady);
     return Decision;
   }
@@ -50,6 +51,7 @@ MshrDecision MshrFile::onMiss(Addr LineAddress, Cycle Now, Cycle FillDone,
 
   Cycle Done = FillDone + Decision.StallCycles;
   Entries.emplace_back(LineAddress, Done);
+  EarliestDone = std::min(EarliestDone, Done);
   Decision.ReadyCycle = Done;
   return Decision;
 }
@@ -61,6 +63,7 @@ unsigned MshrFile::inFlight(Cycle Now) {
 
 void MshrFile::clear() {
   Entries.clear();
+  EarliestDone = ~Cycle(0);
   Merged = 0;
   FullStalls = 0;
 }

@@ -37,8 +37,8 @@ public:
   /// complete at \p FillDone if it issues immediately. Handles merging and
   /// full-file stalls; returns the final decision. \p MinReady floors the
   /// merged ReadyCycle: a merging access may have already accrued latency
-  /// of its own (TLB miss, page fault) that an earlier, cheaper fill must
-  /// not erase.
+  /// of its own (a TLB walk) that an earlier, cheaper fill must not
+  /// erase.
   MshrDecision onMiss(Addr LineAddress, Cycle Now, Cycle FillDone,
                       Cycle MinReady = 0);
 
@@ -53,7 +53,13 @@ public:
   void clear();
 
 private:
-  void prune(Cycle Now);
+  /// Drops the entries completed by \p Now. Inline: most misses find
+  /// nothing to drop, which EarliestDone answers without a scan.
+  void prune(Cycle Now) {
+    if (Now >= EarliestDone)
+      pruneCompleted(Now);
+  }
+  void pruneCompleted(Cycle Now);
 
   unsigned Capacity;
   /// line -> completion cycle. The file holds at most Capacity (16/32)
@@ -61,6 +67,8 @@ private:
   /// stays in one or two cache lines; every decision (exact find, min,
   /// prune) is order-independent.
   std::vector<std::pair<Addr, Cycle>> Entries;
+  /// The least completion cycle in Entries; ~0 when it is empty.
+  Cycle EarliestDone = ~Cycle(0);
   uint64_t Merged = 0;
   uint64_t FullStalls = 0;
 };

@@ -4,7 +4,7 @@
 /// Clock-domain definitions for the baseline system (Table II): a 3.5GHz
 /// CPU, a 1.5GHz GPU, and an uncore (L3, ring, DRAM controller front end)
 /// clocked with the CPU. Cross-domain latency arithmetic converts through
-/// nanoseconds.
+/// nanoseconds, or in integers where that provably gives the same cycles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,11 +44,35 @@ inline constexpr Cycle nsToCycles(PuKind Pu, double Ns) {
   return Cycles > double(Floor) ? Floor + 1 : Floor;
 }
 
-/// Converts cycles between PU clock domains, rounding up.
+/// ceil(\p Cycles * Num / Den) for the clock ratio Num/Den from \p From
+/// to \p To, exactly as nsToCycles(To, cyclesToNs(From, Cycles)) rounds
+/// it. The integer form is taken only where it provably equals the float
+/// path:
+///  - Cycles not a multiple of Den and below 2^40: the exact quotient lies
+///    at least 1/7 from an integer, and the float path's four correctly
+///    rounded steps err by under 10^-2 on a result below 2^42;
+///  - Cycles a multiple of Den and below 2^21: every float step is exact.
+/// Elsewhere it keeps the float expression. Num and Den are template
+/// arguments so both divisions are by constants.
+template <Cycle Num, Cycle Den>
+inline constexpr Cycle convertCyclesByRatio(PuKind From, PuKind To,
+                                            Cycle Cycles) {
+  const bool Multiple = Cycles % Den == 0;
+  if (Multiple ? Cycles < (Cycle(1) << 21) : Cycles < (Cycle(1) << 40))
+    return (Cycles * Num + Den - 1) / Den;
+  return nsToCycles(To, cyclesToNs(From, Cycles));
+}
+
+/// Converts cycles between PU clock domains, rounding up: the value of
+/// converting through nanoseconds, in integers where that is provably the
+/// same (see convertCyclesByRatio).
 inline constexpr Cycle convertCycles(PuKind From, PuKind To, Cycle Cycles) {
+  static_assert(CpuFreqHz == 3.5e9 && GpuFreqHz == 1.5e9,
+                "the integer conversion assumes the 7:3 clock ratio");
   if (From == To)
     return Cycles;
-  return nsToCycles(To, cyclesToNs(From, Cycles));
+  return From == PuKind::Gpu ? convertCyclesByRatio<7, 3>(From, To, Cycles)
+                             : convertCyclesByRatio<3, 7>(From, To, Cycles);
 }
 
 /// Cycles a transfer of \p Bytes occupies at \p BytesPerSec, in the clock

@@ -82,6 +82,20 @@ void MemorySystem::mapRange(PuKind Pu, Addr VBase, uint64_t Bytes) {
   GpuPt.mapRange(VBase, Bytes, Device);
 }
 
+Addr MemorySystem::walkPageTable(PuKind Pu, Addr VAddr) {
+  PageTable &Pt = pageTable(Pu);
+  std::optional<Addr> Frame = Pt.frameOf(VAddr);
+  if (!Frame) {
+    // Demand-map: experiment setup maps ranges up front; stray addresses
+    // (e.g. wrapped cursors just past an object) are mapped on demand.
+    ++*MemDemandMaps;
+    mapRange(Pu, alignDown(VAddr, Pt.pageBytes()), Pt.pageBytes());
+    Frame = Pt.frameOf(VAddr);
+    assert(Frame && "demand map failed");
+  }
+  return *Frame;
+}
+
 void MemorySystem::applyCoherence(PuKind Requestor, Addr PAddr, bool IsWrite,
                                   Cycle &ExtraCpuCycles) {
   CoherenceAction Action = Dir.onAccess(Requestor, PAddr, IsWrite);
@@ -175,23 +189,17 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
 
   Cycle Latency = 0;
 
-  // 1. Translation.
+  // 1. Translation. A TLB hit carries the frame; a miss walks the page
+  // table and installs it.
   Tlb &MyTlb = IsCpu ? CpuTlb : GpuTlb;
-  if (!MyTlb.lookup(VAddr)) {
+  Addr Frame = 0;
+  if (!MyTlb.lookup(VAddr, Frame)) {
     Result.TlbMiss = true;
     Latency += Config.TlbMissPenalty;
+    Frame = walkPageTable(Pu, VAddr);
+    MyTlb.fill(VAddr, Frame);
   }
-  PageTable &Pt = IsCpu ? CpuPt : GpuPt;
-  std::optional<Addr> Translated = Pt.translate(VAddr);
-  if (!Translated) {
-    // Demand-map: experiment setup maps ranges up front; stray addresses
-    // (e.g. wrapped cursors just past an object) are mapped on demand.
-    ++*MemDemandMaps;
-    mapRange(Pu, alignDown(VAddr, Pt.pageBytes()), Pt.pageBytes());
-    Translated = Pt.translate(VAddr);
-    assert(Translated && "demand map failed");
-  }
-  Addr PAddr = *Translated;
+  Addr PAddr = Frame + (VAddr & (MyTlb.pageBytes() - 1));
 
   // 2. Address-space visibility (Section II-A): a PU referencing space
   // the model does not give it is a program error under that model.

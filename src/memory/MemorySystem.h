@@ -179,6 +179,8 @@ public:
   MshrFile &mshr(PuKind Pu) { return Pu == PuKind::Cpu ? CpuMshr : GpuMshr; }
   Tlb &tlb(PuKind Pu) { return Pu == PuKind::Cpu ? CpuTlb : GpuTlb; }
   StreamPrefetcher &prefetcher() { return Prefetcher; }
+  /// Unmap only through remapRange: it flushes the TLB, whose entries
+  /// carry frames.
   PageTable &pageTable(PuKind Pu) {
     return Pu == PuKind::Cpu ? CpuPt : GpuPt;
   }
@@ -191,6 +193,9 @@ public:
 private:
   /// drainBackground() once requests are queued.
   void drainQueued(Cycle NowCpu);
+  /// The TLB-miss path of access(): \p VAddr's frame in \p Pu's page
+  /// table, demand-mapping a page no setup mapped.
+  Addr walkPageTable(PuKind Pu, Addr VAddr);
   /// Uncore walk beyond the private hierarchy; \p NowCpu in CPU cycles,
   /// returns completion cycle in CPU cycles.
   Cycle uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite, Cycle NowCpu,

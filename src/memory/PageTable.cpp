@@ -42,7 +42,6 @@ bool PageTable::isMapped(Addr VAddr) const {
 void PageTable::unmapRange(Addr VBase, uint64_t Bytes) {
   if (Bytes == 0)
     return;
-  CachedVpn = ~uint64_t(0);
   for (uint64_t Vpn = vpnOf(VBase), End = vpnOf(VBase + Bytes - 1);
        Vpn <= End; ++Vpn)
     Map.erase(Vpn);

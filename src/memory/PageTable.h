@@ -61,20 +61,23 @@ public:
   /// already-mapped pages are left untouched.
   void mapRange(Addr VBase, uint64_t Bytes, PhysicalMemory &Device);
 
+  /// The frame (physical page base) of \p VAddr's page; std::nullopt
+  /// means a (hard) page-table miss. One open-addressed probe: the memory
+  /// system walks the table only on a TLB miss, since TLB entries carry
+  /// their frames.
+  std::optional<Addr> frameOf(Addr VAddr) const {
+    const Addr *Frame = Map.find(vpnOf(VAddr));
+    if (!Frame)
+      return std::nullopt;
+    return *Frame;
+  }
+
   /// Translates \p VAddr; std::nullopt means a (hard) page-table miss.
-  /// Every memory access translates, and consecutive accesses mostly stay
-  /// on one page: the last page found is remembered, so a repeat costs a
-  /// shift and a compare. Otherwise it is one open-addressed probe.
   std::optional<Addr> translate(Addr VAddr) const {
-    const uint64_t Vpn = vpnOf(VAddr);
-    if (Vpn != CachedVpn) {
-      const Addr *Ppn = Map.find(Vpn);
-      if (!Ppn)
-        return std::nullopt;
-      CachedVpn = Vpn;
-      CachedPage = *Ppn;
-    }
-    return CachedPage + (VAddr & (PageBytes - 1));
+    std::optional<Addr> Frame = frameOf(VAddr);
+    if (!Frame)
+      return std::nullopt;
+    return *Frame + (VAddr & (PageBytes - 1));
   }
 
   /// True if the page containing \p VAddr is mapped.
@@ -93,10 +96,6 @@ private:
   uint64_t PageBytes;
   unsigned PageShift;
   FlatU64Map<Addr> Map; // VPN -> physical page base.
-  /// The last page translate() found. Mapping never changes a mapped
-  /// page, so only unmapping clears it. ~0 is never a VPN.
-  mutable uint64_t CachedVpn = ~uint64_t(0);
-  mutable Addr CachedPage = 0;
 };
 
 } // namespace hetsim

@@ -9,33 +9,34 @@ using namespace hetsim;
 Tlb::Tlb(unsigned NumEntries, unsigned NumWays, uint64_t PageSize)
     : Ways(NumWays), PageBytes(PageSize), PageShift(log2Exact(PageSize)) {
   if (NumWays == 0 || NumEntries % NumWays != 0 ||
-      !isPowerOf2(NumEntries / NumWays) || !isPowerOf2(PageSize))
+      !isPowerOf2(NumEntries / NumWays) || !isPowerOf2(PageSize) ||
+      PageSize < 2)
     fatalError("invalid TLB geometry");
   NumSets = NumEntries / NumWays;
-  Entries.resize(NumEntries);
+  Vpns.assign(NumEntries, InvalidVpn);
+  Frames.assign(NumEntries, 0);
+  Stamps.assign(NumEntries, 0);
 }
 
-void Tlb::fill(size_t SetBase, uint64_t Vpn) {
+void Tlb::fill(Addr VAddr, Addr Frame) {
   ++Stats.Misses;
+  const uint64_t Vpn = VAddr >> PageShift;
+  const size_t SetBase = size_t(Vpn & (NumSets - 1)) * Ways;
   // Fill the LRU (or first invalid) way.
   unsigned Victim = 0;
   for (unsigned W = 0; W != Ways; ++W) {
-    Entry &E = Entries[SetBase + W];
-    if (!E.Valid) {
+    if (Vpns[SetBase + W] == InvalidVpn) {
       Victim = W;
       break;
     }
-    if (E.Stamp < Entries[SetBase + Victim].Stamp)
+    if (Stamps[SetBase + W] < Stamps[SetBase + Victim])
       Victim = W;
   }
-  Entry &E = Entries[SetBase + Victim];
-  E.Valid = true;
-  E.Vpn = Vpn;
-  E.Stamp = NextStamp++;
-  LastIndex = SetBase + Victim;
+  const size_t I = SetBase + Victim;
+  Vpns[I] = Vpn;
+  Frames[I] = Frame;
+  Stamps[I] = NextStamp++;
+  LastIndex = I;
 }
 
-void Tlb::flush() {
-  for (Entry &E : Entries)
-    E.Valid = false;
-}
+void Tlb::flush() { Vpns.assign(Vpns.size(), InvalidVpn); }

@@ -27,36 +27,53 @@ struct TlbStats {
   }
 };
 
-/// A set-associative LRU TLB over virtual page numbers.
+/// A set-associative LRU TLB over virtual page numbers. Each entry
+/// carries its page's frame (physical page base), so a hit translates
+/// without the page table. The owner keeps the frames current: only a
+/// remap changes an existing mapping, and it flushes the TLB.
 class Tlb {
 public:
   Tlb(unsigned Entries, unsigned Ways, uint64_t PageBytes);
 
-  /// Looks \p VAddr up, filling on a miss; returns true on a hit. Inline:
-  /// every memory access translates. Consecutive accesses mostly stay on
-  /// one page, so the entry that served the previous lookup is checked
-  /// before the set is scanned; a page is resident in at most one way, so
-  /// this finds the same entry the scan would.
-  bool lookup(Addr VAddr) {
+  /// Looks \p VAddr up. On a hit returns true and sets \p Frame to the
+  /// entry's frame; on a miss returns false, and the caller walks the page
+  /// table and installs the frame with fill(). Inline: every memory access
+  /// translates. Consecutive accesses mostly stay on one page, so the
+  /// entry that served the previous lookup is checked before the set is
+  /// scanned; a page is resident in at most one way, so this finds the
+  /// same entry the scan would.
+  bool lookup(Addr VAddr, Addr &Frame) {
     ++Stats.Lookups;
     const uint64_t Vpn = VAddr >> PageShift;
     size_t Hit = LastIndex;
-    if (!(Entries[Hit].Valid && Entries[Hit].Vpn == Vpn)) {
+    if (Vpns[Hit] != Vpn) {
       const size_t SetBase = size_t(Vpn & (NumSets - 1)) * Ways;
       Hit = SetBase;
-      while (Hit != SetBase + Ways &&
-             !(Entries[Hit].Valid && Entries[Hit].Vpn == Vpn))
+      while (Hit != SetBase + Ways && Vpns[Hit] != Vpn)
         ++Hit;
-      if (Hit == SetBase + Ways) {
-        fill(SetBase, Vpn);
+      if (Hit == SetBase + Ways)
         return false;
-      }
       LastIndex = Hit;
     }
     ++Stats.Hits;
-    Entries[Hit].Stamp = NextStamp++;
+    Stamps[Hit] = NextStamp++;
+    Frame = Frames[Hit];
     return true;
   }
+
+  /// Looks \p VAddr up, filling on a miss with no frame; returns true on
+  /// a hit. For callers that model only hits and misses.
+  bool lookup(Addr VAddr) {
+    Addr Frame = 0;
+    if (lookup(VAddr, Frame))
+      return true;
+    fill(VAddr, 0);
+    return false;
+  }
+
+  /// The miss path: installs \p Frame for \p VAddr's page over the first
+  /// invalid or least recently used way of its set.
+  void fill(Addr VAddr, Addr Frame);
 
   /// Invalidates all entries (e.g. after remapping).
   void flush();
@@ -65,21 +82,19 @@ public:
   uint64_t pageBytes() const { return PageBytes; }
 
 private:
-  struct Entry {
-    uint64_t Vpn = 0;
-    uint64_t Stamp = 0;
-    bool Valid = false;
-  };
-
-  /// The miss path of lookup(): installs \p Vpn over the first invalid or
-  /// least recently used way of the set at \p SetBase.
-  void fill(size_t SetBase, uint64_t Vpn);
+  /// The VPN of an invalid entry. Pages hold at least two bytes, so no
+  /// address shifts down to it.
+  static constexpr uint64_t InvalidVpn = ~uint64_t(0);
 
   unsigned NumSets;
   unsigned Ways;
   uint64_t PageBytes;
   unsigned PageShift;
-  std::vector<Entry> Entries;
+  // Per-entry state, one array per field, Sets x Ways row-major: a lookup
+  // scans only VPNs.
+  std::vector<uint64_t> Vpns; ///< InvalidVpn for an invalid entry.
+  std::vector<Addr> Frames;
+  std::vector<uint64_t> Stamps; ///< Last use, for LRU.
   /// The entry the previous lookup hit or filled.
   size_t LastIndex = 0;
   TlbStats Stats;

@@ -20,17 +20,21 @@ static void addCache(MetricsSnapshot &Out, const std::string &Prefix,
   Out.add(Prefix + ".bypassed_fills", double(S.BypassedFills));
 }
 
+/// \p HasQueue adds the background-queue keys: only the CPU device has a
+/// queue, so a discrete GPU device's would always read zero.
 static void addDram(MetricsSnapshot &Out, const std::string &Prefix,
-                    const DramSystem &Dram) {
+                    const DramSystem &Dram, bool HasQueue) {
   const DramStats &S = Dram.stats();
   Out.add(Prefix + ".reads", double(S.Reads));
   Out.add(Prefix + ".writes", double(S.Writes));
   Out.add(Prefix + ".row_hits", double(S.RowHits));
   Out.add(Prefix + ".row_misses", double(S.RowMisses));
   Out.add(Prefix + ".bytes", double(S.BytesTransferred));
-  Out.add(Prefix + ".batch_drains", double(S.BatchDrains));
-  Out.add(Prefix + ".batched_reqs", double(S.BatchedRequests));
-  Out.add(Prefix + ".peak_queue_depth", double(S.PeakQueueDepth));
+  if (HasQueue) {
+    Out.add(Prefix + ".batch_drains", double(S.BatchDrains));
+    Out.add(Prefix + ".batched_reqs", double(S.BatchedRequests));
+    Out.add(Prefix + ".peak_queue_depth", double(S.PeakQueueDepth));
+  }
   Out.add(Prefix + ".queued", double(Dram.queuedRequests()));
 }
 
@@ -47,9 +51,9 @@ void hetsim::captureMetrics(MemorySystem &Mem, MetricsSnapshot &Out) {
   addCache(Out, "cache.gpu_l1", Mem.gpuL1().stats());
   addCache(Out, "cache.l3", Mem.l3().stats());
 
-  addDram(Out, "dram.cpu", Mem.cpuDram());
+  addDram(Out, "dram.cpu", Mem.cpuDram(), /*HasQueue=*/true);
   if (Mem.config().SeparateGpuDram)
-    addDram(Out, "dram.gpu", Mem.gpuDram());
+    addDram(Out, "dram.gpu", Mem.gpuDram(), /*HasQueue=*/false);
 
   const NocStats &Noc = Mem.noc().stats();
   Out.add("noc.messages", double(Noc.Messages));

@@ -70,22 +70,20 @@ const TraceRecord *TraceReader::take(size_t Count) {
     Expander->next(Window);
     Pos = 0;
   }
-  const std::vector<TraceRecord> &Records = Window.records();
   if (Window.size() - Pos >= Count) {
-    const TraceRecord *Span = Records.data() + Pos;
+    const TraceRecord *Span = Window.begin() + Pos;
     Pos += Count;
     return Span;
   }
 
   // The span straddles windows: carry the tail over and join it with as
   // many fresh windows as it takes.
-  Joined.assign(Records.begin() + std::ptrdiff_t(Pos), Records.end());
+  Joined.assign(Window.begin() + Pos, Window.end());
   while (Joined.size() < Count) {
     Expander->next(Window);
     assert(!Window.empty() && "block expanded short of its total");
     Pos = std::min(Count - Joined.size(), Window.size());
-    Joined.insert(Joined.end(), Records.begin(),
-                  Records.begin() + std::ptrdiff_t(Pos));
+    Joined.insert(Joined.end(), Window.begin(), Window.begin() + Pos);
   }
   return Joined.data();
 }

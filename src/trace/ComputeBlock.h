@@ -4,8 +4,7 @@
 /// Compact (run-length) representations of compute traces. A BlockTrace
 /// describes a record stream by its *recipe* — a (generator, request)
 /// pair — instead of a materialized vector of millions of TraceRecords.
-/// Cores expand blocks a window at a time (a few thousand records that
-/// stay L1-resident).
+/// Cores expand blocks a window at a time (a few thousand records).
 ///
 /// Expansion is exact: BlockExpander replays the same generator code over
 /// the same GenState, so the concatenation of all windows is byte-identical
@@ -26,9 +25,12 @@
 
 namespace hetsim {
 
-/// Number of records an expansion window aims for. Small enough that the
-/// reusable window buffer (~96KB) stays cache-resident while a core
-/// consumes it, large enough to amortize per-window bookkeeping.
+/// Number of records an expansion window aims for. The reusable window
+/// buffer (~96KB) does not fit a host L1; the size trades per-window
+/// bookkeeping (a clock read and the emitter set-up per window) against
+/// the distance between writing a record and reading it: at this size a
+/// core reads what the generator just wrote from a typical host L2, and a
+/// point's memory stays flat however long its trace.
 constexpr size_t ComputeWindowRecords = 4096;
 
 /// Process-wide CPU nanoseconds spent producing trace records (single-shot

@@ -9,6 +9,18 @@
 
 using namespace hetsim;
 
+void TraceEmitter::grow() {
+  // Double what this emitter has written (at least 64 records), within
+  // the budget. The buffer ends at Limit == Cursor, so the new slots
+  // continue the cursor.
+  const size_t Emitted = emitted();
+  const uint64_t Want = Emitted < 64 ? 64 : Emitted;
+  const size_t More = size_t(Remaining < Want ? Remaining : Want);
+  Cursor = Buffer.extend(More);
+  First = Cursor - Emitted;
+  Limit = Cursor + More;
+}
+
 KernelTraceGenerator::~KernelTraceGenerator() = default;
 
 StreamCursor KernelTraceGenerator::cursorFor(const DataSegment &Segment,
@@ -51,20 +63,19 @@ uint64_t KernelTraceGenerator::emitCompute(GenState &S, const GenRequest &Req,
                                            TraceBuffer &Window,
                                            uint64_t Budget,
                                            size_t WindowTarget) const {
-  const size_t Before = Window.size();
   TraceEmitter Emitter(Window, Budget, WindowTarget + 64);
   if (Req.Pu == PuKind::Cpu) {
-    while (!Emitter.done() && Window.size() - Before < WindowTarget) {
+    while (!Emitter.done() && Emitter.emitted() < WindowTarget) {
       cpuIteration(Emitter, S);
       ++S.Iter;
     }
   } else {
-    while (!Emitter.done() && Window.size() - Before < WindowTarget) {
+    while (!Emitter.done() && Emitter.emitted() < WindowTarget) {
       gpuIteration(Emitter, S);
       ++S.Iter;
     }
   }
-  return Window.size() - Before;
+  return Emitter.emitted();
 }
 
 TraceBuffer
@@ -98,13 +109,12 @@ void KernelTraceGenerator::beginSerial(GenState &S,
 uint64_t KernelTraceGenerator::emitSerial(GenState &S, TraceBuffer &Window,
                                           uint64_t Budget,
                                           size_t WindowTarget) const {
-  const size_t Before = Window.size();
   TraceEmitter E(Window, Budget, WindowTarget + 16);
-  while (!E.done() && Window.size() - Before < WindowTarget) {
+  while (!E.done() && E.emitted() < WindowTarget) {
     serialIteration(E, S);
     ++S.Iter;
   }
-  return Window.size() - Before;
+  return E.emitted();
 }
 
 void KernelTraceGenerator::serialIteration(TraceEmitter &E,

@@ -41,81 +41,91 @@ struct GenRequest {
   WorkSplit Split = WorkSplit::FullRange;
 };
 
-/// Budget-limited emission wrapper. Emitters become no-ops once the exact
-/// instruction budget is reached, so generator loop bodies never overshoot.
+/// Budget-limited emission into a TraceBuffer. Emitters become no-ops once
+/// the exact instruction budget is reached, so generator loop bodies never
+/// overshoot. The buffer is extended once up front and filled through a
+/// cursor; only an iteration that overruns that slack grows it again (out
+/// of line), and the destructor truncates it to the records emitted.
 class TraceEmitter {
 public:
-  /// \p ReserveHint caps the up-front reservation: windowed expansion
-  /// passes the window size so a small reusable buffer is never grown to
-  /// the full remaining budget.
+  /// \p ReserveHint caps the up-front extension: windowed expansion passes
+  /// the window size plus slack, so a small reusable buffer is never grown
+  /// to the full remaining budget.
   TraceEmitter(TraceBuffer &Out, uint64_t Budget, size_t ReserveHint)
       : Buffer(Out), Remaining(Budget) {
-    Out.reserve(Out.size() +
-                size_t(Budget < ReserveHint ? Budget : ReserveHint));
+    const size_t Slots = size_t(Budget < ReserveHint ? Budget : ReserveHint);
+    First = Cursor = Buffer.extend(Slots);
+    Limit = First + Slots;
   }
+  ~TraceEmitter() { Buffer.truncate(Buffer.size() - size_t(Limit - Cursor)); }
+  TraceEmitter(const TraceEmitter &) = delete;
+  TraceEmitter &operator=(const TraceEmitter &) = delete;
 
   bool done() const { return Remaining == 0; }
-  uint64_t remaining() const { return Remaining; }
+  /// Records emitted so far.
+  size_t emitted() const { return size_t(Cursor - First); }
 
   void alu(Opcode Op, uint32_t Pc, uint8_t Dst, uint8_t SrcA,
            uint8_t SrcB = NoReg) {
-    if (!take())
-      return;
-    Buffer.emitAlu(Op, Pc, Dst, SrcA, SrcB);
+    if (TraceRecord *R = take())
+      *R = aluRecord(Op, Pc, Dst, SrcA, SrcB);
   }
 
   void load(uint32_t Pc, uint8_t Dst, Addr Address, uint16_t Bytes,
             uint8_t AddrReg = NoReg) {
-    if (!take())
-      return;
-    Buffer.emitLoad(Pc, Dst, Address, Bytes, AddrReg);
+    if (TraceRecord *R = take())
+      *R = loadRecord(Pc, Dst, Address, Bytes, AddrReg);
   }
 
   void store(uint32_t Pc, uint8_t Src, Addr Address, uint16_t Bytes,
              uint8_t AddrReg = NoReg) {
-    if (!take())
-      return;
-    Buffer.emitStore(Pc, Src, Address, Bytes, AddrReg);
+    if (TraceRecord *R = take())
+      *R = storeRecord(Pc, Src, Address, Bytes, AddrReg);
   }
 
   void branch(uint32_t Pc, bool Taken, uint8_t CondReg = NoReg) {
-    if (!take())
-      return;
-    Buffer.emitBranch(Pc, Taken, CondReg);
+    if (TraceRecord *R = take())
+      *R = branchRecord(Pc, Taken, CondReg);
   }
 
   void simdLoad(uint32_t Pc, uint8_t Dst, Addr Address, uint16_t BytesPerLane,
                 uint8_t Lanes, uint16_t StrideBytes) {
-    if (!take())
-      return;
-    Buffer.emitSimdLoad(Pc, Dst, Address, BytesPerLane, Lanes, StrideBytes);
+    if (TraceRecord *R = take())
+      *R = simdLoadRecord(Pc, Dst, Address, BytesPerLane, Lanes, StrideBytes);
   }
 
   void simdStore(uint32_t Pc, uint8_t Src, Addr Address,
                  uint16_t BytesPerLane, uint8_t Lanes,
                  uint16_t StrideBytes) {
-    if (!take())
-      return;
-    Buffer.emitSimdStore(Pc, Src, Address, BytesPerLane, Lanes, StrideBytes);
+    if (TraceRecord *R = take())
+      *R = simdStoreRecord(Pc, Src, Address, BytesPerLane, Lanes,
+                           StrideBytes);
   }
 
   void smem(bool IsStore, uint32_t Pc, uint8_t Reg, Addr Offset,
             uint16_t Bytes, uint8_t Lanes = 8, uint16_t StrideBytes = 4) {
-    if (!take())
-      return;
-    Buffer.emitSmem(IsStore, Pc, Reg, Offset, Bytes, Lanes, StrideBytes);
+    if (TraceRecord *R = take())
+      *R = smemRecord(IsStore, Pc, Reg, Offset, Bytes, Lanes, StrideBytes);
   }
 
 private:
-  bool take() {
+  /// The next record's slot, or nullptr once the budget is spent.
+  TraceRecord *take() {
     if (Remaining == 0)
-      return false;
+      return nullptr;
+    if (Cursor == Limit)
+      grow();
     --Remaining;
-    return true;
+    return Cursor++;
   }
+  /// Extends the buffer when an iteration overruns the slack.
+  void grow();
 
   TraceBuffer &Buffer;
   uint64_t Remaining;
+  TraceRecord *First;  ///< The first record this emitter wrote.
+  TraceRecord *Cursor; ///< The next record's slot.
+  TraceRecord *Limit;  ///< The end of the extended slots.
 };
 
 /// A circular cursor over (part of) a data segment.

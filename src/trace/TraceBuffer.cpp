@@ -11,8 +11,8 @@ using namespace hetsim;
 
 TraceMix TraceBuffer::computeMix() const {
   TraceMix Mix;
-  Mix.Total = Records.size();
-  for (const TraceRecord &R : Records) {
+  Mix.Total = size();
+  for (const TraceRecord &R : records()) {
     switch (R.Op) {
     case Opcode::Load:
       ++Mix.Loads;

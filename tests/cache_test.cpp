@@ -146,10 +146,10 @@ TEST(Cache, InvalidateReturnsDirty) {
 TEST(Cache, DowngradeToShared) {
   Cache C(tinyCache());
   C.access(tinyAddr(0, 1), true);
-  EXPECT_EQ(C.lineState(tinyAddr(0, 1)), CohState::Modified);
   EXPECT_TRUE(C.downgradeToShared(tinyAddr(0, 1)));
-  EXPECT_EQ(C.lineState(tinyAddr(0, 1)), CohState::Shared);
+  EXPECT_TRUE(C.probe(tinyAddr(0, 1)));              // Still resident.
   EXPECT_FALSE(C.downgradeToShared(tinyAddr(0, 1))); // Now clean.
+  EXPECT_FALSE(C.invalidate(tinyAddr(0, 1)));        // No writeback owed.
 }
 
 TEST(Cache, FlushAllWritesBackDirtyLines) {
@@ -161,17 +161,6 @@ TEST(Cache, FlushAllWritesBackDirtyLines) {
   C.flushAll([&Written](Addr A) { Written.push_back(A); });
   EXPECT_EQ(Written.size(), 2u);
   EXPECT_EQ(C.residentLines(), 0u);
-}
-
-TEST(Cache, CoherenceStateTransitions) {
-  Cache C(tinyCache());
-  C.access(tinyAddr(0, 1), false);
-  EXPECT_EQ(C.lineState(tinyAddr(0, 1)), CohState::Exclusive);
-  C.access(tinyAddr(0, 1), true);
-  EXPECT_EQ(C.lineState(tinyAddr(0, 1)), CohState::Modified);
-  C.setLineState(tinyAddr(0, 1), CohState::Shared);
-  EXPECT_EQ(C.lineState(tinyAddr(0, 1)), CohState::Shared);
-  EXPECT_EQ(C.lineState(tinyAddr(0, 7)), CohState::Invalid); // Absent.
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,8 +9,18 @@
 /// and single core segments against their materialized buffers — and
 /// assert identical RunResults, SegmentResults and metrics documents.
 ///
+/// The memory walk's shortcuts are exact too, and each has a differential
+/// test against a naive reference kept here: the cache's per-field arrays
+/// and first-minimum LRU against a per-set recency list, the integer
+/// clock conversion against the float path, the TLB's cached frames
+/// against the page table across remaps, and the cursor emitter against
+/// single-shot generation when an iteration overruns its slack.
+///
 //===----------------------------------------------------------------------===//
 
+#include "cache/Cache.h"
+#include "common/Random.h"
+#include "common/Units.h"
 #include "core/ExtraWorkloads.h"
 #include "core/HeteroSimulator.h"
 #include "gpu/GpuCore.h"
@@ -22,8 +32,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <memory>
 #include <string>
+#include <vector>
 
 using namespace hetsim;
 
@@ -298,6 +310,81 @@ TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
   }
 }
 
+namespace {
+
+/// A generator whose every iteration emits 200 records, more than the
+/// emitter's 64-record slack past the window target, of every kind.
+class WideIterationGenerator final : public KernelTraceGenerator {
+public:
+  WideIterationGenerator() : KernelTraceGenerator("wide-iteration", 0x700000) {}
+
+protected:
+  void setUpCursors(GenState &S, const KernelDataLayout &,
+                    WorkSplit) const override {
+    S.Cur[0].Base = region::CpuPrivateBase;
+    S.Cur[0].Bytes = 1 << 20;
+  }
+  void cpuIteration(TraceEmitter &E, GenState &S) const override {
+    emit(E, S, /*Gpu=*/false);
+  }
+  void gpuIteration(TraceEmitter &E, GenState &S) const override {
+    emit(E, S, /*Gpu=*/true);
+  }
+
+private:
+  void emit(TraceEmitter &E, GenState &S, bool Gpu) const {
+    const uint32_t Pc = pcBase();
+    for (unsigned I = 0; I != 40; ++I) {
+      const uint8_t R = uint8_t(8 + (S.Iter + I) % 24);
+      const Addr A = S.Cur[0].advance(Gpu ? 32 : 4);
+      if (Gpu) {
+        E.simdLoad(Pc, R, A, 4, 8, 4);
+        E.smem(/*IsStore=*/I % 2 == 0, Pc + 4, R, (S.Iter * 32) % 16384, 4);
+        E.simdStore(Pc + 8, R, A, 4, 8, 4);
+      } else {
+        E.load(Pc, R, A, 4);
+        E.store(Pc + 8, R, A, 4, uint8_t(R + 1));
+        E.alu(Opcode::IntAlu, Pc + 4, uint8_t(R + 1), R);
+      }
+      E.alu(Opcode::FpAlu, Pc + 12, 7, 7, R);
+      E.branch(Pc + 16, S.Rng.nextBool(0.5), R);
+    }
+  }
+};
+
+} // namespace
+
+TEST(FastPathExpansion, EmitterGrowsPastSlack) {
+  const WideIterationGenerator Gen;
+  const KernelDataLayout Layout =
+      KernelDataLayout::makeLinear(KernelId::Reduction, region::CpuPrivateBase);
+  for (PuKind Pu : {PuKind::Cpu, PuKind::Gpu}) {
+    GenRequest Req;
+    Req.Pu = Pu;
+    Req.InstCount = 30030; // Ends mid-iteration.
+    Req.Seed = 3;
+    const BlockTrace Block(Gen, Req, Layout);
+    const std::string What = Pu == PuKind::Cpu ? "cpu" : "gpu";
+    expectWindowsConcatenate(Block, What);
+
+    // Every window but the last stops at the first iteration boundary at
+    // or past the target: 21 iterations, 4200 records, which is more than
+    // the emitter extended up front.
+    BlockExpander Expander(Block);
+    TraceBuffer Window;
+    uint64_t Total = 0;
+    while (!Expander.done()) {
+      const uint64_t Got = Expander.next(Window);
+      ASSERT_EQ(Window.size(), Got) << What;
+      Total += Got;
+      if (!Expander.done()) {
+        EXPECT_EQ(Got, 4200u) << What;
+      }
+    }
+    EXPECT_EQ(Total, Req.InstCount) << What;
+  }
+}
+
 // A block handle has no records to hand out: reaching for them must fail
 // loudly and point at the streaming readers.
 TEST(FastPathExpansionDeathTest, BufferOnBlockHandleNamesBlockExpander) {
@@ -309,4 +396,327 @@ TEST(FastPathExpansionDeathTest, BufferOnBlockHandleNamesBlockExpander) {
   SharedTrace Trace(
       std::make_shared<const BlockTrace>(KernelId::Reduction, Req, Layout));
   EXPECT_DEATH(Trace.buffer(), "BlockExpander");
+}
+
+//===----------------------------------------------------------------------===//
+// Cache: per-field arrays and first-minimum LRU against a recency list.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A naive reference cache: per set, a list of resident lines from most
+/// to least recently used.
+class ReferenceCache {
+public:
+  struct Line {
+    Addr Address;
+    bool Dirty;
+    bool Explicit;
+  };
+  struct Outcome {
+    bool Hit = false;
+    bool Bypassed = false;
+    bool Evicted = false;
+    Line Victim{};
+  };
+
+  ReferenceCache(const CacheConfig &Config)
+      : Ways(Config.Ways), NumSets(Config.numSets()),
+        Hybrid(Config.Replacement == ReplacementKind::HybridLru),
+        MaxExplicit(Config.Ways - 1), Sets(NumSets) {}
+
+  Outcome access(Addr Address, bool IsWrite, bool MarkExplicit) {
+    Outcome Out;
+    std::list<Line> &Set = setOf(Address);
+    auto It = find(Set, Address);
+    if (It != Set.end()) {
+      Out.Hit = true;
+      Line L = *It;
+      Set.erase(It);
+      L.Dirty |= IsWrite;
+      L.Explicit |= MarkExplicit;
+      Set.push_front(L);
+      return Out;
+    }
+    if (Set.size() == Ways) {
+      auto Victim = chooseVictim(Set, MarkExplicit);
+      if (Victim == Set.end()) {
+        Out.Bypassed = true;
+        return Out;
+      }
+      Out.Evicted = true;
+      Out.Victim = *Victim;
+      Set.erase(Victim);
+    }
+    Set.push_front({Address, IsWrite, MarkExplicit});
+    return Out;
+  }
+
+  /// Removes \p Address; returns whether it was dirty.
+  bool invalidate(Addr Address) {
+    std::list<Line> &Set = setOf(Address);
+    auto It = find(Set, Address);
+    if (It == Set.end())
+      return false;
+    const bool Dirty = It->Dirty;
+    Set.erase(It);
+    return Dirty;
+  }
+
+  /// Cleans \p Address; returns whether it was dirty.
+  bool downgrade(Addr Address) {
+    std::list<Line> &Set = setOf(Address);
+    auto It = find(Set, Address);
+    if (It == Set.end())
+      return false;
+    const bool Dirty = It->Dirty;
+    It->Dirty = false;
+    return Dirty;
+  }
+
+  /// Empties the cache; returns the dirty lines' addresses, sorted.
+  std::vector<Addr> flushAll() {
+    std::vector<Addr> Written;
+    for (std::list<Line> &Set : Sets) {
+      for (const Line &L : Set)
+        if (L.Dirty)
+          Written.push_back(L.Address);
+      Set.clear();
+    }
+    std::sort(Written.begin(), Written.end());
+    return Written;
+  }
+
+  std::vector<Line> lines() const {
+    std::vector<Line> All;
+    for (const std::list<Line> &Set : Sets)
+      All.insert(All.end(), Set.begin(), Set.end());
+    return All;
+  }
+
+private:
+  std::list<Line> &setOf(Addr Address) {
+    return Sets[(Address / CacheLineBytes) % NumSets];
+  }
+  static std::list<Line>::iterator find(std::list<Line> &Set, Addr Address) {
+    return std::find_if(Set.begin(), Set.end(), [Address](const Line &L) {
+      return L.Address == Address;
+    });
+  }
+  /// The least recently used line the fill may evict, or end() (bypass).
+  std::list<Line>::iterator chooseVictim(std::list<Line> &Set,
+                                         bool FillIsExplicit) {
+    if (Hybrid && FillIsExplicit) {
+      unsigned ExplicitLines = 0;
+      for (const Line &L : Set)
+        ExplicitLines += L.Explicit;
+      if (ExplicitLines >= MaxExplicit)
+        return lru(Set, [](const Line &L) { return L.Explicit; });
+    }
+    if (Hybrid && !FillIsExplicit)
+      return lru(Set, [](const Line &L) { return !L.Explicit; });
+    return lru(Set, [](const Line &) { return true; });
+  }
+  template <typename Pred>
+  static std::list<Line>::iterator lru(std::list<Line> &Set, Pred Eligible) {
+    for (auto It = Set.end(); It != Set.begin();) {
+      --It;
+      if (Eligible(*It))
+        return It;
+    }
+    return Set.end();
+  }
+
+  unsigned Ways;
+  unsigned NumSets;
+  bool Hybrid;
+  unsigned MaxExplicit;
+  std::vector<std::list<Line>> Sets;
+};
+
+void expectCacheMatchesReference(unsigned Ways, ReplacementKind Replacement,
+                                 uint64_t Seed) {
+  constexpr unsigned NumSets = 4;
+  CacheConfig Config;
+  Config.Name = "differential";
+  Config.SizeBytes = uint64_t(NumSets) * Ways * CacheLineBytes;
+  Config.Ways = Ways;
+  Config.Replacement = Replacement;
+  const bool Hybrid = Replacement == ReplacementKind::HybridLru;
+  const std::string What = std::to_string(Ways) + "-way " +
+                           (Hybrid ? "hybrid-lru" : "lru") + " seed " +
+                           std::to_string(Seed);
+
+  Cache C(Config);
+  ReferenceCache Ref(Config);
+  XorShiftRng Rng(Seed);
+  // Twice as many tags per set as ways: hits, misses and evictions mix.
+  const uint64_t Tags = 2 * uint64_t(Ways);
+  for (unsigned Step = 0; Step != 20000; ++Step) {
+    const Addr Address = (Rng.nextBelow(Tags) * NumSets +
+                          Rng.nextBelow(NumSets)) * CacheLineBytes;
+    const uint64_t Op = Rng.nextBelow(100);
+    const std::string At = What + " step " + std::to_string(Step);
+    if (Op < 85) {
+      const bool IsWrite = Rng.nextBool(0.3);
+      const bool MarkExplicit = Hybrid && Rng.nextBool(0.2);
+      const CacheAccessResult Got = C.access(Address, IsWrite, MarkExplicit);
+      const ReferenceCache::Outcome Want =
+          Ref.access(Address, IsWrite, MarkExplicit);
+      ASSERT_EQ(Got.Hit, Want.Hit) << At;
+      ASSERT_EQ(Got.BypassedFill, Want.Bypassed) << At;
+      const bool WantWriteback = Want.Evicted && Want.Victim.Dirty;
+      ASSERT_EQ(Got.WroteBack, WantWriteback) << At;
+      if (WantWriteback) {
+        ASSERT_EQ(Got.VictimAddr, Want.Victim.Address) << At;
+      }
+      if (Want.Evicted) {
+        ASSERT_FALSE(C.probe(Want.Victim.Address)) << At << " victim";
+      }
+    } else if (Op < 92) {
+      ASSERT_EQ(C.invalidate(Address), Ref.invalidate(Address)) << At;
+    } else if (Op < 99) {
+      ASSERT_EQ(C.downgradeToShared(Address), Ref.downgrade(Address)) << At;
+    } else {
+      std::vector<Addr> Written;
+      C.flushAll([&Written](Addr A) { Written.push_back(A); });
+      std::sort(Written.begin(), Written.end());
+      ASSERT_EQ(Written, Ref.flushAll()) << At;
+    }
+
+    const std::vector<ReferenceCache::Line> Lines = Ref.lines();
+    ASSERT_EQ(C.residentLines(), Lines.size()) << At;
+    unsigned ExplicitLines = 0;
+    for (const ReferenceCache::Line &L : Lines) {
+      ASSERT_TRUE(C.probe(L.Address)) << At;
+      ExplicitLines += L.Explicit;
+    }
+    ASSERT_EQ(C.residentExplicitLines(), ExplicitLines) << At;
+  }
+}
+
+} // namespace
+
+TEST(FastPathCache, MatchesReferenceLru) {
+  for (unsigned Ways : {4u, 8u, 32u})
+    for (ReplacementKind Replacement :
+         {ReplacementKind::Lru, ReplacementKind::HybridLru})
+      for (uint64_t Seed : {1u, 2u})
+        expectCacheMatchesReference(Ways, Replacement, Seed);
+}
+
+//===----------------------------------------------------------------------===//
+// Clock conversion: the integer form against the float path.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The conversion through nanoseconds, as two float steps rounded up.
+Cycle floatConvert(PuKind From, PuKind To, Cycle Cycles) {
+  const double FromHz = From == PuKind::Cpu ? 3.5e9 : 1.5e9;
+  const double ToHz = To == PuKind::Cpu ? 3.5e9 : 1.5e9;
+  const double Ns = double(Cycles) * 1e9 / FromHz;
+  const double ToCycles = Ns * ToHz / 1e9;
+  const Cycle Floor = static_cast<Cycle>(ToCycles);
+  return ToCycles > double(Floor) ? Floor + 1 : Floor;
+}
+
+/// Counts the values of \p Values whose conversion disagrees, reporting
+/// the first few.
+template <typename Range>
+unsigned countMismatches(PuKind From, PuKind To, const Range &Values) {
+  unsigned Mismatches = 0;
+  for (Cycle C : Values) {
+    const Cycle Got = convertCycles(From, To, C);
+    const Cycle Want = floatConvert(From, To, C);
+    if (Got != Want && ++Mismatches <= 5)
+      ADD_FAILURE() << "convertCycles(" << (From == PuKind::Cpu ? "cpu" : "gpu")
+                    << ", " << C << ") = " << Got << ", float path " << Want;
+  }
+  return Mismatches;
+}
+
+} // namespace
+
+TEST(FastPathUnits, ConvertCyclesMatchesFloatPath) {
+  const std::pair<PuKind, PuKind> Directions[] = {{PuKind::Cpu, PuKind::Gpu},
+                                                  {PuKind::Gpu, PuKind::Cpu}};
+  // Exhaustive below 2^22: both integer regimes and the float path for
+  // multiples at or above 2^21.
+  std::vector<Cycle> Small(Cycle(1) << 22);
+  for (Cycle C = 0; C != Small.size(); ++C)
+    Small[C] = C;
+  // Seeded values below 2^41: both sides of the 2^40 bound.
+  XorShiftRng Rng(2026);
+  std::vector<Cycle> Large(10000000);
+  for (Cycle &C : Large)
+    C = Rng.next() >> 23;
+  // The bounds, their neighbours, and the nearest multiples of 3 and 7.
+  std::vector<Cycle> Edges;
+  for (Cycle Bound : {Cycle(1) << 21, Cycle(1) << 40})
+    for (Cycle Near = Bound - 1; Near <= Bound + 1; ++Near)
+      for (Cycle Den : {Cycle(1), Cycle(3), Cycle(7)})
+        for (Cycle Multiple : {Near / Den * Den, (Near / Den + 1) * Den,
+                               (Near / Den - 1) * Den})
+          Edges.push_back(Multiple);
+
+  for (auto [From, To] : Directions) {
+    EXPECT_EQ(countMismatches(From, To, Small), 0u);
+    EXPECT_EQ(countMismatches(From, To, Large), 0u);
+    EXPECT_EQ(countMismatches(From, To, Edges), 0u);
+  }
+  EXPECT_EQ(convertCycles(PuKind::Cpu, PuKind::Cpu, 12345), 12345u);
+}
+
+//===----------------------------------------------------------------------===//
+// TLB frames against the page table across remaps.
+//===----------------------------------------------------------------------===//
+
+TEST(FastPathTlb, FrameMatchesPageTableAcrossRemap) {
+  MemorySystem Mem;
+  // Two ranges per PU: accesses land in both, and remaps move between
+  // them, so a TLB entry that outlived its mapping would serve a frame
+  // the page table no longer holds.
+  struct Range {
+    PuKind Pu;
+    Addr Base;
+    uint64_t Bytes;
+  };
+  const Range Ranges[] = {
+      {PuKind::Cpu, region::CpuPrivateBase, 64 * 4096},
+      {PuKind::Cpu, region::CpuPrivateBase + 0x1000000, 64 * 4096},
+      {PuKind::Gpu, region::SharedBase, 8 * 65536},
+      {PuKind::Gpu, region::SharedBase + 0x1000000, 8 * 65536},
+  };
+  Mem.mapRange(PuKind::Cpu, Ranges[0].Base, Ranges[0].Bytes);
+  Mem.mapRange(PuKind::Gpu, Ranges[2].Base, Ranges[2].Bytes);
+
+  XorShiftRng Rng(11);
+  uint64_t DemandMaps = 0;
+  Cycle Now[2] = {0, 0};
+  for (unsigned Step = 0; Step != 40000; ++Step) {
+    const Range &R = Ranges[Rng.nextBelow(4)];
+    if (Rng.nextBelow(500) == 0) {
+      // Move the range to its sibling (or back).
+      const Range &Other = Ranges[(&R - Ranges) ^ 1];
+      Mem.remapRange(R.Pu, R.Base, Other.Base, R.Bytes);
+      continue;
+    }
+    const Addr VAddr = R.Base + Rng.nextBelow(R.Bytes / 4) * 4;
+    PageTable &Pt = Mem.pageTable(R.Pu);
+    DemandMaps += !Pt.isMapped(VAddr);
+    Cycle &Clock = Now[R.Pu == PuKind::Cpu ? 0 : 1];
+    Mem.access(R.Pu, VAddr, 4, Rng.nextBool(0.3), Clock);
+    Clock += 10;
+
+    const std::optional<Addr> PAddr = Pt.translate(VAddr);
+    ASSERT_TRUE(PAddr.has_value()) << "step " << Step;
+    Cache &L1 = R.Pu == PuKind::Cpu ? Mem.cpuL1() : Mem.gpuL1();
+    ASSERT_TRUE(L1.probe(alignDown(*PAddr, CacheLineBytes)))
+        << "step " << Step;
+    ASSERT_EQ(Mem.stats().counter("mem.demand_maps"), DemandMaps)
+        << "step " << Step;
+  }
+  EXPECT_GT(Mem.stats().counter("mem.remap_pages"), 0u);
+  EXPECT_GT(DemandMaps, 0u);
 }

@@ -64,8 +64,8 @@ TEST(PageTable, UnmapRange) {
 }
 
 TEST(PageTable, UnmapForgetsTheLastTranslation) {
-  // translate() remembers the last page it found; unmapping that page, or
-  // remapping it elsewhere, must not serve the stale frame.
+  // Unmapping a page just translated, or remapping it elsewhere, must not
+  // serve the stale frame.
   PhysicalMemory Device("test", 1 << 20);
   PageTable Pt(PuKind::Gpu, 65536);
   Pt.mapRange(0x50000000, 65536, Device);

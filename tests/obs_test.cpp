@@ -317,6 +317,24 @@ TEST(Observability, CollectMetricsCarriesRunAndMemoryState) {
   EXPECT_EQ(M.get("dram.cpu.queued"), 0.0);
 }
 
+TEST(Observability, DiscreteGpuDramHasNoQueueKeys) {
+  // Only the CPU device has a background queue: a discrete GPU memory
+  // reports its traffic but no always-zero queue keys.
+  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
+  ASSERT_TRUE(Config.Hier.SeparateGpuDram);
+  HeteroSimulator Simulator(Config);
+  RunResult Result = Simulator.run(KernelId::Reduction);
+  MetricsSnapshot M = Simulator.collectMetrics(Result);
+  EXPECT_TRUE(M.has("dram.gpu.reads"));
+  EXPECT_GT(M.get("dram.gpu.reads"), 0.0);
+  EXPECT_FALSE(M.has("dram.gpu.batch_drains"));
+  EXPECT_FALSE(M.has("dram.gpu.batched_reqs"));
+  EXPECT_FALSE(M.has("dram.gpu.peak_queue_depth"));
+  EXPECT_TRUE(M.has("dram.cpu.batch_drains"));
+  EXPECT_TRUE(M.has("dram.cpu.batched_reqs"));
+  EXPECT_TRUE(M.has("dram.cpu.peak_queue_depth"));
+}
+
 TEST(Observability, ConservationHoldsAcrossShippedDesignSpace) {
   // The 54-point shipped space (5 case studies + 4 address-space studies,
   // all six kernels): every point must satisfy the DRAM conservation
