@@ -19,11 +19,13 @@
 #include "core/Experiments.h"
 #include "trace/ComputeBlock.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 using namespace hetsim;
 
@@ -128,7 +130,13 @@ void benchSweep(const BenchOptions &Opts) {
 /// Phase 4: scaling gate — a jobs=2 sweep must finish no slower than
 /// 1.05x the serial wall on a host that actually has two cores (the
 /// threshold tolerates timer noise; real contention regressions blow
-/// straight past it).
+/// straight past it). Serial and jobs=2 sweeps alternate three times and
+/// the medians are compared, so a burst of load from other processes on
+/// a shared host cannot fail the gate alone. The smoke sweep is every
+/// case study on the five kernels other than matrix multiply: 25 points
+/// small enough that the pool rebalances around a stalled worker, where
+/// one matrix-multiply point is most of a sweep's serial wall, so with it
+/// jobs=2 could only tie serial.
 /// Single-core hosts print a visible skip notice instead of a flaky gate.
 void benchScaling(const BenchOptions &Opts) {
   std::printf("=== scaling: jobs=2 vs serial sweep wall ===\n");
@@ -142,8 +150,7 @@ void benchScaling(const BenchOptions &Opts) {
   std::vector<SweepPoint> Points;
   for (CaseStudy Study : allCaseStudies())
     for (KernelId Kernel : allKernels()) {
-      if (Opts.Smoke &&
-          (Study != CaseStudy::CpuGpu || Kernel > KernelId::Convolution))
+      if (Opts.Smoke && Kernel == KernelId::MatrixMul)
         continue;
       Points.emplace_back(SystemConfig::forCaseStudy(Study), Kernel);
     }
@@ -156,17 +163,28 @@ void benchScaling(const BenchOptions &Opts) {
     appendBenchTiming(Bench, Runner.telemetry());
     return Runner.telemetry().WallSeconds;
   };
-  double SerialSecs = RunWith(1, "hetsim_bench_scaling_serial");
-  double ParallelSecs = RunWith(2, "hetsim_bench_scaling_jobs2");
+  constexpr unsigned Rounds = 3;
+  std::vector<double> Serial, Parallel;
+  for (unsigned Round = 0; Round != Rounds; ++Round) {
+    Serial.push_back(RunWith(1, "hetsim_bench_scaling_serial"));
+    Parallel.push_back(RunWith(2, "hetsim_bench_scaling_jobs2"));
+  }
+  auto Median = [](std::vector<double> V) {
+    std::sort(V.begin(), V.end());
+    return V[V.size() / 2];
+  };
+  double SerialSecs = Median(Serial);
+  double ParallelSecs = Median(Parallel);
 
   if (ParallelSecs > SerialSecs * 1.05) {
     std::fprintf(stderr,
-                 "error: jobs=2 sweep (%.3f s) exceeded 1.05x serial "
-                 "wall (%.3f s)\n",
+                 "error: jobs=2 sweep (median %.3f s) exceeded 1.05x serial "
+                 "wall (median %.3f s)\n",
                  ParallelSecs, SerialSecs);
     std::exit(1);
   }
-  std::printf("  gate ok: jobs=2 %.3f s <= 1.05 x serial %.3f s\n",
+  std::printf("  gate ok: jobs=2 median %.3f s <= 1.05 x serial median "
+              "%.3f s\n",
               ParallelSecs, SerialSecs);
 }
 

@@ -68,8 +68,11 @@ HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
 echo "== gate 1c: parallel scaling smoke (jobs=2 vs serial) =="
 # A jobs=2 sweep must finish within 1.05x the serial wall — the gate that
 # catches contention between workers under parallel sweeps. The bench
-# itself prints a visible SKIP notice (and enforces nothing) on
-# single-core hosts, where the comparison would be noise.
+# alternates three serial and three jobs=2 sweeps of points that balance
+# (every case study on every kernel but matrix multiply) and compares the
+# medians.
+# It prints a visible SKIP notice (and enforces nothing) on single-core
+# hosts, where the comparison would be noise.
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   build/bench/hetsim_bench --smoke --phase scaling
 

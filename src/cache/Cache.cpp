@@ -69,7 +69,8 @@ Cache::Cache(const CacheConfig &Cfg, uint64_t RngSeed)
   NumSets = Config.numSets();
   LineShift = log2Exact(Config.LineBytes);
   TagShift = LineShift + log2Exact(NumSets);
-  const size_t NumLines = size_t(NumSets) * Config.Ways;
+  RowWays = Config.Ways + (Config.Ways & 1);
+  const size_t NumLines = size_t(NumSets) * RowWays;
   Tags.assign(NumLines, InvalidTag);
   Stamps.assign(NumLines, 0);
   Flags.assign(NumLines, LineFlags());
@@ -138,7 +139,7 @@ CacheAccessResult Cache::fill(Addr Address, bool IsWrite, bool MarkExplicit) {
   CacheAccessResult Result;
   ++Stats.Misses;
   const unsigned Set = setIndex(Address);
-  const size_t SetBase = size_t(Set) * Config.Ways;
+  const size_t SetBase = size_t(Set) * RowWays;
   int Way = chooseVictim(SetBase, MarkExplicit);
   if (Way < 0) {
     ++Stats.BypassedFills;
@@ -186,7 +187,7 @@ bool Cache::downgradeToShared(Addr Address) {
 void Cache::flushAll(const std::function<void(Addr)> &WritebackFn) {
   for (unsigned Set = 0; Set != NumSets; ++Set) {
     for (unsigned W = 0; W != Config.Ways; ++W) {
-      const size_t I = size_t(Set) * Config.Ways + W;
+      const size_t I = size_t(Set) * RowWays + W;
       if (Stamps[I] == 0)
         continue;
       if (Flags[I].Dirty && WritebackFn)

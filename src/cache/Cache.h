@@ -18,6 +18,10 @@
 #include <functional>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace hetsim {
 
 /// Result of an access or fill.
@@ -121,15 +125,42 @@ private:
     return (Tag << TagShift) | (Addr(Set) << LineShift);
   }
   /// The index of \p Address's line in the per-line arrays, or NoLine.
-  /// Tags alone decide: invalid ways hold InvalidTag.
+  /// Tags alone decide: invalid ways and the padding way hold InvalidTag.
+  /// The whole row is compared and the matches collected in one mask, so
+  /// the only data-dependent branch is hit or miss. Rows wider than 64
+  /// ways take one mask per 64 ways.
   size_t findLine(Addr Address) const {
-    const size_t SetBase = size_t(setIndex(Address)) * Config.Ways;
-    const Addr *SetTags = &Tags[SetBase];
+    const size_t SetBase = size_t(setIndex(Address)) * RowWays;
+    const Addr *Row = &Tags[SetBase];
     const Addr Tag = tagOf(Address);
-    for (unsigned W = 0; W != Config.Ways; ++W)
-      if (SetTags[W] == Tag)
-        return SetBase + W;
+    for (unsigned Way = 0; Way < RowWays; Way += 64) {
+      const unsigned Chunk = RowWays - Way < 64 ? RowWays - Way : 64;
+      const uint64_t Match = matchMask(Row + Way, Chunk, Tag);
+      if (Match != 0)
+        return SetBase + Way + unsigned(__builtin_ctzll(Match));
+    }
     return NoLine;
+  }
+  /// Bit W set iff Row[W] == Tag, for an even \p Ways <= 64: two tags per
+  /// 128-bit compare.
+  static uint64_t matchMask(const Addr *Row, unsigned Ways, Addr Tag) {
+    uint64_t Mask = 0;
+#if defined(__SSE2__)
+    // SSE2 has no 64-bit lane compare: a lane matches when both of its
+    // 32-bit halves do.
+    const __m128i Key = _mm_set1_epi64x(static_cast<long long>(Tag));
+    for (unsigned W = 0; W != Ways; W += 2) {
+      const __m128i Pair =
+          _mm_loadu_si128(reinterpret_cast<const __m128i *>(Row + W));
+      __m128i Eq = _mm_cmpeq_epi32(Pair, Key);
+      Eq = _mm_and_si128(Eq, _mm_shuffle_epi32(Eq, _MM_SHUFFLE(2, 3, 0, 1)));
+      Mask |= uint64_t(_mm_movemask_pd(_mm_castsi128_pd(Eq))) << W;
+    }
+#else
+    for (unsigned W = 0; W != Ways; ++W)
+      Mask |= uint64_t(Row[W] == Tag) << W;
+#endif
+    return Mask;
   }
   /// Clears line \p I to the invalid state.
   void invalidateLine(size_t I) {
@@ -144,9 +175,12 @@ private:
   int chooseVictim(size_t SetBase, bool FillIsExplicit);
 
   CacheConfig Config;
-  // Per-line state, one array per field, Sets x Ways row-major. Every
+  // Per-line state, one array per field, Sets x RowWays row-major. Every
   // lookup scans a set's tags and every LRU fill a set's stamps, so each
-  // is contiguous: a 32-way set's tags or stamps are 256 bytes.
+  // is contiguous: a 32-way set's tags or stamps are 256 bytes. An odd
+  // way count is padded with one way that stays invalid (InvalidTag,
+  // stamp 0) and that no victim choice visits, so every geometry's rows
+  // compare in whole pairs.
   std::vector<Addr> Tags;       ///< InvalidTag for an invalid way.
   std::vector<uint64_t> Stamps; ///< Last use; 0 = invalid, else unique.
   std::vector<LineFlags> Flags;
@@ -154,6 +188,7 @@ private:
   XorShiftRng Rng;
   uint64_t NextStamp = 1;
   unsigned NumSets;
+  unsigned RowWays; ///< Config.Ways rounded up to even.
   unsigned LineShift;
   unsigned TagShift; ///< LineShift + log2(NumSets).
 };

@@ -2,6 +2,7 @@
 
 #include "cache/Directory.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace hetsim;
@@ -10,7 +11,10 @@ CoherenceAction Directory::onAccess(PuKind Requestor, Addr LineAddress,
                                     bool IsWrite) {
   ++Stats.Lookups;
   CoherenceAction Action;
-  Entry &E = Entries[LineAddress];
+  const size_t Index = indexOf(LineAddress);
+  if (Index >= Entries.size())
+    Entries.resize(std::max(Index + 1, Entries.size() + Entries.size() / 2));
+  Entry &E = Entries[Index];
 
   const DirState MyExclusive = Requestor == PuKind::Cpu
                                    ? DirState::ExclusiveCpu
@@ -23,6 +27,7 @@ CoherenceAction Directory::onAccess(PuKind Requestor, Addr LineAddress,
   case DirState::Uncached:
     E.State = MyExclusive;
     E.Dirty = IsWrite;
+    ++Tracked;
     break;
 
   case DirState::SharedBoth:
@@ -62,20 +67,17 @@ CoherenceAction Directory::onAccess(PuKind Requestor, Addr LineAddress,
   if (Action.InvalidateRemote)
     ++Stats.RemoteInvalidations;
   Stats.Messages += Action.Messages;
-
-  if (E.State == DirState::Uncached)
-    Entries.erase(LineAddress);
   return Action;
 }
 
 void Directory::onEviction(PuKind Pu, Addr LineAddress) {
-  Entry *Found = Entries.find(LineAddress);
-  if (!Found)
+  const size_t Index = indexOf(LineAddress);
+  if (Index >= Entries.size())
     return;
-  Entry &E = *Found;
+  Entry &E = Entries[Index];
   switch (E.State) {
   case DirState::Uncached:
-    break;
+    return;
   case DirState::SharedBoth:
     // The other PU becomes the sole (clean) holder.
     E.State = Pu == PuKind::Cpu ? DirState::ExclusiveGpu
@@ -91,12 +93,13 @@ void Directory::onEviction(PuKind Pu, Addr LineAddress) {
       return;
     break;
   }
-  Entries.erase(LineAddress);
+  E = Entry();
+  --Tracked;
 }
 
 DirState Directory::state(Addr LineAddress) const {
-  const Entry *Found = Entries.find(LineAddress);
-  return Found ? Found->State : DirState::Uncached;
+  const size_t Index = indexOf(LineAddress);
+  return Index < Entries.size() ? Entries[Index].State : DirState::Uncached;
 }
 
 bool Directory::isSharer(PuKind Pu, Addr LineAddress) const {
@@ -115,5 +118,6 @@ bool Directory::isSharer(PuKind Pu, Addr LineAddress) const {
 
 void Directory::clear() {
   Entries.clear();
+  Tracked = 0;
   Stats = DirectoryStats();
 }

@@ -12,7 +12,6 @@
 #ifndef HETSIM_CACHE_DIRECTORY_H
 #define HETSIM_CACHE_DIRECTORY_H
 
-#include "common/FlatMap.h"
 #include "common/Types.h"
 
 #include <vector>
@@ -46,8 +45,11 @@ struct DirectoryStats {
   uint64_t Messages = 0;
 };
 
-/// Sparse MESI directory covering the coherent portion of the address
-/// space.
+/// MESI directory covering the coherent portion of the address space.
+/// Physical memory is bump-allocated from 0, so lines are dense: the
+/// directory keeps one two-byte entry per physical line in a vector
+/// indexed by line number, grown on demand, and a line no access reached
+/// reads as Uncached.
 class Directory {
 public:
   /// Handles a demand access from \p Requestor to \p LineAddress. \p Dirty
@@ -66,7 +68,7 @@ public:
   const DirectoryStats &stats() const { return Stats; }
 
   /// Number of tracked (non-Uncached) lines.
-  size_t trackedLines() const { return Entries.size(); }
+  size_t trackedLines() const { return Tracked; }
 
   void clear();
 
@@ -76,7 +78,12 @@ private:
     bool Dirty = false;
   };
 
-  FlatU64Map<Entry> Entries; // line address -> state, open-addressed.
+  static size_t indexOf(Addr LineAddress) {
+    return size_t(LineAddress >> log2Exact(CacheLineBytes));
+  }
+
+  std::vector<Entry> Entries; // Line number -> state.
+  size_t Tracked = 0;
   DirectoryStats Stats;
 };
 

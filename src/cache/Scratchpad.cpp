@@ -8,34 +8,8 @@
 
 using namespace hetsim;
 
-Cycle Scratchpad::access(Addr Offset, uint32_t Bytes, bool IsWrite) {
-  if (Offset + Bytes > SizeBytes)
-    fatalError("scratchpad access out of bounds");
-  if (IsWrite)
-    ++Writes;
-  else
-    ++Reads;
-  return AccessLatency;
-}
-
-unsigned Scratchpad::conflictDegree(Addr Offset, unsigned Lanes,
-                                    uint32_t StrideBytes) const {
-  if (Lanes <= 1)
-    return 1;
-  // The degree only depends on the offset modulo one full bank rotation
-  // (4 bytes/word * NumBanks words), so a tiny memo covers the handful of
-  // (offset-phase, stride, lanes) shapes a kernel produces.
-  const Addr Rotation = Addr(4) * NumBanks;
-  Addr OffsetMod = isPowerOf2(Rotation) ? Offset & (Rotation - 1)
-                                        : Offset % Rotation;
-  size_t Slot =
-      (size_t(OffsetMod) * 31 + size_t(StrideBytes) * 7 + Lanes) % Memo.size();
-  MemoEntry &E = Memo[Slot];
-  if (E.OffsetMod == OffsetMod && E.Stride == StrideBytes && E.Lanes == Lanes)
-    return E.Degree;
-  unsigned Degree = conflictDegreeUncached(OffsetMod, Lanes, StrideBytes);
-  E = {OffsetMod, StrideBytes, Lanes, Degree};
-  return Degree;
+void Scratchpad::outOfBounds() {
+  fatalError("scratchpad access out of bounds");
 }
 
 unsigned Scratchpad::conflictDegreeUncached(Addr Offset, unsigned Lanes,
@@ -74,21 +48,4 @@ unsigned Scratchpad::conflictDegreeUncached(Addr Offset, unsigned Lanes,
       Worst = Counts[Bank];
   }
   return Worst;
-}
-
-Cycle Scratchpad::warpAccess(Addr Offset, uint32_t BytesPerLane,
-                             unsigned Lanes, uint32_t StrideBytes,
-                             bool IsWrite) {
-  Addr Last = Offset + (Lanes > 0 ? (Lanes - 1) * Addr(StrideBytes) : 0) +
-              BytesPerLane;
-  if (Last > SizeBytes)
-    fatalError("scratchpad access out of bounds");
-  if (IsWrite)
-    ++Writes;
-  else
-    ++Reads;
-  unsigned Degree = conflictDegree(Offset, Lanes, StrideBytes);
-  if (Degree > 1)
-    BankConflicts += Degree - 1;
-  return AccessLatency * Degree;
 }

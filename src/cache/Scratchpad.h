@@ -26,19 +26,49 @@ public:
   Scratchpad(uint64_t Size, Cycle Latency, unsigned Banks = 16)
       : SizeBytes(Size), AccessLatency(Latency), NumBanks(Banks) {}
 
-  /// Latency of a scalar access at \p Offset; aborts on out-of-bounds
-  /// offsets (an explicit-management bug in the client).
-  Cycle access(Addr Offset, uint32_t Bytes, bool IsWrite);
-
   /// Latency of a warp access: \p Lanes lanes starting at \p Offset with
   /// \p StrideBytes between lanes. Bank conflicts multiply the base
-  /// latency by the worst per-bank collision count.
+  /// latency by the worst per-bank collision count. Aborts on
+  /// out-of-bounds offsets (an explicit-management bug in the client).
+  /// Inline, with the memo hit of conflictDegree: every GPU scratchpad
+  /// instruction calls it.
   Cycle warpAccess(Addr Offset, uint32_t BytesPerLane, unsigned Lanes,
-                   uint32_t StrideBytes, bool IsWrite);
+                   uint32_t StrideBytes, bool IsWrite) {
+    Addr Last = Offset + (Lanes > 0 ? (Lanes - 1) * Addr(StrideBytes) : 0) +
+                BytesPerLane;
+    if (Last > SizeBytes)
+      outOfBounds();
+    if (IsWrite)
+      ++Writes;
+    else
+      ++Reads;
+    unsigned Degree = conflictDegree(Offset, Lanes, StrideBytes);
+    if (Degree > 1)
+      BankConflicts += Degree - 1;
+    return AccessLatency * Degree;
+  }
 
   /// Worst-case lanes hitting one bank for a strided warp access.
   unsigned conflictDegree(Addr Offset, unsigned Lanes,
-                          uint32_t StrideBytes) const;
+                          uint32_t StrideBytes) const {
+    if (Lanes <= 1)
+      return 1;
+    // The degree only depends on the offset modulo one full bank rotation
+    // (4 bytes/word * NumBanks words), so a tiny memo covers the handful
+    // of (offset-phase, stride, lanes) shapes a kernel produces.
+    const Addr Rotation = Addr(4) * NumBanks;
+    Addr OffsetMod = isPowerOf2(Rotation) ? Offset & (Rotation - 1)
+                                          : Offset % Rotation;
+    size_t Slot = (size_t(OffsetMod) * 31 + size_t(StrideBytes) * 7 + Lanes) %
+                  Memo.size();
+    MemoEntry &E = Memo[Slot];
+    if (E.OffsetMod == OffsetMod && E.Stride == StrideBytes &&
+        E.Lanes == Lanes)
+      return E.Degree;
+    unsigned Degree = conflictDegreeUncached(OffsetMod, Lanes, StrideBytes);
+    E = {OffsetMod, StrideBytes, Lanes, Degree};
+    return Degree;
+  }
 
   uint64_t sizeBytes() const { return SizeBytes; }
   Cycle latency() const { return AccessLatency; }
@@ -63,6 +93,8 @@ private:
 
   unsigned conflictDegreeUncached(Addr Offset, unsigned Lanes,
                                   uint32_t StrideBytes) const;
+  /// The fatal error of an out-of-bounds access, out of line.
+  [[noreturn]] static void outOfBounds();
 
   uint64_t SizeBytes;
   Cycle AccessLatency;

@@ -45,14 +45,24 @@ namespace {
 /// update in step(). The span and windowed paths both drive this same
 /// update code, so they agree by construction.
 struct CpuPipeline {
-  const CpuConfig &Config;
   MemorySystem &Mem;
   GsharePredictor &Predictor;
   Cache &ICache;
   SegmentResult &Result;
 
+  // The configuration scalars step() reads, held by value: stores through
+  // the state arrays and the result cannot alias them, so they need no
+  // reload per record.
+  const unsigned FetchWidth;
+  const unsigned IssueWidth;
+  const unsigned RetireWidth;
+  const Cycle MispredictPenalty;
+  const Cycle L1IMissPenalty;
+  const bool ModelInstructionFetch;
+  const bool EnableStoreForwarding;
+
   // Operand readiness per architectural register.
-  std::vector<Cycle> RegReady;
+  std::array<Cycle, NumTraceRegs> RegReady;
   // Retire times of in-flight instructions, a ring buffer of ROB size:
   // instruction I cannot dispatch until instruction I - RobEntries retired.
   // RobSlot is I mod RobEntries, kept by wrap-around rather than division.
@@ -86,26 +96,35 @@ struct CpuPipeline {
   CpuPipeline(const CpuConfig &Cfg, MemorySystem &Memory,
               GsharePredictor &Pred, Cache &L1I, SegmentResult &Res,
               Cycle StartCycle)
-      : Config(Cfg), Mem(Memory), Predictor(Pred), ICache(L1I), Result(Res),
-        RegReady(NumTraceRegs, StartCycle),
+      : Mem(Memory), Predictor(Pred), ICache(L1I), Result(Res),
+        FetchWidth(Cfg.FetchWidth), IssueWidth(Cfg.IssueWidth),
+        RetireWidth(Cfg.RetireWidth),
+        MispredictPenalty(Cfg.MispredictPenalty),
+        L1IMissPenalty(Cfg.L1IMissPenalty),
+        ModelInstructionFetch(Cfg.ModelInstructionFetch),
+        EnableStoreForwarding(Cfg.EnableStoreForwarding),
         RobRetire(Cfg.RobEntries, StartCycle), FetchCycle(StartCycle),
-        IssueBusyCycle(StartCycle), LastRetire(StartCycle) {}
+        IssueBusyCycle(StartCycle), LastRetire(StartCycle) {
+    RegReady.fill(StartCycle);
+  }
 
-  void step(const TraceRecord &R) {
+  // Inlined into runSpan's loop: a call per record would save and
+  // restore every register the inlined hit walk uses.
+  [[gnu::always_inline]] void step(const TraceRecord &R) {
     // --- Fetch ---
-    if (FetchedThisCycle >= Config.FetchWidth) {
+    if (FetchedThisCycle >= FetchWidth) {
       ++FetchCycle;
       FetchedThisCycle = 0;
     }
     // Instruction fetch goes through the L1I one line at a time; a miss
     // stalls the front end.
-    if (Config.ModelInstructionFetch) {
+    if (ModelInstructionFetch) {
       Addr FetchLine = alignDown(R.Pc, CacheLineBytes);
       if (FetchLine != LastFetchLine) {
         LastFetchLine = FetchLine;
         if (!ICache.access(FetchLine, /*IsWrite=*/false).Hit) {
           ++Result.ICacheMisses;
-          FetchCycle += Config.L1IMissPenalty;
+          FetchCycle += L1IMissPenalty;
           FetchedThisCycle = 0;
         }
       }
@@ -125,7 +144,7 @@ struct CpuPipeline {
     if (Ready > IssueBusyCycle) {
       IssueBusyCycle = Ready;
       IssuedThisCycle = 0;
-    } else if (IssuedThisCycle >= Config.IssueWidth) {
+    } else if (IssuedThisCycle >= IssueWidth) {
       ++IssueBusyCycle;
       IssuedThisCycle = 0;
       Ready = IssueBusyCycle;
@@ -150,13 +169,13 @@ struct CpuPipeline {
       // unless a recent store to the same address forwards it.
       const unsigned PageBit = storePageBit(R.MemAddr);
       if (isStoreOp(R.Op)) {
-        if (Config.EnableStoreForwarding) {
+        if (EnableStoreForwarding) {
           StoreBuffer[R.MemAddr >> 6] |= uint64_t(1) << (R.MemAddr & 63);
           StorePages[PageBit / 64] |= uint64_t(1) << (PageBit % 64);
         }
       } else {
         Complete = IssueCycle + MemResult.Latency;
-        if (Config.EnableStoreForwarding &&
+        if (EnableStoreForwarding &&
             (StorePages[PageBit / 64] >> (PageBit % 64) & 1)) {
           const uint64_t *Stored = StoreBuffer.find(R.MemAddr >> 6);
           if (Stored && (*Stored >> (R.MemAddr & 63) & 1)) {
@@ -176,7 +195,7 @@ struct CpuPipeline {
       if (!Correct) {
         ++Result.BranchMispredicts;
         // Refetch from the resolved target.
-        Cycle Refetch = Complete + Config.MispredictPenalty;
+        Cycle Refetch = Complete + MispredictPenalty;
         if (Refetch > FetchCycle) {
           FetchCycle = Refetch;
           FetchedThisCycle = 0;
@@ -189,7 +208,7 @@ struct CpuPipeline {
     if (Retire > LastRetire) {
       LastRetire = Retire;
       RetiredThisCycle = 0;
-    } else if (RetiredThisCycle >= Config.RetireWidth) {
+    } else if (RetiredThisCycle >= RetireWidth) {
       ++LastRetire;
       RetiredThisCycle = 0;
       Retire = LastRetire;
@@ -210,10 +229,6 @@ struct CpuPipeline {
 };
 
 } // namespace
-
-SegmentResult CpuCore::run(const TraceBuffer &Trace, Cycle StartCycle) {
-  return run(Trace.records().data(), Trace.size(), StartCycle);
-}
 
 SegmentResult CpuCore::run(const TraceRecord *Records, size_t Count,
                            Cycle StartCycle) {

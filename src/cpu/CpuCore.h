@@ -89,14 +89,11 @@ class CpuCore {
 public:
   CpuCore(const CpuConfig &Config, MemorySystem &Mem);
 
-  /// Runs \p Trace to completion starting at core cycle \p StartCycle and
-  /// returns its timing. Core state (predictor, I-cache) persists across
-  /// segments; register readiness is reset per segment (segments are
-  /// separated by synchronization anyway).
-  SegmentResult run(const TraceBuffer &Trace, Cycle StartCycle);
-
-  /// Same, over a raw record span (used by the interleaved-contention
-  /// driver to run a trace in slices).
+  /// Runs \p Count records from \p Records to completion starting at core
+  /// cycle \p StartCycle and returns their timing (the interleaved-
+  /// contention driver runs a trace in such slices). Core state
+  /// (predictor, I-cache) persists across segments; register readiness is
+  /// reset per segment (segments are separated by synchronization anyway).
   SegmentResult run(const TraceRecord *Records, size_t Count,
                     Cycle StartCycle);
 

@@ -8,6 +8,7 @@
 #include "trace/ComputeBlock.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <vector>
 
@@ -23,18 +24,27 @@ namespace {
 
 /// In-order execution state of one warp context.
 struct WarpState {
-  std::vector<Cycle> RegReady;
+  std::array<Cycle, NumTraceRegs> RegReady;
   Cycle NextIssue;
-  std::vector<Cycle> Pending; // Outstanding memory completions.
+  std::vector<Cycle> Pending; // Outstanding memory completions, unordered.
   Cycle LastComplete;
 
-  explicit WarpState(Cycle Start)
-      : RegReady(NumTraceRegs, Start), NextIssue(Start), LastComplete(Start) {}
+  explicit WarpState(Cycle Start) : NextIssue(Start), LastComplete(Start) {
+    RegReady.fill(Start);
+  }
 
+  /// Drops the completions at or before \p Now. Only the count and the
+  /// minimum of Pending are ever read, so a dropped entry is replaced by
+  /// the last one instead of shifting the rest down.
   void retirePendingBefore(Cycle Now) {
-    Pending.erase(std::remove_if(Pending.begin(), Pending.end(),
-                                 [Now](Cycle C) { return C <= Now; }),
-                  Pending.end());
+    for (size_t I = 0; I != Pending.size();) {
+      if (Pending[I] <= Now) {
+        Pending[I] = Pending.back();
+        Pending.pop_back();
+      } else {
+        ++I;
+      }
+    }
   }
 };
 
@@ -47,13 +57,16 @@ struct WarpState {
 /// others. The span and windowed paths both drive this one update
 /// function.
 struct GpuPipeline {
-  const GpuConfig &Config;
   MemorySystem &Mem;
   SegmentResult &Result;
 
+  // The configuration scalars step() reads, held by value: stores through
+  // the warp state and the result cannot alias them.
   const unsigned W;
   const unsigned Chunk;
   const unsigned PendingPerWarp;
+  const Cycle BranchStall;
+  const unsigned DivergentBranchFactor;
 
   std::vector<WarpState> Warps;
   Cycle LastComplete;
@@ -65,13 +78,17 @@ struct GpuPipeline {
 
   GpuPipeline(const GpuConfig &Cfg, MemorySystem &Memory, SegmentResult &Res,
               Cycle StartCycle)
-      : Config(Cfg), Mem(Memory), Result(Res), W(Cfg.NumWarps),
+      : Mem(Memory), Result(Res), W(Cfg.NumWarps),
         Chunk(std::max(1u, Cfg.WarpChunkRecords)),
         PendingPerWarp(std::max(1u, Cfg.MaxPendingLoads / W + 1)),
+        BranchStall(Cfg.BranchStall),
+        DivergentBranchFactor(std::max(1u, Cfg.DivergentBranchFactor)),
         Warps(W, WarpState(StartCycle)), LastComplete(StartCycle),
         ChunkLeft(Chunk) {}
 
-  void step(const TraceRecord &R) {
+  // Inlined into runSpan's loop: a call per record would save and
+  // restore every register the inlined hit walk uses.
+  [[gnu::always_inline]] void step(const TraceRecord &R) {
     WarpState &Warp = Warps[WarpSlot];
     if (--ChunkLeft == 0) {
       ChunkLeft = Chunk;
@@ -124,9 +141,9 @@ struct GpuPipeline {
       // No predictor: this warp's pipeline drains on every branch
       // (Table II); the other warps keep the core busy. Data-dependent
       // branches additionally diverge the warp (both paths execute).
-      Cycle Stall = Config.BranchStall;
+      Cycle Stall = BranchStall;
       if (R.SrcRegA != NoReg && R.SrcRegA != 0)
-        Stall *= std::max(1u, Config.DivergentBranchFactor);
+        Stall *= DivergentBranchFactor;
       Warp.NextIssue = Complete + Stall;
       ++Result.BranchMispredicts; // Every branch pays the stall.
     }
@@ -142,10 +159,6 @@ struct GpuPipeline {
 };
 
 } // namespace
-
-SegmentResult GpuCore::run(const TraceBuffer &Trace, Cycle StartCycle) {
-  return run(Trace.records().data(), Trace.size(), StartCycle);
-}
 
 SegmentResult GpuCore::run(const TraceRecord *Records, size_t Count,
                            Cycle StartCycle) {

@@ -46,10 +46,9 @@ class GpuCore {
 public:
   GpuCore(const GpuConfig &Config, MemorySystem &Mem);
 
-  /// Runs \p Trace (warp instructions) starting at GPU cycle \p StartCycle.
-  SegmentResult run(const TraceBuffer &Trace, Cycle StartCycle);
-
-  /// Same, over a raw record span (sliced interleaved execution).
+  /// Runs \p Count warp instructions from \p Records starting at GPU
+  /// cycle \p StartCycle (sliced interleaved execution runs a trace in
+  /// such spans).
   SegmentResult run(const TraceRecord *Records, size_t Count,
                     Cycle StartCycle);
 

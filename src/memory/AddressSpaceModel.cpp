@@ -43,7 +43,7 @@ bool Placement::isShared(const std::string &Name) const {
 
 AddressSpaceModel::~AddressSpaceModel() = default;
 
-bool AddressSpaceModel::canAccess(PuKind, Addr) const { return true; }
+bool AddressSpaceModel::canAccess(PuKind, MemRegion) const { return true; }
 
 bool AddressSpaceModel::needsExplicitTransfer() const { return false; }
 
@@ -99,8 +99,8 @@ Placement DisjointAddressSpace::placeObjects(
   return P;
 }
 
-bool DisjointAddressSpace::canAccess(PuKind Pu, Addr Address) const {
-  switch (regionOf(Address)) {
+bool DisjointAddressSpace::canAccess(PuKind Pu, MemRegion Region) const {
+  switch (Region) {
   case MemRegion::CpuPrivate:
     return Pu == PuKind::Cpu;
   case MemRegion::GpuPrivate:
@@ -147,9 +147,8 @@ Placement AdsmAddressSpace::placeObjects(
   return P;
 }
 
-bool AdsmAddressSpace::canAccess(PuKind Pu, Addr Address) const {
+bool AdsmAddressSpace::canAccess(PuKind Pu, MemRegion Region) const {
   if (Pu == PuKind::Cpu)
     return true; // The CPU can access the entire memory space.
-  MemRegion R = regionOf(Address);
-  return R == MemRegion::GpuPrivate || R == MemRegion::Shared;
+  return Region == MemRegion::GpuPrivate || Region == MemRegion::Shared;
 }

@@ -46,6 +46,7 @@ inline constexpr uint64_t RegionSpan = 0x40000000ull;
 
 /// Which region an address belongs to.
 enum class MemRegion : uint8_t { CpuPrivate, GpuPrivate, Shared, Unknown };
+inline constexpr unsigned NumMemRegions = 4;
 
 /// Classifies \p Address into a region (inline: every access asks).
 inline MemRegion regionOf(Addr Address) {
@@ -96,10 +97,12 @@ public:
     return placeObjects(kernelDataObjects(Kernel));
   }
 
-  /// True if \p Pu may access \p Address at all under this model. Under
-  /// ADSM the GPU may only touch its private space and the shared space;
-  /// under disjoint each PU sees only its own space (Section II-A).
-  virtual bool canAccess(PuKind Pu, Addr Address) const;
+  /// True if \p Pu may access addresses in \p Region at all under this
+  /// model. Under ADSM the GPU may only touch its private space and the
+  /// shared space; under disjoint each PU sees only its own space
+  /// (Section II-A). Every model decides by region alone, so the memory
+  /// system asks once per run, not per access.
+  virtual bool canAccess(PuKind Pu, MemRegion Region) const;
 
   /// True if this model requires explicit transfer commands to move data
   /// between the PUs (disjoint), as opposed to shared-space visibility.
@@ -127,7 +130,7 @@ public:
   AddressSpaceKind kind() const override { return AddressSpaceKind::Disjoint; }
   Placement
   placeObjects(const std::vector<DataObjectSpec> &Objects) const override;
-  bool canAccess(PuKind Pu, Addr Address) const override;
+  bool canAccess(PuKind Pu, MemRegion Region) const override;
   bool needsExplicitTransfer() const override { return true; }
 };
 
@@ -149,7 +152,7 @@ public:
   AddressSpaceKind kind() const override { return AddressSpaceKind::Adsm; }
   Placement
   placeObjects(const std::vector<DataObjectSpec> &Objects) const override;
-  bool canAccess(PuKind Pu, Addr Address) const override;
+  bool canAccess(PuKind Pu, MemRegion Region) const override;
   bool supportsOwnership() const override { return true; }
 };
 

@@ -4,15 +4,15 @@
 
 #include "common/Error.h"
 #include "common/Units.h"
-#include "memory/AddressSpaceModel.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace hetsim;
 
 MemorySystem::MemorySystem(const MemHierConfig &Cfg)
-    : Config(Cfg), CpuMshr(Cfg.CpuMshrs), GpuMshr(Cfg.GpuMshrs),
+    : Config(Cfg), CpuL1(Cfg.CpuL1, /*RngSeed=*/11),
+      CpuL2(Cfg.CpuL2, /*RngSeed=*/13), GpuL1(Cfg.GpuL1, /*RngSeed=*/17),
+      L3(Cfg.L3, /*RngSeed=*/19), CpuMshr(Cfg.CpuMshrs), GpuMshr(Cfg.GpuMshrs),
       CpuTlb(Cfg.CpuTlbEntries, Cfg.TlbWays, Cfg.CpuPageBytes),
       GpuTlb(Cfg.GpuTlbEntries, Cfg.TlbWays, Cfg.GpuPageBytes),
       CpuPhys("cpu.dram", Cfg.DeviceBytes),
@@ -25,10 +25,6 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg)
     Noc = std::make_unique<MeshNoc>(Cfg.Mesh);
   else
     Noc = std::make_unique<RingBus>(Cfg.Ring);
-  CpuL1 = std::make_unique<Cache>(Cfg.CpuL1, /*RngSeed=*/11);
-  CpuL2 = std::make_unique<Cache>(Cfg.CpuL2, /*RngSeed=*/13);
-  GpuL1 = std::make_unique<Cache>(Cfg.GpuL1, /*RngSeed=*/17);
-  L3 = std::make_unique<Cache>(Cfg.L3, /*RngSeed=*/19);
   CpuDram = std::make_unique<DramSystem>(Cfg.Dram);
   if (Cfg.SeparateGpuDram)
     GpuDramDevice = std::make_unique<DramSystem>(Cfg.Dram);
@@ -82,7 +78,7 @@ void MemorySystem::mapRange(PuKind Pu, Addr VBase, uint64_t Bytes) {
   GpuPt.mapRange(VBase, Bytes, Device);
 }
 
-Addr MemorySystem::walkPageTable(PuKind Pu, Addr VAddr) {
+Addr MemorySystem::translateMiss(PuKind Pu, Addr VAddr) {
   PageTable &Pt = pageTable(Pu);
   std::optional<Addr> Frame = Pt.frameOf(VAddr);
   if (!Frame) {
@@ -93,42 +89,54 @@ Addr MemorySystem::walkPageTable(PuKind Pu, Addr VAddr) {
     Frame = Pt.frameOf(VAddr);
     assert(Frame && "demand map failed");
   }
+  tlb(Pu).fill(VAddr, *Frame);
   return *Frame;
 }
 
-void MemorySystem::applyCoherence(PuKind Requestor, Addr PAddr, bool IsWrite,
-                                  Cycle &ExtraCpuCycles) {
-  CoherenceAction Action = Dir.onAccess(Requestor, PAddr, IsWrite);
+void MemorySystem::setSpaceModel(const AddressSpaceModel *Model) {
+  for (PuKind Pu : {PuKind::Cpu, PuKind::Gpu}) {
+    uint8_t Mask = 0;
+    for (unsigned R = 0; R != NumMemRegions; ++R)
+      if (!Model || Model->canAccess(Pu, MemRegion(R)))
+        Mask |= uint8_t(1u << R);
+    Visible[puIndex(Pu)] = Mask;
+  }
+}
+
+Cycle MemorySystem::coherenceCycles(PuKind Requestor, Addr Line,
+                                    bool IsWrite) {
+  CoherenceAction Action = Dir.onAccess(Requestor, Line, IsWrite);
   if (!Action.InvalidateRemote && !Action.FetchFromRemote)
-    return;
+    return 0;
 
   ++*MemCohRemote;
   // Remote operations touch the other PU's private caches.
   if (Requestor == PuKind::Cpu) {
     if (Action.FetchFromRemote) {
-      if (IsWrite ? GpuL1->invalidate(PAddr) : GpuL1->downgradeToShared(PAddr))
+      if (IsWrite ? GpuL1.invalidate(Line) : GpuL1.downgradeToShared(Line))
         ++*MemCohWritebacks;
     } else if (Action.InvalidateRemote) {
-      GpuL1->invalidate(PAddr);
+      GpuL1.invalidate(Line);
     }
   } else {
     if (Action.FetchFromRemote) {
       bool Dirty1 =
-          IsWrite ? CpuL1->invalidate(PAddr) : CpuL1->downgradeToShared(PAddr);
+          IsWrite ? CpuL1.invalidate(Line) : CpuL1.downgradeToShared(Line);
       bool Dirty2 =
-          IsWrite ? CpuL2->invalidate(PAddr) : CpuL2->downgradeToShared(PAddr);
+          IsWrite ? CpuL2.invalidate(Line) : CpuL2.downgradeToShared(Line);
       if (Dirty1 || Dirty2)
         ++*MemCohWritebacks;
     } else if (Action.InvalidateRemote) {
-      CpuL1->invalidate(PAddr);
-      CpuL2->invalidate(PAddr);
+      CpuL1.invalidate(Line);
+      CpuL2.invalidate(Line);
     }
   }
   // Each protocol message crosses the NoC between the requestor and the
   // directory's home.
-  ExtraCpuCycles += Cycle(Action.Messages) *
-                    Noc->uncontendedLatency(ring::CpuStop,
-                                            ring::MemCtrlStop);
+  const Cycle CpuCycles =
+      Cycle(Action.Messages) *
+      Noc->uncontendedLatency(ring::CpuStop, ring::MemCtrlStop);
+  return convertCycles(PuKind::Cpu, Requestor, CpuCycles);
 }
 
 Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
@@ -153,12 +161,12 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
 
   unsigned TileStop = Noc->tileStopFor(PAddr);
   Cycle AtTile = Noc->traverse(SourceStop, TileStop, NowCpu);
-  CacheAccessResult L3Result = L3->access(PAddr, IsWrite, ExplicitHint);
+  CacheAccessResult L3Result = L3.access(PAddr, IsWrite, ExplicitHint);
   Cycle ReturnHops = Noc->uncontendedLatency(TileStop, SourceStop);
 
   if (L3Result.Hit) {
     Level = HitLevel::L3;
-    return AtTile + L3->config().HitLatency + ReturnHops;
+    return AtTile + L3.config().HitLatency + ReturnHops;
   }
 
   if (L3Result.WroteBack) {
@@ -169,7 +177,7 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
   Level = HitLevel::Dram;
   Cycle AtCtrl =
       Noc->traverse(TileStop, ring::MemCtrlStop,
-                    AtTile + L3->config().HitLatency /*tag check*/);
+                    AtTile + L3.config().HitLatency /*tag check*/);
   ++*DramCpuDemand;
   Cycle Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
   Cycle BackToTile =
@@ -177,76 +185,33 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
   return BackToTile + ReturnHops;
 }
 
-MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
-                                     [[maybe_unused]] uint32_t Bytes,
-                                     bool IsWrite, Cycle NowPu,
-                                     bool ExplicitHint) {
-  assert(Bytes > 0 && Bytes <= CacheLineBytes &&
-         "per-access footprint is at most one line");
-  MemAccessResult Result;
+MemAccessResult MemorySystem::accessBeyondL1(PuKind Pu, Addr Line,
+                                             bool IsWrite, Cycle NowPu,
+                                             bool ExplicitHint,
+                                             const CacheAccessResult &L1Result,
+                                             Cycle Latency,
+                                             MemAccessResult Result) {
   const bool IsCpu = Pu == PuKind::Cpu;
-  ++*(IsCpu ? MemCpuAccesses : MemGpuAccesses);
-
-  Cycle Latency = 0;
-
-  // 1. Translation. A TLB hit carries the frame; a miss walks the page
-  // table and installs it.
-  Tlb &MyTlb = IsCpu ? CpuTlb : GpuTlb;
-  Addr Frame = 0;
-  if (!MyTlb.lookup(VAddr, Frame)) {
-    Result.TlbMiss = true;
-    Latency += Config.TlbMissPenalty;
-    Frame = walkPageTable(Pu, VAddr);
-    MyTlb.fill(VAddr, Frame);
-  }
-  Addr PAddr = Frame + (VAddr & (MyTlb.pageBytes() - 1));
-
-  // 2. Address-space visibility (Section II-A): a PU referencing space
-  // the model does not give it is a program error under that model.
-  if (SpaceModel && !SpaceModel->canAccess(Pu, VAddr)) {
-    Result.SpaceViolation = true;
-    ++*MemSpaceViolations;
-  }
-
-  // 3. Private hierarchy.
-  Cache &L1 = IsCpu ? *CpuL1 : *GpuL1;
-  Addr Line = alignDown(PAddr, CacheLineBytes);
-
-  // Coherence check happens before the private lookup so a stale local
-  // copy is refreshed/invalidated correctly.
-  if (Config.HwCoherence && regionOf(VAddr) == MemRegion::Shared) {
-    Cycle Extra = 0;
-    applyCoherence(Pu, Line, IsWrite, Extra);
-    Latency += IsCpu ? Extra : convertCycles(PuKind::Cpu, PuKind::Gpu, Extra);
-  }
-
-  CacheAccessResult L1Result = L1.access(Line, IsWrite);
-  Latency += L1.config().HitLatency;
-  if (L1Result.Hit) {
-    Result.Level = HitLevel::L1;
-    Result.Latency = Latency;
-    return Result;
-  }
   if (L1Result.WroteBack) {
     if (IsCpu)
-      CpuL2->access(L1Result.VictimAddr, /*IsWrite=*/true);
+      CpuL2.access(L1Result.VictimAddr, /*IsWrite=*/true);
     else
       ++*MemGpuL1Writebacks;
   }
 
   if (IsCpu) {
-    CacheAccessResult L2Result = CpuL2->access(Line, IsWrite);
-    Latency += CpuL2->config().HitLatency;
+    CacheAccessResult L2Result = CpuL2.access(Line, IsWrite);
+    Latency += CpuL2.config().HitLatency;
 
     // The L2 stream prefetcher trains on the L2 access stream and fills
     // future lines directly into the L2 (fill time is hidden; the win is
     // the later hit, the cost shows up as DRAM traffic).
     if (Config.EnableL2Prefetch) {
       for (Addr PrefetchLine : Prefetcher.onAccess(Line)) {
-        if (CpuL2->probe(PrefetchLine))
+        if (CpuL2.probe(PrefetchLine))
           continue;
         ++*MemPrefetchFills;
-        CacheAccessResult Fill = CpuL2->access(PrefetchLine, false);
+        CacheAccessResult Fill = CpuL2.access(PrefetchLine, false);
         if (Fill.WroteBack) {
           CpuDram->enqueue(Fill.VictimAddr, /*IsWrite=*/true);
           ++*DramCpuWritebacks;
@@ -298,18 +263,6 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
   return Result;
 }
 
-Cycle MemorySystem::scratchpadAccess(Addr Offset, uint32_t Bytes,
-                                     bool IsWrite) {
-  return Smem.access(Offset, Bytes, IsWrite);
-}
-
-Cycle MemorySystem::scratchpadWarpAccess(Addr Offset, uint32_t BytesPerLane,
-                                         unsigned Lanes,
-                                         uint32_t StrideBytes,
-                                         bool IsWrite) {
-  return Smem.warpAccess(Offset, BytesPerLane, Lanes, StrideBytes, IsWrite);
-}
-
 Cycle MemorySystem::pushToShared(PuKind Pu, Addr VBase, uint64_t Bytes,
                                  Cycle NowPu) {
   if (Bytes == 0)
@@ -330,7 +283,7 @@ Cycle MemorySystem::pushToShared(PuKind Pu, Addr VBase, uint64_t Bytes,
       PAddr = Pt.translate(VAddr);
     }
     CacheAccessResult Fill =
-        L3->access(alignDown(*PAddr, CacheLineBytes), /*IsWrite=*/false,
+        L3.access(alignDown(*PAddr, CacheLineBytes), /*IsWrite=*/false,
                    /*MarkExplicit=*/true);
     if (Fill.WroteBack) {
       // The staged fill evicted a dirty line: that victim writeback is
@@ -367,10 +320,10 @@ uint64_t MemorySystem::flushPrivate(PuKind Pu) {
   uint64_t Writebacks = 0;
   auto Count = [&Writebacks](Addr) { ++Writebacks; };
   if (Pu == PuKind::Cpu) {
-    CpuL1->flushAll(Count);
-    CpuL2->flushAll(Count);
+    CpuL1.flushAll(Count);
+    CpuL2.flushAll(Count);
   } else {
-    GpuL1->flushAll(Count);
+    GpuL1.flushAll(Count);
   }
   Stats.increment("mem.flush_writebacks", Writebacks);
   return Writebacks;

@@ -28,9 +28,11 @@
 #include "dram/Dram.h"
 #include "interconnect/MeshNoc.h"
 #include "interconnect/RingBus.h"
+#include "memory/AddressSpaceModel.h"
 #include "memory/PageTable.h"
 #include "memory/Tlb.h"
 
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -87,8 +89,6 @@ struct MemAccessResult {
   bool SpaceViolation = false; ///< PU touched space it cannot see.
 };
 
-class AddressSpaceModel;
-
 /// The assembled hierarchy.
 class MemorySystem {
 public:
@@ -103,17 +103,63 @@ public:
   /// Performs one demand access of at most one cache line. \p NowPu is the
   /// current cycle in \p Pu's clock; the returned latency is in the same
   /// clock. \p ExplicitHint tags the line explicitly at the L3 (hybrid
-  /// locality, Section II-B5).
-  MemAccessResult access(PuKind Pu, Addr VAddr, uint32_t Bytes, bool IsWrite,
-                         Cycle NowPu, bool ExplicitHint = false);
+  /// locality, Section II-B5). Inline up to an L1 hit, so the cores'
+  /// per-record loops inline the whole hit walk; a TLB miss, a coherence
+  /// action and everything past an L1 miss are out of line.
+  MemAccessResult access(PuKind Pu, Addr VAddr,
+                         [[maybe_unused]] uint32_t Bytes, bool IsWrite,
+                         Cycle NowPu, bool ExplicitHint = false) {
+    assert(Bytes > 0 && Bytes <= CacheLineBytes &&
+           "per-access footprint is at most one line");
+    MemAccessResult Result;
+    const bool IsCpu = Pu == PuKind::Cpu;
+    ++*(IsCpu ? MemCpuAccesses : MemGpuAccesses);
 
-  /// GPU software-managed-cache access (offset-addressed).
-  Cycle scratchpadAccess(Addr Offset, uint32_t Bytes, bool IsWrite);
+    // 1. Translation. A TLB hit carries the frame; a miss walks the page
+    // table and installs it.
+    Tlb &MyTlb = IsCpu ? CpuTlb : GpuTlb;
+    Cycle Latency = 0;
+    Addr Frame;
+    if (!MyTlb.lookup(VAddr, Frame)) {
+      Result.TlbMiss = true;
+      Latency = Config.TlbMissPenalty;
+      Frame = translateMiss(Pu, VAddr);
+    }
+    const Addr Line = alignDown(Frame + (VAddr & (MyTlb.pageBytes() - 1)),
+                                CacheLineBytes);
+
+    // 2. Address-space visibility (Section II-A): a PU referencing space
+    // the model does not give it is a program error under that model.
+    const MemRegion Region = regionOf(VAddr);
+    if (!(Visible[puIndex(Pu)] >> unsigned(Region) & 1)) {
+      Result.SpaceViolation = true;
+      ++*MemSpaceViolations;
+    }
+
+    // 3. Coherence happens before the private lookup so a stale local
+    // copy is refreshed/invalidated correctly.
+    if (Config.HwCoherence && Region == MemRegion::Shared)
+      Latency += coherenceCycles(Pu, Line, IsWrite);
+
+    // 4. The private L1.
+    Cache &L1 = IsCpu ? CpuL1 : GpuL1;
+    Latency += L1.config().HitLatency;
+    const CacheAccessResult L1Result = L1.access(Line, IsWrite);
+    if (L1Result.Hit) {
+      Result.Level = HitLevel::L1;
+      Result.Latency = Latency;
+      return Result;
+    }
+    return accessBeyondL1(Pu, Line, IsWrite, NowPu, ExplicitHint, L1Result,
+                          Latency, Result);
+  }
 
   /// Warp-wide scratchpad access with bank-conflict serialization.
   Cycle scratchpadWarpAccess(Addr Offset, uint32_t BytesPerLane,
                              unsigned Lanes, uint32_t StrideBytes,
-                             bool IsWrite);
+                             bool IsWrite) {
+    return Smem.warpAccess(Offset, BytesPerLane, Lanes, StrideBytes, IsWrite);
+  }
 
   /// Explicit locality `push` (Section II-B): stages [Base, Base+Bytes)
   /// into the L3 with the explicit tag set. Returns the cost in \p Pu
@@ -164,14 +210,15 @@ public:
   /// Checks every access against \p Model's visibility rules (Section
   /// II-A: e.g. the GPU cannot reach CPU private space under disjoint or
   /// ADSM). Violations are counted in "mem.space_violations" and flagged
-  /// on the result. Non-owning; nullptr turns the check off.
-  void setSpaceModel(const AddressSpaceModel *Model) { SpaceModel = Model; }
+  /// on the result. The model decides by region, so its answers are
+  /// tabled here once; nullptr turns the check off.
+  void setSpaceModel(const AddressSpaceModel *Model);
 
   /// Component access for tests, benches, and the comm fabrics.
-  Cache &cpuL1() { return *CpuL1; }
-  Cache &cpuL2() { return *CpuL2; }
-  Cache &gpuL1() { return *GpuL1; }
-  Cache &l3() { return *L3; }
+  Cache &cpuL1() { return CpuL1; }
+  Cache &cpuL2() { return CpuL2; }
+  Cache &gpuL1() { return GpuL1; }
+  Cache &l3() { return L3; }
   DramSystem &cpuDram() { return *CpuDram; }
   DramSystem &gpuDram();
   Interconnect &noc() { return *Noc; }
@@ -194,22 +241,31 @@ private:
   /// drainBackground() once requests are queued.
   void drainQueued(Cycle NowCpu);
   /// The TLB-miss path of access(): \p VAddr's frame in \p Pu's page
-  /// table, demand-mapping a page no setup mapped.
-  Addr walkPageTable(PuKind Pu, Addr VAddr);
+  /// table, demand-mapping a page no setup mapped, installed in the TLB.
+  Addr translateMiss(PuKind Pu, Addr VAddr);
+  /// The coherence step of access(): the directory's actions against the
+  /// other PU's private caches for \p Line, and their cost in
+  /// \p Requestor's cycles.
+  Cycle coherenceCycles(PuKind Requestor, Addr Line, bool IsWrite);
+  /// The L1-miss path of access(): L1 victim writeback, the CPU L2 and
+  /// its prefetcher, the uncore, the background drain and the MSHR file.
+  /// \p Latency is the walk's latency so far, L1 hit time included.
+  MemAccessResult accessBeyondL1(PuKind Pu, Addr Line, bool IsWrite,
+                                 Cycle NowPu, bool ExplicitHint,
+                                 const CacheAccessResult &L1Result,
+                                 Cycle Latency, MemAccessResult Result);
   /// Uncore walk beyond the private hierarchy; \p NowCpu in CPU cycles,
   /// returns completion cycle in CPU cycles.
   Cycle uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite, Cycle NowCpu,
                      bool ExplicitHint, HitLevel &Level);
 
-  /// Applies coherence actions against the other PU's private caches.
-  void applyCoherence(PuKind Requestor, Addr PAddr, bool IsWrite,
-                      Cycle &ExtraCpuCycles);
-
   MemHierConfig Config;
-  std::unique_ptr<Cache> CpuL1;
-  std::unique_ptr<Cache> CpuL2;
-  std::unique_ptr<Cache> GpuL1;
-  std::unique_ptr<Cache> L3;
+  // Held by value: the inline hit walk reaches an L1's tag row without
+  // first loading a pointer to the cache.
+  Cache CpuL1;
+  Cache CpuL2;
+  Cache GpuL1;
+  Cache L3;
   std::unique_ptr<DramSystem> CpuDram;
   std::unique_ptr<DramSystem> GpuDramDevice; // Only if SeparateGpuDram.
   std::unique_ptr<Interconnect> Noc;
@@ -224,7 +280,9 @@ private:
   PageTable GpuPt;
   Scratchpad Smem;
   StreamPrefetcher Prefetcher;
-  const AddressSpaceModel *SpaceModel = nullptr;
+  static constexpr uint8_t AllRegions = (1u << NumMemRegions) - 1;
+  /// Per PU, one bit per MemRegion it may access (setSpaceModel).
+  uint8_t Visible[NumPuKinds] = {AllRegions, AllRegions};
   StatRegistry Stats;
 
   // Conservation counters (see obs/Metrics.h for the contract), bound to

@@ -36,7 +36,8 @@ void Tlb::fill(Addr VAddr, Addr Frame) {
   Vpns[I] = Vpn;
   Frames[I] = Frame;
   Stamps[I] = NextStamp++;
-  LastIndex = I;
+  Recent[1] = Recent[0];
+  Recent[0] = I;
 }
 
 void Tlb::flush() { Vpns.assign(Vpns.size(), InvalidVpn); }

@@ -38,22 +38,26 @@ public:
   /// Looks \p VAddr up. On a hit returns true and sets \p Frame to the
   /// entry's frame; on a miss returns false, and the caller walks the page
   /// table and installs the frame with fill(). Inline: every memory access
-  /// translates. Consecutive accesses mostly stay on one page, so the
-  /// entry that served the previous lookup is checked before the set is
-  /// scanned; a page is resident in at most one way, so this finds the
-  /// same entry the scan would.
+  /// translates. Accesses mostly stay on one page or alternate between two
+  /// (matrix multiply's A and B), so the entries the last two lookups used
+  /// are checked before the set is scanned; a page is resident in at most
+  /// one way, so this finds the same entry the scan would.
   bool lookup(Addr VAddr, Addr &Frame) {
     ++Stats.Lookups;
     const uint64_t Vpn = VAddr >> PageShift;
-    size_t Hit = LastIndex;
+    size_t Hit = Recent[0];
     if (Vpns[Hit] != Vpn) {
-      const size_t SetBase = size_t(Vpn & (NumSets - 1)) * Ways;
-      Hit = SetBase;
-      while (Hit != SetBase + Ways && Vpns[Hit] != Vpn)
-        ++Hit;
-      if (Hit == SetBase + Ways)
-        return false;
-      LastIndex = Hit;
+      Hit = Recent[1];
+      if (Vpns[Hit] != Vpn) {
+        const size_t SetBase = size_t(Vpn & (NumSets - 1)) * Ways;
+        Hit = SetBase;
+        while (Hit != SetBase + Ways && Vpns[Hit] != Vpn)
+          ++Hit;
+        if (Hit == SetBase + Ways)
+          return false;
+      }
+      Recent[1] = Recent[0];
+      Recent[0] = Hit;
     }
     ++Stats.Hits;
     Stamps[Hit] = NextStamp++;
@@ -95,8 +99,8 @@ private:
   std::vector<uint64_t> Vpns; ///< InvalidVpn for an invalid entry.
   std::vector<Addr> Frames;
   std::vector<uint64_t> Stamps; ///< Last use, for LRU.
-  /// The entry the previous lookup hit or filled.
-  size_t LastIndex = 0;
+  /// The entries the last two lookups hit or filled, most recent first.
+  size_t Recent[2] = {0, 0};
   TlbStats Stats;
   uint64_t NextStamp = 1;
 };

@@ -28,6 +28,11 @@ static uint8_t rotReg(uint64_t I) { return uint8_t(8 + (I % 24)); }
 // Cursor slots: 0 = a, 1 = b, 2 = c.
 //===----------------------------------------------------------------------===//
 
+void ReductionGenerator::computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                                       size_t WindowTarget) const {
+  iterate(*this, E, S, Pu, WindowTarget);
+}
+
 void ReductionGenerator::setUpCursors(GenState &S, const KernelDataLayout &L,
                                       WorkSplit Split) const {
   S.Cur[0] = cursorFor(L.segment("a"), Split);
@@ -70,6 +75,11 @@ void ReductionGenerator::gpuIteration(TraceEmitter &E, GenState &S) const {
 namespace {
 constexpr uint64_t MatRowBytes = 1024; // 256 floats per row.
 } // namespace
+
+void MatrixMulGenerator::computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                                       size_t WindowTarget) const {
+  iterate(*this, E, S, Pu, WindowTarget);
+}
 
 void MatrixMulGenerator::setUpCursors(GenState &S, const KernelDataLayout &L,
                                       WorkSplit Split) const {
@@ -116,6 +126,11 @@ void MatrixMulGenerator::gpuIteration(TraceEmitter &E, GenState &S) const {
 // group. Cursor slots: 0 = image, 1 = filter, 2 = out.
 //===----------------------------------------------------------------------===//
 
+void ConvolutionGenerator::computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                                         size_t WindowTarget) const {
+  iterate(*this, E, S, Pu, WindowTarget);
+}
+
 void ConvolutionGenerator::setUpCursors(GenState &S, const KernelDataLayout &L,
                                         WorkSplit Split) const {
   S.Cur[0] = cursorFor(L.segment("image"), Split);
@@ -160,6 +175,11 @@ void ConvolutionGenerator::gpuIteration(TraceEmitter &E, GenState &S) const {
 // largest Comp line count), in-place blocks object, coefficient output.
 // Cursor slots: 0 = blocks, 1 = coeffs.
 //===----------------------------------------------------------------------===//
+
+void DctGenerator::computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                                 size_t WindowTarget) const {
+  iterate(*this, E, S, Pu, WindowTarget);
+}
 
 void DctGenerator::setUpCursors(GenState &S, const KernelDataLayout &L,
                                 WorkSplit Split) const {
@@ -210,6 +230,11 @@ void DctGenerator::gpuIteration(TraceEmitter &E, GenState &S) const {
 // Cursor slots: 0 = keys, 1 = sorted.
 //===----------------------------------------------------------------------===//
 
+void MergeSortGenerator::computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                                       size_t WindowTarget) const {
+  iterate(*this, E, S, Pu, WindowTarget);
+}
+
 void MergeSortGenerator::setUpCursors(GenState &S, const KernelDataLayout &L,
                                       WorkSplit Split) const {
   S.Cur[0] = cursorFor(L.segment("keys"), Split);
@@ -256,6 +281,11 @@ void MergeSortGenerator::gpuIteration(TraceEmitter &E, GenState &S) const {
 // passes model the outer iteration (3 rounds in the paper's run).
 // Cursor slots: 0 = points, 1 = centroids.
 //===----------------------------------------------------------------------===//
+
+void KMeansGenerator::computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                                    size_t WindowTarget) const {
+  iterate(*this, E, S, Pu, WindowTarget);
+}
 
 void KMeansGenerator::setUpCursors(GenState &S, const KernelDataLayout &L,
                                    WorkSplit Split) const {

@@ -64,18 +64,14 @@ uint64_t KernelTraceGenerator::emitCompute(GenState &S, const GenRequest &Req,
                                            uint64_t Budget,
                                            size_t WindowTarget) const {
   TraceEmitter Emitter(Window, Budget, WindowTarget + 64);
-  if (Req.Pu == PuKind::Cpu) {
-    while (!Emitter.done() && Emitter.emitted() < WindowTarget) {
-      cpuIteration(Emitter, S);
-      ++S.Iter;
-    }
-  } else {
-    while (!Emitter.done() && Emitter.emitted() < WindowTarget) {
-      gpuIteration(Emitter, S);
-      ++S.Iter;
-    }
-  }
+  computeWindow(Emitter, S, Req.Pu, WindowTarget);
   return Emitter.emitted();
+}
+
+void KernelTraceGenerator::computeWindow(TraceEmitter &E, GenState &S,
+                                         PuKind Pu,
+                                         size_t WindowTarget) const {
+  iterate(*this, E, S, Pu, WindowTarget);
 }
 
 TraceBuffer

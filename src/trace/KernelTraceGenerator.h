@@ -225,6 +225,31 @@ protected:
   /// Emits one GPU (warp-granularity) loop iteration.
   virtual void gpuIteration(TraceEmitter &E, GenState &S) const = 0;
 
+  /// Emits whole compute iterations for \p Pu into \p E until it emitted
+  /// \p WindowTarget records or spent its budget, bumping S.Iter after
+  /// each: one virtual call per window. The default body calls the
+  /// virtual iteration hooks; the six final generators override it with
+  /// the same body instantiated on their own type, so their hooks inline.
+  virtual void computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                             size_t WindowTarget) const;
+
+  /// The body of computeWindow, on \p Gen's static type.
+  template <typename GenT>
+  static void iterate(const GenT &Gen, TraceEmitter &E, GenState &S,
+                      PuKind Pu, size_t WindowTarget) {
+    if (Pu == PuKind::Cpu) {
+      while (!E.done() && E.emitted() < WindowTarget) {
+        Gen.cpuIteration(E, S);
+        ++S.Iter;
+      }
+    } else {
+      while (!E.done() && E.emitted() < WindowTarget) {
+        Gen.gpuIteration(E, S);
+        ++S.Iter;
+      }
+    }
+  }
+
   /// Called before iteration loops so subclasses can set up cursors over
   /// the placed data objects in S.Cur.
   virtual void setUpCursors(GenState &S, const KernelDataLayout &Layout,
@@ -248,7 +273,8 @@ private:
 };
 
 /// Declarations of the six concrete generators. Cursor-slot conventions
-/// are private to each kernel's setUpCursors/iteration pair.
+/// are private to each kernel's setUpCursors/iteration pair. Each
+/// overrides computeWindow with iterate() on its own final type.
 class ReductionGenerator final : public KernelTraceGenerator {
 public:
   ReductionGenerator() : KernelTraceGenerator(KernelId::Reduction) {}
@@ -258,6 +284,9 @@ protected:
                     WorkSplit Split) const override;
   void cpuIteration(TraceEmitter &E, GenState &S) const override;
   void gpuIteration(TraceEmitter &E, GenState &S) const override;
+  void computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                     size_t WindowTarget) const override;
+  friend KernelTraceGenerator; // iterate() calls the hooks directly.
 };
 
 class MatrixMulGenerator final : public KernelTraceGenerator {
@@ -269,6 +298,9 @@ protected:
                     WorkSplit Split) const override;
   void cpuIteration(TraceEmitter &E, GenState &S) const override;
   void gpuIteration(TraceEmitter &E, GenState &S) const override;
+  void computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                     size_t WindowTarget) const override;
+  friend KernelTraceGenerator; // iterate() calls the hooks directly.
 };
 
 class ConvolutionGenerator final : public KernelTraceGenerator {
@@ -280,6 +312,9 @@ protected:
                     WorkSplit Split) const override;
   void cpuIteration(TraceEmitter &E, GenState &S) const override;
   void gpuIteration(TraceEmitter &E, GenState &S) const override;
+  void computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                     size_t WindowTarget) const override;
+  friend KernelTraceGenerator; // iterate() calls the hooks directly.
 };
 
 class DctGenerator final : public KernelTraceGenerator {
@@ -291,6 +326,9 @@ protected:
                     WorkSplit Split) const override;
   void cpuIteration(TraceEmitter &E, GenState &S) const override;
   void gpuIteration(TraceEmitter &E, GenState &S) const override;
+  void computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                     size_t WindowTarget) const override;
+  friend KernelTraceGenerator; // iterate() calls the hooks directly.
 };
 
 class MergeSortGenerator final : public KernelTraceGenerator {
@@ -302,6 +340,9 @@ protected:
                     WorkSplit Split) const override;
   void cpuIteration(TraceEmitter &E, GenState &S) const override;
   void gpuIteration(TraceEmitter &E, GenState &S) const override;
+  void computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                     size_t WindowTarget) const override;
+  friend KernelTraceGenerator; // iterate() calls the hooks directly.
 };
 
 class KMeansGenerator final : public KernelTraceGenerator {
@@ -313,6 +354,9 @@ protected:
                     WorkSplit Split) const override;
   void cpuIteration(TraceEmitter &E, GenState &S) const override;
   void gpuIteration(TraceEmitter &E, GenState &S) const override;
+  void computeWindow(TraceEmitter &E, GenState &S, PuKind Pu,
+                     size_t WindowTarget) const override;
+  friend KernelTraceGenerator; // iterate() calls the hooks directly.
 };
 
 } // namespace hetsim

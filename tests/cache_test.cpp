@@ -297,16 +297,17 @@ TEST(Mshr, ClearResets) {
 //===----------------------------------------------------------------------===//
 
 TEST(Scratchpad, FixedLatencyAndCounters) {
+  // One lane: a scalar access, which pays the base latency.
   Scratchpad Smem(16 * 1024, 2);
-  EXPECT_EQ(Smem.access(0, 4, false), 2u);
-  EXPECT_EQ(Smem.access(16 * 1024 - 4, 4, true), 2u);
+  EXPECT_EQ(Smem.warpAccess(0, 4, 1, 0, false), 2u);
+  EXPECT_EQ(Smem.warpAccess(16 * 1024 - 4, 4, 1, 0, true), 2u);
   EXPECT_EQ(Smem.readCount(), 1u);
   EXPECT_EQ(Smem.writeCount(), 1u);
 }
 
 TEST(ScratchpadDeath, OutOfBoundsAborts) {
   Scratchpad Smem(1024, 2);
-  EXPECT_DEATH(Smem.access(1024, 4, false), "out of bounds");
+  EXPECT_DEATH(Smem.warpAccess(1024, 4, 1, 0, false), "out of bounds");
 }
 
 TEST(Scratchpad, WordStrideIsConflictFree) {

@@ -77,7 +77,7 @@ struct CpuFixture : ::testing::Test {
 
   SegmentResult run(const TraceBuffer &Trace) {
     CpuCore Core(Config, *Mem);
-    return Core.run(Trace, 0);
+    return Core.run(Trace.records().data(), Trace.size(), 0);
   }
 };
 
@@ -218,8 +218,9 @@ TEST_F(CpuFixture, StartCycleOffsetsDoNotChangeDuration) {
   for (unsigned I = 0; I != 500; ++I)
     Trace.emitAlu(Opcode::IntAlu, 0x100 + I * 4, uint8_t(8 + I % 8), 0);
   CpuCore Core(Config, *Mem);
-  SegmentResult AtZero = Core.run(Trace, 0);
-  SegmentResult Later = Core.run(Trace, 1000000);
+  const TraceRecord *Records = Trace.records().data();
+  SegmentResult AtZero = Core.run(Records, Trace.size(), 0);
+  SegmentResult Later = Core.run(Records, Trace.size(), 1000000);
   EXPECT_EQ(AtZero.Cycles, Later.Cycles);
 }
 
@@ -277,8 +278,9 @@ TEST_F(CpuFixture, PredictorStatePersistsAcrossSegments) {
     Trace.emitBranch(0x104, true);
   }
   CpuCore Core(Config, *Mem);
-  SegmentResult First = Core.run(Trace, 0);
-  SegmentResult Second = Core.run(Trace, First.Cycles);
+  const TraceRecord *Records = Trace.records().data();
+  SegmentResult First = Core.run(Records, Trace.size(), 0);
+  SegmentResult Second = Core.run(Records, Trace.size(), First.Cycles);
   EXPECT_LE(Second.BranchMispredicts, First.BranchMispredicts);
 }
 

@@ -11,20 +11,27 @@
 ///
 /// The memory walk's shortcuts are exact too, and each has a differential
 /// test against a naive reference kept here: the cache's per-field arrays
-/// and first-minimum LRU against a per-set recency list, the integer
-/// clock conversion against the float path, the TLB's cached frames
-/// against the page table across remaps, and the cursor emitter against
-/// single-shot generation when an iteration overruns its slack.
+/// and first-minimum LRU against a per-set recency list, its paired-
+/// compare set match against a scalar scan, the integer clock conversion
+/// against the float path, the TLB's cached frames against the page table
+/// across remaps and its two-entry memo against a set-scan LRU, the
+/// visibility table against the address-space models, the dense
+/// coherence directory against a map of tracked lines, and the cursor
+/// emitter against single-shot generation when an iteration overruns its
+/// slack.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "cache/Cache.h"
+#include "cache/Directory.h"
 #include "common/Random.h"
 #include "common/Units.h"
 #include "core/ExtraWorkloads.h"
 #include "core/HeteroSimulator.h"
 #include "gpu/GpuCore.h"
+#include "memory/AddressSpaceModel.h"
 #include "memory/MemorySystem.h"
+#include "memory/Tlb.h"
 #include "obs/Metrics.h"
 #include "trace/ComputeBlock.h"
 
@@ -33,8 +40,11 @@
 
 #include <algorithm>
 #include <list>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace hetsim;
@@ -198,7 +208,10 @@ SegmentResult runSegment(PuKind Pu, const KernelDataLayout &Layout,
   for (const DataSegment &Segment : Layout.segments())
     Mem.mapRange(Pu, Segment.Base, Segment.Bytes);
   CoreT Core(ConfigT(), Mem);
-  return Core.run(Trace, 0);
+  if constexpr (std::is_same_v<TraceT, TraceBuffer>)
+    return Core.run(Trace.records().data(), Trace.size(), 0);
+  else
+    return Core.run(Trace, 0);
 }
 
 /// Compares the windowed and materialized runs of every kernel's compute
@@ -598,7 +611,7 @@ void expectCacheMatchesReference(unsigned Ways, ReplacementKind Replacement,
 } // namespace
 
 TEST(FastPathCache, MatchesReferenceLru) {
-  for (unsigned Ways : {4u, 8u, 32u})
+  for (unsigned Ways : {2u, 3u, 4u, 8u, 16u, 32u})
     for (ReplacementKind Replacement :
          {ReplacementKind::Lru, ReplacementKind::HybridLru})
       for (uint64_t Seed : {1u, 2u})
@@ -719,4 +732,408 @@ TEST(FastPathTlb, FrameMatchesPageTableAcrossRemap) {
   }
   EXPECT_GT(Mem.stats().counter("mem.remap_pages"), 0u);
   EXPECT_GT(DemandMaps, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Cache: the paired-compare set match against a scalar scan.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Drives a cache of \p Ways ways and \p Replacement with writes,
+/// invalidations and flushes, and holds every hit, probe and resident
+/// count against a scalar scan of the lines the cache must hold. Every
+/// access writes, so every eviction reports its victim and the reference
+/// follows each replacement decision without modelling the policy.
+void expectSetMatchMatchesScan(unsigned Ways, ReplacementKind Replacement,
+                               uint64_t Seed) {
+  constexpr unsigned NumSets = 4;
+  CacheConfig Config;
+  Config.Name = "set-match";
+  Config.SizeBytes = uint64_t(NumSets) * Ways * CacheLineBytes;
+  Config.Ways = Ways;
+  Config.Replacement = Replacement;
+  const bool Hybrid = Replacement == ReplacementKind::HybridLru;
+  const std::string What = std::to_string(Ways) + "-way policy " +
+                           std::to_string(unsigned(Replacement)) + " seed " +
+                           std::to_string(Seed);
+
+  Cache C(Config, Seed);
+  // The resident lines of each set, scanned one by one.
+  std::vector<std::vector<Addr>> Sets(NumSets);
+  auto SetOf = [&](Addr A) -> std::vector<Addr> & {
+    return Sets[(A / CacheLineBytes) % NumSets];
+  };
+  auto Holds = [&](Addr A) {
+    const std::vector<Addr> &Set = SetOf(A);
+    for (Addr Line : Set)
+      if (Line == A)
+        return true;
+    return false;
+  };
+  auto Drop = [&](Addr A) {
+    std::vector<Addr> &Set = SetOf(A);
+    for (Addr &Line : Set)
+      if (Line == A) {
+        Line = Set.back();
+        Set.pop_back();
+        return true;
+      }
+    return false;
+  };
+
+  XorShiftRng Rng(Seed);
+  // Twice as many tags per set as ways: hits, misses and evictions mix.
+  const uint64_t Tags = 2 * uint64_t(Ways);
+  for (unsigned Step = 0; Step != 6000; ++Step) {
+    const unsigned SetIdx = unsigned(Rng.nextBelow(NumSets));
+    const Addr Address =
+        (Rng.nextBelow(Tags) * NumSets + SetIdx) * CacheLineBytes;
+    const uint64_t Op = Rng.nextBelow(100);
+    const std::string At = What + " step " + std::to_string(Step);
+    // A flush every 2000 steps, so even 65-way sets fill between them.
+    if (Step % 2000 == 1999) {
+      std::vector<Addr> Written, Want;
+      C.flushAll([&Written](Addr A) { Written.push_back(A); });
+      for (std::vector<Addr> &Set : Sets) {
+        Want.insert(Want.end(), Set.begin(), Set.end());
+        Set.clear();
+      }
+      std::sort(Written.begin(), Written.end());
+      std::sort(Want.begin(), Want.end());
+      ASSERT_EQ(Written, Want) << At;
+    } else if (Op < 90) {
+      const bool MarkExplicit = Hybrid && Rng.nextBool(0.2);
+      const bool Present = Holds(Address);
+      const CacheAccessResult Got = C.access(Address, true, MarkExplicit);
+      ASSERT_EQ(Got.Hit, Present) << At;
+      if (!Got.Hit && !Got.BypassedFill) {
+        if (Got.WroteBack) {
+          ASSERT_EQ(Got.VictimAddr / CacheLineBytes % NumSets, SetIdx) << At;
+          ASSERT_TRUE(Drop(Got.VictimAddr)) << At << " victim not resident";
+        } else {
+          ASSERT_LT(SetOf(Address).size(), Ways) << At << " silent eviction";
+        }
+        SetOf(Address).push_back(Address);
+      }
+    } else {
+      ASSERT_EQ(C.invalidate(Address), Drop(Address)) << At;
+    }
+
+    size_t Resident = 0;
+    for (const std::vector<Addr> &Set : Sets)
+      Resident += Set.size();
+    ASSERT_EQ(C.residentLines(), Resident) << At;
+    // Every tag of the touched set, resident or not.
+    for (uint64_t T = 0; T != Tags; ++T) {
+      const Addr Probe = (T * NumSets + SetIdx) * CacheLineBytes;
+      ASSERT_EQ(C.probe(Probe), Holds(Probe)) << At << " probe " << Probe;
+    }
+  }
+  EXPECT_GT(C.stats().Hits, 0u) << What;
+  EXPECT_GT(C.stats().Evictions, 0u) << What;
+}
+
+} // namespace
+
+TEST(FastPathCache, SetMatchMatchesScalarScan) {
+  // Odd way counts take the padded row; 65 ways take two masks.
+  for (unsigned Ways : {1u, 2u, 3u, 4u, 8u, 16u, 32u, 65u})
+    for (ReplacementKind Replacement :
+         {ReplacementKind::Lru, ReplacementKind::Random,
+          ReplacementKind::HybridLru})
+      for (uint64_t Seed : {1u, 2u})
+        expectSetMatchMatchesScan(Ways, Replacement, Seed);
+}
+
+//===----------------------------------------------------------------------===//
+// Visibility: the per-run region table against the model's canAccess.
+//===----------------------------------------------------------------------===//
+
+TEST(FastPathVisibility, TableMatchesCanAccess) {
+  // One address per region; the Unknown one lies above every region.
+  const std::pair<MemRegion, Addr> Regions[] = {
+      {MemRegion::CpuPrivate, region::CpuPrivateBase + 0x40},
+      {MemRegion::GpuPrivate, region::GpuPrivateBase + 0x40},
+      {MemRegion::Shared, region::SharedBase + 0x40},
+      {MemRegion::Unknown, region::SharedBase + region::RegionSpan + 0x40},
+  };
+  for (AddressSpaceKind Kind :
+       {AddressSpaceKind::Unified, AddressSpaceKind::Disjoint,
+        AddressSpaceKind::PartiallyShared, AddressSpaceKind::Adsm}) {
+    const AddressSpaceModel &Model = AddressSpaceModel::forKind(Kind);
+    MemorySystem Mem;
+    Mem.setSpaceModel(&Model);
+    uint64_t Violations = 0;
+    for (PuKind Pu : {PuKind::Cpu, PuKind::Gpu})
+      for (auto [Region, Address] : Regions) {
+        ASSERT_EQ(regionOf(Address), Region);
+        const bool Allowed = Model.canAccess(Pu, Region);
+        // Twice: the first access misses the TLB, the second hits it.
+        for (Cycle Now : {Cycle(0), Cycle(1000)}) {
+          const MemAccessResult R = Mem.access(Pu, Address, 4, false, Now);
+          EXPECT_EQ(R.SpaceViolation, !Allowed)
+              << addressSpaceName(Kind) << " " << puKindName(Pu) << " region "
+              << unsigned(Region);
+          Violations += !Allowed;
+        }
+      }
+    EXPECT_EQ(Mem.stats().counter("mem.space_violations"), Violations)
+        << addressSpaceName(Kind);
+  }
+
+  // No model: every region is visible.
+  MemorySystem Mem;
+  Mem.setSpaceModel(nullptr);
+  for (PuKind Pu : {PuKind::Cpu, PuKind::Gpu})
+    for (auto [Region, Address] : Regions)
+      EXPECT_FALSE(Mem.access(Pu, Address, 4, false, 0).SpaceViolation);
+  EXPECT_EQ(Mem.stats().counter("mem.space_violations"), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Directory: the dense line vector against a map of tracked lines.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The MESI directory protocol over a map that holds only tracked lines.
+class ReferenceDirectory {
+public:
+  CoherenceAction access(PuKind Pu, Addr Line, bool IsWrite) {
+    CoherenceAction Action;
+    const DirState Mine = exclusiveOf(Pu);
+    auto It = Lines.find(Line);
+    if (It == Lines.end()) {
+      Lines[Line] = {Mine, IsWrite};
+      return Action;
+    }
+    Entry &E = It->second;
+    if (E.State == DirState::SharedBoth) {
+      if (IsWrite) {
+        Action.InvalidateRemote = true;
+        Action.Messages = 2;
+        E = {Mine, true};
+      }
+      return Action;
+    }
+    if (E.State == Mine) {
+      E.Dirty |= IsWrite;
+      return Action;
+    }
+    if (E.Dirty) {
+      Action.FetchFromRemote = true;
+      Action.Messages += 2;
+    }
+    if (IsWrite) {
+      Action.InvalidateRemote = true;
+      Action.Messages += 2;
+      E = {Mine, true};
+    } else {
+      E = {DirState::SharedBoth, false};
+    }
+    return Action;
+  }
+
+  void evict(PuKind Pu, Addr Line) {
+    auto It = Lines.find(Line);
+    if (It == Lines.end())
+      return;
+    if (It->second.State == DirState::SharedBoth)
+      It->second = {exclusiveOf(otherPu(Pu)), false};
+    else if (It->second.State == exclusiveOf(Pu))
+      Lines.erase(It);
+  }
+
+  DirState state(Addr Line) const {
+    auto It = Lines.find(Line);
+    return It == Lines.end() ? DirState::Uncached : It->second.State;
+  }
+  size_t tracked() const { return Lines.size(); }
+
+private:
+  struct Entry {
+    DirState State;
+    bool Dirty;
+  };
+  static DirState exclusiveOf(PuKind Pu) {
+    return Pu == PuKind::Cpu ? DirState::ExclusiveCpu
+                             : DirState::ExclusiveGpu;
+  }
+  std::map<Addr, Entry> Lines;
+};
+
+} // namespace
+
+TEST(FastPathDirectory, DenseMatchesReferenceMap) {
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    Directory Dir;
+    ReferenceDirectory Ref;
+    XorShiftRng Rng(Seed);
+    DirectoryStats Want;
+    const std::string What = "seed " + std::to_string(Seed);
+    for (unsigned Step = 0; Step != 30000; ++Step) {
+      // A hot range of 256 lines, and now and then a far line that grows
+      // the vector.
+      const uint64_t LineNo = Rng.nextBool(0.01)
+                                  ? 4096 + Rng.nextBelow(1u << 16)
+                                  : Rng.nextBelow(256);
+      const Addr Line = LineNo * CacheLineBytes;
+      const PuKind Pu = Rng.nextBool(0.5) ? PuKind::Cpu : PuKind::Gpu;
+      const std::string At = What + " step " + std::to_string(Step);
+      if (Rng.nextBelow(100) < 75) {
+        const bool IsWrite = Rng.nextBool(0.4);
+        const CoherenceAction Got = Dir.onAccess(Pu, Line, IsWrite);
+        const CoherenceAction Exp = Ref.access(Pu, Line, IsWrite);
+        ASSERT_EQ(Got.InvalidateRemote, Exp.InvalidateRemote) << At;
+        ASSERT_EQ(Got.FetchFromRemote, Exp.FetchFromRemote) << At;
+        ASSERT_EQ(Got.Messages, Exp.Messages) << At;
+        ++Want.Lookups;
+        Want.RemoteInvalidations += Exp.InvalidateRemote;
+        Want.RemoteFetches += Exp.FetchFromRemote;
+        Want.Messages += Exp.Messages;
+      } else {
+        Dir.onEviction(Pu, Line);
+        Ref.evict(Pu, Line);
+      }
+      ASSERT_EQ(Dir.state(Line), Ref.state(Line)) << At;
+      const DirState S = Ref.state(Line);
+      for (PuKind Who : {PuKind::Cpu, PuKind::Gpu}) {
+        const bool Sharer =
+            S == DirState::SharedBoth ||
+            (S == DirState::ExclusiveCpu && Who == PuKind::Cpu) ||
+            (S == DirState::ExclusiveGpu && Who == PuKind::Gpu);
+        ASSERT_EQ(Dir.isSharer(Who, Line), Sharer) << At;
+      }
+      ASSERT_EQ(Dir.trackedLines(), Ref.tracked()) << At;
+    }
+    EXPECT_EQ(Dir.stats().Lookups, Want.Lookups) << What;
+    EXPECT_EQ(Dir.stats().RemoteInvalidations, Want.RemoteInvalidations)
+        << What;
+    EXPECT_EQ(Dir.stats().RemoteFetches, Want.RemoteFetches) << What;
+    EXPECT_EQ(Dir.stats().Messages, Want.Messages) << What;
+    EXPECT_GT(Want.RemoteFetches, 0u) << What;
+    // Lines never accessed read as Uncached, past the vector's end too.
+    EXPECT_EQ(Dir.state(Addr(1) << 40), DirState::Uncached);
+    EXPECT_FALSE(Dir.isSharer(PuKind::Cpu, Addr(1) << 40));
+    Dir.onEviction(PuKind::Gpu, Addr(1) << 40);
+    EXPECT_EQ(Dir.trackedLines(), Ref.tracked()) << What;
+    Dir.clear();
+    EXPECT_EQ(Dir.trackedLines(), 0u);
+    EXPECT_EQ(Dir.state(0), DirState::Uncached);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// TLB: the two-entry memo against a set-scan LRU, across flush and remap.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A set-scan LRU TLB holding frames: the memo-free reference.
+class ReferenceTlb {
+public:
+  ReferenceTlb(unsigned Entries, unsigned NumWays, uint64_t PageSize)
+      : Sets(Entries / NumWays), Ways(NumWays), PageBytes(PageSize),
+        Slots(Entries) {}
+
+  std::optional<Addr> lookup(Addr VAddr) {
+    const uint64_t Vpn = VAddr / PageBytes;
+    Slot *Set = &Slots[(Vpn % Sets) * Ways];
+    for (unsigned W = 0; W != Ways; ++W)
+      if (Set[W].Valid && Set[W].Vpn == Vpn) {
+        Set[W].Stamp = ++Clock;
+        return Set[W].Frame;
+      }
+    return std::nullopt;
+  }
+
+  void fill(Addr VAddr, Addr Frame) {
+    const uint64_t Vpn = VAddr / PageBytes;
+    Slot *Set = &Slots[(Vpn % Sets) * Ways];
+    Slot *Victim = &Set[0];
+    for (unsigned W = 0; W != Ways; ++W) {
+      if (!Set[W].Valid) {
+        Victim = &Set[W];
+        break;
+      }
+      if (Set[W].Stamp < Victim->Stamp)
+        Victim = &Set[W];
+    }
+    *Victim = {Vpn, Frame, ++Clock, true};
+  }
+
+  void flush() { Slots.assign(Slots.size(), Slot()); }
+
+private:
+  struct Slot {
+    uint64_t Vpn = 0;
+    Addr Frame = 0;
+    uint64_t Stamp = 0;
+    bool Valid = false;
+  };
+  unsigned Sets, Ways;
+  uint64_t PageBytes;
+  std::vector<Slot> Slots;
+  uint64_t Clock = 0;
+};
+
+} // namespace
+
+TEST(FastPathTlb, TwoEntryMemoMatchesReferenceLru) {
+  struct Geometry {
+    unsigned Entries, Ways;
+    uint64_t PageBytes;
+  };
+  for (Geometry G : {Geometry{8, 2, 4096}, Geometry{64, 4, 4096},
+                     Geometry{32, 4, 65536}, Geometry{4, 4, 4096}}) {
+    Tlb T(G.Entries, G.Ways, G.PageBytes);
+    ReferenceTlb Ref(G.Entries, G.Ways, G.PageBytes);
+    XorShiftRng Rng(G.Entries + G.Ways);
+    // A remap moves a page to a new frame; the owner flushes the TLB.
+    uint64_t Epoch = 0;
+    auto FrameOf = [&](Addr VAddr) {
+      return (VAddr / G.PageBytes + Epoch * 1000003) * G.PageBytes;
+    };
+    // Matrix multiply's pattern: A walks forward, B strides by a row, and
+    // the stream alternates between them.
+    Addr A = 0x10000000, B = 0x20000000;
+    const std::string What = std::to_string(G.Entries) + "x" +
+                             std::to_string(G.Ways) + " pages of " +
+                             std::to_string(G.PageBytes);
+    for (unsigned Step = 0; Step != 40000; ++Step) {
+      Addr VAddr;
+      switch (Rng.nextBelow(8)) {
+      case 0: // A third page, often conflicting in the set.
+        VAddr = 0x10000000 + Rng.nextBelow(4 * G.Entries) * G.PageBytes;
+        break;
+      case 1:
+        VAddr = B;
+        B += 1024;
+        break;
+      default:
+        VAddr = (Step & 1) ? B : A;
+        A += 4;
+        break;
+      }
+      if (Rng.nextBelow(2000) == 0) {
+        T.flush();
+        Ref.flush();
+        ++Epoch;
+      }
+      const std::string At = What + " step " + std::to_string(Step);
+      Addr Frame = ~Addr(0);
+      const bool Hit = T.lookup(VAddr, Frame);
+      const std::optional<Addr> Want = Ref.lookup(VAddr);
+      ASSERT_EQ(Hit, Want.has_value()) << At;
+      if (Hit) {
+        ASSERT_EQ(Frame, *Want) << At;
+      } else {
+        T.fill(VAddr, FrameOf(VAddr));
+        Ref.fill(VAddr, FrameOf(VAddr));
+      }
+    }
+    EXPECT_GT(T.stats().Misses, 100u) << What;
+    EXPECT_GT(T.stats().Hits, 10000u) << What;
+  }
 }

@@ -103,7 +103,7 @@ struct GpuFixture : ::testing::Test {
 
   SegmentResult run(const TraceBuffer &Trace) {
     GpuCore Core(Config, *Mem);
-    return Core.run(Trace, 0);
+    return Core.run(Trace.records().data(), Trace.size(), 0);
   }
 };
 

@@ -246,18 +246,18 @@ TEST(AddressSpace, AccessRules) {
       AddressSpaceModel::forKind(AddressSpaceKind::Adsm);
 
   // Unified: everything accessible from both PUs.
-  EXPECT_TRUE(Unified.canAccess(PuKind::Gpu, region::CpuPrivateBase));
+  EXPECT_TRUE(Unified.canAccess(PuKind::Gpu, MemRegion::CpuPrivate));
 
   // Disjoint: strictly private.
-  EXPECT_TRUE(Disjoint.canAccess(PuKind::Cpu, region::CpuPrivateBase));
-  EXPECT_FALSE(Disjoint.canAccess(PuKind::Gpu, region::CpuPrivateBase));
-  EXPECT_FALSE(Disjoint.canAccess(PuKind::Cpu, region::GpuPrivateBase));
+  EXPECT_TRUE(Disjoint.canAccess(PuKind::Cpu, MemRegion::CpuPrivate));
+  EXPECT_FALSE(Disjoint.canAccess(PuKind::Gpu, MemRegion::CpuPrivate));
+  EXPECT_FALSE(Disjoint.canAccess(PuKind::Cpu, MemRegion::GpuPrivate));
 
   // ADSM: CPU sees all; GPU sees only its own and shared space
   // (Section II-A4).
-  EXPECT_TRUE(Adsm.canAccess(PuKind::Cpu, region::GpuPrivateBase));
-  EXPECT_TRUE(Adsm.canAccess(PuKind::Gpu, region::SharedBase));
-  EXPECT_FALSE(Adsm.canAccess(PuKind::Gpu, region::CpuPrivateBase));
+  EXPECT_TRUE(Adsm.canAccess(PuKind::Cpu, MemRegion::GpuPrivate));
+  EXPECT_TRUE(Adsm.canAccess(PuKind::Gpu, MemRegion::Shared));
+  EXPECT_FALSE(Adsm.canAccess(PuKind::Gpu, MemRegion::CpuPrivate));
 }
 
 TEST(AddressSpace, ExplicitTransferAndOwnershipTraits) {
@@ -413,7 +413,7 @@ TEST(MemorySystem, PushMarksLinesExplicitInL3) {
 
 TEST(MemorySystem, ScratchpadAccess) {
   MemorySystem Mem = makeIntegrated();
-  EXPECT_EQ(Mem.scratchpadAccess(0, 4, false),
+  EXPECT_EQ(Mem.scratchpadWarpAccess(0, 4, /*Lanes=*/1, 0, false),
             Mem.config().ScratchpadLatency);
   EXPECT_EQ(Mem.scratchpad().readCount(), 1u);
 }

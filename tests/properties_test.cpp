@@ -169,7 +169,7 @@ TEST(CpuProperty, IpcNeverExceedsIssueWidth) {
     TraceBuffer Trace;
     for (unsigned I = 0; I != 5000; ++I)
       Trace.emitAlu(Opcode::IntAlu, 0x100 + I * 4, uint8_t(8 + I % 24), 0);
-    SegmentResult R = Core.run(Trace, 0);
+    SegmentResult R = Core.run(Trace.records().data(), Trace.size(), 0);
     EXPECT_LE(R.ipc(), double(Width) + 1e-9) << "width=" << Width;
   }
 }
@@ -189,7 +189,7 @@ TEST(CpuProperty, CyclesMonotoneInMispredictPenalty) {
     CpuConfig Config;
     Config.MispredictPenalty = Penalty;
     CpuCore Core(Config, Mem);
-    SegmentResult R = Core.run(Trace, 0);
+    SegmentResult R = Core.run(Trace.records().data(), Trace.size(), 0);
     EXPECT_GE(R.Cycles, Previous) << "penalty=" << Penalty;
     Previous = R.Cycles;
   }
@@ -206,7 +206,7 @@ TEST(GpuProperty, CyclesRespectIssueFloor) {
     TraceBuffer Trace;
     for (unsigned I = 0; I != 3000; ++I)
       Trace.emitAlu(Opcode::IntAlu, 0x100, uint8_t(8 + I % 24), 0);
-    SegmentResult R = Core.run(Trace, 0);
+    SegmentResult R = Core.run(Trace.records().data(), Trace.size(), 0);
     EXPECT_GE(R.Cycles, Trace.size() / Config.IssueWidth);
   }
 }
@@ -227,7 +227,7 @@ TEST(GpuProperty, MoreWarpsNeverSlowerOnIndependentWork) {
     GpuConfig Config;
     Config.NumWarps = Warps;
     GpuCore Core(Config, Mem);
-    SegmentResult R = Core.run(Trace, 0);
+    SegmentResult R = Core.run(Trace.records().data(), Trace.size(), 0);
     EXPECT_LE(R.Cycles, Previous + Previous / 10) << "warps=" << Warps;
     Previous = R.Cycles;
   }
