@@ -8,7 +8,10 @@
 #      (thread pool, sweep runner, result store)
 #   3. static analysis: scripts/lint.sh (clang-tidy against the pinned
 #      baseline, plus the hetsim_lint memory-model linter over the shipped
-#      design space), then the differential race-verifier fuzz gate
+#      design space), then the differential race-verifier fuzz gate (3b),
+#      then the dead-code gate (3c, scripts/dead_symbols.sh): every
+#      out-of-line src/ function is linked into a shipped binary or named
+#      on the script's allow-list
 #   4. metrics smoke: one run must emit schema-valid, conservation-clean
 #      metrics plus a Chrome trace file, and so must the whole fig5 sweep
 #   5. golden diff + paper fidelity: regenerate every checked artifact and
@@ -119,6 +122,11 @@ echo "== gate 3b: differential race-verifier fuzz =="
 # flagged with a structurally valid witness, and every verifier-clean
 # program must replay race-free on every explored dynamic schedule.
 build/tools/hetsim_lint --fuzz 1000 --seed 7
+
+echo "== gate 3c: src/ functions no shipped binary links =="
+# Its own -fno-inline, --gc-sections build of the tools, benches and
+# examples (build-deadsym/); lists every src/ function none of them keeps.
+scripts/dead_symbols.sh
 
 echo "== gate 4: metrics smoke =="
 # One sweep point must emit a schema-valid metrics document that passes

@@ -201,60 +201,6 @@ bool HbGraph::reachesScoped(size_t From, size_t To) const {
   return (ScopedReach[From][To / 64] >> (To % 64)) & 1;
 }
 
-bool HbGraph::hasCycle() const {
-  // Kahn's algorithm: a cycle leaves nodes with nonzero in-degree.
-  size_t N = Nodes.size();
-  std::vector<size_t> InDegree(N, 0);
-  std::vector<std::vector<size_t>> Succ(N);
-  for (const HbEdge &E : Edges) {
-    if (E.From >= N || E.To >= N)
-      continue;
-    Succ[E.From].push_back(E.To);
-    ++InDegree[E.To];
-  }
-  std::vector<size_t> Queue;
-  for (size_t I = 0; I != N; ++I)
-    if (InDegree[I] == 0)
-      Queue.push_back(I);
-  size_t Popped = 0;
-  while (!Queue.empty()) {
-    size_t Node = Queue.back();
-    Queue.pop_back();
-    ++Popped;
-    for (size_t T : Succ[Node])
-      if (--InDegree[T] == 0)
-        Queue.push_back(T);
-  }
-  return Popped != N;
-}
-
-std::vector<HbEdge> HbGraph::transitiveReduction() const {
-  // An edge u->v is redundant when some other successor w of u already
-  // reaches v (including via a parallel duplicate): removing it keeps
-  // reachability intact. On a DAG this yields the unique minimal graph.
-  std::vector<HbEdge> Kept;
-  for (size_t I = 0; I != Edges.size(); ++I) {
-    const HbEdge &E = Edges[I];
-    if (E.From == E.To)
-      continue;
-    bool Redundant = false;
-    for (size_t J = 0; J != Edges.size() && !Redundant; ++J) {
-      if (J == I || Edges[J].From != E.From)
-        continue;
-      size_t W = Edges[J].To;
-      if (W == E.To) {
-        // Parallel duplicate: keep only the first occurrence.
-        Redundant = J < I;
-        continue;
-      }
-      Redundant = W != E.From && reaches(W, E.To);
-    }
-    if (!Redundant)
-      Kept.push_back(E);
-  }
-  return Kept;
-}
-
 std::vector<size_t> HbGraph::undrainedTransfers() const {
   std::vector<bool> Drained(Nodes.size(), false);
   for (const HbEdge &E : Edges)

@@ -102,8 +102,8 @@ public:
   size_t addNode(const HbNode &Node);
 
   /// Appends an edge. Self and duplicate edges are tolerated: a self
-  /// edge is reported by hasCycle() and never by transitiveReduction();
-  /// duplicates collapse in the reduction.
+  /// edge makes its node reach itself, and a duplicate changes no
+  /// reachability.
   void addEdge(size_t From, size_t To, HbEdgeKind Kind);
 
   /// Computes the reachability relations. Must be called after the last
@@ -131,16 +131,6 @@ public:
   /// Like reaches(), but ignoring KernelLaunch/KernelJoin edges: the
   /// ordering an ownership-scoped shared-region location observes.
   bool reachesScoped(size_t From, size_t To) const;
-
-  /// True when the edge set contains a directed cycle (self edges
-  /// included). Does not require finalize().
-  bool hasCycle() const;
-
-  /// The transitive reduction of a finalized acyclic graph: the unique
-  /// minimal edge subset with the same reachability. Self edges and
-  /// duplicates are dropped; of parallel edges with different kinds the
-  /// first-added survives. The result preserves addEdge order.
-  std::vector<HbEdge> transitiveReduction() const;
 
   /// Step indices of asynchronous transfers no step ever blocks on (no
   /// DmaDrain edge): the engine may still be busy when the program ends.

@@ -95,9 +95,6 @@ struct LintReport {
   bool clean() const { return Diags.empty(); }
   unsigned errorCount() const;
   unsigned warningCount() const;
-  bool hasKind(LintKind Kind) const;
-  /// First diagnostic of \p Kind, or nullptr.
-  const LintDiagnostic *findKind(LintKind Kind) const;
 };
 
 } // namespace hetsim

@@ -68,17 +68,6 @@ unsigned LintReport::warningCount() const {
   return Count;
 }
 
-bool LintReport::hasKind(LintKind Kind) const {
-  return findKind(Kind) != nullptr;
-}
-
-const LintDiagnostic *LintReport::findKind(LintKind Kind) const {
-  for (const LintDiagnostic &D : Diags)
-    if (D.Kind == Kind)
-      return &D;
-  return nullptr;
-}
-
 namespace {
 
 using StringSet = std::unordered_set<std::string>;
@@ -626,12 +615,6 @@ private:
 LintReport hetsim::lintProgram(const LoweredProgram &Program,
                                const SystemConfig &Config) {
   return Linter(Program, Config).run();
-}
-
-LintReport hetsim::lintDesignPoint(KernelId Kernel,
-                                   const SystemConfig &Config) {
-  LoweredProgram Program = lowerKernel(Kernel, Config);
-  return lintProgram(Program, Config);
 }
 
 std::string hetsim::renderReport(const LintReport &Report,

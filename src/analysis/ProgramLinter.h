@@ -36,9 +36,6 @@ namespace hetsim {
 LintReport lintProgram(const LoweredProgram &Program,
                        const SystemConfig &Config);
 
-/// Convenience: lowers \p Kernel for \p Config and lints the result.
-LintReport lintDesignPoint(KernelId Kernel, const SystemConfig &Config);
-
 /// Renders every diagnostic of \p Report (one per line, with the step
 /// kind names resolved against \p Program).
 std::string renderReport(const LintReport &Report,

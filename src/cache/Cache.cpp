@@ -42,15 +42,6 @@ CacheConfig CacheConfig::gpuL1D() {
   return C;
 }
 
-CacheConfig CacheConfig::gpuL1I() {
-  CacheConfig C;
-  C.Name = "gpu.l1i";
-  C.SizeBytes = 4 * 1024;
-  C.Ways = 4;
-  C.HitLatency = 1;
-  return C;
-}
-
 CacheConfig CacheConfig::sharedL3() {
   CacheConfig C;
   C.Name = "l3";

@@ -59,7 +59,6 @@ struct CacheConfig {
   static CacheConfig cpuL1I();
   static CacheConfig cpuL2();
   static CacheConfig gpuL1D();
-  static CacheConfig gpuL1I();
   static CacheConfig sharedL3();
 };
 

@@ -101,23 +101,3 @@ DirState Directory::state(Addr LineAddress) const {
   const size_t Index = indexOf(LineAddress);
   return Index < Entries.size() ? Entries[Index].State : DirState::Uncached;
 }
-
-bool Directory::isSharer(PuKind Pu, Addr LineAddress) const {
-  switch (state(LineAddress)) {
-  case DirState::Uncached:
-    return false;
-  case DirState::SharedBoth:
-    return true;
-  case DirState::ExclusiveCpu:
-    return Pu == PuKind::Cpu;
-  case DirState::ExclusiveGpu:
-    return Pu == PuKind::Gpu;
-  }
-  return false;
-}
-
-void Directory::clear() {
-  Entries.clear();
-  Tracked = 0;
-  Stats = DirectoryStats();
-}

@@ -62,15 +62,10 @@ public:
   /// Returns the directory state of \p LineAddress.
   DirState state(Addr LineAddress) const;
 
-  /// Returns true if \p Pu is a sharer of \p LineAddress.
-  bool isSharer(PuKind Pu, Addr LineAddress) const;
-
   const DirectoryStats &stats() const { return Stats; }
 
   /// Number of tracked (non-Uncached) lines.
   size_t trackedLines() const { return Tracked; }
-
-  void clear();
 
 private:
   struct Entry {

@@ -55,15 +55,3 @@ MshrDecision MshrFile::onMiss(Addr LineAddress, Cycle Now, Cycle FillDone,
   Decision.ReadyCycle = Done;
   return Decision;
 }
-
-unsigned MshrFile::inFlight(Cycle Now) {
-  prune(Now);
-  return unsigned(Entries.size());
-}
-
-void MshrFile::clear() {
-  Entries.clear();
-  EarliestDone = ~Cycle(0);
-  Merged = 0;
-  FullStalls = 0;
-}

@@ -42,15 +42,10 @@ public:
   MshrDecision onMiss(Addr LineAddress, Cycle Now, Cycle FillDone,
                       Cycle MinReady = 0);
 
-  /// Number of entries still in flight at \p Now (lazily pruned).
-  unsigned inFlight(Cycle Now);
-
   unsigned capacity() const { return Capacity; }
 
   uint64_t mergedCount() const { return Merged; }
   uint64_t fullStallCount() const { return FullStalls; }
-
-  void clear();
 
 private:
   /// Drops the entries completed by \p Now. Inline: most misses find

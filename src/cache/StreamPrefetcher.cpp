@@ -77,10 +77,3 @@ std::vector<Addr> StreamPrefetcher::onAccess(Addr LineAddress) {
   Stats.PrefetchesIssued += Prefetches.size();
   return Prefetches;
 }
-
-void StreamPrefetcher::reset() {
-  for (Stream &S : Streams)
-    S = Stream();
-  Stats = PrefetcherStats();
-  UseClock = 0;
-}

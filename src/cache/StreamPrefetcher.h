@@ -45,8 +45,6 @@ public:
   const PrefetcherStats &stats() const { return Stats; }
   const PrefetcherConfig &config() const { return Config; }
 
-  void reset();
-
 private:
   struct Stream {
     Addr LastLine = 0;

@@ -3,7 +3,6 @@
 #include "check/ResultDoc.h"
 
 #include "common/StringUtil.h"
-#include "common/TextTable.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 
@@ -262,15 +261,6 @@ bool ResultDoc::fromMetricsJson(const std::string &Name,
     AddPoint(Label, *Point.find("metrics"));
   }
   return true;
-}
-
-ResultDoc ResultDoc::fromTextTable(const std::string &Name,
-                                   const TextTable &Table) {
-  ResultDoc Doc;
-  Doc.Name = Name;
-  for (const std::vector<std::string> &Cells : Table.rows())
-    Doc.Rows.push_back(makeRow(Table.headers(), Cells));
-  return Doc;
 }
 
 bool ResultDoc::load(const std::string &Name, const std::string &Path,

@@ -24,8 +24,6 @@
 
 namespace hetsim {
 
-class TextTable;
-
 /// One parsed cell. Numeric parsing accepts thousands separators
 /// ("8,585,229") and a trailing percent sign ("30.7%" becomes 30.7 —
 /// stripped, not divided); anything else stays text. The original cell
@@ -77,11 +75,6 @@ public:
   /// and sets \p Error on schema or syntax violations.
   static bool fromMetricsJson(const std::string &Name, const std::string &Text,
                               ResultDoc &Out, std::string &Error);
-
-  /// Builds a doc straight from an in-memory TextTable, so a sweep can
-  /// be compared against a golden without touching the filesystem.
-  static ResultDoc fromTextTable(const std::string &Name,
-                                 const TextTable &Table);
 
   /// Reads \p Path and dispatches on \p Name's extension: .csv, .json
   /// (metrics schemas), anything else aligned text. Returns false and

@@ -20,16 +20,8 @@ void ConfigStore::setInt(const std::string &Key, int64_t Value) {
   set(Key, std::to_string(Value));
 }
 
-void ConfigStore::setDouble(const std::string &Key, double Value) {
-  set(Key, formatDouble(Value, 9));
-}
-
 void ConfigStore::setBool(const std::string &Key, bool Value) {
   set(Key, Value ? "true" : "false");
-}
-
-bool ConfigStore::has(const std::string &Key) const {
-  return Entries.count(Key) != 0;
 }
 
 std::string ConfigStore::getString(const std::string &Key,
@@ -47,7 +39,7 @@ void hetsim::rejectConfigValue(const std::string &Key,
   std::exit(2);
 }
 
-// Each integer parser takes the whole value or rejects it: a trailing
+// The integer parser takes the whole value or rejects it: a trailing
 // suffix ("12x"), an empty value or an out-of-range number fails. Base 0
 // keeps hex ("0x40") and octal literals.
 
@@ -61,19 +53,6 @@ bool hetsim::parseUnsigned(const std::string &Text, uint64_t &Out) {
     return false;
   Out = N;
   return true;
-}
-
-int64_t ConfigStore::getInt(const std::string &Key, int64_t Default) const {
-  auto It = Entries.find(Key);
-  if (It == Entries.end())
-    return Default;
-  const std::string &V = It->second;
-  char *End = nullptr;
-  errno = 0;
-  long long N = std::strtoll(V.c_str(), &End, 0);
-  if (V.empty() || *End != '\0' || errno == ERANGE)
-    rejectConfigValue(Key, V, "integer");
-  return N;
 }
 
 uint64_t ConfigStore::getUInt(const std::string &Key,
@@ -158,11 +137,6 @@ bool ConfigStore::loadFile(const std::string &Path) {
   return true;
 }
 
-void ConfigStore::mergeFrom(const ConfigStore &Other) {
-  for (const auto &KV : Other.Entries)
-    Entries[KV.first] = KV.second;
-}
-
 std::vector<std::string> ConfigStore::keys() const {
   std::vector<std::string> Result;
   Result.reserve(Entries.size());
@@ -170,5 +144,3 @@ std::vector<std::string> ConfigStore::keys() const {
     Result.push_back(KV.first);
   return Result;
 }
-
-void ConfigStore::clear() { Entries.clear(); }

@@ -29,18 +29,13 @@ public:
   /// Sets \p Key to the string representation of a value.
   void set(const std::string &Key, const std::string &Value);
   void setInt(const std::string &Key, int64_t Value);
-  void setDouble(const std::string &Key, double Value);
   void setBool(const std::string &Key, bool Value);
 
-  /// Returns true if \p Key is present.
-  bool has(const std::string &Key) const;
-
-  /// Typed getters with a default for missing keys. Integers parse in
-  /// base 0 (so "0x40" is 64) and must use the whole value; unsigned
-  /// values take no sign; booleans are 1/0/true/false/yes/no/on/off.
+  /// Typed getters with a default for missing keys. Unsigned integers
+  /// parse in base 0 (so "0x40" is 64), take no sign and must use the
+  /// whole value; booleans are 1/0/true/false/yes/no/on/off.
   std::string getString(const std::string &Key,
                         const std::string &Default) const;
-  int64_t getInt(const std::string &Key, int64_t Default) const;
   uint64_t getUInt(const std::string &Key, uint64_t Default) const;
   double getDouble(const std::string &Key, double Default) const;
   bool getBool(const std::string &Key, bool Default) const;
@@ -59,14 +54,8 @@ public:
   /// path as the Source). Returns false if the file cannot be read.
   bool loadFile(const std::string &Path);
 
-  /// Merges \p Other into this store; keys in \p Other win.
-  void mergeFrom(const ConfigStore &Other);
-
   /// Returns all keys in sorted order (useful for dumping configurations).
   std::vector<std::string> keys() const;
-
-  /// Removes every entry.
-  void clear();
 
   /// Number of entries.
   size_t size() const { return Entries.size(); }

@@ -5,34 +5,8 @@
 #include <cstdarg>
 #include <cstdio>
 
-using namespace hetsim;
-
-namespace {
-LogLevel CurrentLevel = LogLevel::Warning;
-
-const char *levelTag(LogLevel Level) {
-  switch (Level) {
-  case LogLevel::Quiet:
-    return "quiet";
-  case LogLevel::Warning:
-    return "warning";
-  case LogLevel::Info:
-    return "info";
-  case LogLevel::Debug:
-    return "debug";
-  }
-  return "?";
-}
-} // namespace
-
-void Logger::setLevel(LogLevel Level) { CurrentLevel = Level; }
-
-LogLevel Logger::level() { return CurrentLevel; }
-
-void Logger::log(LogLevel Level, const char *Format, ...) {
-  if (static_cast<int>(Level) > static_cast<int>(CurrentLevel))
-    return;
-  std::fprintf(stderr, "hetsim %s: ", levelTag(Level));
+void hetsim::logWarning(const char *Format, ...) {
+  std::fputs("hetsim warning: ", stderr);
   va_list Args;
   va_start(Args, Format);
   std::vfprintf(stderr, Format, Args);

@@ -1,8 +1,10 @@
-//===- common/Log.h - Leveled diagnostic logging ----------------*- C++ -*-===//
+//===- common/Log.h - Diagnostic warnings -----------------------*- C++ -*-===//
 ///
 /// \file
-/// A tiny printf-style leveled logger. Library code logs through this rather
-/// than writing to stdio directly so tests and tools can silence it.
+/// Library code reports trouble that does not stop it (an unwritable
+/// output file) or that explains an abort (the lint findings behind a
+/// rejected lowering) through logWarning() rather than writing to stdio
+/// directly, so every warning has one format.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,35 +13,9 @@
 
 namespace hetsim {
 
-/// Log severities, in increasing verbosity order.
-enum class LogLevel : int {
-  Quiet = 0,
-  Warning = 1,
-  Info = 2,
-  Debug = 3,
-};
-
-/// Global logger configuration and sink.
-class Logger {
-public:
-  /// Sets the maximum level that will be emitted.
-  static void setLevel(LogLevel Level);
-
-  /// Returns the current maximum level.
-  static LogLevel level();
-
-  /// Emits a printf-formatted message at \p Level if enabled.
-  static void log(LogLevel Level, const char *Format, ...)
-      __attribute__((format(printf, 2, 3)));
-};
-
-/// Convenience wrappers.
-#define HETSIM_WARN(...)                                                      \
-  ::hetsim::Logger::log(::hetsim::LogLevel::Warning, __VA_ARGS__)
-#define HETSIM_INFO(...)                                                      \
-  ::hetsim::Logger::log(::hetsim::LogLevel::Info, __VA_ARGS__)
-#define HETSIM_DEBUG(...)                                                     \
-  ::hetsim::Logger::log(::hetsim::LogLevel::Debug, __VA_ARGS__)
+/// Prints "hetsim warning: <printf-formatted message>" and a newline to
+/// stderr.
+void logWarning(const char *Format, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace hetsim
 

@@ -2,8 +2,6 @@
 
 #include "common/Stats.h"
 
-#include "common/StringUtil.h"
-
 #include <bit>
 
 using namespace hetsim;
@@ -26,8 +24,6 @@ void StatHistogram::addSample(uint64_t Value) {
   Sum += Value;
 }
 
-void StatHistogram::reset() { *this = StatHistogram(); }
-
 uint64_t StatHistogram::approxPercentile(double Fraction) const {
   if (Count == 0)
     return 0;
@@ -39,27 +35,6 @@ uint64_t StatHistogram::approxPercentile(double Fraction) const {
       return B == 0 ? 0 : (1ull << B) - 1; // Upper edge of bucket B.
   }
   return Max;
-}
-
-void StatDistribution::addSample(double Value) {
-  if (Count == 0) {
-    Min = Value;
-    Max = Value;
-  } else {
-    if (Value < Min)
-      Min = Value;
-    if (Value > Max)
-      Max = Value;
-  }
-  ++Count;
-  Sum += Value;
-}
-
-void StatDistribution::reset() {
-  Count = 0;
-  Sum = 0.0;
-  Min = 0.0;
-  Max = 0.0;
 }
 
 void StatRegistry::increment(const std::string &Name, uint64_t Delta) {
@@ -87,23 +62,9 @@ std::vector<std::string> StatRegistry::histogramNames() const {
   return Names;
 }
 
-void StatRegistry::setCounter(const std::string &Name, uint64_t Value) {
-  Counters[Name] = Value;
-}
-
 uint64_t StatRegistry::counter(const std::string &Name) const {
   auto It = Counters.find(Name);
   return It == Counters.end() ? 0 : It->second;
-}
-
-void StatRegistry::addSample(const std::string &Name, double Value) {
-  Distributions[Name].addSample(Value);
-}
-
-const StatDistribution &
-StatRegistry::distribution(const std::string &Name) const {
-  auto It = Distributions.find(Name);
-  return It == Distributions.end() ? EmptyDistribution : It->second;
 }
 
 std::vector<std::string> StatRegistry::counterNames() const {
@@ -112,23 +73,6 @@ std::vector<std::string> StatRegistry::counterNames() const {
   for (const auto &KV : Counters)
     Names.push_back(KV.first);
   return Names;
-}
-
-std::vector<std::pair<std::string, uint64_t>>
-StatRegistry::countersWithPrefix(const std::string &Prefix) const {
-  std::vector<std::pair<std::string, uint64_t>> Result;
-  for (auto It = Counters.lower_bound(Prefix); It != Counters.end(); ++It) {
-    if (!startsWith(It->first, Prefix))
-      break;
-    Result.push_back(*It);
-  }
-  return Result;
-}
-
-void StatRegistry::reset() {
-  Counters.clear();
-  Distributions.clear();
-  Histograms.clear();
 }
 
 std::string StatRegistry::renderCounters() const {

@@ -1,7 +1,7 @@
 //===- common/Stats.h - Named statistics registry ---------------*- C++ -*-===//
 ///
 /// \file
-/// Named counters and distributions. Every hardware model exposes its
+/// Named counters and histograms. Every hardware model exposes its
 /// activity (hits, misses, stalls, transfers) through a StatRegistry so
 /// experiments can report and tests can assert on exact behaviour.
 ///
@@ -28,7 +28,6 @@ public:
   static constexpr unsigned NumBuckets = 33;
 
   void addSample(uint64_t Value);
-  void reset();
 
   uint64_t count() const { return Count; }
   uint64_t sum() const { return Sum; }
@@ -50,26 +49,7 @@ private:
   uint64_t Max = 0;
 };
 
-/// A streaming distribution: count, sum, min, max, mean.
-class StatDistribution {
-public:
-  void addSample(double Value);
-  void reset();
-
-  uint64_t count() const { return Count; }
-  double sum() const { return Sum; }
-  double min() const { return Count == 0 ? 0.0 : Min; }
-  double max() const { return Count == 0 ? 0.0 : Max; }
-  double mean() const { return Count == 0 ? 0.0 : Sum / double(Count); }
-
-private:
-  uint64_t Count = 0;
-  double Sum = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-};
-
-/// A registry of named counters and distributions.
+/// A registry of named counters and histograms.
 ///
 /// Counter names are dotted lowercase strings ("l1d.miss", "dram.reads").
 /// Reading a counter that was never incremented returns zero.
@@ -81,8 +61,8 @@ public:
   /// Returns a stable reference to counter \p Name (created at zero if
   /// absent). Components register their hot counters once and bump the
   /// returned reference directly, so per-access paths never hash a
-  /// string. References stay valid until reset() — std::map nodes do not
-  /// move.
+  /// string. References stay valid for the registry's lifetime —
+  /// std::map nodes do not move.
   uint64_t &counterRef(const std::string &Name);
 
   /// Returns a stable reference to histogram \p Name (created empty if
@@ -95,36 +75,18 @@ public:
   /// Returns all histogram names in sorted order.
   std::vector<std::string> histogramNames() const;
 
-  /// Sets counter \p Name to an absolute value.
-  void setCounter(const std::string &Name, uint64_t Value);
-
   /// Returns the value of counter \p Name (0 if absent).
   uint64_t counter(const std::string &Name) const;
 
-  /// Adds a sample to distribution \p Name.
-  void addSample(const std::string &Name, double Value);
-
-  /// Returns the distribution \p Name (an empty one if absent).
-  const StatDistribution &distribution(const std::string &Name) const;
-
   /// Returns all counter names in sorted order.
   std::vector<std::string> counterNames() const;
-
-  /// Returns all counters whose name starts with \p Prefix.
-  std::vector<std::pair<std::string, uint64_t>>
-  countersWithPrefix(const std::string &Prefix) const;
-
-  /// Resets all counters and distributions.
-  void reset();
 
   /// Renders "name = value" lines, one per counter, sorted by name.
   std::string renderCounters() const;
 
 private:
   std::map<std::string, uint64_t> Counters;
-  std::map<std::string, StatDistribution> Distributions;
   std::map<std::string, StatHistogram> Histograms;
-  StatDistribution EmptyDistribution;
   StatHistogram EmptyHistogram;
 };
 

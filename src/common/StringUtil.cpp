@@ -62,8 +62,3 @@ std::string hetsim::formatCount(uint64_t Value) {
   }
   return std::string(Result.rbegin(), Result.rend());
 }
-
-bool hetsim::startsWith(const std::string &Text, const std::string &Prefix) {
-  return Text.size() >= Prefix.size() &&
-         Text.compare(0, Prefix.size(), Prefix) == 0;
-}

@@ -33,9 +33,6 @@ std::string formatBytes(uint64_t Bytes);
 /// Formats a count with thousands separators ("1,234,567").
 std::string formatCount(uint64_t Value);
 
-/// Returns true if \p Text starts with \p Prefix.
-bool startsWith(const std::string &Text, const std::string &Prefix);
-
 } // namespace hetsim
 
 #endif // HETSIM_COMMON_STRINGUTIL_H

@@ -16,17 +16,6 @@ void TextTable::addRow(std::vector<std::string> Cells) {
   Rows.push_back(std::move(Cells));
 }
 
-void TextTable::addNumericRow(const std::string &Label,
-                              const std::vector<double> &Values,
-                              int Precision) {
-  std::vector<std::string> Cells;
-  Cells.reserve(Values.size() + 1);
-  Cells.push_back(Label);
-  for (double V : Values)
-    Cells.push_back(formatDouble(V, Precision));
-  addRow(std::move(Cells));
-}
-
 std::string TextTable::render() const {
   std::vector<size_t> Widths(Headers.size(), 0);
   for (size_t I = 0; I != Headers.size(); ++I)

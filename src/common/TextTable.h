@@ -24,17 +24,8 @@ public:
   /// Appends a row; the row is padded or truncated to the column count.
   void addRow(std::vector<std::string> Cells);
 
-  /// Convenience: appends a row starting with a label and numeric cells.
-  void addNumericRow(const std::string &Label,
-                     const std::vector<double> &Values, int Precision = 3);
-
   /// Number of data rows.
   size_t rowCount() const { return Rows.size(); }
-
-  /// Column headers and raw cell rows (the regression-check subsystem
-  /// parses tables structurally instead of re-reading rendered text).
-  const std::vector<std::string> &headers() const { return Headers; }
-  const std::vector<std::vector<std::string>> &rows() const { return Rows; }
 
   /// Renders the table with a separator line under the header.
   std::string render() const;

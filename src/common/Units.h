@@ -11,6 +11,7 @@
 #ifndef HETSIM_COMMON_UNITS_H
 #define HETSIM_COMMON_UNITS_H
 
+#include "common/Error.h"
 #include "common/Types.h"
 
 namespace hetsim {
@@ -76,11 +77,17 @@ inline constexpr Cycle convertCycles(PuKind From, PuKind To, Cycle Cycles) {
 }
 
 /// Cycles a transfer of \p Bytes occupies at \p BytesPerSec, in the clock
-/// domain of \p Pu, rounded up.
+/// domain of \p Pu, rounded up. A count that a Cycle cannot hold (a rate
+/// so small, or not positive, that the transfer never ends) is fatal:
+/// casting it would be undefined behaviour.
 inline constexpr Cycle transferCycles(PuKind Pu, uint64_t Bytes,
                                       double BytesPerSec) {
   double Seconds = double(Bytes) / BytesPerSec;
   double Cycles = Seconds * puFreqHz(Pu);
+  // 2^64 as a double: the least value that does not fit in a Cycle.
+  if (!(Cycles >= 0.0 && Cycles < 18446744073709551616.0))
+    fatalError("transfer cycles overflow a cycle count: the transfer rate "
+               "is too small or not positive");
   Cycle Floor = static_cast<Cycle>(Cycles);
   return Cycles > double(Floor) ? Floor + 1 : Floor;
 }

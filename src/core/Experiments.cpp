@@ -139,7 +139,7 @@ bool hetsim::maybeExportCsv(const std::string &Name,
   std::string Path = std::string(Dir) + "/" + Name + ".csv";
   std::FILE *File = std::fopen(Path.c_str(), "w");
   if (!File) {
-    HETSIM_WARN("cannot write CSV export to %s", Path.c_str());
+    logWarning("cannot write CSV export to %s", Path.c_str());
     return false;
   }
   std::string Csv = Table.renderCsv();
@@ -260,23 +260,6 @@ hetsim::sweepPartitions(const SystemConfig &Config,
       Curves[S].push_back(Point);
     }
   return Curves;
-}
-
-std::vector<PartitionPoint>
-hetsim::sweepPartition(const SystemConfig &Config, KernelId Kernel,
-                       unsigned Steps, unsigned Jobs,
-                       SweepTelemetry *Telemetry) {
-  return sweepPartitions(Config, {{Kernel, Steps}}, Jobs, Telemetry).front();
-}
-
-PartitionPoint hetsim::findBestPartition(const SystemConfig &Config,
-                                         KernelId Kernel, unsigned Steps) {
-  std::vector<PartitionPoint> Points = sweepPartition(Config, Kernel, Steps);
-  PartitionPoint Best = Points.front();
-  for (const PartitionPoint &Point : Points)
-    if (Point.TotalNs < Best.TotalNs)
-      Best = Point;
-  return Best;
 }
 
 TextTable hetsim::renderTable5() {

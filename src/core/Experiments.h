@@ -73,16 +73,8 @@ struct PartitionPoint {
   double ParallelNs = 0;
 };
 
-/// Runs \p Kernel on \p Config at Steps+1 evenly spaced CPU fractions
-/// in [0, 1] through the sweep engine and returns the measured points in
-/// fraction order.
-std::vector<PartitionPoint> sweepPartition(const SystemConfig &Config,
-                                           KernelId Kernel,
-                                           unsigned Steps = 10,
-                                           unsigned Jobs = 0,
-                                           SweepTelemetry *Telemetry = nullptr);
-
-/// One kernel's partition sweep: Steps+1 evenly spaced CPU fractions.
+/// One kernel's partition sweep: Steps+1 evenly spaced CPU fractions in
+/// [0, 1].
 struct PartitionSweep {
   KernelId Kernel = KernelId::Reduction;
   unsigned Steps = 10;
@@ -95,10 +87,6 @@ std::vector<std::vector<PartitionPoint>>
 sweepPartitions(const SystemConfig &Config,
                 const std::vector<PartitionSweep> &Sweeps, unsigned Jobs = 0,
                 SweepTelemetry *Telemetry = nullptr);
-
-/// Returns the sweep point with the lowest total time.
-PartitionPoint findBestPartition(const SystemConfig &Config, KernelId Kernel,
-                                 unsigned Steps = 10);
 
 /// Writes \p Table as CSV to $HETSIM_CSV_DIR/<Name>.csv when that
 /// environment variable is set (machine-readable experiment export).

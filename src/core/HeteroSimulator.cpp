@@ -110,13 +110,13 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
     LintReport Report = lintProgram(Program, Config);
     if (Report.errorCount() != 0) {
       for (const LintDiagnostic &D : Report.Diags)
-        HETSIM_WARN("lint[%s/%s]: %s", Config.Name.c_str(),
-                    kernelName(Program.Kernel),
-                    D.render(D.StepIndex < Program.Steps.size()
-                                 ? execKindName(
-                                       Program.Steps[D.StepIndex].Kind)
-                                 : "end")
-                        .c_str());
+        logWarning("lint[%s/%s]: %s", Config.Name.c_str(),
+                   kernelName(Program.Kernel),
+                   D.render(D.StepIndex < Program.Steps.size()
+                                ? execKindName(
+                                      Program.Steps[D.StepIndex].Kind)
+                                : "end")
+                       .c_str());
       fatalError("pre-run lint found memory-model hazards in the lowered "
                  "program");
     }
@@ -410,7 +410,7 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
         (Program.BuiltFromKernel ? kernelName(Program.Kernel) : "custom");
     std::string Path = traceEventPath(RunName);
     if (!Trace.writeFile(Path, RunName))
-      HETSIM_WARN("cannot write trace events to %s", Path.c_str());
+      logWarning("cannot write trace events to %s", Path.c_str());
   }
   return Result;
 }

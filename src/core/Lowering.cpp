@@ -41,21 +41,6 @@ unsigned LoweredProgram::countSteps(ExecKind Kind) const {
   return Count;
 }
 
-uint64_t LoweredProgram::totalTransferBytes() const {
-  uint64_t Bytes = 0;
-  for (const ExecStep &Step : Steps)
-    if (Step.Kind == ExecKind::Transfer)
-      Bytes += Step.Bytes;
-  return Bytes;
-}
-
-uint64_t LoweredProgram::totalPageFaultPages() const {
-  uint64_t Pages = 0;
-  for (const ExecStep &Step : Steps)
-    Pages += Step.PageFaultPages;
-  return Pages;
-}
-
 namespace {
 
 /// Stateful helper that walks the abstract phases and appends steps.

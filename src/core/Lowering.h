@@ -68,10 +68,6 @@ struct LoweredProgram {
 
   /// Counts steps of a given kind.
   unsigned countSteps(ExecKind Kind) const;
-  /// Sum of Transfer step bytes.
-  uint64_t totalTransferBytes() const;
-  /// Sum of batched page-fault pages.
-  uint64_t totalPageFaultPages() const;
 };
 
 /// Lowers \p Kernel for \p Config.

@@ -356,7 +356,7 @@ bool ResultStore::save(const Key &K, const Entry &E) const {
 
   std::FILE *File = std::fopen(Temp.c_str(), "w");
   if (!File) {
-    HETSIM_WARN("result store: cannot write %s", Temp.c_str());
+    logWarning("result store: cannot write %s", Temp.c_str());
     return false;
   }
 
@@ -393,7 +393,7 @@ bool ResultStore::save(const Key &K, const Entry &E) const {
 
   std::filesystem::rename(Temp, Final, Ec);
   if (Ec) {
-    HETSIM_WARN("result store: cannot publish %s", Final.c_str());
+    logWarning("result store: cannot publish %s", Final.c_str());
     std::remove(Temp.c_str());
     return false;
   }

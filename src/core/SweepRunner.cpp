@@ -131,7 +131,7 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   if (const char *Env = std::getenv("HETSIM_METRICS_JSON"))
     if (Env[0] != '\0' &&
         !writeTextFile(Env, renderSweepMetricsJson(Points, Metrics) + "\n"))
-      HETSIM_WARN("cannot write sweep metrics to %s", Env);
+      logWarning("cannot write sweep metrics to %s", Env);
 
   Telemetry = SweepTelemetry();
   Telemetry.Jobs = Jobs;
@@ -186,7 +186,7 @@ bool hetsim::appendBenchTiming(const std::string &Bench,
 
   std::FILE *File = std::fopen(Path.c_str(), "a");
   if (!File) {
-    HETSIM_WARN("cannot append bench timing to %s", Path.c_str());
+    logWarning("cannot append bench timing to %s", Path.c_str());
     return false;
   }
   // One JSON object per line (JSON-lines), fixed key order for easy

@@ -5,6 +5,7 @@
 #include "common/Error.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -53,6 +54,15 @@ struct KeyValue {
   }
 };
 
+/// A rate: zero, negative or non-finite ones would make transfers free or
+/// endless.
+double positiveRate(const KeyValue &V) {
+  double Rate = V.asDouble();
+  if (!(Rate > 0.0 && std::isfinite(Rate)))
+    V.reject("rate (a positive finite number)");
+  return Rate;
+}
+
 uint64_t pageSize(const KeyValue &V) {
   uint64_t Bytes = V.asUInt();
   if (!PageTable::isValidPageSize(Bytes))
@@ -72,7 +82,7 @@ const ConfigKey ConfigKeys[] = {
     {"comm.api_pci_base",
      [](auto &C, auto &V) { C.Comm.ApiPciBase = V.asUInt(); }},
     {"comm.pci_bytes_per_sec",
-     [](auto &C, auto &V) { C.Comm.PciBytesPerSec = V.asDouble(); }},
+     [](auto &C, auto &V) { C.Comm.PciBytesPerSec = positiveRate(V); }},
     {"comm.api_acq", [](auto &C, auto &V) { C.Comm.ApiAcquire = V.asUInt(); }},
     {"comm.api_tr", [](auto &C, auto &V) { C.Comm.ApiTransfer = V.asUInt(); }},
     {"comm.lib_pf", [](auto &C, auto &V) { C.Comm.LibPageFault = V.asUInt(); }},
@@ -81,7 +91,7 @@ const ConfigKey ConfigKeys[] = {
     {"comm.pinned_host",
      [](auto &C, auto &V) { C.Comm.PinnedHostMemory = V.asBool(); }},
     {"comm.pageable_rate_factor",
-     [](auto &C, auto &V) { C.Comm.PageableRateFactor = V.asDouble(); }},
+     [](auto &C, auto &V) { C.Comm.PageableRateFactor = positiveRate(V); }},
     {"comm.pageable_staging",
      [](auto &C, auto &V) { C.Comm.PageableStagingOverhead = V.asUInt(); }},
     // Memory system.

@@ -43,13 +43,6 @@ const std::vector<SystemDescriptor> &hetsim::tableOneSurvey() {
   return Rows;
 }
 
-const SystemDescriptor *hetsim::findSurveyEntry(const std::string &Scheme) {
-  for (const SystemDescriptor &Row : tableOneSurvey())
-    if (Row.Scheme == Scheme)
-      return &Row;
-  return nullptr;
-}
-
 unsigned hetsim::surveyCount(AddressSpaceKind Kind) {
   unsigned Count = 0;
   for (const SystemDescriptor &Row : tableOneSurvey())

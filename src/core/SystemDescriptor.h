@@ -32,9 +32,6 @@ struct SystemDescriptor {
 /// Returns all Table I rows in the paper's order.
 const std::vector<SystemDescriptor> &tableOneSurvey();
 
-/// Finds a survey row by name; returns nullptr if absent.
-const SystemDescriptor *findSurveyEntry(const std::string &Scheme);
-
 /// Counts survey rows with the given address space — the paper observes
 /// most existing systems are disjoint and none is unified + fully
 /// coherent + strongly consistent.

@@ -18,10 +18,6 @@ unsigned GsharePredictor::index(Addr Pc) const {
   return unsigned(((Pc >> 2) ^ History) & Mask);
 }
 
-bool GsharePredictor::predict(Addr Pc) const {
-  return Counters[index(Pc)] >= 2;
-}
-
 bool GsharePredictor::update(Addr Pc, bool Taken) {
   unsigned Idx = index(Pc);
   bool Predicted = Counters[Idx] >= 2;
@@ -37,10 +33,4 @@ bool GsharePredictor::update(Addr Pc, bool Taken) {
 
   History = ((History << 1) | (Taken ? 1 : 0)) & ((1ull << TableBits) - 1);
   return Predicted == Taken;
-}
-
-void GsharePredictor::reset() {
-  Counters.assign(1u << TableBits, 2);
-  History = 0;
-  Stats = BranchStats();
 }

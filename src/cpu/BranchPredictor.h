@@ -33,16 +33,11 @@ public:
   /// \p TableBits selects 2^TableBits two-bit counters.
   explicit GsharePredictor(unsigned TableBits = 12);
 
-  /// Predicts the direction of the branch at \p Pc.
-  bool predict(Addr Pc) const;
-
   /// Updates predictor state with the actual outcome; returns true if the
   /// prediction was correct.
   bool update(Addr Pc, bool Taken);
 
   const BranchStats &stats() const { return Stats; }
-
-  void reset();
 
 private:
   unsigned index(Addr Pc) const;

@@ -37,9 +37,3 @@ void hetsim::coalesceWarpAccess(const TraceRecord &Record,
   std::sort(Lines.begin(), Lines.end());
   Lines.erase(std::unique(Lines.begin(), Lines.end()), Lines.end());
 }
-
-std::vector<Addr> hetsim::coalesceWarpAccess(const TraceRecord &Record) {
-  std::vector<Addr> Lines;
-  coalesceWarpAccess(Record, Lines);
-  return Lines;
-}

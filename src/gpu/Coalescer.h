@@ -23,10 +23,6 @@ namespace hetsim {
 /// issue loop performs no per-record allocation.
 void coalesceWarpAccess(const TraceRecord &Record, std::vector<Addr> &Lines);
 
-/// Returns the distinct cache-line base addresses touched by a warp memory
-/// instruction (sorted ascending).
-std::vector<Addr> coalesceWarpAccess(const TraceRecord &Record);
-
 } // namespace hetsim
 
 #endif // HETSIM_GPU_COALESCER_H

@@ -35,10 +35,6 @@ void PageTable::mapRange(Addr VBase, uint64_t Bytes, PhysicalMemory &Device) {
   }
 }
 
-bool PageTable::isMapped(Addr VAddr) const {
-  return Map.contains(vpnOf(VAddr));
-}
-
 void PageTable::unmapRange(Addr VBase, uint64_t Bytes) {
   if (Bytes == 0)
     return;

@@ -80,9 +80,6 @@ public:
     return *Frame + (VAddr & (PageBytes - 1));
   }
 
-  /// True if the page containing \p VAddr is mapped.
-  bool isMapped(Addr VAddr) const;
-
   /// Removes mappings overlapping [VBase, VBase+Bytes).
   void unmapRange(Addr VBase, uint64_t Bytes);
 

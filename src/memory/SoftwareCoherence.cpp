@@ -6,28 +6,11 @@
 
 using namespace hetsim;
 
-const char *hetsim::swCohStateName(SwCohState State) {
-  switch (State) {
-  case SwCohState::HostValid:
-    return "host-valid";
-  case SwCohState::AccValid:
-    return "acc-valid";
-  case SwCohState::BothValid:
-    return "both-valid";
-  }
-  hetsim_unreachable("invalid software-coherence state");
-}
-
 SoftwareCoherence::Object &SoftwareCoherence::find(const std::string &Name) {
   for (Object &O : Objects)
     if (O.Name == Name)
       return O;
   fatalError(("software coherence: unknown object " + Name).c_str());
-}
-
-const SoftwareCoherence::Object &
-SoftwareCoherence::find(const std::string &Name) const {
-  return const_cast<SoftwareCoherence *>(this)->find(Name);
 }
 
 void SoftwareCoherence::registerObject(const std::string &Name,
@@ -86,10 +69,5 @@ void SoftwareCoherence::onAccOverwrite(const std::string &Name) {
 }
 
 SwCohState SoftwareCoherence::state(const std::string &Name) const {
-  return find(Name).State;
-}
-
-void SoftwareCoherence::clear() {
-  Objects.clear();
-  Stats = SwCohStats();
+  return const_cast<SoftwareCoherence *>(this)->find(Name).State;
 }

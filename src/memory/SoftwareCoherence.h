@@ -28,9 +28,6 @@ enum class SwCohState : uint8_t {
   BothValid,     ///< Both copies current (clean shared).
 };
 
-/// Returns a short name for a state.
-const char *swCohStateName(SwCohState State);
-
 /// Protocol statistics.
 struct SwCohStats {
   uint64_t HostToDevTransfers = 0;
@@ -71,8 +68,6 @@ public:
   /// Number of registered objects.
   size_t objectCount() const { return Objects.size(); }
 
-  void clear();
-
 private:
   struct Object {
     std::string Name;
@@ -81,7 +76,6 @@ private:
   };
 
   Object &find(const std::string &Name);
-  const Object &find(const std::string &Name) const;
 
   std::vector<Object> Objects;
   SwCohStats Stats;

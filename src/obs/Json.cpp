@@ -94,12 +94,6 @@ void JsonWriter::endObject() {
   NeedComma.pop_back();
 }
 
-void JsonWriter::beginArray() {
-  separator();
-  Out += '[';
-  NeedComma.push_back(false);
-}
-
 void JsonWriter::beginArray(const std::string &Key) {
   key(Key);
   Out += '[';
@@ -146,19 +140,6 @@ void JsonWriter::value(const std::string &Key, bool Flag) {
 void JsonWriter::value(const std::string &Text) {
   separator();
   jsonAppendEscaped(Out, Text);
-}
-
-void JsonWriter::value(double Number) {
-  separator();
-  number(Number);
-}
-
-void JsonWriter::value(uint64_t Number) {
-  separator();
-  char Buffer[32];
-  std::snprintf(Buffer, sizeof(Buffer), "%llu",
-                static_cast<unsigned long long>(Number));
-  Out += Buffer;
 }
 
 std::string JsonWriter::take() {
@@ -423,12 +404,6 @@ bool hetsim::parseJson(const std::string &Text, JsonValue &Out,
                        std::string &Error) {
   Out = JsonValue();
   return Parser(Text, Error).parse(Out);
-}
-
-bool hetsim::isValidJson(const std::string &Text) {
-  JsonValue Value;
-  std::string Error;
-  return parseJson(Text, Value, Error);
 }
 
 bool hetsim::writeTextFile(const std::string &Path,

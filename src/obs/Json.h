@@ -32,7 +32,6 @@ public:
   void beginObject();
   void beginObject(const std::string &Key);
   void endObject();
-  void beginArray();
   void beginArray(const std::string &Key);
   void endArray();
 
@@ -43,10 +42,8 @@ public:
   void value(const std::string &Key, int Number);
   void value(const std::string &Key, bool Flag);
 
-  /// Bare values inside arrays.
+  /// A bare string inside an array.
   void value(const std::string &Text);
-  void value(double Number);
-  void value(uint64_t Number);
 
   /// Returns the finished document; the writer must be back at nesting
   /// depth zero.
@@ -84,9 +81,6 @@ struct JsonValue {
 /// Parses \p Text into \p Out. Returns false (and sets \p Error to a
 /// message with a byte offset) on malformed input or trailing garbage.
 bool parseJson(const std::string &Text, JsonValue &Out, std::string &Error);
-
-/// True if \p Text is a syntactically valid JSON document.
-bool isValidJson(const std::string &Text);
 
 /// Writes \p Contents to \p Path (truncating). Returns false on failure.
 bool writeTextFile(const std::string &Path, const std::string &Contents);

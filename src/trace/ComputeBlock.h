@@ -7,8 +7,8 @@
 /// Cores expand blocks a window at a time (a few thousand records).
 ///
 /// Expansion is exact: BlockExpander replays the same generator code over
-/// the same GenState, so the concatenation of all windows is byte-identical
-/// to the single-shot buffer generateCompute/generateSerial would produce.
+/// the same GenState, so the concatenation of a compute block's windows is
+/// byte-identical to the single-shot buffer generateCompute would produce.
 /// No production path holds a block's whole record stream: consumers that
 /// need fixed-size slices read them through a TraceReader.
 ///
@@ -70,7 +70,7 @@ class BlockTrace {
 public:
   enum class Kind : uint8_t {
     ComputeGen, ///< generateCompute(Req, Layout).
-    SerialGen,  ///< generateSerial(InstCount, Layout, Seed).
+    SerialGen,  ///< beginSerial/emitSerial(InstCount, Layout, Seed).
   };
 
   /// A compute segment: the stream \p Gen.generateCompute(\p Request,
@@ -78,8 +78,8 @@ public:
   BlockTrace(const KernelTraceGenerator &Gen, const GenRequest &Request,
              const KernelDataLayout &Data);
 
-  /// A serial segment: \p Gen.generateSerial(\p InstCount, \p Data,
-  /// \p Seed).
+  /// A serial segment: \p InstCount records of \p Gen's sequential
+  /// (CPU-only) portion over \p Data, seeded with \p Seed.
   BlockTrace(const KernelTraceGenerator &Gen, uint64_t InstCount,
              uint64_t Seed, const KernelDataLayout &Data);
 

@@ -28,13 +28,6 @@ bool KernelDataLayout::hasSegment(const std::string &Name) const {
   return false;
 }
 
-const DataSegment *KernelDataLayout::segmentContaining(Addr Address) const {
-  for (const DataSegment &S : Segments)
-    if (S.contains(Address))
-      return &S;
-  return nullptr;
-}
-
 namespace {
 
 uint64_t fnv1aBytes(uint64_t Hash, const void *Data, size_t Bytes) {

@@ -46,9 +46,6 @@ public:
   /// Returns true if a segment named \p Name exists.
   bool hasSegment(const std::string &Name) const;
 
-  /// Returns the segment containing \p Address, or nullptr.
-  const DataSegment *segmentContaining(Addr Address) const;
-
   const std::vector<DataSegment> &segments() const { return Segments; }
 
   /// Sum of all segment sizes.

@@ -133,21 +133,6 @@ void KernelTraceGenerator::serialIteration(TraceEmitter &E,
   E.branch(Pc + 28, /*Taken=*/true, 0);
 }
 
-TraceBuffer
-KernelTraceGenerator::generateSerial(uint64_t InstCount,
-                                     const KernelDataLayout &Layout,
-                                     uint64_t Seed) const {
-  TraceBuffer Buffer;
-  if (InstCount == 0)
-    return Buffer;
-  TraceGenScope Timer;
-  GenState S;
-  beginSerial(S, Layout, Seed);
-  emitSerial(S, Buffer, InstCount, size_t(InstCount));
-  assert(Buffer.size() == InstCount && "serial generator missed its budget");
-  return Buffer;
-}
-
 const KernelTraceGenerator &KernelTraceGenerator::forKernel(KernelId Id) {
   static const ReductionGenerator Reduction;
   static const MatrixMulGenerator MatrixMul;

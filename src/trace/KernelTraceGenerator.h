@@ -174,12 +174,6 @@ public:
   TraceBuffer generateCompute(const GenRequest &Req,
                               const KernelDataLayout &Layout) const;
 
-  /// Produces exactly \p InstCount records for the sequential (CPU-only)
-  /// portion: serialIteration's pass over the layout's output object.
-  TraceBuffer generateSerial(uint64_t InstCount,
-                             const KernelDataLayout &Layout,
-                             uint64_t Seed = 1) const;
-
   /// Seeds \p S for an incremental compute expansion of \p Req. Combined
   /// with emitCompute this produces the same record stream as
   /// generateCompute, one window at a time.
@@ -195,7 +189,8 @@ public:
                        TraceBuffer &Window, uint64_t Budget,
                        size_t WindowTarget) const;
 
-  /// Incremental equivalents of generateSerial.
+  /// The same two steps for the sequential (CPU-only) portion:
+  /// serialIteration's pass over the layout's output object.
   void beginSerial(GenState &S, const KernelDataLayout &Layout,
                    uint64_t Seed) const;
   uint64_t emitSerial(GenState &S, TraceBuffer &Window, uint64_t Budget,

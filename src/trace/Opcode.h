@@ -36,9 +36,6 @@ inline constexpr unsigned NumOpcodes = 13;
 static_assert(static_cast<unsigned>(Opcode::SmemStore) + 1 == NumOpcodes,
               "opcode tables are indexed by Opcode");
 
-/// Returns a stable mnemonic for \p Op.
-const char *opcodeName(Opcode Op);
-
 /// True for Load/Store/SmemLoad/SmemStore.
 inline bool isMemoryOp(Opcode Op) {
   return Op == Opcode::Load || Op == Opcode::Store ||

@@ -27,45 +27,3 @@ const char *hetsim::specialInstName(SpecialInst Inst) {
   }
   hetsim_unreachable("invalid special instruction");
 }
-
-const char *hetsim::fenceEffectName(FenceEffect Effect) {
-  switch (Effect) {
-  case FenceEffect::None:
-    return "none";
-  case FenceEffect::Acquire:
-    return "acquire";
-  case FenceEffect::Release:
-    return "release";
-  case FenceEffect::AcquireRelease:
-    return "acquire-release";
-  case FenceEffect::TransferComplete:
-    return "transfer-complete";
-  case FenceEffect::EngineDrain:
-    return "engine-drain";
-  }
-  hetsim_unreachable("invalid fence effect");
-}
-
-FenceEffect hetsim::fenceEffect(SpecialInst Inst) {
-  switch (Inst) {
-  case SpecialInst::None:
-    return FenceEffect::None;
-  case SpecialInst::ApiPci:
-  case SpecialInst::ApiTr:
-    return FenceEffect::TransferComplete;
-  case SpecialInst::ApiAcq:
-    return FenceEffect::AcquireRelease;
-  case SpecialInst::LibPf:
-    // The fault handler orders the faulted page, which the batched
-    // lib-pf charging folds into the owning round: model-wise the page
-    // is published with the round's launch.
-    return FenceEffect::Acquire;
-  case SpecialInst::DmaWait:
-    return FenceEffect::EngineDrain;
-  case SpecialInst::KernelLaunch:
-    return FenceEffect::Release;
-  case SpecialInst::KernelJoin:
-    return FenceEffect::Acquire;
-  }
-  hetsim_unreachable("invalid special instruction");
-}

@@ -1,15 +1,14 @@
-//===- trace/SpecialInst.h - Special-instruction fence semantics *- C++ -*-===//
+//===- trace/SpecialInst.h - Table IV special instructions ------*- C++ -*-===//
 ///
 /// \file
 /// The paper's special instructions (Section IV-C, Table IV) as a typed
-/// vocabulary with fence annotations. The lowering models programming-model
-/// effects "with a series of special instructions"; each one carries an
-/// ordering effect in addition to its Table IV latency: api-acq is an
-/// acquire/release fence on the shared region, api-tr and api-pci order the
-/// moved data behind their completion, lib-pf orders the faulted page, and
-/// dma-wait is the copy-engine drain. The static race verifier
-/// (analysis/RaceDetector) consumes these annotations through the
-/// per-model visibility tables in memory/FenceSemantics.
+/// vocabulary. The lowering models programming-model effects "with a
+/// series of special instructions": api-acq is an acquire/release fence on
+/// the shared region, api-tr and api-pci order the moved data behind their
+/// completion, lib-pf orders the faulted page, and dma-wait is the
+/// copy-engine drain. Which of them a memory model needs for an object is
+/// the per-model visibility table's decision (memory/FenceSemantics.h),
+/// which the static race verifier (analysis/RaceDetector) consults.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,27 +35,8 @@ enum class SpecialInst : uint8_t {
 /// Number of SpecialInst values.
 inline constexpr unsigned NumSpecialInsts = 8;
 
-/// The ordering effect a special instruction has on the memory system.
-enum class FenceEffect : uint8_t {
-  None = 0,        ///< No cross-PU ordering.
-  Acquire,         ///< Later accesses ordered after the paired release.
-  Release,         ///< Earlier accesses published to the paired acquire.
-  AcquireRelease,  ///< Both directions (api-acq transfers ownership).
-  TransferComplete,///< The moved data is ordered behind completion.
-  EngineDrain,     ///< All in-flight asynchronous copies are retired.
-};
-
 /// Stable mnemonic for \p Inst ("api-acq", "dma-wait", ...).
 const char *specialInstName(SpecialInst Inst);
-
-/// Stable name for \p Effect ("acquire-release", "engine-drain", ...).
-const char *fenceEffectName(FenceEffect Effect);
-
-/// The ordering effect \p Inst carries. This is the model-independent
-/// annotation; whether a given memory model *needs* the fence for a given
-/// object is the per-model visibility table's decision
-/// (memory/FenceSemantics.h).
-FenceEffect fenceEffect(SpecialInst Inst);
 
 } // namespace hetsim
 

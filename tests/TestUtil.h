@@ -6,14 +6,19 @@
 /// whole stream explicitly with materialize(); tests that compare a block
 /// run against a recorded reference replay the recording through a
 /// ReplayGenerator. exactText() renders a RunResult for bit-exact
-/// comparison.
+/// comparison. The remaining helpers are oracles over state that no
+/// production path reads this way (segment lookup, directory sharers,
+/// lint findings by kind, survey rows by name, a program's fault pages).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HETSIM_TESTS_TESTUTIL_H
 #define HETSIM_TESTS_TESTUTIL_H
 
+#include "analysis/LintDiagnostic.h"
+#include "cache/Directory.h"
 #include "core/HeteroSimulator.h"
+#include "core/SystemDescriptor.h"
 #include "trace/ComputeBlock.h"
 
 #include <cstdio>
@@ -160,6 +165,59 @@ inline std::string exactText(const RunResult &R) {
     Int(V);
   Num(R.PushNs);
   return Out;
+}
+
+/// The segment of \p Layout containing \p Address, or nullptr.
+inline const DataSegment *segmentContaining(const KernelDataLayout &Layout,
+                                            Addr Address) {
+  for (const DataSegment &S : Layout.segments())
+    if (S.contains(Address))
+      return &S;
+  return nullptr;
+}
+
+/// True if \p Pu holds \p LineAddress according to \p Dir.
+inline bool isSharer(const Directory &Dir, PuKind Pu, Addr LineAddress) {
+  switch (Dir.state(LineAddress)) {
+  case DirState::Uncached:
+    return false;
+  case DirState::SharedBoth:
+    return true;
+  case DirState::ExclusiveCpu:
+    return Pu == PuKind::Cpu;
+  case DirState::ExclusiveGpu:
+    return Pu == PuKind::Gpu;
+  }
+  return false;
+}
+
+/// The first diagnostic of \p Kind in \p Report, or nullptr.
+inline const LintDiagnostic *findKind(const LintReport &Report,
+                                      LintKind Kind) {
+  for (const LintDiagnostic &D : Report.Diags)
+    if (D.Kind == Kind)
+      return &D;
+  return nullptr;
+}
+
+inline bool hasKind(const LintReport &Report, LintKind Kind) {
+  return findKind(Report, Kind) != nullptr;
+}
+
+/// The Table I row named \p Scheme, or nullptr.
+inline const SystemDescriptor *findSurveyEntry(const std::string &Scheme) {
+  for (const SystemDescriptor &Row : tableOneSurvey())
+    if (Row.Scheme == Scheme)
+      return &Row;
+  return nullptr;
+}
+
+/// Batched page-fault pages over all of \p Program's steps.
+inline uint64_t totalPageFaultPages(const LoweredProgram &Program) {
+  uint64_t Pages = 0;
+  for (const ExecStep &Step : Program.Steps)
+    Pages += Step.PageFaultPages;
+  return Pages;
 }
 
 } // namespace hetsim

@@ -11,6 +11,8 @@
 #include "core/ConsistencyValidation.h"
 #include "core/HeteroSimulator.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,8 +85,8 @@ TEST(LintFixture, DroppedOwnershipTransfer) {
   eraseStep(Program, Release);
 
   LintReport Report = lintProgram(Program, Config);
-  ASSERT_TRUE(Report.hasKind(LintKind::MissingOwnership));
-  const LintDiagnostic *D = Report.findKind(LintKind::MissingOwnership);
+  ASSERT_TRUE(hasKind(Report, LintKind::MissingOwnership));
+  const LintDiagnostic *D = findKind(Report, LintKind::MissingOwnership);
   EXPECT_EQ(D->Severity, LintSeverity::Error);
   EXPECT_EQ(Program.Steps[D->StepIndex].Kind, ExecKind::ParallelCompute);
   EXPECT_EQ(D->StepIndex,
@@ -109,8 +111,8 @@ TEST(LintFixture, RemovedDmaWait) {
   eraseStep(Program, Program.Steps.size() - 1);
 
   LintReport Report = lintProgram(Program, Config);
-  ASSERT_TRUE(Report.hasKind(LintKind::MissingDmaWait));
-  const LintDiagnostic *D = Report.findKind(LintKind::MissingDmaWait);
+  ASSERT_TRUE(hasKind(Report, LintKind::MissingDmaWait));
+  const LintDiagnostic *D = findKind(Report, LintKind::MissingDmaWait);
   EXPECT_EQ(D->Severity, LintSeverity::Error);
   // Anchored at the copy nothing drains: the final device-to-host
   // transfer of the last round.
@@ -126,8 +128,8 @@ TEST(LintFixture, DroppedInitialTransfer) {
   eraseStep(Program, First);
 
   LintReport Report = lintProgram(Program, Config);
-  ASSERT_TRUE(Report.hasKind(LintKind::UseBeforeTransfer));
-  const LintDiagnostic *D = Report.findKind(LintKind::UseBeforeTransfer);
+  ASSERT_TRUE(hasKind(Report, LintKind::UseBeforeTransfer));
+  const LintDiagnostic *D = findKind(Report, LintKind::UseBeforeTransfer);
   EXPECT_EQ(D->Severity, LintSeverity::Error);
   EXPECT_EQ(Program.Steps[D->StepIndex].Kind, ExecKind::ParallelCompute);
 }
@@ -144,9 +146,9 @@ TEST(LintFixture, ReorderedTransferOut) {
   LintReport Report = lintProgram(Program, Config);
   // Moved before the round, the copy is dead (nothing to read back yet)
   // and the host later merges results that never came back.
-  ASSERT_TRUE(Report.hasKind(LintKind::RedundantTransfer));
-  EXPECT_EQ(Report.findKind(LintKind::RedundantTransfer)->StepIndex, Par);
-  ASSERT_TRUE(Report.hasKind(LintKind::StaleReadback));
+  ASSERT_TRUE(hasKind(Report, LintKind::RedundantTransfer));
+  EXPECT_EQ(findKind(Report, LintKind::RedundantTransfer)->StepIndex, Par);
+  ASSERT_TRUE(hasKind(Report, LintKind::StaleReadback));
   // One StaleReadback anchors at the serial merge that reads results
   // never copied back (a second, end-anchored one reports the results
   // still stranded on the device when the program exits).
@@ -169,8 +171,8 @@ TEST(LintFixture, DuplicatedTransfer) {
 
   LintReport Report = lintProgram(Program, Config);
   EXPECT_EQ(Report.errorCount(), 0u);
-  ASSERT_TRUE(Report.hasKind(LintKind::RedundantTransfer));
-  EXPECT_EQ(Report.findKind(LintKind::RedundantTransfer)->StepIndex,
+  ASSERT_TRUE(hasKind(Report, LintKind::RedundantTransfer));
+  EXPECT_EQ(findKind(Report, LintKind::RedundantTransfer)->StepIndex,
             First + 1);
 }
 
@@ -184,8 +186,8 @@ TEST(LintFixture, StaleReadbackAtProgramEnd) {
   eraseStep(Program, Program.Steps.size() - 1);
 
   LintReport Report = lintProgram(Program, Config);
-  ASSERT_TRUE(Report.hasKind(LintKind::StaleReadback));
-  const LintDiagnostic *D = Report.findKind(LintKind::StaleReadback);
+  ASSERT_TRUE(hasKind(Report, LintKind::StaleReadback));
+  const LintDiagnostic *D = findKind(Report, LintKind::StaleReadback);
   EXPECT_EQ(Program.Steps[D->StepIndex].Kind, ExecKind::ParallelCompute);
 }
 
@@ -198,8 +200,8 @@ TEST(LintFixture, DoubleOwnershipRelease) {
 
   LintReport Report = lintProgram(Program, Config);
   EXPECT_EQ(Report.errorCount(), 0u);
-  ASSERT_TRUE(Report.hasKind(LintKind::DoubleOwnership));
-  EXPECT_EQ(Report.findKind(LintKind::DoubleOwnership)->StepIndex,
+  ASSERT_TRUE(hasKind(Report, LintKind::DoubleOwnership));
+  EXPECT_EQ(findKind(Report, LintKind::DoubleOwnership)->StepIndex,
             Release + 1);
 }
 
@@ -215,8 +217,8 @@ TEST(LintFixture, TransferInUnifiedSpaceIsModelMismatch) {
   Program.Steps.insert(Program.Steps.begin(), std::move(Step));
 
   LintReport Report = lintProgram(Program, Config);
-  ASSERT_TRUE(Report.hasKind(LintKind::ModelMismatch));
-  EXPECT_EQ(Report.findKind(LintKind::ModelMismatch)->StepIndex, 0u);
+  ASSERT_TRUE(hasKind(Report, LintKind::ModelMismatch));
+  EXPECT_EQ(findKind(Report, LintKind::ModelMismatch)->StepIndex, 0u);
 }
 
 TEST(LintFixture, MangledStructureIsReported) {
@@ -225,7 +227,7 @@ TEST(LintFixture, MangledStructureIsReported) {
   eraseStep(Program, firstStepOfKind(Program, ExecKind::SerialCompute));
 
   LintReport Report = lintProgram(Program, Config);
-  EXPECT_TRUE(Report.hasKind(LintKind::StructureMismatch));
+  EXPECT_TRUE(hasKind(Report, LintKind::StructureMismatch));
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,6 +5,8 @@
 #include "cache/Mshr.h"
 #include "cache/Scratchpad.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace hetsim;
@@ -41,7 +43,6 @@ TEST(CacheConfig, TableTwoPresets) {
   EXPECT_EQ(CacheConfig::sharedL3().SizeBytes, 8u * 1024 * 1024);
   EXPECT_EQ(CacheConfig::sharedL3().Ways, 32u);
   EXPECT_EQ(CacheConfig::sharedL3().HitLatency, 20u);
-  EXPECT_EQ(CacheConfig::gpuL1I().SizeBytes, 4u * 1024);
 }
 
 TEST(CacheConfig, Validation) {
@@ -246,16 +247,22 @@ TEST(Mshr, MergesSameLine) {
 }
 
 TEST(Mshr, DistinctLinesAllocate) {
-  MshrFile Mshr(4);
-  Mshr.onMiss(0x1000, 0, 100);
-  Mshr.onMiss(0x2000, 0, 100);
-  EXPECT_EQ(Mshr.inFlight(50), 2u);
+  // Two distinct lines take both entries of a two-entry file: a third
+  // line at cycle 50 waits for the first fill.
+  MshrFile Mshr(2);
+  EXPECT_FALSE(Mshr.onMiss(0x1000, 0, 100).Merged);
+  EXPECT_FALSE(Mshr.onMiss(0x2000, 0, 100).Merged);
+  EXPECT_EQ(Mshr.onMiss(0x3000, 50, 150).StallCycles, 50u);
+  EXPECT_EQ(Mshr.mergedCount(), 0u);
 }
 
 TEST(Mshr, EntriesExpire) {
-  MshrFile Mshr(4);
+  // The fill completes at 100, so at 100 the one-entry file is free.
+  MshrFile Mshr(1);
   Mshr.onMiss(0x1000, 0, 100);
-  EXPECT_EQ(Mshr.inFlight(100), 0u);
+  MshrDecision Other = Mshr.onMiss(0x2000, 100, 200);
+  EXPECT_EQ(Other.StallCycles, 0u);
+  EXPECT_EQ(Mshr.fullStallCount(), 0u);
   MshrDecision Again = Mshr.onMiss(0x1000, 200, 300);
   EXPECT_FALSE(Again.Merged); // Old entry expired; new fill.
 }
@@ -285,10 +292,11 @@ TEST(Mshr, MergeFloorsAtAccruedLatency) {
 }
 
 TEST(Mshr, ClearResets) {
+  // Every run builds a fresh machine: a new file holds no fill.
   MshrFile Mshr(2);
   Mshr.onMiss(0x1000, 0, 100);
-  Mshr.clear();
-  EXPECT_EQ(Mshr.inFlight(0), 0u);
+  Mshr = MshrFile(2);
+  EXPECT_FALSE(Mshr.onMiss(0x1000, 0, 100).Merged);
   EXPECT_EQ(Mshr.mergedCount(), 0u);
 }
 
@@ -363,8 +371,8 @@ TEST(Directory, ReadSharingCleanLine) {
   CoherenceAction A = Dir.onAccess(PuKind::Gpu, 0x40, false);
   EXPECT_FALSE(A.FetchFromRemote); // Clean: memory supplies data.
   EXPECT_EQ(Dir.state(0x40), DirState::SharedBoth);
-  EXPECT_TRUE(Dir.isSharer(PuKind::Cpu, 0x40));
-  EXPECT_TRUE(Dir.isSharer(PuKind::Gpu, 0x40));
+  EXPECT_TRUE(isSharer(Dir, PuKind::Cpu, 0x40));
+  EXPECT_TRUE(isSharer(Dir, PuKind::Gpu, 0x40));
 }
 
 TEST(Directory, ReadOfRemoteDirtyFetches) {
@@ -384,7 +392,7 @@ TEST(Directory, WriteInvalidatesSharer) {
   CoherenceAction A = Dir.onAccess(PuKind::Cpu, 0x40, true);
   EXPECT_TRUE(A.InvalidateRemote);
   EXPECT_EQ(Dir.state(0x40), DirState::ExclusiveCpu);
-  EXPECT_FALSE(Dir.isSharer(PuKind::Gpu, 0x40));
+  EXPECT_FALSE(isSharer(Dir, PuKind::Gpu, 0x40));
 }
 
 TEST(Directory, WriteToRemoteDirtyFetchesAndInvalidates) {

@@ -166,17 +166,20 @@ TEST(ResultDoc, ArtifactTextSplitsTablesAndProse) {
 }
 
 TEST(ResultDoc, FromTextTableMatchesRenderedParse) {
-  // The in-memory path (what a sweep hands over directly) must agree
-  // with re-parsing the table's rendered text.
+  // A bench writes one TextTable twice, as aligned text (out/*.txt) and
+  // as its CSV export: both parse to the same rows.
   TextTable Table({"kernel", "system", "total_us"});
   Table.addRow({"reduction", "CPU+GPU", "159.75"});
   Table.addRow({"reduction", "Fusion", "137.84"});
-  ResultDoc Direct = ResultDoc::fromTextTable("t", Table);
+  ResultDoc Csv = ResultDoc::fromCsv("t", Table.renderCsv());
   ResultDoc Reparsed = ResultDoc::fromArtifactText("t", Table.render());
   ToleranceSpec Spec;
-  EXPECT_TRUE(compareDocs(Direct, Reparsed, Spec).ok());
-  ASSERT_EQ(Direct.Rows.size(), 2u);
-  EXPECT_EQ(Direct.Rows[1].Label, "reduction/Fusion");
+  EXPECT_TRUE(compareDocs(Csv, Reparsed, Spec).ok());
+  ASSERT_EQ(Reparsed.Rows.size(), 2u);
+  EXPECT_EQ(Reparsed.Rows[1].Label, "reduction/Fusion");
+  const ResultValue *Total = Reparsed.Rows[1].find("total_us");
+  ASSERT_NE(Total, nullptr);
+  EXPECT_DOUBLE_EQ(Total->Number, 137.84);
 }
 
 TEST(ResultDoc, MetricsJsonBecomesRunRow) {

@@ -7,6 +7,7 @@
 #include "comm/PciExpressLink.h"
 #include "common/Stats.h"
 #include "common/Units.h"
+#include "core/HeteroSimulator.h"
 #include "core/SystemConfig.h"
 #include "dram/Dram.h"
 
@@ -76,11 +77,22 @@ TEST(CommParams, PageableHostMemoryCostsMore) {
 TEST(CommParams, PageableConfigKeys) {
   ConfigStore Config;
   Config.setBool("comm.pinned_host", false);
-  Config.setDouble("comm.pageable_rate_factor", 0.25);
+  Config.set("comm.pageable_rate_factor", "0.25");
   SystemConfig System;
   System.applyOverrides(Config);
   EXPECT_FALSE(System.Comm.PinnedHostMemory);
   EXPECT_DOUBLE_EQ(System.Comm.PageableRateFactor, 0.25);
+}
+
+// A positive rate passes the key table, but one this small leaves no
+// cycle count for a copy: the run aborts instead of making the copy free.
+TEST(CommParamsDeathTest, TinyEffectiveRateFailsLoudly) {
+  ConfigStore Config;
+  Config.setBool("comm.pinned_host", false);
+  Config.set("comm.pageable_rate_factor", "1e-300");
+  SystemConfig System = SystemConfig::forCaseStudy(CaseStudy::CpuGpu, Config);
+  EXPECT_DEATH(HeteroSimulator(System).run(KernelId::Reduction),
+               "transfer cycles overflow a cycle count");
 }
 
 //===----------------------------------------------------------------------===//

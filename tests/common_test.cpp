@@ -100,10 +100,10 @@ TEST(Units, TransferCycles) {
 TEST(Config, TypedAccessors) {
   ConfigStore Config;
   Config.setInt("a", 42);
-  Config.setDouble("b", 2.5);
+  Config.set("b", "2.5");
   Config.setBool("c", true);
   Config.set("d", "hello");
-  EXPECT_EQ(Config.getInt("a", 0), 42);
+  EXPECT_EQ(Config.getUInt("a", 0), 42u);
   EXPECT_DOUBLE_EQ(Config.getDouble("b", 0), 2.5);
   EXPECT_TRUE(Config.getBool("c", false));
   EXPECT_EQ(Config.getString("d", ""), "hello");
@@ -119,16 +119,17 @@ TEST(Config, TypedAccessors) {
 
 TEST(Config, DefaultsForMissingKeys) {
   ConfigStore Config;
-  EXPECT_EQ(Config.getInt("missing", -7), -7);
   EXPECT_EQ(Config.getUInt("missing", 9), 9u);
+  EXPECT_DOUBLE_EQ(Config.getDouble("missing", -7.5), -7.5);
   EXPECT_FALSE(Config.getBool("missing", false));
-  EXPECT_FALSE(Config.has("missing"));
+  EXPECT_EQ(Config.getString("missing", "dflt"), "dflt");
+  EXPECT_EQ(Config.size(), 0u);
 }
 
 TEST(Config, ParseAssignment) {
   ConfigStore Config;
   EXPECT_TRUE(Config.parseAssignment("  key = 17 "));
-  EXPECT_EQ(Config.getInt("key", 0), 17);
+  EXPECT_EQ(Config.getUInt("key", 0), 17u);
   EXPECT_FALSE(Config.parseAssignment("no-equals-sign"));
   EXPECT_FALSE(Config.parseAssignment("=value"));
 }
@@ -138,18 +139,20 @@ TEST(Config, ParseLinesWithComments) {
   unsigned Applied =
       Config.parseLines("a=1\n# comment\nb=2 # trailing\n\n", "test");
   EXPECT_EQ(Applied, 2u);
-  EXPECT_EQ(Config.getInt("a", 0), 1);
-  EXPECT_EQ(Config.getInt("b", 0), 2);
+  EXPECT_EQ(Config.getUInt("a", 0), 1u);
+  EXPECT_EQ(Config.getUInt("b", 0), 2u);
 }
 
+// The command line composes overrides in one store: a --config file's
+// assignments first, then each key=value argument, so a later assignment
+// wins and the other keys stay.
 TEST(Config, MergeOtherWins) {
-  ConfigStore A, B;
-  A.setInt("x", 1);
-  A.setInt("y", 2);
-  B.setInt("y", 20);
-  A.mergeFrom(B);
-  EXPECT_EQ(A.getInt("x", 0), 1);
-  EXPECT_EQ(A.getInt("y", 0), 20);
+  ConfigStore Config;
+  Config.parseLines("x=1\ny=2\n", "file.cfg");
+  EXPECT_TRUE(Config.parseAssignment("y=20"));
+  EXPECT_EQ(Config.getUInt("x", 0), 1u);
+  EXPECT_EQ(Config.getUInt("y", 0), 20u);
+  EXPECT_EQ(Config.size(), 2u);
 }
 
 TEST(Config, KeysSorted) {
@@ -165,7 +168,6 @@ TEST(Config, KeysSorted) {
 TEST(Config, HexValues) {
   ConfigStore Config;
   Config.set("addr", "0x40");
-  EXPECT_EQ(Config.getInt("addr", 0), 64);
   EXPECT_EQ(Config.getUInt("addr", 0), 64u);
 }
 
@@ -180,7 +182,6 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
     const char *Key = "k";
   };
   auto UInt = [](const ConfigStore &C) { C.getUInt("k", 0); };
-  auto Int = [](const ConfigStore &C) { C.getInt("k", 0); };
   auto Double = [](const ConfigStore &C) { C.getDouble("k", 0); };
   auto Bool = [](const ConfigStore &C) { C.getBool("k", false); };
   // Values of the right type that the simulator cannot build.
@@ -191,16 +192,13 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
       {"-5", UInt, "unsigned integer"},
       {"+5", UInt, "unsigned integer"},
       {"banana", UInt, "unsigned integer"},
-      {"banana", Int, "integer"},
       {"banana", Double, "number"},
       {"12x", UInt, "unsigned integer"},
-      {"12x", Int, "integer"},
       {"8e9GB", Double, "number"},
       {"1.5", UInt, "unsigned integer"},
-      {"1.5", Int, "integer"},
-      {"", Int, "integer"},
+      {"", UInt, "unsigned integer"},
+      {"", Double, "number"},
       {"99999999999999999999", UInt, "unsigned integer"},
-      {"99999999999999999999", Int, "integer"},
       {"maybe", Bool, "boolean"},
       {"0", System, "ROB size", "cpu.rob_entries"},
       {"0", System, "L3 size", "mem.l3_bytes"},
@@ -208,6 +206,16 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
       {"0", System, "page size", "mem.gpu_page_bytes"},
       {"3000", System, "page size", "mem.cpu_page_bytes"},
       {"torus", System, "NoC topology", "mem.noc"},
+      // A rate that is not positive and finite would make transfers free
+      // or endless.
+      {"0", System, "rate", "comm.pci_bytes_per_sec"},
+      {"-5", System, "rate", "comm.pci_bytes_per_sec"},
+      {"nan", System, "rate", "comm.pci_bytes_per_sec"},
+      {"inf", System, "rate", "comm.pci_bytes_per_sec"},
+      {"0", System, "rate", "comm.pageable_rate_factor"},
+      {"-0.5", System, "rate", "comm.pageable_rate_factor"},
+      {"nan", System, "rate", "comm.pageable_rate_factor"},
+      {"inf", System, "rate", "comm.pageable_rate_factor"},
   };
   // A string as a regex literal ("+5" has a '+', keys have dots).
   auto Quote = [](const char *Text) {
@@ -253,38 +261,40 @@ TEST(Stats, IncrementAndSet) {
   Stats.increment("hits");
   Stats.increment("hits", 4);
   EXPECT_EQ(Stats.counter("hits"), 5u);
-  Stats.setCounter("hits", 2);
+  // Components set and bump their counters through the registered
+  // reference.
+  Stats.counterRef("hits") = 2;
   EXPECT_EQ(Stats.counter("hits"), 2u);
 }
 
-TEST(Stats, PrefixQuery) {
-  StatRegistry Stats;
-  Stats.increment("l1.hits", 3);
-  Stats.increment("l1.misses", 1);
-  Stats.increment("l2.hits", 7);
-  auto L1 = Stats.countersWithPrefix("l1.");
-  ASSERT_EQ(L1.size(), 2u);
-  EXPECT_EQ(L1[0].first, "l1.hits");
-  EXPECT_EQ(L1[1].first, "l1.misses");
-}
-
+// The registry's distributions are power-of-two histograms, sampled
+// through the reference histogramRef() registers.
 TEST(Stats, Distribution) {
   StatRegistry Stats;
-  Stats.addSample("lat", 10.0);
-  Stats.addSample("lat", 30.0);
-  Stats.addSample("lat", 20.0);
-  const StatDistribution &D = Stats.distribution("lat");
+  StatHistogram &Lat = Stats.histogramRef("lat");
+  Lat.addSample(10);
+  Lat.addSample(30);
+  Lat.addSample(20);
+  const StatHistogram &D = Stats.histogram("lat");
+  EXPECT_EQ(&D, &Lat);
   EXPECT_EQ(D.count(), 3u);
-  EXPECT_DOUBLE_EQ(D.min(), 10.0);
-  EXPECT_DOUBLE_EQ(D.max(), 30.0);
+  EXPECT_EQ(D.min(), 10u);
+  EXPECT_EQ(D.max(), 30u);
   EXPECT_DOUBLE_EQ(D.mean(), 20.0);
+  // 10 has four significant bits, 20 and 30 five.
+  EXPECT_EQ(D.bucket(4), 1u);
+  EXPECT_EQ(D.bucket(5), 2u);
+  EXPECT_EQ(Stats.histogramNames(), std::vector<std::string>{"lat"});
 }
 
 TEST(Stats, EmptyDistribution) {
   StatRegistry Stats;
-  const StatDistribution &D = Stats.distribution("nothing");
+  const StatHistogram &D = Stats.histogram("nothing");
   EXPECT_EQ(D.count(), 0u);
+  EXPECT_EQ(D.min(), 0u);
   EXPECT_DOUBLE_EQ(D.mean(), 0.0);
+  EXPECT_EQ(D.approxPercentile(0.5), 0u);
+  EXPECT_TRUE(Stats.histogramNames().empty());
 }
 
 TEST(Stats, RenderCounters) {
@@ -322,11 +332,6 @@ TEST(StringUtil, Formatters) {
   EXPECT_EQ(formatCount(12), "12");
 }
 
-TEST(StringUtil, StartsWith) {
-  EXPECT_TRUE(startsWith("hetsim.cache", "hetsim"));
-  EXPECT_FALSE(startsWith("het", "hetsim"));
-}
-
 //===----------------------------------------------------------------------===//
 // TextTable.
 //===----------------------------------------------------------------------===//
@@ -354,27 +359,17 @@ TEST(TextTable, ShortRowsPadded) {
   EXPECT_NE(Csv.find("only,,"), std::string::npos);
 }
 
-TEST(TextTable, NumericRow) {
-  TextTable Table({"k", "v1", "v2"});
-  Table.addNumericRow("row", {1.5, 2.25}, 2);
-  EXPECT_NE(Table.renderCsv().find("row,1.50,2.25"), std::string::npos);
-}
-
 //===----------------------------------------------------------------------===//
 // Logger.
 //===----------------------------------------------------------------------===//
 
 #include "common/Log.h"
 
-TEST(Logger, LevelRoundTrips) {
-  LogLevel Before = Logger::level();
-  Logger::setLevel(LogLevel::Debug);
-  EXPECT_EQ(Logger::level(), LogLevel::Debug);
-  Logger::setLevel(LogLevel::Quiet);
-  EXPECT_EQ(Logger::level(), LogLevel::Quiet);
-  // Emitting below the threshold must be a no-op (and not crash).
-  HETSIM_DEBUG("suppressed %d", 42);
-  Logger::setLevel(Before);
+TEST(Logger, WarningFormat) {
+  ::testing::internal::CaptureStderr();
+  logWarning("cannot write %s (%d)", "x.json", 42);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "hetsim warning: cannot write x.json (42)\n");
 }
 
 //===----------------------------------------------------------------------===//

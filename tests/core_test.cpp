@@ -319,7 +319,7 @@ TEST(Lowering, LrbHasOwnershipAndApertureAndFaults) {
   EXPECT_EQ(P.countSteps(ExecKind::OwnershipToGpu), 1u);
   EXPECT_EQ(P.countSteps(ExecKind::OwnershipToCpu), 1u);
   EXPECT_EQ(P.countSteps(ExecKind::Transfer), 1u); // Initial placement only.
-  EXPECT_GT(P.totalPageFaultPages(), 0u);
+  EXPECT_GT(totalPageFaultPages(P), 0u);
 }
 
 TEST(Lowering, LrbKMeansFaultsOnlyFirstRound) {
@@ -388,7 +388,7 @@ TEST(Lowering, IdealCommSuppressesPageFaults) {
   SystemConfig C = SystemConfig::forCaseStudy(CaseStudy::Lrb);
   C.IdealComm = true;
   LoweredProgram P = lowerKernel(KernelId::Reduction, C);
-  EXPECT_EQ(P.totalPageFaultPages(), 0u);
+  EXPECT_EQ(totalPageFaultPages(P), 0u);
 }
 
 TEST(Lowering, ExplicitSharedLocalityInsertsPush) {

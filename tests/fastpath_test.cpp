@@ -717,7 +717,7 @@ TEST(FastPathTlb, FrameMatchesPageTableAcrossRemap) {
     }
     const Addr VAddr = R.Base + Rng.nextBelow(R.Bytes / 4) * 4;
     PageTable &Pt = Mem.pageTable(R.Pu);
-    DemandMaps += !Pt.isMapped(VAddr);
+    DemandMaps += !Pt.frameOf(VAddr).has_value();
     Cycle &Clock = Now[R.Pu == PuKind::Cpu ? 0 : 1];
     Mem.access(R.Pu, VAddr, 4, Rng.nextBool(0.3), Clock);
     Clock += 10;
@@ -1003,7 +1003,7 @@ TEST(FastPathDirectory, DenseMatchesReferenceMap) {
             S == DirState::SharedBoth ||
             (S == DirState::ExclusiveCpu && Who == PuKind::Cpu) ||
             (S == DirState::ExclusiveGpu && Who == PuKind::Gpu);
-        ASSERT_EQ(Dir.isSharer(Who, Line), Sharer) << At;
+        ASSERT_EQ(isSharer(Dir, Who, Line), Sharer) << At;
       }
       ASSERT_EQ(Dir.trackedLines(), Ref.tracked()) << At;
     }
@@ -1015,10 +1015,11 @@ TEST(FastPathDirectory, DenseMatchesReferenceMap) {
     EXPECT_GT(Want.RemoteFetches, 0u) << What;
     // Lines never accessed read as Uncached, past the vector's end too.
     EXPECT_EQ(Dir.state(Addr(1) << 40), DirState::Uncached);
-    EXPECT_FALSE(Dir.isSharer(PuKind::Cpu, Addr(1) << 40));
+    EXPECT_FALSE(isSharer(Dir, PuKind::Cpu, Addr(1) << 40));
     Dir.onEviction(PuKind::Gpu, Addr(1) << 40);
     EXPECT_EQ(Dir.trackedLines(), Ref.tracked()) << What;
-    Dir.clear();
+    // Every run builds a fresh machine, so a new directory tracks no line.
+    Dir = Directory();
     EXPECT_EQ(Dir.trackedLines(), 0u);
     EXPECT_EQ(Dir.state(0), DirState::Uncached);
   }

@@ -26,41 +26,49 @@ TraceRecord warpLoad(Addr Base, uint16_t BytesPerLane, uint8_t Lanes,
   R.LaneStrideBytes = Stride;
   return R;
 }
+
+/// The lines \p Record touches, through the warp issue loop's
+/// capacity-reusing form.
+std::vector<Addr> coalesce(const TraceRecord &Record) {
+  std::vector<Addr> Lines;
+  coalesceWarpAccess(Record, Lines);
+  return Lines;
+}
 } // namespace
 
 TEST(Coalescer, UnitStrideWordsCoalesceToOneLine) {
   // 8 lanes x 4B, stride 4, line-aligned: 32B inside one 64B line.
-  auto Lines = coalesceWarpAccess(warpLoad(0x1000, 4, 8, 4));
+  auto Lines = coalesce(warpLoad(0x1000, 4, 8, 4));
   ASSERT_EQ(Lines.size(), 1u);
   EXPECT_EQ(Lines[0], 0x1000u);
 }
 
 TEST(Coalescer, MisalignedUnitStrideTouchesTwoLines) {
-  auto Lines = coalesceWarpAccess(warpLoad(0x1030, 4, 8, 4));
+  auto Lines = coalesce(warpLoad(0x1030, 4, 8, 4));
   ASSERT_EQ(Lines.size(), 2u);
   EXPECT_EQ(Lines[0], 0x1000u);
   EXPECT_EQ(Lines[1], 0x1040u);
 }
 
 TEST(Coalescer, LargeStrideScattersOneLinePerLane) {
-  auto Lines = coalesceWarpAccess(warpLoad(0x1000, 4, 8, 256));
+  auto Lines = coalesce(warpLoad(0x1000, 4, 8, 256));
   EXPECT_EQ(Lines.size(), 8u);
 }
 
 TEST(Coalescer, LaneStraddlingLineBoundary) {
   // An 8B lane access starting at line end touches both lines.
-  auto Lines = coalesceWarpAccess(warpLoad(0x103C, 8, 1, 0));
+  auto Lines = coalesce(warpLoad(0x103C, 8, 1, 0));
   ASSERT_EQ(Lines.size(), 2u);
 }
 
 TEST(Coalescer, SingleLaneScalar) {
-  auto Lines = coalesceWarpAccess(warpLoad(0x2000, 4, 1, 0));
+  auto Lines = coalesce(warpLoad(0x2000, 4, 1, 0));
   ASSERT_EQ(Lines.size(), 1u);
   EXPECT_EQ(Lines[0], 0x2000u);
 }
 
 TEST(Coalescer, ResultIsSortedUnique) {
-  auto Lines = coalesceWarpAccess(warpLoad(0x1000, 4, 8, 16));
+  auto Lines = coalesce(warpLoad(0x1000, 4, 8, 16));
   for (size_t I = 1; I < Lines.size(); ++I)
     EXPECT_LT(Lines[I - 1], Lines[I]);
 }
@@ -78,7 +86,7 @@ TEST(Coalescer, LineRunMatchesPerLaneUnion) {
           for (unsigned Lane = 0; Lane != Lanes; ++Lane)
             for (unsigned B = 0; B != std::max<unsigned>(Bytes, 1); ++B)
               Want.insert(alignDown(Base + Lane * Stride + B, CacheLineBytes));
-          std::vector<Addr> Got = coalesceWarpAccess(R);
+          std::vector<Addr> Got = coalesce(R);
           EXPECT_EQ(Got, std::vector<Addr>(Want.begin(), Want.end()))
               << Lanes << " lanes x " << Bytes << "B, stride " << Stride
               << ", base " << Base;

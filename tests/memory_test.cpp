@@ -58,9 +58,9 @@ TEST(PageTable, UnmapRange) {
   PageTable Pt(PuKind::Cpu, 4096);
   Pt.mapRange(0, 3 * 4096, Device);
   Pt.unmapRange(4096, 4096);
-  EXPECT_TRUE(Pt.isMapped(0));
-  EXPECT_FALSE(Pt.isMapped(4096));
-  EXPECT_TRUE(Pt.isMapped(2 * 4096));
+  EXPECT_TRUE(Pt.frameOf(0).has_value());
+  EXPECT_FALSE(Pt.frameOf(4096).has_value());
+  EXPECT_TRUE(Pt.frameOf(2 * 4096).has_value());
 }
 
 TEST(PageTable, UnmapForgetsTheLastTranslation) {
@@ -442,13 +442,14 @@ TEST(MemorySystem, RemapMovesRangeAndFlushesTlb) {
   Mem.mapRange(PuKind::Cpu, region::CpuPrivateBase, 64 * 1024);
   // Warm the TLB on the old range.
   Mem.access(PuKind::Cpu, region::CpuPrivateBase, 4, false, 0);
-  EXPECT_TRUE(Mem.pageTable(PuKind::Cpu).isMapped(region::CpuPrivateBase));
+  const PageTable &Pt = Mem.pageTable(PuKind::Cpu);
+  EXPECT_TRUE(Pt.frameOf(region::CpuPrivateBase).has_value());
 
   Cycle Cost = Mem.remapRange(PuKind::Cpu, region::CpuPrivateBase,
                               region::SharedBase, 64 * 1024);
   EXPECT_GT(Cost, 0u);
-  EXPECT_FALSE(Mem.pageTable(PuKind::Cpu).isMapped(region::CpuPrivateBase));
-  EXPECT_TRUE(Mem.pageTable(PuKind::Cpu).isMapped(region::SharedBase));
+  EXPECT_FALSE(Pt.frameOf(region::CpuPrivateBase).has_value());
+  EXPECT_TRUE(Pt.frameOf(region::SharedBase).has_value());
   EXPECT_EQ(Mem.stats().counter("mem.remap_pages"), 16u); // 64KB / 4KB.
 
   // The TLB was flushed: the next access misses translation again.

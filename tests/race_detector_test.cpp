@@ -59,16 +59,6 @@ TEST(FenceSemantics, TableIFencesPerAddressSpace) {
   EXPECT_TRUE(Strong.everythingOrdered());
 }
 
-TEST(FenceSemantics, SpecialInstFenceEffects) {
-  EXPECT_EQ(fenceEffect(SpecialInst::ApiAcq), FenceEffect::AcquireRelease);
-  EXPECT_EQ(fenceEffect(SpecialInst::ApiPci), FenceEffect::TransferComplete);
-  EXPECT_EQ(fenceEffect(SpecialInst::ApiTr), FenceEffect::TransferComplete);
-  EXPECT_EQ(fenceEffect(SpecialInst::DmaWait), FenceEffect::EngineDrain);
-  EXPECT_EQ(fenceEffect(SpecialInst::KernelLaunch), FenceEffect::Release);
-  EXPECT_EQ(fenceEffect(SpecialInst::KernelJoin), FenceEffect::Acquire);
-  EXPECT_EQ(fenceEffect(SpecialInst::None), FenceEffect::None);
-}
-
 TEST(RaceDetectorShipped, WholeDesignSpaceVerifiesRaceFree) {
   for (const SweepPoint &Point : shippedDesignSpace()) {
     const SystemConfig &Config = Point.Config;

@@ -262,9 +262,9 @@ TEST(Determinism, Figure7IsJobCountInvariant) {
 TEST(Determinism, PartitionSweepIsJobCountInvariant) {
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::IdealHetero);
   std::vector<PartitionPoint> Serial =
-      sweepPartition(Config, KernelId::Reduction, 10, 1);
+      sweepPartitions(Config, {{KernelId::Reduction, 10}}, 1).front();
   std::vector<PartitionPoint> Wide =
-      sweepPartition(Config, KernelId::Reduction, 10, 8);
+      sweepPartitions(Config, {{KernelId::Reduction, 10}}, 8).front();
   ASSERT_EQ(Serial.size(), Wide.size());
   for (size_t I = 0; I != Serial.size(); ++I) {
     EXPECT_DOUBLE_EQ(Serial[I].CpuFraction, Wide[I].CpuFraction);

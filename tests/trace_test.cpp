@@ -6,6 +6,8 @@
 #include "trace/Opcode.h"
 #include "trace/TraceBuffer.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace hetsim;
@@ -28,8 +30,8 @@ TEST(Opcode, Classification) {
 TEST(Opcode, LatenciesArePositive) {
   for (unsigned I = 0; I != NumOpcodes; ++I) {
     Opcode Op = static_cast<Opcode>(I);
-    EXPECT_GE(executeLatency(PuKind::Cpu, Op), 1u) << opcodeName(Op);
-    EXPECT_GE(executeLatency(PuKind::Gpu, Op), 1u) << opcodeName(Op);
+    EXPECT_GE(executeLatency(PuKind::Cpu, Op), 1u) << "opcode " << I;
+    EXPECT_GE(executeLatency(PuKind::Gpu, Op), 1u) << "opcode " << I;
   }
 }
 
@@ -186,8 +188,8 @@ TEST(DataLayout, LookupAndContainment) {
   EXPECT_FALSE(Keys.contains(Keys.Base + Keys.Bytes));
   EXPECT_TRUE(Layout.hasSegment("sorted"));
   EXPECT_FALSE(Layout.hasSegment("nope"));
-  EXPECT_EQ(Layout.segmentContaining(Keys.Base + 8), &Keys);
-  EXPECT_EQ(Layout.segmentContaining(0x10), nullptr);
+  EXPECT_EQ(segmentContaining(Layout, Keys.Base + 8), &Keys);
+  EXPECT_EQ(segmentContaining(Layout, 0x10), nullptr);
 }
 
 TEST(DataLayout, TotalBytes) {
@@ -234,9 +236,9 @@ TEST_P(GeneratorTest, AddressesStayInsidePlacedObjects) {
       continue;
     Addr Last = R.MemAddr + (R.SimdLanes - 1) * uint64_t(R.LaneStrideBytes) +
                 R.MemBytes - 1;
-    EXPECT_NE(Layout.segmentContaining(R.MemAddr), nullptr)
+    EXPECT_NE(segmentContaining(Layout, R.MemAddr), nullptr)
         << kernelName(Kernel) << " base address escaped";
-    EXPECT_NE(Layout.segmentContaining(Last), nullptr)
+    EXPECT_NE(segmentContaining(Layout, Last), nullptr)
         << kernelName(Kernel) << " last lane escaped";
   }
 }
@@ -334,17 +336,15 @@ TEST(Generator, MergeSortBranchesAreDataDependent) {
 TEST(Generator, SerialBudgetExact) {
   KernelDataLayout Layout =
       KernelDataLayout::makeLinear(KernelId::Reduction, 0x10000000);
-  TraceBuffer Trace = KernelTraceGenerator::forKernel(KernelId::Reduction)
-                          .generateSerial(99996, Layout);
-  EXPECT_EQ(Trace.size(), 99996u);
+  BlockTrace Serial(KernelId::Reduction, 99996, /*Seed=*/1, Layout);
+  EXPECT_EQ(materialize(Serial).size(), 99996u);
 }
 
 TEST(Generator, SerialZeroBudgetEmpty) {
   KernelDataLayout Layout =
       KernelDataLayout::makeLinear(KernelId::Dct, 0x10000000);
-  TraceBuffer Trace =
-      KernelTraceGenerator::forKernel(KernelId::Dct).generateSerial(0, Layout);
-  EXPECT_TRUE(Trace.empty());
+  BlockTrace Serial(KernelId::Dct, 0, /*Seed=*/1, Layout);
+  EXPECT_TRUE(materialize(Serial).empty());
 }
 
 TEST(Generator, CpuAndGpuHalvesAreDisjoint) {
