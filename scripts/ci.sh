@@ -5,7 +5,7 @@
 #      a -DHETSIM_WERROR=ON build of src/ that must compile warning-free
 #   2. sanitizers: AddressSanitizer and UBSan builds + complete ctest
 #      suite, plus a ThreadSanitizer build running the concurrency suites
-#      (thread pool, sweep runner, result store)
+#      (thread pool, sweep runner, result store, concurrent rounds)
 #   3. static analysis: scripts/lint.sh (clang-tidy against the pinned
 #      baseline, plus the hetsim_lint memory-model linter over the shipped
 #      design space), then the differential race-verifier fuzz gate (3b),
@@ -47,8 +47,9 @@ echo "== gate 1b: block-trace differential + peak RSS + bench smoke =="
 # Block traces expanded window by window must be bit-identical to their
 # materialized record streams (all six kernels on all five models, the
 # interleaved-contention driver's slices, plus core-level segments — the
-# fastpath suite), and the microbenchmark harness must complete a smoke
-# pass.
+# fastpath suite), a discrete-GPU round run on two threads must equal the
+# serial order (concurrent_round_test), and the microbenchmark harness
+# must complete a smoke pass.
 ctest --test-dir build -R FastPath --output-on-failure \
   -j "$JOBS" | tail -3
 # Traces stream: no production path holds a whole trace, since every
@@ -64,6 +65,9 @@ scripts/peak_rss.py 32 build/bench/extra_workloads
 # extra_workloads runs its points in parallel, so the cap above also
 # counts one machine per worker; serially it still streams (~13 MB).
 HETSIM_JOBS=1 scripts/peak_rss.py 16 build/bench/extra_workloads
+# Four workers building and freeing a machine per point (60 points) stay
+# near 15 MB; cache arrays from aligned operator new held 47 MB resident.
+HETSIM_JOBS=4 scripts/peak_rss.py 32 build/bench/ablation_partition
 scripts/peak_rss.py 32 build/examples/custom_kernel
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   build/bench/hetsim_bench --smoke >/dev/null
@@ -103,12 +107,13 @@ if [ "${HETSIM_SKIP_TSAN:-0}" != "1" ]; then
   # and already covered by ASan/UBSan, and a full TSan ctest run would
   # triple the gate's wall clock for no extra coverage. SweepRunner
   # includes the jobs=4 contention-ablation regression
-  # (ContentionAblationParallelMatchesSerial).
+  # (ContentionAblationParallelMatchesSerial); ConcurrentRound runs every
+  # discrete-GPU round's two halves on two threads over one memory system.
   cmake -B build-tsan -S . -DHETSIM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target threadpool_test sweep_test \
-    result_store_test >/dev/null
+    result_store_test concurrent_round_test >/dev/null
   ctest --test-dir build-tsan \
-    -R 'ThreadPool|SweepRunner|ResultStore|Determinism' \
+    -R 'ThreadPool|SweepRunner|ResultStore|Determinism|ConcurrentRound' \
     --output-on-failure -j "$JOBS" | tail -3
 else
   echo "== gate 2: TSan skipped (HETSIM_SKIP_TSAN=1) =="

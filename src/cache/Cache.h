@@ -13,6 +13,7 @@
 #define HETSIM_CACHE_CACHE_H
 
 #include "cache/CacheConfig.h"
+#include "common/HostLine.h"
 #include "common/Random.h"
 
 #include <functional>
@@ -50,8 +51,9 @@ struct CacheStats {
   }
 };
 
-/// A single cache level.
-class Cache {
+/// A single cache level. It and its line arrays sit on host cache lines
+/// of their own (common/HostLine.h).
+class alignas(HostLineBytes) Cache {
 public:
   explicit Cache(const CacheConfig &Config, uint64_t RngSeed = 1);
 
@@ -181,9 +183,9 @@ private:
   // way count is padded with one way that stays invalid (InvalidTag,
   // stamp 0) and that no victim choice visits, so every geometry's rows
   // compare in whole pairs.
-  std::vector<Addr> Tags;       ///< InvalidTag for an invalid way.
-  std::vector<uint64_t> Stamps; ///< Last use; 0 = invalid, else unique.
-  std::vector<LineFlags> Flags;
+  HostLineVector<Addr> Tags;       ///< InvalidTag for an invalid way.
+  HostLineVector<uint64_t> Stamps; ///< Last use; 0 = invalid, else unique.
+  HostLineVector<LineFlags> Flags;
   CacheStats Stats;
   XorShiftRng Rng;
   uint64_t NextStamp = 1;

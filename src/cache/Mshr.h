@@ -11,10 +11,10 @@
 #ifndef HETSIM_CACHE_MSHR_H
 #define HETSIM_CACHE_MSHR_H
 
+#include "common/HostLine.h"
 #include "common/Types.h"
 
 #include <utility>
-#include <vector>
 
 namespace hetsim {
 
@@ -29,7 +29,7 @@ struct MshrDecision {
 };
 
 /// A bounded file of in-flight line fills.
-class MshrFile {
+class alignas(HostLineBytes) MshrFile {
 public:
   explicit MshrFile(unsigned NumEntries) : Capacity(NumEntries) {}
 
@@ -61,7 +61,7 @@ private:
   /// entries, so flat storage with linear probes and swap-remove pruning
   /// stays in one or two cache lines; every decision (exact find, min,
   /// prune) is order-independent.
-  std::vector<std::pair<Addr, Cycle>> Entries;
+  HostLineVector<std::pair<Addr, Cycle>> Entries;
   /// The least completion cycle in Entries; ~0 when it is empty.
   Cycle EarliestDone = ~Cycle(0);
   uint64_t Merged = 0;

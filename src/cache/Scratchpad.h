@@ -11,6 +11,7 @@
 #ifndef HETSIM_CACHE_SCRATCHPAD_H
 #define HETSIM_CACHE_SCRATCHPAD_H
 
+#include "common/HostLine.h"
 #include "common/Types.h"
 
 #include <array>
@@ -21,7 +22,7 @@ namespace hetsim {
 /// like Fermi's shared memory, the store has NumBanks word-interleaved
 /// banks, and a warp access whose lanes collide on a bank serializes by
 /// the conflict degree.
-class Scratchpad {
+class alignas(HostLineBytes) Scratchpad {
 public:
   Scratchpad(uint64_t Size, Cycle Latency, unsigned Banks = 16)
       : SizeBytes(Size), AccessLatency(Latency), NumBanks(Banks) {}

@@ -12,11 +12,12 @@
 #ifndef HETSIM_COMMON_FLATMAP_H
 #define HETSIM_COMMON_FLATMAP_H
 
+#include "common/HostLine.h"
+
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 namespace hetsim {
 
@@ -136,7 +137,7 @@ private:
   }
 
   void rehash(size_t NewSlots) {
-    std::vector<Slot> Old = std::move(Slots);
+    HostLineVector<Slot> Old = std::move(Slots);
     Slots.assign(NewSlots, Slot{});
     Mask = NewSlots - 1;
     Tombstones = 0;
@@ -151,7 +152,7 @@ private:
     }
   }
 
-  std::vector<Slot> Slots;
+  HostLineVector<Slot> Slots;
   size_t Count = 0;
   size_t Tombstones = 0;
   size_t Mask = 0;

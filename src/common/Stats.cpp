@@ -62,9 +62,20 @@ std::vector<std::string> StatRegistry::histogramNames() const {
   return Names;
 }
 
+void StatRegistry::bindCounter(const std::string &Name, const uint64_t &Slot) {
+  Counters[Name];
+  Bound[Name].push_back(&Slot);
+}
+
 uint64_t StatRegistry::counter(const std::string &Name) const {
   auto It = Counters.find(Name);
-  return It == Counters.end() ? 0 : It->second;
+  if (It == Counters.end())
+    return 0;
+  uint64_t Value = It->second;
+  if (auto Slots = Bound.find(Name); Slots != Bound.end())
+    for (const uint64_t *Slot : Slots->second)
+      Value += *Slot;
+  return Value;
 }
 
 std::vector<std::string> StatRegistry::counterNames() const {
@@ -80,7 +91,7 @@ std::string StatRegistry::renderCounters() const {
   for (const auto &KV : Counters) {
     Out += KV.first;
     Out += " = ";
-    Out += std::to_string(KV.second);
+    Out += std::to_string(counter(KV.first));
     Out += '\n';
   }
   return Out;

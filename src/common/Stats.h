@@ -65,6 +65,14 @@ public:
   /// std::map nodes do not move.
   uint64_t &counterRef(const std::string &Name);
 
+  /// Adds \p Slot, a counter kept outside the registry, to counter \p Name
+  /// (created at zero if absent): every read of \p Name sums its own value
+  /// and each slot bound to it. A component whose users write a counter
+  /// from two threads gives each its own slot and still reports one name.
+  /// counterRef() of a bound name reaches the registry's own part only.
+  /// \p Slot must outlive the registry's reads.
+  void bindCounter(const std::string &Name, const uint64_t &Slot);
+
   /// Returns a stable reference to histogram \p Name (created empty if
   /// absent). Same registration-time contract as counterRef().
   StatHistogram &histogramRef(const std::string &Name);
@@ -86,6 +94,7 @@ public:
 
 private:
   std::map<std::string, uint64_t> Counters;
+  std::map<std::string, std::vector<const uint64_t *>> Bound;
   std::map<std::string, StatHistogram> Histograms;
   StatHistogram EmptyHistogram;
 };

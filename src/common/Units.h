@@ -76,18 +76,33 @@ inline constexpr Cycle convertCycles(PuKind From, PuKind To, Cycle Cycles) {
                              : convertCyclesByRatio<3, 7>(From, To, Cycles);
 }
 
+/// The cycles, as a double, a transfer of \p Bytes occupies at
+/// \p BytesPerSec in the clock domain of \p Pu.
+inline constexpr double transferCyclesUnrounded(PuKind Pu, uint64_t Bytes,
+                                                double BytesPerSec) {
+  return double(Bytes) / BytesPerSec * puFreqHz(Pu);
+}
+
+/// True when a transfer of \p Bytes at \p BytesPerSec takes a cycle count
+/// a Cycle can hold. SystemConfig rejects a rate at which a transfer of a
+/// whole device would not.
+inline constexpr bool transferCyclesFit(PuKind Pu, uint64_t Bytes,
+                                        double BytesPerSec) {
+  const double Cycles = transferCyclesUnrounded(Pu, Bytes, BytesPerSec);
+  // 2^64 as a double: the least value that does not fit in a Cycle.
+  return Cycles >= 0.0 && Cycles < 18446744073709551616.0;
+}
+
 /// Cycles a transfer of \p Bytes occupies at \p BytesPerSec, in the clock
 /// domain of \p Pu, rounded up. A count that a Cycle cannot hold (a rate
 /// so small, or not positive, that the transfer never ends) is fatal:
 /// casting it would be undefined behaviour.
 inline constexpr Cycle transferCycles(PuKind Pu, uint64_t Bytes,
                                       double BytesPerSec) {
-  double Seconds = double(Bytes) / BytesPerSec;
-  double Cycles = Seconds * puFreqHz(Pu);
-  // 2^64 as a double: the least value that does not fit in a Cycle.
-  if (!(Cycles >= 0.0 && Cycles < 18446744073709551616.0))
+  if (!transferCyclesFit(Pu, Bytes, BytesPerSec))
     fatalError("transfer cycles overflow a cycle count: the transfer rate "
                "is too small or not positive");
+  double Cycles = transferCyclesUnrounded(Pu, Bytes, BytesPerSec);
   Cycle Floor = static_cast<Cycle>(Cycles);
   return Cycles > double(Floor) ? Floor + 1 : Floor;
 }

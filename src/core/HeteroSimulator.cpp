@@ -16,6 +16,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <exception>
+#include <system_error>
+#include <thread>
 
 using namespace hetsim;
 
@@ -39,7 +42,14 @@ void accumulate(SegmentResult &Total, const SegmentResult &Part) {
 }
 } // namespace
 
-HeteroSimulator::HeteroSimulator(const SystemConfig &Cfg) : Config(Cfg) {
+bool hetsim::roundHalvesShareNothing(const SystemConfig &Config) {
+  const MemHierConfig &Hier = Config.Hier;
+  return Hier.SeparateGpuDram && !Hier.GpuSharesL3 && !Hier.HwCoherence &&
+         !Config.InterleavedContention;
+}
+
+HeteroSimulator::HeteroSimulator(const SystemConfig &Cfg)
+    : Config(Cfg), OverlapRounds(roundHalvesShareNothing(Cfg)) {
   buildMachine();
 }
 
@@ -94,6 +104,49 @@ std::unique_ptr<CommFabric> HeteroSimulator::buildFabric() {
     return nullptr;
   }
   hetsim_unreachable("invalid connection kind");
+}
+
+void HeteroSimulator::runRoundHalves(const ExecStep &Step, Cycle CpuStart,
+                                     Cycle GpuStart, SegmentResult &CpuSeg,
+                                     SegmentResult &GpuSeg) {
+  std::thread Helper;
+  std::exception_ptr GpuError;
+  uint64_t GpuGenNs = 0;
+  if (OverlapRounds && Step.CpuTrace.size() != 0 &&
+      Step.GpuTrace.size() != 0) {
+    try {
+      Helper = std::thread([&] {
+        const uint64_t GenStart = threadTraceGenNanos();
+        try {
+          GpuSeg = Gpu->run(Step.GpuTrace, GpuStart);
+        } catch (...) {
+          GpuError = std::current_exception();
+        }
+        GpuGenNs = threadTraceGenNanos() - GenStart;
+      });
+    } catch (const std::system_error &) {
+      // No thread to be had: the serial order below.
+    }
+  }
+  if (!Helper.joinable()) {
+    CpuSeg = Cpu->run(Step.CpuTrace, CpuStart);
+    GpuSeg = Gpu->run(Step.GpuTrace, GpuStart);
+    return;
+  }
+
+  // The CPU half stays on this thread: it owns the CPU device's background
+  // queue, whose drains reach the timeline through the drain hook.
+  try {
+    CpuSeg = Cpu->run(Step.CpuTrace, CpuStart);
+  } catch (...) {
+    Helper.join();
+    throw;
+  }
+  Helper.join();
+  // The sweep telemetry reads this thread's share of the generation time.
+  creditThreadTraceGenNanos(GpuGenNs);
+  if (GpuError)
+    std::rethrow_exception(GpuError);
 }
 
 RunResult HeteroSimulator::run(KernelId Kernel) {
@@ -231,8 +284,7 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
 
       SegmentResult CpuSeg, GpuSeg;
       if (!Config.InterleavedContention) {
-        CpuSeg = Cpu->run(Step.CpuTrace, CpuNow);
-        GpuSeg = Gpu->run(Step.GpuTrace, GpuStart);
+        runRoundHalves(Step, CpuNow, GpuStart, CpuSeg, GpuSeg);
       } else {
         // Interleave slices of the two traces by simulated time so the
         // shared uncore sees the PUs' accesses in temporal order. The

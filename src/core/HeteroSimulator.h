@@ -56,6 +56,14 @@ struct RunResult {
   unsigned CommSourceLines = 0; ///< Table V cell for this (kernel, model).
 };
 
+/// True when a parallel round's CPU and GPU halves share no mutable state:
+/// the GPU has a memory device of its own, shares no LLC with the CPU and
+/// keeps no coherence with it, and the round is not interleaved through a
+/// shared uncore. Holds for CPU+GPU, LRB and GMAC under any override, and
+/// for no other shipped system. HeteroSimulator then runs each round's GPU
+/// half on a helper thread alongside the CPU half (DESIGN.md §11).
+bool roundHalvesShareNothing(const SystemConfig &Config);
+
 /// One simulated system instance. Construct once per configuration; each
 /// run() gets a fresh memory system so runs are independent (the first
 /// one takes the machine the constructor built).
@@ -71,6 +79,12 @@ public:
   RunResult runLowered(const LoweredProgram &Program);
 
   const SystemConfig &config() const { return Config; }
+
+  /// Runs every parallel round in the serial order (the CPU half, then the
+  /// GPU half, both on the calling thread) even where
+  /// roundHalvesShareNothing() holds: the oracle the differential tests
+  /// hold the concurrent round against.
+  void serializeRounds() { OverlapRounds = false; }
 
   /// The memory system of the most recent run (for post-run inspection).
   MemorySystem &memory();
@@ -88,6 +102,11 @@ public:
 private:
   void buildMachine();
   std::unique_ptr<CommFabric> buildFabric();
+  /// Runs a parallel round's two halves from \p CpuStart (CPU cycles) and
+  /// \p GpuStart (GPU cycles): the GPU half on a helper thread when
+  /// OverlapRounds and a thread can be had, else after the CPU half.
+  void runRoundHalves(const ExecStep &Step, Cycle CpuStart, Cycle GpuStart,
+                      SegmentResult &CpuSeg, SegmentResult &GpuSeg);
 
   SystemConfig Config;
   std::unique_ptr<MemorySystem> Mem;
@@ -97,6 +116,8 @@ private:
   TraceEventLog Trace;
   /// True while the machine is untouched since buildMachine().
   bool MachineFresh = false;
+  /// roundHalvesShareNothing(Config), unless serializeRounds() cleared it.
+  bool OverlapRounds;
 };
 
 } // namespace hetsim

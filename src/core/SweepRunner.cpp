@@ -96,7 +96,8 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
 
       // Diff this thread's own gen clock around the point (a worker
       // thread only ever runs one point at a time, so the diff attributes
-      // exactly this point's work to this worker).
+      // exactly this point's work to this worker; a round's helper thread
+      // credits its share back to this thread).
       auto BusyStart = std::chrono::steady_clock::now();
       uint64_t GenStart = threadTraceGenNanos();
 

@@ -80,7 +80,9 @@ struct SweepTelemetry {
   /// Seconds workers spent inside sweep points, summed per worker (up to
   /// Jobs x WallSeconds when parallel).
   double BusySeconds = 0;
-  /// Seconds spent producing trace records, summed per worker.
+  /// Seconds spent producing trace records, summed per worker. A point's
+  /// helper thread (a discrete-GPU round's GPU half) is credited to the
+  /// worker that ran the point.
   double TraceGenSeconds = 0;
   uint64_t StoreHits = 0;   ///< Points served from the result store.
   uint64_t StoreMisses = 0; ///< Points simulated (store enabled but cold).

@@ -3,6 +3,7 @@
 #include "core/SystemConfig.h"
 
 #include "common/Error.h"
+#include "common/Units.h"
 
 #include <algorithm>
 #include <cmath>
@@ -167,6 +168,25 @@ void SystemConfig::applyOverrides(const ConfigStore &Overrides) {
       std::exit(2);
     }
     Row->Apply(*this, KeyValue{Overrides, Key});
+  }
+
+  // The effective PCI-E rate depends on up to three keys, so it is
+  // checked once all are applied: at a rate where a transfer of a whole
+  // device overflows a cycle count, transferCycles() would abort mid-run.
+  const double Rate = Comm.PinnedHostMemory
+                          ? Comm.PciBytesPerSec
+                          : Comm.PciBytesPerSec * Comm.PageableRateFactor;
+  if (!transferCyclesFit(PuKind::Cpu, Hier.DeviceBytes, Rate)) {
+    // Blame the factor when the plain rate alone would have fit.
+    const bool FactorAtFault =
+        !Comm.PinnedHostMemory &&
+        !Overrides.getString("comm.pageable_rate_factor", "").empty() &&
+        transferCyclesFit(PuKind::Cpu, Hier.DeviceBytes, Comm.PciBytesPerSec);
+    const std::string Key = FactorAtFault ? "comm.pageable_rate_factor"
+                                          : "comm.pci_bytes_per_sec";
+    KeyValue{Overrides, Key}.reject(
+        "rate (too small: the effective PCI-E rate must carry a whole "
+        "device's bytes in a 64-bit cycle count, see docs/CONFIG_KEYS.md)");
   }
 }
 

@@ -96,7 +96,7 @@ void DramSystem::enqueue(Addr LineAddress, bool IsWrite) {
 
 Cycle DramSystem::drainFrFcfs(Cycle Now) {
   Cycle Finish = Now;
-  std::vector<Request> Pending;
+  HostLineVector<Request> Pending;
   Pending.swap(Queue);
   if (!Pending.empty()) {
     ++Stats.BatchDrains;

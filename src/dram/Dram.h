@@ -13,9 +13,8 @@
 #ifndef HETSIM_DRAM_DRAM_H
 #define HETSIM_DRAM_DRAM_H
 
+#include "common/HostLine.h"
 #include "common/Types.h"
-
-#include <vector>
 
 namespace hetsim {
 
@@ -66,7 +65,7 @@ struct DramStats {
 };
 
 /// The DRAM system: channels x banks with open-row state.
-class DramSystem {
+class alignas(HostLineBytes) DramSystem {
 public:
   explicit DramSystem(const DramConfig &Config = DramConfig());
 
@@ -121,9 +120,9 @@ private:
   unsigned BankShift = 0; ///< Line address bit where the bank index starts.
   unsigned RowShift = 0;  ///< Line address bit where the row number starts.
   DramStats Stats;
-  std::vector<Bank> Banks;          // Channels x BanksPerChannel.
-  std::vector<Cycle> ChannelBusFree; // Next free cycle per channel bus.
-  std::vector<Request> Queue;
+  HostLineVector<Bank> Banks;           // Channels x BanksPerChannel.
+  HostLineVector<Cycle> ChannelBusFree; // Next free cycle per channel bus.
+  HostLineVector<Request> Queue;
 };
 
 } // namespace hetsim

@@ -34,22 +34,26 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg)
   DramCpuDemand = &Stats.counterRef("dram.cpu.demand");
   DramCpuWritebacks = &Stats.counterRef("dram.cpu.writebacks");
   DramCpuPrefetchReads = &Stats.counterRef("dram.cpu.prefetch_reads");
-  DramGpuDemand = &Stats.counterRef("dram.gpu.demand");
   BgDrains = &Stats.counterRef("dram.cpu.bg_drains");
   BgRequests = &Stats.counterRef("dram.cpu.bg_reqs");
   BgDrainCycles = &Stats.histogramRef("dram.cpu.bg_drain_cycles");
 
-  // Per-access counters, likewise bound once so access() never hashes a
-  // counter name.
-  MemCpuAccesses = &Stats.counterRef("mem.cpu_accesses");
-  MemGpuAccesses = &Stats.counterRef("mem.gpu_accesses");
-  MemDemandMaps = &Stats.counterRef("mem.demand_maps");
   MemCohRemote = &Stats.counterRef("mem.coh_remote");
   MemCohWritebacks = &Stats.counterRef("mem.coh_writebacks");
-  MemSpaceViolations = &Stats.counterRef("mem.space_violations");
-  MemGpuL1Writebacks = &Stats.counterRef("mem.gpu_l1_writebacks");
   MemPrefetchFills = &Stats.counterRef("mem.prefetch_fills");
-  MemMshrMerges = &Stats.counterRef("mem.mshr_merges");
+
+  // The per-PU slots, reported under one name where both PUs count.
+  const PuCounters &Cpu = Counts[puIndex(PuKind::Cpu)];
+  const PuCounters &Gpu = Counts[puIndex(PuKind::Gpu)];
+  Stats.bindCounter("mem.cpu_accesses", Cpu.Accesses);
+  Stats.bindCounter("mem.gpu_accesses", Gpu.Accesses);
+  for (const PuCounters *Pu : {&Cpu, &Gpu}) {
+    Stats.bindCounter("mem.demand_maps", Pu->DemandMaps);
+    Stats.bindCounter("mem.space_violations", Pu->SpaceViolations);
+    Stats.bindCounter("mem.mshr_merges", Pu->MshrMerges);
+  }
+  Stats.bindCounter("mem.gpu_l1_writebacks", Gpu.L1Writebacks);
+  Stats.bindCounter("dram.gpu.demand", Gpu.OwnDramDemand);
 }
 
 void MemorySystem::drainQueued(Cycle NowCpu) {
@@ -84,7 +88,7 @@ Addr MemorySystem::translateMiss(PuKind Pu, Addr VAddr) {
   if (!Frame) {
     // Demand-map: experiment setup maps ranges up front; stray addresses
     // (e.g. wrapped cursors just past an object) are mapped on demand.
-    ++*MemDemandMaps;
+    ++Counts[puIndex(Pu)].DemandMaps;
     mapRange(Pu, alignDown(VAddr, Pt.pageBytes()), Pt.pageBytes());
     Frame = Pt.frameOf(VAddr);
     assert(Frame && "demand map failed");
@@ -144,11 +148,12 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
                                  HitLevel &Level) {
   unsigned SourceStop = Pu == PuKind::Cpu ? ring::CpuStop : ring::GpuStop;
 
-  // GPU with its own memory and no LLC sharing skips the ring/L3 entirely.
+  // A GPU that shares no LLC and has no device of its own (Fusion) skips
+  // the ring/L3 and goes straight to the one DRAM.
   if (Pu == PuKind::Gpu && !Config.GpuSharesL3) {
     Level = HitLevel::Dram;
-    ++*(GpuDramDevice ? DramGpuDemand : DramCpuDemand);
-    return gpuDram().access(PAddr, NowCpu, IsWrite);
+    ++*DramCpuDemand;
+    return CpuDram->access(PAddr, NowCpu, IsWrite);
   }
 
   if (!Config.EnableL3) {
@@ -196,7 +201,7 @@ MemAccessResult MemorySystem::accessBeyondL1(PuKind Pu, Addr Line,
     if (IsCpu)
       CpuL2.access(L1Result.VictimAddr, /*IsWrite=*/true);
     else
-      ++*MemGpuL1Writebacks;
+      ++Counts[puIndex(PuKind::Gpu)].L1Writebacks;
   }
 
   if (IsCpu) {
@@ -241,15 +246,27 @@ MemAccessResult MemorySystem::accessBeyondL1(PuKind Pu, Addr Line,
   Cycle NowCpu = IsCpu ? NowPu + Latency
                        : convertCycles(PuKind::Gpu, PuKind::Cpu,
                                        NowPu + Latency);
-  Cycle DoneCpu =
-      uncoreAccess(Pu, Line, IsWrite, NowCpu, ExplicitHint, Result.Level);
+  Cycle DoneCpu;
+  if (!IsCpu && GpuDramDevice && !Config.GpuSharesL3) {
+    // A discrete GPU's miss reaches only its own device. It posts nothing
+    // to the CPU device's background queue, which every other access
+    // leaves empty, so it has nothing to drain; and it must not read that
+    // queue, which the CPU half of a concurrent round owns (DESIGN.md §6
+    // rule 2, §11).
+    Result.Level = HitLevel::Dram;
+    ++Counts[puIndex(PuKind::Gpu)].OwnDramDemand;
+    DoneCpu = GpuDramDevice->access(Line, NowCpu, IsWrite);
+  } else {
+    DoneCpu =
+        uncoreAccess(Pu, Line, IsWrite, NowCpu, ExplicitHint, Result.Level);
+    // Posted victim writebacks (L2/L3 evictions above) drain behind the
+    // demand access on the uncore timeline.
+    drainBackground(DoneCpu);
+  }
   Cycle UncoreCpuCycles = DoneCpu > NowCpu ? DoneCpu - NowCpu : 0;
   Cycle UncorePu = IsCpu ? UncoreCpuCycles
                          : convertCycles(PuKind::Cpu, PuKind::Gpu,
                                          UncoreCpuCycles);
-  // Posted victim writebacks (L2/L3 evictions above) drain behind the
-  // demand access on the uncore timeline.
-  drainBackground(DoneCpu);
 
   // 5. MSHR merge/backpressure at the private-miss boundary. A merge may
   // not undercut this access's own accrued latency (TLB walk).
@@ -259,7 +276,7 @@ MemAccessResult MemorySystem::accessBeyondL1(PuKind Pu, Addr Line,
   Cycle Ready = Decision.ReadyCycle;
   Result.Latency = Ready > NowPu ? Ready - NowPu : Latency + UncorePu;
   if (Decision.Merged)
-    ++*MemMshrMerges;
+    ++Counts[puIndex(Pu)].MshrMerges;
   return Result;
 }
 

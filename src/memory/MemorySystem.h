@@ -24,6 +24,7 @@
 #include "cache/Mshr.h"
 #include "cache/Scratchpad.h"
 #include "cache/StreamPrefetcher.h"
+#include "common/HostLine.h"
 #include "common/Stats.h"
 #include "dram/Dram.h"
 #include "interconnect/MeshNoc.h"
@@ -113,7 +114,8 @@ public:
            "per-access footprint is at most one line");
     MemAccessResult Result;
     const bool IsCpu = Pu == PuKind::Cpu;
-    ++*(IsCpu ? MemCpuAccesses : MemGpuAccesses);
+    PuCounters &Count = Counts[puIndex(Pu)];
+    ++Count.Accesses;
 
     // 1. Translation. A TLB hit carries the frame; a miss walks the page
     // table and installs it.
@@ -133,7 +135,7 @@ public:
     const MemRegion Region = regionOf(VAddr);
     if (!(Visible[puIndex(Pu)] >> unsigned(Region) & 1)) {
       Result.SpaceViolation = true;
-      ++*MemSpaceViolations;
+      ++Count.SpaceViolations;
     }
 
     // 3. Coherence happens before the private lookup so a stale local
@@ -238,6 +240,19 @@ public:
   StatRegistry &stats() { return Stats; }
 
 private:
+  /// The per-access counters one PU's walk writes, bound to the registry
+  /// names noted below with StatRegistry::bindCounter(). One per PU, each
+  /// on host cache lines of its own: the two halves of a concurrent round
+  /// (DESIGN.md §11) never write the same line.
+  struct alignas(HostLineBytes) PuCounters {
+    uint64_t Accesses = 0;        ///< mem.cpu_accesses / mem.gpu_accesses
+    uint64_t DemandMaps = 0;      ///< mem.demand_maps
+    uint64_t SpaceViolations = 0; ///< mem.space_violations
+    uint64_t MshrMerges = 0;      ///< mem.mshr_merges
+    uint64_t L1Writebacks = 0;    ///< mem.gpu_l1_writebacks (GPU only)
+    uint64_t OwnDramDemand = 0;   ///< dram.gpu.demand (GPU only)
+  };
+
   /// drainBackground() once requests are queued.
   void drainQueued(Cycle NowCpu);
   /// The TLB-miss path of access(): \p VAddr's frame in \p Pu's page
@@ -261,7 +276,9 @@ private:
 
   MemHierConfig Config;
   // Held by value: the inline hit walk reaches an L1's tag row without
-  // first loading a pointer to the cache.
+  // first loading a pointer to the cache. Each component type starts on
+  // host cache lines of its own (common/HostLine.h), so the CPU's and the
+  // GPU's components never share one.
   Cache CpuL1;
   Cache CpuL2;
   Cache GpuL1;
@@ -285,26 +302,21 @@ private:
   uint8_t Visible[NumPuKinds] = {AllRegions, AllRegions};
   StatRegistry Stats;
 
-  // Conservation counters (see obs/Metrics.h for the contract), bound to
-  // registry entries once at construction so the per-access charging
-  // sites never hash a counter name.
+  PuCounters Counts[NumPuKinds];
+
+  // The counters only the CPU side (its uncore, the coherence directory,
+  // the background queue) writes, bound to registry entries once at
+  // construction so the per-access charging sites never hash a counter
+  // name. The DRAM ones are conservation counters (see obs/Metrics.h).
   uint64_t *DramCpuDemand = nullptr;
   uint64_t *DramCpuWritebacks = nullptr;
   uint64_t *DramCpuPrefetchReads = nullptr;
-  uint64_t *DramGpuDemand = nullptr;
   uint64_t *BgDrains = nullptr;
   uint64_t *BgRequests = nullptr;
   StatHistogram *BgDrainCycles = nullptr;
-  // Per-access counters, same registration-time binding.
-  uint64_t *MemCpuAccesses = nullptr;
-  uint64_t *MemGpuAccesses = nullptr;
-  uint64_t *MemDemandMaps = nullptr;
   uint64_t *MemCohRemote = nullptr;
   uint64_t *MemCohWritebacks = nullptr;
-  uint64_t *MemSpaceViolations = nullptr;
-  uint64_t *MemGpuL1Writebacks = nullptr;
   uint64_t *MemPrefetchFills = nullptr;
-  uint64_t *MemMshrMerges = nullptr;
   std::function<void(const BgDrainEvent &)> DrainHook;
 };
 

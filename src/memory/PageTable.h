@@ -13,6 +13,7 @@
 #define HETSIM_MEMORY_PAGETABLE_H
 
 #include "common/FlatMap.h"
+#include "common/HostLine.h"
 #include "common/Types.h"
 
 #include <optional>
@@ -22,7 +23,7 @@ namespace hetsim {
 
 /// A bump allocator over one physical memory device (CPU DRAM, GPU DRAM,
 /// or a single unified DRAM).
-class PhysicalMemory {
+class alignas(HostLineBytes) PhysicalMemory {
 public:
   PhysicalMemory(std::string DeviceName, uint64_t Capacity)
       : Name(std::move(DeviceName)), SizeBytes(Capacity) {}
@@ -42,7 +43,7 @@ private:
 };
 
 /// One PU's page table: VPN -> PPN at a fixed page size.
-class PageTable {
+class alignas(HostLineBytes) PageTable {
 public:
   /// \p PageBytes must be a valid page size (4KB CPU, 64KB GPU by default).
   PageTable(PuKind Owner, uint64_t PageBytes);

@@ -10,9 +10,8 @@
 #ifndef HETSIM_MEMORY_TLB_H
 #define HETSIM_MEMORY_TLB_H
 
+#include "common/HostLine.h"
 #include "common/Types.h"
-
-#include <vector>
 
 namespace hetsim {
 
@@ -31,7 +30,7 @@ struct TlbStats {
 /// carries its page's frame (physical page base), so a hit translates
 /// without the page table. The owner keeps the frames current: only a
 /// remap changes an existing mapping, and it flushes the TLB.
-class Tlb {
+class alignas(HostLineBytes) Tlb {
 public:
   Tlb(unsigned Entries, unsigned Ways, uint64_t PageBytes);
 
@@ -96,9 +95,9 @@ private:
   unsigned PageShift;
   // Per-entry state, one array per field, Sets x Ways row-major: a lookup
   // scans only VPNs.
-  std::vector<uint64_t> Vpns; ///< InvalidVpn for an invalid entry.
-  std::vector<Addr> Frames;
-  std::vector<uint64_t> Stamps; ///< Last use, for LRU.
+  HostLineVector<uint64_t> Vpns; ///< InvalidVpn for an invalid entry.
+  HostLineVector<Addr> Frames;
+  HostLineVector<uint64_t> Stamps; ///< Last use, for LRU.
   /// The entries the last two lookups hit or filled, most recent first.
   size_t Recent[2] = {0, 0};
   TlbStats Stats;

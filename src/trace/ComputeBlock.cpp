@@ -22,6 +22,8 @@ void hetsim::addTraceGenNanos(uint64_t Nanos) {
 
 uint64_t hetsim::threadTraceGenNanos() { return TlGenNanos; }
 
+void hetsim::creditThreadTraceGenNanos(uint64_t Nanos) { TlGenNanos += Nanos; }
+
 BlockTrace::BlockTrace(const KernelTraceGenerator &Gen,
                        const GenRequest &Request,
                        const KernelDataLayout &Data)

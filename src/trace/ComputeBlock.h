@@ -46,6 +46,12 @@ void addTraceGenNanos(uint64_t Nanos);
 /// trace-gen appear to balloon with the job count.
 uint64_t threadTraceGenNanos();
 
+/// Adds \p Nanos to the calling thread's share alone (traceGenNanos()
+/// already counts them): a point that ran part of its work on a helper
+/// thread credits the helper's generation time to the thread that owns
+/// the point.
+void creditThreadTraceGenNanos(uint64_t Nanos);
+
 /// RAII accumulator for traceGenNanos().
 class TraceGenScope {
 public:

@@ -84,13 +84,13 @@ TEST(CommParams, PageableConfigKeys) {
   EXPECT_DOUBLE_EQ(System.Comm.PageableRateFactor, 0.25);
 }
 
-// A positive rate passes the key table, but one this small leaves no
-// cycle count for a copy: the run aborts instead of making the copy free.
+// The key table rejects a rate this small (ConfigDeathTest), but a config
+// built in code bypasses it. Such a rate leaves no cycle count for a copy:
+// the run aborts instead of making the copy free.
 TEST(CommParamsDeathTest, TinyEffectiveRateFailsLoudly) {
-  ConfigStore Config;
-  Config.setBool("comm.pinned_host", false);
-  Config.set("comm.pageable_rate_factor", "1e-300");
-  SystemConfig System = SystemConfig::forCaseStudy(CaseStudy::CpuGpu, Config);
+  SystemConfig System = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
+  System.Comm.PinnedHostMemory = false;
+  System.Comm.PageableRateFactor = 1e-300;
   EXPECT_DEATH(HeteroSimulator(System).run(KernelId::Reduction),
                "transfer cycles overflow a cycle count");
 }

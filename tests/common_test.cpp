@@ -1,6 +1,7 @@
 //===- tests/common_test.cpp - common/ unit tests -------------------------===//
 
 #include "common/Config.h"
+#include "common/HostLine.h"
 #include "common/Random.h"
 #include "common/Stats.h"
 #include "common/StringUtil.h"
@@ -180,6 +181,9 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
     std::function<void(const ConfigStore &)> Get;
     const char *Type;
     const char *Key = "k";
+    /// Another key=value set alongside, or nullptr.
+    const char *AlsoKey = nullptr;
+    const char *AlsoValue = nullptr;
   };
   auto UInt = [](const ConfigStore &C) { C.getUInt("k", 0); };
   auto Double = [](const ConfigStore &C) { C.getDouble("k", 0); };
@@ -216,6 +220,11 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
       {"-0.5", System, "rate", "comm.pageable_rate_factor"},
       {"nan", System, "rate", "comm.pageable_rate_factor"},
       {"inf", System, "rate", "comm.pageable_rate_factor"},
+      // Positive but so small that a transfer of the whole device would
+      // overflow a cycle count: rejected once every key is applied.
+      {"1e-300", System, "rate", "comm.pci_bytes_per_sec"},
+      {"1e-300", System, "rate", "comm.pageable_rate_factor",
+       "comm.pinned_host", "false"},
   };
   // A string as a regex literal ("+5" has a '+', keys have dots).
   auto Quote = [](const char *Text) {
@@ -227,6 +236,8 @@ TEST(ConfigDeathTest, MalformedValuesAreRejected) {
   for (const Case &C : Cases) {
     ConfigStore Config;
     Config.set(C.Key, C.Value);
+    if (C.AlsoKey)
+      Config.set(C.AlsoKey, C.AlsoValue);
     EXPECT_EXIT(C.Get(Config), ::testing::ExitedWithCode(2),
                 "error: config key '" + Quote(C.Key) + "' has value '" +
                     Quote(C.Value) + "', which is not a valid " + C.Type)
@@ -254,6 +265,39 @@ TEST(ConfigDeathTest, UnknownKeysAreRejected) {
 TEST(Stats, CountersDefaultZero) {
   StatRegistry Stats;
   EXPECT_EQ(Stats.counter("never.set"), 0u);
+}
+
+// A counter two threads write keeps one slot per thread; every read sums
+// the registry's own value and the bound slots.
+TEST(Stats, BoundSlotsAddToTheirCounter) {
+  StatRegistry Stats;
+  uint64_t A = 3, B = 4;
+  Stats.bindCounter("mem.merges", A);
+  Stats.bindCounter("mem.merges", B);
+  EXPECT_EQ(Stats.counter("mem.merges"), 7u);
+  Stats.increment("mem.merges", 10);
+  ++A;
+  EXPECT_EQ(Stats.counter("mem.merges"), 18u);
+  EXPECT_EQ(Stats.counterNames(), std::vector<std::string>{"mem.merges"});
+  EXPECT_EQ(Stats.renderCounters(), "mem.merges = 18\n");
+}
+
+// Each block starts on a host line and owns whole lines: the words up to
+// the next line boundary are usable and survive the other blocks' writes.
+TEST(HostLine, BlocksStartOnALineAndOwnWholeLines) {
+  std::vector<HostLineVector<uint8_t>> Blocks;
+  for (size_t Bytes = 1; Bytes <= 200; ++Bytes)
+    Blocks.emplace_back(Bytes, uint8_t(Bytes));
+  for (const HostLineVector<uint8_t> &Block : Blocks) {
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(Block.data()) % HostLineBytes, 0u);
+    for (uint8_t Byte : Block)
+      EXPECT_EQ(Byte, uint8_t(Block.size()));
+  }
+  HostLineVector<uint64_t> Grown;
+  for (uint64_t I = 0; I != 1000; ++I)
+    Grown.push_back(I);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(Grown.data()) % HostLineBytes, 0u);
+  EXPECT_EQ(Grown[999], 999u);
 }
 
 TEST(Stats, IncrementAndSet) {

@@ -134,6 +134,23 @@ TEST(SweepRunner, TelemetryAttributesBusyAndSimulateTime) {
   EXPECT_EQ(T.StoreMisses, 0u);
 }
 
+// A discrete-GPU point generates its GPU half's records on a helper
+// thread (DESIGN.md §11). The point's worker is credited with that time,
+// so a serial sweep's gen share is the whole process's generation time.
+TEST(SweepRunner, TraceGenCountsTheHelperThread) {
+  std::vector<SweepPoint> Points;
+  for (KernelId Kernel :
+       {KernelId::Reduction, KernelId::Dct, KernelId::KMeans})
+    Points.emplace_back(SystemConfig::forCaseStudy(CaseStudy::CpuGpu), Kernel);
+  ASSERT_TRUE(roundHalvesShareNothing(Points.front().Config));
+  SweepRunner Runner(1);
+  const uint64_t Before = traceGenNanos();
+  Runner.run(Points);
+  const uint64_t Delta = traceGenNanos() - Before;
+  EXPECT_GT(Delta, 0u);
+  EXPECT_EQ(Runner.telemetry().TraceGenSeconds, double(Delta) * 1e-9);
+}
+
 TEST(SweepRunner, AppendBenchTimingWritesJsonLine) {
   std::string Path = ::testing::TempDir() + "hetsim_timing_test.json";
   std::remove(Path.c_str());
