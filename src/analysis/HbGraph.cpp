@@ -6,18 +6,6 @@
 
 using namespace hetsim;
 
-const char *hetsim::hbLaneName(HbLane Lane) {
-  switch (Lane) {
-  case HbLane::Cpu:
-    return "cpu";
-  case HbLane::Gpu:
-    return "gpu";
-  case HbLane::Dma:
-    return "dma";
-  }
-  return "unknown";
-}
-
 const char *hetsim::hbEdgeKindName(HbEdgeKind Kind) {
   switch (Kind) {
   case HbEdgeKind::DriverOrder:
@@ -30,14 +18,6 @@ const char *hetsim::hbEdgeKindName(HbEdgeKind Kind) {
     return "lazy-pull";
   case HbEdgeKind::ReleaseAcquire:
     return "release-acquire";
-  case HbEdgeKind::KernelLaunch:
-    return "kernel-launch";
-  case HbEdgeKind::KernelJoin:
-    return "kernel-join";
-  case HbEdgeKind::AgentFork:
-    return "agent-fork";
-  case HbEdgeKind::AgentJoin:
-    return "agent-join";
   }
   return "unknown";
 }
@@ -58,20 +38,14 @@ HbGraph HbGraph::build(const LoweredProgram &Program,
   G.StepToNode.assign(Steps.size(), npos);
   G.StepToDma.assign(Steps.size(), npos);
 
-  G.Nodes.push_back({HbNodeKind::Start, 0});
-  for (size_t I = 0; I != Steps.size(); ++I) {
-    G.StepToNode[I] = G.Nodes.size();
-    G.Nodes.push_back({HbNodeKind::Step, I});
-  }
+  G.addNode({HbNodeKind::Start, 0});
+  for (size_t I = 0; I != Steps.size(); ++I)
+    G.StepToNode[I] = G.addNode({HbNodeKind::Step, I});
   // Completion nodes for asynchronous transfers live on the DMA timeline.
-  for (size_t I = 0; I != Steps.size(); ++I) {
-    if (Steps[I].Kind == ExecKind::Transfer && Steps[I].Async) {
-      G.StepToDma[I] = G.Nodes.size();
-      G.Nodes.push_back({HbNodeKind::DmaCompletion, I, 0, HbLane::Dma});
-    }
-  }
-  size_t End = G.Nodes.size();
-  G.Nodes.push_back({HbNodeKind::End, Steps.size()});
+  for (size_t I = 0; I != Steps.size(); ++I)
+    if (Steps[I].Kind == ExecKind::Transfer && Steps[I].Async)
+      G.StepToDma[I] = G.addNode({HbNodeKind::DmaCompletion, I});
+  size_t End = G.addNode({HbNodeKind::End, Steps.size()});
 
   // Driver timeline: Start -> step 0 -> ... -> End.
   size_t Prev = G.startNode();
@@ -136,18 +110,13 @@ HbGraph HbGraph::build(const LoweredProgram &Program,
   return G;
 }
 
-void HbGraph::computeRelation(std::vector<std::vector<uint64_t>> &Rel,
-                              bool IncludeLaunchJoin) const {
+void HbGraph::finalize() {
   size_t N = Nodes.size();
   size_t Words = (N + 63) / 64;
-  Rel.assign(N, std::vector<uint64_t>(Words, 0));
+  Reach.assign(N, std::vector<uint64_t>(Words, 0));
   std::vector<std::vector<size_t>> Succ(N);
-  for (const HbEdge &E : Edges) {
-    if (!IncludeLaunchJoin && (E.Kind == HbEdgeKind::KernelLaunch ||
-                               E.Kind == HbEdgeKind::KernelJoin))
-      continue;
+  for (const HbEdge &E : Edges)
     Succ[E.From].push_back(E.To);
-  }
   // Nodes are appended in a near-topological order, but cross-lane edges
   // can point both ways across the numbering, so iterate to a fixed
   // point (graphs are tiny).
@@ -155,7 +124,7 @@ void HbGraph::computeRelation(std::vector<std::vector<uint64_t>> &Rel,
   while (Changed) {
     Changed = false;
     for (size_t F = N; F-- != 0;) {
-      std::vector<uint64_t> &Row = Rel[F];
+      std::vector<uint64_t> &Row = Reach[F];
       for (size_t T : Succ[F]) {
         uint64_t &Word = Row[T / 64];
         uint64_t Bit = uint64_t(1) << (T % 64);
@@ -163,7 +132,7 @@ void HbGraph::computeRelation(std::vector<std::vector<uint64_t>> &Rel,
           Word |= Bit;
           Changed = true;
         }
-        const std::vector<uint64_t> &Sub = Rel[T];
+        const std::vector<uint64_t> &Sub = Reach[T];
         for (size_t W = 0; W != Sub.size(); ++W) {
           uint64_t Merged = Row[W] | Sub[W];
           if (Merged != Row[W]) {
@@ -174,11 +143,6 @@ void HbGraph::computeRelation(std::vector<std::vector<uint64_t>> &Rel,
       }
     }
   }
-}
-
-void HbGraph::finalize() {
-  computeRelation(Reach, /*IncludeLaunchJoin=*/true);
-  computeRelation(ScopedReach, /*IncludeLaunchJoin=*/false);
 }
 
 size_t HbGraph::stepNode(size_t StepIndex) const {
@@ -193,12 +157,6 @@ bool HbGraph::reaches(size_t From, size_t To) const {
   if (From >= Nodes.size() || To >= Nodes.size())
     return false;
   return (Reach[From][To / 64] >> (To % 64)) & 1;
-}
-
-bool HbGraph::reachesScoped(size_t From, size_t To) const {
-  if (From >= Nodes.size() || To >= Nodes.size())
-    return false;
-  return (ScopedReach[From][To / 64] >> (To % 64)) & 1;
 }
 
 std::vector<size_t> HbGraph::undrainedTransfers() const {
@@ -219,8 +177,6 @@ std::string HbGraph::renderDot(const LoweredProgram &Program) const {
   for (size_t I = 0; I != Nodes.size(); ++I) {
     const HbNode &Node = Nodes[I];
     Os << "  n" << I << " [label=\"";
-    if (Node.Agent != 0)
-      Os << "a" << Node.Agent << " ";
     switch (Node.Kind) {
     case HbNodeKind::Start:
       Os << "start";
@@ -232,12 +188,6 @@ std::string HbGraph::renderDot(const LoweredProgram &Program) const {
       Os << "s" << Node.StepIndex;
       if (Node.StepIndex < Program.Steps.size())
         Os << ": " << execKindName(Program.Steps[Node.StepIndex].Kind);
-      break;
-    case HbNodeKind::GpuRound:
-      Os << "s" << Node.StepIndex << " gpu round";
-      break;
-    case HbNodeKind::Join:
-      Os << "s" << Node.StepIndex << " join";
       break;
     case HbNodeKind::DmaCompletion:
       Os << "dma s" << Node.StepIndex << " done";

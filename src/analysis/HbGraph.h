@@ -14,15 +14,9 @@
 /// a static race. Ownership steps contribute the release->acquire edges
 /// that make weakly consistent rounds legal (Table I).
 ///
-/// Two client shapes share the class: the per-program linter uses the
-/// classic build() recipe (one agent, one Step node per ExecStep), and
-/// the cross-agent race verifier (analysis/RaceDetector.h) constructs
-/// multi-agent graphs through the public builder API — addNode/addEdge
-/// per agent and lane, then finalize(). Reachability is kept in two
-/// relations: the full one, and a *scoped* one that excludes the
-/// KernelLaunch/KernelJoin edges, which is what ordering looks like to a
-/// shared-region location under an ownership discipline (the launch does
-/// not publish data that api-acq owns — see memory/FenceSemantics.h).
+/// build() assembles the graph through the public builder API
+/// (addNode/addEdge, then finalize()), which tests also use to check
+/// the reachability relation on hand-made graphs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,18 +34,10 @@ namespace hetsim {
 /// Node kinds of the graph.
 enum class HbNodeKind : uint8_t {
   Start,         ///< Program entry (host initializes the inputs).
-  Step,          ///< One ExecStep on an agent's driver timeline.
-  GpuRound,      ///< GPU-lane execution of one ParallelCompute step.
-  Join,          ///< Driver-side join at the end of one ParallelCompute.
+  Step,          ///< One ExecStep on the driver timeline.
   DmaCompletion, ///< Completion of one asynchronous Transfer step.
   End,           ///< Program exit (host observes the outputs).
 };
-
-/// The execution resource a node runs on. Accesses on the same agent and
-/// lane are serialized by that resource and can never race.
-enum class HbLane : uint8_t { Cpu, Gpu, Dma };
-
-const char *hbLaneName(HbLane Lane);
 
 /// Edge kinds, by the synchronization they model.
 enum class HbEdgeKind : uint8_t {
@@ -60,10 +46,6 @@ enum class HbEdgeKind : uint8_t {
   DmaDrain,       ///< Completion -> the step that blocks on the engine.
   LazyPull,       ///< Completion -> ADSM serial consumer (paged on demand).
   ReleaseAcquire, ///< Ownership release -> the acquiring round (and back).
-  KernelLaunch,   ///< Driver launch point -> the round's GPU execution.
-  KernelJoin,     ///< The round's GPU execution -> the driver-side join.
-  AgentFork,      ///< Global start -> an agent's first node (co-run).
-  AgentJoin,      ///< An agent's last node -> the global end (co-run).
 };
 
 const char *hbEdgeKindName(HbEdgeKind Kind);
@@ -71,13 +53,8 @@ const char *hbEdgeKindName(HbEdgeKind Kind);
 /// One node.
 struct HbNode {
   HbNodeKind Kind = HbNodeKind::Step;
-  /// Step index for Step, GpuRound, Join, and DmaCompletion nodes.
+  /// Step index for Step and DmaCompletion nodes.
   size_t StepIndex = 0;
-  /// Agent (co-run kernel instance) the node belongs to; 0 for
-  /// single-program graphs and the global Start/End.
-  uint32_t Agent = 0;
-  /// Execution resource.
-  HbLane Lane = HbLane::Cpu;
 };
 
 /// One directed edge between node ids.
@@ -88,7 +65,7 @@ struct HbEdge {
 };
 
 /// The graph. With build(), node ids are dense with Start == 0 and
-/// End == nodeCount()-1; builder-API graphs choose their own layout.
+/// End == nodeCount()-1; hand-built graphs choose their own layout.
 class HbGraph {
 public:
   HbGraph() = default;
@@ -106,13 +83,12 @@ public:
   /// reachability.
   void addEdge(size_t From, size_t To, HbEdgeKind Kind);
 
-  /// Computes the reachability relations. Must be called after the last
-  /// addNode/addEdge and before reaches()/reachesScoped(); build() calls
-  /// it for you. Safe to call again after further edits.
+  /// Computes the reachability relation. Must be called after the last
+  /// addNode/addEdge and before reaches(); build() calls it for you. Safe
+  /// to call again after further edits.
   void finalize();
 
   size_t nodeCount() const { return Nodes.size(); }
-  const std::vector<HbNode> &nodes() const { return Nodes; }
   const std::vector<HbEdge> &edges() const { return Edges; }
 
   size_t startNode() const { return 0; }
@@ -128,10 +104,6 @@ public:
   /// True when a directed path From -> To exists.
   bool reaches(size_t From, size_t To) const;
 
-  /// Like reaches(), but ignoring KernelLaunch/KernelJoin edges: the
-  /// ordering an ownership-scoped shared-region location observes.
-  bool reachesScoped(size_t From, size_t To) const;
-
   /// Step indices of asynchronous transfers no step ever blocks on (no
   /// DmaDrain edge): the engine may still be busy when the program ends.
   /// An ADSM lazy pull orders the data before its serial consumer but
@@ -144,9 +116,6 @@ public:
   static constexpr size_t npos = static_cast<size_t>(-1);
 
 private:
-  void computeRelation(std::vector<std::vector<uint64_t>> &Rel,
-                       bool IncludeLaunchJoin) const;
-
   std::vector<HbNode> Nodes;
   std::vector<HbEdge> Edges;
   std::vector<size_t> StepToNode;
@@ -154,8 +123,6 @@ private:
   /// Reach[f] is a bitset over target nodes, one word-packed row per
   /// source node (programs are tens of steps, so this stays tiny).
   std::vector<std::vector<uint64_t>> Reach;
-  /// Reachability without KernelLaunch/KernelJoin edges.
-  std::vector<std::vector<uint64_t>> ScopedReach;
 };
 
 } // namespace hetsim

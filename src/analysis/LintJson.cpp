@@ -8,18 +8,6 @@ using namespace hetsim;
 
 namespace {
 
-void writeAccess(JsonWriter &W, const std::string &Key,
-                 const RaceAccess &Access) {
-  W.beginObject(Key);
-  W.value("agent", uint64_t(Access.Agent));
-  W.value("step",
-          Access.StepIndex == RaceAccess::npos ? -1 : int(Access.StepIndex));
-  W.value("lane", hbLaneName(Access.Lane));
-  W.value("write", Access.IsWrite);
-  W.value("description", Access.Description);
-  W.endObject();
-}
-
 /// Fetches a required member of \p Kind from \p Obj; nullptr + \p Error
 /// otherwise.
 const JsonValue *require(const JsonValue &Obj, const char *Key,
@@ -33,27 +21,15 @@ const JsonValue *require(const JsonValue &Obj, const char *Key,
   return Member;
 }
 
-bool validateAccess(const JsonValue &Access, const std::string &Where,
-                    std::string &Error) {
-  if (!Access.isObject())
-    return Error = Where + ": access is not an object", false;
-  return require(Access, "agent", JsonValue::Kind::Number, Where, Error) &&
-         require(Access, "step", JsonValue::Kind::Number, Where, Error) &&
-         require(Access, "lane", JsonValue::Kind::String, Where, Error) &&
-         require(Access, "write", JsonValue::Kind::Bool, Where, Error) &&
-         require(Access, "description", JsonValue::Kind::String, Where,
-                 Error);
-}
-
 } // namespace
 
 std::string hetsim::writeLintJson(const std::vector<LintJsonPoint> &Points,
                                   ConsistencyModel Model) {
   JsonWriter W;
   W.beginObject();
-  W.value("schema", "hetsim-lint-v1");
+  W.value("schema", "hetsim-lint-v2");
   W.value("model", consistencyModelName(Model));
-  uint64_t Errors = 0, Warnings = 0, Races = 0, Disagreements = 0;
+  uint64_t Errors = 0, Warnings = 0, Disagreements = 0;
   W.beginArray("points");
   for (const LintJsonPoint &Point : Points) {
     W.beginObject();
@@ -62,14 +38,8 @@ std::string hetsim::writeLintJson(const std::vector<LintJsonPoint> &Points,
     for (const std::string &Kernel : Point.Kernels)
       W.value(Kernel);
     W.endArray();
-    W.beginArray("shared");
-    for (const std::string &Base : Point.SharedBases)
-      W.value(Base);
-    W.endArray();
     W.value("errors", uint64_t(Point.Report.errorCount()));
     W.value("warnings", uint64_t(Point.Report.warningCount()));
-    W.value("race_count", uint64_t(Point.Races.Races.size()));
-    W.value("races_truncated", Point.Races.Truncated);
     W.value("dynamically_race_free", Point.DynamicallyRaceFree);
     W.value("disagreement", Point.Disagreement);
     W.beginArray("diagnostics");
@@ -84,24 +54,9 @@ std::string hetsim::writeLintJson(const std::vector<LintJsonPoint> &Points,
       W.endObject();
     }
     W.endArray();
-    W.beginArray("races");
-    for (const RaceWitness &Witness : Point.Races.Races) {
-      W.beginObject();
-      W.value("location", Witness.Location);
-      W.value("missing_edge", Witness.MissingEdge);
-      writeAccess(W, "first", Witness.First);
-      writeAccess(W, "second", Witness.Second);
-      W.beginArray("interleaving");
-      for (const std::string &Line : Witness.Interleaving)
-        W.value(Line);
-      W.endArray();
-      W.endObject();
-    }
-    W.endArray();
     W.endObject();
     Errors += Point.Report.errorCount();
     Warnings += Point.Report.warningCount();
-    Races += Point.Races.Races.size();
     Disagreements += Point.Disagreement ? 1 : 0;
   }
   W.endArray();
@@ -109,7 +64,6 @@ std::string hetsim::writeLintJson(const std::vector<LintJsonPoint> &Points,
   W.value("points", uint64_t(Points.size()));
   W.value("errors", Errors);
   W.value("warnings", Warnings);
-  W.value("races", Races);
   W.value("disagreements", Disagreements);
   W.endObject();
   W.endObject();
@@ -124,7 +78,7 @@ bool hetsim::validateLintJson(const std::string &Text, std::string &Error) {
       require(Doc, "schema", JsonValue::Kind::String, "document", Error);
   if (!Schema)
     return false;
-  if (Schema->StringValue != "hetsim-lint-v1") {
+  if (Schema->StringValue != "hetsim-lint-v2") {
     Error = "unknown schema '" + Schema->StringValue + "'";
     return false;
   }
@@ -135,7 +89,7 @@ bool hetsim::validateLintJson(const std::string &Text, std::string &Error) {
   if (!Points)
     return false;
 
-  uint64_t Errors = 0, Warnings = 0, Races = 0, Disagreements = 0;
+  uint64_t Errors = 0, Warnings = 0, Disagreements = 0;
   for (size_t I = 0; I != Points->Elements.size(); ++I) {
     const JsonValue &Point = Points->Elements[I];
     std::string Where = "point " + std::to_string(I);
@@ -143,13 +97,8 @@ bool hetsim::validateLintJson(const std::string &Text, std::string &Error) {
       return Error = Where + ": not an object", false;
     if (!require(Point, "system", JsonValue::Kind::String, Where, Error) ||
         !require(Point, "kernels", JsonValue::Kind::Array, Where, Error) ||
-        !require(Point, "shared", JsonValue::Kind::Array, Where, Error) ||
         !require(Point, "errors", JsonValue::Kind::Number, Where, Error) ||
         !require(Point, "warnings", JsonValue::Kind::Number, Where, Error) ||
-        !require(Point, "race_count", JsonValue::Kind::Number, Where,
-                 Error) ||
-        !require(Point, "races_truncated", JsonValue::Kind::Bool, Where,
-                 Error) ||
         !require(Point, "dynamically_race_free", JsonValue::Kind::Bool,
                  Where, Error) ||
         !require(Point, "disagreement", JsonValue::Kind::Bool, Where,
@@ -157,9 +106,7 @@ bool hetsim::validateLintJson(const std::string &Text, std::string &Error) {
       return false;
     const JsonValue *Diags =
         require(Point, "diagnostics", JsonValue::Kind::Array, Where, Error);
-    const JsonValue *RaceArr =
-        require(Point, "races", JsonValue::Kind::Array, Where, Error);
-    if (!Diags || !RaceArr)
+    if (!Diags)
       return false;
     for (size_t D = 0; D != Diags->Elements.size(); ++D) {
       const JsonValue &Diag = Diags->Elements[D];
@@ -176,36 +123,12 @@ bool hetsim::validateLintJson(const std::string &Text, std::string &Error) {
                    Error))
         return false;
     }
-    for (size_t R = 0; R != RaceArr->Elements.size(); ++R) {
-      const JsonValue &Witness = RaceArr->Elements[R];
-      std::string RaceWhere = Where + " race " + std::to_string(R);
-      if (!Witness.isObject())
-        return Error = RaceWhere + ": not an object", false;
-      if (!require(Witness, "location", JsonValue::Kind::String, RaceWhere,
-                   Error) ||
-          !require(Witness, "missing_edge", JsonValue::Kind::String,
-                   RaceWhere, Error) ||
-          !require(Witness, "interleaving", JsonValue::Kind::Array,
-                   RaceWhere, Error))
-        return false;
-      const JsonValue *First = Witness.find("first");
-      const JsonValue *Second = Witness.find("second");
-      if (!First || !validateAccess(*First, RaceWhere + " first", Error))
-        return false;
-      if (!Second || !validateAccess(*Second, RaceWhere + " second", Error))
-        return false;
-    }
     const JsonValue *PErr = Point.find("errors");
     const JsonValue *PWarn = Point.find("warnings");
-    const JsonValue *PRaces = Point.find("race_count");
     Errors += uint64_t(PErr->NumberValue);
     Warnings += uint64_t(PWarn->NumberValue);
-    Races += uint64_t(PRaces->NumberValue);
     if (Point.find("disagreement")->BoolValue)
       Disagreements += 1;
-    if (uint64_t(PRaces->NumberValue) != RaceArr->Elements.size())
-      return Error = Where + ": race_count disagrees with races array",
-             false;
   }
 
   const JsonValue *Summary =
@@ -218,7 +141,6 @@ bool hetsim::validateLintJson(const std::string &Text, std::string &Error) {
   } Counts[] = {{"points", Points->Elements.size()},
                 {"errors", Errors},
                 {"warnings", Warnings},
-                {"races", Races},
                 {"disagreements", Disagreements}};
   for (const auto &Count : Counts) {
     const JsonValue *Member = require(*Summary, Count.Key,

@@ -1,31 +1,24 @@
 //===- analysis/LintJson.h - Machine-readable lint output -------*- C++ -*-===//
 ///
 /// \file
-/// The "hetsim-lint-v1" diagnostics schema, registered alongside the
+/// The "hetsim-lint-v2" diagnostics schema, registered alongside the
 /// metrics schemas ("hetsim-metrics-v1"/"hetsim-sweep-metrics-v1") and
 /// accepted by `hetsim_stats validate|show|audit`. One document carries
 /// the verdicts of one hetsim_lint invocation — any number of points,
-/// each with its linter diagnostics, race witnesses, and dynamic-oracle
-/// verdict:
+/// each with its linter diagnostics and dynamic-oracle verdict:
 ///
-///   { "schema": "hetsim-lint-v1", "model": "weak consistency",
+///   { "schema": "hetsim-lint-v2", "model": "weak consistency",
 ///     "points": [ { "system": "LRB", "kernels": ["reduction"],
-///                   "shared": [], "errors": 0, "warnings": 0,
-///                   "race_count": 0, "races_truncated": false,
+///                   "errors": 0, "warnings": 0,
 ///                   "dynamically_race_free": true,
 ///                   "disagreement": false,
 ///                   "diagnostics": [ { "kind": "...", "severity": "...",
 ///                       "step": 3, "object": "a", "message": "...",
-///                       "fix": "..." } ],
-///                   "races": [ { "location": "...", "missing_edge": "...",
-///                       "first": { "agent": 0, "step": 3, "lane": "cpu",
-///                           "write": true, "description": "..." },
-///                       "second": { ... },
-///                       "interleaving": ["...", "..."] } ] } ],
+///                       "fix": "..." } ] } ],
 ///     "summary": { "points": 1, "errors": 0, "warnings": 0,
-///                  "races": 0, "disagreements": 0 } }
+///                  "disagreements": 0 } }
 ///
-/// Start/end-anchored race accesses carry "step": -1.
+/// Any other schema, "hetsim-lint-v1" included, is rejected as unknown.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +26,7 @@
 #define HETSIM_ANALYSIS_LINTJSON_H
 
 #include "analysis/LintDiagnostic.h"
-#include "analysis/RaceDetector.h"
+#include "memory/ConsistencyChecker.h"
 
 #include <string>
 #include <vector>
@@ -44,20 +37,17 @@ namespace hetsim {
 struct LintJsonPoint {
   std::string System;
   std::vector<std::string> Kernels;
-  /// Co-run allocations shared across agents (empty for single points).
-  std::vector<std::string> SharedBases;
   LintReport Report;
-  RaceReport Races;
   bool DynamicallyRaceFree = true;
-  /// Static-clean but dynamically racy: a soundness bug in one analysis.
+  /// Lint-clean but dynamically racy: a soundness bug in one analysis.
   bool Disagreement = false;
 };
 
-/// Serializes \p Points as one "hetsim-lint-v1" document.
+/// Serializes \p Points as one "hetsim-lint-v2" document.
 std::string writeLintJson(const std::vector<LintJsonPoint> &Points,
                           ConsistencyModel Model);
 
-/// Validates \p Text against the "hetsim-lint-v1" schema (shape and
+/// Validates \p Text against the "hetsim-lint-v2" schema (shape and
 /// summary-count consistency). Returns false and fills \p Error on the
 /// first violation.
 bool validateLintJson(const std::string &Text, std::string &Error);

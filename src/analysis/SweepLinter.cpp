@@ -26,14 +26,6 @@ unsigned SweepLintSummary::pointsWithWarnings() const {
   return Count;
 }
 
-unsigned SweepLintSummary::pointsWithRaces() const {
-  unsigned Count = 0;
-  for (const SweepLintResult &R : Results)
-    if (!R.Races.clean())
-      ++Count;
-  return Count;
-}
-
 unsigned SweepLintSummary::disagreements() const {
   unsigned Count = 0;
   for (const SweepLintResult &R : Results)
@@ -46,8 +38,7 @@ std::string SweepLintSummary::summary() const {
   std::ostringstream Os;
   Os << points() << " points linted: " << pointsWithErrors()
      << " with errors, " << pointsWithWarnings() << " with warnings, "
-     << pointsWithRaces() << " with static races, " << disagreements()
-     << " static/dynamic disagreements";
+     << disagreements() << " static/dynamic disagreements";
   return Os.str();
 }
 
@@ -98,16 +89,13 @@ SweepLintSummary hetsim::lintSweep(const std::vector<SweepPoint> &Points,
                          return A.Kind < B.Kind;
                        return A.Object < B.Object;
                      });
-    R.Races = RaceDetector::analyze(Program, Config, Model);
     R.DynamicallyRaceFree = validateRaceFree(Program, Model);
     // Render while the program (step names) is still alive; clean points
     // contribute nothing.
-    if (!R.Report.clean() || !R.Races.clean() || R.disagreement()) {
+    if (!R.Report.clean() || R.disagreement()) {
       std::ostringstream Os;
       Os << R.System << " / " << kernelName(R.Kernel) << ":\n";
       Os << renderReport(R.Report, Program);
-      if (!R.Races.clean())
-        Os << R.Races.render();
       if (R.disagreement())
         Os << "  disagreement: static-clean but dynamically racy under "
            << consistencyModelName(Model) << " consistency\n";

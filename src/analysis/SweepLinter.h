@@ -15,7 +15,6 @@
 #define HETSIM_ANALYSIS_SWEEPLINTER_H
 
 #include "analysis/ProgramLinter.h"
-#include "analysis/RaceDetector.h"
 #include "core/SweepRunner.h"
 #include "memory/ConsistencyChecker.h"
 
@@ -26,20 +25,18 @@ struct SweepLintResult {
   std::string System;
   KernelId Kernel = KernelId::Reduction;
   LintReport Report;
-  /// The static race verifier's verdict for the same lowered program.
-  RaceReport Races;
   /// The dynamic oracle's verdict for the same lowered program.
   bool DynamicallyRaceFree = true;
-  /// Pre-rendered diagnostics + race witnesses, produced in the worker
-  /// while the lowered program is alive (empty when the point is clean).
+  /// Pre-rendered diagnostics, produced in the worker while the lowered
+  /// program is alive (empty when the point is clean).
   /// Diagnostics are ordered by (step, kind, object), so the rendering
   /// is byte-stable whatever the worker count.
   std::string Rendered;
 
-  /// True when the differential oracle disagrees: neither static
-  /// analysis found an error but the dynamic replay races.
+  /// True when the differential oracle disagrees: the linter found no
+  /// error but the dynamic replay races.
   bool disagreement() const {
-    return Report.errorCount() == 0 && Races.clean() && !DynamicallyRaceFree;
+    return Report.errorCount() == 0 && !DynamicallyRaceFree;
   }
 };
 
@@ -50,11 +47,9 @@ struct SweepLintSummary {
   unsigned points() const { return unsigned(Results.size()); }
   unsigned pointsWithErrors() const;
   unsigned pointsWithWarnings() const;
-  unsigned pointsWithRaces() const;
   unsigned disagreements() const;
   bool clean() const {
-    return pointsWithErrors() == 0 && pointsWithRaces() == 0 &&
-           disagreements() == 0;
+    return pointsWithErrors() == 0 && disagreements() == 0;
   }
 
   /// One human-readable summary line (no trailing newline).

@@ -2,20 +2,12 @@
 
 #include "core/ConsistencyValidation.h"
 
-#include "common/Random.h"
-
-#include <functional>
-
 using namespace hetsim;
 
 namespace {
 
 std::string cpuHalf(const std::string &Name) { return Name + ".cpu"; }
 std::string gpuHalf(const std::string &Name) { return Name + ".gpu"; }
-
-/// Maps a kernel-local base object name to the name used in checker
-/// events (identity for single programs; co-run qualification otherwise).
-using NameMapper = std::function<std::string(const std::string &)>;
 
 /// Base object names of \p Kernel by transfer direction.
 std::vector<std::string> objectNames(KernelId Kernel, TransferDir Dir) {
@@ -31,17 +23,16 @@ std::vector<std::string> objectNames(KernelId Kernel, TransferDir Dir) {
 /// steps carry their own object lists.
 void appendStepEvents(ConsistencyChecker &Checker, const ExecStep &Step,
                       const std::vector<std::string> &Inputs,
-                      const std::vector<std::string> &Outputs,
-                      const NameMapper &Map) {
+                      const std::vector<std::string> &Outputs) {
   switch (Step.Kind) {
   case ExecKind::SerialCompute:
     // The merge/finalize pass touches whole output objects (both
     // halves) on the CPU.
     for (const std::string &Name : Outputs) {
-      Checker.read(PuKind::Cpu, cpuHalf(Map(Name)));
-      Checker.read(PuKind::Cpu, gpuHalf(Map(Name)));
-      Checker.write(PuKind::Cpu, cpuHalf(Map(Name)));
-      Checker.write(PuKind::Cpu, gpuHalf(Map(Name)));
+      Checker.read(PuKind::Cpu, cpuHalf(Name));
+      Checker.read(PuKind::Cpu, gpuHalf(Name));
+      Checker.write(PuKind::Cpu, cpuHalf(Name));
+      Checker.write(PuKind::Cpu, gpuHalf(Name));
     }
     break;
 
@@ -49,12 +40,12 @@ void appendStepEvents(ConsistencyChecker &Checker, const ExecStep &Step,
     // The driver launches the GPU round and joins at its end.
     Checker.kernelLaunch();
     for (const std::string &Name : Inputs) {
-      Checker.read(PuKind::Cpu, cpuHalf(Map(Name)));
-      Checker.read(PuKind::Gpu, gpuHalf(Map(Name)));
+      Checker.read(PuKind::Cpu, cpuHalf(Name));
+      Checker.read(PuKind::Gpu, gpuHalf(Name));
     }
     for (const std::string &Name : Outputs) {
-      Checker.write(PuKind::Cpu, cpuHalf(Map(Name)));
-      Checker.write(PuKind::Gpu, gpuHalf(Map(Name)));
+      Checker.write(PuKind::Cpu, cpuHalf(Name));
+      Checker.write(PuKind::Gpu, gpuHalf(Name));
     }
     Checker.kernelReturn();
     break;
@@ -63,8 +54,8 @@ void appendStepEvents(ConsistencyChecker &Checker, const ExecStep &Step,
     // The copy engine acts on the host's behalf and reads the moved
     // ranges (both halves: transfers move whole objects).
     for (const std::string &Name : Step.Objects) {
-      Checker.read(PuKind::Cpu, cpuHalf(Map(Name)));
-      Checker.read(PuKind::Cpu, gpuHalf(Map(Name)));
+      Checker.read(PuKind::Cpu, cpuHalf(Name));
+      Checker.read(PuKind::Cpu, gpuHalf(Name));
     }
     break;
 
@@ -75,25 +66,25 @@ void appendStepEvents(ConsistencyChecker &Checker, const ExecStep &Step,
 
   case ExecKind::OwnershipToGpu:
     for (const std::string &Name : Step.Objects) {
-      Checker.release(PuKind::Cpu, cpuHalf(Map(Name)));
-      Checker.release(PuKind::Cpu, gpuHalf(Map(Name)));
-      Checker.acquire(PuKind::Gpu, cpuHalf(Map(Name)));
-      Checker.acquire(PuKind::Gpu, gpuHalf(Map(Name)));
+      Checker.release(PuKind::Cpu, cpuHalf(Name));
+      Checker.release(PuKind::Cpu, gpuHalf(Name));
+      Checker.acquire(PuKind::Gpu, cpuHalf(Name));
+      Checker.acquire(PuKind::Gpu, gpuHalf(Name));
     }
     break;
 
   case ExecKind::OwnershipToCpu:
     for (const std::string &Name : Step.Objects) {
-      Checker.release(PuKind::Gpu, cpuHalf(Map(Name)));
-      Checker.release(PuKind::Gpu, gpuHalf(Map(Name)));
-      Checker.acquire(PuKind::Cpu, cpuHalf(Map(Name)));
-      Checker.acquire(PuKind::Cpu, gpuHalf(Map(Name)));
+      Checker.release(PuKind::Gpu, cpuHalf(Name));
+      Checker.release(PuKind::Gpu, gpuHalf(Name));
+      Checker.acquire(PuKind::Cpu, cpuHalf(Name));
+      Checker.acquire(PuKind::Cpu, gpuHalf(Name));
     }
     break;
 
   case ExecKind::PushLocality:
     for (const std::string &Name : Step.Objects)
-      Checker.read(PuKind::Cpu, cpuHalf(Map(Name)));
+      Checker.read(PuKind::Cpu, cpuHalf(Name));
     break;
   }
 }
@@ -107,111 +98,12 @@ ConsistencyChecker hetsim::buildSyncHistory(const LoweredProgram &Program,
       objectNames(Program.Kernel, TransferDir::HostToDevice);
   std::vector<std::string> Outputs =
       objectNames(Program.Kernel, TransferDir::DeviceToHost);
-  NameMapper Identity = [](const std::string &Name) { return Name; };
   for (const ExecStep &Step : Program.Steps)
-    appendStepEvents(Checker, Step, Inputs, Outputs, Identity);
+    appendStepEvents(Checker, Step, Inputs, Outputs);
   return Checker;
 }
 
 bool hetsim::validateRaceFree(const LoweredProgram &Program,
                               ConsistencyModel Model) {
   return buildSyncHistory(Program, Model).isRaceFree();
-}
-
-std::vector<CorunSchedule> hetsim::corunSchedules(const CorunProgram &Corun,
-                                                  size_t RandomCount,
-                                                  uint64_t Seed) {
-  size_t NumAgents = Corun.Agents.size();
-  std::vector<CorunSchedule> Schedules;
-  if (NumAgents == 0)
-    return Schedules;
-
-  auto StepsOf = [&](size_t Agent) {
-    return Corun.Agents[Agent].Program.Steps.size();
-  };
-
-  // Sequential orders: run each agent to completion, rotating which one
-  // starts.
-  for (size_t First = 0; First != NumAgents; ++First) {
-    CorunSchedule S;
-    for (size_t Off = 0; Off != NumAgents; ++Off) {
-      size_t Agent = (First + Off) % NumAgents;
-      for (size_t Step = 0; Step != StepsOf(Agent); ++Step)
-        S.emplace_back(Agent, Step);
-    }
-    Schedules.push_back(std::move(S));
-  }
-
-  // Round-robin interleaving.
-  {
-    CorunSchedule S;
-    std::vector<size_t> Next(NumAgents, 0);
-    bool Progress = true;
-    while (Progress) {
-      Progress = false;
-      for (size_t Agent = 0; Agent != NumAgents; ++Agent) {
-        if (Next[Agent] < StepsOf(Agent)) {
-          S.emplace_back(Agent, Next[Agent]++);
-          Progress = true;
-        }
-      }
-    }
-    Schedules.push_back(std::move(S));
-  }
-
-  // Seeded random merges (each agent's steps stay in program order).
-  XorShiftRng Rng(Seed);
-  for (size_t R = 0; R != RandomCount; ++R) {
-    CorunSchedule S;
-    std::vector<size_t> Next(NumAgents, 0);
-    size_t Remaining = Corun.totalSteps();
-    while (Remaining != 0) {
-      size_t Agent = Rng.nextBelow(NumAgents);
-      while (Next[Agent] >= StepsOf(Agent))
-        Agent = (Agent + 1) % NumAgents;
-      S.emplace_back(Agent, Next[Agent]++);
-      --Remaining;
-    }
-    Schedules.push_back(std::move(S));
-  }
-  return Schedules;
-}
-
-ConsistencyChecker hetsim::buildCorunSyncHistory(const CorunProgram &Corun,
-                                                 const CorunSchedule &Schedule,
-                                                 ConsistencyModel Model) {
-  ConsistencyChecker Checker(Model);
-  // Per-agent object structure, with co-run-qualified names.
-  std::vector<std::vector<std::string>> Inputs(Corun.Agents.size());
-  std::vector<std::vector<std::string>> Outputs(Corun.Agents.size());
-  for (size_t A = 0; A != Corun.Agents.size(); ++A) {
-    Inputs[A] = objectNames(Corun.Agents[A].Kernel, TransferDir::HostToDevice);
-    Outputs[A] =
-        objectNames(Corun.Agents[A].Kernel, TransferDir::DeviceToHost);
-  }
-  for (const std::pair<size_t, size_t> &Entry : Schedule) {
-    size_t Agent = Entry.first;
-    size_t StepIndex = Entry.second;
-    if (Agent >= Corun.Agents.size())
-      continue;
-    const std::vector<ExecStep> &Steps = Corun.Agents[Agent].Program.Steps;
-    if (StepIndex >= Steps.size())
-      continue;
-    NameMapper Map = [&Corun, Agent](const std::string &Name) {
-      return Corun.objectName(Agent, Name);
-    };
-    appendStepEvents(Checker, Steps[StepIndex], Inputs[Agent], Outputs[Agent],
-                     Map);
-  }
-  return Checker;
-}
-
-bool hetsim::validateCorunRaceFree(const CorunProgram &Corun,
-                                   ConsistencyModel Model,
-                                   size_t RandomSchedules, uint64_t Seed) {
-  for (const CorunSchedule &S :
-       corunSchedules(Corun, RandomSchedules, Seed))
-    if (!buildCorunSyncHistory(Corun, S, Model).isRaceFree())
-      return false;
-  return true;
 }

@@ -13,23 +13,13 @@
 /// object contributes a ".cpu" and ".gpu" sub-object matching the work
 /// split, so the two PUs writing their own halves does not alias.
 ///
-/// Co-run workloads replay through the same event emission: a
-/// CorunSchedule fixes one interleaving of the agents' driver steps, the
-/// events carry co-run-qualified object names (CorunProgram::objectName),
-/// and the differential fuzzer explores many schedules per workload —
-/// the static verifier must be clean only if every explored schedule
-/// replays race-free.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef HETSIM_CORE_CONSISTENCYVALIDATION_H
 #define HETSIM_CORE_CONSISTENCYVALIDATION_H
 
-#include "core/CorunLowering.h"
 #include "core/Lowering.h"
 #include "memory/ConsistencyChecker.h"
-
-#include <utility>
 
 namespace hetsim {
 
@@ -40,28 +30,6 @@ ConsistencyChecker buildSyncHistory(const LoweredProgram &Program,
 /// True if \p Program has no cross-PU races under \p Model.
 bool validateRaceFree(const LoweredProgram &Program,
                       ConsistencyModel Model = ConsistencyModel::Weak);
-
-/// One interleaved execution order of a co-run: (agent index, step
-/// index) pairs, each agent's steps in program order.
-using CorunSchedule = std::vector<std::pair<size_t, size_t>>;
-
-/// Builds a deterministic schedule set for \p Corun: each agent run to
-/// completion in turn (one per agent rotation start), a round-robin
-/// interleaving, and \p RandomCount seeded random merges.
-std::vector<CorunSchedule> corunSchedules(const CorunProgram &Corun,
-                                          size_t RandomCount, uint64_t Seed);
-
-/// Replays \p Corun in the order \p Schedule into a checker under
-/// \p Model, with co-run-qualified object names.
-ConsistencyChecker buildCorunSyncHistory(const CorunProgram &Corun,
-                                         const CorunSchedule &Schedule,
-                                         ConsistencyModel Model);
-
-/// True if every schedule from corunSchedules(Corun, RandomSchedules,
-/// Seed) replays race-free under \p Model.
-bool validateCorunRaceFree(const CorunProgram &Corun,
-                           ConsistencyModel Model = ConsistencyModel::Weak,
-                           size_t RandomSchedules = 4, uint64_t Seed = 1);
 
 } // namespace hetsim
 

@@ -108,11 +108,6 @@ public:
   /// True if check() returns no violations.
   bool isRaceFree() const { return check().empty(); }
 
-  size_t eventCount() const { return History.size(); }
-  void clear() { History.clear(); }
-
-  ConsistencyModel model() const { return Model; }
-
 private:
   ConsistencyModel Model;
   std::vector<SyncEvent> History;

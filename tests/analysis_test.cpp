@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/LintJson.h"
 #include "analysis/SweepLinter.h"
 #include "core/ConsistencyValidation.h"
 #include "core/HeteroSimulator.h"
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 using namespace hetsim;
 
@@ -284,4 +286,70 @@ TEST(SweepLint, SummaryCountsFixturePoints) {
   SweepLintSummary Empty = lintSweep({}, 1);
   EXPECT_EQ(Empty.points(), 0u);
   EXPECT_TRUE(Empty.clean());
+}
+
+TEST(SweepLint, ReportIsByteIdenticalAcrossWorkerCounts) {
+  std::vector<SweepPoint> Points = shippedDesignSpace();
+  SweepLintSummary Serial = lintSweep(Points, /*Jobs=*/1);
+  SweepLintSummary Parallel = lintSweep(Points, /*Jobs=*/8);
+  ASSERT_EQ(Serial.points(), Parallel.points());
+  EXPECT_EQ(Serial.render(), Parallel.render());
+  for (size_t I = 0; I != Serial.Results.size(); ++I) {
+    EXPECT_EQ(Serial.Results[I].System, Parallel.Results[I].System);
+    EXPECT_EQ(Serial.Results[I].Rendered, Parallel.Results[I].Rendered);
+    EXPECT_EQ(Serial.Results[I].DynamicallyRaceFree,
+              Parallel.Results[I].DynamicallyRaceFree);
+  }
+}
+
+TEST(SweepLint, DirtyPointsRenderDeterministicallyToo) {
+  // Asynchronous copies on CPU+GPU leave the readback in flight at the
+  // serial merge, so every kernel lints with an error: the diagnostics
+  // must come out in the same bytes at any job count.
+  std::vector<SweepPoint> Points;
+  SystemConfig Broken = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
+  Broken.AsyncCopies = true;
+  for (KernelId Kernel : allKernels())
+    Points.emplace_back(Broken, Kernel);
+  SweepLintSummary A = lintSweep(Points, 1);
+  SweepLintSummary B = lintSweep(Points, 4);
+  EXPECT_EQ(A.pointsWithErrors(), Points.size());
+  EXPECT_EQ(A.render(), B.render());
+}
+
+//===----------------------------------------------------------------------===//
+// Machine-readable output
+//===----------------------------------------------------------------------===//
+
+TEST(LintJson, RoundTripsAndValidates) {
+  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::Lrb);
+  LoweredProgram Program = lowerKernel(KernelId::Reduction, Config);
+  eraseStep(Program, firstStepOfKind(Program, ExecKind::OwnershipToCpu));
+
+  LintJsonPoint Point;
+  Point.System = Config.Name;
+  Point.Kernels = {kernelName(KernelId::Reduction)};
+  Point.Report = lintProgram(Program, Config);
+  Point.DynamicallyRaceFree = validateRaceFree(Program);
+  ASSERT_NE(Point.Report.errorCount(), 0u);
+
+  std::string Doc = writeLintJson({Point}, ConsistencyModel::Weak);
+  std::string Error;
+  EXPECT_TRUE(validateLintJson(Doc, Error)) << Error;
+
+  // Tampering with a summary count must be caught.
+  size_t Pos = Doc.rfind("\"errors\":");
+  ASSERT_NE(Pos, std::string::npos);
+  Pos += std::strlen("\"errors\":");
+  std::string Tampered = Doc;
+  Tampered.replace(Pos, Doc.find_first_not_of("0123456789", Pos) - Pos,
+                   std::to_string(Point.Report.errorCount() + 1));
+  EXPECT_FALSE(validateLintJson(Tampered, Error));
+  EXPECT_NE(Error.find("summary.errors"), std::string::npos) << Error;
+
+  EXPECT_FALSE(validateLintJson("{\"schema\":\"hetsim-metrics-v1\"}", Error));
+  EXPECT_NE(Error.find("unknown schema"), std::string::npos);
+  // v1 carried race witnesses this schema no longer has.
+  EXPECT_FALSE(validateLintJson("{\"schema\":\"hetsim-lint-v1\"}", Error));
+  EXPECT_NE(Error.find("unknown schema 'hetsim-lint-v1'"), std::string::npos);
 }

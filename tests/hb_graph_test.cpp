@@ -1,9 +1,9 @@
 //===- tests/hb_graph_test.cpp - Happens-before graph edge cases ----------===//
 //
-// The HbGraph builder API and its two reachability relations: empty
-// programs, cycles (self edges included), duplicate-edge tolerance, and
-// the full relation checked against a reference transitive closure on
-// randomized DAGs.
+// The HbGraph builder API and its reachability relation: empty programs,
+// cycles (self edges included), duplicate-edge tolerance, and the
+// relation checked against a reference transitive closure on randomized
+// DAGs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,7 @@ namespace {
 HbGraph makeNodes(size_t N) {
   HbGraph Graph;
   for (size_t I = 0; I != N; ++I)
-    Graph.addNode({HbNodeKind::Step, I, 0, HbLane::Cpu});
+    Graph.addNode({HbNodeKind::Step, I});
   return Graph;
 }
 
@@ -101,17 +101,6 @@ TEST(HbGraphEdgeCases, DuplicateEdgesAreTolerated) {
   EXPECT_EQ(reachMatrix(Graph), closure(Graph));
   EXPECT_TRUE(Graph.reaches(0, 2));
   EXPECT_FALSE(Graph.reaches(2, 0));
-}
-
-TEST(HbGraphEdgeCases, ScopedRelationIgnoresLaunchAndJoinEdges) {
-  HbGraph Graph = makeNodes(4);
-  Graph.addEdge(0, 1, HbEdgeKind::KernelLaunch);
-  Graph.addEdge(1, 2, HbEdgeKind::KernelJoin);
-  Graph.addEdge(2, 3, HbEdgeKind::ReleaseAcquire);
-  Graph.finalize();
-  EXPECT_TRUE(Graph.reaches(0, 3));
-  EXPECT_FALSE(Graph.reachesScoped(0, 3));
-  EXPECT_TRUE(Graph.reachesScoped(2, 3));
 }
 
 TEST(HbGraphEdgeCases, RandomizedDagReachabilityIsExact) {

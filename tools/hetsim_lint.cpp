@@ -1,35 +1,28 @@
 //===- tools/hetsim_lint.cpp - Memory-model linter front end --------------===//
 ///
 /// \file
-/// The `hetsim_lint` command-line tool: static race/hazard analysis over
+/// The `hetsim_lint` command-line tool: static legality analysis over
 /// lowered programs, before any cycle simulation runs.
 ///
 ///   hetsim_lint [--all] [--jobs N] [--model M] [--json FILE]
 ///   hetsim_lint --system S --kernel K [--dot] [--json FILE]
 ///       [--max-diagnostics N] [key=value ...]
-///   hetsim_lint --corun K1,K2[,...] --system S [--share OBJ[,...]]
-///       [--json FILE] [--max-diagnostics N]
-///   hetsim_lint --fuzz N [--seed S]
 ///
 /// Without a mode flag the tool verifies the whole shipped design space
 /// (five case studies plus four address-space studies, across all six
-/// kernels): per-program lint, whole-system race detection, and the
-/// dynamic ConsistencyChecker as a differential oracle. --corun composes
-/// several kernels as concurrently running agents (optionally sharing
-/// allocations named by --share) and race-checks the composition.
-/// --fuzz runs the seeded differential fuzzer (analysis/LintFuzzer.h).
-/// --json writes a "hetsim-lint-v1" document ("-" for stdout).
+/// kernels): per-program lint, with the dynamic ConsistencyChecker as a
+/// differential oracle. --json writes a "hetsim-lint-v2" document ("-"
+/// for stdout).
 ///
 /// Exit codes, by severity class:
 ///   0  clean
 ///   1  warnings only
-///   2  usage error (unknown flag/system/kernel/model)
+///   2  usage error (unknown argument/system/kernel/model)
 ///   3  lint errors
-///   4  races, static/dynamic disagreements, or fuzz contract failures
+///   4  static/dynamic disagreements (lint-clean but dynamically racy)
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/LintFuzzer.h"
 #include "analysis/LintJson.h"
 #include "analysis/SweepLinter.h"
 #include "core/ConsistencyValidation.h"
@@ -39,7 +32,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,7 +45,7 @@ enum : int {
   ExitWarnings = 1,
   ExitUsage = 2,
   ExitErrors = 3,
-  ExitRaces = 4,
+  ExitDisagreement = 4,
 };
 
 int usage() {
@@ -64,11 +56,9 @@ int usage() {
       "          [--json FILE]\n"
       "  hetsim_lint --system <name> --kernel <name> [--dot] [--json FILE]\n"
       "          [--max-diagnostics N] [--model M] [key=value ...]\n"
-      "  hetsim_lint --corun <k1,k2,...> --system <name> [--share o1,...]\n"
-      "          [--json FILE] [--max-diagnostics N] [--model M]\n"
-      "  hetsim_lint --fuzz <cases> [--seed S]\n"
       "systems: CPU+GPU LRB GMAC Fusion IDEAL-HETERO UNI PAS DIS ADSM\n"
-      "exit codes: 0 clean, 1 warnings, 2 usage, 3 errors, 4 races\n");
+      "exit codes: 0 clean, 1 warnings, 2 usage, 3 errors,\n"
+      "            4 static/dynamic disagreement\n");
   return ExitUsage;
 }
 
@@ -86,16 +76,6 @@ bool modelByName(const std::string &Name, ConsistencyModel &Out) {
     return true;
   }
   return false;
-}
-
-std::vector<std::string> splitList(const std::string &Text) {
-  std::vector<std::string> Parts;
-  std::string Part;
-  std::istringstream Is(Text);
-  while (std::getline(Is, Part, ','))
-    if (!Part.empty())
-      Parts.push_back(Part);
-  return Parts;
 }
 
 /// Writes \p Doc to \p Path ("-" for stdout). Returns false after a
@@ -138,10 +118,9 @@ void printCapped(const std::string &Text, size_t MaxDiagnostics) {
 }
 
 /// Folds one point's verdicts into a severity-class exit code.
-int exitCodeFor(const LintReport &Report, const RaceReport &Races,
-                bool Disagreement) {
-  if (!Races.clean() || Disagreement)
-    return ExitRaces;
+int exitCodeFor(const LintReport &Report, bool Disagreement) {
+  if (Disagreement)
+    return ExitDisagreement;
   if (Report.errorCount() != 0)
     return ExitErrors;
   if (Report.warningCount() != 0)
@@ -160,7 +139,6 @@ int lintAll(unsigned Jobs, ConsistencyModel Model,
       Point.System = R.System;
       Point.Kernels = {kernelName(R.Kernel)};
       Point.Report = R.Report;
-      Point.Races = R.Races;
       Point.DynamicallyRaceFree = R.DynamicallyRaceFree;
       Point.Disagreement = R.disagreement();
       Points.push_back(std::move(Point));
@@ -168,8 +146,8 @@ int lintAll(unsigned Jobs, ConsistencyModel Model,
     if (!emitJson(JsonPath, writeLintJson(Points, Model)))
       return ExitUsage;
   }
-  if (Summary.pointsWithRaces() != 0 || Summary.disagreements() != 0)
-    return ExitRaces;
+  if (Summary.disagreements() != 0)
+    return ExitDisagreement;
   if (Summary.pointsWithErrors() != 0)
     return ExitErrors;
   return Summary.pointsWithWarnings() != 0 ? ExitWarnings : ExitClean;
@@ -185,18 +163,12 @@ int lintPoint(const SystemConfig &Config, KernelId Kernel, bool Dot,
     return ExitClean;
   }
   LintReport Report = lintProgram(Program, Config);
-  RaceReport Races = RaceDetector::analyze(Program, Config, Model);
   bool RaceFree = validateRaceFree(Program, Model);
-  bool Disagreement =
-      Report.errorCount() == 0 && Races.clean() && !RaceFree;
-  std::printf(
-      "%s / %s: %u error(s), %u warning(s), %zu race(s); dynamic replay "
-      "%s\n",
-      Config.Name.c_str(), kernelName(Kernel), Report.errorCount(),
-      Report.warningCount(), Races.Races.size(),
-      RaceFree ? "race-free" : "RACY");
-  printCapped(renderReport(Report, Program) + Races.render(),
-              MaxDiagnostics);
+  bool Disagreement = Report.errorCount() == 0 && !RaceFree;
+  std::printf("%s / %s: %u error(s), %u warning(s); dynamic replay %s\n",
+              Config.Name.c_str(), kernelName(Kernel), Report.errorCount(),
+              Report.warningCount(), RaceFree ? "race-free" : "RACY");
+  printCapped(renderReport(Report, Program), MaxDiagnostics);
   if (Disagreement)
     std::printf("disagreement: static-clean but dynamically racy under "
                 "%s consistency\n",
@@ -206,81 +178,12 @@ int lintPoint(const SystemConfig &Config, KernelId Kernel, bool Dot,
     Point.System = Config.Name;
     Point.Kernels = {kernelName(Kernel)};
     Point.Report = Report;
-    Point.Races = Races;
     Point.DynamicallyRaceFree = RaceFree;
     Point.Disagreement = Disagreement;
     if (!emitJson(JsonPath, writeLintJson({Point}, Model)))
       return ExitUsage;
   }
-  return exitCodeFor(Report, Races, Disagreement);
-}
-
-int lintCorun(const SystemConfig &Config,
-              const std::vector<KernelId> &Kernels,
-              const std::vector<std::string> &Shared,
-              ConsistencyModel Model, const std::string &JsonPath,
-              size_t MaxDiagnostics) {
-  CorunProgram Corun = lowerCorun(Kernels, Config, Shared);
-  // Per-agent data-flow lint first, then the whole-system verifier.
-  LintReport Combined;
-  Combined.System = Config.Name;
-  std::string Text;
-  for (size_t A = 0; A != Corun.Agents.size(); ++A) {
-    const CorunAgent &Agent = Corun.Agents[A];
-    LintReport Report = lintProgram(Agent.Program, Config);
-    if (!Report.clean()) {
-      Text += Agent.Name + " (" + kernelName(Agent.Kernel) + "):\n";
-      Text += renderReport(Report, Agent.Program);
-    }
-    for (const LintDiagnostic &Diag : Report.Diags)
-      Combined.Diags.push_back(Diag);
-  }
-  RaceDetector Detector(Corun, Model);
-  RaceReport Races = Detector.detect();
-  bool RaceFree = validateCorunRaceFree(Corun, Model);
-  bool Disagreement =
-      Combined.errorCount() == 0 && Races.clean() && !RaceFree;
-
-  std::printf("%s co-run [", Config.Name.c_str());
-  for (size_t A = 0; A != Corun.Agents.size(); ++A)
-    std::printf("%s%s", A == 0 ? "" : ", ",
-                kernelName(Corun.Agents[A].Kernel));
-  std::printf("]");
-  if (!Corun.SharedBases.empty()) {
-    std::printf(" sharing [");
-    for (size_t I = 0; I != Corun.SharedBases.size(); ++I)
-      std::printf("%s%s", I == 0 ? "" : ", ",
-                  Corun.SharedBases[I].c_str());
-    std::printf("]");
-  }
-  std::printf(": %u error(s), %u warning(s), %s; dynamic replay %s\n",
-              Combined.errorCount(), Combined.warningCount(),
-              Races.summary().c_str(), RaceFree ? "race-free" : "RACY");
-  printCapped(Text + Races.render(), MaxDiagnostics);
-  if (Disagreement)
-    std::printf("disagreement: static-clean but dynamically racy under "
-                "%s consistency\n",
-                consistencyModelName(Model));
-  if (!JsonPath.empty()) {
-    LintJsonPoint Point;
-    Point.System = Config.Name;
-    for (const CorunAgent &Agent : Corun.Agents)
-      Point.Kernels.push_back(kernelName(Agent.Kernel));
-    Point.SharedBases = Corun.SharedBases;
-    Point.Report = Combined;
-    Point.Races = Races;
-    Point.DynamicallyRaceFree = RaceFree;
-    Point.Disagreement = Disagreement;
-    if (!emitJson(JsonPath, writeLintJson({Point}, Model)))
-      return ExitUsage;
-  }
-  return exitCodeFor(Combined, Races, Disagreement);
-}
-
-int runFuzz(size_t Cases, uint64_t Seed) {
-  FuzzStats Stats = fuzzVerifier(Cases, Seed);
-  std::printf("%s", Stats.render().c_str());
-  return Stats.passed() ? ExitClean : ExitRaces;
+  return exitCodeFor(Report, Disagreement);
 }
 
 } // namespace
@@ -288,17 +191,12 @@ int runFuzz(size_t Cases, uint64_t Seed) {
 int main(int Argc, char **Argv) {
   std::string System;
   std::string Kernel;
-  std::string CorunKernels;
-  std::string Share;
   std::string ModelName = "weak";
   std::string JsonPath;
   ConfigStore Overrides;
   unsigned Jobs = 0;
   size_t MaxDiagnostics = 0;
-  size_t FuzzCases = 0;
-  uint64_t Seed = 1;
   bool Dot = false;
-  bool Fuzz = false;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -317,20 +215,13 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--kernel") {
       if (!TakeValue(Kernel))
         return usage();
-    } else if (Arg == "--corun") {
-      if (!TakeValue(CorunKernels))
-        return usage();
-    } else if (Arg == "--share") {
-      if (!TakeValue(Share))
-        return usage();
     } else if (Arg == "--model") {
       if (!TakeValue(ModelName))
         return usage();
     } else if (Arg == "--json") {
       if (!TakeValue(JsonPath))
         return usage();
-    } else if (Arg == "--jobs" || Arg == "--max-diagnostics" ||
-               Arg == "--fuzz" || Arg == "--seed") {
+    } else if (Arg == "--jobs" || Arg == "--max-diagnostics") {
       // Counts take the whole value as an unsigned integer (base 0, as
       // config values do); "12x", "-1" or "banana" exit 2 naming the flag.
       if (!TakeValue(Value))
@@ -344,22 +235,17 @@ int main(int Argc, char **Argv) {
                      Arg.c_str(), Value.c_str());
         return ExitUsage;
       }
-      if (Arg == "--jobs") {
+      if (Arg == "--jobs")
         Jobs = unsigned(N); // 0 keeps the default job count.
-      } else if (Arg == "--max-diagnostics") {
+      else
         MaxDiagnostics = size_t(N);
-      } else if (Arg == "--fuzz") {
-        Fuzz = true;
-        FuzzCases = size_t(N);
-      } else {
-        Seed = N;
-      }
     } else if (Arg == "--dot") {
       Dot = true;
     } else if (Arg.find('=') != std::string::npos) {
       if (!Overrides.parseAssignment(Arg))
         return usage();
     } else {
+      std::fprintf(stderr, "error: unknown argument '%s'\n", Arg.c_str());
       return usage();
     }
   }
@@ -369,39 +255,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: unknown consistency model '%s'\n",
                  ModelName.c_str());
     return ExitUsage;
-  }
-
-  if (Fuzz) {
-    if (FuzzCases == 0) {
-      std::fprintf(stderr, "error: --fuzz needs a positive case count\n");
-      return ExitUsage;
-    }
-    return runFuzz(FuzzCases, Seed);
-  }
-
-  if (!CorunKernels.empty()) {
-    if (System.empty() || !Kernel.empty())
-      return usage();
-    SystemConfig Config;
-    if (!systemByName(System, Config, Overrides)) {
-      std::fprintf(stderr, "error: unknown system '%s'\n", System.c_str());
-      return ExitUsage;
-    }
-    std::vector<KernelId> Ids;
-    for (const std::string &Name : splitList(CorunKernels)) {
-      KernelId Id;
-      if (!kernelByName(Name.c_str(), Id)) {
-        std::fprintf(stderr, "error: unknown kernel '%s'\n", Name.c_str());
-        return ExitUsage;
-      }
-      Ids.push_back(Id);
-    }
-    if (Ids.empty()) {
-      std::fprintf(stderr, "error: --corun needs at least one kernel\n");
-      return ExitUsage;
-    }
-    return lintCorun(Config, Ids, splitList(Share), Model, JsonPath,
-                     MaxDiagnostics);
   }
 
   if (System.empty() != Kernel.empty())

@@ -4,7 +4,7 @@
 /// Validates and summarizes the metrics JSON artifacts the simulator
 /// emits (`hetsim run --metrics out.json`, or a sweep dump named by
 /// $HETSIM_METRICS_JSON). The single-run "hetsim-metrics-v1", the sweep
-/// "hetsim-sweep-metrics-v1", and the linter's "hetsim-lint-v1"
+/// "hetsim-sweep-metrics-v1", and the linter's "hetsim-lint-v2"
 /// (`hetsim_lint --json`) schemas are all accepted.
 ///
 /// usage:
@@ -14,7 +14,7 @@
 ///
 /// Exit status is nonzero on unreadable files, schema violations, and
 /// (for audit) any point whose run.conservation_ok is not 1 — or, for a
-/// lint document, any error, race, or disagreement — so CI can gate on
+/// lint document, any error or disagreement — so CI can gate on
 /// it directly.
 ///
 //===----------------------------------------------------------------------===//
@@ -56,11 +56,11 @@ bool isLintDocument(const std::string &Text) {
     return false;
   const JsonValue *Schema = Doc.find("schema");
   return Schema && Schema->isString() &&
-         Schema->StringValue == "hetsim-lint-v1";
+         Schema->StringValue == "hetsim-lint-v2";
 }
 
 /// Prints per-point lint verdicts; returns the number of points with
-/// errors, races, or disagreements.
+/// errors or disagreements.
 size_t summarizeLintPoints(const JsonValue &Doc) {
   size_t Dirty = 0;
   const JsonValue *Points = Doc.find("points");
@@ -70,20 +70,18 @@ size_t summarizeLintPoints(const JsonValue &Doc) {
       Label += " " + Kernel.StringValue;
     uint64_t Errors = uint64_t(Point.find("errors")->NumberValue);
     uint64_t Warnings = uint64_t(Point.find("warnings")->NumberValue);
-    uint64_t Races = uint64_t(Point.find("race_count")->NumberValue);
     bool Disagrees = Point.find("disagreement")->BoolValue;
-    if (Errors != 0 || Races != 0 || Disagrees)
+    if (Errors != 0 || Disagrees)
       ++Dirty;
-    std::printf("%-40s %llu error(s), %llu warning(s), %llu race(s)%s\n",
-                Label.c_str(), (unsigned long long)Errors,
-                (unsigned long long)Warnings, (unsigned long long)Races,
+    std::printf("%-40s %llu error(s), %llu warning(s)%s\n", Label.c_str(),
+                (unsigned long long)Errors, (unsigned long long)Warnings,
                 Disagrees ? ", DISAGREEMENT" : "");
   }
   return Dirty;
 }
 
-/// Loads a "hetsim-lint-v1" document; \p Audit additionally fails on any
-/// error/race/disagreement.
+/// Loads a "hetsim-lint-v2" document; \p Audit additionally fails on any
+/// error/disagreement.
 int handleLintDocument(const std::string &Path, const std::string &Text,
                        bool Verbose, bool Audit) {
   std::string Error;
@@ -96,11 +94,10 @@ int handleLintDocument(const std::string &Path, const std::string &Text,
   size_t Dirty = Verbose || Audit ? summarizeLintPoints(Doc) : 0;
   const JsonValue *Summary = Doc.find("summary");
   std::printf("%s: valid lint document (%g points, %g errors, %g "
-              "warnings, %g races, %g disagreements)\n",
+              "warnings, %g disagreements)\n",
               Path.c_str(), Summary->find("points")->NumberValue,
               Summary->find("errors")->NumberValue,
               Summary->find("warnings")->NumberValue,
-              Summary->find("races")->NumberValue,
               Summary->find("disagreements")->NumberValue);
   return Audit && Dirty != 0 ? 1 : 0;
 }
