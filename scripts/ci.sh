@@ -12,7 +12,8 @@
 #      scripts/dead_symbols.sh): every out-of-line src/ function is
 #      linked into a shipped binary or named on the script's allow-list
 #   4. metrics smoke: one run must emit schema-valid, conservation-clean
-#      metrics plus a Chrome trace file, and so must the whole fig5 sweep
+#      metrics plus a Chrome trace file, and so must the prefetch knob's
+#      heaviest background-drain run and the whole fig5 sweep
 #   5. golden diff + paper fidelity: regenerate every checked artifact and
 #      hold it against refs/golden (tight tolerances) and refs/paper
 #      (paper-reported values and trends), then prove the sweep engine is
@@ -129,6 +130,8 @@ scripts/dead_symbols.sh
 echo "== gate 4: metrics smoke =="
 # One sweep point must emit a schema-valid metrics document that passes
 # the DRAM traffic-conservation audit, plus a Chrome trace file; then the
+# shipped knob with the most background drains (matrix multiply under
+# configs/prefetch.cfg, whose drains overflow the trace-event cap) and the
 # whole Figure 5 sweep (LRB's ownership steps, IDEAL-HETERO's coherence
 # path) must conserve DRAM traffic on every point.
 SMOKE_DIR="build/obs-smoke"
@@ -142,6 +145,10 @@ build/tools/hetsim_stats audit "$SMOKE_DIR/metrics.json"
   echo "ci: missing trace-event file" >&2
   exit 1
 }
+build/tools/hetsim run --system Fusion --kernel "matrix mul" \
+  --config configs/prefetch.cfg --metrics "$SMOKE_DIR/prefetch.json" >/dev/null
+build/tools/hetsim_stats validate "$SMOKE_DIR/prefetch.json"
+build/tools/hetsim_stats audit "$SMOKE_DIR/prefetch.json"
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   HETSIM_METRICS_JSON="$SMOKE_DIR/fig5.json" \
   build/bench/fig5_case_studies >/dev/null

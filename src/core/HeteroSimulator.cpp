@@ -209,11 +209,14 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
   RunResult Result;
   Result.CommSourceLines = Program.Source.lineCount();
 
-  // Map every placed object into the owning PU's page table.
+  // Map every placed object's whole slot (a gather may run past its end;
+  // the walk aborts on an unmapped page) into the owning PU's page table.
   for (const DataSegment &Segment : Program.Place.CpuLayout.segments())
-    Mem->mapRange(PuKind::Cpu, Segment.Base, Segment.Bytes);
+    Mem->mapRange(PuKind::Cpu, Segment.Base,
+                  alignUp(Segment.Bytes, SegmentAlignBytes));
   for (const DataSegment &Segment : Program.Place.GpuLayout.segments())
-    Mem->mapRange(PuKind::Gpu, Segment.Base, Segment.Bytes);
+    Mem->mapRange(PuKind::Gpu, Segment.Base,
+                  alignUp(Segment.Bytes, SegmentAlignBytes));
 
   // Enforce the address-space model's visibility rules on every access.
   Mem->setSpaceModel(&AddressSpaceModel::forKind(Config.AddrSpace));
@@ -484,7 +487,6 @@ MetricsSnapshot HeteroSimulator::collectMetrics(const RunResult &Result) {
   M.add("run.transfers", double(Result.TransferCount));
   M.add("run.page_faults", double(Result.PageFaults));
   M.add("run.ownership_actions", double(Result.OwnershipActions));
-  M.add("run.push_ns", Result.PushNs);
   M.add("run.comm_source_lines", double(Result.CommSourceLines));
 
   M.add("run.cpu.cycles", double(Result.CpuTotal.Cycles));

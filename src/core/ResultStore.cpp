@@ -179,7 +179,6 @@ uint64_t hetsim::hashSystemConfig(const SystemConfig &Config) {
       .word(Hier.Mesh.HopLatency)
       .word(Hier.Mesh.InjectOccupancy)
       .word(Hier.Mesh.MaxQueueDelay)
-      .word(Hier.EnableL3 ? 1 : 0)
       .word(Hier.GpuSharesL3 ? 1 : 0)
       .word(Hier.SeparateGpuDram ? 1 : 0)
       .word(Hier.HwCoherence ? 1 : 0)

@@ -135,7 +135,6 @@ const ConfigKey ConfigKeys[] = {
     {"sys.ideal_comm", [](auto &C, auto &V) { C.IdealComm = V.asBool(); }},
     {"sys.first_touch_faults",
      [](auto &C, auto &V) { C.FirstTouchFaults = V.asBool(); }},
-    {"sys.async_copies", [](auto &C, auto &V) { C.AsyncCopies = V.asBool(); }},
     {"sys.interleaved_contention",
      [](auto &C, auto &V) { C.InterleavedContention = V.asBool(); }},
     {"sys.cpu_work_fraction",

@@ -59,6 +59,10 @@ inline MemRegion regionOf(Addr Address) {
   return MemRegion::Unknown;
 }
 
+/// The word diagnostics put before "region", indexed by MemRegion.
+inline constexpr const char *MemRegionNames[NumMemRegions] = {
+    "CPU-private", "GPU-private", "shared", "no"};
+
 /// The placement an address-space model computed for one kernel instance.
 struct Placement {
   AddressSpaceKind Kind = AddressSpaceKind::Unified;

@@ -5,7 +5,7 @@
 #include "common/Error.h"
 #include "common/Units.h"
 
-#include <algorithm>
+#include <cstdio>
 
 using namespace hetsim;
 
@@ -48,8 +48,6 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg)
   Stats.bindCounter("mem.cpu_accesses", Cpu.Accesses);
   Stats.bindCounter("mem.gpu_accesses", Gpu.Accesses);
   for (const PuCounters *Pu : {&Cpu, &Gpu}) {
-    Stats.bindCounter("mem.demand_maps", Pu->DemandMaps);
-    Stats.bindCounter("mem.space_violations", Pu->SpaceViolations);
     Stats.bindCounter("mem.mshr_merges", Pu->MshrMerges);
   }
   Stats.bindCounter("mem.gpu_l1_writebacks", Gpu.L1Writebacks);
@@ -83,18 +81,20 @@ void MemorySystem::mapRange(PuKind Pu, Addr VBase, uint64_t Bytes) {
 }
 
 Addr MemorySystem::translateMiss(PuKind Pu, Addr VAddr) {
-  PageTable &Pt = pageTable(Pu);
-  std::optional<Addr> Frame = Pt.frameOf(VAddr);
-  if (!Frame) {
-    // Demand-map: experiment setup maps ranges up front; stray addresses
-    // (e.g. wrapped cursors just past an object) are mapped on demand.
-    ++Counts[puIndex(Pu)].DemandMaps;
-    mapRange(Pu, alignDown(VAddr, Pt.pageBytes()), Pt.pageBytes());
-    Frame = Pt.frameOf(VAddr);
-    assert(Frame && "demand map failed");
-  }
+  std::optional<Addr> Frame = pageTable(Pu).frameOf(VAddr);
+  if (!Frame)
+    fatalAccess(Pu, VAddr, "no page is mapped there");
   tlb(Pu).fill(VAddr, *Frame);
   return *Frame;
+}
+
+void MemorySystem::fatalAccess(PuKind Pu, Addr VAddr, const char *Problem) {
+  char Message[160];
+  std::snprintf(Message, sizeof(Message),
+                "%s access to virtual address 0x%llx (%s region): %s",
+                puKindName(Pu), static_cast<unsigned long long>(VAddr),
+                MemRegionNames[unsigned(regionOf(VAddr))], Problem);
+  fatalError(Message);
 }
 
 void MemorySystem::setSpaceModel(const AddressSpaceModel *Model) {
@@ -154,14 +154,6 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
     Level = HitLevel::Dram;
     ++*DramCpuDemand;
     return CpuDram->access(PAddr, NowCpu, IsWrite);
-  }
-
-  if (!Config.EnableL3) {
-    Level = HitLevel::Dram;
-    Cycle AtCtrl = Noc->traverse(SourceStop, ring::MemCtrlStop, NowCpu);
-    ++*DramCpuDemand;
-    Cycle Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
-    return Done + Noc->uncontendedLatency(ring::MemCtrlStop, SourceStop);
   }
 
   unsigned TileStop = Noc->tileStopFor(PAddr);
@@ -295,10 +287,8 @@ Cycle MemorySystem::pushToShared(PuKind Pu, Addr VBase, uint64_t Bytes,
   for (uint64_t I = 0; I != Lines; ++I) {
     Addr VAddr = VBase + I * CacheLineBytes;
     std::optional<Addr> PAddr = Pt.translate(VAddr);
-    if (!PAddr) {
-      mapRange(Pu, alignDown(VAddr, Pt.pageBytes()), Pt.pageBytes());
-      PAddr = Pt.translate(VAddr);
-    }
+    if (!PAddr)
+      fatalAccess(Pu, VAddr, "no page is mapped there");
     CacheAccessResult Fill =
         L3.access(alignDown(*PAddr, CacheLineBytes), /*IsWrite=*/false,
                    /*MarkExplicit=*/true);

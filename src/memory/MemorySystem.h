@@ -52,8 +52,6 @@ struct MemHierConfig {
   bool UseMeshNoc = false;
   MeshConfig Mesh;
 
-  /// False removes the L3 (both PUs go straight to DRAM after L2/L1).
-  bool EnableL3 = true;
   /// True routes GPU L1 misses through the shared L3 (integrated LLC,
   /// Sandy-Bridge style); false sends them to the GPU's own memory.
   bool GpuSharesL3 = true;
@@ -87,7 +85,6 @@ struct MemAccessResult {
   Cycle Latency = 0; ///< In the requesting PU's clock.
   HitLevel Level = HitLevel::L1;
   bool TlbMiss = false;
-  bool SpaceViolation = false; ///< PU touched space it cannot see.
 };
 
 /// The assembled hierarchy.
@@ -98,7 +95,8 @@ public:
   const MemHierConfig &config() const { return Config; }
 
   /// Maps [VBase, VBase+Bytes) into \p Pu's page table, backed by that
-  /// PU's memory device (or the unified device).
+  /// PU's memory device (or the unified device). The lowering maps every
+  /// object before a run: an access to a page no one mapped is fatal.
   void mapRange(PuKind Pu, Addr VBase, uint64_t Bytes);
 
   /// Performs one demand access of at most one cache line. \p NowPu is the
@@ -133,10 +131,8 @@ public:
     // 2. Address-space visibility (Section II-A): a PU referencing space
     // the model does not give it is a program error under that model.
     const MemRegion Region = regionOf(VAddr);
-    if (!(Visible[puIndex(Pu)] >> unsigned(Region) & 1)) {
-      Result.SpaceViolation = true;
-      ++Count.SpaceViolations;
-    }
+    if (!(Visible[puIndex(Pu)] >> unsigned(Region) & 1)) [[unlikely]]
+      fatalAccess(Pu, VAddr, "the address-space model forbids it");
 
     // 3. Coherence happens before the private lookup so a stale local
     // copy is refreshed/invalidated correctly.
@@ -211,9 +207,9 @@ public:
 
   /// Checks every access against \p Model's visibility rules (Section
   /// II-A: e.g. the GPU cannot reach CPU private space under disjoint or
-  /// ADSM). Violations are counted in "mem.space_violations" and flagged
-  /// on the result. The model decides by region, so its answers are
-  /// tabled here once; nullptr turns the check off.
+  /// ADSM). A violation is a lowering bug and fatal. The model decides by
+  /// region, so its answers are tabled here once; nullptr turns the check
+  /// off.
   void setSpaceModel(const AddressSpaceModel *Model);
 
   /// Component access for tests, benches, and the comm fabrics.
@@ -235,7 +231,7 @@ public:
   }
   Scratchpad &scratchpad() { return Smem; }
 
-  /// Aggregate counters ("mem.demand_maps", "mem.coh_remote", ...).
+  /// Aggregate counters ("mem.mshr_merges", "mem.coh_remote", ...).
   const StatRegistry &stats() const { return Stats; }
   StatRegistry &stats() { return Stats; }
 
@@ -245,19 +241,21 @@ private:
   /// on host cache lines of its own: the two halves of a concurrent round
   /// (DESIGN.md §11) never write the same line.
   struct alignas(HostLineBytes) PuCounters {
-    uint64_t Accesses = 0;        ///< mem.cpu_accesses / mem.gpu_accesses
-    uint64_t DemandMaps = 0;      ///< mem.demand_maps
-    uint64_t SpaceViolations = 0; ///< mem.space_violations
-    uint64_t MshrMerges = 0;      ///< mem.mshr_merges
-    uint64_t L1Writebacks = 0;    ///< mem.gpu_l1_writebacks (GPU only)
-    uint64_t OwnDramDemand = 0;   ///< dram.gpu.demand (GPU only)
+    uint64_t Accesses = 0;      ///< mem.cpu_accesses / mem.gpu_accesses
+    uint64_t MshrMerges = 0;    ///< mem.mshr_merges
+    uint64_t L1Writebacks = 0;  ///< mem.gpu_l1_writebacks (GPU only)
+    uint64_t OwnDramDemand = 0; ///< dram.gpu.demand (GPU only)
   };
 
   /// drainBackground() once requests are queued.
   void drainQueued(Cycle NowCpu);
   /// The TLB-miss path of access(): \p VAddr's frame in \p Pu's page
-  /// table, demand-mapping a page no setup mapped, installed in the TLB.
+  /// table, installed in the TLB. An unmapped page is fatal.
   Addr translateMiss(PuKind Pu, Addr VAddr);
+  /// The cold end of the walk's checks: aborts naming the PU, the
+  /// address, its region and \p Problem.
+  [[noreturn, gnu::cold]] static void fatalAccess(PuKind Pu, Addr VAddr,
+                                                  const char *Problem);
   /// The coherence step of access(): the directory's actions against the
   /// other PU's private caches for \p Line, and their cost in
   /// \p Requestor's cycles.

@@ -10,14 +10,17 @@
 
 using namespace hetsim;
 
+/// Only a HybridLru cache can bypass a fill, so only it has the count.
 static void addCache(MetricsSnapshot &Out, const std::string &Prefix,
-                     const CacheStats &S) {
+                     const Cache &C) {
+  const CacheStats &S = C.stats();
   Out.add(Prefix + ".accesses", double(S.Accesses));
   Out.add(Prefix + ".hits", double(S.Hits));
   Out.add(Prefix + ".misses", double(S.Misses));
   Out.add(Prefix + ".evictions", double(S.Evictions));
   Out.add(Prefix + ".writebacks", double(S.Writebacks));
-  Out.add(Prefix + ".bypassed_fills", double(S.BypassedFills));
+  if (C.config().Replacement == ReplacementKind::HybridLru)
+    Out.add(Prefix + ".bypassed_fills", double(S.BypassedFills));
 }
 
 /// \p HasQueue adds the background-queue keys: only the CPU device has a
@@ -35,7 +38,6 @@ static void addDram(MetricsSnapshot &Out, const std::string &Prefix,
     Out.add(Prefix + ".batched_reqs", double(S.BatchedRequests));
     Out.add(Prefix + ".peak_queue_depth", double(S.PeakQueueDepth));
   }
-  Out.add(Prefix + ".queued", double(Dram.queuedRequests()));
 }
 
 static void addTlb(MetricsSnapshot &Out, const std::string &Prefix,
@@ -46,10 +48,10 @@ static void addTlb(MetricsSnapshot &Out, const std::string &Prefix,
 }
 
 void hetsim::captureMetrics(MemorySystem &Mem, MetricsSnapshot &Out) {
-  addCache(Out, "cache.cpu_l1", Mem.cpuL1().stats());
-  addCache(Out, "cache.cpu_l2", Mem.cpuL2().stats());
-  addCache(Out, "cache.gpu_l1", Mem.gpuL1().stats());
-  addCache(Out, "cache.l3", Mem.l3().stats());
+  addCache(Out, "cache.cpu_l1", Mem.cpuL1());
+  addCache(Out, "cache.cpu_l2", Mem.cpuL2());
+  addCache(Out, "cache.gpu_l1", Mem.gpuL1());
+  addCache(Out, "cache.l3", Mem.l3());
 
   addDram(Out, "dram.cpu", Mem.cpuDram(), /*HasQueue=*/true);
   if (Mem.config().SeparateGpuDram)

@@ -18,6 +18,10 @@
 
 namespace hetsim {
 
+/// The alignment of every object a linear layout places. An object owns
+/// its whole slot: a SIMD gather may reach past its last byte.
+inline constexpr uint64_t SegmentAlignBytes = 4096;
+
 /// One placed data object.
 struct DataSegment {
   std::string Name;
@@ -55,11 +59,12 @@ public:
   /// \p Base, aligning each to \p Align. This is the default layout used
   /// when no address-space model dictates placement.
   static KernelDataLayout makeLinear(KernelId Kernel, Addr Base,
-                                     uint64_t Align = 4096);
+                                     uint64_t Align = SegmentAlignBytes);
 
   /// Same, for an arbitrary object list (custom workloads).
   static KernelDataLayout makeLinear(const std::vector<DataObjectSpec> &Objects,
-                                     Addr Base, uint64_t Align = 4096);
+                                     Addr Base,
+                                     uint64_t Align = SegmentAlignBytes);
 
   /// FNV-1a fingerprint over everything the trace generators read from
   /// this layout: segment order, names, placed addresses, sizes, and

@@ -360,13 +360,24 @@ TEST(MemorySystem, TlbMissPenaltyCharged) {
   EXPECT_GT(Cold.Latency, Warm.Latency + Mem.config().TlbMissPenalty - 1);
 }
 
-TEST(MemorySystem, DemandMapsUnmappedPages) {
+using MemorySystemDeathTest = ::testing::Test;
+
+TEST(MemorySystemDeathTest, UnmappedAccessNamesPuAndAddress) {
+  // The lowering maps every object before a run, so a walk or a push
+  // that reaches a page no one mapped is a lowering bug, not a page to
+  // map on demand.
   MemorySystem Mem = makeIntegrated();
-  // No explicit mapping: the access must demand-map, not crash.
-  MemAccessResult R =
-      Mem.access(PuKind::Cpu, region::CpuPrivateBase + 0x5000, 4, false, 0);
-  EXPECT_GT(R.Latency, 0u);
-  EXPECT_EQ(Mem.stats().counter("mem.demand_maps"), 1u);
+  Mem.mapRange(PuKind::Cpu, region::CpuPrivateBase, 4096);
+  EXPECT_DEATH(
+      Mem.access(PuKind::Cpu, region::CpuPrivateBase + 0x5000, 4, false, 0),
+      "CPU access to virtual address 0x10005000 \\(CPU-private region\\): "
+      "no page is mapped there");
+  EXPECT_DEATH(Mem.access(PuKind::Gpu, region::CpuPrivateBase, 4, false, 0),
+               "GPU access to virtual address 0x10000000 \\(CPU-private "
+               "region\\): no page is mapped there");
+  EXPECT_DEATH(Mem.pushToShared(PuKind::Cpu, region::SharedBase, 128, 0),
+               "CPU access to virtual address 0x90000000 \\(shared region\\): "
+               "no page is mapped there");
 }
 
 TEST(MemorySystem, CoherenceInvalidatesRemoteCopy) {
@@ -416,23 +427,6 @@ TEST(MemorySystem, ScratchpadAccess) {
   EXPECT_EQ(Mem.scratchpadWarpAccess(0, 4, /*Lanes=*/1, 0, false),
             Mem.config().ScratchpadLatency);
   EXPECT_EQ(Mem.scratchpad().readCount(), 1u);
-}
-
-TEST(MemorySystem, SpaceModelViolationsCounted) {
-  MemorySystem Mem = makeIntegrated();
-  Mem.setSpaceModel(&AddressSpaceModel::forKind(AddressSpaceKind::Adsm));
-  Mem.mapRange(PuKind::Gpu, region::CpuPrivateBase, 4096);
-  Mem.mapRange(PuKind::Gpu, region::SharedBase, 4096);
-
-  // ADSM: the GPU may not reach CPU-private space...
-  MemAccessResult Bad =
-      Mem.access(PuKind::Gpu, region::CpuPrivateBase, 4, false, 0);
-  EXPECT_TRUE(Bad.SpaceViolation);
-  // ...but the shared space is fine.
-  MemAccessResult Ok =
-      Mem.access(PuKind::Gpu, region::SharedBase, 4, false, 0);
-  EXPECT_FALSE(Ok.SpaceViolation);
-  EXPECT_EQ(Mem.stats().counter("mem.space_violations"), 1u);
 }
 
 TEST(MemorySystem, RemapMovesRangeAndFlushesTlb) {

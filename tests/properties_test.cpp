@@ -318,6 +318,9 @@ TEST(MemoryProperty, LatencyRespectsHierarchyOrdering) {
 TEST(MemoryProperty, AccessLatencyAlwaysPositive) {
   MemHierConfig Config;
   MemorySystem Mem(Config);
+  // Both PUs map the range first: an unmapped access is fatal.
+  Mem.mapRange(PuKind::Cpu, region::SharedBase, 1 << 20);
+  Mem.mapRange(PuKind::Gpu, region::SharedBase, 1 << 20);
   XorShiftRng Rng(3);
   for (unsigned I = 0; I != 2000; ++I) {
     PuKind Pu = Rng.nextBool(0.5) ? PuKind::Cpu : PuKind::Gpu;

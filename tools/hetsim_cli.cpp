@@ -40,6 +40,7 @@ int usage() {
       "         [--stats] [--metrics out.json] [key=value ...]\n"
       "  hetsim compare --kernel <name> [key=value ...]\n"
       "  hetsim extra --system <name> --workload <name> [--elements N]\n"
+      "         [key=value ...]\n"
       "  hetsim table <1|2|3|4|5>\n"
       "  hetsim sweep --system <name> --kernel <name> --key <config-key>\n"
       "         --values v1,v2,... [--resume] [--store <dir>] [key=value ...]\n"
@@ -191,12 +192,16 @@ ParsedArgs parseArgs(int Argc, char **Argv, int Start) {
   ParsedArgs Args;
   for (int I = Start; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    // Each failure names the argument at fault; the caller then prints
+    // the usage and exits 2.
     auto TakeValue = [&](std::string &Out) {
       if (I + 1 >= Argc) {
+        std::fprintf(stderr, "error: %s needs a value\n", Arg.c_str());
         Args.Ok = false;
-        return;
+        return false;
       }
       Out = Argv[++I];
+      return true;
     };
     if (Arg == "--system") {
       TakeValue(Args.System);
@@ -214,8 +219,7 @@ ParsedArgs parseArgs(int Argc, char **Argv, int Start) {
       TakeValue(Args.Workload);
     } else if (Arg == "--elements") {
       std::string Value;
-      TakeValue(Value);
-      if (!parseUnsigned(Value, Args.Elements)) {
+      if (TakeValue(Value) && !parseUnsigned(Value, Args.Elements)) {
         std::fprintf(stderr,
                      "error: --elements has value '%s', which is not a "
                      "valid unsigned integer\n",
@@ -237,9 +241,13 @@ ParsedArgs parseArgs(int Argc, char **Argv, int Start) {
       TakeValue(Joined);
       Args.SweepValues = splitString(Joined, ',');
     } else if (Arg.find('=') != std::string::npos) {
-      if (!Args.Overrides.parseAssignment(Arg))
+      if (!Args.Overrides.parseAssignment(Arg)) {
+        std::fprintf(stderr, "error: '%s' is not a key=value assignment\n",
+                     Arg.c_str());
         Args.Ok = false;
+      }
     } else {
+      std::fprintf(stderr, "error: unknown argument '%s'\n", Arg.c_str());
       Args.Ok = false;
     }
   }

@@ -201,8 +201,10 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto TakeValue = [&](std::string &Out) {
-      if (I + 1 >= Argc)
+      if (I + 1 >= Argc) {
+        std::fprintf(stderr, "error: %s needs a value\n", Arg.c_str());
         return false;
+      }
       Out = Argv[++I];
       return true;
     };
@@ -242,8 +244,11 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--dot") {
       Dot = true;
     } else if (Arg.find('=') != std::string::npos) {
-      if (!Overrides.parseAssignment(Arg))
+      if (!Overrides.parseAssignment(Arg)) {
+        std::fprintf(stderr, "error: '%s' is not a key=value assignment\n",
+                     Arg.c_str());
         return usage();
+      }
     } else {
       std::fprintf(stderr, "error: unknown argument '%s'\n", Arg.c_str());
       return usage();
