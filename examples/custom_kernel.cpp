@@ -88,7 +88,6 @@ LoweredProgram makeStencilProgram(const SystemConfig &Config,
     Layout.addSegment(
         {"out", At + Bytes + 4096, Bytes, TransferDir::DeviceToHost});
   };
-  Program.Place.Kind = Config.AddrSpace;
   Place(Program.Place.CpuLayout, Base);
   Place(Program.Place.GpuLayout, Disjoint ? region::GpuPrivateBase : Base);
 

@@ -131,9 +131,11 @@ echo "== gate 4: metrics smoke =="
 # One sweep point must emit a schema-valid metrics document that passes
 # the DRAM traffic-conservation audit, plus a Chrome trace file; then the
 # shipped knob with the most background drains (matrix multiply under
-# configs/prefetch.cfg, whose drains overflow the trace-event cap) and the
-# whole Figure 5 sweep (LRB's ownership steps, IDEAL-HETERO's coherence
-# path) must conserve DRAM traffic on every point.
+# configs/prefetch.cfg: 115,023 drains on Fusion, traced as one summary
+# span) must conserve DRAM traffic and keep its compute spans in the
+# trace, and the whole Figure 5 sweep (LRB's ownership steps,
+# IDEAL-HETERO's coherence path) must conserve DRAM traffic on every
+# point.
 SMOKE_DIR="build/obs-smoke"
 rm -rf "$SMOKE_DIR"
 mkdir -p "$SMOKE_DIR"
@@ -145,10 +147,16 @@ build/tools/hetsim_stats audit "$SMOKE_DIR/metrics.json"
   echo "ci: missing trace-event file" >&2
   exit 1
 }
-build/tools/hetsim run --system Fusion --kernel "matrix mul" \
-  --config configs/prefetch.cfg --metrics "$SMOKE_DIR/prefetch.json" >/dev/null
+HETSIM_TRACE_EVENTS="$SMOKE_DIR" build/tools/hetsim run --system Fusion \
+  --kernel "matrix mul" --config configs/prefetch.cfg \
+  --metrics "$SMOKE_DIR/prefetch.json" >/dev/null
 build/tools/hetsim_stats validate "$SMOKE_DIR/prefetch.json"
 build/tools/hetsim_stats audit "$SMOKE_DIR/prefetch.json"
+grep -q '"name":"parallel_compute"' \
+  "$SMOKE_DIR/Fusion_matrix_mul.trace.json" || {
+  echo "ci: prefetch matrix-multiply trace has no parallel_compute span" >&2
+  exit 1
+}
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
   HETSIM_METRICS_JSON="$SMOKE_DIR/fig5.json" \
   build/bench/fig5_case_studies >/dev/null

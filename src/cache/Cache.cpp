@@ -51,8 +51,7 @@ CacheConfig CacheConfig::sharedL3() {
   return C;
 }
 
-Cache::Cache(const CacheConfig &Cfg, uint64_t RngSeed)
-    : Config(Cfg), Rng(RngSeed) {
+Cache::Cache(const CacheConfig &Cfg) : Config(Cfg) {
   if (!Config.isValid())
     fatalError(("invalid cache geometry for " + Config.Name).c_str());
   if (Config.MaxExplicitWays == 0)
@@ -85,19 +84,14 @@ int Cache::chooseVictim(size_t SetBase, bool FillIsExplicit) {
     return int(Victim);
   }
 
-  // Invalid ways first.
+  // HybridLru. Invalid ways first.
   for (unsigned W = 0; W != Config.Ways; ++W)
     if (Stamp[W] == 0)
       return int(W);
 
-  if (Config.Replacement == ReplacementKind::Random) {
-    return int(Rng.nextBelow(Config.Ways));
-  }
-
-  const bool Hybrid = Config.Replacement == ReplacementKind::HybridLru;
   const LineFlags *Flag = &Flags[SetBase];
 
-  if (Hybrid && FillIsExplicit) {
+  if (FillIsExplicit) {
     // Enforce the explicit-capacity cap: if the set already holds the
     // maximum number of explicit ways, evict the LRU explicit line;
     // otherwise fall through to plain LRU over all ways.
@@ -118,7 +112,7 @@ int Cache::chooseVictim(size_t SetBase, bool FillIsExplicit) {
   for (unsigned W = 0; W != Config.Ways; ++W) {
     // Hybrid rule (Section II-B5): an implicitly-managed fill may not
     // evict an explicitly-managed block.
-    if (Hybrid && !FillIsExplicit && Flag[W].Explicit)
+    if (!FillIsExplicit && Flag[W].Explicit)
       continue;
     if (Victim < 0 || Stamp[W] < Stamp[Victim])
       Victim = int(W);

@@ -1,7 +1,7 @@
 //===- cache/Cache.h - Set-associative write-back cache ---------*- C++ -*-===//
 ///
 /// \file
-/// A set-associative, write-back, write-allocate cache with pluggable
+/// A set-associative, write-back, write-allocate cache with LRU
 /// replacement, per-line dirty state, and the hybrid-locality
 /// management bit of Section II-B5 (one tag bit distinguishes explicitly-
 /// from implicitly-managed blocks; replacement may not let implicit fills
@@ -14,7 +14,6 @@
 
 #include "cache/CacheConfig.h"
 #include "common/HostLine.h"
-#include "common/Random.h"
 
 #include <functional>
 #include <vector>
@@ -55,7 +54,7 @@ struct CacheStats {
 /// of their own (common/HostLine.h).
 class alignas(HostLineBytes) Cache {
 public:
-  explicit Cache(const CacheConfig &Config, uint64_t RngSeed = 1);
+  explicit Cache(const CacheConfig &Config);
 
   const CacheConfig &config() const { return Config; }
   const CacheStats &stats() const { return Stats; }
@@ -187,7 +186,6 @@ private:
   HostLineVector<uint64_t> Stamps; ///< Last use; 0 = invalid, else unique.
   HostLineVector<LineFlags> Flags;
   CacheStats Stats;
-  XorShiftRng Rng;
   uint64_t NextStamp = 1;
   unsigned NumSets;
   unsigned RowWays; ///< Config.Ways rounded up to even.

@@ -18,7 +18,6 @@ namespace hetsim {
 /// Replacement policies supported by Cache.
 enum class ReplacementKind : uint8_t {
   Lru,
-  Random,
   /// LRU with the hybrid locality rule of Section II-B5: an
   /// implicitly-managed fill may not evict an explicitly-managed block, and
   /// explicit blocks are capped below the full cache size.

@@ -10,48 +10,31 @@ using namespace hetsim;
 void MshrFile::pruneCompleted(Cycle Now) {
   EarliestDone = ~Cycle(0);
   for (size_t I = 0; I != Entries.size();) {
-    if (Entries[I].second <= Now) {
+    if (Entries[I] <= Now) {
       Entries[I] = Entries.back();
       Entries.pop_back();
     } else {
-      EarliestDone = std::min(EarliestDone, Entries[I].second);
+      EarliestDone = std::min(EarliestDone, Entries[I]);
       ++I;
     }
   }
 }
 
-MshrDecision MshrFile::onMiss(Addr LineAddress, Cycle Now, Cycle FillDone,
-                              Cycle MinReady) {
+Cycle MshrFile::onMiss(Cycle Now, Cycle FillDone) {
   assert(FillDone >= Now && "fill completes in the past");
-  MshrDecision Decision;
   prune(Now);
 
-  for (const auto &KV : Entries) {
-    if (KV.first != LineAddress)
-      continue;
-    ++Merged;
-    Decision.Merged = true;
-    // The merged access still pays its own pre-miss latency (a TLB
-    // walk): the in-flight fill supplies the data, not a time machine.
-    Decision.ReadyCycle = std::max(KV.second, MinReady);
-    return Decision;
-  }
-
-  Cycle IssueCycle = Now;
+  Cycle Stall = 0;
   if (Entries.size() >= Capacity) {
     // Stall until the earliest in-flight fill retires its entry.
-    Cycle Earliest = FillDone;
-    for (const auto &KV : Entries)
-      Earliest = std::min(Earliest, KV.second);
+    Cycle Earliest = std::min(FillDone, EarliestDone);
     ++FullStalls;
-    Decision.StallCycles = Earliest > Now ? Earliest - Now : 0;
-    IssueCycle = Earliest;
-    prune(IssueCycle);
+    Stall = Earliest > Now ? Earliest - Now : 0;
+    prune(Earliest);
   }
 
-  Cycle Done = FillDone + Decision.StallCycles;
-  Entries.emplace_back(LineAddress, Done);
+  Cycle Done = FillDone + Stall;
+  Entries.push_back(Done);
   EarliestDone = std::min(EarliestDone, Done);
-  Decision.ReadyCycle = Done;
-  return Decision;
+  return Stall;
 }

@@ -1,10 +1,12 @@
 //===- cache/Mshr.h - Miss-status holding registers -------------*- C++ -*-===//
 ///
 /// \file
-/// MSHRs track outstanding line fills so that concurrent misses to the same
-/// line merge onto one fill, and so a full MSHR file back-pressures the
-/// core. The latency-walk timing model uses completion cycles rather than
-/// events: an entry is live while its completion cycle is in the future.
+/// MSHRs track outstanding line fills so that a full MSHR file
+/// back-pressures the core. Every miss takes an entry of its own: a second
+/// miss to a line already in flight issues its own fill, which completes
+/// when its own walk does. The latency-walk timing model uses completion
+/// cycles rather than events: an entry is live while its completion cycle
+/// is in the future.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,37 +16,19 @@
 #include "common/HostLine.h"
 #include "common/Types.h"
 
-#include <utility>
-
 namespace hetsim {
-
-/// Outcome of checking the MSHR file before issuing a miss.
-struct MshrDecision {
-  /// True if the miss merged onto an in-flight fill of the same line.
-  bool Merged = false;
-  /// Cycle at which the (merged or newly allocated) fill completes.
-  Cycle ReadyCycle = 0;
-  /// Extra cycles the requester stalled because the file was full.
-  Cycle StallCycles = 0;
-};
 
 /// A bounded file of in-flight line fills.
 class alignas(HostLineBytes) MshrFile {
 public:
   explicit MshrFile(unsigned NumEntries) : Capacity(NumEntries) {}
 
-  /// Records a miss on \p LineAddress observed at \p Now that would
-  /// complete at \p FillDone if it issues immediately. Handles merging and
-  /// full-file stalls; returns the final decision. \p MinReady floors the
-  /// merged ReadyCycle: a merging access may have already accrued latency
-  /// of its own (a TLB walk) that an earlier, cheaper fill must not
-  /// erase.
-  MshrDecision onMiss(Addr LineAddress, Cycle Now, Cycle FillDone,
-                      Cycle MinReady = 0);
+  /// Records a miss observed at \p Now that would complete at \p FillDone
+  /// if it issued immediately, and returns the cycles it stalls first: a
+  /// full file holds it until the earliest in-flight fill retires. Its
+  /// fill completes at \p FillDone plus the stall.
+  Cycle onMiss(Cycle Now, Cycle FillDone);
 
-  unsigned capacity() const { return Capacity; }
-
-  uint64_t mergedCount() const { return Merged; }
   uint64_t fullStallCount() const { return FullStalls; }
 
 private:
@@ -57,14 +41,13 @@ private:
   void pruneCompleted(Cycle Now);
 
   unsigned Capacity;
-  /// line -> completion cycle. The file holds at most Capacity (16/32)
-  /// entries, so flat storage with linear probes and swap-remove pruning
-  /// stays in one or two cache lines; every decision (exact find, min,
-  /// prune) is order-independent.
-  HostLineVector<std::pair<Addr, Cycle>> Entries;
+  /// Completion cycles of the in-flight fills. The file holds at most
+  /// Capacity (16/32) entries, so flat storage with swap-remove pruning
+  /// stays in one or two cache lines; every decision (min, prune) is
+  /// order-independent.
+  HostLineVector<Cycle> Entries;
   /// The least completion cycle in Entries; ~0 when it is empty.
   Cycle EarliestDone = ~Cycle(0);
-  uint64_t Merged = 0;
   uint64_t FullStalls = 0;
 };
 

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// A seeded xorshift64* generator. Every stochastic choice in the simulator
-/// (synthetic address streams, random replacement) draws from an explicitly
-/// seeded instance so runs are bit-for-bit reproducible.
+/// (synthetic address streams, data-dependent branches) draws from an
+/// explicitly seeded instance so runs are bit-for-bit reproducible.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -340,12 +340,10 @@ LoweredProgram hetsim::buildExtraWorkload(ExtraWorkloadId Id,
 
   std::vector<DataObjectSpec> Objects = objectsFor(Id, Elements);
   LoweredProgram Program;
-  Program.Place =
-      AddressSpaceModel::forKind(Config.AddrSpace).placeObjects(Objects);
+  Program.Place = placeObjects(Config.AddrSpace, Objects);
 
   const bool Copies =
-      AddressSpaceModel::forKind(Config.AddrSpace).needsExplicitTransfer() &&
-      !Config.IdealComm;
+      needsExplicitTransfer(Config.AddrSpace) && !Config.IdealComm;
 
   if (Copies)
     Program.Steps.push_back(transferStep(Objects, TransferDir::HostToDevice,

@@ -134,8 +134,7 @@ void HeteroSimulator::runRoundHalves(const ExecStep &Step, Cycle CpuStart,
     return;
   }
 
-  // The CPU half stays on this thread: it owns the CPU device's background
-  // queue, whose drains reach the timeline through the drain hook.
+  // The CPU half runs on this thread, beside the helper's GPU half.
   try {
     CpuSeg = Cpu->run(Step.CpuTrace, CpuStart);
   } catch (...) {
@@ -195,16 +194,8 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
     buildMachine();
   MachineFresh = false;
 
-  // Timeline recording (cheap; capped). Background DRAM drains happen
-  // deep inside the memory system, which cannot depend on obs — they
-  // reach the timeline through the hook.
+  // Timeline recording (cheap: a few events per step).
   Trace.clear();
-  Mem->setBgDrainHook([this](const MemorySystem::BgDrainEvent &E) {
-    Trace.complete(TraceTrack::Dram, "bg_drain",
-                   cyclesToNs(PuKind::Cpu, E.StartCpu) / 1000.0,
-                   cyclesToNs(PuKind::Cpu, E.DurationCpu) / 1000.0,
-                   "requests", E.Requests);
-  });
 
   RunResult Result;
   Result.CommSourceLines = Program.Source.lineCount();
@@ -219,7 +210,7 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
                   alignUp(Segment.Bytes, SegmentAlignBytes));
 
   // Enforce the address-space model's visibility rules on every access.
-  Mem->setSpaceModel(&AddressSpaceModel::forKind(Config.AddrSpace));
+  Mem->setAddressSpace(Config.AddrSpace);
 
   // An ownership step may only hand off shared objects of an
   // ownership-model system. Which handoffs are legal is proved statically
@@ -458,6 +449,10 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
   if (uint64_t Remote = Mem->stats().counter("mem.coh_remote"))
     Trace.complete(TraceTrack::Coherence, "coh_remote_total", 0.0,
                    CpuUs(CpuNow), "events", Remote);
+  // Background drains likewise: one span with the run's drained requests.
+  if (Mem->stats().counter("dram.cpu.bg_drains") != 0)
+    Trace.complete(TraceTrack::Dram, "bg_drain_total", 0.0, CpuUs(CpuNow),
+                   "requests", Mem->stats().counter("dram.cpu.bg_reqs"));
 
   if (traceEventsEnabled()) {
     std::string RunName =
@@ -499,7 +494,6 @@ MetricsSnapshot HeteroSimulator::collectMetrics(const RunResult &Result) {
   M.add("run.gpu.mem_latency_max", double(Result.GpuTotal.MemLatencyMax));
 
   M.add("run.trace_events", double(Trace.size()));
-  M.add("run.trace_events_dropped", double(Trace.dropped()));
 
   ConservationReport Report = checkConservation(*Mem);
   M.add("run.conservation_ok", Report.Ok ? 1.0 : 0.0);

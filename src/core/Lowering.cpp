@@ -50,7 +50,7 @@ public:
       : Kernel(K), Config(Cfg) {
     Program = KernelProgram::build(K);
     Out.Kernel = K;
-    Out.Place = AddressSpaceModel::forKind(Cfg.AddrSpace).place(K);
+    Out.Place = placeKernel(Cfg.AddrSpace, K);
     Out.Source = emitCommunicationSource(K, Cfg.AddrSpace);
 
     // ADSM uses the software (runtime) coherence protocol to decide

@@ -144,9 +144,7 @@ uint64_t hetsim::hashSystemConfig(const SystemConfig &Config) {
       .word(Cpu.RobEntries)
       .word(Cpu.MispredictPenalty)
       .word(Cpu.GshareTableBits)
-      .word(Cpu.ModelInstructionFetch ? 1 : 0)
-      .word(Cpu.L1IMissPenalty)
-      .word(Cpu.EnableStoreForwarding ? 1 : 0);
+      .word(Cpu.L1IMissPenalty);
 
   const GpuConfig &Gpu = Config.Gpu;
   F.word(Gpu.IssueWidth)
@@ -168,7 +166,6 @@ uint64_t hetsim::hashSystemConfig(const SystemConfig &Config) {
       .word(Hier.Dram.RowMissLatency)
       .word(Hier.Dram.BusCyclesPerLine)
       .word(Hier.Dram.MaxQueueDelay)
-      .word(Hier.Dram.ClosedPage ? 1 : 0)
       .word(Hier.Ring.NumStops)
       .word(Hier.Ring.HopLatency)
       .word(Hier.Ring.InjectOccupancy)

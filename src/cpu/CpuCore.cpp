@@ -34,7 +34,7 @@ CpiStack hetsim::computeCpiStack(const SegmentResult &Result,
 
 CpuCore::CpuCore(const CpuConfig &Cfg, MemorySystem &Memory)
     : Config(Cfg), Mem(Memory), Predictor(Cfg.GshareTableBits),
-      ICache(CacheConfig::cpuL1I(), /*RngSeed=*/23) {
+      ICache(CacheConfig::cpuL1I()) {
   if (Cfg.RobEntries == 0)
     fatalError("CPU needs at least one ROB entry");
 }
@@ -58,8 +58,6 @@ struct CpuPipeline {
   const unsigned RetireWidth;
   const Cycle MispredictPenalty;
   const Cycle L1IMissPenalty;
-  const bool ModelInstructionFetch;
-  const bool EnableStoreForwarding;
 
   // Operand readiness per architectural register.
   std::array<Cycle, NumTraceRegs> RegReady;
@@ -101,8 +99,6 @@ struct CpuPipeline {
         RetireWidth(Cfg.RetireWidth),
         MispredictPenalty(Cfg.MispredictPenalty),
         L1IMissPenalty(Cfg.L1IMissPenalty),
-        ModelInstructionFetch(Cfg.ModelInstructionFetch),
-        EnableStoreForwarding(Cfg.EnableStoreForwarding),
         RobRetire(Cfg.RobEntries, StartCycle), FetchCycle(StartCycle),
         IssueBusyCycle(StartCycle), LastRetire(StartCycle) {
     RegReady.fill(StartCycle);
@@ -118,15 +114,13 @@ struct CpuPipeline {
     }
     // Instruction fetch goes through the L1I one line at a time; a miss
     // stalls the front end.
-    if (ModelInstructionFetch) {
-      Addr FetchLine = alignDown(R.Pc, CacheLineBytes);
-      if (FetchLine != LastFetchLine) {
-        LastFetchLine = FetchLine;
-        if (!ICache.access(FetchLine, /*IsWrite=*/false).Hit) {
-          ++Result.ICacheMisses;
-          FetchCycle += L1IMissPenalty;
-          FetchedThisCycle = 0;
-        }
+    Addr FetchLine = alignDown(R.Pc, CacheLineBytes);
+    if (FetchLine != LastFetchLine) {
+      LastFetchLine = FetchLine;
+      if (!ICache.access(FetchLine, /*IsWrite=*/false).Hit) {
+        ++Result.ICacheMisses;
+        FetchCycle += L1IMissPenalty;
+        FetchedThisCycle = 0;
       }
     }
     ++FetchedThisCycle;
@@ -169,14 +163,11 @@ struct CpuPipeline {
       // unless a recent store to the same address forwards it.
       const unsigned PageBit = storePageBit(R.MemAddr);
       if (isStoreOp(R.Op)) {
-        if (EnableStoreForwarding) {
-          StoreBuffer[R.MemAddr >> 6] |= uint64_t(1) << (R.MemAddr & 63);
-          StorePages[PageBit / 64] |= uint64_t(1) << (PageBit % 64);
-        }
+        StoreBuffer[R.MemAddr >> 6] |= uint64_t(1) << (R.MemAddr & 63);
+        StorePages[PageBit / 64] |= uint64_t(1) << (PageBit % 64);
       } else {
         Complete = IssueCycle + MemResult.Latency;
-        if (EnableStoreForwarding &&
-            (StorePages[PageBit / 64] >> (PageBit % 64) & 1)) {
+        if (StorePages[PageBit / 64] >> (PageBit % 64) & 1) {
           const uint64_t *Stored = StoreBuffer.find(R.MemAddr >> 6);
           if (Stored && (*Stored >> (R.MemAddr & 63) & 1)) {
             ++Result.StoreForwards;

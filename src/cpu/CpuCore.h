@@ -32,16 +32,10 @@ struct CpuConfig {
   Cycle MispredictPenalty = 15;
   unsigned GshareTableBits = 12;
 
-  /// Model instruction fetch through the L1I (Table II: 32KB 8-way,
+  /// Instruction fetch goes through the L1I (Table II: 32KB 8-way,
   /// 2-cycle). Loop kernels fit easily, so this mostly matters for
   /// large-footprint code; misses stall fetch for L1IMissPenalty.
-  bool ModelInstructionFetch = true;
   Cycle L1IMissPenalty = 10;
-
-  /// Store-to-load forwarding: a load whose address matches a recent
-  /// store gets its data from the store buffer (1 cycle after the store
-  /// issued) instead of waiting on the hierarchy.
-  bool EnableStoreForwarding = true;
 };
 
 /// Results of running one trace segment on a core.

@@ -62,15 +62,10 @@ Cycle DramSystem::accessImpl(Addr LineAddress, Cycle Now, bool IsWrite,
     ArrayLatency = Config.RowHitLatency;
   } else {
     ++Stats.RowMisses;
-    // Open-page pays precharge + activate + CAS on a conflict; a
-    // closed-page bank is already precharged, so only activate + CAS.
-    ArrayLatency = Config.ClosedPage
-                       ? (Config.RowMissLatency + Config.RowHitLatency) / 2
-                       : Config.RowMissLatency;
+    // Open page: a conflict pays precharge + activate + CAS.
+    ArrayLatency = Config.RowMissLatency;
     B.OpenRow = Row;
   }
-  if (Config.ClosedPage)
-    B.OpenRow = ~0ull; // Auto-precharge after the access.
 
   Cycle ArrayDone = Start + ArrayLatency;
   Cycle BusFree = CapQueue ? std::min(ChannelBusFree[Channel],

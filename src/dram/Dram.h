@@ -35,11 +35,6 @@ struct DramConfig {
   /// modeling contention up to a realistic controller queue depth.
   Cycle MaxQueueDelay = 200;
 
-  /// Closed-page policy: precharge after every access, so every access
-  /// pays the full activate+CAS path but never a row conflict. The
-  /// baseline (and FR-FCFS) assumes open-page.
-  bool ClosedPage = false;
-
   bool isValid() const {
     return Channels > 0 && isPowerOf2(Channels) && BanksPerChannel > 0 &&
            isPowerOf2(BanksPerChannel) && isPowerOf2(RowBytes) &&

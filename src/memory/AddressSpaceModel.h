@@ -3,9 +3,9 @@
 /// \file
 /// The paper's four memory-address-space design options (Section II-A,
 /// Figure 1): unified, disjoint, partially shared, and asymmetric
-/// distributed shared memory (ADSM). An AddressSpaceModel decides where a
-/// kernel's data objects live in each PU's virtual space, which ranges are
-/// shared, and which accesses each PU is allowed to make.
+/// distributed shared memory (ADSM). The functions below decide, for each
+/// kind, where a kernel's data objects live in each PU's virtual space,
+/// which ranges are shared, and which accesses each PU is allowed to make.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,6 @@
 
 #include "trace/DataLayout.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,10 +62,8 @@ inline MemRegion regionOf(Addr Address) {
 inline constexpr const char *MemRegionNames[NumMemRegions] = {
     "CPU-private", "GPU-private", "shared", "no"};
 
-/// The placement an address-space model computed for one kernel instance.
+/// Where placeObjects put one kernel instance's data objects.
 struct Placement {
-  AddressSpaceKind Kind = AddressSpaceKind::Unified;
-
   /// Addresses the CPU-side compute uses for each data object.
   KernelDataLayout CpuLayout;
 
@@ -84,81 +81,28 @@ struct Placement {
   bool isShared(const std::string &Name) const;
 };
 
-/// Base class of the four models.
-class AddressSpaceModel {
-public:
-  virtual ~AddressSpaceModel();
+/// Places an arbitrary list of data objects under \p Kind's rules (custom
+/// workloads use this directly).
+Placement placeObjects(AddressSpaceKind Kind,
+                       const std::vector<DataObjectSpec> &Objects);
 
-  virtual AddressSpaceKind kind() const = 0;
+/// Places \p Kernel's Table III data objects under \p Kind's rules.
+inline Placement placeKernel(AddressSpaceKind Kind, KernelId Kernel) {
+  return placeObjects(Kind, kernelDataObjects(Kernel));
+}
 
-  /// Places an arbitrary list of data objects under this model's rules
-  /// (custom workloads use this directly).
-  virtual Placement
-  placeObjects(const std::vector<DataObjectSpec> &Objects) const = 0;
+/// True if \p Pu may access addresses in \p Region at all under \p Kind.
+/// Under ADSM the GPU may only touch its private space and the shared
+/// space; under disjoint each PU sees only its own space (Section II-A).
+/// Every space decides by region alone, so the memory system asks once
+/// per run, not per access.
+bool canAccess(AddressSpaceKind Kind, PuKind Pu, MemRegion Region);
 
-  /// Places \p Kernel's Table III data objects.
-  Placement place(KernelId Kernel) const {
-    return placeObjects(kernelDataObjects(Kernel));
-  }
-
-  /// True if \p Pu may access addresses in \p Region at all under this
-  /// model. Under ADSM the GPU may only touch its private space and the
-  /// shared space; under disjoint each PU sees only its own space
-  /// (Section II-A). Every model decides by region alone, so the memory
-  /// system asks once per run, not per access.
-  virtual bool canAccess(PuKind Pu, MemRegion Region) const;
-
-  /// True if this model requires explicit transfer commands to move data
-  /// between the PUs (disjoint), as opposed to shared-space visibility.
-  virtual bool needsExplicitTransfer() const;
-
-  /// True if the model supports the ownership optimization (partially
-  /// shared and ADSM, Section II-A3/II-A4).
-  virtual bool supportsOwnership() const;
-
-  /// Returns the model for \p Kind (static lifetime).
-  static const AddressSpaceModel &forKind(AddressSpaceKind Kind);
-};
-
-/// Section II-A1: no separation between CPU and GPU address space.
-class UnifiedAddressSpace final : public AddressSpaceModel {
-public:
-  AddressSpaceKind kind() const override { return AddressSpaceKind::Unified; }
-  Placement
-  placeObjects(const std::vector<DataObjectSpec> &Objects) const override;
-};
-
-/// Section II-A2: fully separate spaces; explicit communication required.
-class DisjointAddressSpace final : public AddressSpaceModel {
-public:
-  AddressSpaceKind kind() const override { return AddressSpaceKind::Disjoint; }
-  Placement
-  placeObjects(const std::vector<DataObjectSpec> &Objects) const override;
-  bool canAccess(PuKind Pu, MemRegion Region) const override;
-  bool needsExplicitTransfer() const override { return true; }
-};
-
-/// Section II-A3: a subset of the space is shared; ownership optional.
-class PartiallySharedAddressSpace final : public AddressSpaceModel {
-public:
-  AddressSpaceKind kind() const override {
-    return AddressSpaceKind::PartiallyShared;
-  }
-  Placement
-  placeObjects(const std::vector<DataObjectSpec> &Objects) const override;
-  bool supportsOwnership() const override { return true; }
-};
-
-/// Section II-A4: the CPU sees everything; the GPU sees only its own and
-/// the shared (GPU-resident) space.
-class AdsmAddressSpace final : public AddressSpaceModel {
-public:
-  AddressSpaceKind kind() const override { return AddressSpaceKind::Adsm; }
-  Placement
-  placeObjects(const std::vector<DataObjectSpec> &Objects) const override;
-  bool canAccess(PuKind Pu, MemRegion Region) const override;
-  bool supportsOwnership() const override { return true; }
-};
+/// True if \p Kind requires explicit transfer commands to move data
+/// between the PUs (disjoint), as opposed to shared-space visibility.
+inline bool needsExplicitTransfer(AddressSpaceKind Kind) {
+  return Kind == AddressSpaceKind::Disjoint;
+}
 
 } // namespace hetsim
 

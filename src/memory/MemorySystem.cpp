@@ -10,9 +10,8 @@
 using namespace hetsim;
 
 MemorySystem::MemorySystem(const MemHierConfig &Cfg)
-    : Config(Cfg), CpuL1(Cfg.CpuL1, /*RngSeed=*/11),
-      CpuL2(Cfg.CpuL2, /*RngSeed=*/13), GpuL1(Cfg.GpuL1, /*RngSeed=*/17),
-      L3(Cfg.L3, /*RngSeed=*/19), CpuMshr(Cfg.CpuMshrs), GpuMshr(Cfg.GpuMshrs),
+    : Config(Cfg), CpuL1(Cfg.CpuL1), CpuL2(Cfg.CpuL2), GpuL1(Cfg.GpuL1),
+      L3(Cfg.L3), CpuMshr(Cfg.CpuMshrs), GpuMshr(Cfg.GpuMshrs),
       CpuTlb(Cfg.CpuTlbEntries, Cfg.TlbWays, Cfg.CpuPageBytes),
       GpuTlb(Cfg.GpuTlbEntries, Cfg.TlbWays, Cfg.GpuPageBytes),
       CpuPhys("cpu.dram", Cfg.DeviceBytes),
@@ -47,9 +46,6 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg)
   const PuCounters &Gpu = Counts[puIndex(PuKind::Gpu)];
   Stats.bindCounter("mem.cpu_accesses", Cpu.Accesses);
   Stats.bindCounter("mem.gpu_accesses", Gpu.Accesses);
-  for (const PuCounters *Pu : {&Cpu, &Gpu}) {
-    Stats.bindCounter("mem.mshr_merges", Pu->MshrMerges);
-  }
   Stats.bindCounter("mem.gpu_l1_writebacks", Gpu.L1Writebacks);
   Stats.bindCounter("dram.gpu.demand", Gpu.OwnDramDemand);
 }
@@ -61,8 +57,6 @@ void MemorySystem::drainQueued(Cycle NowCpu) {
   ++*BgDrains;
   *BgRequests += Pending;
   BgDrainCycles->addSample(Duration);
-  if (DrainHook)
-    DrainHook({NowCpu, Duration, Pending});
 }
 
 DramSystem &MemorySystem::gpuDram() {
@@ -97,11 +91,11 @@ void MemorySystem::fatalAccess(PuKind Pu, Addr VAddr, const char *Problem) {
   fatalError(Message);
 }
 
-void MemorySystem::setSpaceModel(const AddressSpaceModel *Model) {
+void MemorySystem::setAddressSpace(AddressSpaceKind Kind) {
   for (PuKind Pu : {PuKind::Cpu, PuKind::Gpu}) {
     uint8_t Mask = 0;
     for (unsigned R = 0; R != NumMemRegions; ++R)
-      if (!Model || Model->canAccess(Pu, MemRegion(R)))
+      if (canAccess(Kind, Pu, MemRegion(R)))
         Mask |= uint8_t(1u << R);
     Visible[puIndex(Pu)] = Mask;
   }
@@ -260,15 +254,11 @@ MemAccessResult MemorySystem::accessBeyondL1(PuKind Pu, Addr Line,
                          : convertCycles(PuKind::Cpu, PuKind::Gpu,
                                          UncoreCpuCycles);
 
-  // 5. MSHR merge/backpressure at the private-miss boundary. A merge may
-  // not undercut this access's own accrued latency (TLB walk).
+  // 5. MSHR backpressure at the private-miss boundary: a full file stalls
+  // the miss until the earliest in-flight fill retires.
   MshrFile &Mshr = IsCpu ? CpuMshr : GpuMshr;
-  MshrDecision Decision = Mshr.onMiss(Line, NowPu, NowPu + Latency + UncorePu,
-                                      /*MinReady=*/NowPu + Latency);
-  Cycle Ready = Decision.ReadyCycle;
-  Result.Latency = Ready > NowPu ? Ready - NowPu : Latency + UncorePu;
-  if (Decision.Merged)
-    ++Counts[puIndex(Pu)].MshrMerges;
+  const Cycle Stall = Mshr.onMiss(NowPu, NowPu + Latency + UncorePu);
+  Result.Latency = Latency + UncorePu + Stall;
   return Result;
 }
 

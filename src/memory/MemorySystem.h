@@ -34,7 +34,6 @@
 #include "memory/Tlb.h"
 
 #include <cassert>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -183,20 +182,6 @@ public:
       drainQueued(NowCpu);
   }
 
-  /// One background-queue drain, reported to the observability hook.
-  struct BgDrainEvent {
-    Cycle StartCpu = 0;    ///< Drain start, CPU cycles.
-    Cycle DurationCpu = 0; ///< Cycles until the last request completed.
-    uint64_t Requests = 0; ///< Requests drained.
-  };
-
-  /// Installs a callback fired on every non-empty background drain (the
-  /// trace-event timeline). Keeps this library free of an obs dependency;
-  /// pass nullptr-constructed function to clear.
-  void setBgDrainHook(std::function<void(const BgDrainEvent &)> Hook) {
-    DrainHook = std::move(Hook);
-  }
-
   /// Globalization / privatization (Section II-A3): moves the virtual
   /// range [OldBase, OldBase+Bytes) of \p Pu's space to NewBase (e.g.
   /// from a private region into the shared region). Remaps the page
@@ -205,12 +190,12 @@ public:
   Cycle remapRange(PuKind Pu, Addr OldBase, Addr NewBase, uint64_t Bytes,
                    Cycle RemapCyclesPerPage = 300);
 
-  /// Checks every access against \p Model's visibility rules (Section
+  /// Checks every access against \p Kind's visibility rules (Section
   /// II-A: e.g. the GPU cannot reach CPU private space under disjoint or
-  /// ADSM). A violation is a lowering bug and fatal. The model decides by
-  /// region, so its answers are tabled here once; nullptr turns the check
-  /// off.
-  void setSpaceModel(const AddressSpaceModel *Model);
+  /// ADSM). A violation is a lowering bug and fatal. The rules decide by
+  /// region, so their answers are tabled here once. Until the first call
+  /// every region is visible, as under the unified space.
+  void setAddressSpace(AddressSpaceKind Kind);
 
   /// Component access for tests, benches, and the comm fabrics.
   Cache &cpuL1() { return CpuL1; }
@@ -221,7 +206,6 @@ public:
   DramSystem &gpuDram();
   Interconnect &noc() { return *Noc; }
   Directory &directory() { return Dir; }
-  MshrFile &mshr(PuKind Pu) { return Pu == PuKind::Cpu ? CpuMshr : GpuMshr; }
   Tlb &tlb(PuKind Pu) { return Pu == PuKind::Cpu ? CpuTlb : GpuTlb; }
   StreamPrefetcher &prefetcher() { return Prefetcher; }
   /// Unmap only through remapRange: it flushes the TLB, whose entries
@@ -231,7 +215,7 @@ public:
   }
   Scratchpad &scratchpad() { return Smem; }
 
-  /// Aggregate counters ("mem.mshr_merges", "mem.coh_remote", ...).
+  /// Aggregate counters ("mem.cpu_accesses", "mem.coh_remote", ...).
   const StatRegistry &stats() const { return Stats; }
   StatRegistry &stats() { return Stats; }
 
@@ -242,7 +226,6 @@ private:
   /// (DESIGN.md §11) never write the same line.
   struct alignas(HostLineBytes) PuCounters {
     uint64_t Accesses = 0;      ///< mem.cpu_accesses / mem.gpu_accesses
-    uint64_t MshrMerges = 0;    ///< mem.mshr_merges
     uint64_t L1Writebacks = 0;  ///< mem.gpu_l1_writebacks (GPU only)
     uint64_t OwnDramDemand = 0; ///< dram.gpu.demand (GPU only)
   };
@@ -296,7 +279,7 @@ private:
   Scratchpad Smem;
   StreamPrefetcher Prefetcher;
   static constexpr uint8_t AllRegions = (1u << NumMemRegions) - 1;
-  /// Per PU, one bit per MemRegion it may access (setSpaceModel).
+  /// Per PU, one bit per MemRegion it may access (setAddressSpace).
   uint8_t Visible[NumPuKinds] = {AllRegions, AllRegions};
   StatRegistry Stats;
 
@@ -315,7 +298,6 @@ private:
   uint64_t *MemCohRemote = nullptr;
   uint64_t *MemCohWritebacks = nullptr;
   uint64_t *MemPrefetchFills = nullptr;
-  std::function<void(const BgDrainEvent &)> DrainHook;
 };
 
 } // namespace hetsim

@@ -37,10 +37,6 @@ void TraceEventLog::complete(TraceTrack Track, std::string Name,
 void TraceEventLog::complete(TraceTrack Track, std::string Name,
                              double StartUs, double DurUs, std::string ArgKey,
                              uint64_t ArgValue) {
-  if (Events.size() >= MaxEvents) {
-    ++Dropped;
-    return;
-  }
   Event E;
   E.Name = std::move(Name);
   E.ArgKey = std::move(ArgKey);
@@ -49,11 +45,6 @@ void TraceEventLog::complete(TraceTrack Track, std::string Name,
   E.ArgValue = ArgValue;
   E.Track = Track;
   Events.push_back(std::move(E));
-}
-
-void TraceEventLog::clear() {
-  Events.clear();
-  Dropped = 0;
 }
 
 std::string
@@ -105,7 +96,6 @@ TraceEventLog::renderChromeJson(const std::string &ProcessName) const {
   W.value("displayTimeUnit", "ns");
   W.beginObject("otherData");
   W.value("events", uint64_t(Events.size()));
-  W.value("dropped", Dropped);
   W.endObject();
   W.endObject();
   return W.take();

@@ -1,17 +1,18 @@
 //===- obs/TraceEvents.h - Chrome trace-event timeline ----------*- C++ -*-===//
 ///
 /// \file
-/// A bounded in-memory timeline of simulated activity, exported in the
-/// Chrome trace-event JSON format (load the file in chrome://tracing or
+/// An in-memory timeline of simulated activity, exported in the Chrome
+/// trace-event JSON format (load the file in chrome://tracing or
 /// Perfetto). Tracks are rendered as named threads of one process:
 /// kernel phases on the cpu/gpu tracks, explicit copies on the fabric
-/// track, background-queue drains on the dram track, coherence traffic
-/// on its own track, and driver/runtime overheads (ownership, faults) on
-/// the driver track.
+/// track, driver/runtime overheads (ownership, faults) on the driver
+/// track. Background-queue drains and coherence traffic are too frequent
+/// to record one by one: each is one run-long summary span, on the dram
+/// and the coherence track.
 ///
-/// Recording is cheap (no allocation past the reserved cap) and gated by
-/// the `HETSIM_TRACE_EVENTS` environment variable, which names an output
-/// *directory*: parallel sweep workers each write their own
+/// A run records a few events per lowered step. Writing the file is
+/// gated by the `HETSIM_TRACE_EVENTS` environment variable, which names
+/// an output *directory*: parallel sweep workers each write their own
 /// `<dir>/<run>.trace.json` file, so no cross-thread file clobbering.
 ///
 //===----------------------------------------------------------------------===//
@@ -37,10 +38,6 @@ const char *traceTrackName(TraceTrack Track);
 /// simulated time (the trace-event format's native unit).
 class TraceEventLog {
 public:
-  /// Hard cap on retained events; later events are counted as dropped
-  /// rather than grown without bound (long sweeps, tight memory).
-  static constexpr size_t MaxEvents = 1u << 16;
-
   /// Records one complete ("ph":"X") event.
   void complete(TraceTrack Track, std::string Name, double StartUs,
                 double DurUs);
@@ -52,8 +49,7 @@ public:
 
   size_t size() const { return Events.size(); }
   bool empty() const { return Events.empty(); }
-  uint64_t dropped() const { return Dropped; }
-  void clear();
+  void clear() { Events.clear(); }
 
   /// Renders the full Chrome trace-event document. \p ProcessName labels
   /// the process row (typically "<system>/<kernel>").
@@ -75,7 +71,6 @@ private:
   };
 
   std::vector<Event> Events;
-  uint64_t Dropped = 0;
 };
 
 /// True when `HETSIM_TRACE_EVENTS` is set to a non-empty value.

@@ -223,81 +223,55 @@ TEST(CacheHybrid, PlainLruIgnoresExplicitBit) {
   EXPECT_FALSE(C.probe(tinyAddr(0, 1)));
 }
 
-TEST(CacheHybrid, RandomPolicyStaysInSet) {
-  Cache C(tinyCache(ReplacementKind::Random));
-  for (unsigned Tag = 1; Tag <= 20; ++Tag)
-    C.access(tinyAddr(0, Tag), false);
-  EXPECT_LE(C.residentLines(), 2u + 0u); // Only set 0 used: <= 2 lines.
-  EXPECT_EQ(C.stats().Misses, 20u);
-}
-
 //===----------------------------------------------------------------------===//
 // MSHR.
 //===----------------------------------------------------------------------===//
 
-TEST(Mshr, MergesSameLine) {
-  MshrFile Mshr(4);
-  MshrDecision First = Mshr.onMiss(0x1000, 10, 110);
-  EXPECT_FALSE(First.Merged);
-  EXPECT_EQ(First.ReadyCycle, 110u);
-  MshrDecision Second = Mshr.onMiss(0x1000, 20, 140);
-  EXPECT_TRUE(Second.Merged);
-  EXPECT_EQ(Second.ReadyCycle, 110u); // Joins the in-flight fill.
-  EXPECT_EQ(Mshr.mergedCount(), 1u);
+TEST(Mshr, EachMissTakesItsOwnFill) {
+  // Two misses in flight at once each hold an entry until their own fill
+  // completes, the second's (60) earlier than the first's (110): a third
+  // miss on the two-entry file waits for the second fill only.
+  MshrFile Mshr(2);
+  EXPECT_EQ(Mshr.onMiss(10, 110), 0u);
+  EXPECT_EQ(Mshr.onMiss(20, 60), 0u);
+  EXPECT_EQ(Mshr.onMiss(30, 130), 30u);
+  EXPECT_EQ(Mshr.fullStallCount(), 1u);
 }
 
 TEST(Mshr, DistinctLinesAllocate) {
-  // Two distinct lines take both entries of a two-entry file: a third
-  // line at cycle 50 waits for the first fill.
+  // Two misses take both entries of a two-entry file: a third at cycle
+  // 50 waits for the first fill.
   MshrFile Mshr(2);
-  EXPECT_FALSE(Mshr.onMiss(0x1000, 0, 100).Merged);
-  EXPECT_FALSE(Mshr.onMiss(0x2000, 0, 100).Merged);
-  EXPECT_EQ(Mshr.onMiss(0x3000, 50, 150).StallCycles, 50u);
-  EXPECT_EQ(Mshr.mergedCount(), 0u);
+  EXPECT_EQ(Mshr.onMiss(0, 100), 0u);
+  EXPECT_EQ(Mshr.onMiss(0, 100), 0u);
+  EXPECT_EQ(Mshr.onMiss(50, 150), 50u);
+  EXPECT_EQ(Mshr.fullStallCount(), 1u);
 }
 
 TEST(Mshr, EntriesExpire) {
   // The fill completes at 100, so at 100 the one-entry file is free.
   MshrFile Mshr(1);
-  Mshr.onMiss(0x1000, 0, 100);
-  MshrDecision Other = Mshr.onMiss(0x2000, 100, 200);
-  EXPECT_EQ(Other.StallCycles, 0u);
+  Mshr.onMiss(0, 100);
+  EXPECT_EQ(Mshr.onMiss(100, 200), 0u);
+  EXPECT_EQ(Mshr.onMiss(200, 300), 0u); // Old entry expired; new fill.
   EXPECT_EQ(Mshr.fullStallCount(), 0u);
-  MshrDecision Again = Mshr.onMiss(0x1000, 200, 300);
-  EXPECT_FALSE(Again.Merged); // Old entry expired; new fill.
 }
 
 TEST(Mshr, FullFileStalls) {
   MshrFile Mshr(2);
-  Mshr.onMiss(0x1000, 0, 100);
-  Mshr.onMiss(0x2000, 0, 150);
-  MshrDecision Blocked = Mshr.onMiss(0x3000, 10, 210);
-  EXPECT_GT(Blocked.StallCycles, 0u);
-  EXPECT_EQ(Blocked.StallCycles, 90u); // Waits for the 100-cycle fill.
+  Mshr.onMiss(0, 100);
+  Mshr.onMiss(0, 150);
+  EXPECT_EQ(Mshr.onMiss(10, 210), 90u); // Waits for the 100-cycle fill.
   EXPECT_EQ(Mshr.fullStallCount(), 1u);
-}
-
-TEST(Mshr, MergeFloorsAtAccruedLatency) {
-  // A merging access that already paid its own pre-miss latency (TLB
-  // walk, page fault) may not complete before that latency: MinReady
-  // floors the merged ReadyCycle.
-  MshrFile Mshr(4);
-  Mshr.onMiss(0x1000, 0, 100);
-  MshrDecision Cheap = Mshr.onMiss(0x1000, 10, 500, /*MinReady=*/60);
-  EXPECT_TRUE(Cheap.Merged);
-  EXPECT_EQ(Cheap.ReadyCycle, 100u); // Fill still dominates.
-  MshrDecision Expensive = Mshr.onMiss(0x1000, 20, 500, /*MinReady=*/42020);
-  EXPECT_TRUE(Expensive.Merged);
-  EXPECT_EQ(Expensive.ReadyCycle, 42020u); // Accrued latency dominates.
 }
 
 TEST(Mshr, ClearResets) {
   // Every run builds a fresh machine: a new file holds no fill.
-  MshrFile Mshr(2);
-  Mshr.onMiss(0x1000, 0, 100);
-  Mshr = MshrFile(2);
-  EXPECT_FALSE(Mshr.onMiss(0x1000, 0, 100).Merged);
-  EXPECT_EQ(Mshr.mergedCount(), 0u);
+  MshrFile Mshr(1);
+  Mshr.onMiss(0, 100);
+  Mshr = MshrFile(1);
+  EXPECT_EQ(Mshr.onMiss(0, 100), 0u);
+  EXPECT_EQ(Mshr.fullStallCount(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

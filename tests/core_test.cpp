@@ -617,8 +617,7 @@ TEST(LocalityValidation, OwnershipReturnInvalidatesStaging) {
       SystemConfig::forAddressSpaceStudy(AddressSpaceKind::PartiallyShared);
   LoweredProgram Program;
   Program.Place =
-      AddressSpaceModel::forKind(AddressSpaceKind::PartiallyShared)
-          .place(KernelId::MergeSort);
+      placeKernel(AddressSpaceKind::PartiallyShared, KernelId::MergeSort);
   ExecStep Push;
   Push.Kind = ExecKind::PushLocality;
   Push.Objects = Program.Place.SharedObjects;

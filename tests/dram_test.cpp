@@ -161,52 +161,48 @@ TEST(DramFrFcfs, MatchesReferenceQueueScan) {
   // drainFrFcfs finds each pick through per-bank candidates. Replay the
   // plain rule on a twin — scan the queue for the oldest request whose
   // bank has its row open, else take the oldest — and compare completion
-  // and row-buffer outcomes, batch after batch, for both page policies.
-  for (bool ClosedPage : {false, true}) {
-    for (uint64_t Seed = 1; Seed != 6; ++Seed) {
-      DramConfig Config;
-      Config.ClosedPage = ClosedPage;
-      DramSystem Fast(Config), Ref(Config);
-      std::vector<uint64_t> OpenRow(32, ~0ull);
-      XorShiftRng Rng(Seed);
-      Cycle Now = 0;
-      for (unsigned Batch = 0; Batch != 20; ++Batch) {
-        std::vector<std::pair<Addr, bool>> Queue;
-        for (uint64_t I = 0, Size = Rng.nextBelow(300); I != Size; ++I) {
-          // Few rows per bank, so row hits and conflicts both occur.
-          Addr A = makeAddr(unsigned(Rng.nextBelow(4)),
-                            unsigned(Rng.nextBelow(8)), Rng.nextBelow(4),
-                            Rng.nextBelow(128));
-          bool IsWrite = Rng.nextBelow(2) == 1;
-          Fast.enqueue(A, IsWrite);
-          Queue.emplace_back(A, IsWrite);
-        }
-        const Cycle FastDone = Fast.drainFrFcfs(Now);
-
-        Cycle RefDone = Now;
-        std::vector<bool> Served(Queue.size(), false);
-        auto BankOf = [&](Addr A) {
-          return Ref.channelOf(A) * 8 + Ref.bankOf(A);
-        };
-        for (size_t Left = Queue.size(); Left != 0; --Left) {
-          size_t Pick = Queue.size();
-          for (size_t I = 0; I != Queue.size() && Pick == Queue.size(); ++I)
-            if (!Served[I] &&
-                OpenRow[BankOf(Queue[I].first)] == Ref.rowOf(Queue[I].first))
-              Pick = I;
-          for (size_t I = 0; I != Queue.size() && Pick == Queue.size(); ++I)
-            if (!Served[I])
-              Pick = I;
-          Served[Pick] = true;
-          auto [A, IsWrite] = Queue[Pick];
-          RefDone = std::max(RefDone, Ref.accessUncapped(A, Now, IsWrite));
-          OpenRow[BankOf(A)] = ClosedPage ? ~0ull : Ref.rowOf(A);
-        }
-        ASSERT_EQ(FastDone, RefDone) << "seed " << Seed << " batch " << Batch;
-        ASSERT_EQ(Fast.stats().RowHits, Ref.stats().RowHits);
-        ASSERT_EQ(Fast.stats().RowMisses, Ref.stats().RowMisses);
-        Now = FastDone + Rng.nextBelow(500);
+  // and row-buffer outcomes, batch after batch.
+  for (uint64_t Seed = 1; Seed != 6; ++Seed) {
+    DramSystem Fast, Ref;
+    std::vector<uint64_t> OpenRow(32, ~0ull);
+    XorShiftRng Rng(Seed);
+    Cycle Now = 0;
+    for (unsigned Batch = 0; Batch != 20; ++Batch) {
+      std::vector<std::pair<Addr, bool>> Queue;
+      for (uint64_t I = 0, Size = Rng.nextBelow(300); I != Size; ++I) {
+        // Few rows per bank, so row hits and conflicts both occur.
+        Addr A = makeAddr(unsigned(Rng.nextBelow(4)),
+                          unsigned(Rng.nextBelow(8)), Rng.nextBelow(4),
+                          Rng.nextBelow(128));
+        bool IsWrite = Rng.nextBelow(2) == 1;
+        Fast.enqueue(A, IsWrite);
+        Queue.emplace_back(A, IsWrite);
       }
+      const Cycle FastDone = Fast.drainFrFcfs(Now);
+
+      Cycle RefDone = Now;
+      std::vector<bool> Served(Queue.size(), false);
+      auto BankOf = [&](Addr A) {
+        return Ref.channelOf(A) * 8 + Ref.bankOf(A);
+      };
+      for (size_t Left = Queue.size(); Left != 0; --Left) {
+        size_t Pick = Queue.size();
+        for (size_t I = 0; I != Queue.size() && Pick == Queue.size(); ++I)
+          if (!Served[I] &&
+              OpenRow[BankOf(Queue[I].first)] == Ref.rowOf(Queue[I].first))
+            Pick = I;
+        for (size_t I = 0; I != Queue.size() && Pick == Queue.size(); ++I)
+          if (!Served[I])
+            Pick = I;
+        Served[Pick] = true;
+        auto [A, IsWrite] = Queue[Pick];
+        RefDone = std::max(RefDone, Ref.accessUncapped(A, Now, IsWrite));
+        OpenRow[BankOf(A)] = Ref.rowOf(A);
+      }
+      ASSERT_EQ(FastDone, RefDone) << "seed " << Seed << " batch " << Batch;
+      ASSERT_EQ(Fast.stats().RowHits, Ref.stats().RowHits);
+      ASSERT_EQ(Fast.stats().RowMisses, Ref.stats().RowMisses);
+      Now = FastDone + Rng.nextBelow(500);
     }
   }
 }
@@ -259,48 +255,4 @@ TEST(DramFrFcfs, ParallelChannelsBeatSingleChannel) {
 TEST(DramFrFcfs, EmptyDrainIsFree) {
   DramSystem Dram;
   EXPECT_EQ(Dram.drainFrFcfs(123), 123u);
-}
-
-//===----------------------------------------------------------------------===//
-// Page policy.
-//===----------------------------------------------------------------------===//
-
-TEST(DramPagePolicy, ClosedPageNeverRowHits) {
-  DramConfig Config;
-  Config.ClosedPage = true;
-  DramSystem Dram(Config);
-  Cycle Now = 0;
-  for (unsigned I = 0; I != 8; ++I)
-    Now = Dram.access(makeAddr(0, 0, 1, I), Now, false);
-  EXPECT_EQ(Dram.stats().RowHits, 0u);
-  EXPECT_EQ(Dram.stats().RowMisses, 8u);
-}
-
-TEST(DramPagePolicy, ClosedPageBeatsOpenPageOnRandomRows) {
-  // Random-row traffic: open-page pays full conflicts, closed-page pays
-  // the cheaper activate-only path every time.
-  auto RunRandom = [](bool Closed) {
-    DramConfig Config;
-    Config.ClosedPage = Closed;
-    DramSystem Dram(Config);
-    XorShiftRng Rng(5);
-    Cycle Now = 0;
-    for (unsigned I = 0; I != 512; ++I)
-      Now = Dram.access(makeAddr(0, 0, Rng.nextBelow(512)), Now, false);
-    return Now;
-  };
-  EXPECT_LT(RunRandom(true), RunRandom(false));
-}
-
-TEST(DramPagePolicy, OpenPageBeatsClosedPageOnStreams) {
-  auto RunStream = [](bool Closed) {
-    DramConfig Config;
-    Config.ClosedPage = Closed;
-    DramSystem Dram(Config);
-    Cycle Now = 0;
-    for (unsigned I = 0; I != 512; ++I)
-      Now = Dram.access(makeAddr(0, 0, 0, I % 128), Now, false);
-    return Now;
-  };
-  EXPECT_LT(RunStream(false), RunStream(true));
 }

@@ -758,7 +758,7 @@ void expectSetMatchMatchesScan(unsigned Ways, ReplacementKind Replacement,
                            std::to_string(unsigned(Replacement)) + " seed " +
                            std::to_string(Seed);
 
-  Cache C(Config, Seed);
+  Cache C(Config);
   // The resident lines of each set, scanned one by one.
   std::vector<std::vector<Addr>> Sets(NumSets);
   auto SetOf = [&](Addr A) -> std::vector<Addr> & {
@@ -840,14 +840,13 @@ TEST(FastPathCache, SetMatchMatchesScalarScan) {
   // Odd way counts take the padded row; 65 ways take two masks.
   for (unsigned Ways : {1u, 2u, 3u, 4u, 8u, 16u, 32u, 65u})
     for (ReplacementKind Replacement :
-         {ReplacementKind::Lru, ReplacementKind::Random,
-          ReplacementKind::HybridLru})
+         {ReplacementKind::Lru, ReplacementKind::HybridLru})
       for (uint64_t Seed : {1u, 2u})
         expectSetMatchMatchesScan(Ways, Replacement, Seed);
 }
 
 //===----------------------------------------------------------------------===//
-// Visibility: the per-run region table against the model's canAccess.
+// Visibility: the per-run region table against canAccess.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -878,13 +877,12 @@ TEST(FastPathVisibility, TableMatchesCanAccess) {
   for (AddressSpaceKind Kind :
        {AddressSpaceKind::Unified, AddressSpaceKind::Disjoint,
         AddressSpaceKind::PartiallyShared, AddressSpaceKind::Adsm}) {
-    const AddressSpaceModel &Model = AddressSpaceModel::forKind(Kind);
     MemorySystem Mem;
     mapVisibilityProbes(Mem);
-    Mem.setSpaceModel(&Model);
+    Mem.setAddressSpace(Kind);
     for (PuKind Pu : {PuKind::Cpu, PuKind::Gpu})
       for (auto [Region, Address] : VisibilityProbes) {
-        if (!Model.canAccess(Pu, Region))
+        if (!canAccess(Kind, Pu, Region))
           continue;
         for (Cycle Now : {Cycle(0), Cycle(1000)})
           EXPECT_GT(Mem.access(Pu, Address, 4, false, Now).Latency, 0u)
@@ -893,10 +891,9 @@ TEST(FastPathVisibility, TableMatchesCanAccess) {
       }
   }
 
-  // No model: every region is visible.
+  // No address space set yet: every region is visible.
   MemorySystem Mem;
   mapVisibilityProbes(Mem);
-  Mem.setSpaceModel(nullptr);
   for (PuKind Pu : {PuKind::Cpu, PuKind::Gpu})
     for (auto [Region, Address] : VisibilityProbes)
       EXPECT_GT(Mem.access(Pu, Address, 4, false, 0).Latency, 0u);
@@ -905,15 +902,14 @@ TEST(FastPathVisibility, TableMatchesCanAccess) {
 TEST(FastPathVisibilityDeathTest, EachForbiddenPairAborts) {
   // Each (model, PU, region) the model forbids aborts naming the PU, the
   // address and the region, whether the TLB misses or already holds the
-  // page (warmed with the check off).
+  // page (warmed under the unified space, which grants every region).
   unsigned Forbidden = 0;
   for (AddressSpaceKind Kind :
        {AddressSpaceKind::Unified, AddressSpaceKind::Disjoint,
         AddressSpaceKind::PartiallyShared, AddressSpaceKind::Adsm}) {
-    const AddressSpaceModel &Model = AddressSpaceModel::forKind(Kind);
     for (PuKind Pu : {PuKind::Cpu, PuKind::Gpu})
       for (auto [Region, Address] : VisibilityProbes) {
-        if (Model.canAccess(Pu, Region))
+        if (canAccess(Kind, Pu, Region))
           continue;
         ++Forbidden;
         char Expected[160];
@@ -924,12 +920,12 @@ TEST(FastPathVisibilityDeathTest, EachForbiddenPairAborts) {
                       MemRegionNames[unsigned(Region)]);
         MemorySystem Mem;
         mapVisibilityProbes(Mem);
-        Mem.setSpaceModel(&Model);
+        Mem.setAddressSpace(Kind);
         EXPECT_DEATH(Mem.access(Pu, Address, 4, false, 0), Expected)
             << addressSpaceName(Kind);
-        Mem.setSpaceModel(nullptr);
+        Mem.setAddressSpace(AddressSpaceKind::Unified);
         Mem.access(Pu, Address, 4, false, 0);
-        Mem.setSpaceModel(&Model);
+        Mem.setAddressSpace(Kind);
         EXPECT_DEATH(Mem.access(Pu, Address, 4, false, 1000), Expected)
             << addressSpaceName(Kind) << " (TLB hit)";
       }

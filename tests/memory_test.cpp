@@ -205,8 +205,7 @@ TEST(AddressSpace, RegionClassification) {
 }
 
 TEST(AddressSpace, UnifiedLayoutsIdentical) {
-  Placement P = AddressSpaceModel::forKind(AddressSpaceKind::Unified)
-                    .place(KernelId::Reduction);
+  Placement P = placeKernel(AddressSpaceKind::Unified, KernelId::Reduction);
   ASSERT_EQ(P.CpuLayout.segments().size(), P.GpuLayout.segments().size());
   for (size_t I = 0; I != P.CpuLayout.segments().size(); ++I)
     EXPECT_EQ(P.CpuLayout.segments()[I].Base,
@@ -216,8 +215,7 @@ TEST(AddressSpace, UnifiedLayoutsIdentical) {
 }
 
 TEST(AddressSpace, DisjointDuplicatesIntoGpuSpace) {
-  Placement P = AddressSpaceModel::forKind(AddressSpaceKind::Disjoint)
-                    .place(KernelId::Reduction);
+  Placement P = placeKernel(AddressSpaceKind::Disjoint, KernelId::Reduction);
   for (const DataSegment &S : P.CpuLayout.segments())
     EXPECT_EQ(regionOf(S.Base), MemRegion::CpuPrivate);
   for (const DataSegment &S : P.GpuLayout.segments())
@@ -228,8 +226,7 @@ TEST(AddressSpace, DisjointDuplicatesIntoGpuSpace) {
 
 TEST(AddressSpace, PartiallySharedPlacesInSharedRegion) {
   Placement P =
-      AddressSpaceModel::forKind(AddressSpaceKind::PartiallyShared)
-          .place(KernelId::KMeans);
+      placeKernel(AddressSpaceKind::PartiallyShared, KernelId::KMeans);
   for (const DataSegment &S : P.CpuLayout.segments())
     EXPECT_EQ(regionOf(S.Base), MemRegion::Shared);
   EXPECT_TRUE(P.isShared("points"));
@@ -238,39 +235,42 @@ TEST(AddressSpace, PartiallySharedPlacesInSharedRegion) {
 }
 
 TEST(AddressSpace, AccessRules) {
-  const AddressSpaceModel &Unified =
-      AddressSpaceModel::forKind(AddressSpaceKind::Unified);
-  const AddressSpaceModel &Disjoint =
-      AddressSpaceModel::forKind(AddressSpaceKind::Disjoint);
-  const AddressSpaceModel &Adsm =
-      AddressSpaceModel::forKind(AddressSpaceKind::Adsm);
+  const AddressSpaceKind Unified = AddressSpaceKind::Unified;
+  const AddressSpaceKind Disjoint = AddressSpaceKind::Disjoint;
+  const AddressSpaceKind Adsm = AddressSpaceKind::Adsm;
 
   // Unified: everything accessible from both PUs.
-  EXPECT_TRUE(Unified.canAccess(PuKind::Gpu, MemRegion::CpuPrivate));
+  EXPECT_TRUE(canAccess(Unified, PuKind::Gpu, MemRegion::CpuPrivate));
 
   // Disjoint: strictly private.
-  EXPECT_TRUE(Disjoint.canAccess(PuKind::Cpu, MemRegion::CpuPrivate));
-  EXPECT_FALSE(Disjoint.canAccess(PuKind::Gpu, MemRegion::CpuPrivate));
-  EXPECT_FALSE(Disjoint.canAccess(PuKind::Cpu, MemRegion::GpuPrivate));
+  EXPECT_TRUE(canAccess(Disjoint, PuKind::Cpu, MemRegion::CpuPrivate));
+  EXPECT_FALSE(canAccess(Disjoint, PuKind::Gpu, MemRegion::CpuPrivate));
+  EXPECT_FALSE(canAccess(Disjoint, PuKind::Cpu, MemRegion::GpuPrivate));
 
   // ADSM: CPU sees all; GPU sees only its own and shared space
   // (Section II-A4).
-  EXPECT_TRUE(Adsm.canAccess(PuKind::Cpu, MemRegion::GpuPrivate));
-  EXPECT_TRUE(Adsm.canAccess(PuKind::Gpu, MemRegion::Shared));
-  EXPECT_FALSE(Adsm.canAccess(PuKind::Gpu, MemRegion::CpuPrivate));
+  EXPECT_TRUE(canAccess(Adsm, PuKind::Cpu, MemRegion::GpuPrivate));
+  EXPECT_TRUE(canAccess(Adsm, PuKind::Gpu, MemRegion::Shared));
+  EXPECT_FALSE(canAccess(Adsm, PuKind::Gpu, MemRegion::CpuPrivate));
 }
 
 TEST(AddressSpace, ExplicitTransferAndOwnershipTraits) {
-  EXPECT_TRUE(AddressSpaceModel::forKind(AddressSpaceKind::Disjoint)
-                  .needsExplicitTransfer());
-  EXPECT_FALSE(AddressSpaceModel::forKind(AddressSpaceKind::Unified)
-                   .needsExplicitTransfer());
-  EXPECT_TRUE(AddressSpaceModel::forKind(AddressSpaceKind::PartiallyShared)
-                  .supportsOwnership());
-  EXPECT_TRUE(
-      AddressSpaceModel::forKind(AddressSpaceKind::Adsm).supportsOwnership());
-  EXPECT_FALSE(AddressSpaceModel::forKind(AddressSpaceKind::Disjoint)
-                   .supportsOwnership());
+  // Only disjoint spaces move data with explicit transfers. Ownership
+  // hands off a placement's shared objects: partially shared and ADSM
+  // (Section II-A3/II-A4) share every object, disjoint none.
+  EXPECT_TRUE(needsExplicitTransfer(AddressSpaceKind::Disjoint));
+  EXPECT_FALSE(needsExplicitTransfer(AddressSpaceKind::Unified));
+  EXPECT_FALSE(needsExplicitTransfer(AddressSpaceKind::PartiallyShared));
+  EXPECT_FALSE(needsExplicitTransfer(AddressSpaceKind::Adsm));
+  const size_t Objects = kernelDataObjects(KernelId::KMeans).size();
+  EXPECT_EQ(placeKernel(AddressSpaceKind::PartiallyShared, KernelId::KMeans)
+                .SharedObjects.size(),
+            Objects);
+  EXPECT_EQ(placeKernel(AddressSpaceKind::Adsm, KernelId::KMeans)
+                .SharedObjects.size(),
+            Objects);
+  EXPECT_TRUE(placeKernel(AddressSpaceKind::Disjoint, KernelId::KMeans)
+                  .SharedObjects.empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -555,10 +555,9 @@ TEST(MemorySystem, PushToSharedChargesVictimWritebacks) {
   EXPECT_EQ(Mem.cpuDram().queuedRequests(), 0u);
 }
 
-TEST(MemorySystem, MergedMissKeepsAccruedTlbLatency) {
-  // Regression: a miss that merges onto an in-flight fill used to adopt
-  // the earlier entry's ReadyCycle wholesale, letting a cheap fill erase
-  // the merging access's own accrued page-walk latency.
+TEST(MemorySystem, InFlightLineMissKeepsAccruedTlbLatency) {
+  // A miss to a line whose cheap fill is still in flight pays its own
+  // page walk: the earlier fill must not erase the latency it accrued.
   MemHierConfig Config;
   Config.TlbMissPenalty = 50000;
   MemorySystem Mem(Config);
@@ -567,7 +566,7 @@ TEST(MemorySystem, MergedMissKeepsAccruedTlbLatency) {
   Mem.access(PuKind::Cpu, region::SharedBase, 4, false, 0);
   Mem.access(PuKind::Cpu, region::SharedBase + 64, 4, false, 60000);
 
-  // Second access to that line walks the page table again and merges.
+  // Second access to that line walks the page table again.
   Mem.tlb(PuKind::Cpu).flush();
   Addr Pa =
       *Mem.pageTable(PuKind::Cpu).translate(region::SharedBase + 64);
@@ -576,22 +575,29 @@ TEST(MemorySystem, MergedMissKeepsAccruedTlbLatency) {
   MemAccessResult R =
       Mem.access(PuKind::Cpu, region::SharedBase + 64, 4, false, 60001);
   EXPECT_TRUE(R.TlbMiss);
-  EXPECT_EQ(Mem.stats().counter("mem.mshr_merges"), 1u);
-  // The merge may not undercut the page walk already paid.
   EXPECT_GE(R.Latency, 50000u);
 }
 
-TEST(MemorySystem, MshrMergesConcurrentMisses) {
-  MemorySystem Mem = makeIntegrated();
+TEST(MemorySystem, InFlightLineMissTakesItsOwnFill) {
+  // The first miss to a line pays a long page walk, so its fill completes
+  // late. A second miss to that line one cycle later, with the page now
+  // in the TLB, is served by the L3 on its own schedule: it must not wait
+  // for the first fill.
+  MemHierConfig Config;
+  Config.TlbMissPenalty = 50000;
+  MemorySystem Mem(Config);
   Mem.mapRange(PuKind::Cpu, region::CpuPrivateBase, 1 << 16);
-  // Two accesses to the same cold line at the same cycle: the second is
-  // an L1 miss that merges onto the first fill.
-  Mem.access(PuKind::Cpu, region::CpuPrivateBase, 4, false, 0);
-  Mem.cpuL1().invalidate(
-      *Mem.pageTable(PuKind::Cpu).translate(region::CpuPrivateBase));
-  Mem.cpuL2().invalidate(
-      *Mem.pageTable(PuKind::Cpu).translate(region::CpuPrivateBase));
-  // Re-trigger a miss while the prior fill is still in flight.
-  Mem.access(PuKind::Cpu, region::CpuPrivateBase, 4, false, 1);
-  EXPECT_EQ(Mem.stats().counter("mem.mshr_merges"), 1u);
+  MemAccessResult First =
+      Mem.access(PuKind::Cpu, region::CpuPrivateBase, 4, false, 0);
+  ASSERT_TRUE(First.TlbMiss);
+  ASSERT_GE(First.Latency, 50000u);
+  const Addr Pa =
+      *Mem.pageTable(PuKind::Cpu).translate(region::CpuPrivateBase);
+  Mem.cpuL1().invalidate(Pa);
+  Mem.cpuL2().invalidate(Pa);
+  MemAccessResult Second =
+      Mem.access(PuKind::Cpu, region::CpuPrivateBase, 4, false, 1);
+  EXPECT_FALSE(Second.TlbMiss);
+  EXPECT_EQ(Second.Level, HitLevel::L3);
+  EXPECT_LT(Second.Latency, 1000u);
 }
