@@ -14,10 +14,11 @@
 #   4. metrics smoke: one run must emit schema-valid, conservation-clean
 #      metrics plus a Chrome trace file, and so must the prefetch knob's
 #      heaviest background-drain run and the whole fig5 sweep
-#   5. golden diff + paper fidelity: regenerate every checked artifact and
-#      hold it against refs/golden (tight tolerances) and refs/paper
-#      (paper-reported values and trends), then prove the sweep engine is
-#      byte-deterministic across job counts
+#   5. golden diff + paper fidelity: regenerate every checked artifact
+#      twice (all cores with one shared result store, then HETSIM_JOBS=1
+#      with none), require both to be byte-identical to refs/golden and
+#      to hold refs/paper (paper-reported values and trends), then prove
+#      the sweep engine is byte-deterministic across job counts
 #
 # Usage: scripts/ci.sh
 #
@@ -166,31 +167,35 @@ build/tools/hetsim_stats audit "$SMOKE_DIR/fig5.json"
 echo "== gate 5: golden diff + paper fidelity + determinism =="
 # Regenerate every manifest artifact into a scratch directory so the gate
 # checks the tree as built, not whatever is sitting in out/. microbench is
-# wall-clock noise and is deliberately not under regression check.
-CHECK_OUT="build/check-out"
-rm -rf "$CHECK_OUT"
-mkdir -p "$CHECK_OUT"
-export HETSIM_CSV_DIR="$CHECK_OUT"
-# Every bench and example shares one fresh result store, so the golden
-# diff below also covers points served from the store (fig6 is served
-# from fig5's points). Removed on exit.
+# wall-clock noise and is deliberately not under regression check. The
+# artifacts must be byte-identical to refs/golden both ways they are made:
+# at the caller's job count with every bench and example sharing one
+# fresh result store (fig6 is then served from fig5's points), and
+# serially with no store.
+regen_and_diff() { # <dir> <report>
+  rm -rf "$1"
+  mkdir -p "$1"
+  for b in build/bench/*; do
+    [ -f "$b" ] && [ -x "$b" ] || continue
+    name=$(basename "$b")
+    [ "$name" = "microbench" ] && continue
+    [ "$name" = "hetsim_bench" ] && continue # wall-clock output, not golden
+    HETSIM_CSV_DIR="$1" "$b" > "$1/$name.txt" 2>/dev/null
+  done
+  for e in build/examples/*; do
+    [ -f "$e" ] && [ -x "$e" ] || continue
+    HETSIM_CSV_DIR="$1" "$e" > "$1/example_$(basename "$e").txt" 2>&1
+  done
+  build/tools/hetsim_check diff --out "$1" --report "$2"
+}
+unset HETSIM_CSV_DIR HETSIM_RESULT_STORE
 STORE_DIR="$(mktemp -d)"
 trap 'rm -rf "$STORE_DIR"' EXIT
-export HETSIM_RESULT_STORE="$STORE_DIR"
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  name=$(basename "$b")
-  [ "$name" = "microbench" ] && continue
-  [ "$name" = "hetsim_bench" ] && continue # wall-clock output, not golden
-  "$b" > "$CHECK_OUT/$name.txt" 2>/dev/null
-done
-for e in build/examples/*; do
-  [ -f "$e" ] && [ -x "$e" ] || continue
-  "$e" > "$CHECK_OUT/example_$(basename "$e").txt" 2>&1
-done
-unset HETSIM_CSV_DIR HETSIM_RESULT_STORE
-build/tools/hetsim_check diff --out "$CHECK_OUT" \
-  --report build/check-report.txt
+CHECK_OUT="build/check-out"
+HETSIM_RESULT_STORE="$STORE_DIR" \
+  regen_and_diff "$CHECK_OUT" build/check-report.txt
+HETSIM_JOBS=1 regen_and_diff build/check-out-serial \
+  build/check-report-serial.txt
 build/tools/hetsim_check fidelity --out "$CHECK_OUT"
 build/tools/hetsim_check determinism --jobs "${HETSIM_JOBS:-8}"
 

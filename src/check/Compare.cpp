@@ -5,9 +5,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
+#include <string_view>
 
 using namespace hetsim;
+
+bool Tolerance::accepts(double Reference, double Actual) const {
+  double Allowed = std::max(Abs, Rel * std::fabs(Reference));
+  return std::fabs(Actual - Reference) <= Allowed;
+}
 
 const char *hetsim::diffKindName(DiffKind Kind) {
   switch (Kind) {
@@ -15,16 +20,12 @@ const char *hetsim::diffKindName(DiffKind Kind) {
     return "missing-doc";
   case DiffKind::ParseError:
     return "parse-error";
+  case DiffKind::ByteMismatch:
+    return "byte-mismatch";
   case DiffKind::MissingRow:
     return "missing-row";
-  case DiffKind::ExtraRow:
-    return "extra-row";
   case DiffKind::MissingField:
     return "missing-field";
-  case DiffKind::TextMismatch:
-    return "text-mismatch";
-  case DiffKind::ValueDrift:
-    return "value-drift";
   case DiffKind::FidelityValue:
     return "fidelity-value";
   case DiffKind::FidelityTrend:
@@ -34,56 +35,35 @@ const char *hetsim::diffKindName(DiffKind Kind) {
 }
 
 std::string DiffEntry::describe() const {
-  char Buffer[512];
   std::string Where = Doc;
   if (!Row.empty())
     Where += " : " + Row;
   if (!Field.empty())
     Where += " : " + Field;
-  switch (Kind) {
-  case DiffKind::ValueDrift:
-  case DiffKind::FidelityValue:
+  char Buffer[512];
+  if (Kind == DiffKind::FidelityValue) {
     std::snprintf(Buffer, sizeof(Buffer),
                   "%-14s %s  ref=%.6g act=%.6g |d|=%.4g rel=%.2f%% "
                   "(allowed abs=%g rel=%g)",
                   diffKindName(Kind), Where.c_str(), Reference, Actual,
                   AbsDelta, 100.0 * RelDelta, Allowed.Abs, Allowed.Rel);
-    break;
-  default:
-    std::snprintf(Buffer, sizeof(Buffer), "%-14s %s  %s", diffKindName(Kind),
-                  Where.c_str(), Detail.c_str());
-    break;
+    return Buffer;
   }
-  return Buffer;
+  std::snprintf(Buffer, sizeof(Buffer), "%-14s ", diffKindName(Kind));
+  return Buffer + Where + "  " + Detail;
 }
 
-void DiffReport::sortBySeverity() {
-  std::stable_sort(Entries.begin(), Entries.end(),
-                   [](const DiffEntry &A, const DiffEntry &B) {
-                     bool DriftA = A.Kind == DiffKind::ValueDrift ||
-                                   A.Kind == DiffKind::FidelityValue;
-                     bool DriftB = B.Kind == DiffKind::ValueDrift ||
-                                   B.Kind == DiffKind::FidelityValue;
-                     if (DriftA != DriftB)
-                       return !DriftA; // Structural breaks first.
-                     if (DriftA)
-                       return A.RelDelta > B.RelDelta;
-                     return static_cast<uint8_t>(A.Kind) <
-                            static_cast<uint8_t>(B.Kind);
-                   });
-}
-
-std::string DiffReport::render(const std::string &Title) const {
+std::string DiffReport::render(const std::string &Title,
+                               const char *Items) const {
   char Buffer[256];
   std::snprintf(Buffer, sizeof(Buffer),
-                "== %s: %llu doc%s, %llu rows, %llu values compared ==\n",
-                Title.c_str(), static_cast<unsigned long long>(DocsCompared),
+                "== %s: %llu doc%s, %llu %s compared ==\n", Title.c_str(),
+                static_cast<unsigned long long>(DocsCompared),
                 DocsCompared == 1 ? "" : "s",
-                static_cast<unsigned long long>(RowsCompared),
-                static_cast<unsigned long long>(ValuesCompared));
+                static_cast<unsigned long long>(ItemsCompared), Items);
   std::string Out = Buffer;
   if (Entries.empty()) {
-    Out += "ok: no drift beyond tolerance\n";
+    Out += "ok\n";
     return Out;
   }
   std::snprintf(Buffer, sizeof(Buffer), "FAIL: %zu violation%s\n",
@@ -98,132 +78,55 @@ std::string DiffReport::render(const std::string &Title) const {
   return Out;
 }
 
-void DiffReport::merge(DiffReport Other) {
-  for (DiffEntry &Entry : Other.Entries)
-    Entries.push_back(std::move(Entry));
-  DocsCompared += Other.DocsCompared;
-  RowsCompared += Other.RowsCompared;
-  ValuesCompared += Other.ValuesCompared;
-}
-
 namespace {
 
-DiffEntry makeDrift(const ResultDoc &Doc, const std::string &Row,
-                    const std::string &Field, double Reference, double Actual,
-                    Tolerance Allowed) {
-  DiffEntry Entry;
-  Entry.Kind = DiffKind::ValueDrift;
-  Entry.Doc = Doc.Name;
-  Entry.Row = Row;
-  Entry.Field = Field;
-  Entry.Reference = Reference;
-  Entry.Actual = Actual;
-  Entry.AbsDelta = std::fabs(Actual - Reference);
-  Entry.RelDelta = Reference != 0 ? Entry.AbsDelta / std::fabs(Reference)
-                                  : Entry.AbsDelta;
-  Entry.Allowed = Allowed;
-  return Entry;
+/// Splits \p Text into lines that keep their '\n' (a last line without
+/// one keeps none), so they concatenate back to exactly \p Text.
+std::vector<std::string_view> splitKeepingNewlines(std::string_view Text) {
+  std::vector<std::string_view> Lines;
+  while (!Text.empty()) {
+    size_t End = std::min(Text.find('\n'), Text.size() - 1) + 1;
+    Lines.push_back(Text.substr(0, End));
+    Text.remove_prefix(End);
+  }
+  return Lines;
 }
 
-void compareRow(const ResultDoc &Reference, const ResultRow &RefRow,
-                const ResultRow &ActRow, const ToleranceSpec &Spec,
-                DiffReport &Report) {
-  ++Report.RowsCompared;
-  for (const auto &RefField : RefRow.Fields) {
-    const ResultValue *Act = ActRow.find(RefField.first);
-    if (!Act) {
-      DiffEntry Entry;
-      Entry.Kind = DiffKind::MissingField;
-      Entry.Doc = Reference.Name;
-      Entry.Row = RefRow.Label;
-      Entry.Field = RefField.first;
-      Entry.Detail = "field present in reference but not in candidate";
-      Report.Entries.push_back(std::move(Entry));
-      continue;
-    }
-    const ResultValue &Ref = RefField.second;
-    if (Ref.IsNumber && Act->IsNumber) {
-      ++Report.ValuesCompared;
-      Tolerance Allowed = Spec.lookup(Reference.Name, RefField.first);
-      if (!Allowed.accepts(Ref.Number, Act->Number))
-        Report.Entries.push_back(makeDrift(Reference, RefRow.Label,
-                                           RefField.first, Ref.Number,
-                                           Act->Number, Allowed));
-      continue;
-    }
-    if (Ref.Text != Act->Text) {
-      DiffEntry Entry;
-      Entry.Kind = DiffKind::TextMismatch;
-      Entry.Doc = Reference.Name;
-      Entry.Row = RefRow.Label;
-      Entry.Field = RefField.first;
-      Entry.Detail = "ref '" + Ref.Text + "' vs act '" + Act->Text + "'";
-      Report.Entries.push_back(std::move(Entry));
-    }
-  }
+std::string showLine(std::string_view Line) {
+  if (Line.empty())
+    return "<absent>";
+  if (Line.back() == '\n')
+    return "'" + std::string(Line.substr(0, Line.size() - 1)) + "'";
+  return "'" + std::string(Line) + "' (no newline at end)";
 }
 
 } // namespace
 
-DiffReport hetsim::compareDocs(const ResultDoc &Reference,
-                               const ResultDoc &Actual,
-                               const ToleranceSpec &Spec) {
-  DiffReport Report;
-  Report.DocsCompared = 1;
-
-  // Pair rows by (label, occurrence index) so reordering is tolerated
-  // but genuinely missing rows are named.
-  std::map<std::string, std::vector<size_t>> ActRows;
-  for (size_t I = 0; I != Actual.Rows.size(); ++I)
-    ActRows[Actual.Rows[I].Label].push_back(I);
-
-  std::map<std::string, size_t> Taken;
-  std::vector<bool> Matched(Actual.Rows.size(), false);
-  for (const ResultRow &RefRow : Reference.Rows) {
-    auto It = ActRows.find(RefRow.Label);
-    size_t Occurrence = Taken[RefRow.Label]++;
-    if (It == ActRows.end() || Occurrence >= It->second.size()) {
-      DiffEntry Entry;
-      Entry.Kind = DiffKind::MissingRow;
-      Entry.Doc = Reference.Name;
-      Entry.Row = RefRow.Label;
-      Entry.Detail = "row present in reference but not in candidate";
-      Report.Entries.push_back(std::move(Entry));
-      continue;
-    }
-    size_t ActIndex = It->second[Occurrence];
-    Matched[ActIndex] = true;
-    compareRow(Reference, RefRow, Actual.Rows[ActIndex], Spec, Report);
-  }
-  for (size_t I = 0; I != Actual.Rows.size(); ++I) {
-    if (Matched[I])
-      continue;
-    DiffEntry Entry;
-    Entry.Kind = DiffKind::ExtraRow;
-    Entry.Doc = Reference.Name;
-    Entry.Row = Actual.Rows[I].Label;
-    Entry.Detail = "row present in candidate but not in reference";
-    Report.Entries.push_back(std::move(Entry));
-  }
-
-  // Prose is rendered from the same numbers at coarse granularity, so it
-  // must match line-for-line; report the first divergence precisely.
-  size_t Lines = std::max(Reference.Prose.size(), Actual.Prose.size());
+bool hetsim::compareBytes(const std::string &Doc, const std::string &Reference,
+                          const std::string &Actual, DiffEntry &Entry) {
+  if (Reference == Actual)
+    return true;
+  std::vector<std::string_view> Ref = splitKeepingNewlines(Reference);
+  std::vector<std::string_view> Act = splitKeepingNewlines(Actual);
+  size_t Lines = std::max(Ref.size(), Act.size());
+  size_t First = 0, Differing = 0;
   for (size_t I = 0; I != Lines; ++I) {
-    const std::string *Ref =
-        I < Reference.Prose.size() ? &Reference.Prose[I] : nullptr;
-    const std::string *Act =
-        I < Actual.Prose.size() ? &Actual.Prose[I] : nullptr;
-    if (Ref && Act && *Ref == *Act)
+    std::string_view R = I < Ref.size() ? Ref[I] : std::string_view();
+    std::string_view A = I < Act.size() ? Act[I] : std::string_view();
+    if (R == A)
       continue;
-    DiffEntry Entry;
-    Entry.Kind = DiffKind::TextMismatch;
-    Entry.Doc = Reference.Name;
-    Entry.Row = "prose line " + std::to_string(I + 1);
-    Entry.Detail = "ref '" + (Ref ? *Ref : "<absent>") + "' vs act '" +
-                   (Act ? *Act : "<absent>") + "'";
-    Report.Entries.push_back(std::move(Entry));
-    break; // One prose divergence is enough; the rest usually cascades.
+    if (Differing++ == 0)
+      First = I;
   }
-  return Report;
+  Entry = DiffEntry();
+  Entry.Kind = DiffKind::ByteMismatch;
+  Entry.Doc = Doc;
+  Entry.Row = "line " + std::to_string(First + 1);
+  Entry.Detail =
+      std::to_string(Differing) + " of " + std::to_string(Lines) +
+      " lines differ; ref " +
+      showLine(First < Ref.size() ? Ref[First] : std::string_view()) +
+      " vs act " +
+      showLine(First < Act.size() ? Act[First] : std::string_view());
+  return false;
 }

@@ -1,20 +1,17 @@
-//===- check/Compare.h - Tolerance-aware document diffing -------*- C++ -*-===//
+//===- check/Compare.h - Byte diffs and violation reports -------*- C++ -*-===//
 ///
 /// \file
-/// The comparison engine: diffs a candidate ResultDoc against a golden
-/// reference per metric, applying the ToleranceSpec band for each
-/// (document, field) pair, and collects violations into a DiffReport
-/// ranked by severity — structural breaks (missing documents, rows, or
-/// fields) first, then value drifts by relative delta — so the CI gate
-/// names the worst offender at the top instead of dumping a raw diff.
+/// The report side of the check subsystem. A golden diff compares each
+/// artifact with its golden byte for byte (`compareBytes`): the simulator
+/// is deterministic, so any difference at all is a changed result, and
+/// the report names the first differing line and how many lines differ.
+/// Paper-fidelity checks (check/Fidelity.h) report into the same
+/// DiffReport, one numbered line per violation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HETSIM_CHECK_COMPARE_H
 #define HETSIM_CHECK_COMPARE_H
-
-#include "check/ResultDoc.h"
-#include "check/Tolerance.h"
 
 #include <cstdint>
 #include <string>
@@ -22,14 +19,21 @@
 
 namespace hetsim {
 
+/// One fidelity band. A value passes when |Actual - Reference| is within
+/// max(Abs, Rel * |Reference|); boundary values pass (<=, not <).
+struct Tolerance {
+  double Abs = 0;
+  double Rel = 0;
+
+  bool accepts(double Reference, double Actual) const;
+};
+
 enum class DiffKind : uint8_t {
-  MissingDoc,    ///< Reference exists, candidate artifact does not.
-  ParseError,    ///< Candidate artifact unreadable or malformed.
-  MissingRow,    ///< Reference row absent from the candidate.
-  ExtraRow,      ///< Candidate row absent from the reference.
-  MissingField,  ///< Row matched but a reference field is gone.
-  TextMismatch,  ///< Text cell or prose line differs.
-  ValueDrift,    ///< Numeric delta beyond the tolerance band.
+  MissingDoc,    ///< Golden or candidate artifact unreadable.
+  ParseError,    ///< CSV artifact malformed (fidelity).
+  ByteMismatch,  ///< Candidate differs from its golden.
+  MissingRow,    ///< No row matches a fidelity selector.
+  MissingField,  ///< Selected row lacks the numeric field.
   FidelityValue, ///< Paper-expected value check failed.
   FidelityTrend, ///< Paper-expected ordering check failed.
 };
@@ -38,7 +42,7 @@ const char *diffKindName(DiffKind Kind);
 
 /// One violation.
 struct DiffEntry {
-  DiffKind Kind = DiffKind::ValueDrift;
+  DiffKind Kind = DiffKind::MissingDoc;
   std::string Doc;
   std::string Row;
   std::string Field;
@@ -57,27 +61,21 @@ struct DiffEntry {
 struct DiffReport {
   std::vector<DiffEntry> Entries;
   uint64_t DocsCompared = 0;
-  uint64_t RowsCompared = 0;
-  uint64_t ValuesCompared = 0;
+  uint64_t ItemsCompared = 0; ///< Lines (diff) or values (fidelity).
 
   bool ok() const { return Entries.empty(); }
 
-  /// Ranks entries: structural kinds first (in enum order), then value
-  /// drifts by descending relative delta. Stable for ties.
-  void sortBySeverity();
-
-  /// Renders the ranked report: a summary line plus one numbered line
-  /// per violation ("ok" when clean).
-  std::string render(const std::string &Title) const;
-
-  /// Appends \p Other's entries and counters into this report.
-  void merge(DiffReport Other);
+  /// Renders a summary line counting docs and \p Items, then "ok" or one
+  /// numbered line per violation ("  1. <kind> <doc> ...").
+  std::string render(const std::string &Title, const char *Items) const;
 };
 
-/// Diffs \p Actual against \p Reference with \p Spec. Rows pair by label
-/// and occurrence; fields pair by name; prose must match line-for-line.
-DiffReport compareDocs(const ResultDoc &Reference, const ResultDoc &Actual,
-                       const ToleranceSpec &Spec);
+/// Compares \p Actual with \p Reference byte for byte. Returns true when
+/// they are identical; otherwise fills \p Entry with a ByteMismatch for
+/// \p Doc naming the first differing line (a missing final newline
+/// counts) and how many lines differ.
+bool compareBytes(const std::string &Doc, const std::string &Reference,
+                  const std::string &Actual, DiffEntry &Entry);
 
 } // namespace hetsim
 

@@ -2,10 +2,13 @@
 
 #include "check/Fidelity.h"
 
+#include "check/ResultDoc.h"
 #include "obs/Json.h"
 
 #include <cmath>
 #include <cstdlib>
+#include <map>
+#include <optional>
 #include <sstream>
 
 using namespace hetsim;
@@ -181,26 +184,15 @@ bool parseTrendTail(const std::string &Tail, FidelityCheck &Check,
   return true;
 }
 
-/// First row whose label equals \p Selector or starts with it + '/',
-/// preferring rows that carry \p Field: an artifact can hold several
-/// tables whose rows share kernel labels but differ in columns.
-const ResultRow *selectRow(const ResultDoc &Doc, const std::string &Selector,
-                           const std::string &Field) {
-  const ResultRow *FirstLabelMatch = nullptr;
-  for (const ResultRow &Row : Doc.Rows) {
-    bool Matches =
-        Row.Label == Selector ||
+/// First row whose label equals \p Selector or starts with it + '/'.
+const ResultRow *selectRow(const ResultDoc &Doc, const std::string &Selector) {
+  for (const ResultRow &Row : Doc.Rows)
+    if (Row.Label == Selector ||
         (Row.Label.size() > Selector.size() &&
          Row.Label.compare(0, Selector.size(), Selector) == 0 &&
-         Row.Label[Selector.size()] == '/');
-    if (!Matches)
-      continue;
-    if (Row.find(Field))
+         Row.Label[Selector.size()] == '/'))
       return &Row;
-    if (!FirstLabelMatch)
-      FirstLabelMatch = &Row;
-  }
-  return FirstLabelMatch;
+  return nullptr;
 }
 
 bool opHolds(FidelityOp Op, double Lhs, double Rhs, const Tolerance &Band) {
@@ -223,7 +215,7 @@ bool opHolds(FidelityOp Op, double Lhs, double Rhs, const Tolerance &Band) {
 bool resolveValue(const FidelityCheck &Check, const ResultDoc &Doc,
                   const std::string &Selector, double &Out,
                   DiffReport &Report) {
-  const ResultRow *Row = selectRow(Doc, Selector, Check.Field);
+  const ResultRow *Row = selectRow(Doc, Selector);
   DiffEntry Entry;
   Entry.Doc = Check.Doc;
   Entry.Row = Selector;
@@ -283,6 +275,9 @@ bool FidelitySet::parse(const std::string &Text, std::string &Error) {
     std::string Leftover;
     if (Check.Doc.empty() || (Head >> Leftover))
       return Fail("first field must be '<kind> <doc>'");
+    if (Check.Doc.size() <= 4 ||
+        Check.Doc.compare(Check.Doc.size() - 4, 4, ".csv") != 0)
+      return Fail("document '" + Check.Doc + "' is not a .csv artifact");
 
     if (Kind == "value") {
       Check.RowSelector = Parts[1];
@@ -317,27 +312,42 @@ bool FidelitySet::loadFile(const std::string &Path, FidelitySet &Out,
   return Out.parse(Text, Error);
 }
 
-DiffReport hetsim::evaluateFidelity(
-    const FidelitySet &Set,
-    const std::function<const ResultDoc *(const std::string &)> &DocLookup) {
+DiffReport hetsim::evaluateFidelity(const FidelitySet &Set,
+                                    const std::string &OutDir) {
   DiffReport Report;
+  // Parse each artifact once; an empty slot marks one already reported.
+  std::map<std::string, std::optional<ResultDoc>> Docs;
   for (const FidelityCheck &Check : Set.Checks) {
-    const ResultDoc *Doc = DocLookup(Check.Doc);
-    if (!Doc) {
-      DiffEntry Entry;
+    if (Docs.count(Check.Doc))
+      continue;
+    std::optional<ResultDoc> &Slot = Docs[Check.Doc];
+    DiffEntry Entry;
+    Entry.Doc = Check.Doc;
+    std::string Path = OutDir + "/" + Check.Doc, Text;
+    ResultDoc Doc;
+    if (!readTextFile(Path, Text)) {
       Entry.Kind = DiffKind::MissingDoc;
-      Entry.Doc = Check.Doc;
-      Entry.Detail = "artifact unavailable (" + Check.Source + ")";
-      Report.Entries.push_back(std::move(Entry));
+      Entry.Detail = "cannot read " + Path;
+    } else if (!ResultDoc::fromCsv(Text, Doc, Entry.Detail)) {
+      Entry.Kind = DiffKind::ParseError;
+    } else {
+      Slot = std::move(Doc);
+      ++Report.DocsCompared;
       continue;
     }
-    ++Report.RowsCompared;
+    Report.Entries.push_back(std::move(Entry));
+  }
+
+  for (const FidelityCheck &Check : Set.Checks) {
+    const std::optional<ResultDoc> &Doc = Docs[Check.Doc];
+    if (!Doc)
+      continue;
 
     if (!Check.IsTrend) {
       double Actual = 0;
       if (!resolveValue(Check, *Doc, Check.RowSelector, Actual, Report))
         continue;
-      ++Report.ValuesCompared;
+      ++Report.ItemsCompared;
       if (opHolds(Check.Op, Actual, Check.Expected, Check.Band))
         continue;
       DiffEntry Entry;
@@ -366,7 +376,7 @@ DiffReport hetsim::evaluateFidelity(
     if (!Resolved)
       continue;
     for (size_t I = 0; I + 1 != Values.size(); ++I) {
-      ++Report.ValuesCompared;
+      ++Report.ItemsCompared;
       if (opHolds(Check.TrendOps[I], Values[I], Values[I + 1], Tolerance()))
         continue;
       DiffEntry Entry;

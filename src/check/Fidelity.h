@@ -14,10 +14,10 @@
 ///   value <doc> :: <row-prefix> :: <field> <op> <number> [abs=X] [rel=Y]
 ///   trend <doc> :: <field> :: <rowA> <op> <rowB> [<op> <rowC> ...]
 ///
-/// where <op> is one of == <= >= < >. A row selector matches the first
-/// row whose label equals it or starts with it followed by '/'. For
-/// `value ==` the abs/rel band applies; inequalities are strict as
-/// written.
+/// where <doc> is a CSV artifact (check/ResultDoc.h) and <op> is one of
+/// == <= >= < >. A row selector matches the first row whose label equals
+/// it or starts with it followed by '/'. For `value ==` the abs/rel band
+/// applies; inequalities are strict as written.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,6 @@
 
 #include "check/Compare.h"
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -57,19 +56,18 @@ struct FidelityCheck {
 struct FidelitySet {
   std::vector<FidelityCheck> Checks;
 
+  /// Parses cfg text; false with \p Error (naming the line) on a
+  /// malformed line or one whose document is not a .csv artifact.
   bool parse(const std::string &Text, std::string &Error);
   static bool loadFile(const std::string &Path, FidelitySet &Out,
                        std::string &Error);
 };
 
-/// Evaluates every check. \p DocLookup resolves an artifact name to its
-/// parsed document (nullptr when the artifact is missing or malformed —
-/// reported as MissingDoc). Violations carry the offending document,
-/// row, field, and delta.
-DiffReport
-evaluateFidelity(const FidelitySet &Set,
-                 const std::function<const ResultDoc *(const std::string &)>
-                     &DocLookup);
+/// Evaluates every check against the CSV artifacts in \p OutDir, each
+/// parsed once. An artifact that cannot be read (MissingDoc) or parsed
+/// (ParseError) is reported once and its checks are skipped; violations
+/// carry the offending document, row, field, and delta, in cfg order.
+DiffReport evaluateFidelity(const FidelitySet &Set, const std::string &OutDir);
 
 } // namespace hetsim
 

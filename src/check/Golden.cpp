@@ -5,8 +5,8 @@
 #include "core/Experiments.h"
 #include "obs/Json.h"
 
+#include <algorithm>
 #include <filesystem>
-#include <map>
 #include <sstream>
 
 using namespace hetsim;
@@ -38,64 +38,29 @@ bool hetsim::loadManifest(const std::string &Path,
   return true;
 }
 
-namespace {
-
-DiffEntry makeDocEntry(DiffKind Kind, const std::string &Doc,
-                       const std::string &Detail) {
-  DiffEntry Entry;
-  Entry.Kind = Kind;
-  Entry.Doc = Doc;
-  Entry.Detail = Detail;
-  return Entry;
-}
-
-} // namespace
-
 DiffReport hetsim::diffGoldens(const CheckPaths &Paths,
-                               const std::vector<std::string> &Names,
-                               const ToleranceSpec &Spec) {
+                               const std::vector<std::string> &Names) {
   DiffReport Report;
   for (const std::string &Name : Names) {
-    ResultDoc Reference, Actual;
-    std::string Error;
-    if (!ResultDoc::load(Name, Paths.goldenPath(Name), Reference, Error)) {
-      Report.Entries.push_back(makeDocEntry(
-          DiffKind::MissingDoc, Name, "golden unavailable: " + Error));
-      continue;
+    DiffEntry Entry;
+    Entry.Kind = DiffKind::MissingDoc;
+    Entry.Doc = Name;
+    std::string Reference, Actual;
+    std::string GoldenPath = Paths.goldenPath(Name);
+    std::string CandidatePath = Paths.OutDir + "/" + Name;
+    if (!readTextFile(GoldenPath, Reference)) {
+      Entry.Detail = "golden unavailable: cannot read " + GoldenPath;
+    } else if (!readTextFile(CandidatePath, Actual)) {
+      Entry.Detail = "candidate unavailable: cannot read " + CandidatePath;
+    } else {
+      ++Report.DocsCompared;
+      Report.ItemsCompared += static_cast<uint64_t>(
+          std::count(Reference.begin(), Reference.end(), '\n'));
+      if (compareBytes(Name, Reference, Actual, Entry))
+        continue;
     }
-    if (!ResultDoc::load(Name, Paths.OutDir + "/" + Name, Actual, Error)) {
-      Report.Entries.push_back(makeDocEntry(
-          DiffKind::MissingDoc, Name, "candidate unavailable: " + Error));
-      continue;
-    }
-    Report.merge(compareDocs(Reference, Actual, Spec));
+    Report.Entries.push_back(std::move(Entry));
   }
-  Report.sortBySeverity();
-  return Report;
-}
-
-DiffReport hetsim::fidelityGoldens(const CheckPaths &Paths,
-                                   const FidelitySet &Set) {
-  // Parse each referenced artifact at most once; remember failures so a
-  // missing artifact is reported per check but parsed once.
-  std::map<std::string, ResultDoc> Cache;
-  std::map<std::string, bool> Loaded;
-  auto Lookup = [&](const std::string &Name) -> const ResultDoc * {
-    auto It = Loaded.find(Name);
-    if (It == Loaded.end()) {
-      std::string Error;
-      ResultDoc Doc;
-      bool Ok = ResultDoc::load(Name, Paths.OutDir + "/" + Name, Doc, Error);
-      Loaded[Name] = Ok;
-      if (Ok)
-        Cache[Name] = std::move(Doc);
-      return Ok ? &Cache[Name] : nullptr;
-    }
-    return It->second ? &Cache[Name] : nullptr;
-  };
-  DiffReport Report = evaluateFidelity(Set, Lookup);
-  Report.DocsCompared = Cache.size();
-  Report.sortBySeverity();
   return Report;
 }
 
@@ -125,22 +90,9 @@ bool hetsim::blessGoldens(const CheckPaths &Paths,
 namespace {
 
 /// Builds the determinism sweep: every case-study system and every
-/// address-space option, times the selected kernels.
-std::vector<SweepPoint> determinismPoints(const std::string &KernelFilter,
-                                          std::string &Error) {
-  std::vector<KernelId> Kernels;
-  if (KernelFilter.empty()) {
-    for (KernelId Kernel : allKernels())
-      Kernels.push_back(Kernel);
-  } else {
-    KernelId Kernel;
-    if (!kernelByName(KernelFilter.c_str(), Kernel)) {
-      Error = "unknown kernel '" + KernelFilter + "'";
-      return {};
-    }
-    Kernels.push_back(Kernel);
-  }
-
+/// address-space option, times \p Kernels.
+std::vector<SweepPoint>
+determinismPoints(const std::vector<KernelId> &Kernels) {
   std::vector<SystemConfig> Systems;
   for (CaseStudy Study : allCaseStudies())
     Systems.push_back(SystemConfig::forCaseStudy(Study));
@@ -178,39 +130,17 @@ void runOnce(const std::vector<SweepPoint> &Points, unsigned Jobs,
   MetricsJson = renderSweepMetricsJson(Points, Runner.metrics());
 }
 
-/// Names the first line where \p A and \p B diverge.
-std::string firstDivergence(const std::string &A, const std::string &B) {
-  std::istringstream StreamA(A), StreamB(B);
-  std::string LineA, LineB;
-  unsigned LineNo = 0;
-  while (true) {
-    ++LineNo;
-    bool GotA = static_cast<bool>(std::getline(StreamA, LineA));
-    bool GotB = static_cast<bool>(std::getline(StreamB, LineB));
-    if (!GotA && !GotB)
-      return "documents differ in unreported whitespace";
-    if (!GotA || !GotB || LineA != LineB)
-      return "line " + std::to_string(LineNo) + ": serial '" +
-             (GotA ? LineA : "<absent>") + "' vs parallel '" +
-             (GotB ? LineB : "<absent>") + "'";
-  }
-}
-
 } // namespace
 
 DeterminismOutcome
-hetsim::checkSweepDeterminism(unsigned Jobs, const std::string &KernelFilter) {
+hetsim::checkSweepDeterminism(unsigned Jobs,
+                              const std::vector<KernelId> &Kernels) {
   DeterminismOutcome Outcome;
   if (Jobs < 2)
     Jobs = 2;
   Outcome.Jobs = Jobs;
 
-  std::string Error;
-  std::vector<SweepPoint> Points = determinismPoints(KernelFilter, Error);
-  if (Points.empty()) {
-    Outcome.Detail = Error.empty() ? "no sweep points" : Error;
-    return Outcome;
-  }
+  std::vector<SweepPoint> Points = determinismPoints(Kernels);
   Outcome.Points = Points.size();
 
   std::string SerialTable, SerialMetrics;
@@ -218,15 +148,13 @@ hetsim::checkSweepDeterminism(unsigned Jobs, const std::string &KernelFilter) {
   std::string ParallelTable, ParallelMetrics;
   runOnce(Points, Jobs, ParallelTable, ParallelMetrics);
 
-  if (SerialTable != ParallelTable) {
-    Outcome.Detail =
-        "rendered table diverges: " + firstDivergence(SerialTable,
-                                                      ParallelTable);
-    return Outcome;
-  }
-  if (SerialMetrics != ParallelMetrics) {
-    Outcome.Detail = "sweep metrics document diverges: " +
-                     firstDivergence(SerialMetrics, ParallelMetrics);
+  DiffEntry Divergence;
+  if (!compareBytes("rendered table", SerialTable, ParallelTable,
+                    Divergence) ||
+      !compareBytes("sweep metrics document", SerialMetrics, ParallelMetrics,
+                    Divergence)) {
+    Outcome.Detail = Divergence.Doc + " diverges at " + Divergence.Row +
+                     " (ref = serial, act = parallel): " + Divergence.Detail;
     return Outcome;
   }
   Outcome.Ok = true;

@@ -4,18 +4,17 @@
 /// The driver layer of the check subsystem, shared by the `hetsim_check`
 /// CLI and the tests. The `refs/` directory is laid out as:
 ///
-///   refs/MANIFEST          one artifact name per line ('#' comments)
-///   refs/tolerances.cfg    ToleranceSpec for golden diffs
-///   refs/golden/<name>     blessed copy of each manifest artifact
+///   refs/MANIFEST           one artifact name per line ('#' comments)
+///   refs/golden/<name>      blessed copy of each manifest artifact
 ///   refs/paper/fidelity.cfg paper-expected values and trends
 ///
-/// `diffGoldens` parses each manifest artifact from the candidate output
-/// directory and from `refs/golden/`, and compares them per metric.
-/// `blessGoldens` copies the candidate artifacts over the goldens after
-/// an intended change. `checkSweepDeterminism` runs the same design-space
-/// sweep serially and with N workers and byte-compares both the rendered
-/// table and the `hetsim-sweep-metrics-v1` document, enforcing the sweep
-/// engine's job-count-invariance contract.
+/// `diffGoldens` compares each manifest artifact in the candidate output
+/// directory with its golden byte for byte. `blessGoldens` copies the
+/// candidate artifacts over the goldens after an intended change.
+/// `checkSweepDeterminism` runs the same design-space sweep serially and
+/// with N workers and byte-compares both the rendered table and the
+/// `hetsim-sweep-metrics-v1` document, enforcing the sweep engine's
+/// job-count-invariance contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +22,7 @@
 #define HETSIM_CHECK_GOLDEN_H
 
 #include "check/Compare.h"
-#include "check/Fidelity.h"
+#include "trace/Kernel.h"
 
 #include <string>
 #include <vector>
@@ -36,7 +35,6 @@ struct CheckPaths {
   std::string RefsDir = "refs"; ///< Reference tree (layout above).
 
   std::string manifestPath() const { return RefsDir + "/MANIFEST"; }
-  std::string tolerancesPath() const { return RefsDir + "/tolerances.cfg"; }
   std::string goldenPath(const std::string &Name) const {
     return RefsDir + "/golden/" + Name;
   }
@@ -50,16 +48,12 @@ struct CheckPaths {
 bool loadManifest(const std::string &Path, std::vector<std::string> &Names,
                   std::string &Error);
 
-/// Diffs every manifest artifact in \p Paths.OutDir against its golden,
-/// with \p Spec. Unreadable or malformed files surface as MissingDoc /
-/// ParseError entries; the report comes back ranked.
+/// Compares every manifest artifact in \p Paths.OutDir with its golden
+/// byte for byte: one MissingDoc entry per unreadable golden or
+/// candidate, one ByteMismatch entry per differing artifact, in manifest
+/// order.
 DiffReport diffGoldens(const CheckPaths &Paths,
-                       const std::vector<std::string> &Names,
-                       const ToleranceSpec &Spec);
-
-/// Evaluates \p Set against the artifacts in \p Paths.OutDir (parsed on
-/// demand, each at most once). The report comes back ranked.
-DiffReport fidelityGoldens(const CheckPaths &Paths, const FidelitySet &Set);
+                       const std::vector<std::string> &Names);
 
 /// Copies every manifest artifact from \p Paths.OutDir over its golden,
 /// creating `refs/golden/` as needed. Returns false and sets \p Error on
@@ -76,12 +70,12 @@ struct DeterminismOutcome {
 };
 
 /// Runs the full design-space sweep (all case-study systems plus all
-/// address-space options, times every kernel — or just \p KernelFilter
-/// when non-empty) once serially and once with \p Jobs workers, and
-/// byte-compares the rendered Figure-5-style table and the sweep metrics
-/// document. \p Jobs of 0 or 1 is promoted to 2 so the probe is real.
+/// address-space options, times every kernel of \p Kernels) once
+/// serially and once with \p Jobs workers, and byte-compares the
+/// rendered Figure-5-style table and the sweep metrics document. \p Jobs
+/// of 0 or 1 is promoted to 2 so the probe is real.
 DeterminismOutcome checkSweepDeterminism(unsigned Jobs,
-                                         const std::string &KernelFilter);
+                                         const std::vector<KernelId> &Kernels);
 
 } // namespace hetsim
 

@@ -51,12 +51,25 @@ std::string TextTable::render() const {
 }
 
 std::string TextTable::renderCsv() const {
+  // RFC 4180: a cell holding a comma or a quote ("480,768") is quoted,
+  // with its quotes doubled.
   auto RenderRow = [](const std::vector<std::string> &Cells) {
     std::string Line;
     for (size_t I = 0; I != Cells.size(); ++I) {
       if (I != 0)
         Line += ',';
-      Line += Cells[I];
+      const std::string &Cell = Cells[I];
+      if (Cell.find_first_of(",\"") == std::string::npos) {
+        Line += Cell;
+        continue;
+      }
+      Line += '"';
+      for (char C : Cell) {
+        if (C == '"')
+          Line += '"';
+        Line += C;
+      }
+      Line += '"';
     }
     Line += '\n';
     return Line;

@@ -30,7 +30,8 @@ public:
   /// Renders the table with a separator line under the header.
   std::string render() const;
 
-  /// Renders as comma-separated values (for machine consumption).
+  /// Renders as RFC 4180 comma-separated values (for machine
+  /// consumption): a cell holding ',' or '"' is quoted.
   std::string renderCsv() const;
 
 private:

@@ -1,9 +1,9 @@
 //===- tests/check_test.cpp - Regression-check engine tests ---------------===//
 //
-// Covers the check subsystem end to end: value parsing, tolerance bands
-// at their boundaries, cfg parsing (including malformed input), document
-// diffing with perturbed values, metrics-JSON documents, fidelity checks,
-// and the bless round-trip through a scratch refs/ tree.
+// Covers the check subsystem end to end: value parsing, fidelity bands at
+// their boundaries, RFC 4180 CSV parsing (including malformed input),
+// byte diffs and the report lines they produce, fidelity checks, and the
+// bless round-trip through a scratch refs/ tree.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,14 +11,14 @@
 #include "check/Fidelity.h"
 #include "check/Golden.h"
 #include "check/ResultDoc.h"
-#include "check/Tolerance.h"
+#include "common/StringUtil.h"
 #include "common/TextTable.h"
 #include "obs/Json.h"
-#include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <regex>
 #include <unistd.h>
 
 using namespace hetsim;
@@ -55,7 +55,7 @@ TEST(ResultValue, KeepsTextAsText) {
 }
 
 //===----------------------------------------------------------------------===//
-// Tolerance bands
+// Fidelity bands
 //===----------------------------------------------------------------------===//
 
 TEST(Tolerance, AbsBoundaryIsInclusive) {
@@ -87,55 +87,16 @@ TEST(Tolerance, ZeroBandMeansExact) {
   EXPECT_FALSE(T.accepts(42.0, 42.0000001));
 }
 
-TEST(Tolerance, GlobMatchesStarsAndLiterals) {
-  EXPECT_TRUE(globMatch("*", "anything"));
-  EXPECT_TRUE(globMatch("norm_*", "norm_to_ideal"));
-  EXPECT_TRUE(globMatch("*comms", "# comms"));
-  EXPECT_TRUE(globMatch("*_frac", "comm_frac"));
-  EXPECT_FALSE(globMatch("norm_*", "comm_us"));
-  EXPECT_TRUE(globMatch("a*b*c", "aXXbYYc"));
-  EXPECT_FALSE(globMatch("a*b*c", "aXXbYY"));
-}
-
-TEST(ToleranceSpec, LastMatchingRuleWins) {
-  ToleranceSpec Spec;
-  std::string Error;
-  ASSERT_TRUE(Spec.parse("default abs=0 rel=0.002\n"
-                         "rule * total_us abs=1 rel=0\n"
-                         "rule fig5.csv total_us abs=9 rel=0\n",
-                         Error))
-      << Error;
-  EXPECT_DOUBLE_EQ(Spec.lookup("fig5.csv", "total_us").Abs, 9.0);
-  EXPECT_DOUBLE_EQ(Spec.lookup("fig6.csv", "total_us").Abs, 1.0);
-  EXPECT_DOUBLE_EQ(Spec.lookup("fig6.csv", "comm_us").Rel, 0.002);
-}
-
-TEST(ToleranceSpec, RejectsMalformedLinesWithLineNumber) {
-  ToleranceSpec Spec;
-  std::string Error;
-  EXPECT_FALSE(Spec.parse("default abs=0\nrule onlyonearg\n", Error));
-  EXPECT_NE(Error.find("line 2"), std::string::npos) << Error;
-}
-
-TEST(ToleranceSpec, ShippedConfigParses) {
-  // Guards the checked-in policy file itself against grammar rot.
-  ToleranceSpec Spec;
-  std::string Error;
-  ASSERT_TRUE(ToleranceSpec::loadFile(std::string(HETSIM_SOURCE_DIR) +
-                                          "/refs/tolerances.cfg",
-                                      Spec, Error))
-      << Error;
-  EXPECT_FALSE(Spec.Rules.empty());
-}
-
 //===----------------------------------------------------------------------===//
-// Document parsing
+// CSV documents
 //===----------------------------------------------------------------------===//
 
-TEST(ResultDoc, CsvRepairsUnquotedThousandsSplits) {
-  // "480,768" was written unquoted, so the raw row has one extra cell.
-  ResultDoc Doc = ResultDoc::fromCsv(
-      "t.csv", "kernel,bytes,count\nreduction,480,768,2\n");
+TEST(ResultDoc, CsvReadsQuotedThousandsCells) {
+  ResultDoc Doc;
+  std::string Error;
+  ASSERT_TRUE(ResultDoc::fromCsv(
+      "kernel,bytes,count\nreduction,\"480,768\",2\n", Doc, Error))
+      << Error;
   ASSERT_EQ(Doc.Rows.size(), 1u);
   const ResultValue *Bytes = Doc.Rows[0].find("bytes");
   ASSERT_NE(Bytes, nullptr);
@@ -144,163 +105,151 @@ TEST(ResultDoc, CsvRepairsUnquotedThousandsSplits) {
   EXPECT_EQ(Doc.Rows[0].Label, "reduction");
 }
 
-TEST(ResultDoc, ArtifactTextSplitsTablesAndProse) {
-  const char *Text = "Figure 5: case studies\n"
-                     "\n"
-                     "system      total_us   comm_us\n"
-                     "------------------------------\n"
-                     "CPU+GPU       159.75     49.05\n"
-                     "Fusion        137.84     27.26\n"
-                     "\n"
-                     "footnote line\n";
-  ResultDoc Doc = ResultDoc::fromArtifactText("fig5.txt", Text);
-  ASSERT_EQ(Doc.Rows.size(), 2u);
-  EXPECT_EQ(Doc.Rows[0].Label, "CPU+GPU");
-  const ResultValue *Total = Doc.Rows[0].find("total_us");
-  ASSERT_NE(Total, nullptr);
-  EXPECT_DOUBLE_EQ(Total->Number, 159.75);
-  // Title and footnote survive as exact-match prose.
-  ASSERT_GE(Doc.Prose.size(), 2u);
-  EXPECT_EQ(Doc.Prose.front(), "Figure 5: case studies");
-  EXPECT_EQ(Doc.Prose.back(), "footnote line");
-}
-
 TEST(ResultDoc, FromTextTableMatchesRenderedParse) {
-  // A bench writes one TextTable twice, as aligned text (out/*.txt) and
-  // as its CSV export: both parse to the same rows.
-  TextTable Table({"kernel", "system", "total_us"});
-  Table.addRow({"reduction", "CPU+GPU", "159.75"});
-  Table.addRow({"reduction", "Fusion", "137.84"});
-  ResultDoc Csv = ResultDoc::fromCsv("t", Table.renderCsv());
-  ResultDoc Reparsed = ResultDoc::fromArtifactText("t", Table.render());
-  ToleranceSpec Spec;
-  EXPECT_TRUE(compareDocs(Csv, Reparsed, Spec).ok());
-  ASSERT_EQ(Reparsed.Rows.size(), 2u);
-  EXPECT_EQ(Reparsed.Rows[1].Label, "reduction/Fusion");
-  const ResultValue *Total = Reparsed.Rows[1].find("total_us");
-  ASSERT_NE(Total, nullptr);
-  EXPECT_DOUBLE_EQ(Total->Number, 137.84);
-}
+  // A bench's CSV export quotes the cells that hold ',' or '"' (RFC
+  // 4180), so every cell parses back to exactly the table's text.
+  TextTable Table({"kernel", "system", "bytes", "note"});
+  Table.addRow({"reduction", "CPU+GPU", "480,768", "say \"hi\", twice"});
+  Table.addRow({"matrix mul", "Fusion", "786,432", ""});
+  std::string Csv = Table.renderCsv();
+  EXPECT_NE(Csv.find("\"480,768\""), std::string::npos) << Csv;
+  EXPECT_NE(Csv.find("\"say \"\"hi\"\", twice\""), std::string::npos) << Csv;
 
-TEST(ResultDoc, MetricsJsonBecomesRunRow) {
-  MetricsSnapshot M;
-  M.add("dram.cpu.reads", 1024);
-  M.add("noc.hops", 77);
   ResultDoc Doc;
   std::string Error;
-  ASSERT_TRUE(ResultDoc::fromMetricsJson("m.json", renderMetricsJson(M), Doc,
-                                         Error))
-      << Error;
-  ASSERT_EQ(Doc.Rows.size(), 1u);
-  EXPECT_EQ(Doc.Rows[0].Label, "run");
-  const ResultValue *Reads = Doc.Rows[0].find("dram.cpu.reads");
-  ASSERT_NE(Reads, nullptr);
-  EXPECT_DOUBLE_EQ(Reads->Number, 1024.0);
+  ASSERT_TRUE(ResultDoc::fromCsv(Csv, Doc, Error)) << Error;
+  ASSERT_EQ(Doc.Rows.size(), 2u);
+  EXPECT_EQ(Doc.Rows[0].find("bytes")->Text, "480,768");
+  EXPECT_DOUBLE_EQ(Doc.Rows[0].find("bytes")->Number, 480768.0);
+  EXPECT_EQ(Doc.Rows[0].find("note")->Text, "say \"hi\", twice");
+  EXPECT_EQ(Doc.Rows[1].Label, "matrix mul/Fusion");
+  EXPECT_EQ(Doc.Rows[1].find("note")->Text, "");
 }
 
-TEST(ResultDoc, RejectsMalformedMetricsJson) {
+TEST(ResultDoc, CsvRowWithWrongFieldCountIsAnError) {
+  // "480,768" written unquoted splits into two fields.
   ResultDoc Doc;
   std::string Error;
-  EXPECT_FALSE(ResultDoc::fromMetricsJson("m.json", "{\"schema\":\"nope\"}",
-                                          Doc, Error));
-  EXPECT_FALSE(Error.empty());
+  EXPECT_FALSE(ResultDoc::fromCsv(
+      "kernel,bytes,count\nreduction,480,768,2\n", Doc, Error));
+  EXPECT_NE(Error.find("line 2 has 4 fields"), std::string::npos) << Error;
+  EXPECT_FALSE(ResultDoc::fromCsv("a,b\n\"1,2\n", Doc, Error));
+  EXPECT_NE(Error.find("line 2"), std::string::npos) << Error;
+  EXPECT_FALSE(ResultDoc::fromCsv("a,b\n\"1\"x,2\n", Doc, Error));
 }
 
 //===----------------------------------------------------------------------===//
-// Comparison engine
+// Byte diffs
 //===----------------------------------------------------------------------===//
 
-ResultDoc twoRowDoc(double CpuGpuTotal) {
-  std::string Csv = "kernel,system,total_us,comm_us\n"
-                    "reduction,CPU+GPU," + std::to_string(CpuGpuTotal) +
-                    ",49.05\n"
-                    "reduction,Fusion,137.84,27.26\n";
-  return ResultDoc::fromCsv("fig5.csv", Csv);
+const char *Fig5Csv =
+    "kernel,system,seq_us,par_us,comm_us,total_us,norm_to_ideal,comm_frac\n"
+    "reduction,CPU+GPU,38.98,71.73,49.05,159.75,1.432,30.7%\n"
+    "reduction,Fusion,38.98,71.73,27.26,137.84,1.235,19.8%\n";
+
+/// \p Text with its first \p From replaced by \p To.
+std::string edited(std::string Text, const std::string &From,
+                   const std::string &To) {
+  size_t Pos = Text.find(From);
+  EXPECT_NE(Pos, std::string::npos) << From;
+  return Pos == std::string::npos ? Text : Text.replace(Pos, From.size(), To);
 }
 
 TEST(Compare, IdenticalDocsAreClean) {
-  ToleranceSpec Spec;
-  DiffReport Report = compareDocs(twoRowDoc(159.75), twoRowDoc(159.75), Spec);
-  EXPECT_TRUE(Report.ok()) << Report.render("diff");
-  EXPECT_EQ(Report.RowsCompared, 2u);
-  EXPECT_GE(Report.ValuesCompared, 4u);
+  DiffEntry Entry;
+  EXPECT_TRUE(compareBytes("fig5.csv", Fig5Csv, Fig5Csv, Entry));
+  EXPECT_TRUE(compareBytes("empty.txt", "", "", Entry));
 }
 
-TEST(Compare, PerturbedValueFailsWithRankedDrift) {
-  ToleranceSpec Spec; // zero default band
-  DiffReport Report = compareDocs(twoRowDoc(159.75), twoRowDoc(171.20), Spec);
-  ASSERT_EQ(Report.Entries.size(), 1u);
-  const DiffEntry &E = Report.Entries[0];
-  EXPECT_EQ(E.Kind, DiffKind::ValueDrift);
-  EXPECT_EQ(E.Doc, "fig5.csv");
-  EXPECT_EQ(E.Row, "reduction/CPU+GPU");
-  EXPECT_EQ(E.Field, "total_us");
-  EXPECT_NEAR(E.AbsDelta, 11.45, 1e-9);
+TEST(Compare, PerturbedValueFailsAtItsLine) {
+  DiffEntry Entry;
+  ASSERT_FALSE(compareBytes("fig5.csv", Fig5Csv,
+                            edited(Fig5Csv, "159.75", "171.20"), Entry));
+  EXPECT_EQ(Entry.Kind, DiffKind::ByteMismatch);
+  EXPECT_EQ(Entry.Doc, "fig5.csv");
+  EXPECT_EQ(Entry.Row, "line 2");
+  EXPECT_NE(Entry.Detail.find("1 of 3 lines differ"), std::string::npos)
+      << Entry.Detail;
+  EXPECT_NE(Entry.Detail.find("act 'reduction,CPU+GPU,38.98,71.73,49.05,"
+                              "171.20,"),
+            std::string::npos)
+      << Entry.Detail;
 }
 
-TEST(Compare, PerturbationWithinTolerancePasses) {
-  ToleranceSpec Spec;
-  Spec.Default = Tolerance{0.0, 0.002};
-  // 0.19% drift sits inside the 0.2% band.
-  DiffReport Report = compareDocs(twoRowDoc(159.75), twoRowDoc(160.05), Spec);
-  EXPECT_TRUE(Report.ok()) << Report.render("diff");
+TEST(Compare, PerturbationWithinOldBandFails) {
+  // 38.98 -> 39.01 is a 0.08% drift, inside the 0.2% band golden diffs
+  // once allowed; a byte diff catches it.
+  DiffEntry Entry;
+  ASSERT_FALSE(compareBytes("fig5.csv", Fig5Csv,
+                            edited(Fig5Csv, "38.98", "39.01"), Entry));
+  EXPECT_EQ(Entry.Row, "line 2");
 }
 
-TEST(Compare, PerturbedMetricsDocFailsDiff) {
-  MetricsSnapshot Ref, Act;
-  Ref.add("dram.cpu.reads", 1024);
-  Act.add("dram.cpu.reads", 1025);
-  ResultDoc RefDoc, ActDoc;
-  std::string Error;
-  ASSERT_TRUE(ResultDoc::fromMetricsJson("m.json", renderMetricsJson(Ref),
-                                         RefDoc, Error));
-  ASSERT_TRUE(ResultDoc::fromMetricsJson("m.json", renderMetricsJson(Act),
-                                         ActDoc, Error));
-  ToleranceSpec Spec;
-  DiffReport Report = compareDocs(RefDoc, ActDoc, Spec);
-  ASSERT_EQ(Report.Entries.size(), 1u);
-  EXPECT_EQ(Report.Entries[0].Kind, DiffKind::ValueDrift);
-  EXPECT_EQ(Report.Entries[0].Field, "dram.cpu.reads");
-}
-
-TEST(Compare, MissingRowAndFieldAreStructural) {
-  ResultDoc Ref = ResultDoc::fromCsv(
-      "t.csv", "kernel,total_us,comm_us\nreduction,159.75,49.05\n");
-  ResultDoc NoRow = ResultDoc::fromCsv("t.csv", "kernel,total_us,comm_us\n");
-  ResultDoc NoField =
-      ResultDoc::fromCsv("t.csv", "kernel,total_us\nreduction,159.75\n");
-  ToleranceSpec Spec;
-  DiffReport RowReport = compareDocs(Ref, NoRow, Spec);
-  ASSERT_FALSE(RowReport.ok());
-  EXPECT_EQ(RowReport.Entries[0].Kind, DiffKind::MissingRow);
-  DiffReport FieldReport = compareDocs(Ref, NoField, Spec);
-  ASSERT_FALSE(FieldReport.ok());
-  EXPECT_EQ(FieldReport.Entries[0].Kind, DiffKind::MissingField);
+TEST(Compare, RespacedColumnFails) {
+  const char *Table = "system   total_us\n"
+                      "-----------------\n"
+                      "CPU+GPU  159.75\n";
+  DiffEntry Entry;
+  ASSERT_FALSE(compareBytes("a.txt", Table,
+                            edited(Table, "CPU+GPU  ", "CPU+GPU   "), Entry));
+  EXPECT_EQ(Entry.Row, "line 3");
+  EXPECT_NE(Entry.Detail.find("1 of 3 lines differ"), std::string::npos)
+      << Entry.Detail;
 }
 
 TEST(Compare, ProseMismatchFailsExactly) {
-  ResultDoc Ref = ResultDoc::fromArtifactText("a.txt", "exact footnote\n");
-  ResultDoc Act = ResultDoc::fromArtifactText("a.txt", "changed footnote\n");
-  ToleranceSpec Spec;
-  DiffReport Report = compareDocs(Ref, Act, Spec);
-  ASSERT_FALSE(Report.ok());
-  EXPECT_EQ(Report.Entries[0].Kind, DiffKind::TextMismatch);
+  DiffEntry Entry;
+  ASSERT_FALSE(compareBytes("a.txt", "title\nexact footnote\n",
+                            "title\nchanged footnote\nextra\n", Entry));
+  EXPECT_EQ(Entry.Kind, DiffKind::ByteMismatch);
+  EXPECT_EQ(Entry.Row, "line 2");
+  EXPECT_NE(Entry.Detail.find("2 of 3 lines differ; ref 'exact footnote' vs "
+                              "act 'changed footnote'"),
+            std::string::npos)
+      << Entry.Detail;
 }
 
-TEST(Compare, StructuralBreaksRankAboveDrifts) {
+TEST(Compare, MissingTrailingNewlineFails) {
+  DiffEntry Entry;
+  std::string Truncated(Fig5Csv);
+  Truncated.pop_back();
+  ASSERT_FALSE(compareBytes("fig5.csv", Fig5Csv, Truncated, Entry));
+  EXPECT_EQ(Entry.Row, "line 3");
+  EXPECT_NE(Entry.Detail.find("(no newline at end)"), std::string::npos)
+      << Entry.Detail;
+}
+
+TEST(Compare, ReportLinesNameTheirArtifact) {
+  // perfbench reads the flagged artifacts of a diff or fidelity report
+  // with this pattern; every numbered line must yield its document.
   DiffReport Report;
-  DiffEntry Drift;
-  Drift.Kind = DiffKind::ValueDrift;
-  Drift.RelDelta = 0.5;
-  DiffEntry SmallDrift = Drift;
-  SmallDrift.RelDelta = 0.01;
-  DiffEntry Missing;
-  Missing.Kind = DiffKind::MissingRow;
-  Report.Entries = {SmallDrift, Drift, Missing};
-  Report.sortBySeverity();
-  EXPECT_EQ(Report.Entries[0].Kind, DiffKind::MissingRow);
-  EXPECT_DOUBLE_EQ(Report.Entries[1].RelDelta, 0.5);
-  EXPECT_DOUBLE_EQ(Report.Entries[2].RelDelta, 0.01);
+  DiffEntry Entry;
+  ASSERT_FALSE(compareBytes("fig5.csv", Fig5Csv,
+                            edited(Fig5Csv, "38.98", "39.01"), Entry));
+  Report.Entries.push_back(Entry);
+  Entry = DiffEntry();
+  Entry.Kind = DiffKind::MissingDoc;
+  Entry.Doc = "table3.csv";
+  Entry.Detail = "cannot read out/table3.csv";
+  Report.Entries.push_back(Entry);
+  Entry = DiffEntry();
+  Entry.Kind = DiffKind::FidelityValue;
+  Entry.Doc = "fig6.csv";
+  Entry.Row = "reduction/GMAC";
+  Entry.Field = "page_faults";
+  Report.Entries.push_back(Entry);
+
+  std::string Text = Report.render("hetsim_check diff", "lines");
+  std::regex Pattern(R"(^\s*\d+\.\s+\S+\s+(\S+))");
+  std::vector<std::string> Flagged;
+  for (const std::string &Line : splitString(Text, '\n')) {
+    std::smatch Match;
+    if (std::regex_search(Line, Match, Pattern))
+      Flagged.push_back(Match[1]);
+  }
+  EXPECT_EQ(Flagged,
+            (std::vector<std::string>{"fig5.csv", "table3.csv", "fig6.csv"}))
+      << Text;
 }
 
 //===----------------------------------------------------------------------===//
@@ -333,41 +282,90 @@ TEST(Fidelity, RejectsMalformedLines) {
   std::string Error;
   EXPECT_FALSE(Set.parse("value missing-separators\n", Error));
   EXPECT_NE(Error.find("line 1"), std::string::npos) << Error;
+  // Fidelity reads CSV exports only.
+  EXPECT_FALSE(Set.parse("# Table III\n"
+                         "value table3_benchmarks.txt :: reduction :: "
+                         "# comms == 2\n",
+                         Error));
+  EXPECT_NE(Error.find("line 2: document 'table3_benchmarks.txt' is not a "
+                       ".csv artifact"),
+            std::string::npos)
+      << Error;
+}
+
+/// A scratch output directory, removed on destruction.
+struct ScratchDir {
+  std::filesystem::path Path;
+  explicit ScratchDir(const std::string &Tag)
+      : Path(std::filesystem::path(::testing::TempDir()) /
+             (Tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(Path);
+    std::filesystem::create_directories(Path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(Path); }
+  void write(const std::string &Name, const std::string &Text) const {
+    ASSERT_TRUE(writeTextFile((Path / Name).string(), Text));
+  }
+};
+
+DiffReport evaluate(const std::string &Cfg, const ScratchDir &Out) {
+  FidelitySet Set;
+  std::string Error;
+  EXPECT_TRUE(Set.parse(Cfg, Error)) << Error;
+  return evaluateFidelity(Set, Out.Path.string());
 }
 
 TEST(Fidelity, EvaluatesValuesAndTrends) {
-  ResultDoc Doc = ResultDoc::fromCsv("f.csv",
-                                     "kernel,system,comm_us\n"
-                                     "reduction,GMAC,4.75\n"
-                                     "reduction,Fusion,27.26\n"
-                                     "reduction,CPU+GPU,49.05\n");
-  auto Lookup = [&Doc](const std::string &Name) -> const ResultDoc * {
-    return Name == "f.csv" ? &Doc : nullptr;
-  };
-  FidelitySet Good;
-  std::string Error;
-  ASSERT_TRUE(Good.parse(
+  ScratchDir Out("hetsim_fidelity_eval");
+  Out.write("f.csv", "kernel,system,comm_us\n"
+                     "reduction,GMAC,4.75\n"
+                     "reduction,Fusion,27.26\n"
+                     "reduction,CPU+GPU,49.05\n");
+  DiffReport Good = evaluate(
       "value f.csv :: reduction/GMAC :: comm_us == 4.75 abs=0.01\n"
       "trend f.csv :: comm_us :: reduction/GMAC < reduction/Fusion < "
       "reduction/CPU+GPU\n",
-      Error))
-      << Error;
-  EXPECT_TRUE(evaluateFidelity(Good, Lookup).ok());
+      Out);
+  EXPECT_TRUE(Good.ok()) << Good.render("fidelity", "values");
+  EXPECT_EQ(Good.DocsCompared, 1u);
+  EXPECT_EQ(Good.ItemsCompared, 3u);
 
-  FidelitySet Inverted;
-  ASSERT_TRUE(Inverted.parse("trend f.csv :: comm_us :: reduction/CPU+GPU < "
-                             "reduction/GMAC\n",
-                             Error));
-  DiffReport Report = evaluateFidelity(Inverted, Lookup);
+  DiffReport Report = evaluate(
+      "trend f.csv :: comm_us :: reduction/CPU+GPU < reduction/GMAC\n", Out);
   ASSERT_EQ(Report.Entries.size(), 1u);
   EXPECT_EQ(Report.Entries[0].Kind, DiffKind::FidelityTrend);
 
-  FidelitySet MissingDocSet;
-  ASSERT_TRUE(
-      MissingDocSet.parse("value nope.csv :: r :: comm_us == 1\n", Error));
-  DiffReport MissingReport = evaluateFidelity(MissingDocSet, Lookup);
-  ASSERT_EQ(MissingReport.Entries.size(), 1u);
-  EXPECT_EQ(MissingReport.Entries[0].Kind, DiffKind::MissingDoc);
+  // A missing artifact is reported once, however many checks name it.
+  DiffReport Missing = evaluate("value nope.csv :: r :: comm_us == 1\n"
+                                "value nope.csv :: s :: comm_us == 2\n",
+                                Out);
+  ASSERT_EQ(Missing.Entries.size(), 1u);
+  EXPECT_EQ(Missing.Entries[0].Kind, DiffKind::MissingDoc);
+}
+
+TEST(Fidelity, MissingRowAndFieldAreStructural) {
+  ScratchDir Out("hetsim_fidelity_structural");
+  Out.write("t.csv", "kernel,total_us\nreduction,159.75\n");
+  DiffReport Report = evaluate("value t.csv :: k-mean :: total_us == 1\n"
+                               "value t.csv :: reduction :: comm_us == 1\n",
+                               Out);
+  ASSERT_EQ(Report.Entries.size(), 2u);
+  EXPECT_EQ(Report.Entries[0].Kind, DiffKind::MissingRow);
+  EXPECT_EQ(Report.Entries[1].Kind, DiffKind::MissingField);
+}
+
+TEST(Fidelity, MalformedCsvIsOneParseError) {
+  ScratchDir Out("hetsim_fidelity_parse");
+  Out.write("t.csv", "kernel,bytes\nreduction,480,768\n");
+  DiffReport Report = evaluate("value t.csv :: reduction :: bytes == 1\n"
+                               "value t.csv :: reduction :: bytes >= 1\n",
+                               Out);
+  ASSERT_EQ(Report.Entries.size(), 1u);
+  EXPECT_EQ(Report.Entries[0].Kind, DiffKind::ParseError);
+  EXPECT_EQ(Report.Entries[0].Doc, "t.csv");
+  EXPECT_NE(Report.Entries[0].Detail.find("line 2 has 3 fields"),
+            std::string::npos)
+      << Report.Entries[0].Detail;
 }
 
 TEST(Fidelity, ShippedConfigParses) {
@@ -377,7 +375,30 @@ TEST(Fidelity, ShippedConfigParses) {
                                         "/refs/paper/fidelity.cfg",
                                     Set, Error))
       << Error;
-  EXPECT_GE(Set.Checks.size(), 50u);
+  EXPECT_EQ(Set.Checks.size(), 70u);
+}
+
+TEST(Fidelity, ShippedCsvGoldensParse) {
+  // Every golden CSV is RFC 4180: each row has its header's field count.
+  std::vector<std::string> Names;
+  std::string Error;
+  ASSERT_TRUE(loadManifest(std::string(HETSIM_SOURCE_DIR) + "/refs/MANIFEST",
+                           Names, Error))
+      << Error;
+  size_t Csvs = 0;
+  for (const std::string &Name : Names) {
+    if (Name.size() < 4 || Name.compare(Name.size() - 4, 4, ".csv") != 0)
+      continue;
+    ++Csvs;
+    std::string Text;
+    ASSERT_TRUE(readTextFile(std::string(HETSIM_SOURCE_DIR) +
+                                 "/refs/golden/" + Name,
+                             Text));
+    ResultDoc Doc;
+    EXPECT_TRUE(ResultDoc::fromCsv(Text, Doc, Error)) << Name << ": " << Error;
+    EXPECT_FALSE(Doc.Rows.empty()) << Name;
+  }
+  EXPECT_EQ(Csvs, 5u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -387,18 +408,13 @@ TEST(Fidelity, ShippedConfigParses) {
 class GoldenFixture : public ::testing::Test {
 protected:
   void SetUp() override {
-    Root = std::filesystem::path(::testing::TempDir()) /
-           ("hetsim_check_test_" +
-            std::to_string(::getpid()));
-    std::filesystem::remove_all(Root);
-    std::filesystem::create_directories(Root / "out");
-    std::filesystem::create_directories(Root / "refs");
-    Paths.OutDir = (Root / "out").string();
-    Paths.RefsDir = (Root / "refs").string();
+    std::filesystem::create_directories(Root.Path / "out");
+    std::filesystem::create_directories(Root.Path / "refs" / "golden");
+    Paths.OutDir = (Root.Path / "out").string();
+    Paths.RefsDir = (Root.Path / "refs").string();
   }
-  void TearDown() override { std::filesystem::remove_all(Root); }
 
-  std::filesystem::path Root;
+  ScratchDir Root{"hetsim_check_test"};
   CheckPaths Paths;
 };
 
@@ -409,36 +425,78 @@ TEST_F(GoldenFixture, BlessRoundTripThenDiffIsClean) {
   std::string Error;
   ASSERT_TRUE(blessGoldens(Paths, Names, Error)) << Error;
 
-  ToleranceSpec Spec;
-  DiffReport Clean = diffGoldens(Paths, Names, Spec);
-  EXPECT_TRUE(Clean.ok()) << Clean.render("diff");
+  DiffReport Clean = diffGoldens(Paths, Names);
+  EXPECT_TRUE(Clean.ok()) << Clean.render("diff", "lines");
+  EXPECT_EQ(Clean.DocsCompared, 1u);
+  EXPECT_EQ(Clean.ItemsCompared, 2u);
 
   // Drift the candidate: the blessed golden must now catch it.
   ASSERT_TRUE(writeTextFile(Paths.OutDir + "/a.csv",
                             "kernel,total_us\nreduction,171.20\n"));
-  DiffReport Dirty = diffGoldens(Paths, Names, Spec);
+  DiffReport Dirty = diffGoldens(Paths, Names);
   ASSERT_EQ(Dirty.Entries.size(), 1u);
-  EXPECT_EQ(Dirty.Entries[0].Kind, DiffKind::ValueDrift);
+  EXPECT_EQ(Dirty.Entries[0].Kind, DiffKind::ByteMismatch);
 
   // Re-bless accepts the new truth.
   ASSERT_TRUE(blessGoldens(Paths, Names, Error)) << Error;
-  EXPECT_TRUE(diffGoldens(Paths, Names, Spec).ok());
+  EXPECT_TRUE(diffGoldens(Paths, Names).ok());
+}
+
+TEST_F(GoldenFixture, ScratchEditsNameArtifactAndLine) {
+  // The shipped goldens, with two edits a tolerance band once let
+  // through: Figure 5's CPU+GPU reduction seq_us 38.98 -> 39.01 in both
+  // artifacts, and one re-spaced Figure 7 row.
+  std::vector<std::string> Names = {"fig5.csv", "fig5_case_studies.txt",
+                                    "fig7_address_space.txt", "fig7.csv"};
+  std::vector<std::string> Goldens;
+  for (const std::string &Name : Names) {
+    std::string Text;
+    ASSERT_TRUE(readTextFile(std::string(HETSIM_SOURCE_DIR) +
+                                 "/refs/golden/" + Name,
+                             Text));
+    ASSERT_TRUE(writeTextFile(Paths.goldenPath(Name), Text));
+    Goldens.push_back(Text);
+  }
+  ASSERT_TRUE(writeTextFile(Paths.OutDir + "/fig5.csv",
+                            edited(Goldens[0], "38.98", "39.01")));
+  ASSERT_TRUE(writeTextFile(Paths.OutDir + "/fig5_case_studies.txt",
+                            edited(Goldens[1], "38.98", "39.01")));
+  ASSERT_TRUE(writeTextFile(Paths.OutDir + "/fig7_address_space.txt",
+                            edited(Goldens[2], "reduction    UNI",
+                                   "reduction     UNI")));
+  ASSERT_TRUE(writeTextFile(Paths.OutDir + "/fig7.csv", Goldens[3]));
+
+  DiffReport Report = diffGoldens(Paths, Names);
+  ASSERT_EQ(Report.Entries.size(), 3u) << Report.render("diff", "lines");
+  EXPECT_EQ(Report.DocsCompared, 4u);
+  EXPECT_EQ(Report.Entries[0].Doc, "fig5.csv");
+  EXPECT_EQ(Report.Entries[0].Row, "line 2");
+  EXPECT_EQ(Report.Entries[1].Doc, "fig5_case_studies.txt");
+  EXPECT_EQ(Report.Entries[1].Row, "line 5");
+  EXPECT_EQ(Report.Entries[2].Doc, "fig7_address_space.txt");
+  EXPECT_EQ(Report.Entries[2].Row, "line 5");
+  for (const DiffEntry &Entry : Report.Entries) {
+    EXPECT_EQ(Entry.Kind, DiffKind::ByteMismatch);
+    EXPECT_EQ(Entry.Detail.find("1 of "), 0u) << Entry.Detail;
+  }
 }
 
 TEST_F(GoldenFixture, MissingGoldenAndCandidateAreReported) {
-  ToleranceSpec Spec;
   std::vector<std::string> Names = {"ghost.csv"};
-  DiffReport Report = diffGoldens(Paths, Names, Spec);
+  DiffReport Report = diffGoldens(Paths, Names);
   ASSERT_EQ(Report.Entries.size(), 1u);
   EXPECT_EQ(Report.Entries[0].Kind, DiffKind::MissingDoc);
+  EXPECT_NE(Report.Entries[0].Detail.find("golden unavailable"),
+            std::string::npos);
 
   // Golden present, candidate absent: still one MissingDoc entry.
-  std::filesystem::create_directories(Root / "refs" / "golden");
   ASSERT_TRUE(writeTextFile(Paths.goldenPath("ghost.csv"),
                             "kernel,total_us\nreduction,1\n"));
-  DiffReport Report2 = diffGoldens(Paths, Names, Spec);
+  DiffReport Report2 = diffGoldens(Paths, Names);
   ASSERT_EQ(Report2.Entries.size(), 1u);
   EXPECT_EQ(Report2.Entries[0].Kind, DiffKind::MissingDoc);
+  EXPECT_NE(Report2.Entries[0].Detail.find("candidate unavailable"),
+            std::string::npos);
 }
 
 TEST_F(GoldenFixture, ManifestRejectsMissingOrEmptyFiles) {

@@ -5,10 +5,11 @@
 /// directory layout):
 ///
 ///   hetsim_check diff [--out DIR] [--refs DIR] [--report FILE]
-///       tolerance-aware comparison of every manifest artifact against
-///       its golden; ranked per-metric report, nonzero exit on drift
+///       byte-for-byte comparison of every manifest artifact with its
+///       golden; one report line per differing artifact, naming its first
+///       differing line, nonzero exit on any difference
 ///   hetsim_check fidelity [--out DIR] [--refs DIR]
-///       paper-expected values and trends (loose bands) over the same
+///       paper-expected values and trends (loose bands) over the CSV
 ///       artifacts
 ///   hetsim_check bless [--out DIR] [--refs DIR]
 ///       copy the current artifacts over the goldens after an intended
@@ -17,23 +18,26 @@
 ///       run the design-space sweep serially and with N workers and
 ///       byte-compare the rendered table and sweep metrics document
 ///
-/// Exit status: 0 clean, 1 violations, 2 usage or unreadable refs — so
-/// `scripts/ci.sh` gate 5 can gate on it directly.
+/// Exit status: 0 clean, 1 violations, 2 usage error (named on stderr
+/// before the usage) or unreadable refs — so `scripts/ci.sh` gate 5 can
+/// gate on it directly.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "check/Fidelity.h"
 #include "check/Golden.h"
+#include "common/Config.h"
+#include "obs/Json.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-
-#include "obs/Json.h"
+#include <vector>
 
 using namespace hetsim;
 
 namespace {
+
+constexpr int ExitUsage = 2;
 
 int usage() {
   std::fprintf(stderr,
@@ -43,56 +47,62 @@ int usage() {
                "  hetsim_check fidelity [--out DIR] [--refs DIR]\n"
                "  hetsim_check bless [--out DIR] [--refs DIR]\n"
                "  hetsim_check determinism [--jobs N] [--kernel NAME]\n");
-  return 2;
+  return ExitUsage;
 }
 
 struct Options {
   CheckPaths Paths;
   std::string ReportPath;
-  std::string Kernel;
+  std::vector<KernelId> Kernels = allKernels();
   unsigned Jobs = 8;
-  bool Ok = true;
 };
 
-Options parseOptions(int Argc, char **Argv, int Start) {
-  Options Opts;
-  for (int I = Start; I < Argc; ++I) {
+/// Parses the flags after the command; false after naming the bad one.
+bool parseOptions(int Argc, char **Argv, Options &Opts) {
+  for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    auto TakeValue = [&](std::string &Out) {
-      if (I + 1 >= Argc) {
-        Opts.Ok = false;
-        return;
-      }
-      Out = Argv[++I];
-    };
+    if (Arg != "--out" && Arg != "--refs" && Arg != "--report" &&
+        Arg != "--kernel" && Arg != "--jobs") {
+      std::fprintf(stderr, "error: unknown argument '%s'\n", Arg.c_str());
+      return false;
+    }
+    if (I + 1 >= Argc) {
+      std::fprintf(stderr, "error: %s needs a value\n", Arg.c_str());
+      return false;
+    }
+    std::string Value = Argv[++I];
     if (Arg == "--out") {
-      TakeValue(Opts.Paths.OutDir);
+      Opts.Paths.OutDir = Value;
     } else if (Arg == "--refs") {
-      TakeValue(Opts.Paths.RefsDir);
+      Opts.Paths.RefsDir = Value;
     } else if (Arg == "--report") {
-      TakeValue(Opts.ReportPath);
+      Opts.ReportPath = Value;
     } else if (Arg == "--kernel") {
-      TakeValue(Opts.Kernel);
-    } else if (Arg == "--jobs") {
-      std::string Value;
-      TakeValue(Value);
-      char *End = nullptr;
-      unsigned long Jobs = std::strtoul(Value.c_str(), &End, 10);
-      if (End == Value.c_str() || *End != '\0' || Jobs == 0 || Jobs > 1024)
-        Opts.Ok = false;
-      else
-        Opts.Jobs = static_cast<unsigned>(Jobs);
+      KernelId Kernel;
+      if (!kernelByName(Value.c_str(), Kernel)) {
+        std::fprintf(stderr, "error: unknown kernel '%s'\n", Value.c_str());
+        return false;
+      }
+      Opts.Kernels = {Kernel};
     } else {
-      Opts.Ok = false;
+      uint64_t Jobs = 0;
+      if (!parseUnsigned(Value, Jobs) || Jobs == 0 || Jobs > 1024) {
+        std::fprintf(stderr,
+                     "error: --jobs has value '%s', which is not a valid "
+                     "job count (1 to 1024)\n",
+                     Value.c_str());
+        return false;
+      }
+      Opts.Jobs = static_cast<unsigned>(Jobs);
     }
   }
-  return Opts;
+  return true;
 }
 
-/// Prints (and optionally writes) a ranked report; returns the exit code.
+/// Prints (and optionally writes) a report; returns the exit code.
 int finishReport(const DiffReport &Report, const std::string &Title,
-                 const std::string &ReportPath) {
-  std::string Text = Report.render(Title);
+                 const char *Items, const std::string &ReportPath) {
+  std::string Text = Report.render(Title, Items);
   std::fputs(Text.c_str(), stdout);
   if (!ReportPath.empty() && !writeTextFile(ReportPath, Text))
     std::fprintf(stderr, "warning: cannot write report to %s\n",
@@ -105,15 +115,10 @@ int cmdDiff(const Options &Opts) {
   std::vector<std::string> Names;
   if (!loadManifest(Opts.Paths.manifestPath(), Names, Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 2;
+    return ExitUsage;
   }
-  ToleranceSpec Spec;
-  if (!ToleranceSpec::loadFile(Opts.Paths.tolerancesPath(), Spec, Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 2;
-  }
-  DiffReport Report = diffGoldens(Opts.Paths, Names, Spec);
-  return finishReport(Report, "hetsim_check diff", Opts.ReportPath);
+  return finishReport(diffGoldens(Opts.Paths, Names), "hetsim_check diff",
+                      "lines", Opts.ReportPath);
 }
 
 int cmdFidelity(const Options &Opts) {
@@ -121,10 +126,10 @@ int cmdFidelity(const Options &Opts) {
   FidelitySet Set;
   if (!FidelitySet::loadFile(Opts.Paths.fidelityPath(), Set, Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 2;
+    return ExitUsage;
   }
-  DiffReport Report = fidelityGoldens(Opts.Paths, Set);
-  return finishReport(Report, "hetsim_check fidelity", Opts.ReportPath);
+  return finishReport(evaluateFidelity(Set, Opts.Paths.OutDir),
+                      "hetsim_check fidelity", "values", Opts.ReportPath);
 }
 
 int cmdBless(const Options &Opts) {
@@ -132,7 +137,7 @@ int cmdBless(const Options &Opts) {
   std::vector<std::string> Names;
   if (!loadManifest(Opts.Paths.manifestPath(), Names, Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 2;
+    return ExitUsage;
   }
   if (!blessGoldens(Opts.Paths, Names, Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
@@ -144,7 +149,7 @@ int cmdBless(const Options &Opts) {
 }
 
 int cmdDeterminism(const Options &Opts) {
-  DeterminismOutcome Outcome = checkSweepDeterminism(Opts.Jobs, Opts.Kernel);
+  DeterminismOutcome Outcome = checkSweepDeterminism(Opts.Jobs, Opts.Kernels);
   std::printf("determinism: %s\n%s\n", Outcome.Ok ? "ok" : "FAIL",
               Outcome.Detail.c_str());
   return Outcome.Ok ? 0 : 1;
@@ -156,16 +161,17 @@ int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
   std::string Command = Argv[1];
-  Options Opts = parseOptions(Argc, Argv, 2);
-  if (!Opts.Ok)
+  int (*Run)(const Options &) = Command == "diff"          ? cmdDiff
+                                : Command == "fidelity"    ? cmdFidelity
+                                : Command == "bless"       ? cmdBless
+                                : Command == "determinism" ? cmdDeterminism
+                                                           : nullptr;
+  if (!Run) {
+    std::fprintf(stderr, "error: unknown command '%s'\n", Command.c_str());
     return usage();
-  if (Command == "diff")
-    return cmdDiff(Opts);
-  if (Command == "fidelity")
-    return cmdFidelity(Opts);
-  if (Command == "bless")
-    return cmdBless(Opts);
-  if (Command == "determinism")
-    return cmdDeterminism(Opts);
-  return usage();
+  }
+  Options Opts;
+  if (!parseOptions(Argc, Argv, Opts))
+    return usage();
+  return Run(Opts);
 }
