@@ -56,16 +56,14 @@ ctest --test-dir build -R FastPath --output-on-failure \
 # Traces stream: no production path holds a whole trace, since every
 # trace is a generator recipe expanded window by window. Holding them,
 # the interleaved matrix multiply and Table III's instruction mix would
-# need 400 and 200 MB, the extra workloads 154 MB and the custom-kernel
-# example 51 MB; streamed, all sit near 10-15 MB. Plain build only:
-# sanitizer shadow memory inflates RSS.
+# need 400 and 200 MB and the custom-kernel example 51 MB; streamed, all
+# sit near 10-15 MB. Plain build only: sanitizer shadow memory inflates
+# RSS.
 scripts/peak_rss.py 64 build/tools/hetsim run --system IDEAL-HETERO \
   --kernel "matrix mul" sys.interleaved_contention=true
 scripts/peak_rss.py 64 build/bench/table3_benchmarks
-scripts/peak_rss.py 32 build/bench/extra_workloads
-# extra_workloads runs its points in parallel, so the cap above also
-# counts one machine per worker; serially it still streams (~13 MB).
-HETSIM_JOBS=1 scripts/peak_rss.py 16 build/bench/extra_workloads
+# A serial sweep holds one machine and streams its traces (~10 MB).
+HETSIM_JOBS=1 scripts/peak_rss.py 16 build/bench/ablation_prefetch
 # Four workers building and freeing a machine per point (60 points) stay
 # near 15 MB; cache arrays from aligned operator new held 47 MB resident.
 HETSIM_JOBS=4 scripts/peak_rss.py 32 build/bench/ablation_partition
@@ -172,19 +170,20 @@ echo "== gate 5: golden diff + paper fidelity + determinism =="
 # at the caller's job count with every bench and example sharing one
 # fresh result store (fig6 is then served from fig5's points), and
 # serially with no store.
+# The programs are the manifest's .txt entries: example_<x>.txt is
+# examples/<x> (stdout and stderr), any other <stem>.txt is bench/<stem>
+# (stdout); a stale binary in build/ is never run.
 regen_and_diff() { # <dir> <report>
   rm -rf "$1"
   mkdir -p "$1"
-  for b in build/bench/*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    name=$(basename "$b")
-    [ "$name" = "microbench" ] && continue
-    [ "$name" = "hetsim_bench" ] && continue # wall-clock output, not golden
-    HETSIM_CSV_DIR="$1" "$b" > "$1/$name.txt" 2>/dev/null
-  done
-  for e in build/examples/*; do
-    [ -f "$e" ] && [ -x "$e" ] || continue
-    HETSIM_CSV_DIR="$1" "$e" > "$1/example_$(basename "$e").txt" 2>&1
+  for stem in $(sed -n 's/^\([A-Za-z0-9_]*\)[.]txt$/\1/p' refs/MANIFEST); do
+    case "$stem" in
+    example_*)
+      HETSIM_CSV_DIR="$1" "build/examples/${stem#example_}" \
+        > "$1/$stem.txt" 2>&1 ;;
+    *)
+      HETSIM_CSV_DIR="$1" "build/bench/$stem" > "$1/$stem.txt" 2>/dev/null ;;
+    esac
   done
   build/tools/hetsim_check diff --out "$1" --report "$2"
 }

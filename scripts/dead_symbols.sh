@@ -38,7 +38,7 @@ ALLOW_LIST=$(sed -e 's/#.*//' -e '/^[[:space:]]*$/d' <<'EOF'
 # it to Trace.blocks() and BlockTrace(Block->generator(), ...).
 hetsim::SharedTrace::buffer() const
 hetsim::KernelTraceGenerator::kernel() const
-# The coherence directory's eviction hook: wiring it is ROADMAP item 1.
+# The coherence directory's eviction hook: wiring it is ROADMAP item 2.
 hetsim::Directory::onEviction(hetsim::PuKind, unsigned long)
 # Const accessors through which tests read state that no production API
 # exposes.

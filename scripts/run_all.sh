@@ -35,9 +35,17 @@ echo "== tables, figures, ablations =="
 HETSIM_RESULT_STORE="$(mktemp -d)"
 export HETSIM_RESULT_STORE
 trap 'rm -rf "$HETSIM_RESULT_STORE"' EXIT
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  name=$(basename "$b")
+# The targets bench/CMakeLists.txt and examples/CMakeLists.txt list, so a
+# stale binary left in build/ by a deleted target is never run.
+BENCHES=$(
+  sed -n 's/^hetsim_add_bench(\([A-Za-z0-9_]*\)).*/\1/p' bench/CMakeLists.txt
+  sed -n 's/^add_executable(\([A-Za-z0-9_]*\) .*/\1/p' bench/CMakeLists.txt
+)
+EXAMPLES=$(
+  sed -n 's/^hetsim_add_example(\([A-Za-z0-9_]*\)).*/\1/p' examples/CMakeLists.txt
+)
+for name in $BENCHES; do
+  b="build/bench/$name"
   echo "-- $name"
   # stdout is the reproducible artifact; wall-clock telemetry goes to
   # stderr and $HETSIM_TIMING_JSON so the .txt stays machine-independent.
@@ -50,10 +58,8 @@ for b in build/bench/*; do
 done
 
 echo "== examples =="
-for e in build/examples/*; do
-  [ -f "$e" ] && [ -x "$e" ] || continue
-  name=$(basename "$e")
-  "$e" > "$OUT/example_$name.txt" 2>&1
+for name in $EXAMPLES; do
+  "build/examples/$name" > "$OUT/example_$name.txt" 2>&1
 done
 
 echo "done: results in $OUT/ (sweep timing: $HETSIM_TIMING_JSON)"

@@ -60,17 +60,14 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
 
   // Lower here, on the calling thread: lowering builds recipes, not
   // records, and each point's record count orders the dispatch.
-  std::vector<std::shared_ptr<const LoweredProgram>> Programs;
+  std::vector<LoweredProgram> Programs;
   std::vector<uint64_t> Records;
   Programs.reserve(Points.size());
   Records.reserve(Points.size());
   for (const SweepPoint &Point : Points) {
-    Programs.push_back(Point.Program
-                           ? Point.Program
-                           : std::make_shared<const LoweredProgram>(
-                                 lowerKernel(Point.Kernel, Point.Config)));
+    Programs.push_back(lowerKernel(Point.Kernel, Point.Config));
     uint64_t Count = 0;
-    for (const ExecStep &Step : Programs.back()->Steps)
+    for (const ExecStep &Step : Programs.back().Steps)
       Count += Step.CpuTrace.size() + Step.GpuTrace.size();
     Records.push_back(Count);
   }
@@ -92,7 +89,7 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
     Pool.parallelForWorkers(Points.size(), [&](size_t Slot, unsigned Worker) {
       size_t I = Order[Slot];
       const SystemConfig &Config = Points[I].Config;
-      const LoweredProgram &Program = *Programs[I];
+      const LoweredProgram &Program = Programs[I];
 
       // Diff this thread's own gen clock around the point (a worker
       // thread only ever runs one point at a time, so the diff attributes
@@ -163,7 +160,7 @@ hetsim::renderSweepMetricsJson(const std::vector<SweepPoint> &Points,
     W.beginObject();
     if (I < Points.size()) {
       W.value("system", Points[I].Config.Name);
-      W.value("kernel", Points[I].workloadName());
+      W.value("kernel", kernelName(Points[I].Kernel));
     }
     appendMetricsObject(W, "metrics", Metrics[I]);
     W.endObject();

@@ -20,38 +20,21 @@
 
 #include "core/HeteroSimulator.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace hetsim {
 
-/// One independent sweep job: a resolved configuration and a kernel, or
-/// a configuration and an already-lowered program (a workload built
-/// directly as a program, such as buildExtraWorkload). Kernel points are
-/// lowered inside SweepRunner::run, never here, so building a grid
-/// costs nothing.
+/// One independent sweep job: a resolved configuration and a kernel.
+/// SweepRunner::run lowers the kernel, never the grid builder, so
+/// building a grid costs nothing.
 struct SweepPoint {
   SystemConfig Config;
   KernelId Kernel = KernelId::Reduction;
-  /// The program to run, when the point carries one; null for a kernel
-  /// point.
-  std::shared_ptr<const LoweredProgram> Program;
-  /// The workload label of a program point (metrics "kernel" field).
-  std::string Workload;
 
   SweepPoint() = default;
   SweepPoint(SystemConfig Cfg, KernelId K)
       : Config(std::move(Cfg)), Kernel(K) {}
-  SweepPoint(SystemConfig Cfg, LoweredProgram Lowered, std::string Name)
-      : Config(std::move(Cfg)), Kernel(Lowered.Kernel),
-        Program(std::make_shared<const LoweredProgram>(std::move(Lowered))),
-        Workload(std::move(Name)) {}
-
-  /// The workload label: the kernel name, or the program point's name.
-  std::string workloadName() const {
-    return Program ? Workload : kernelName(Kernel);
-  }
 };
 
 /// The order SweepRunner::run starts \p Points in, given each point's
@@ -130,7 +113,7 @@ class SweepRunner {
 public:
   explicit SweepRunner(unsigned Jobs = 0);
 
-  /// Lowers every kernel point on the calling thread, runs every point
+  /// Lowers every point on the calling thread, runs every point
   /// and returns results in submission order. Each point's lint, store
   /// key and simulation use the one lowered program.
   std::vector<RunResult> run(const std::vector<SweepPoint> &Points);

@@ -98,12 +98,6 @@ inline Placement placeKernel(AddressSpaceKind Kind, KernelId Kernel) {
 /// per run, not per access.
 bool canAccess(AddressSpaceKind Kind, PuKind Pu, MemRegion Region);
 
-/// True if \p Kind requires explicit transfer commands to move data
-/// between the PUs (disjoint), as opposed to shared-space visibility.
-inline bool needsExplicitTransfer(AddressSpaceKind Kind) {
-  return Kind == AddressSpaceKind::Disjoint;
-}
-
 } // namespace hetsim
 
 #endif // HETSIM_MEMORY_ADDRESSSPACEMODEL_H

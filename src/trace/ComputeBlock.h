@@ -70,8 +70,8 @@ private:
 
 /// A run-length trace handle: the recipe for a record stream. It holds no
 /// records; BlockExpander and TraceReader produce them a window at a time.
-/// The generator must outlive the block: the Table III kernels' and the
-/// extra workloads' generators are static.
+/// The generator must outlive the block; the Table III kernels'
+/// generators are static.
 class BlockTrace {
 public:
   enum class Kind : uint8_t {

@@ -52,11 +52,7 @@ void KernelTraceGenerator::beginCompute(GenState &S, const GenRequest &Req,
                                         const KernelDataLayout &Layout) const {
   S = GenState();
   setUpCursors(S, Layout, Req.Split);
-  S.Rng = XorShiftRng(rngSeed(Req));
-}
-
-uint64_t KernelTraceGenerator::rngSeed(const GenRequest &Req) const {
-  return Req.Seed * 2654435761u + static_cast<uint64_t>(Req.Pu);
+  S.Rng = XorShiftRng(Req.Seed * 2654435761u + static_cast<uint64_t>(Req.Pu));
 }
 
 uint64_t KernelTraceGenerator::emitCompute(GenState &S, const GenRequest &Req,

@@ -250,19 +250,15 @@ protected:
   virtual void setUpCursors(GenState &S, const KernelDataLayout &Layout,
                             WorkSplit Split) const = 0;
 
-  /// The RNG seed of a compute expansion of \p Req. The default mixes the
-  /// request's seed with its PU.
-  virtual uint64_t rngSeed(const GenRequest &Req) const;
-
-  /// Emits one iteration of the serial pass over the output object in
-  /// S.Cur[0]. The default is an 8-instruction merge/finalize step.
-  virtual void serialIteration(TraceEmitter &E, GenState &S) const;
-
   /// The start of this generator's code region (distinct per generator so
   /// branch predictor state does not alias across them).
   uint32_t pcBase() const { return PcBase; }
 
 private:
+  /// Emits one iteration of the serial pass over the output object in
+  /// S.Cur[0]: an 8-instruction merge/finalize step.
+  void serialIteration(TraceEmitter &E, GenState &S) const;
+
   const char *Name;
   uint32_t PcBase;
 };

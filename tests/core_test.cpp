@@ -2,6 +2,7 @@
 
 #include "core/Experiments.h"
 #include "core/SystemDescriptor.h"
+#include "trace/ComputeBlock.h"
 
 #include "TestUtil.h"
 #include <gtest/gtest.h>
@@ -547,6 +548,66 @@ TEST(Simulator, CommSourceLinesExposedInResult) {
   HeteroSimulator Sim(SystemConfig::forCaseStudy(CaseStudy::CpuGpu));
   RunResult R = Sim.run(KernelId::Reduction);
   EXPECT_EQ(R.CommSourceLines, 9u); // Disjoint reduction, Table V.
+}
+
+namespace {
+
+/// A custom workload over one 256-byte object "x": the CPU streams it,
+/// and every GPU warp gathers 8 lanes 512 bytes apart from its base, so
+/// the last lane reads 3.3 KB past the object's end but inside its
+/// 4 KiB layout slot.
+class SlotGatherGenerator final : public KernelTraceGenerator {
+public:
+  SlotGatherGenerator() : KernelTraceGenerator("slot gather", 0x900000) {}
+
+protected:
+  void setUpCursors(GenState &S, const KernelDataLayout &Layout,
+                    WorkSplit) const override {
+    S.Cur[0] = cursorFor(Layout.segment("x"), WorkSplit::FullRange);
+  }
+  void cpuIteration(TraceEmitter &E, GenState &S) const override {
+    E.load(pcBase(), 8, S.Cur[0].advance(4), 4);
+  }
+  void gpuIteration(TraceEmitter &E, GenState &S) const override {
+    E.simdLoad(pcBase() + 0x100000, 8, S.Cur[0].Base, 4, 8, 512);
+  }
+};
+
+} // namespace
+
+// runLowered maps each object's whole slot, not only its bytes: with
+// 512-byte GPU pages the gather's lanes land on seven pages past the
+// object's own, and an access to an unmapped page is fatal.
+TEST(Simulator, GatherPastObjectStaysInsideMappedSlot) {
+  ConfigStore Overrides;
+  Overrides.set("mem.gpu_page_bytes", "512");
+  SystemConfig Config =
+      SystemConfig::forCaseStudy(CaseStudy::CpuGpu, Overrides);
+  const std::vector<DataObjectSpec> Objects = {
+      {"x", 256, TransferDir::HostToDevice}};
+  LoweredProgram Program;
+  Program.Place.CpuLayout =
+      KernelDataLayout::makeLinear(Objects, region::CpuPrivateBase);
+  Program.Place.GpuLayout =
+      KernelDataLayout::makeLinear(Objects, region::GpuPrivateBase);
+
+  static const SlotGatherGenerator Gen;
+  GenRequest Req;
+  Req.InstCount = 64;
+  ExecStep Compute;
+  Compute.Kind = ExecKind::ParallelCompute;
+  Compute.CpuTrace = SharedTrace(
+      std::make_shared<const BlockTrace>(Gen, Req, Program.Place.CpuLayout));
+  Req.Pu = PuKind::Gpu;
+  Compute.GpuTrace = SharedTrace(
+      std::make_shared<const BlockTrace>(Gen, Req, Program.Place.GpuLayout));
+  Program.Steps.push_back(std::move(Compute));
+
+  HeteroSimulator Sim(Config);
+  RunResult R = Sim.runLowered(Program);
+  // Lanes a line or more apart touch one line each.
+  EXPECT_EQ(R.GpuTotal.MemAccesses, 64u * 8u);
+  EXPECT_GT(R.Time.ParallelNs, 0.0);
 }
 
 //===----------------------------------------------------------------------===//

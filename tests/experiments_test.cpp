@@ -1,7 +1,6 @@
 //===- tests/experiments_test.cpp - Experiment-harness tests --------------===//
 
 #include "core/Experiments.h"
-#include "core/ExtraWorkloads.h"
 
 #include <gtest/gtest.h>
 
@@ -110,46 +109,41 @@ TEST(SandyBridge, GpuTrafficReachesSharedL3) {
 }
 
 //===----------------------------------------------------------------------===//
-// Workload-characteristic sanity: the extra workloads behave like what
-// they model.
+// Figure 6 in closed form: discrete-GPU communication is Table IV
+// arithmetic.
 //===----------------------------------------------------------------------===//
 
-TEST(WorkloadCharacter, BfsBranchesAreHardToPredict) {
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::IdealHetero);
-  HeteroSimulator Sim(Config);
-  RunResult Triad = Sim.runLowered(
-      buildExtraWorkload(ExtraWorkloadId::StreamTriad, Config, 32768));
-  RunResult Bfs = Sim.runLowered(
-      buildExtraWorkload(ExtraWorkloadId::Bfs, Config, 32768));
-  double TriadRate = double(Triad.CpuTotal.BranchMispredicts) /
-                     double(Triad.CpuTotal.Insts);
-  double BfsRate =
-      double(Bfs.CpuTotal.BranchMispredicts) / double(Bfs.CpuTotal.Insts);
-  EXPECT_GT(BfsRate, TriadRate * 5);
-}
-
-TEST(WorkloadCharacter, SpmvGathersHitLessThanTriadStreams) {
-  // Large enough that SpMV's x[] (Elements bytes) exceeds the L1: its
-  // random gathers must lower the L1 hit rate versus pure streaming.
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::IdealHetero);
-  HeteroSimulator TriadSim(Config);
-  TriadSim.runLowered(
-      buildExtraWorkload(ExtraWorkloadId::StreamTriad, Config, 262144));
-  double TriadHit = TriadSim.memory().cpuL1().stats().hitRate();
-  HeteroSimulator SpmvSim(Config);
-  SpmvSim.runLowered(
-      buildExtraWorkload(ExtraWorkloadId::Spmv, Config, 262144));
-  double SpmvHit = SpmvSim.memory().cpuL1().stats().hitRate();
-  EXPECT_LT(SpmvHit, TriadHit);
-}
-
-TEST(WorkloadCharacter, HistogramBinsStayHot) {
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::IdealHetero);
-  HeteroSimulator Sim(Config);
-  Sim.runLowered(
-      buildExtraWorkload(ExtraWorkloadId::Histogram, Config, 65536));
-  // The 1KB bin table is L1-resident: overall CPU L1 hit rate stays high.
-  EXPECT_GT(Sim.memory().cpuL1().stats().hitRate(), 0.5);
+// Every CPU+GPU transfer pays the 33,250-cycle API base at 3.5 GHz
+// (9.5 us) plus its bytes at 16 GB/s, rounded up to whole CPU cycles.
+// The constants are Table IV's, written out rather than read from
+// CommParams, so the check holds the model to the paper, not to itself.
+TEST(Fig6ClosedForm, CpuGpuCommIsApiCostPlusBandwidth) {
+  const double CpuGhz = 3.5;
+  const double ApiBaseNs = 33250 / CpuGhz;
+  const double PciBytesPerNs = 16.0;
+  const SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
+  for (KernelId Kernel : allKernels()) {
+    HeteroSimulator Sim(Config);
+    const RunResult R = Sim.run(Kernel);
+    ASSERT_GT(R.TransferCount, 0u) << kernelName(Kernel);
+    const double Transfers = double(R.TransferCount);
+    EXPECT_NEAR(R.Time.CommunicationNs,
+                Transfers * ApiBaseNs +
+                    double(R.TransferredBytes) / PciBytesPerNs,
+                Transfers / CpuGhz)
+        << kernelName(Kernel);
+    // Two committed rows: 2 x 9.5 + 480,768 B / 16 GB/s = 49.05 us and
+    // 6 x 9.5 + 10.11 = 67.11 us.
+    if (Kernel == KernelId::Reduction) {
+      EXPECT_EQ(R.TransferCount, 2u);
+      EXPECT_EQ(R.TransferredBytes, 480768u);
+      EXPECT_NEAR(R.Time.CommunicationNs / 1e3, 49.05, 0.005);
+    }
+    if (Kernel == KernelId::KMeans) {
+      EXPECT_EQ(R.TransferCount, 6u);
+      EXPECT_NEAR(R.Time.CommunicationNs / 1e3, 67.11, 0.005);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,7 +9,6 @@
 
 #include "cache/StreamPrefetcher.h"
 #include "core/Experiments.h"
-#include "core/ExtraWorkloads.h"
 #include "energy/EnergyModel.h"
 #include "memory/SoftwareCoherence.h"
 #include "trace/KernelTraceGenerator.h"
@@ -346,141 +345,6 @@ TEST(PartitionDeathTest, OverrideOutOfRangeRejected) {
                 "'.*', which is not a valid fraction in \\[0, 1\\]")
         << Fraction;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Extra workloads.
-//===----------------------------------------------------------------------===//
-
-class ExtraWorkloadTest : public ::testing::TestWithParam<ExtraWorkloadId> {};
-
-TEST_P(ExtraWorkloadTest, BuildsAndRunsOnDisjointSystem) {
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
-  LoweredProgram Program = buildExtraWorkload(GetParam(), Config, 8192);
-  EXPECT_EQ(Program.countSteps(ExecKind::Transfer), 2u);
-  EXPECT_EQ(Program.countSteps(ExecKind::ParallelCompute), 1u);
-  HeteroSimulator Sim(Config);
-  RunResult R = Sim.runLowered(Program);
-  EXPECT_GT(R.Time.ParallelNs, 0.0);
-  EXPECT_GT(R.Time.CommunicationNs, 0.0);
-  EXPECT_GT(R.TransferredBytes, 0u);
-}
-
-TEST_P(ExtraWorkloadTest, UnifiedSystemNeedsNoTransfers) {
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::IdealHetero);
-  LoweredProgram Program = buildExtraWorkload(GetParam(), Config, 8192);
-  EXPECT_EQ(Program.countSteps(ExecKind::Transfer), 0u);
-  HeteroSimulator Sim(Config);
-  RunResult R = Sim.runLowered(Program);
-  EXPECT_DOUBLE_EQ(R.Time.CommunicationNs, 0.0);
-}
-
-TEST_P(ExtraWorkloadTest, AccessesStayInsidePlacedObjects) {
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
-  LoweredProgram Program = buildExtraWorkload(GetParam(), Config, 4096);
-  for (const ExecStep &Step : Program.Steps) {
-    if (Step.Kind != ExecKind::ParallelCompute)
-      continue;
-    for (const TraceRecord &R : materialize(Step.CpuTrace)) {
-      if (isGlobalMemoryOp(R.Op)) {
-        EXPECT_NE(segmentContaining(Program.Place.CpuLayout, R.MemAddr),
-                  nullptr);
-      }
-    }
-    for (const TraceRecord &R : materialize(Step.GpuTrace)) {
-      if (isGlobalMemoryOp(R.Op)) {
-        EXPECT_NE(segmentContaining(Program.Place.GpuLayout, R.MemAddr),
-                  nullptr);
-      }
-    }
-  }
-}
-
-// Every lane's bytes lie in some object's whole layout slot, the range
-// runLowered maps: spmv's and bfs's GPU gathers run up to 3.6 KB past
-// their start, out of their object, but never onto an unmapped page.
-TEST_P(ExtraWorkloadTest, LanesStayInsideMappedSlots) {
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
-  auto InSlot = [](const KernelDataLayout &Layout, Addr Address) {
-    for (const DataSegment &S : Layout.segments())
-      if (Address - S.Base < alignUp(S.Bytes, SegmentAlignBytes))
-        return true;
-    return false;
-  };
-  for (uint64_t Elements : {64, 1000, 4096}) {
-    LoweredProgram Program = buildExtraWorkload(GetParam(), Config, Elements);
-    for (const ExecStep &Step : Program.Steps)
-      for (PuKind Pu : {PuKind::Cpu, PuKind::Gpu}) {
-        const bool IsCpu = Pu == PuKind::Cpu;
-        const KernelDataLayout &Layout =
-            IsCpu ? Program.Place.CpuLayout : Program.Place.GpuLayout;
-        for (const TraceRecord &R :
-             materialize(IsCpu ? Step.CpuTrace : Step.GpuTrace)) {
-          if (!isGlobalMemoryOp(R.Op))
-            continue;
-          for (unsigned Lane = 0; Lane != R.SimdLanes; ++Lane) {
-            const Addr First = R.MemAddr + Lane * R.LaneStrideBytes;
-            EXPECT_TRUE(InSlot(Layout, First) &&
-                        InSlot(Layout, First + R.MemBytes - 1))
-                << puKindName(Pu) << " lane " << Lane << " at 0x" << std::hex
-                << First << std::dec << ", " << Elements << " elements";
-          }
-        }
-      }
-  }
-}
-
-// Each compute block's budget is exactly its iterations' records: one
-// iteration per element on the CPU half, one per warp of 8 on the GPU
-// half, and the budget ends where the next iteration would start.
-TEST_P(ExtraWorkloadTest, ComputeBlocksHoldWholeIterations) {
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
-  const uint64_t Elements = 4099;
-  LoweredProgram Program = buildExtraWorkload(GetParam(), Config, Elements);
-  for (const ExecStep &Step : Program.Steps) {
-    if (Step.Kind != ExecKind::ParallelCompute)
-      continue;
-    for (const BlockTrace *Block :
-         {Step.CpuTrace.blocks(), Step.GpuTrace.blocks()}) {
-      ASSERT_NE(Block, nullptr);
-      GenRequest Longer = Block->request();
-      Longer.InstCount += 64;
-      TraceBuffer Stream =
-          Block->generator().generateCompute(Longer, Block->layout());
-      // Every iteration starts with the record at the loop's first PC.
-      const uint32_t LoopPc = Stream[0].Pc;
-      uint64_t Iterations = 0;
-      for (size_t I = 0; I != Block->totalRecords(); ++I)
-        Iterations += Stream[I].Pc == LoopPc;
-      EXPECT_EQ(Stream[Block->totalRecords()].Pc, LoopPc);
-      EXPECT_EQ(Iterations, Block->request().Pu == PuKind::Cpu
-                                ? Elements / 2
-                                : (Elements - Elements / 2) / 8);
-    }
-  }
-}
-
-TEST_P(ExtraWorkloadTest, Deterministic) {
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::Fusion);
-  HeteroSimulator Sim(Config);
-  RunResult A =
-      Sim.runLowered(buildExtraWorkload(GetParam(), Config, 8192));
-  RunResult B =
-      Sim.runLowered(buildExtraWorkload(GetParam(), Config, 8192));
-  EXPECT_DOUBLE_EQ(A.Time.totalNs(), B.Time.totalNs());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllExtra, ExtraWorkloadTest,
-                         ::testing::ValuesIn(allExtraWorkloads()));
-
-TEST(ExtraWorkload, LargerProblemsLowerCommFraction) {
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
-  HeteroSimulator Sim(Config);
-  RunResult Small = Sim.runLowered(
-      buildExtraWorkload(ExtraWorkloadId::StreamTriad, Config, 4096));
-  RunResult Large = Sim.runLowered(
-      buildExtraWorkload(ExtraWorkloadId::StreamTriad, Config, 262144));
-  EXPECT_GT(Small.Time.commFraction(), Large.Time.commFraction());
 }
 
 //===----------------------------------------------------------------------===//

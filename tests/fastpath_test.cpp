@@ -4,7 +4,7 @@
 /// Block traces are exact: expanding a (generator, request) recipe window
 /// by window must give results byte-identical to running the recorded
 /// record stream. These tests run both — whole lowered programs (the six
-/// kernels and the extra workloads), with and without the
+/// kernels), with and without the
 /// interleaved-contention driver, against test-only replay generators,
 /// and single core segments against their materialized buffers — and
 /// assert identical RunResults, SegmentResults and metrics documents.
@@ -26,7 +26,6 @@
 #include "cache/Directory.h"
 #include "common/Random.h"
 #include "common/Units.h"
-#include "core/ExtraWorkloads.h"
 #include "core/HeteroSimulator.h"
 #include "gpu/GpuCore.h"
 #include "memory/AddressSpaceModel.h"
@@ -139,10 +138,6 @@ TEST(FastPathDifferential, AllKernelsAllModelsIdentical) {
           << What << ": lowering no longer emits block traces";
       expectReplayMatches(Config, Program, What);
     }
-    for (ExtraWorkloadId Id : allExtraWorkloads())
-      expectReplayMatches(Config, buildExtraWorkload(Id, Config),
-                          std::string(caseStudyName(Study)) + "/" +
-                              extraWorkloadName(Id));
   }
 }
 
@@ -308,20 +303,11 @@ TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
   expectWindowsConcatenate(BlockTrace(KernelId::KMeans, Req, Layout),
                            "k-mean");
 
-  // The extra workloads' CPU and GPU halves.
-  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
-  for (ExtraWorkloadId Id : allExtraWorkloads()) {
-    LoweredProgram Program = buildExtraWorkload(Id, Config);
-    for (const ExecStep &Step : Program.Steps) {
-      if (Step.Kind != ExecKind::ParallelCompute)
-        continue;
-      ASSERT_TRUE(Step.CpuTrace.blocks() && Step.GpuTrace.blocks());
-      expectWindowsConcatenate(*Step.CpuTrace.blocks(),
-                               std::string(extraWorkloadName(Id)) + " cpu");
-      expectWindowsConcatenate(*Step.GpuTrace.blocks(),
-                               std::string(extraWorkloadName(Id)) + " gpu");
-    }
-  }
+  // The GPU half: warp-granularity iterations over the upper half.
+  Req.Pu = PuKind::Gpu;
+  Req.Split = WorkSplit::SecondHalf;
+  expectWindowsConcatenate(BlockTrace(KernelId::KMeans, Req, Layout),
+                           "k-mean gpu");
 }
 
 namespace {

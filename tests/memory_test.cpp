@@ -255,13 +255,8 @@ TEST(AddressSpace, AccessRules) {
 }
 
 TEST(AddressSpace, ExplicitTransferAndOwnershipTraits) {
-  // Only disjoint spaces move data with explicit transfers. Ownership
-  // hands off a placement's shared objects: partially shared and ADSM
-  // (Section II-A3/II-A4) share every object, disjoint none.
-  EXPECT_TRUE(needsExplicitTransfer(AddressSpaceKind::Disjoint));
-  EXPECT_FALSE(needsExplicitTransfer(AddressSpaceKind::Unified));
-  EXPECT_FALSE(needsExplicitTransfer(AddressSpaceKind::PartiallyShared));
-  EXPECT_FALSE(needsExplicitTransfer(AddressSpaceKind::Adsm));
+  // Ownership hands off a placement's shared objects: partially shared
+  // and ADSM (Section II-A3/II-A4) share every object, disjoint none.
   const size_t Objects = kernelDataObjects(KernelId::KMeans).size();
   EXPECT_EQ(placeKernel(AddressSpaceKind::PartiallyShared, KernelId::KMeans)
                 .SharedObjects.size(),

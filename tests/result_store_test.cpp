@@ -119,8 +119,8 @@ TEST(ResultStore, KeysSeparateConfigsAndKernels) {
 
 // A trace key names the generator: two programs that differ only in which
 // generator expands their blocks (same kind, request and layout, and the
-// same default Program.Kernel, as extra workloads leave it) must not
-// share a key.
+// same default Program.Kernel, as a hand-built custom program leaves it)
+// must not share a key.
 TEST(ResultStore, TraceKeysNameTheGenerator) {
   KernelDataLayout Layout =
       KernelDataLayout::makeLinear(KernelId::Reduction, region::CpuPrivateBase);

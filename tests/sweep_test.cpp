@@ -9,7 +9,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiments.h"
-#include "core/ExtraWorkloads.h"
 #include "core/HeteroSimulator.h"
 
 #include "TestUtil.h"
@@ -192,41 +191,6 @@ TEST(SweepRunner, DispatchOrderStartsMostRecordsFirst) {
   EXPECT_EQ(dispatchOrder(Records, 1),
             (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
   EXPECT_TRUE(dispatchOrder({}, 4).empty());
-}
-
-// A point that carries its own lowered program (the extra workloads) runs
-// exactly as runLowered plus collectMetrics on a fresh simulator, at any
-// job count, with results and metrics in submission order.
-TEST(SweepRunner, ProgramPointsMatchRunLowered) {
-  std::vector<SweepPoint> Points;
-  for (ExtraWorkloadId Id : allExtraWorkloads())
-    for (CaseStudy Study : {CaseStudy::CpuGpu, CaseStudy::IdealHetero}) {
-      SystemConfig Config = SystemConfig::forCaseStudy(Study);
-      LoweredProgram Program = buildExtraWorkload(Id, Config, 8192);
-      Points.emplace_back(std::move(Config), std::move(Program),
-                          extraWorkloadName(Id));
-    }
-  std::vector<std::string> Expected;
-  std::vector<MetricsSnapshot> ExpectedMetrics;
-  for (const SweepPoint &Point : Points) {
-    HeteroSimulator Simulator(Point.Config);
-    RunResult R = Simulator.runLowered(*Point.Program);
-    Expected.push_back(exactText(R));
-    ExpectedMetrics.push_back(Simulator.collectMetrics(R));
-  }
-  for (unsigned Jobs : {1u, 4u}) {
-    SweepRunner Runner(Jobs);
-    std::vector<RunResult> Results = Runner.run(Points);
-    ASSERT_EQ(Results.size(), Points.size());
-    ASSERT_EQ(Runner.metrics().size(), Points.size());
-    for (size_t I = 0; I != Points.size(); ++I) {
-      EXPECT_EQ(exactText(Results[I]), Expected[I])
-          << "jobs " << Jobs << " point " << I;
-      EXPECT_EQ(Runner.metrics()[I].values(), ExpectedMetrics[I].values())
-          << "jobs " << Jobs << " point " << I;
-    }
-  }
-  EXPECT_EQ(Points.front().workloadName(), "stream triad");
 }
 
 // Regression: the ablation_contention sweep crashed in about 1% of jobs=4

@@ -8,7 +8,7 @@
 ///       byte-for-byte comparison of every manifest artifact with its
 ///       golden; one report line per differing artifact, naming its first
 ///       differing line, nonzero exit on any difference
-///   hetsim_check fidelity [--out DIR] [--refs DIR]
+///   hetsim_check fidelity [--out DIR] [--refs DIR] [--report FILE]
 ///       paper-expected values and trends (loose bands) over the CSV
 ///       artifacts
 ///   hetsim_check bless [--out DIR] [--refs DIR]
@@ -17,6 +17,8 @@
 ///   hetsim_check determinism [--jobs N] [--kernel NAME]
 ///       run the design-space sweep serially and with N workers and
 ///       byte-compare the rendered table and sweep metrics document
+///
+/// A command given a flag it does not take is a usage error.
 ///
 /// Exit status: 0 clean, 1 violations, 2 usage error (named on stderr
 /// before the usage) or unreadable refs — so `scripts/ci.sh` gate 5 can
@@ -29,6 +31,7 @@
 #include "common/Config.h"
 #include "obs/Json.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -44,7 +47,8 @@ int usage() {
                "usage:\n"
                "  hetsim_check diff [--out DIR] [--refs DIR] "
                "[--report FILE]\n"
-               "  hetsim_check fidelity [--out DIR] [--refs DIR]\n"
+               "  hetsim_check fidelity [--out DIR] [--refs DIR] "
+               "[--report FILE]\n"
                "  hetsim_check bless [--out DIR] [--refs DIR]\n"
                "  hetsim_check determinism [--jobs N] [--kernel NAME]\n");
   return ExitUsage;
@@ -57,13 +61,29 @@ struct Options {
   unsigned Jobs = 8;
 };
 
-/// Parses the flags after the command; false after naming the bad one.
-bool parseOptions(int Argc, char **Argv, Options &Opts) {
+/// A command: its handler and the flags it takes.
+struct Command {
+  const char *Name;
+  int (*Run)(const Options &);
+  std::vector<std::string> Flags;
+};
+
+/// Parses the flags after \p Cmd; false after naming the bad one.
+bool parseOptions(int Argc, char **Argv, const Command &Cmd, Options &Opts) {
+  static const std::vector<std::string> AllFlags = {
+      "--out", "--refs", "--report", "--kernel", "--jobs"};
+  auto Has = [](const std::vector<std::string> &Flags, const std::string &F) {
+    return std::find(Flags.begin(), Flags.end(), F) != Flags.end();
+  };
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg != "--out" && Arg != "--refs" && Arg != "--report" &&
-        Arg != "--kernel" && Arg != "--jobs") {
+    if (!Has(AllFlags, Arg)) {
       std::fprintf(stderr, "error: unknown argument '%s'\n", Arg.c_str());
+      return false;
+    }
+    if (!Has(Cmd.Flags, Arg)) {
+      std::fprintf(stderr, "error: hetsim_check %s does not take %s\n",
+                   Cmd.Name, Arg.c_str());
       return false;
     }
     if (I + 1 >= Argc) {
@@ -160,18 +180,21 @@ int cmdDeterminism(const Options &Opts) {
 int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
-  std::string Command = Argv[1];
-  int (*Run)(const Options &) = Command == "diff"          ? cmdDiff
-                                : Command == "fidelity"    ? cmdFidelity
-                                : Command == "bless"       ? cmdBless
-                                : Command == "determinism" ? cmdDeterminism
-                                                           : nullptr;
-  if (!Run) {
-    std::fprintf(stderr, "error: unknown command '%s'\n", Command.c_str());
-    return usage();
+  static const Command Commands[] = {
+      {"diff", cmdDiff, {"--out", "--refs", "--report"}},
+      {"fidelity", cmdFidelity, {"--out", "--refs", "--report"}},
+      {"bless", cmdBless, {"--out", "--refs"}},
+      {"determinism", cmdDeterminism, {"--jobs", "--kernel"}},
+  };
+  const std::string Name = Argv[1];
+  for (const Command &Cmd : Commands) {
+    if (Name != Cmd.Name)
+      continue;
+    Options Opts;
+    if (!parseOptions(Argc, Argv, Cmd, Opts))
+      return usage();
+    return Cmd.Run(Opts);
   }
-  Options Opts;
-  if (!parseOptions(Argc, Argv, Opts))
-    return usage();
-  return Run(Opts);
+  std::fprintf(stderr, "error: unknown command '%s'\n", Name.c_str());
+  return usage();
 }

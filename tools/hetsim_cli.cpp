@@ -15,7 +15,6 @@
 
 #include "common/StringUtil.h"
 #include "core/Experiments.h"
-#include "core/ExtraWorkloads.h"
 #include "core/SweepRunner.h"
 #include "energy/EnergyModel.h"
 #include "obs/Metrics.h"
@@ -39,8 +38,6 @@ int usage() {
       "  hetsim run --system <name> --kernel <name> [--config file]\n"
       "         [--stats] [--metrics out.json] [key=value ...]\n"
       "  hetsim compare --kernel <name> [key=value ...]\n"
-      "  hetsim extra --system <name> --workload <name> [--elements N]\n"
-      "         [key=value ...]\n"
       "  hetsim table <1|2|3|4|5>\n"
       "  hetsim sweep --system <name> --kernel <name> --key <config-key>\n"
       "         --values v1,v2,... [--resume] [--store <dir>] [key=value ...]\n"
@@ -139,10 +136,6 @@ int cmdList() {
   for (CaseStudy Study : allCaseStudies())
     std::printf("  %s\n", caseStudyName(Study));
   std::printf("address-space studies (ideal comm): UNI PAS DIS ADSM\n");
-  std::printf("extra workloads:");
-  for (ExtraWorkloadId Id : allExtraWorkloads())
-    std::printf(" \"%s\"", extraWorkloadName(Id));
-  std::printf("\n");
   return 0;
 }
 
@@ -176,8 +169,6 @@ int cmdTable(const std::string &Which) {
 struct ParsedArgs {
   std::string System;
   std::string Kernel;
-  std::string Workload;
-  uint64_t Elements = 65536;
   std::string SweepKey;
   std::vector<std::string> SweepValues;
   ConfigStore Overrides;
@@ -215,17 +206,6 @@ ParsedArgs parseArgs(int Argc, char **Argv, int Start) {
       }
     } else if (Arg == "--kernel") {
       TakeValue(Args.Kernel);
-    } else if (Arg == "--workload") {
-      TakeValue(Args.Workload);
-    } else if (Arg == "--elements") {
-      std::string Value;
-      if (TakeValue(Value) && !parseUnsigned(Value, Args.Elements)) {
-        std::fprintf(stderr,
-                     "error: --elements has value '%s', which is not a "
-                     "valid unsigned integer\n",
-                     Value.c_str());
-        Args.Ok = false;
-      }
     } else if (Arg == "--stats") {
       Args.DumpStats = true;
     } else if (Arg == "--metrics") {
@@ -265,39 +245,6 @@ int main(int Argc, char **Argv) {
     return cmdList();
   if (Command == "table")
     return Argc >= 3 ? cmdTable(Argv[2]) : usage();
-
-  if (Command == "extra") {
-    ParsedArgs Args = parseArgs(Argc, Argv, 2);
-    if (!Args.Ok || Args.System.empty() || Args.Workload.empty() ||
-        Args.Elements < 64)
-      return usage();
-    SystemConfig Config;
-    if (!systemByName(Args.System, Config, Args.Overrides)) {
-      std::fprintf(stderr, "error: unknown system '%s'\n",
-                   Args.System.c_str());
-      return 2;
-    }
-    for (ExtraWorkloadId Id : allExtraWorkloads()) {
-      if (Args.Workload != extraWorkloadName(Id))
-        continue;
-      HeteroSimulator Simulator(Config);
-      LoweredProgram Program =
-          buildExtraWorkload(Id, Config, Args.Elements);
-      RunResult R = Simulator.runLowered(Program);
-      std::printf("%s / %s (%llu elements)\n", Config.Name.c_str(),
-                  extraWorkloadName(Id),
-                  (unsigned long long)Args.Elements);
-      std::printf("  total %0.2f us (par %0.2f, comm %0.2f, seq %0.2f); "
-                  "moved %llu bytes\n",
-                  R.Time.totalNs() / 1e3, R.Time.ParallelNs / 1e3,
-                  R.Time.CommunicationNs / 1e3, R.Time.SequentialNs / 1e3,
-                  (unsigned long long)R.TransferredBytes);
-      return 0;
-    }
-    std::fprintf(stderr, "error: unknown workload '%s'\n",
-                 Args.Workload.c_str());
-    return 2;
-  }
 
   if (Command == "compare") {
     ParsedArgs Args = parseArgs(Argc, Argv, 2);
@@ -395,5 +342,6 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
+  std::fprintf(stderr, "error: unknown command '%s'\n", Command.c_str());
   return usage();
 }
